@@ -24,9 +24,11 @@ def pin(seed: int, sizes, workdir: Path) -> dict:
     pinned = {}
     quick = workloads.WORKLOADS["paper-quick"]
     tables = quick.body(quick.setup(seed, sizes, workdir))
-    pinned["paper-quick"] = {name: workloads.digest(text) for name, text in tables}
+    pinned["paper-quick"] = {
+        name: workloads.digest(text) for name, text in tables.items()
+    }
     luby = workloads.WORKLOADS["luby-ring4"]
-    report = luby.body(luby.setup(seed, sizes, workdir)).report
+    report = luby.body(luby.setup(seed, sizes, workdir))["luby"].report
     pinned["luby-ring4"] = [report.rounds, report.messages, report.randomness_bits]
     return pinned
 

@@ -7,10 +7,27 @@ Run from the repository root. The program under test is imported from
 object ``{"correct", "attempted", "failed", "metrics"}``.
 
 ``--trace 0`` reports the end-to-end metrics from untraced
-repetitions: ``setup_s`` (median of three set-ups: imports, measured
-in this process and in two probe interpreters, plus input building),
-``wall_s`` (median wall time of the timed body, repeated for
-``--seconds`` and at least five times) and ``peak_rss_mb``.
+repetitions of the timed body, repeated for ``--seconds`` and at least
+four times after one untimed warm-up:
+
+- ``setup_s``: median of three set-ups, each the import time (measured
+  in this process, then in probe interpreters) plus input building;
+- ``wall_s``: wall time of one repetition, as the sum over its steps
+  (workloads.py) of each step's median time;
+- ``peak_rss_mb``: median over repetitions of the process's peak
+  resident memory while the body runs (Linux resets the high-water
+  mark before each; elsewhere it is the whole run's peak).
+
+Both times are rescaled to a reference host speed. On a shared machine
+other tenants slow every process by up to a third for tens of seconds
+to minutes, longer than a run, so raw times of one commit spread about
+as much as a regression bound. A fixed kernel (``probe_host``:
+interpreter loop plus array sorts) is timed before every set-up and
+repetition, and times are reported as measured × ``PROBE_REFERENCE_S``
+/ median probe time. The probe runs no program code, so a slower
+program still reads slower; the raw times and the probe median go to
+stderr.
+
 ``--trace 1`` repeats the untraced measurement as the overhead
 baseline, then runs one traced repetition and reports the per-layer
 metrics of ``spans.PER_LAYER``; the spans are written to
@@ -35,15 +52,20 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
 
 SETUP_REPS = 3
-#: A median over at least five repetitions, so a run shrugs off two
-#: repetitions slowed by other tenants of the machine.
-MIN_REPS = 5
+#: Per-step medians over at least four repetitions, so a run shrugs
+#: off a step slowed by other tenants of the machine.
+MIN_REPS = 4
+#: Seconds ``probe_host`` takes on the reference host (about its time on
+#: an idle 2.1 GHz Xeon vCPU).
+PROBE_REFERENCE_S = 0.1
 
 #: (name, unit) of the end-to-end metrics, as in BENCHMARK.json.
 END_TO_END = [("setup_s", "s"), ("wall_s", "s"), ("peak_rss_mb", "MB")]
@@ -83,11 +105,51 @@ def probe_import_seconds() -> float:
     return float(done.stdout.split()[-1])
 
 
+def probe_host() -> float:
+    """Seconds for a fixed interpreter-and-memory kernel: the host's speed.
+
+    It allocates and frees its arrays, so it runs outside the windows
+    in which peak memory is read.
+    """
+    start = time.perf_counter()
+    total = 0
+    for i in range(600_000):
+        total += i * i % 7
+    data = np.arange(1_000_000, dtype=np.int64) * 2654435761 % 2**31
+    for _ in range(3):
+        np.sort(data)
+    return time.perf_counter() - start
+
+
+def reset_peak_rss() -> None:
+    """Restart this process's resident-memory high-water mark (Linux)."""
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        pass
+
+
+def peak_rss_mb() -> float:
+    """Resident-memory high-water mark since the last reset, in MB."""
+    try:
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 class Tally:
-    """Body timings, named sub-timings and check outcomes of a run."""
+    """Timings, memory peaks and check outcomes of a run's repetitions."""
 
     def __init__(self):
         self.times = []
+        self.steps = {}
+        self.peaks = []
+        self.probes = []
         self.samples = {}
         self.attempted = 0
         self.failed = 0
@@ -104,26 +166,48 @@ class Tally:
         for key, values in samples.items():
             self.samples.setdefault(key, []).extend(values)
 
+    def step_median(self, name):
+        return statistics.median(self.steps[name])
+
+    def wall_s(self):
+        return sum(self.step_median(name) for name in self.steps)
+
+    def host_scale(self):
+        """Factor from this run's host speed to the reference host's."""
+        return PROBE_REFERENCE_S / statistics.median(self.probes)
+
 
 def repeat(workload, inputs, seconds, tally):
     """Run the untraced body for ``seconds`` (and MIN_REPS times)."""
+    # One untimed (but checked) warm-up first: the first repetition in a
+    # process also pays for lazy imports and for growing the allocator's
+    # heap, and is consistently the slowest.
+    outputs = workload.body(inputs)
+    tally.add_checks(workload.check(inputs, outputs))
+    workload.release(inputs, outputs)
     clock = time.perf_counter
     started = clock()
     while len(tally.times) < MIN_REPS or clock() - started < seconds:
         gc.collect()  # the previous repetition's garbage is not this one's cost
+        tally.probes.append(probe_host())
+        reset_peak_rss()
         t = clock()
-        outputs = workload.body(inputs)
+        outputs, step_seconds = workload.timed(inputs)
         tally.times.append(clock() - t)
+        tally.peaks.append(peak_rss_mb())
+        for name, value in step_seconds.items():
+            tally.steps.setdefault(name, []).append(value)
         tally.add_checks(workload.check(inputs, outputs))
         tally.add_samples(workload.samples(outputs))
         workload.release(inputs, outputs)
 
 
-def set_up(workload, args, sizes, run_dir, import_seconds, repetitions):
-    """Build the inputs ``repetitions`` times; returns (inputs, setup_s)."""
+def set_up(workload, args, sizes, run_dir, import_seconds, repetitions, tally):
+    """Build the inputs ``repetitions`` times; returns (inputs, raw setup_s)."""
     builds = []
     inputs = None
     for i in range(repetitions):
+        tally.probes.append(probe_host())
         if i:
             import_seconds.append(probe_import_seconds())
         t = time.perf_counter()
@@ -151,14 +235,15 @@ def traced_metrics(workload, inputs, tally, spans, registries):
     tracer.require_layers(workload.name, layers)
     metrics = tracer.metrics()
     metrics["store.bytes_written"] = written
-    for key in ("ingest_s", "load_s", "merge_s"):
-        values = tally.samples.get(key)
-        metrics[f"store.{key}"] = statistics.median(values) if values else 0.0
+    for step in ("ingest", "load", "merge"):
+        value = tally.step_median(step) if step in tally.steps else 0.0
+        metrics[f"store.{step}_s"] = value
     queries_ms = [1000.0 * s for s in tally.samples.get("query_s", [])]
     cuts = statistics.quantiles(queries_ms, n=100) if queries_ms else [0.0] * 99
     metrics["store.query_ms.p50"] = cuts[49]
     metrics["store.query_ms.p95"] = cuts[94]
     metrics["trace.overhead_frac"] = traced_s / statistics.median(tally.times) - 1
+    metrics["host.probe_s"] = statistics.median(tally.probes)
     tracer.save(WORK / "trace" / f"{workload.name}.npz")
 
     spans_recorded = len(tracer.span_name)
@@ -179,13 +264,16 @@ def measure(args, workloads, spans, import_seconds):
     tally = Tally()
     try:
         setups = 1 if args.trace else SETUP_REPS
-        inputs, setup_s = set_up(workload, args, sizes, run_dir, import_seconds, setups)
+        inputs, raw_setup_s = set_up(
+            workload, args, sizes, run_dir, import_seconds, setups, tally
+        )
         repeat(workload, inputs, args.seconds, tally)
-        wall_s = statistics.median(tally.times)
+        raw_wall_s = tally.wall_s()
         reps = " ".join(f"{t:.3f}" for t in tally.times)
         print(
-            f"{args.workload} seed {args.seed}: setup {setup_s:.3f}s, "
-            f"wall median {wall_s:.4f}s over {len(tally.times)} reps: {reps}",
+            f"{args.workload} seed {args.seed}: raw setup {raw_setup_s:.3f}s, "
+            f"raw wall {raw_wall_s:.4f}s over {len(tally.times)} reps: {reps}; "
+            f"probe median {statistics.median(tally.probes):.4f}s",
             file=sys.stderr,
         )
         if args.trace:
@@ -193,8 +281,12 @@ def measure(args, workloads, spans, import_seconds):
             values = traced_metrics(workload, inputs, tally, spans, registries)
             units = spans.PER_LAYER
         else:
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            values = {"setup_s": setup_s, "wall_s": wall_s, "peak_rss_mb": peak_mb}
+            scale = tally.host_scale()
+            values = {
+                "setup_s": raw_setup_s * scale,
+                "wall_s": raw_wall_s * scale,
+                "peak_rss_mb": statistics.median(tally.peaks),
+            }
             units = END_TO_END
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)

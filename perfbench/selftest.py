@@ -4,11 +4,12 @@
 
 The file name keeps it out of the repository's default test
 collection. It checks that BENCHMARK.json and the code agree on every
-metric name and unit, runs every workload untraced and twice traced at
-the tiny profile (outputs correct, every metric reported, exact counts
-identical across the two traced runs), pins seed 1's tables to
-EXPERIMENTS.md, and checks that a directory holding only the benchmark
-fails without printing a result.
+metric name and unit, that ``wall_s`` sums per-step medians and is
+rescaled by the host probe, runs every workload untraced and twice
+traced at the tiny profile (outputs correct, every metric reported,
+exact counts identical across the two traced runs), pins seed 1's
+tables to EXPERIMENTS.md, and checks that a directory holding only the
+benchmark fails without printing a result.
 """
 
 import json
@@ -120,6 +121,18 @@ def test_bare_directory_fails(tmp_path):
     done = bench("luby-ring4", 0, cwd=tmp_path, script=tmp_path / "perfbench/run.py")
     assert done.returncode != 0
     assert done.stdout.strip() == ""
+
+
+def test_wall_is_sum_of_step_medians():
+    outputs, seconds = workloads.run_steps(
+        [("a", lambda done: 1), ("b", lambda done: done["a"] + 1)]
+    )
+    assert outputs == {"a": 1, "b": 2} and list(seconds) == ["a", "b"]
+    tally = run.Tally()
+    tally.steps = {"a": [1.0, 9.0, 2.0], "b": [5.0, 4.0, 30.0]}
+    assert tally.wall_s() == 2.0 + 5.0
+    tally.probes = [0.05, 0.9, 0.05]  # a host twice as fast as the reference
+    assert tally.host_scale() == pytest.approx(run.PROBE_REFERENCE_S / 0.05)
 
 
 def test_tracer_self_time_and_restore():

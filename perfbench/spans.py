@@ -242,6 +242,7 @@ PER_LAYER: List[Tuple[str, str]] = (
     ]
     + [(f"analysis.{name}_s", "s") for name in EXPERIMENT_NAMES]
     + [("trace.spans", "count"), ("trace.overhead_frac", "ratio")]
+    + [("host.probe_s", "s")]  # the host's speed during the run (run.py)
 )
 
 #: Counts that must repeat exactly across traced runs of one seed.

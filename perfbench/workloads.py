@@ -1,11 +1,15 @@
 """The benchmark's four workloads: inputs, timed body and output checks.
 
 Each workload is a closed loop with one client: ``setup`` builds the
-inputs from the workload seed, ``body`` is one timed operation on them
-and ``check`` decides, outside the timed region, whether the program's
-outputs are correct. The program under test only ever sees the
-generated inputs (a seed, a CSR graph, store directories); the seed
-itself never selects a code path.
+inputs from the workload seed, ``steps`` lists the timed body as named
+steps run in order (one per experiment table, per algorithm or per
+store operation) and ``check`` decides, outside the timed region,
+whether the program's outputs are correct. Each step is timed on its
+own, so a run can report the sum of per-step medians: a slow sample
+(host load, a garbage collection) then spoils one step, not a whole
+repetition. The program under test only ever sees the generated inputs
+(a seed, a CSR graph, store directories); the seed itself never
+selects a code path.
 
 Sizes come from a profile: ``full`` is what the benchmark measures,
 ``tiny`` runs every code path at toy sizes for the self-test.
@@ -18,7 +22,7 @@ import json
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -71,6 +75,23 @@ PROFILES: Dict[str, Dict[str, Any]] = {
 }
 
 Checks = List[Tuple[str, bool]]
+Outputs = Dict[str, Any]
+Steps = List[Tuple[str, Callable[[Outputs], Any]]]
+
+
+def run_steps(steps: Steps) -> Tuple[Outputs, Dict[str, float]]:
+    """Run ``steps`` in order; returns (outputs, seconds), by step name.
+
+    Each step receives the outputs of the steps before it.
+    """
+    clock = time.perf_counter
+    outputs: Outputs = {}
+    seconds: Dict[str, float] = {}
+    for name, step in steps:
+        start = clock()
+        outputs[name] = step(outputs)
+        seconds[name] = clock() - start
+    return outputs, seconds
 
 
 def sizes_for(profile: str) -> Dict[str, Any]:
@@ -117,20 +138,28 @@ class Workload:
     def setup(self, seed: int, sizes: Dict[str, Any], workdir: Path) -> Dict:
         raise NotImplementedError
 
-    def body(self, inputs: Dict) -> Any:
+    def steps(self, inputs: Dict) -> Steps:
+        """The timed body of one repetition, as named steps."""
         raise NotImplementedError
 
-    def check(self, inputs: Dict, outputs: Any) -> Checks:
+    def timed(self, inputs: Dict) -> Tuple[Outputs, Dict[str, float]]:
+        """One repetition of the timed body: outputs and seconds by step."""
+        return run_steps(self.steps(inputs))
+
+    def body(self, inputs: Dict) -> Outputs:
+        return self.timed(inputs)[0]
+
+    def check(self, inputs: Dict, outputs: Outputs) -> Checks:
         raise NotImplementedError
 
-    def release(self, inputs: Dict, outputs: Any) -> None:
+    def release(self, inputs: Dict, outputs: Outputs) -> None:
         """Drop what one repetition left behind (files, big objects)."""
 
-    def samples(self, outputs: Any) -> Dict[str, List[float]]:
-        """Named sub-timings of one repetition, in seconds."""
+    def samples(self, outputs: Outputs) -> Dict[str, List[float]]:
+        """Named sub-timings inside the steps of one repetition, in seconds."""
         return {}
 
-    def bytes_written(self, outputs: Any) -> int:
+    def bytes_written(self, outputs: Outputs) -> int:
         """Bytes the repetition left on disk through the program."""
         return 0
 
@@ -167,15 +196,16 @@ class PaperQuick(Workload):
             "reference": self.pinned(seed, sizes),
         }
 
-    def body(self, inputs):
-        grid = ExperimentGrid(
-            names=inputs["names"], profile="quick", seed=inputs["seed"]
-        )
-        tables = run_experiment_grid(grid, workers=1)
-        return [(name, table.render()) for name, table in tables]
+    def steps(self, inputs):
+        def table(name):
+            grid = ExperimentGrid(names=(name,), profile="quick", seed=inputs["seed"])
+            ((_, rendered),) = run_experiment_grid(grid, workers=1)
+            return rendered.render()
+
+        return [(name, lambda _, name=name: table(name)) for name in inputs["names"]]
 
     def check(self, inputs, outputs):
-        got = {name: digest(text) for name, text in outputs}
+        got = {name: digest(text) for name, text in outputs.items()}
         return [
             ("tables-complete", list(got) == list(inputs["names"])),
             repeat_or_pin(inputs, "tables", got),
@@ -195,18 +225,22 @@ class LubyRing4(Workload):
             "reference": self.pinned(seed, sizes),
         }
 
-    def body(self, inputs):
-        source = IndependentSource(seed=inputs["seed"])
-        return luby_mis(None, source, engine="array", csr=inputs["csr"])
+    def steps(self, inputs):
+        def luby(_):
+            source = IndependentSource(seed=inputs["seed"])
+            return luby_mis(None, source, engine="array", csr=inputs["csr"])
+
+        return [("luby", luby)]
 
     def check(self, inputs, outputs):
         csr = inputs["csr"]
-        values = [outputs.outputs.get(v) for v in range(csr.n)]
+        result = outputs["luby"]
+        values = [result.outputs.get(v) for v in range(csr.n)]
         in_mis = np.array([v is True for v in values])
         owners = np.repeat(np.arange(csr.n), np.diff(csr.offsets))
         both = in_mis[owners] & in_mis[csr.indices]
         covered = np.add.reduceat(in_mis[csr.indices], csr.offsets[:-1]) > 0
-        report = outputs.report
+        report = result.report
         counts = [report.rounds, report.messages, report.randomness_bits]
         return [
             ("outputs-boolean", all(v is True or v is False for v in values)),
@@ -265,19 +299,24 @@ class FloodBFS(Workload):
             "expected": None,
         }
 
-    def body(self, inputs):
-        flood = flood_min(None, inputs["radius"], engine="array", csr=inputs["cycle"])
-        forest = build_bfs_forest(
-            None,
-            {0},
-            depth_bound=inputs["depth"],
-            engine="array",
-            csr=inputs["lattice"],
-        )
-        return flood, forest
+    def steps(self, inputs):
+        def flood(_):
+            radius, cycle = inputs["radius"], inputs["cycle"]
+            return flood_min(None, radius, engine="array", csr=cycle)
+
+        def bfs(_):
+            return build_bfs_forest(
+                None,
+                {0},
+                depth_bound=inputs["depth"],
+                engine="array",
+                csr=inputs["lattice"],
+            )
+
+        return [("flood", flood), ("bfs", bfs)]
 
     def check(self, inputs, outputs):
-        flood, forest = outputs
+        flood, forest = outputs["flood"], outputs["bfs"]
         if inputs["expected"] is None:  # closed forms, once per run
             window = window_min(inputs["cycle"].uid_array, inputs["radius"])
             n = inputs["lattice"].n
@@ -409,50 +448,54 @@ class TrialStoreWorkload(Workload):
             "rep": 0,
         }
 
-    def body(self, inputs):
+    def steps(self, inputs):
         workdir = inputs["workdir"]
         inputs["rep"] += 1
         rep_dir = workdir / f"rep-{inputs['rep']}"
-        clock = time.perf_counter
-        start = clock()
-        store = ColumnarStore(rep_dir / "ingest")
-        for result in inputs["ingest"]:
-            store.put(STORE_TASK, result.spec, result)
-        store.flush()
-        store.close()
-        ingested = clock()
-        full = ColumnarStore(workdir / "full")
-        loaded = clock()
-        dest = ColumnarStore(rep_dir / "merged")
-        merge_stores(dest, [workdir / "half-a", workdir / "half-b"])
-        dest.close()
-        merged = clock()
-        answers, latencies = [], []
-        for query in inputs["queries"]:
-            t = clock()
-            answers.append(full.select(**query))
-            latencies.append(clock() - t)
-        full.close()
-        return {
-            "dir": rep_dir,
-            "answers": answers,
-            "samples": {
-                "ingest_s": [ingested - start],
-                "load_s": [loaded - ingested],
-                "merge_s": [merged - loaded],
-                "query_s": latencies,
-            },
-        }
+
+        def ingest(_):
+            store = ColumnarStore(rep_dir / "ingest")
+            for result in inputs["ingest"]:
+                store.put(STORE_TASK, result.spec, result)
+            store.flush()
+            store.close()
+            return rep_dir
+
+        def load(_):
+            return ColumnarStore(workdir / "full")
+
+        def merge(_):
+            dest = ColumnarStore(rep_dir / "merged")
+            merge_stores(dest, [workdir / "half-a", workdir / "half-b"])
+            dest.close()
+
+        def select(done):
+            full = done["load"]
+            clock = time.perf_counter
+            answers, latencies = [], []
+            for query in inputs["queries"]:
+                t = clock()
+                answers.append(full.select(**query))
+                latencies.append(clock() - t)
+            full.close()
+            return answers, latencies
+
+        return [
+            ("ingest", ingest),
+            ("load", load),
+            ("merge", merge),
+            ("select", select),
+        ]
 
     def samples(self, outputs):
-        return outputs["samples"]
+        return {"query_s": outputs["select"][1]}
 
     def bytes_written(self, outputs):
-        return sum(p.stat().st_size for p in tree_files(outputs["dir"]))
+        return sum(p.stat().st_size for p in tree_files(outputs["ingest"]))
 
     def check(self, inputs, outputs):
         records = inputs["records"]
-        rep_dir = outputs["dir"]
+        rep_dir = outputs["ingest"]
         ingested = ColumnarStore(rep_dir / "ingest")
         ingest_ok = list(ingested.records()) == records[: len(inputs["ingest"])]
         ingested.close()
@@ -469,13 +512,13 @@ class TrialStoreWorkload(Workload):
             merge_ok = merged_digest == inputs["merged_digest"]
         checks = [("ingest-roundtrip", ingest_ok), ("merge-equals-source", merge_ok)]
         expected = inputs["expected"]
-        for query, answer in zip(inputs["queries"], outputs["answers"]):
+        for query, answer in zip(inputs["queries"], outputs["select"][0]):
             cell = (query["family"], query["n"], query["seed"])
             checks.append(("select-equals-filter", answer == expected[cell]))
         return checks
 
     def release(self, inputs, outputs):
-        shutil.rmtree(outputs["dir"], ignore_errors=True)
+        shutil.rmtree(outputs["ingest"], ignore_errors=True)
 
 
 WORKLOADS: Dict[str, Workload] = {
