@@ -19,10 +19,10 @@ any false flag while leaving timing drift warn-only.
 
 Usage::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_native.py -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_array.py -s
     python scripts_bench_guard.py                      # compare vs HEAD
     python scripts_bench_guard.py --threshold 0.4      # looser bar
-    python scripts_bench_guard.py --files BENCH_NATIVE.json
+    python scripts_bench_guard.py --files BENCH_ARRAY.json
     python scripts_bench_guard.py --strict-parity      # equality gates
 """
 
@@ -36,7 +36,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent
 
-DEFAULT_FILES = ("BENCH_ARRAY.json", "BENCH_NATIVE.json", "BENCH_STORE.json")
+DEFAULT_FILES = ("BENCH_ARRAY.json", "BENCH_STORE.json")
 
 
 def latest_entry(payload):

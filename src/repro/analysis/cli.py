@@ -219,7 +219,7 @@ def resolve_store_arguments(
     processes (spawned with the parent's environment) inherit it.
     """
     if getattr(args, "graph_cache", None) is not None:
-        from ..sim.batch.kernels import GRAPH_CACHE_ENV
+        from ..sim.batch.csr import GRAPH_CACHE_ENV
 
         os.environ[GRAPH_CACHE_ENV] = args.graph_cache
     if (args.shard_index is None) != (args.shard_count is None):

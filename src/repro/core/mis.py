@@ -27,12 +27,13 @@ from ..errors import ConfigurationError
 from ..randomness.source import RandomSource
 from ..sim.batch.array import (
     ArrayContext,
+    ArrayEngine,
     ArrayProgram,
     Sends,
+    check_engine,
     tuple_message_bits,
 )
 from ..sim.batch.fast_engine import FastEngine
-from ..sim.batch.kernels import ROUND_ENGINES, round_engine
 from ..sim.engine import CONGEST
 from ..sim.graph import DistributedGraph
 from ..sim.messages import message_bits
@@ -213,12 +214,10 @@ def luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
     """Run Luby's algorithm in the CONGEST model.
 
     ``engine`` selects the execution backend: ``"fast"`` steps the
-    :class:`LubyMIS` node program per node on FastEngine; ``"array"``,
-    ``"kernel"`` and ``"native"`` run the whole-round
-    :class:`ArrayLubyMIS` on the array layer (reference numpy, fused
-    zero-allocation kernels, and numba JIT respectively — see
-    :mod:`repro.sim.batch.kernels`). All backends produce bit-identical
-    outputs and reports.
+    :class:`LubyMIS` node program per node on FastEngine; ``"array"``
+    runs the whole-round :class:`ArrayLubyMIS` on the
+    :class:`~repro.sim.batch.array.ArrayEngine`. Both produce
+    bit-identical outputs and reports.
 
     ``csr`` reuses a frozen :class:`~repro.sim.batch.csr.CSRGraph`
     across runs (``graph`` may then be ``None`` — the million-node
@@ -227,22 +226,18 @@ def luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
     ``None`` and :func:`is_valid_mis` then reports the survivors'
     independence/maximality honestly.
     """
-    if engine in ROUND_ENGINES:
+    if check_engine(engine) == "array":
         if faults is not None and faults.active:
             raise ConfigurationError(
                 "fault injection requires engine='fast'; the array engine "
                 "has no per-message delivery hook")
-        result = round_engine(engine, graph, ArrayLubyMIS(), source=source,
-                              model=CONGEST, max_rounds=max_rounds,
-                              csr=csr).run()
-    elif engine == "fast":
+        result = ArrayEngine(graph, ArrayLubyMIS(), source=source,
+                             model=CONGEST, max_rounds=max_rounds,
+                             csr=csr).run()
+    else:
         result = FastEngine(graph, lambda _v: LubyMIS(), source=source,
                             model=CONGEST, max_rounds=max_rounds,
                             csr=csr, faults=faults).run()
-    else:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from "
-            f"{('fast',) + ROUND_ENGINES}")
     # Isolated nodes never hear from anyone and join immediately — make
     # sure outputs are booleans everywhere. Under faults, crashed nodes
     # legitimately die with output None.

@@ -12,6 +12,7 @@ for the model and ``library/`` for the named scenarios the CLIs accept
 via ``--scenario``.
 """
 
+from ..sim.batch.array import ENGINES
 from ..sim.batch.tasks import bfs_forest_trial, flood_min_trial, luby_mis_trial
 from .loader import (
     LIBRARY_DIR,
@@ -23,7 +24,6 @@ from .loader import (
     scenario_from_arg,
 )
 from .spec import (
-    ENGINES,
     AlgorithmSpec,
     ExperimentGrid,
     FaultModel,

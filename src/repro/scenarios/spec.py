@@ -49,9 +49,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from ..errors import ConfigurationError
 from ..graphs.generators import FAMILIES
 from ..graphs.ids import SCHEMES
-
-#: Engines a scenario may pin (None = the task's default, "fast").
-ENGINES = ("fast", "array", "kernel", "native")
+from ..sim.batch.array import check_engine
 
 #: Spec params the compiler owns; algorithm params must not shadow them.
 RESERVED_PARAMS = frozenset(
@@ -154,11 +152,8 @@ class AlgorithmSpec:
             isinstance(self.task, str) and bool(self.task),
             "algorithm.task must be a non-empty string",
         )
-        if self.engine is not None:
-            _require(
-                self.engine in ENGINES,
-                f"algorithm.engine must be one of {ENGINES}, got {self.engine!r}",
-            )
+        if self.engine is not None:  # None = the task's default, "fast"
+            check_engine(self.engine, key="algorithm.engine")
         params = tuple(
             sorted((tuple(pair) for pair in self.params), key=lambda pair: pair[0])
         )

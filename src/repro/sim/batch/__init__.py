@@ -4,27 +4,28 @@ The scaling layer of the simulator (ROADMAP north star): freeze the
 static network structure once (:class:`CSRGraph`), run node programs on
 it without per-round allocation churn (:class:`FastEngine`, a drop-in
 :class:`~repro.sim.engine.SyncEngine` replacement), execute
-data-parallel programs as whole-round numpy passes with no per-node
-Python dispatch at all (:class:`ArrayEngine` running
-:class:`ArrayProgram`\\ s, bit-identical to FastEngine), fuse those
-passes into zero-allocation kernels with an optional JIT backend
-(:class:`KernelEngine`, :mod:`~repro.sim.batch.kernels`), and fan whole
-(family, size, seed) grids across processes (:func:`run_trials`).
+data-parallel programs as whole-round fused numpy passes with no
+per-node Python dispatch at all (:class:`ArrayEngine` running
+:class:`ArrayProgram`\\ s, bit-identical to FastEngine; the ``engine=``
+knob picks one of :data:`ENGINES`), keep frozen topologies in an
+on-disk cache (:class:`GraphCache`), and fan whole (family, size, seed)
+grids across processes (:func:`run_trials`).
 """
 
-from .array import ArrayContext, ArrayEngine, ArrayProgram, Sends
-from .csr import CSRGraph, ensure_csr
-from .kernels import (
+from .array import (
+    ENGINES,
+    ArrayContext,
+    ArrayEngine,
+    ArrayProgram,
+    Sends,
+    check_engine,
+)
+from .csr import (
     GRAPH_CACHE_ENV,
-    ROUND_ENGINES,
+    CSRGraph,
     GraphCache,
-    KernelContext,
-    KernelEngine,
-    KernelWorkspace,
     default_graph_cache,
-    native_available,
-    native_unavailable_reason,
-    round_engine,
+    ensure_csr,
 )
 from .distrib import (
     AuthenticationError,
@@ -91,6 +92,7 @@ __all__ = [
     "CoordinatorServer",
     "CoordinatorUnavailable",
     "DirTransport",
+    "ENGINES",
     "FastEngine",
     "FaultPlan",
     "FlakyControl",
@@ -98,15 +100,11 @@ __all__ = [
     "GRAPH_CACHE_ENV",
     "GraphCache",
     "HTTPTransport",
-    "KernelContext",
-    "KernelEngine",
-    "KernelWorkspace",
     "LeaseReply",
     "PushIntegrityError",
     "RESULT_FORMAT_VERSION",
     "ReadThroughStore",
     "RetryPolicy",
-    "ROUND_ENGINES",
     "RetryableError",
     "RoundFaultPlan",
     "Sends",
@@ -119,6 +117,7 @@ __all__ = [
     "aggregate",
     "bfs_forest_trial",
     "canonical_spec",
+    "check_engine",
     "compact",
     "decompact",
     "default_chunksize",
@@ -130,13 +129,10 @@ __all__ = [
     "luby_mis_trial",
     "merge_pushed",
     "merge_stores",
-    "native_available",
-    "native_unavailable_reason",
     "open_store",
     "pushed_store_dirs",
     "record_digest",
     "resolve_workers",
-    "round_engine",
     "run_program_fast",
     "run_trials",
     "run_worker",

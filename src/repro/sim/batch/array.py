@@ -21,6 +21,12 @@ bits, randomness bits — to FastEngine running the equivalent
 :class:`~repro.sim.node.NodeProgram` (see ``tests/test_array_engine.py``
 for the property-style parity sweep).
 
+The aggregation ops are fused passes: each gathers neighbor values into
+edge-sized buffers that the context allocates once per topology
+(``int64[e + 1]`` pads and ``bool[e]`` masks) and reduces them with one
+``reduceat``. A round therefore allocates only its ``int64[n]`` results,
+and those are always fresh arrays that no later op overwrites.
+
 Unlike node programs, array programs are *trusted* infrastructure code:
 they can see the whole state, so the model's knowledge limits (only use
 ``ctx.n`` where a node would, only aggregate over actual neighbors) are
@@ -31,7 +37,7 @@ semantics, ``uniform`` denial of ``n``, and ``max_rounds``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +52,29 @@ from .csr import CSRGraph, ensure_csr
 #: int64 sentinel for "no value" in min-reductions (identity of minimum).
 INT64_MAX = np.iinfo(np.int64).max
 
+#: ``engine=`` values: "fast" steps a node program per node on
+#: FastEngine, "array" runs the whole-round ArrayProgram here.
+ENGINES = ("fast", "array")
+
 # Framing constants derived from the accounting encoder itself, so the
 # vectorized size formulas below can never drift from message_bits().
 _TUPLE_BASE = message_bits(())
 _ELEMENT_OVERHEAD = message_bits((0,)) - message_bits(0) - _TUPLE_BASE
+
+
+def check_engine(engine: Any, key: str = "engine") -> str:
+    """``engine`` if it is one of :data:`ENGINES`; else a loud error.
+
+    ``key`` names the setting in the message (scenario files pass
+    ``"algorithm.engine"``).
+    """
+    if engine in ENGINES:
+        return engine
+    if engine in ("kernel", "native"):
+        raise ConfigurationError(
+            f"{key}={engine!r} is gone; use {key}='array' (same fused "
+            f"kernels, bit-identical outputs and reports)")
+    raise ConfigurationError(f"unknown {key} {engine!r}; choose from {ENGINES}")
 
 
 def int_message_bits(values: np.ndarray) -> np.ndarray:
@@ -57,7 +82,8 @@ def int_message_bits(values: np.ndarray) -> np.ndarray:
 
     Matches ``max(1, v.bit_length()) + 1`` exactly for every int64 value
     (an exact shift-count bit length, not a float log — powers of two
-    near 2**53 would round wrong through ``log2``).
+    near 2**53 would round wrong through ``log2``). The readable
+    reference that :func:`fast_int_message_bits` is tested against.
     """
     v = np.asarray(values, dtype=np.int64)
     if np.any(v < 0):
@@ -70,6 +96,37 @@ def int_message_bits(values: np.ndarray) -> np.ndarray:
         x[big] >>= shift
     bl[x > 0] += 1
     return np.maximum(bl, 1) + 1
+
+
+def fast_int_message_bits(values: np.ndarray) -> np.ndarray:
+    """:func:`int_message_bits` in a handful of vector ops.
+
+    The shift loop makes up to 63 whole-array passes, which dominates a
+    round's accounting at n = 10^6. This reads each value's bit length
+    off ``np.frexp``'s exponent instead (for x > 0, ``frexp(x) = (m, e)``
+    with ``x = m * 2**e`` and ``0.5 <= m < 1``, so ``e ==
+    x.bit_length()``; frexp maps 0 to exponent 0, matching
+    ``(0).bit_length()``). Values from 2^53 up are split into 32-bit
+    halves first, both exactly representable in float64, so the count
+    is exact for every non-negative int64.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    if not v.size:
+        return np.maximum(v, 1) + 1
+    if int(v.min()) < 0:
+        raise ConfigurationError("int_message_bits requires non-negative values")
+    if int(v.max()) < 1 << 53:
+        # Every real payload (UIDs <= n, depths, priorities <= n^2) is
+        # far below 2^53, so one float64 pass is exact and suffices.
+        exp = np.frexp(v.astype(np.float64))[1]
+        return np.maximum(exp.astype(np.int64), 1) + 1
+    hi = v >> 32
+    lo = v & np.int64(0xFFFFFFFF)
+    ex_lo = np.frexp(lo.astype(np.float64))[1]
+    ex_hi = np.frexp(hi.astype(np.float64))[1]
+    # frexp exponents are int32; lift before the +32 offset and return.
+    bit_length = np.where(hi > 0, ex_hi + 32, ex_lo).astype(np.int64)
+    return np.maximum(bit_length, 1) + 1
 
 
 def tuple_message_bits(*element_bits) -> Any:
@@ -90,9 +147,9 @@ def segment_reduce(edge_values: np.ndarray, offsets: np.ndarray,
     the pad element is the identity, so the final (to-the-end) segment
     reduces correctly and empty segments are masked afterwards.
 
-    Stateless convenience: the contexts below route through a
-    :class:`~repro.sim.batch.kernels.KernelWorkspace`, which reuses one
-    padded buffer across calls instead of allocating here every time.
+    Stateless reference: :class:`ArrayContext` runs the same reduction
+    on padded buffers it reuses across calls, and the tests hold its
+    fused ops to this function.
     """
     values = np.asarray(edge_values)
     padded = np.empty(values.size + 1, dtype=values.dtype)
@@ -134,23 +191,16 @@ class ArrayContext:
     def __init__(self, csr: CSRGraph, claimed_n: int,
                  source: Optional[RandomSource], model: str, bandwidth: int,
                  uniform: bool):
-        # Deferred: kernels.py imports this module for its context and
-        # engine subclasses; only the workspace class is needed here.
-        from .kernels import KernelWorkspace
-
         self.csr = csr
         self.size = csr.n
-        self.offsets = csr.offsets
-        self.indices = csr.indices
+        # np.asarray strips memmap subclasses (a mmap-loaded CSR) to
+        # plain ndarray views, so op results are plain arrays too.
+        self.offsets = np.asarray(csr.offsets, dtype=np.int64)
+        self.indices = np.asarray(csr.indices, dtype=np.int64)
         self.degrees = csr.degrees
         self.uids = csr.uid_array
-        #: message_bits of each node's UID, precomputed once (through
-        #: the overridable hook, so the kernel layer's fast bit-length
-        #: covers this O(n) startup pass too).
-        self.uid_message_bits = self.int_message_bits(self.uids)
-        #: reusable reduce/gather buffers bound to this topology.
-        self.workspace = KernelWorkspace(csr.offsets, csr.indices)
-        self._all_nodes: Optional[np.ndarray] = None
+        #: message_bits of each node's UID, precomputed once.
+        self.uid_message_bits = fast_int_message_bits(self.uids)
         self.model = model
         self.bandwidth = bandwidth
         self._congest = model == CONGEST
@@ -160,6 +210,18 @@ class ArrayContext:
         self._cursors = np.zeros(csr.n, dtype=np.int64)
         self._finished = np.zeros(csr.n, dtype=bool)
         self._outputs: List[Any] = [None] * csr.n
+        self._all_nodes: Optional[np.ndarray] = None
+        self._segments: Optional[np.ndarray] = None
+        self._edges = int(self.indices.size)
+        self._starts = self.offsets[:-1]
+        # Degree-0 nodes, whose reduceat lanes need the identity written
+        # back (reduceat yields the next segment's first value there);
+        # None when every node has a neighbor.
+        empty = self.offsets[1:] == self._starts
+        self._empty = empty if empty.any() else None
+        self._degree_total = int(np.sum(self.degrees))
+        self._pads: Dict[str, np.ndarray] = {}
+        self._masks: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Knowledge of n (mirrors NodeContext)
@@ -174,7 +236,10 @@ class ArrayContext:
     @property
     def segments(self) -> np.ndarray:
         """Per-edge owner node: indices[e] belongs to segments[e]'s list."""
-        return self.workspace.segments
+        if self._segments is None:
+            self._segments = np.repeat(
+                np.arange(self.size, dtype=np.int64), np.diff(self.offsets))
+        return self._segments
 
     @property
     def all_nodes(self) -> np.ndarray:
@@ -184,6 +249,43 @@ class ArrayContext:
         return self._all_nodes
 
     # ------------------------------------------------------------------
+    # Reusable edge buffers and the reduction they feed
+    # ------------------------------------------------------------------
+    def _pad(self, name: str) -> np.ndarray:
+        """A named ``int64[e + 1]`` gather/reduce buffer, built once."""
+        buf = self._pads.get(name)
+        if buf is None:
+            buf = self._pads[name] = np.empty(self._edges + 1, dtype=np.int64)
+        return buf
+
+    def _mask(self, name: str) -> np.ndarray:
+        """A named ``bool[e]`` edge mask buffer, built once."""
+        buf = self._masks.get(name)
+        if buf is None:
+            buf = self._masks[name] = np.empty(self._edges, dtype=bool)
+        return buf
+
+    def _reduce(self, ufunc: np.ufunc, pad: np.ndarray, identity) -> np.ndarray:
+        """Per-node ``ufunc`` over ``pad[:e]`` by CSR segment (fresh array).
+
+        The identity in the last slot makes the final segment reduce
+        correctly and gives trailing empty segments a valid index.
+        """
+        pad[self._edges] = identity
+        out = ufunc.reduceat(pad, self._starts)
+        if self._empty is not None:
+            out[self._empty] = identity
+        return out
+
+    def _take(self, node_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Gather ``node_values`` along the CSR indices into ``out``."""
+        # mode="clip": CSR indices are validated in-range at
+        # construction, so clipping never binds — it only skips the
+        # per-element bounds check of the default mode="raise" path,
+        # which measurably dominates a gather at E in the millions.
+        return np.take(node_values, self.indices, out=out, mode="clip")
+
+    # ------------------------------------------------------------------
     # Neighbor aggregation (CSR segment reductions / column gathers)
     # ------------------------------------------------------------------
     def gather(self, node_values: np.ndarray) -> np.ndarray:
@@ -191,51 +293,69 @@ class ArrayContext:
         column gather along the CSR indices."""
         return np.asarray(node_values)[self.indices]
 
+    def _reduce_edges(self, edge_values, ufunc: np.ufunc,
+                      identity) -> np.ndarray:
+        values = np.asarray(edge_values)
+        if values.dtype == np.int64:
+            pad = self._pad("reduce")
+        else:  # rare; nothing on the bundled programs' path
+            pad = np.empty(self._edges + 1, dtype=values.dtype)
+        pad[:self._edges] = values
+        return self._reduce(ufunc, pad, identity)
+
     def neighbor_min(self, edge_values: np.ndarray,
                      empty=INT64_MAX) -> np.ndarray:
         """Per-node min over its incident edge values (``empty`` if none)."""
-        return self.workspace.segment_reduce(edge_values, np.minimum, empty)
+        return self._reduce_edges(edge_values, np.minimum, empty)
 
     def neighbor_max(self, edge_values: np.ndarray, empty=-1) -> np.ndarray:
         """Per-node max over its incident edge values (``empty`` if none)."""
-        return self.workspace.segment_reduce(edge_values, np.maximum, empty)
+        return self._reduce_edges(edge_values, np.maximum, empty)
 
     def neighbor_sum(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-node sum over its incident edge values (0 if none)."""
-        return self.workspace.segment_reduce(
+        return self._reduce_edges(
             np.asarray(edge_values, dtype=np.int64), np.add, 0)
 
     # ------------------------------------------------------------------
-    # Fused aggregation (one context API, three engines)
-    #
-    # The reference implementations below spell each op as the exact
-    # numpy sequence the array programs used inline before the kernel
-    # layer existed, so ArrayEngine results cannot drift; KernelContext
-    # overrides them with in-place workspace passes (or JIT loops), and
-    # the parity sweep pins all backends to FastEngine bit-for-bit.
+    # Fused aggregation: gather, mask and reduce in the edge buffers
     # ------------------------------------------------------------------
     def neighbor_count(self, node_mask: np.ndarray) -> np.ndarray:
         """Per-node count of neighbors where ``node_mask`` holds."""
-        return self.neighbor_sum(np.asarray(node_mask)[self.indices])
+        mask = self._take(np.asarray(node_mask), self._mask("mask"))
+        pad = self._pad("a")
+        pad[:self._edges] = mask
+        return self._reduce(np.add, pad, 0)
 
     def gather_neighbor_min(self, node_values: np.ndarray,
                             empty=INT64_MAX) -> np.ndarray:
         """Per-node min of neighbor values (``empty`` if no neighbors)."""
-        return self.neighbor_min(self.gather(node_values), empty)
+        pad = self._pad("a")
+        self._take(np.asarray(node_values), pad[:self._edges])
+        return self._reduce(np.minimum, pad, empty)
 
     def lex_neighbor_max2(self, primary: np.ndarray, secondary: np.ndarray,
                           node_mask: np.ndarray, empty=-1):
         """Per-node ``(max primary, max secondary among the primary
         ties)`` over masked neighbors; ``(empty, empty)`` where none.
         Masked values must exceed ``empty``."""
-        mask_e = np.asarray(node_mask)[self.indices]
-        primary_e = np.asarray(primary)[self.indices]
-        best = self.neighbor_max(np.where(mask_e, primary_e, empty), empty)
-        top_e = mask_e & (primary_e == best[self.segments])
-        best_tie = self.neighbor_max(
-            np.where(top_e, np.asarray(secondary)[self.indices], empty),
-            empty)
-        return best, best_tie
+        e = self._edges
+        mask = self._take(np.asarray(node_mask), self._mask("mask"))
+        scratch = self._mask("scratch")
+        vals = self._pad("a")
+        self._take(np.asarray(primary), vals[:e])
+        np.logical_not(mask, out=scratch)
+        np.copyto(vals[:e], empty, where=scratch)
+        best = self._reduce(np.maximum, vals, empty)
+        # The primary ties: masked lanes whose value hit their segment max.
+        tied = self._pad("b")
+        np.take(best, self.segments, out=tied[:e], mode="clip")
+        np.equal(vals[:e], tied[:e], out=scratch)
+        np.logical_and(scratch, mask, out=scratch)
+        self._take(np.asarray(secondary), tied[:e])
+        np.logical_not(scratch, out=mask)
+        np.copyto(tied[:e], empty, where=mask)
+        return best, self._reduce(np.maximum, tied, empty)
 
     def adopt_neighbor_min3(self, primary: np.ndarray, secondary: np.ndarray,
                             node_mask: np.ndarray, bias: int = 1,
@@ -244,18 +364,33 @@ class ArrayContext:
         ``(min primary; min secondary + bias among the primary ties; min
         neighbor index among the full ties)``, all ``empty`` where no
         neighbor is masked. Masked primaries must be below ``empty``."""
-        seg = self.segments
-        mask_e = np.asarray(node_mask)[self.indices]
-        primary_e = np.where(mask_e, np.asarray(primary)[self.indices],
-                             empty)
-        best = self.neighbor_min(primary_e, empty)
-        secondary_e = np.where(mask_e, np.asarray(secondary)[self.indices],
-                               0) + bias
-        tie1 = mask_e & (primary_e == best[seg])
-        best_2 = self.neighbor_min(np.where(tie1, secondary_e, empty), empty)
-        tie2 = tie1 & (secondary_e == best_2[seg])
-        best_3 = self.neighbor_min(np.where(tie2, self.indices, empty), empty)
-        return best, best_2, best_3
+        e = self._edges
+        mask = self._take(np.asarray(node_mask), self._mask("mask"))
+        tie = self._mask("scratch")
+        pad_a = self._pad("a")
+        pad_b = self._pad("b")
+        pad_c = self._pad("c")
+        self._take(np.asarray(primary), pad_a[:e])
+        np.logical_not(mask, out=tie)
+        np.copyto(pad_a[:e], empty, where=tie)
+        best = self._reduce(np.minimum, pad_a, empty)
+        # tie := masked lanes tied on primary.
+        np.take(best, self.segments, out=pad_c[:e], mode="clip")
+        np.equal(pad_a[:e], pad_c[:e], out=tie)
+        np.logical_and(tie, mask, out=tie)
+        self._take(np.asarray(secondary), pad_b[:e])
+        pad_b[:e] += bias
+        np.logical_not(tie, out=mask)
+        np.copyto(pad_b[:e], empty, where=mask)
+        best_2 = self._reduce(np.minimum, pad_b, empty)
+        # mask := lanes tied on (primary, secondary).
+        np.take(best_2, self.segments, out=pad_c[:e], mode="clip")
+        np.equal(pad_b[:e], pad_c[:e], out=mask)
+        np.logical_and(mask, tie, out=mask)
+        pad_c[:e] = self.indices
+        np.logical_not(mask, out=tie)
+        np.copyto(pad_c[:e], empty, where=tie)
+        return best, best_2, self._reduce(np.minimum, pad_c, empty)
 
     # ------------------------------------------------------------------
     # Randomness (cursor-based, same streams as NodeContext)
@@ -283,19 +418,23 @@ class ArrayContext:
     # Send accounting (CONGEST checks at send time, like _resolve)
     # ------------------------------------------------------------------
     def int_message_bits(self, values: np.ndarray) -> np.ndarray:
-        """Per-value message size, as an overridable context hook.
-
-        The module-level :func:`int_message_bits` shift loop is the
-        readable reference; :class:`~repro.sim.batch.kernels.
-        KernelContext` substitutes an exact single-pass bit length
-        (``message_bits`` accounting is on every round's critical path,
-        so at n=10^6 this hook is as hot as the reductions).
-        """
-        return int_message_bits(values)
+        """Per-value message size (see :func:`fast_int_message_bits`)."""
+        return fast_int_message_bits(values)
 
     def broadcast(self, senders: np.ndarray, bits: np.ndarray) -> Sends:
         """Account a broadcast: each sender fans one ``bits[i]``-sized
         payload to its whole neighborhood (degree-0 senders send nothing)."""
+        if senders is self._all_nodes and self._empty is None and self.size:
+            # A whole-network broadcast with no isolated node (every
+            # FloodMin round) needs no per-sender gather: the fanout is
+            # ``degrees`` itself, whose sum is precomputed. A CONGEST
+            # violation takes the general path for its exact error.
+            bits = np.broadcast_to(np.asarray(bits, dtype=np.int64),
+                                   senders.shape)
+            top = int(bits.max())
+            if not (self._congest and top > self.bandwidth):
+                return Sends(self._degree_total,
+                             int(np.dot(self.degrees, bits)), top)
         senders = np.asarray(senders, dtype=np.int64)
         bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), senders.shape)
         fanout = self.degrees[senders]
@@ -423,15 +562,8 @@ class ArrayEngine:
         else:
             self.bandwidth = congest_limit(self.claimed_n)
         self.max_rounds = max_rounds
-        self._ctx = self._make_context(csr, self.claimed_n, source, model,
-                                       self.bandwidth, uniform)
-
-    def _make_context(self, csr: CSRGraph, claimed_n: int,
-                      source: Optional[RandomSource], model: str,
-                      bandwidth: int, uniform: bool) -> ArrayContext:
-        """Context factory hook; KernelEngine substitutes its own."""
-        return ArrayContext(csr, claimed_n, source, model, bandwidth,
-                            uniform)
+        self._ctx = ArrayContext(csr, self.claimed_n, source, model,
+                                 self.bandwidth, uniform)
 
     def run(self) -> AlgorithmResult:
         """Execute until every node finished; return outputs and report."""

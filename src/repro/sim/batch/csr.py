@@ -17,15 +17,20 @@ materializes them as ``int64`` once (and refuses wider values loudly).
 :meth:`CSRGraph.save` / :meth:`CSRGraph.load` persist a frozen topology
 as ``.npy`` files; loading with ``mmap=True`` memory-maps the arrays via
 ``np.lib.format.open_memmap`` and defers every O(n) derived structure,
-so a 10^6–10^7-node graph opens in O(1) (see the graph cache in
-:mod:`repro.sim.batch.kernels`).
+so a 10^6–10^7-node graph opens in O(1). :class:`GraphCache` keeps such
+directories in a content-addressed on-disk cache, so a sweep builds
+each distinct graph once and later runs memory-map it back. Point
+``$REPRO_GRAPH_CACHE`` (or either CLI's ``--graph-cache``) at a
+directory to enable it for the batch tasks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import shutil
+from hashlib import blake2b
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +41,9 @@ from ..graph import DistributedGraph
 CSR_FORMAT_VERSION = 1
 
 _META_NAME = "csr-meta.json"
+
+#: Environment variable naming the on-disk graph cache directory.
+GRAPH_CACHE_ENV = "REPRO_GRAPH_CACHE"
 
 
 def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
@@ -432,3 +440,128 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self.m}, uid_bits={self.uid_bits()})"
+
+
+# ----------------------------------------------------------------------
+# Content-addressed on-disk graph cache
+# ----------------------------------------------------------------------
+class GraphCache:
+    """Content-addressed store of frozen graph topologies.
+
+    Each entry is a :meth:`CSRGraph.save` directory named by the
+    BLAKE2b-128 hex digest of the canonical JSON of its identifying
+    fields — the same keying discipline as the TrialStore — with the
+    fields themselves stored alongside in ``spec.json``, so a digest
+    collision or a stale foreign entry is detected on load instead of
+    silently served. Loads are memory-mapped: hitting the cache for a
+    10^6-node graph is O(1).
+
+    Writes go through a per-pid temp directory and an atomic rename, so
+    concurrent sweep workers racing on the same entry are safe (first
+    rename wins; losers discard their copy).
+    """
+
+    _SPEC_NAME = "spec.json"
+
+    def __init__(self, root):
+        self.root = os.fspath(root)
+        os.makedirs(self.root, exist_ok=True)
+
+    @staticmethod
+    def key_of(**fields) -> str:
+        """BLAKE2b-128 digest of the canonical JSON of ``fields``."""
+        payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+
+    def path_of(self, key: str) -> str:
+        return os.path.join(self.root, key)
+
+    def entries(self) -> List[str]:
+        """Keys currently stored, newest first (by entry mtime)."""
+        found = []
+        for name in os.listdir(self.root):
+            path = os.path.join(self.root, name)
+            if os.path.isfile(os.path.join(path, self._SPEC_NAME)):
+                found.append((os.path.getmtime(path), name))
+        return [name for _, name in sorted(found, reverse=True)]
+
+    def load(self, mmap: bool = True, **fields) -> Optional[CSRGraph]:
+        """The cached topology for ``fields``, or None on a miss.
+
+        Raises :class:`~repro.errors.ConfigurationError` when the entry
+        under this key describes *different* fields — a key collision or
+        a corrupted entry, never something to serve silently.
+        """
+        key = self.key_of(**fields)
+        path = self.path_of(key)
+        spec_path = os.path.join(path, self._SPEC_NAME)
+        try:
+            with open(spec_path, encoding="utf-8") as fh:
+                stored = json.load(fh)
+        except OSError:
+            return None
+        except ValueError as exc:
+            msg = f"graph cache entry {key} has corrupt spec.json: {exc}"
+            raise ConfigurationError(msg)
+        expected = json.loads(json.dumps(fields))
+        if stored != expected:
+            msg = (
+                f"graph cache key {key} stores {stored!r}, not {expected!r}:"
+                f" digest collision or corrupted cache — clear {self.root}"
+            )
+            raise ConfigurationError(msg)
+        os.utime(path)  # LRU recency for prune()
+        return CSRGraph.load(path, mmap=mmap)
+
+    def store(self, csr: CSRGraph, **fields) -> str:
+        """Persist ``csr`` under the key of ``fields``; returns the key."""
+        key = self.key_of(**fields)
+        path = self.path_of(key)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        try:
+            csr.save(tmp)
+            spec = os.path.join(tmp, self._SPEC_NAME)
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(fields, fh, sort_keys=True)
+                fh.write("\n")
+            try:
+                os.rename(tmp, path)
+            except OSError:
+                pass  # a concurrent writer won the race; keep its entry
+        finally:
+            if os.path.isdir(tmp):
+                shutil.rmtree(tmp, ignore_errors=True)
+        return key
+
+    def get(
+        self, builder: Callable[[], CSRGraph], mmap: bool = True, **fields
+    ) -> CSRGraph:
+        """The cached topology, building and storing it on a miss."""
+        cached = self.load(mmap=mmap, **fields)
+        if cached is not None:
+            return cached
+        built = builder()
+        self.store(built, **fields)
+        return built
+
+    def prune(self, keep: int) -> List[str]:
+        """Evict the least-recently-used entries beyond ``keep``.
+
+        Returns the evicted keys. ``keep=0`` empties the cache — the
+        documented cleanup path (the cache is content-addressed, so
+        deleting it is always safe).
+        """
+        if keep < 0:
+            raise ConfigurationError("keep must be >= 0")
+        victims = self.entries()[keep:]
+        for key in victims:
+            shutil.rmtree(self.path_of(key), ignore_errors=True)
+        return victims
+
+
+def default_graph_cache() -> Optional[GraphCache]:
+    """The cache named by ``$REPRO_GRAPH_CACHE``, or None when unset."""
+    root = os.environ.get(GRAPH_CACHE_ENV)
+    if not root:
+        return None
+    return GraphCache(root)

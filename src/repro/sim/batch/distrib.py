@@ -1129,8 +1129,13 @@ class CoordinatorServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "CoordinatorServer":
+        # serve_forever checks for shutdown once per poll interval, so
+        # its 0.5 s default would make every stop() wait up to that long.
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="sweep-coordinator", daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.02},
+            name="sweep-coordinator",
+            daemon=True,
         )
         self._thread.start()
         return self

@@ -8,10 +8,9 @@ all algorithm randomness derives from ``spec.seed`` — so sweeps are
 reproducible and independent of worker count. They double as templates
 for writing new tasks.
 
-Every task takes an ``engine`` knob (``"fast"``, the default, or one of
-the array layer's backends ``"array"``/``"kernel"``/``"native"``, see
-:mod:`repro.sim.batch.kernels`); all backends are bit-identical in
-outputs and reports, so sweeps can switch freely for speed.
+Every task takes an ``engine`` knob (``"fast"``, the default, or
+``"array"``, see :mod:`repro.sim.batch.array`); both are bit-identical
+in outputs and reports, so sweeps can switch freely for speed.
 
 Graph builds are deduplicated: each worker process keeps a small memo of
 ``(DistributedGraph, CSRGraph)`` pairs keyed by the spec fields that
@@ -22,7 +21,7 @@ instead of 100 times. Outputs are byte-identical either way (that is
 what "seed-invariant" means, and tests assert it). Setting
 ``$REPRO_GRAPH_CACHE`` additionally persists frozen CSR topologies to a
 content-addressed on-disk cache shared across sweeps (see
-:class:`~repro.sim.batch.kernels.GraphCache`).
+:class:`~repro.sim.batch.csr.GraphCache`).
 
 The scenario layer (:mod:`repro.scenarios`) compiles its adversarial
 knobs onto the same specs: ``ids`` picks the UID-assignment scheme
@@ -58,21 +57,16 @@ from ...graphs import (
 from ...randomness.independent import IndependentSource
 from ..engine import CONGEST
 from ..graph import DistributedGraph
-from .csr import CSRGraph, ensure_csr
+from .array import check_engine
+from .csr import CSRGraph, default_graph_cache, ensure_csr
 from .runner import TrialResult, TrialSpec
-
-_ENGINES = ("fast", "array", "kernel", "native")
 
 #: Model-level failure signals an adversarial trial converts to data.
 _TRIAL_FAILURES = (ModelViolation, BandwidthExceeded, RandomnessExhausted)
 
 
 def _engine_of(spec: TrialSpec) -> str:
-    engine = spec.param("engine", "fast")
-    if engine not in _ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {_ENGINES}")
-    return engine
+    return check_engine(spec.param("engine", "fast"))
 
 
 #: Process-local memo of built graphs: key -> (DistributedGraph, CSRGraph).
@@ -104,10 +98,6 @@ def _csr_of(g: DistributedGraph, key: tuple) -> CSRGraph:
     breaks a sweep: any failure falls back to a fresh O(n + m) build,
     which is exactly what running without the cache does.
     """
-    # Deferred: clean sweeps without $REPRO_GRAPH_CACHE never pay for
-    # the kernel layer's import.
-    from .kernels import default_graph_cache
-
     cache = default_graph_cache()
     if cache is None:
         return ensure_csr(g, None)
@@ -189,7 +179,7 @@ def _report_data(result) -> dict:
 def luby_mis_trial(spec: TrialSpec) -> TrialResult:
     """Luby's MIS in CONGEST; ``ok`` is MIS validity.
 
-    Knobs: ``engine`` ("fast"/"array"/"kernel"/"native"),
+    Knobs: ``engine`` ("fast"/"array"),
     ``max_rounds``, ``ids``, ``bit_budget``, ``fault_*`` (see module
     docstring). Under crashes,
     dead nodes output ``None`` and ``ok`` reports whether the surviving
@@ -225,7 +215,7 @@ def flood_min_trial(spec: TrialSpec) -> TrialResult:
     (only guaranteed once ``radius`` reaches the graph diameter).
 
     Knobs: ``radius`` (default 8), ``model`` (default CONGEST),
-    ``engine`` ("fast"/"array"/"kernel"/"native"), ``ids``, ``fault_*``
+    ``engine`` ("fast"/"array"), ``ids``, ``fault_*``
     (see module docstring; omission loss makes the min propagate late
     or never).
     """
@@ -251,7 +241,7 @@ def bfs_forest_trial(spec: TrialSpec) -> TrialResult:
     (guaranteed on connected graphs once the depth bound covers them).
 
     Knobs: ``depth_bound`` (default n), ``engine``
-    ("fast"/"array"/"kernel"/"native"), ``ids``, ``fault_*`` (see
+    ("fast"/"array"), ``ids``, ``fault_*`` (see
     module docstring; churn can sever the frontier mid-growth, leaving
     unclaimed nodes).
     """

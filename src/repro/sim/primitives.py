@@ -31,12 +31,13 @@ from ..errors import ConfigurationError
 from .batch.array import (
     INT64_MAX,
     ArrayContext,
+    ArrayEngine,
     ArrayProgram,
     Sends,
+    check_engine,
     tuple_message_bits,
 )
 from .batch.fast_engine import FastEngine
-from .batch.kernels import ROUND_ENGINES, round_engine
 from .engine import CONGEST
 from .graph import DistributedGraph
 from .metrics import AlgorithmResult
@@ -225,21 +226,17 @@ def flood_min(graph: Optional[DistributedGraph], radius: int,
               csr=None) -> AlgorithmResult:
     """Run FloodMin on the selected engine.
 
-    ``engine`` is ``"fast"`` (per-node program) or one of the array
-    layer's backends (``"array"``/``"kernel"``/``"native"``, see
-    :mod:`repro.sim.batch.kernels`); all are bit-identical. ``csr``
-    reuses a frozen topology (``graph`` may then be ``None``).
+    ``engine`` is ``"fast"`` (the per-node program on FastEngine) or
+    ``"array"`` (the whole-round program on ArrayEngine); both are
+    bit-identical. ``csr`` reuses a frozen topology (``graph`` may then
+    be ``None``).
     """
-    if engine in ROUND_ENGINES:
+    if check_engine(engine) == "array":
         _reject_array_faults(faults)
-        return round_engine(engine, graph, ArrayFloodMin(radius),
-                            model=model, csr=csr).run()
-    if engine == "fast":
-        return FastEngine(graph, lambda _v: FloodMin(radius),
-                          model=model, csr=csr, faults=faults).run()
-    raise ConfigurationError(
-        f"unknown engine {engine!r}; choose from "
-        f"{('fast',) + ROUND_ENGINES}")
+        return ArrayEngine(graph, ArrayFloodMin(radius), model=model,
+                           csr=csr).run()
+    return FastEngine(graph, lambda _v: FloodMin(radius),
+                      model=model, csr=csr, faults=faults).run()
 
 
 def build_bfs_forest(graph: Optional[DistributedGraph], roots,
@@ -251,6 +248,7 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
     Engine and ``csr`` knobs as in :func:`flood_min`. With ``graph=None``
     the default ``depth_bound`` comes from the CSR's node count.
     """
+    check_engine(engine)
     if depth_bound is not None:
         bound = depth_bound
     elif graph is not None:
@@ -261,18 +259,14 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
         raise ConfigurationError(
             "build_bfs_forest needs a DistributedGraph or a pre-built "
             "CSRGraph; both were None")
-    if engine in ROUND_ENGINES:
+    if engine == "array":
         _reject_array_faults(faults)
-        return round_engine(engine, graph, ArrayBFSForest(roots, bound),
-                            model=CONGEST, max_rounds=bound + 2,
-                            csr=csr).run()
-    if engine == "fast":
-        return FastEngine(graph, lambda _v: BFSTree(roots, bound),
-                          model=CONGEST, max_rounds=bound + 2,
-                          csr=csr, faults=faults).run()
-    raise ConfigurationError(
-        f"unknown engine {engine!r}; choose from "
-        f"{('fast',) + ROUND_ENGINES}")
+        return ArrayEngine(graph, ArrayBFSForest(roots, bound),
+                           model=CONGEST, max_rounds=bound + 2,
+                           csr=csr).run()
+    return FastEngine(graph, lambda _v: BFSTree(roots, bound),
+                      model=CONGEST, max_rounds=bound + 2,
+                      csr=csr, faults=faults).run()
 
 
 def convergecast_sum(graph: DistributedGraph,

@@ -1,19 +1,22 @@
-"""The kernel layer: fused workspaces, mmap CSR, graph cache, JIT knob.
+"""The array engine's fused ops, mmap CSR, the graph cache, engine names.
 
-Four contracts, each pinned here:
+Five contracts, each pinned here:
 
-1. **Fused kernels are bit-identical** to the stateless reference
-   passes, including on the degenerate topologies ``reduceat`` gets
-   wrong without the padded-sentinel fix (empty graphs, all-isolated
-   nodes, single node, empty segments interleaved with full ones).
-2. **Zero allocation after warm-up**: the fused ops run with
-   ``np.empty``/``np.append``/``np.where``/... forbidden outright.
+1. **Fused ops are bit-identical** to the stateless reference passes,
+   including on the degenerate topologies ``reduceat`` gets wrong
+   without the padded-sentinel fix (empty graphs, all-isolated nodes,
+   single node, empty segments interleaved with full ones).
+2. **Fused results are fresh and cheap**: no later op overwrites an
+   earlier result, and after warm-up an op allocates nothing
+   edge-sized — only its ``int64[n]`` results.
 3. **Persistence round-trips exactly**: ``CSRGraph.save``/``load``
    (mmap or not) reproduce offsets/indices/uids/degrees bit-for-bit
    and engine runs on a mmap-loaded CSR match in-memory runs.
 4. **The cache and the sweep dedupe change no bytes**: memoized graph
    builds and $REPRO_GRAPH_CACHE produce result-for-result identical
    sweeps while building each distinct graph once.
+5. **Retired engine names fail loudly** everywhere an engine is named,
+   and the error names ``"array"``, whose results match FastEngine.
 """
 
 from __future__ import annotations
@@ -21,41 +24,37 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from helpers import FAMILY_NAMES
-from repro.core.mis import ArrayLubyMIS, LubyMIS, luby_mis
+from repro.core.mis import luby_mis
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
-from repro.sim import CONGEST, FastEngine
+from repro.scenarios import ScenarioSpec
+from repro.sim import CONGEST
 from repro.sim.batch import CSRGraph, TrialSpec, grid, run_trials
 from repro.sim.batch import tasks as batch_tasks
-from repro.sim.batch.array import segment_reduce
-from repro.sim.batch.kernels import (
-    GRAPH_CACHE_ENV,
-    ROUND_ENGINES,
-    GraphCache,
-    KernelEngine,
-    KernelWorkspace,
-    _NODE_SLOTS,
-    default_graph_cache,
+from repro.sim.batch.array import (
+    ENGINES,
+    ArrayContext,
     fast_int_message_bits,
-    native_available,
-    native_unavailable_reason,
-    round_engine,
+    int_message_bits,
+    segment_reduce,
 )
-from repro.sim.batch.tasks import luby_mis_trial
-from repro.sim.primitives import (
-    ArrayBFSForest,
-    ArrayFloodMin,
-    BFSTree,
-    FloodMin,
-    build_bfs_forest,
-    flood_min,
+from repro.sim.batch.csr import GRAPH_CACHE_ENV, GraphCache, default_graph_cache
+from repro.sim.batch.tasks import (
+    bfs_forest_trial,
+    flood_min_trial,
+    luby_mis_trial,
 )
+from repro.sim.graph import DistributedGraph
+from repro.sim.primitives import build_bfs_forest, flood_min
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -69,6 +68,11 @@ def csr_of(neighbor_lists, uids=None):
     if uids is None:
         uids = tuple(range(1, len(neighbor_lists) + 1))
     return CSRGraph(offsets, indices, tuple(uids))
+
+
+def context_of(csr):
+    """A deterministic CONGEST ArrayContext on ``csr``."""
+    return ArrayContext(csr, csr.n, None, CONGEST, 64, False)
 
 
 #: Degenerate topologies where a naive reduceat miscomputes.
@@ -113,67 +117,66 @@ class TestWorkspaceEdgeCases:
 
     def make_case(self, name, seed=0):
         csr = csr_of(EDGE_CASES[name])
-        ws = KernelWorkspace(csr.offsets, csr.indices)
+        ctx = context_of(csr)
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 50, size=csr.n, dtype=np.int64)
         mask = rng.integers(0, 2, size=csr.n).astype(bool)
-        return csr, ws, values, mask
+        return csr, ctx, values, mask
 
     def test_segment_reduce_matches_stateless(self, name):
-        csr, ws, values, _ = self.make_case(name)
+        csr, ctx, values, _ = self.make_case(name)
         edge_values = values[csr.indices]
-        for ufunc, identity in ((np.minimum, INT64_MAX), (np.maximum, -1),
-                                (np.add, 0)):
+        for op, ufunc, identity in ((ctx.neighbor_min, np.minimum, INT64_MAX),
+                                    (ctx.neighbor_max, np.maximum, -1),
+                                    (ctx.neighbor_sum, np.add, 0)):
             want = segment_reduce(edge_values, csr.offsets, ufunc, identity)
-            got = ws.segment_reduce(edge_values, ufunc, identity)
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(op(edge_values), want)
 
     def test_count_and_gather(self, name):
-        csr, ws, values, mask = self.make_case(name)
+        csr, ctx, values, mask = self.make_case(name)
         want_count = segment_reduce(
             mask[csr.indices].astype(np.int64), csr.offsets, np.add, 0)
-        np.testing.assert_array_equal(ws.count_true(mask), want_count)
+        np.testing.assert_array_equal(ctx.neighbor_count(mask), want_count)
         want_min = segment_reduce(values[csr.indices], csr.offsets,
                                   np.minimum, INT64_MAX)
-        np.testing.assert_array_equal(ws.gather_min(values), want_min)
+        np.testing.assert_array_equal(ctx.gather_neighbor_min(values),
+                                      want_min)
 
     def test_lex_max2(self, name):
-        csr, ws, values, mask = self.make_case(name)
+        csr, ctx, values, mask = self.make_case(name)
         secondary = np.arange(csr.n, dtype=np.int64) * 7 % 5
         want = reference_lex_max2(csr, values, secondary, mask)
-        got = ws.lex_max2(values, secondary, mask)
+        got = ctx.lex_neighbor_max2(values, secondary, mask)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
     def test_adopt_min3(self, name):
-        csr, ws, values, mask = self.make_case(name)
+        csr, ctx, values, mask = self.make_case(name)
         secondary = np.arange(csr.n, dtype=np.int64)
         want = reference_adopt_min3(csr, values, secondary, mask, bias=3)
-        got = ws.adopt_min3(values, secondary, mask, bias=3)
+        got = ctx.adopt_neighbor_min3(values, secondary, mask, bias=3)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
     def test_ties_resolve_identically(self, name):
         # All-equal primaries force every tie-break path.
-        csr, ws, _, mask = self.make_case(name)
+        csr, ctx, _, mask = self.make_case(name)
         values = np.full(csr.n, 9, dtype=np.int64)
         secondary = np.arange(csr.n, dtype=np.int64)[::-1].copy()
         want = reference_lex_max2(csr, values, secondary, mask)
-        got = ws.lex_max2(values, secondary, mask)
+        got = ctx.lex_neighbor_max2(values, secondary, mask)
         np.testing.assert_array_equal(got[1], want[1])
         want3 = reference_adopt_min3(csr, values, secondary, mask)
-        got3 = ws.adopt_min3(values, secondary, mask)
+        got3 = ctx.adopt_neighbor_min3(values, secondary, mask)
         for g, w in zip(got3, want3):
             np.testing.assert_array_equal(g, w)
 
 
 class TestFastIntMessageBits:
-    """The frexp-split bit counter must match the shift-loop reference
-    on every non-negative int64 it could ever see."""
+    """The frexp bit counter must match the shift-loop reference on
+    every non-negative int64 it could ever see."""
 
     def test_exact_at_every_power_boundary(self):
-        from repro.sim.batch.array import int_message_bits
-
         probes = [0, 1]
         for k in range(1, 63):
             probes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1])
@@ -183,8 +186,6 @@ class TestFastIntMessageBits:
             fast_int_message_bits(values), int_message_bits(values))
 
     def test_exact_on_random_values(self):
-        from repro.sim.batch.array import int_message_bits
-
         rng = np.random.default_rng(11)
         values = rng.integers(0, np.iinfo(np.int64).max, size=5000,
                               endpoint=True, dtype=np.int64)
@@ -200,48 +201,61 @@ class TestFastIntMessageBits:
 
 
 class TestWorkspaceMechanics:
-    def test_node_slot_ring_reuses_after_capacity(self):
-        ws = KernelWorkspace(np.array([0, 0], dtype=np.int64),
-                             np.array([], dtype=np.int64))
-        slots = [ws.node_slot() for _ in range(_NODE_SLOTS)]
-        assert len({id(s) for s in slots}) == _NODE_SLOTS
-        assert ws.node_slot() is slots[0]
-        assert ws.node_slot() is slots[1]
+    def fused_ops(self, ctx, values, mask):
+        """One call of every fused op; returns each result array."""
+        return [ctx.neighbor_count(mask),
+                ctx.gather_neighbor_min(values),
+                *ctx.lex_neighbor_max2(values, values, mask),
+                *ctx.adopt_neighbor_min3(values, values, mask)]
 
-    def test_fused_ops_allocate_nothing_after_warmup(self, monkeypatch):
-        csr = csr_of(EDGE_CASES["interleaved-empty"])
-        ws = KernelWorkspace(csr.offsets, csr.indices)
-        values = np.arange(csr.n, dtype=np.int64)
+    def test_fused_results_survive_further_ops(self, gnp60):
+        ctx = context_of(CSRGraph.from_graph(gnp60))
+        values = np.arange(ctx.size, dtype=np.int64)
+        mask = values % 3 != 0
+        kept = ctx.gather_neighbor_min(values)
+        snapshot = kept.copy()
+        later = []
+        for round_index in range(3):  # 15 further fused results
+            later += self.fused_ops(ctx, values + round_index, mask)
+        np.testing.assert_array_equal(kept, snapshot)
+        assert len({id(a) for a in later + [kept]}) == len(later) + 1
+
+    def test_fused_ops_allocate_no_edge_buffers_after_warmup(self):
+        # A clique makes edge buffers 200x larger than node outputs, so
+        # one stray bool[e] temporary would dwarf every legitimate
+        # allocation below.
+        ctx = context_of(CSRGraph.from_graph(
+            DistributedGraph(nx.complete_graph(200))))
+        edges = ctx.indices.size
+        values = np.arange(ctx.size, dtype=np.int64)
         mask = values % 2 == 0
+        edge_values = values[ctx.indices]
 
         def exercise():
-            ws.segment_reduce(values[csr.indices], np.minimum, INT64_MAX,
-                              out=ws.node_slot())
-            ws.count_true(mask)
-            ws.gather_min(values)
-            ws.lex_max2(values, values, mask)
-            ws.adopt_min3(values, values, mask)
+            self.fused_ops(ctx, values, mask)
+            ctx.neighbor_min(edge_values)
+            ctx.broadcast(ctx.all_nodes, ctx.int_message_bits(values))
 
-        for _ in range(3):  # warm up: fill buffer pools and the ring
+        exercise()  # warm up: build the edge buffers
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
             exercise()
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("fused kernels must not allocate")
-
-        for fn in ("empty", "zeros", "ones", "full", "append", "where"):
-            monkeypatch.setattr(np, fn, forbidden)
-        exercise()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < edges  # smaller than a single bool[e]
 
     def test_engine_run_never_calls_np_append(self, monkeypatch, gnp60):
         # The original hot-path bug: segment_reduce padded via np.append
-        # on every call. A whole kernel-engine run must not touch it.
+        # on every call. A whole array-engine run must not touch it.
         ref = flood_min(gnp60, 6, engine="fast")
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("np.append on the engine hot path")
 
         monkeypatch.setattr(np, "append", forbidden)
-        assert_identical(ref, flood_min(gnp60, 6, engine="kernel"))
+        assert_identical(ref, flood_min(gnp60, 6, engine="array"))
 
 
 def assert_identical(ref, got):
@@ -249,57 +263,86 @@ def assert_identical(ref, got):
     assert dataclasses.asdict(got.report) == dataclasses.asdict(ref.report)
 
 
+def replacement_named_by(call):
+    """The engine value a retired-engine error tells the caller to use."""
+    with pytest.raises(ConfigurationError) as info:
+        call()
+    found = re.search(r"use engine='(\w+)'", str(info.value))
+    assert found, str(info.value)
+    return found.group(1)
+
+
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 @pytest.mark.parametrize("engine", ["kernel", "native"])
 class TestKernelParitySweep:
-    """Kernel-layer engines == FastEngine across the 7-family sweep.
+    """Callers of the retired engines, on every graph family.
 
-    Where numba is unavailable, ``engine="native"`` exercises the
-    documented fallback (bit-identical by construction, warns once per
-    engine build) — so this sweep pins both JIT parity and fallback
-    parity depending on the environment.
+    The call is refused, and the engine its error names reproduces
+    FastEngine exactly as the retired engine did. The full parity sweep
+    of that engine lives in ``tests/test_array_engine.py``.
     """
 
-    SIZES = (13, 32)
-    SEEDS = (0, 1, 2)
-
-    def run_pair(self, family, n, seed, engine, node_factory, program,
-                 source_seed=None, **kwargs):
-        g = assign(make(family, n, seed=seed), "random", seed=seed)
-        src = (IndependentSource(seed=source_seed)
-               if source_seed is not None else None)
-        ref = FastEngine(g, node_factory, source=src, model=CONGEST,
-                         **kwargs).run()
-        src = (IndependentSource(seed=source_seed)
-               if source_seed is not None else None)
-        with pytest.MonkeyPatch.context() as mp:
-            if not native_available():
-                mp.setattr("warnings.warn", lambda *a, **k: None)
-            got = round_engine(engine, g, program, source=src,
-                               model=CONGEST, **kwargs).run()
-        assert_identical(ref, got)
+    def graph(self, family):
+        return assign(make(family, 13, seed=1), "random", seed=1)
 
     def test_luby_mis(self, family, engine):
-        for n in self.SIZES:
-            for seed in self.SEEDS:
-                self.run_pair(family, n, seed, engine,
-                              lambda _v: LubyMIS(), ArrayLubyMIS(),
-                              source_seed=100 + seed)
+        g = self.graph(family)
+        use = replacement_named_by(
+            lambda: luby_mis(g, IndependentSource(seed=101), engine=engine))
+        assert_identical(luby_mis(g, IndependentSource(seed=101)),
+                         luby_mis(g, IndependentSource(seed=101), engine=use))
 
     def test_flood_min(self, family, engine):
-        for n in self.SIZES:
-            for seed in self.SEEDS:
-                self.run_pair(family, n, seed, engine,
-                              lambda _v: FloodMin(1 + seed),
-                              ArrayFloodMin(1 + seed))
+        g = self.graph(family)
+        use = replacement_named_by(lambda: flood_min(g, 2, engine=engine))
+        assert_identical(flood_min(g, 2), flood_min(g, 2, engine=use))
 
     def test_bfs_forest(self, family, engine):
-        for n in self.SIZES:
-            for seed in self.SEEDS:
-                roots = {0, seed + 1}
-                self.run_pair(family, n, seed, engine,
-                              lambda _v: BFSTree(roots, n),
-                              ArrayBFSForest(roots, n), max_rounds=n + 2)
+        g = self.graph(family)
+        use = replacement_named_by(
+            lambda: build_bfs_forest(g, {0, 2}, engine=engine))
+        assert_identical(build_bfs_forest(g, {0, 2}),
+                         build_bfs_forest(g, {0, 2}, engine=use))
+
+
+def scenario_pinning(engine):
+    return ScenarioSpec.from_dict({
+        "name": "x",
+        "graph": {"family": "path", "sizes": [8]},
+        "algorithm": {"task": "luby-mis", "engine": engine},
+    })
+
+
+PATH8 = assign(make("path", 8), "sequential")
+
+#: Every place an engine is named, as a call taking the engine value.
+ENGINE_ENTRY_POINTS = {
+    "luby_mis": lambda e: luby_mis(PATH8, IndependentSource(seed=1),
+                                   engine=e),
+    "flood_min": lambda e: flood_min(PATH8, 2, engine=e),
+    "build_bfs_forest": lambda e: build_bfs_forest(PATH8, {0}, engine=e),
+    "luby_mis_trial": lambda e: luby_mis_trial(
+        TrialSpec.of("path", 8, 0, engine=e)),
+    "flood_min_trial": lambda e: flood_min_trial(
+        TrialSpec.of("path", 8, 0, engine=e)),
+    "bfs_forest_trial": lambda e: bfs_forest_trial(
+        TrialSpec.of("path", 8, 0, engine=e)),
+    "ScenarioSpec.from_dict": scenario_pinning,
+}
+
+
+@pytest.mark.parametrize("engine", ["kernel", "native", "warp"])
+@pytest.mark.parametrize("entry", sorted(ENGINE_ENTRY_POINTS))
+def test_bad_engine_rejected_everywhere(entry, engine):
+    call = ENGINE_ENTRY_POINTS[entry]
+    if engine == "warp":
+        expected = r"unknown (algorithm\.)?engine 'warp'"
+    else:
+        expected = rf"engine='{engine}' is gone; use (algorithm\.)?engine='array'"
+    with pytest.raises(ConfigurationError, match=expected):
+        call(engine)
+    for good in ENGINES:  # the same call with a valid engine runs
+        call(good)
 
 
 class TestMmapCSR:
@@ -321,14 +364,13 @@ class TestMmapCSR:
         path = tmp_path / "g"
         csr.save(path)
         loaded = CSRGraph.load(path, mmap=True)
-        for engine in ("array", "kernel"):
-            ref = luby_mis(gnp60, IndependentSource(seed=5), engine=engine)
-            got = luby_mis(None, IndependentSource(seed=5), engine=engine,
-                           csr=loaded)
-            assert_identical(ref, got)
-            ref = build_bfs_forest(gnp60, {0, 7}, engine=engine)
-            got = build_bfs_forest(None, {0, 7}, engine=engine, csr=loaded)
-            assert_identical(ref, got)
+        ref = luby_mis(gnp60, IndependentSource(seed=5), engine="array")
+        got = luby_mis(None, IndependentSource(seed=5), engine="array",
+                       csr=loaded)
+        assert_identical(ref, got)
+        ref = build_bfs_forest(gnp60, {0, 7}, engine="array")
+        got = build_bfs_forest(None, {0, 7}, engine="array", csr=loaded)
+        assert_identical(ref, got)
 
     def test_load_rejects_non_cache_directory(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not a CSRGraph.save"):
@@ -336,9 +378,9 @@ class TestMmapCSR:
 
     def test_engines_require_graph_or_csr(self):
         with pytest.raises(ConfigurationError, match="both were None"):
-            flood_min(None, 3, engine="kernel")
+            flood_min(None, 3, engine="array")
         with pytest.raises(ConfigurationError, match="both were None"):
-            build_bfs_forest(None, {0}, engine="kernel")
+            build_bfs_forest(None, {0}, engine="array")
 
 
 class TestGraphCache:
@@ -412,27 +454,12 @@ class TestGraphCache:
 
 class TestNativeKnob:
     def test_unknown_engine_and_backend_rejected(self, path9):
-        with pytest.raises(ConfigurationError, match="unknown array-layer"):
-            round_engine("warp", path9, ArrayFloodMin(2))
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            KernelEngine(path9, ArrayFloodMin(2), backend="cuda")
-        assert ROUND_ENGINES == ("array", "kernel", "native")
-
-    @pytest.mark.skipif(native_available(), reason="numba importable here")
-    def test_fallback_warns_and_matches(self, gnp60):
-        assert isinstance(native_unavailable_reason(), str)
-        ref = flood_min(gnp60, 4, engine="kernel")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            got = flood_min(gnp60, 4, engine="native")
-        assert_identical(ref, got)
-
-    @pytest.mark.skipif(not native_available(),
-                        reason="numba not installed")
-    def test_jit_path_live_when_numba_present(self):
-        assert native_unavailable_reason() is None
-        eng = KernelEngine(assign(make("path", 9), "random"),
-                           ArrayFloodMin(2), backend="numba")
-        assert eng._native
+        assert ENGINES == ("fast", "array")
+        with pytest.raises(ConfigurationError, match="unknown engine 'warp'"):
+            flood_min(path9, 2, engine="warp")
+        for retired in ("kernel", "native"):
+            with pytest.raises(ConfigurationError, match="use engine='array'"):
+                flood_min(path9, 2, engine=retired)
 
 
 class TestSweepDedupe:
@@ -443,8 +470,6 @@ class TestSweepDedupe:
     def run_sweep(self, family, engine="fast", ids="random"):
         specs = grid([family], [12], self.SEEDS, engine=engine, ids=ids,
                      radius=6)
-        from repro.sim.batch.tasks import flood_min_trial
-
         return run_trials(flood_min_trial, specs, workers=1)
 
     def fresh_memo(self, monkeypatch, cap=None):
@@ -454,7 +479,7 @@ class TestSweepDedupe:
             monkeypatch.setattr(batch_tasks, "_GRAPH_MEMO_CAP", cap)
 
     @pytest.mark.parametrize("family", ["path", "gnp-sparse"])
-    @pytest.mark.parametrize("engine", ["fast", "kernel"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_memoized_sweep_byte_identical(self, monkeypatch, family,
                                            engine):
         self.fresh_memo(monkeypatch)
@@ -494,18 +519,20 @@ class TestSweepDedupe:
     def test_disk_cache_round_trip_identical(self, monkeypatch, tmp_path):
         self.fresh_memo(monkeypatch)
         monkeypatch.delenv(GRAPH_CACHE_ENV, raising=False)
-        baseline = self.run_sweep("path", engine="kernel")
+        baseline = self.run_sweep("path", engine="array")
         monkeypatch.setenv(GRAPH_CACHE_ENV, str(tmp_path / "gc"))
         self.fresh_memo(monkeypatch)
-        cold = self.run_sweep("path", engine="kernel")
+        cold = self.run_sweep("path", engine="array")
         assert GraphCache(tmp_path / "gc").entries()  # populated
         self.fresh_memo(monkeypatch)
-        warm = self.run_sweep("path", engine="kernel")  # mmap hits
+        warm = self.run_sweep("path", engine="array")  # mmap hits
         assert baseline == cold == warm
 
     def test_task_engine_kernel_matches_fast(self, monkeypatch):
         self.fresh_memo(monkeypatch)
-        spec = TrialSpec.of("cycle", 12, 3, engine="kernel")
+        retired = TrialSpec.of("cycle", 12, 3, engine="kernel")
+        use = replacement_named_by(lambda: luby_mis_trial(retired))
+        spec = TrialSpec.of("cycle", 12, 3, engine=use)
         ref = TrialSpec.of("cycle", 12, 3, engine="fast")
         assert luby_mis_trial(spec).data == luby_mis_trial(ref).data
         bad = TrialSpec("cycle", 12, 3, (("engine", "warp"),))
