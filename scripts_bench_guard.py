@@ -9,9 +9,9 @@ machine- and load-dependent, so a regression is a signal for a human,
 not a gate for a bot. The CI benchmarks job runs this after its tiny
 smoke so drift is visible in the job log.
 
-Parity flags are different. Benchmarks record cross-engine and
-cross-format *equality* checks into their entries (``parity`` booleans
-at the entry level and per workload) before any speedup assertion runs.
+Parity flags are different. Benchmarks record cross-engine *equality*
+checks into their entries (``parity`` booleans at the entry level and
+per workload) before any speedup assertion runs.
 Unlike timings, an equality violation is machine-independent — it means
 two code paths disagree about a deterministic computation — so
 ``--strict-parity`` (the CI benchmarks job passes it) fails the run on
@@ -36,7 +36,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent
 
-DEFAULT_FILES = ("BENCH_ARRAY.json", "BENCH_STORE.json")
+DEFAULT_FILES = ("BENCH_ARRAY.json",)
 
 
 def latest_entry(payload):
@@ -66,7 +66,7 @@ def parity_violations(entry: dict):
     """Yield (where, flag) for every false parity boolean in an entry.
 
     Benchmarks record equality checks in two shapes: an entry-level
-    ``parity`` dict of named booleans (cross-format store checks) and a
+    ``parity`` dict of named booleans and a
     per-workload ``parity`` boolean (cross-engine output identity).
     True flags and absent flags are fine; only an explicit False is a
     violation.

@@ -57,7 +57,7 @@ if _SRC not in sys.path:
 
 from repro.analysis import EXPERIMENTS  # noqa: E402
 from repro.scenarios import scenario_from_arg  # noqa: E402
-from repro.sim.batch import TrialStore  # noqa: E402
+from repro.sim.batch import ColumnarStore  # noqa: E402
 from repro.sim.batch.distrib import JOURNAL_NAME  # noqa: E402
 
 _URL_PATTERN = re.compile(r"coordinator listening on (http://\S+)")
@@ -537,7 +537,7 @@ def main(argv=None):
 
     target = args.scenario if args.scenario is not None else args.experiment
     print(f"single-host baseline: {target} -> {baseline_dir}", flush=True)
-    with TrialStore(baseline_dir) as baseline_store:
+    with ColumnarStore(baseline_dir) as baseline_store:
         if args.scenario is not None:
             scenario_from_arg(args.scenario).run(store=baseline_store)
         else:

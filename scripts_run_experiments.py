@@ -24,16 +24,16 @@ Usage::
     PYTHONPATH=src python scripts_run_experiments.py --store runs/full \\
         --merge runs/h0 runs/h1                                    # combine
 
-``--store-format columnar`` sweeps straight into the packed-column
-analytics layout, ``--compact DEST`` migrates a finished store into the
-other layout (verified record-for-record), and ``--query FIELD=VALUE...``
-answers filtered aggregates without a full parse (README "Columnar
+``--query FIELD=VALUE...`` answers filtered aggregates from the
+store's packed columns without a full parse, and ``--compact DEST``
+upgrades a legacy JSONL-shard store written by an older build into a
+fresh store at DEST, verified record-for-record (README "Durable sweep
 store")::
 
-    PYTHONPATH=src python scripts_run_experiments.py --store runs/full \\
-        --compact runs/full.col                                    # migrate
     PYTHONPATH=src python scripts_run_experiments.py \\
-        --store runs/full.col --query family=cycle n=64            # query
+        --store runs/full --query family=cycle n=64                # query
+    PYTHONPATH=src python scripts_run_experiments.py \\
+        --store runs/old-jsonl --compact runs/full                 # upgrade
 
 Coordinated sweeps replace the manual shard bookkeeping: one
 ``--coordinator`` process leases work units to any number of

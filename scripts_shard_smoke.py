@@ -16,7 +16,7 @@ import shutil
 import sys
 
 from repro.sim.batch import (
-    TrialStore,
+    ColumnarStore,
     aggregate,
     flood_min_trial,
     grid,
@@ -42,9 +42,9 @@ def main(argv=None) -> int:
                                radius=12)),
         (luby_mis_trial, grid(["expander"], [16], range(3))),
     ]
-    host0 = TrialStore(f"{args.dir}/host0")
-    host1 = TrialStore(f"{args.dir}/host1")
-    merged = TrialStore(f"{args.dir}/merged")
+    host0 = ColumnarStore(f"{args.dir}/host0")
+    host1 = ColumnarStore(f"{args.dir}/host1")
+    merged = ColumnarStore(f"{args.dir}/merged")
 
     for task, specs in sweeps:
         run_trials(task, specs, store=host0, shard=(0, 2))

@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.batch import (
+    ColumnarStore,
     CoordinatorClient,
     CoordinatorServer,
     DirTransport,
@@ -52,14 +53,13 @@ from ..sim.batch import (
     RetryPolicy,
     SweepCoordinator,
     Transport,
-    TrialStore,
     WorkUnit,
     merge_pushed,
-    open_store,
     pushed_store_dirs,
     run_worker,
     wait_until_done,
 )
+from ..sim.batch.colstore import refuse_legacy_store
 from ..sim.batch.distrib import (
     DEFAULT_MAX_ATTEMPTS,
     JOURNAL_NAME,
@@ -300,7 +300,7 @@ def scenario_units(scenario: ScenarioSpec, count: int) -> List[WorkUnit]:
 
 def execute_experiment_unit(
     unit: WorkUnit,
-    store: TrialStore,
+    store: ColumnarStore,
     progress: Callable[..., None],
     workers: Optional[int] = None,
 ) -> None:
@@ -402,6 +402,11 @@ def open_coordinator(
                 f"--resume: no journal at {journal}; nothing to resume "
                 f"(start without --resume to begin a fresh sweep)"
             )
+        # Fail before serving: a legacy (JSONL-shard) staged store would
+        # otherwise only be refused at merge time, after the fleet ran.
+        staging = os.path.dirname(journal)
+        for path in pushed_store_dirs(staging) + [os.path.join(staging, "_merged")]:
+            refuse_legacy_store(path)
         coordinator = SweepCoordinator.recover(
             units, journal, lease_ttl=args.lease_ttl, max_attempts=max_attempts
         )
@@ -516,7 +521,7 @@ def run_coordinator_mode(
             wait_until_done(coordinator, timeout=args.timeout)
             # Merge while the server still answers /lease, so draining
             # workers get a clean "done" instead of a connection error.
-            staging_store = TrialStore(os.path.join(staging, "_merged"))
+            staging_store = ColumnarStore(os.path.join(staging, "_merged"))
             pushes = pushed_store_dirs(staging)
             stats = merge_pushed(staging, staging_store)
             print(
@@ -547,9 +552,7 @@ def run_coordinator_mode(
         # matter what order worker pushes arrived in — or which units
         # the fleet could not finish (the quarantine report above names
         # them; their results exist thanks to the local backfill).
-        # Staging and worker scratch stay JSONL (the ingest format);
-        # --store-format only decides the final store's layout.
-        final = open_store(args.store, getattr(args, "store_format", None))
+        final = ColumnarStore(args.store)
         layered = ReadThroughStore(final, staging_store)
         if scenario is not None:
             results = scenario.run(workers=args.workers, store=layered)
@@ -572,7 +575,7 @@ def run_coordinator_mode(
             flush=True,
         )
     finally:
-        # Shard-file handles would otherwise leak for the life of the
+        # Store file handles would otherwise leak for the life of the
         # process (and pin the journal open across a --resume cycle).
         if staging_store is not None:
             staging_store.close()
@@ -639,7 +642,7 @@ def run_worker_mode(args: argparse.Namespace) -> int:
     throttle = args.throttle
     poison = args.chaos_poison
 
-    def execute(unit: WorkUnit, store: TrialStore, renew: Callable[..., None]):
+    def execute(unit: WorkUnit, store: ColumnarStore, renew: Callable[..., None]):
         if poison is not None and unit.unit_id == poison:
             raise RuntimeError(f"chaos: unit {unit.unit_id} is poisoned on this fleet")
         if throttle > 0:

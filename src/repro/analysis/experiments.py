@@ -19,10 +19,8 @@ no per-seed sweep and accept ``workers`` only for interface
 uniformity (they run serially regardless).
 
 Every driver also accepts ``store`` (a
-:class:`~repro.sim.batch.TrialStore` or the columnar
-:class:`~repro.sim.batch.ColumnarStore` — both speak the same
-``get``/``put`` cache protocol, so pinned tables regenerate
-identically from either layout) and ``shard`` (``(index,
+:class:`~repro.sim.batch.ColumnarStore`, or anything speaking its
+``get``/``put`` cache protocol) and ``shard`` (``(index,
 count)``), threaded through to every ``run_trials`` call: with a store
 the sweeps are checkpointed per trial, so a killed full-profile
 regeneration resumes per-table from partial results; with a shard each
@@ -46,7 +44,7 @@ experiments kind), and :func:`run_all` is now a thin wrapper over it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import (
     deterministic_orientation,
@@ -81,15 +79,15 @@ from ..scenarios import (
     register_task,
     sweep_scenario,
 )
-from ..sim.batch import ColumnarStore, TrialResult, TrialSpec, TrialStore
+from ..sim.batch import ColumnarStore, TrialResult, TrialSpec
 from .stats import log2_or_floor, success_rate, wilson_interval
 from .tables import Table
 
 #: run_trials sharding: (shard index, shard count) or None.
 Shard = Optional[Tuple[int, int]]
 
-#: Either trial-store layout (same cache protocol; see colstore).
-Store = Optional[Union[TrialStore, ColumnarStore]]
+#: The trial store a driver checkpoints into, if any.
+Store = Optional[ColumnarStore]
 
 #: run_trials per-trial completion hook (fresh computations only), or
 #: None. Coordinated workers pass a lease-renewal callback here

@@ -17,9 +17,9 @@ Two kinds of scenario share the class:
   :func:`~repro.sim.batch.runner.run_trials` takes — sizes outer, seeds
   inner — and :meth:`ScenarioSpec.run` executes it. Optional sections
   compile to *no* spec params when absent, so a plain scenario produces
-  byte-identical specs (and therefore identical
-  :class:`~repro.sim.batch.store.TrialStore` keys) to the hand-written
-  grids that predate this module.
+  byte-identical specs (and therefore identical trial-store keys,
+  :func:`~repro.sim.batch.store.spec_key`) to the hand-written grids
+  that predate this module.
 * **experiments** — an :class:`ExperimentGrid` naming E1–E11 drivers
   with a profile and seed; the CLIs dispatch these through
   :mod:`repro.analysis.experiments` unchanged.

@@ -63,7 +63,6 @@ from .runner import (
 from .store import (
     RESULT_FORMAT_VERSION,
     ReadThroughStore,
-    TrialStore,
     canonical_spec,
     merge_stores,
     record_digest,
@@ -73,10 +72,6 @@ from .colstore import (
     COLSTORE_FORMAT_VERSION,
     ColumnarStore,
     compact,
-    decompact,
-    open_store,
-    select_results,
-    store_format,
     verify_migration,
 )
 
@@ -112,14 +107,12 @@ __all__ = [
     "Transport",
     "TrialResult",
     "TrialSpec",
-    "TrialStore",
     "WorkUnit",
     "aggregate",
     "bfs_forest_trial",
     "canonical_spec",
     "check_engine",
     "compact",
-    "decompact",
     "default_chunksize",
     "default_graph_cache",
     "deterministic_uniform",
@@ -129,17 +122,14 @@ __all__ = [
     "luby_mis_trial",
     "merge_pushed",
     "merge_stores",
-    "open_store",
     "pushed_store_dirs",
     "record_digest",
     "resolve_workers",
     "run_program_fast",
     "run_trials",
     "run_worker",
-    "select_results",
     "shard",
     "spec_key",
-    "store_format",
     "verify_migration",
     "wait_until_done",
 ]

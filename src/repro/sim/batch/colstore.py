@@ -1,21 +1,23 @@
-"""Columnar trial store: million-trial analytics without full parses.
+"""Columnar trial store: the one trial store, with two tiers.
 
-:class:`~repro.sim.batch.store.TrialStore` matches the *ingest*
-pattern — trials arrive one at a time and must be durable the moment
-they complete — but analytics have the opposite *access* pattern:
-whole columns (rounds, messages, bits) across millions of rows, or a
-single ``(task, family, n)`` cell out of a huge grid. A JSONL store
-makes both O(full parse). :class:`ColumnarStore` matches the layout to
-the access pattern instead (the storage-tiering lesson: see
-PAPERS.md on Octopus):
+Trials arrive one at a time and must be durable the moment they
+complete, but analytics read whole columns (rounds, messages, bits)
+across millions of rows, or a single ``(task, family, n)`` cell out of
+a huge grid. :class:`ColumnarStore` serves both access patterns with
+one store in two tiers (the storage-tiering lesson: see PAPERS.md on
+Octopus):
 
-* **Segments** — immutable directories of packed numpy arrays, one
-  file per column: the spec columns (``task``/``family`` dictionary-
-  encoded, ``n``/``seed`` as int64, ``ok`` as bool, ``key`` as fixed-
-  width hex) plus one value/mask array pair per scalar metric that is
-  type-homogeneous across the segment (int64 or float64). Columns are
-  memory-loaded lazily and independently, so a query touches only the
-  arrays it filters or reads — never the whole store.
+* **Tail (ingest tier)** — an append-only JSONL row buffer using the
+  store module's fsynced helpers ("append-on-complete", torn-line
+  tolerant), so a crash mid-sweep loses at most the trial being
+  written.
+* **Segments (analysis tier)** — immutable directories of packed numpy
+  arrays, one file per column: the spec columns (``task``/``family``
+  dictionary-encoded, ``n``/``seed`` as int64, ``ok`` as bool, ``key``
+  as fixed-width hex) plus one value/mask array pair per scalar metric
+  that is type-homogeneous across the segment (int64 or float64).
+  Columns are memory-loaded lazily and independently, so a query
+  touches only the arrays it filters or reads — never the whole store.
 * **Sidecar** — everything ragged rides in one JSONL sidecar per
   segment (trial params, the original ``data`` key order, and any
   value that is not a homogeneous int/float: strings, tuples, bools,
@@ -24,25 +26,21 @@ PAPERS.md on Octopus):
   This is what makes the format *lossless*: a record reconstructed
   from columns + sidecar is identical — same content-addressed key,
   same bytes through :func:`~repro.sim.batch.store.spec_key` — to the
-  JSONL record it came from.
-* **Tail** — an append-only JSONL row buffer reusing the store
-  module's fsynced helpers, so checkpointing keeps exactly
-  :class:`TrialStore`'s durability ("append-on-complete", torn-line
-  tolerant). :meth:`ColumnarStore.flush` packs the tail into a new
-  segment: segment directory first, then the manifest (the atomic
-  commit point), then the tail truncate. A crash between any two steps
-  is recovered on load — unlisted segment directories are ignored and
-  rows still in the tail are deduplicated against freshly listed
-  segments — so a torn final flush never loses or duplicates a trial.
+  record that was put.
 
-:func:`compact` migrates a :class:`TrialStore` into this format (and
-:func:`decompact` back) preserving record bytes, content-addressed
-keys, and insertion order, so tables regenerate identically from
-either layout; :func:`~repro.sim.batch.store.merge_stores` accepts
-both formats on both sides, with a bulk column-adoption fast path for
-columnar-to-columnar merges. ``benchmarks/bench_store.py`` pins the
-throughput claims (load/merge/query at 10^5 trials) in
-``BENCH_STORE.json``.
+:meth:`ColumnarStore.flush` packs the tail into a new segment: segment
+directory first, then the manifest (the atomic commit point), then the
+tail truncate. A crash between any two steps is recovered on load —
+unlisted segment directories are ignored and rows still in the tail
+are deduplicated against freshly listed segments — so a torn final
+flush never loses or duplicates a trial. Segments are packed in
+insertion order at deterministic flush points, so the same puts in the
+same order produce the same bytes.
+
+Legacy JSONL-shard directories (``shards/`` plus ``index.json``, the
+layout older builds wrote) are not opened live: :class:`ColumnarStore`
+refuses them loudly, and :func:`compact` upgrades one into a fresh
+columnar store, preserving record bytes and content-addressed keys.
 """
 
 from __future__ import annotations
@@ -58,18 +56,22 @@ import numpy as np
 from ...errors import ConfigurationError
 from .runner import TrialResult, TrialSpec, aggregate as _aggregate_results
 from .store import (
+    LEGACY_SHARD_DIR,
     RESULT_FORMAT_VERSION,
-    TrialStore,
     _decode,
+    _encode,
     append_jsonl,
+    canonical_spec,
+    legacy_records,
     open_jsonl_append,
     read_jsonl,
+    record_digest,
     spec_key,
 )
 
 #: Bump when the on-disk columnar layout changes shape (column files,
 #: manifest schema, sidecar fields). Distinct from RESULT_FORMAT_VERSION,
-#: which governs the *meaning* of stored results in both formats.
+#: which governs the *meaning* of stored results.
 COLSTORE_FORMAT_VERSION = 1
 
 #: Rows buffered in the tail before an automatic segment flush.
@@ -116,10 +118,10 @@ def check_record(record: Any) -> Dict[str, Any]:
     """Validate one raw store record's shape, loudly.
 
     The columnar writer decomposes records into typed arrays, so —
-    unlike the JSONL loader, which can afford to skip foreign lines —
-    it must refuse anything that does not look exactly like a
-    :class:`TrialStore` record: silently dropping fields here would
-    surface later as a round-trip mismatch.
+    unlike the JSONL readers, which can afford to skip foreign lines —
+    it must refuse anything that does not look exactly like a trial
+    record: silently dropping fields here would surface later as a
+    round-trip mismatch.
     """
     if not isinstance(record, dict) or set(record) != _RECORD_FIELDS:
         raise ConfigurationError(
@@ -160,6 +162,19 @@ def _spec_of(spec_dict: Dict[str, Any]) -> TrialSpec:
     """Rebuild a :class:`TrialSpec` from its canonical record form."""
     params = tuple((key, _decode(value)) for key, value in spec_dict["params"])
     return TrialSpec(spec_dict["family"], spec_dict["n"], spec_dict["seed"], params)
+
+
+def merge_conflict(
+    existing: Dict[str, Any], incoming: Dict[str, Any], source: str
+) -> ConfigurationError:
+    """The refusal for two stores holding different records for one key."""
+    return ConfigurationError(
+        f"conflicting records for key {incoming['key']} "
+        f"(task {incoming.get('task')!r}) while merging {source!r}: stored "
+        f"record digest {record_digest(existing)} vs incoming record digest "
+        f"{record_digest(incoming)} — two stores disagree about a "
+        f"deterministic computation"
+    )
 
 
 def result_of_record(record: Dict[str, Any]) -> TrialResult:
@@ -307,22 +322,38 @@ def _classify_metric(values: List[Any]) -> Optional[str]:
     return kinds.pop() if len(kinds) == 1 else None
 
 
+def refuse_legacy_store(root: Union[str, os.PathLike]) -> None:
+    """Raise if ``root`` is a legacy JSONL-shard store (``shards/``, no manifest).
+
+    Opening one as a live store would start an empty store beside the
+    old records, and every sweep would silently recompute cold.
+    """
+    root = os.fspath(root)
+    legacy = os.path.isdir(os.path.join(root, LEGACY_SHARD_DIR))
+    if legacy and not os.path.isfile(os.path.join(root, MANIFEST_NAME)):
+        raise ConfigurationError(
+            f"{root!r} is a legacy JSONL-shard trial store; upgrade it once "
+            f"with --store {root} --compact DEST (repro.sim.batch.compact) "
+            f"and use DEST from then on"
+        )
+
+
 class ColumnarStore:
     """A directory of packed trial columns plus a durable JSONL tail.
 
-    Speaks the same ``get``/``put``/``records`` protocol as
-    :class:`TrialStore`, so it drops into ``run_trials(..., store=...)``,
+    Speaks the ``get``/``put``/``flush`` cache protocol, so it drops
+    into ``run_trials(..., store=...)``,
     :class:`~repro.sim.batch.store.ReadThroughStore`, and
-    :func:`~repro.sim.batch.store.merge_stores` unchanged — plus the
-    column-wise extras: :meth:`select` and :meth:`aggregate` answer
-    single-cell queries by loading only the columns they touch.
+    :func:`~repro.sim.batch.store.merge_stores` — plus the column-wise
+    extras: :meth:`select` and :meth:`aggregate` answer single-cell
+    queries by loading only the columns they touch.
 
-    ``put`` appends to the fsynced tail (exactly a
-    :class:`TrialStore` append); every ``flush_rows`` rows — or on an
-    explicit :meth:`flush`, which ``run_trials`` issues when a sweep
-    finishes — the tail is packed into an immutable segment. Opening a
-    store loads only the manifest and the per-segment key columns, so
-    warm-cache lookups are dict-speed without parsing a single result.
+    ``put`` appends to the fsynced tail; every ``flush_rows`` rows —
+    or on an explicit :meth:`flush`, which ``run_trials`` issues when a
+    sweep that added rows finishes — the tail is packed into an
+    immutable segment. Opening a store loads only the manifest and the
+    per-segment key columns, so warm-cache lookups are dict-speed
+    without parsing a single result.
     """
 
     def __init__(
@@ -334,12 +365,13 @@ class ColumnarStore:
             raise ConfigurationError(f"flush_rows must be >= 1, got {flush_rows}")
         self.root = os.fspath(root)
         self.flush_rows = flush_rows
+        refuse_legacy_store(self.root)
         os.makedirs(os.path.join(self.root, SEGMENT_DIR), exist_ok=True)
         self._manifest = self._load_manifest()
         if not os.path.exists(self._manifest_path):
             # Self-describing from creation: a store that crashes
-            # before its first flush (rows only in the tail) must still
-            # auto-detect as columnar, not fall back to JSONL.
+            # before its first flush (rows only in the tail) still
+            # carries its layout version.
             self._write_manifest()
         self._segments = [
             _Segment(self.root, entry) for entry in self._manifest["segments"]
@@ -382,7 +414,7 @@ class ColumnarStore:
             raise ConfigurationError(
                 f"columnar store {self.root} has layout format "
                 f"{manifest.get('format')!r}; this build reads "
-                f"{COLSTORE_FORMAT_VERSION} — migrate via decompact/compact"
+                f"{COLSTORE_FORMAT_VERSION}"
             )
         return manifest
 
@@ -399,7 +431,7 @@ class ColumnarStore:
             try:
                 check_record(record)
             except ConfigurationError:
-                continue  # foreign line; same tolerance as the JSONL loader
+                continue  # foreign line; same tolerance as read_jsonl
             key = record["key"]
             loc = self._index.get(key)
             if loc is not None:
@@ -430,7 +462,7 @@ class ColumnarStore:
             return len(vocab) - 1
 
     # ------------------------------------------------------------------
-    # cache protocol used by run_trials (TrialStore-compatible)
+    # cache protocol used by run_trials
     # ------------------------------------------------------------------
     def get(self, task_name: str, spec: TrialSpec) -> Optional[TrialResult]:
         """The cached result for ``(task_name, spec)``, or None on a miss."""
@@ -443,9 +475,15 @@ class ColumnarStore:
         return TrialResult(spec, bool(record["ok"]), _decode(record["data"]))
 
     def put(self, task_name: str, spec: TrialSpec, result: TrialResult) -> None:
-        """Checkpoint one completed trial (idempotent; conflicts raise)."""
-        from .store import canonical_spec, _encode
+        """Checkpoint one completed trial.
 
+        Re-putting an identical result is an idempotent no-op; a
+        *different* result for an existing key raises — the store
+        claims to cache a deterministic computation, so silently
+        keeping the old payload would paper over exactly the kind of
+        divergence :func:`~repro.sim.batch.store.merge_stores` refuses
+        to merge.
+        """
         record = {
             "version": RESULT_FORMAT_VERSION,
             "task": task_name,
@@ -467,15 +505,14 @@ class ColumnarStore:
             )
         self._append_record(record, durable=True)
 
-    def _append_record(self, record: Dict[str, Any], durable: bool) -> bool:
+    def _append_record(self, record: Dict[str, Any], durable: bool) -> None:
         """Append one checked, not-yet-present raw record to the tail.
 
         ``durable`` appends through the fsynced JSONL tail (the
-        checkpoint path); migrations and merges pass False — their
+        checkpoint path); compaction and merges pass False — their
         crash story is "rerun the operation", so they skip the
         per-record fsync and rely on the segment/manifest commit
-        protocol instead. Returns True (kept for symmetry with the
-        merge bookkeeping).
+        protocol instead.
         """
         check_record(record)
         if durable:
@@ -487,7 +524,6 @@ class ColumnarStore:
         self._counts[record["task"]] = self._counts.get(record["task"], 0) + 1
         if len(self._tail) >= self.flush_rows:
             self.flush()
-        return True
 
     # ------------------------------------------------------------------
     # segment packing
@@ -620,21 +656,19 @@ class ColumnarStore:
         }
 
     # ------------------------------------------------------------------
-    # bulk merge fast path (columnar -> columnar)
+    # merge: whole-column adoption (see store.merge_stores)
     # ------------------------------------------------------------------
     def _adopt_from(self, source: "ColumnarStore") -> Dict[str, int]:
         """Fold ``source`` in by adopting whole column arrays.
 
         Per source segment: overlapping keys are checked for payload
-        equality (a mismatch raises exactly like the record-wise merge
-        path), then the novel rows are copied as filtered arrays — a
-        handful of numpy gathers and a sidecar line copy, never a
-        per-row JSON parse. Insertion order matches the record-wise
-        path: the pending tail is flushed first, then source segments
-        in order, then the source's tail rows.
+        equality (identical rows count as duplicates, a mismatch raises
+        :func:`merge_conflict`), then the novel rows are copied as
+        filtered arrays — a handful of numpy gathers and a sidecar line
+        copy, never a per-row JSON parse. Insertion order is the
+        source's: the pending tail is flushed first, then source
+        segments in order, then the source's tail rows.
         """
-        from .store import record_digest
-
         stats = {"added": 0, "duplicate": 0}
         self.flush()
         src_tasks = source._manifest["task_vocab"]
@@ -645,17 +679,9 @@ class ColumnarStore:
             for row in np.nonzero(~fresh)[0] if not fresh.all() else ():
                 existing = self._record_at(self._index[keys[row]])
                 incoming = segment.record(int(row), src_tasks, src_families)
-                if existing == incoming:
-                    stats["duplicate"] += 1
-                    continue
-                raise ConfigurationError(
-                    f"conflicting records for key {keys[row]} "
-                    f"(task {incoming.get('task')!r}) while merging "
-                    f"{source.root!r}: stored record digest "
-                    f"{record_digest(existing)} vs incoming record digest "
-                    f"{record_digest(incoming)} — two stores disagree about "
-                    f"a deterministic computation"
-                )
+                if existing != incoming:
+                    raise merge_conflict(existing, incoming, source.root)
+                stats["duplicate"] += 1
             if not fresh.any():
                 continue
             entry = self._adopt_segment(segment, source, fresh)
@@ -678,17 +704,10 @@ class ColumnarStore:
             loc = self._index.get(record["key"])
             if loc is not None:
                 existing = self._record_at(loc)
-                if existing == record:
-                    stats["duplicate"] += 1
-                    continue
-                raise ConfigurationError(
-                    f"conflicting records for key {record['key']} "
-                    f"(task {record.get('task')!r}) while merging "
-                    f"{source.root!r}: stored record digest "
-                    f"{record_digest(existing)} vs incoming record digest "
-                    f"{record_digest(record)} — two stores disagree about a "
-                    f"deterministic computation"
-                )
+                if existing != record:
+                    raise merge_conflict(existing, record, source.root)
+                stats["duplicate"] += 1
+                continue
             self._append_record(dict(record), durable=False)
             stats["added"] += 1
         self.flush()
@@ -753,19 +772,6 @@ class ColumnarStore:
         }
 
     # ------------------------------------------------------------------
-    # merge protocol (shared with TrialStore; see store.merge_stores)
-    # ------------------------------------------------------------------
-    def _get_record(self, key: str) -> Optional[Dict[str, Any]]:
-        loc = self._index.get(key)
-        return None if loc is None else self._record_at(loc)
-
-    def _merge_append(self, record: Dict[str, Any]) -> None:
-        self._append_record(dict(record), durable=False)
-
-    def _merge_finalize(self, stats: Dict[str, int]) -> None:
-        self.flush()
-
-    # ------------------------------------------------------------------
     # queries: the columns-only read path
     # ------------------------------------------------------------------
     def select(
@@ -781,7 +787,7 @@ class ColumnarStore:
         materialization then reads metric columns and sidecar rows of
         the *matching* rows only. A segment with no matches is never
         read beyond its filter columns, and a store-wide scan is never
-        required — the JSONL store's O(full parse) failure mode.
+        required.
         """
         results: List[TrialResult] = []
         tasks = self._manifest["task_vocab"]
@@ -822,7 +828,7 @@ class ColumnarStore:
         n: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Streaming group-by, row-for-row identical to the JSONL path.
+        """Streaming group-by, row-for-row identical to ``runner.aggregate``.
 
         Produces exactly ``runner.aggregate(self.select(...), by=by)``
         — same group order (first appearance), same metric values in
@@ -894,7 +900,7 @@ class ColumnarStore:
                             add_value(entry, name, values[i])
                 else:
                     # Replay the row's original data order so value
-                    # accumulation matches the JSONL path exactly.
+                    # accumulation matches runner.aggregate exactly.
                     for name in names:
                         if name in extras:
                             add_value(entry, name, extras[name])
@@ -925,7 +931,7 @@ class ColumnarStore:
         return rows_out
 
     # ------------------------------------------------------------------
-    # listing (TrialStore-compatible)
+    # listing
     # ------------------------------------------------------------------
     def records(self) -> Iterator[Dict[str, Any]]:
         """Raw records in insertion order: segments in order, then tail."""
@@ -980,151 +986,74 @@ class ColumnarStore:
 
 
 # ----------------------------------------------------------------------
-# format detection, migration
+# the one upgrade path: legacy JSONL shards -> columnar
 # ----------------------------------------------------------------------
-def store_format(path: Union[str, os.PathLike]) -> Optional[str]:
-    """``"columnar"``, ``"jsonl"``, or None for a fresh/unknown directory."""
-    path = os.fspath(path)
-    if os.path.isfile(os.path.join(path, MANIFEST_NAME)):
-        return "columnar"
-    if os.path.isdir(os.path.join(path, "shards")):
-        return "jsonl"
-    return None
-
-
-def open_store(
-    path: Union[str, os.PathLike], fmt: Optional[str] = None
-) -> Union[TrialStore, ColumnarStore]:
-    """Open a trial store of either format.
-
-    ``fmt`` None auto-detects an existing store and defaults a fresh
-    directory to JSONL (the durable ingest format). An explicit ``fmt``
-    that contradicts what is on disk raises — silently reading the
-    other layout would "work" while computing everything cold.
-    """
-    detected = store_format(path)
-    if fmt is None:
-        fmt = detected or "jsonl"
-    elif fmt not in ("jsonl", "columnar"):
+def _legacy_source(source: Union[str, os.PathLike]) -> str:
+    path = os.fspath(source)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"store {path!r} does not exist")
+    if not os.path.isdir(os.path.join(path, LEGACY_SHARD_DIR)):
         raise ConfigurationError(
-            f"unknown store format {fmt!r}; choose jsonl or columnar"
+            f"{path!r} is not a legacy JSONL-shard trial store (no "
+            f"{LEGACY_SHARD_DIR}/ directory); only those need --compact"
         )
-    elif detected is not None and detected != fmt:
-        raise ConfigurationError(
-            f"store {os.fspath(path)!r} is {detected}, not {fmt}; open it as "
-            f"{detected} or migrate it (--compact / repro.sim.batch.colstore)"
-        )
-    return ColumnarStore(path) if fmt == "columnar" else TrialStore(path)
+    return path
 
 
-def _require_fresh(store: Union[TrialStore, ColumnarStore], what: str) -> None:
-    if len(store) != 0:
-        raise ConfigurationError(
-            f"{what} destination {store.root!r} already holds "
-            f"{len(store)} result(s); migrations write only into a fresh "
-            f"directory (merge into an existing store with merge_stores)"
-        )
+def verify_migration(source: Union[str, os.PathLike], dest: ColumnarStore) -> int:
+    """Prove a compaction lossless: identical record streams, loudly.
 
-
-def verify_migration(
-    source: Union[TrialStore, ColumnarStore],
-    dest: Union[TrialStore, ColumnarStore],
-) -> int:
-    """Prove a migration lossless: identical record streams, loudly.
-
-    Compares the two stores record for record, in insertion order —
-    which covers content-addressed keys, spec bytes, result payloads,
-    and ordering all at once. Returns the record count.
+    Compares the legacy store at ``source`` with ``dest`` record for
+    record, in insertion order — which covers content-addressed keys,
+    spec bytes, result payloads, and ordering all at once. Returns the
+    record count.
     """
     count = 0
     sentinel = object()
     dest_records = dest.records()
-    for src_record in source.records():
+    for src_record in legacy_records(_legacy_source(source)):
         dst_record = next(dest_records, sentinel)
         if dst_record is sentinel or src_record != dst_record:
             raise ConfigurationError(
                 f"migration mismatch at record {count} "
-                f"(key {src_record.get('key')!r}): {source.root!r} and "
+                f"(key {src_record.get('key')!r}): {os.fspath(source)!r} and "
                 f"{dest.root!r} disagree"
             )
         count += 1
     if next(dest_records, sentinel) is not sentinel:
         raise ConfigurationError(
             f"migration mismatch: {dest.root!r} holds more records than "
-            f"{source.root!r}"
+            f"{os.fspath(source)!r}"
         )
     return count
 
 
 def compact(
-    source: Union[TrialStore, str, os.PathLike],
+    source: Union[str, os.PathLike],
     dest: Union[str, os.PathLike],
     flush_rows: int = DEFAULT_FLUSH_ROWS,
     verify: bool = False,
 ) -> ColumnarStore:
-    """Migrate a JSONL :class:`TrialStore` into a fresh columnar store.
+    """Upgrade a legacy JSONL-shard store into a fresh columnar store.
 
-    Records stream in insertion order through the columnar row buffer,
-    packed into a segment every ``flush_rows`` rows — so the result is
-    deterministic for a given source and the content-addressed keys
-    carry over unchanged. ``verify=True`` replays both stores and
-    asserts record-for-record identity before returning.
+    Records stream in :func:`~repro.sim.batch.store.legacy_records`
+    order through the columnar row buffer, packed into a segment every
+    ``flush_rows`` rows — so the result is deterministic for a given
+    source and the content-addressed keys carry over unchanged.
+    ``verify=True`` rereads the source and asserts record-for-record
+    identity before returning.
     """
-    if isinstance(source, (str, os.PathLike)):
-        source = TrialStore(source)
+    path = _legacy_source(source)
     store = ColumnarStore(dest, flush_rows=flush_rows)
-    _require_fresh(store, "compaction")
-    for record in source.records():
+    if len(store) != 0:
+        raise ConfigurationError(
+            f"compaction destination {store.root!r} already holds "
+            f"{len(store)} result(s); compaction writes only into a fresh "
+            f"directory (merge into an existing store with merge_stores)"
+        )
+    for record in legacy_records(path):
         store._append_record(dict(record), durable=False)
     store.flush()
     if verify:
-        verify_migration(source, store)
+        verify_migration(path, store)
     return store
-
-
-def decompact(
-    source: Union[ColumnarStore, str, os.PathLike],
-    dest: Union[str, os.PathLike],
-    verify: bool = False,
-) -> TrialStore:
-    """Migrate a columnar store back into a fresh JSONL :class:`TrialStore`.
-
-    The inverse of :func:`compact`: because columnar segments preserve
-    record bytes and insertion order, the regenerated shard files are
-    byte-identical to the ones the original JSONL store wrote.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        source = ColumnarStore(source)
-    store = TrialStore(dest)
-    _require_fresh(store, "decompaction")
-    added = False
-    for record in source.records():
-        store._append(dict(record), write_index=False)
-        added = True
-    if added:
-        store._write_index()
-    if verify:
-        verify_migration(source, store)
-    return store
-
-
-def select_results(
-    store: Union[TrialStore, ColumnarStore],
-    task: Optional[str] = None,
-    family: Optional[str] = None,
-    n: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> List[TrialResult]:
-    """Format-agnostic query: columnar stores answer column-wise.
-
-    A :class:`ColumnarStore` dispatches to :meth:`ColumnarStore.select`
-    (only the needed columns are read); a JSONL store can only scan its
-    already-parsed records — the asymmetry this module exists to fix.
-    """
-    if hasattr(store, "select"):
-        return store.select(task=task, family=family, n=n, seed=seed)
-    results = []
-    for record in store.records():
-        if ColumnarStore._tail_matches(record, task, family, n, seed):
-            results.append(result_of_record(record))
-    return results

@@ -450,7 +450,7 @@ class GraphCache:
 
     Each entry is a :meth:`CSRGraph.save` directory named by the
     BLAKE2b-128 hex digest of the canonical JSON of its identifying
-    fields — the same keying discipline as the TrialStore — with the
+    fields — the same keying discipline as the trial store — with the
     fields themselves stored alongside in ``spec.json``, so a digest
     collision or a stale foreign entry is detected on load instead of
     silently served. Loads are memory-mapped: hitting the cache for a

@@ -6,8 +6,8 @@ merge. This module removes the human. A :class:`SweepCoordinator` owns
 the grid as a list of :class:`WorkUnit`\\ s (shard slices of named
 sweeps) and leases them to workers dynamically: a worker that dies
 simply stops renewing, its lease expires, and the unit is re-leased to
-whoever asks next. Completed shard :class:`~repro.sim.batch.store.
-TrialStore`\\ s travel back through a :class:`Transport` —
+whoever asks next. Completed unit stores (:class:`~repro.sim.batch.
+colstore.ColumnarStore`\\ s) travel back through a :class:`Transport` —
 :class:`DirTransport` (a shared or copied directory, subsuming the old
 manual flow) or :class:`HTTPTransport` (stdlib ``urllib`` pushing to
 the coordinator's stdlib ``http.server`` control plane; no new
@@ -19,7 +19,13 @@ duplicate work from expired-then-completed leases dedupes under
 ``merge_stores``'s identical-record rule, and a final replay through a
 :class:`~repro.sim.batch.store.ReadThroughStore` repacks the merged
 records into a store byte-identical to the single-host run — whatever
-mix of workers, leases, retries, and transports produced them.
+mix of workers, leases, retries, and transports produced them. The
+repack puts records in grid order and flushes where the single-host
+sweep flushes, so the final store packs the same segments.
+
+A push carries the unit store's records as one ``tail.jsonl`` file —
+the exact lines the store's own ingest tail would hold — so the wire
+stays text, and the staged push opens as a tail-only store.
 
 The control plane is deliberately tiny — six JSON-over-HTTP verbs
 (``lease``, ``renew``, ``complete``, ``release``, ``fail``, ``push``)
@@ -59,10 +65,12 @@ from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
 from ...errors import ConfigurationError
 from ...randomness.block import derive_key
+from .colstore import TAIL_NAME, ColumnarStore
 from .store import (
-    TrialStore,
+    LEGACY_SHARD_DIR,
     append_jsonl,
     file_digest,
+    jsonl_line,
     merge_stores,
     open_jsonl_append,
     read_jsonl,
@@ -284,7 +292,7 @@ class SweepCoordinator:
     With a ``journal_path``, every state transition is appended to a
     write-ahead journal — one JSON line per event, flush+fsync before
     the in-memory state changes, the same torn-line-tolerant discipline
-    as :class:`~repro.sim.batch.store.TrialStore` — and
+    as the trial store's ingest tail — and
     :meth:`recover` rebuilds a crashed coordinator from it: completed
     units stay completed, attempt counts and ``reassigned``/``late``
     stats survive, and leases that were live at the crash are
@@ -750,15 +758,9 @@ def _safe_push_name(name: str) -> str:
 
 
 def _store_files(store_root: str) -> Dict[str, str]:
-    """Every file under ``store_root`` as posix relpath -> text."""
-    files = {}
-    for dirpath, _dirs, names in os.walk(store_root):
-        for name in sorted(names):
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, store_root).replace(os.sep, "/")
-            with open(path, "r", encoding="utf-8") as handle:
-                files[rel] = handle.read()
-    return files
+    """A push payload: the store's records as one ``tail.jsonl`` text."""
+    with ColumnarStore(store_root) as store:
+        return {TAIL_NAME: "".join(jsonl_line(r) for r in store.records())}
 
 
 def _store_digests(files: Dict[str, str]) -> Dict[str, str]:
@@ -836,7 +838,12 @@ def write_pushed_store(
 
 
 def pushed_store_dirs(staging_root: str) -> List[str]:
-    """The store directories pushed so far, in sorted (merge) order."""
+    """The store directories pushed so far, in sorted (merge) order.
+
+    A push is a directory holding ``tail.jsonl``. A legacy JSONL-shard
+    push (``shards/``) is listed too, so that merging it refuses loudly
+    instead of silently dropping its records.
+    """
     if not os.path.isdir(staging_root):
         return []
     dirs = []
@@ -844,12 +851,13 @@ def pushed_store_dirs(staging_root: str) -> List[str]:
         if name.startswith(("_", ".")):
             continue
         path = os.path.join(staging_root, name)
-        if os.path.isdir(os.path.join(path, "shards")):
+        pushed = os.path.isfile(os.path.join(path, TAIL_NAME))
+        if pushed or os.path.isdir(os.path.join(path, LEGACY_SHARD_DIR)):
             dirs.append(path)
     return dirs
 
 
-def merge_pushed(staging_root: str, dest: TrialStore) -> Dict[str, int]:
+def merge_pushed(staging_root: str, dest: ColumnarStore) -> Dict[str, int]:
     """Merge every pushed store into ``dest`` (empty staging -> no-op)."""
     dirs = pushed_store_dirs(staging_root)
     if not dirs:
@@ -1230,7 +1238,7 @@ def default_worker_id() -> str:
 
 def run_worker(
     control: Any,
-    execute: Callable[[WorkUnit, TrialStore, Callable[..., None]], Any],
+    execute: Callable[[WorkUnit, ColumnarStore, Callable[..., None]], Any],
     transport: Transport,
     scratch: str,
     worker_id: Optional[str] = None,
@@ -1305,7 +1313,7 @@ def run_worker(
             continue
         unit, attempt = reply.unit, reply.attempt
         store_root = os.path.join(scratch, f"u{unit.unit_id:04d}-a{attempt:02d}")
-        store = TrialStore(store_root)
+        store = ColumnarStore(store_root)
 
         def renew(*_ignored: Any) -> None:
             try:

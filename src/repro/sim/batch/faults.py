@@ -273,12 +273,13 @@ class FlakyTransport(Transport):
 
     Wraps a real :class:`~repro.sim.batch.distrib.Transport`. The
     interesting kind is ``truncate``: the store's files and digests are
-    computed honestly, then one file (the largest — in practice a JSONL
-    shard) is cut in half *after* digest computation, modeling a
-    connection that died mid-body. The receiver's digest verification
-    must reject the payload (:class:`~repro.sim.batch.distrib.
-    PushIntegrityError`), the retry re-reads the intact store from
-    disk, and the retried push converges.
+    computed honestly, then one file (the largest — in practice the
+    only one, ``tail.jsonl``) is cut in half *after* digest
+    computation, modeling a connection that died mid-body. The
+    receiver's digest verification must reject the payload
+    (:class:`~repro.sim.batch.distrib.PushIntegrityError`), the retry
+    re-reads the intact store from disk, and the retried push
+    converges.
     """
 
     name = "flaky"

@@ -195,7 +195,7 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
     :func:`default_chunksize`; any chunking returns identical results
     in identical order.
 
-    ``store`` (a :class:`repro.sim.batch.store.TrialStore`) makes the
+    ``store`` (a :class:`repro.sim.batch.colstore.ColumnarStore`) makes the
     sweep durable: cached results are reused, fresh ones are appended
     to the store the moment each completes — in grid order, so an
     interrupted sweep resumes from its partial results and finishes
@@ -244,6 +244,8 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
             return results
 
     name = task_name_of(task, task_name)
+    flush = getattr(store, "flush", None)
+    stored = len(store) if flush is not None else 0
     # Validate up front: a bad workers value must fail on a warm cache
     # exactly as it would on a cold one.
     workers = resolve_workers(workers)
@@ -287,11 +289,12 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
                         progress(spec, result)
                     for i in positions[spec]:
                         results[i] = result
-    # A buffering store (the columnar format's tail) gets its row
-    # buffer packed now that the sweep is complete; every put above was
-    # already individually durable, so this only finalizes the layout.
-    flush = getattr(store, "flush", None)
-    if flush is not None:
+    # Pack the rows this sweep added into a segment now that it is
+    # complete; every put above was already individually durable. A
+    # sweep that added nothing leaves the tail alone: after a crash it
+    # holds the rows of the sweep that was cut short, and that sweep's
+    # own rerun packs them where an uninterrupted run would have.
+    if flush is not None and len(store) != stored:
         flush()
     done: List[TrialResult] = []
     for i, result in enumerate(results):

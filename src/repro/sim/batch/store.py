@@ -1,9 +1,11 @@
-"""Durable trial store: checkpointed, resumable, cross-host-shardable sweeps.
+"""Trial-store keys, record encoding, and the store-level operations.
 
 :func:`~repro.sim.batch.runner.run_trials` recomputes everything on
 every call, so a killed full-profile regeneration used to lose hours of
-work. :class:`TrialStore` is the fix — a content-addressed on-disk
-cache of completed :class:`~repro.sim.batch.runner.TrialResult`\\ s:
+work. A trial store — :class:`~repro.sim.batch.colstore.ColumnarStore`
+is the one implementation — is the fix: a content-addressed on-disk
+cache of completed :class:`~repro.sim.batch.runner.TrialResult`\\ s.
+This module holds what is independent of its layout:
 
 * **Key** — ``blake2b`` of the canonical JSON of
   ``(task_name, TrialSpec, RESULT_FORMAT_VERSION)``
@@ -11,16 +13,19 @@ cache of completed :class:`~repro.sim.batch.runner.TrialResult`\\ s:
   (sorted tuples), so equal specs can never produce distinct keys, and
   the version constant is bumped whenever result derivation changes so
   stale caches go cold instead of silently serving old numbers.
-* **Layout** — one JSONL shard file per task name under ``shards/``,
-  plus an ``index.json`` summary. Each record is one line; a completed
-  trial is appended and fsynced the moment it finishes ("atomic
-  append-on-complete"), and the loader skips torn trailing lines, so a
-  crash mid-append loses at most the record being written.
-* **Round trip** — result ``data`` is encoded with tuple tagging
+* **Record** — one JSON object per trial (version, task, key, spec,
+  ok, data). Result ``data`` is encoded with tuple tagging
   (``{"__tuple__": [...]}``) so the documented scalar palette of
   :class:`TrialResult` (numbers, strings, bools, small tuples) survives
   JSON byte-identically; a cached result compares equal to a freshly
   computed one.
+* **Durable JSONL** — :func:`append_jsonl` appends one record line
+  with flush+fsync, and :func:`read_jsonl` skips torn trailing lines,
+  so a crash mid-append loses at most the record being written. The
+  store's ingest tail and the coordinator's journal both use them.
+* **Legacy input** — :func:`legacy_records` reads the JSONL-shard
+  directories older builds wrote, once, for
+  :func:`~repro.sim.batch.colstore.compact` to upgrade.
 
 Sharding across hosts composes with the cache:
 :func:`~repro.sim.batch.runner.shard` deterministically partitions a
@@ -35,8 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, IO, Iterable, Iterator, Optional, Union
 
 from ...errors import ConfigurationError
 from .runner import TrialResult, TrialSpec, check_shard, shard  # noqa: F401
@@ -46,8 +50,8 @@ from .runner import TrialResult, TrialSpec, check_shard, shard  # noqa: F401
 #: embed it, so old records become unreachable rather than wrong.
 RESULT_FORMAT_VERSION = 1
 
-_SHARD_DIR = "shards"
-_INDEX_NAME = "index.json"
+#: The shard directory of a legacy JSONL store (see :func:`legacy_records`).
+LEGACY_SHARD_DIR = "shards"
 _TUPLE_TAG = "__tuple__"
 
 
@@ -135,7 +139,7 @@ def open_jsonl_append(path: Union[str, os.PathLike]) -> IO[str]:
     A crash mid-append can leave the file without a trailing newline;
     terminate the torn line first, or the next record would fuse with
     it and both lines would be lost on load. Shared by the store's
-    shard files and the coordinator's write-ahead journal
+    ingest tail and the coordinator's write-ahead journal
     (:mod:`repro.sim.batch.distrib`).
     """
     path = os.fspath(path)
@@ -150,9 +154,14 @@ def open_jsonl_append(path: Union[str, os.PathLike]) -> IO[str]:
     return handle
 
 
+def jsonl_line(record: Dict[str, Any]) -> str:
+    """One record as the exact JSON line :func:`append_jsonl` writes."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
 def append_jsonl(handle: IO[str], record: Dict[str, Any]) -> None:
     """Append one record as a JSON line with flush+fsync durability."""
-    handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    handle.write(jsonl_line(record))
     handle.flush()
     os.fsync(handle.fileno())
 
@@ -181,189 +190,35 @@ def read_jsonl(path: Union[str, os.PathLike]) -> Iterator[Dict[str, Any]]:
                 yield record
 
 
-def _shard_filename(task_name: str) -> str:
-    """Stable, filesystem-safe shard file name for a task namespace."""
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", task_name)
-    if safe != task_name or not safe:
-        # Disambiguate: distinct task names must never share a file
-        # after sanitization collapses their unsafe characters.
-        digest = hashlib.blake2b(task_name.encode("utf-8"),
-                                 digest_size=4).hexdigest()
-        safe = f"{safe or 'task'}-{digest}"
-    return f"{safe}.jsonl"
+def legacy_records(root: Union[str, os.PathLike]) -> Iterator[Dict[str, Any]]:
+    """The records of a legacy JSONL-shard store, read once, in load order.
 
-
-class TrialStore:
-    """A directory of completed trials, loaded eagerly, appended atomically.
-
-    Open one with its root directory (created if missing); pass it as
-    ``run_trials(..., store=...)``. Records are held in memory keyed by
-    :func:`spec_key`, so lookups are dict-speed; appends go straight to
-    the task's shard file with flush+fsync before the in-memory index
-    is updated, so the disk never claims a result that wasn't durably
-    written.
+    Stores written before the columnar layout are a ``shards/``
+    directory of one JSONL file per task plus an ``index.json``
+    summary. Nothing writes that layout any more; ``compact``
+    (:mod:`repro.sim.batch.colstore`) upgrades it through this reader.
+    Shard files are read in sorted name order and lines in file order;
+    the first copy of a key wins, and torn lines (a crash mid-append)
+    and foreign lines (no string ``key`` or no ``task``) are skipped.
     """
-
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = os.fspath(root)
-        os.makedirs(self._shard_dir, exist_ok=True)
-        self._records: Dict[str, Dict[str, Any]] = {}
-        self._order: List[str] = []
-        self._counts: Dict[str, int] = {}
-        self._handles: Dict[str, IO[str]] = {}
-        self._load()
-
-    @property
-    def _shard_dir(self) -> str:
-        return os.path.join(self.root, _SHARD_DIR)
-
-    def _load(self) -> None:
-        for name in sorted(os.listdir(self._shard_dir)):
-            if not name.endswith(".jsonl"):
+    shard_dir = os.path.join(os.fspath(root), LEGACY_SHARD_DIR)
+    seen = set()
+    for name in sorted(os.listdir(shard_dir)):
+        if not name.endswith(".jsonl"):
+            continue
+        for record in read_jsonl(os.path.join(shard_dir, name)):
+            key = record.get("key")
+            if not isinstance(key, str) or "task" not in record or key in seen:
                 continue
-            for record in read_jsonl(os.path.join(self._shard_dir, name)):
-                key = record.get("key")
-                if not isinstance(key, str) or "task" not in record:
-                    continue
-                if key not in self._records:
-                    self._records[key] = record
-                    self._order.append(key)
-                    task = record["task"]
-                    self._counts[task] = self._counts.get(task, 0) + 1
-
-    # ------------------------------------------------------------------
-    # cache protocol used by run_trials
-    # ------------------------------------------------------------------
-    def get(self, task_name: str, spec: TrialSpec) -> Optional[TrialResult]:
-        """The cached result for ``(task_name, spec)``, or None on a miss."""
-        record = self._records.get(spec_key(task_name, spec))
-        if record is None or record.get("task") != task_name:
-            return None
-        return TrialResult(spec, bool(record["ok"]), _decode(record["data"]))
-
-    def put(self, task_name: str, spec: TrialSpec,
-            result: TrialResult) -> None:
-        """Checkpoint one completed trial.
-
-        Re-putting an identical result is an idempotent no-op; a
-        *different* result for an existing key raises — the store
-        claims to cache a deterministic computation, so silently
-        keeping the old payload would paper over exactly the kind of
-        divergence :func:`merge_stores` refuses to merge.
-        """
-        key = spec_key(task_name, spec)
-        record = {
-            "version": RESULT_FORMAT_VERSION,
-            "task": task_name,
-            "key": key,
-            "spec": canonical_spec(spec),
-            "ok": bool(result.ok),
-            "data": _encode(result.data),
-        }
-        existing = self._records.get(key)
-        if existing is not None:
-            if existing == record:
-                return
-            raise ConfigurationError(
-                f"conflicting result for key {key} (task {task_name!r}): "
-                f"stored {existing!r} vs incoming {record!r} — a "
-                f"deterministic trial produced two different payloads")
-        self._append(record)
-
-    # ------------------------------------------------------------------
-    # raw record plumbing (merge, listing)
-    # ------------------------------------------------------------------
-    def _handle_for(self, task_name: str) -> IO[str]:
-        path = os.path.join(self._shard_dir, _shard_filename(task_name))
-        handle = self._handles.get(path)
-        if handle is None:
-            handle = open_jsonl_append(path)
-            self._handles[path] = handle
-        return handle
-
-    def _append(self, record: Dict[str, Any], write_index: bool = True) -> None:
-        append_jsonl(self._handle_for(record["task"]), record)
-        self._records[record["key"]] = record
-        self._order.append(record["key"])
-        task = record["task"]
-        self._counts[task] = self._counts.get(task, 0) + 1
-        if write_index:
-            self._write_index()
-
-    def _write_index(self) -> None:
-        index = {
-            "format": RESULT_FORMAT_VERSION,
-            "total": len(self._records),
-            "tasks": self.tasks(),
-        }
-        tmp = os.path.join(self.root, _INDEX_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(index, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(tmp, os.path.join(self.root, _INDEX_NAME))
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """Raw records in insertion order (load order, then appends)."""
-        for key in self._order:
-            yield self._records[key]
-
-    # ------------------------------------------------------------------
-    # merge protocol (shared with ColumnarStore; see merge_stores)
-    # ------------------------------------------------------------------
-    def _get_record(self, key: str) -> Optional[Dict[str, Any]]:
-        return self._records.get(key)
-
-    def _merge_append(self, record: Dict[str, Any]) -> None:
-        # Index writes are batched in _merge_finalize: one rewrite per
-        # merge, not per record. The index is a derived summary (loads
-        # scan the shard files), so a crash mid-merge leaves it stale
-        # but never wrong to resume from.
-        self._append(record, write_index=False)
-
-    def _merge_finalize(self, stats: Dict[str, int]) -> None:
-        if stats["added"]:
-            self._write_index()
-
-    def tasks(self) -> Dict[str, int]:
-        """Record count per task name, sorted by name.
-
-        Maintained incrementally — the index rewrite after every append
-        must not rescan all records.
-        """
-        return dict(sorted(self._counts.items()))
-
-    def describe(self) -> str:
-        """Human-oriented summary (the CLI ``--list`` output)."""
-        lines = [f"store {self.root}: {len(self)} result(s), "
-                 f"format v{RESULT_FORMAT_VERSION}"]
-        for task_name, count in self.tasks().items():
-            lines.append(f"  {task_name}: {count}")
-        return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def close(self) -> None:
-        """Close shard file handles (appends reopen them on demand)."""
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
-
-    def __enter__(self) -> "TrialStore":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+            seen.add(key)
+            yield record
 
 
 class ReadThroughStore:
     """A layered store: misses in ``primary`` fall back to ``fallback``.
 
-    Speaks the same ``get``/``put`` cache protocol ``run_trials`` uses,
-    so it can stand anywhere a :class:`TrialStore` does. A fallback hit
+    Speaks the same ``get``/``put``/``flush`` protocol ``run_trials``
+    uses, so it can stand anywhere a store does. A fallback hit
     is copied forward into ``primary`` at lookup time — and because
     encoding is deterministic and lookups happen in grid order, a sweep
     replayed through a read-through layer writes ``primary`` with
@@ -372,11 +227,11 @@ class ReadThroughStore:
     an arbitrarily-ordered merge of worker shard stores into a final
     store byte-identical to the unsharded baseline.
 
-    ``fallback`` is never written to. Either layer can be any store
-    speaking the ``get``/``put`` protocol — the JSONL
-    :class:`TrialStore` or the columnar store
-    (:mod:`repro.sim.batch.colstore`); the replay-in-grid-order
-    argument above is layout-independent.
+    ``fallback`` is never written to. The columnar layout keeps the
+    byte-identity argument: segments are packed in insertion order at
+    the same flush points (``run_trials`` flushes when a sweep that
+    added rows ends), so the same puts in the same order pack the same
+    segments.
     """
 
     def __init__(self, primary: Any, fallback: Any) -> None:
@@ -396,10 +251,8 @@ class ReadThroughStore:
         self.primary.put(task_name, spec, result)
 
     def flush(self) -> None:
-        """Flush the primary's row buffer, if it has one (columnar)."""
-        flush = getattr(self.primary, "flush", None)
-        if flush is not None:
-            flush()
+        """Pack the primary's buffered tail rows into a segment."""
+        self.primary.flush()
 
     def __len__(self) -> int:
         return len(self.primary)
@@ -408,7 +261,7 @@ class ReadThroughStore:
 def merge_stores(dest: Any,
                  sources: Iterable[Union[Any, str, os.PathLike]],
                  ) -> Dict[str, int]:
-    """Fold source stores into ``dest``, deterministically.
+    """Fold source stores into the columnar store ``dest``, deterministically.
 
     Sources are processed in the given order, records in each source's
     insertion order, so merging the same stores always yields the same
@@ -420,18 +273,16 @@ def merge_stores(dest: Any,
     bug worth stopping for, not papering over, and the digests say
     which copies to go look at.
 
-    Both sides may be either store format — the JSONL
-    :class:`TrialStore` or the columnar store
-    (:mod:`repro.sim.batch.colstore`); paths are auto-detected. A
-    columnar-to-columnar merge takes a bulk fast path that adopts
-    whole column arrays instead of replaying records one by one.
+    Sources are :class:`~repro.sim.batch.colstore.ColumnarStore`\\ s or
+    their paths; each is folded in by whole-column adoption
+    (``ColumnarStore._adopt_from``), segments and tail rows alike.
 
     An empty source list is rejected: a merge of nothing would report
     success while leaving ``dest`` unchanged, which in every observed
     case meant a glob or worker fleet produced no stores — an error the
     caller needs to hear about, not a no-op.
     """
-    from .colstore import ColumnarStore, open_store
+    from .colstore import ColumnarStore
 
     sources = list(sources)
     if not sources:
@@ -440,7 +291,9 @@ def merge_stores(dest: Any,
             "merge would silently leave the destination unchanged")
     stats = {"added": 0, "duplicate": 0}
     for source in sources:
-        if isinstance(source, (str, os.PathLike)):
+        if not isinstance(source, (str, os.PathLike)):
+            sub = dest._adopt_from(source)
+        else:
             path = os.fspath(source)
             if not os.path.isdir(path):
                 # Opening would silently create an empty store, turning
@@ -448,28 +301,9 @@ def merge_stores(dest: Any,
                 # and a later run would recompute that host's slice.
                 raise ConfigurationError(
                     f"merge source {path!r} does not exist")
-            src = open_store(path)
-        else:
-            src = source
-        if isinstance(dest, ColumnarStore) and isinstance(src, ColumnarStore):
-            sub = dest._adopt_from(src)
-            stats["added"] += sub["added"]
-            stats["duplicate"] += sub["duplicate"]
-            continue
-        for record in src.records():
-            existing = dest._get_record(record["key"])
-            if existing is None:
-                dest._merge_append(record)
-                stats["added"] += 1
-            elif existing == record:
-                stats["duplicate"] += 1
-            else:
-                raise ConfigurationError(
-                    f"conflicting records for key {record['key']} "
-                    f"(task {record.get('task')!r}) while merging "
-                    f"{getattr(src, 'root', source)!r}: stored record "
-                    f"digest {record_digest(existing)} vs incoming record "
-                    f"digest {record_digest(record)} — two stores disagree "
-                    f"about a deterministic computation")
-    dest._merge_finalize(stats)
+            with ColumnarStore(path) as opened:
+                sub = dest._adopt_from(opened)
+        stats["added"] += sub["added"]
+        stats["duplicate"] += sub["duplicate"]
     return stats
+

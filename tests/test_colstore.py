@@ -2,20 +2,22 @@
 
 The load-bearing guarantees, each pinned here:
 
-* compaction is lossless — ``TrialStore -> ColumnarStore -> TrialStore``
-  reproduces the original shard files byte for byte, content-addressed
-  keys included — and every storable value type survives, including the
-  dtype boundaries (int64 min/max in packed columns, ints beyond int64
-  rerouted to the ragged sidecar rather than silently wrapping);
+* the legacy upgrade is lossless — compacting a JSONL-shard store
+  yields records that re-serialize to the original shard lines byte for
+  byte, content-addressed keys included — and every storable value type
+  survives, including the dtype boundaries (int64 min/max in packed
+  columns, ints beyond int64 rerouted to the ragged sidecar rather than
+  silently wrapping);
 * a torn final flush never loses or duplicates a trial: both crash
   windows of the segment commit protocol (stray unlisted segment
   directory; manifest-listed segment with an untruncated tail) recover
   on load to the exact same record stream;
 * ``merge_stores`` refuses conflicting stores loudly, naming the first
-  conflicting key and both record digests, on every merge path
-  (record-wise and the columnar bulk-adoption fast path);
-* queries touch only the columns they filter on, and ``aggregate`` is
-  row-for-row identical to the JSONL path's ``runner.aggregate``;
+  conflicting key and both record digests, whether the incoming copy
+  sits in a source segment or in the source's tail;
+* queries touch only the columns they filter on, ``select`` equals a
+  brute-force filter of ``records()``, and ``aggregate`` is row-for-row
+  identical to ``runner.aggregate``;
 * the store drops into ``run_trials`` unchanged: a replayed sweep is
   served entirely from cache.
 """
@@ -33,20 +35,20 @@ from repro.sim.batch import (
     ColumnarStore,
     TrialResult,
     TrialSpec,
-    TrialStore,
     aggregate,
     compact,
-    decompact,
     merge_stores,
-    open_store,
     record_digest,
     run_trials,
-    select_results,
     spec_key,
-    store_format,
     verify_migration,
 )
-from repro.sim.batch.colstore import DEFAULT_FLUSH_ROWS, MANIFEST_NAME, TAIL_NAME
+from repro.sim.batch.colstore import (
+    DEFAULT_FLUSH_ROWS,
+    TAIL_NAME,
+    result_of_record,
+)
+from repro.sim.batch.store import jsonl_line
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -80,6 +82,26 @@ def _store_bytes(root: str) -> dict:
     return contents
 
 
+def _legacy_store(root, *stores) -> list:
+    """Write the records of ``stores`` as a legacy JSONL-shard store.
+
+    One shard file per task, lines in put order — the layout older
+    builds wrote. Returns the records in legacy load order (sorted
+    shard files, then line order).
+    """
+    by_task = {}
+    for store in stores:
+        for record in store.records():
+            by_task.setdefault(record["task"], []).append(record)
+    shards = root / "shards"
+    shards.mkdir(parents=True)
+    for task, records in by_task.items():
+        (shards / f"{task}.jsonl").write_text(
+            "".join(jsonl_line(record) for record in records))
+    (root / "index.json").write_text("{}\n")
+    return [record for task in sorted(by_task) for record in by_task[task]]
+
+
 def _fill(store, count: int, task: str = "t", family: str = "cycle"):
     """``count`` probe results into ``store``; returns their specs."""
     specs = [TrialSpec.of(family, 8 * (i % 3 + 1), i) for i in range(count)]
@@ -102,29 +124,37 @@ class TestRoundTrip:
         assert isinstance(cached.data["third"], float)
         assert cached.data["nothing"] is None
 
-    def test_compact_decompact_reproduces_shard_bytes(self, tmp_path):
-        """The headline migration guarantee: an exact byte round trip."""
-        source = TrialStore(tmp_path / "jsonl")
+    def test_compact_preserves_shard_line_bytes(self, tmp_path):
+        """The headline upgrade guarantee: the compacted records
+        re-serialize to the legacy shard files byte for byte."""
+        source = ColumnarStore(tmp_path / "src")
         _fill(source, 7, task="a")
         _fill(source, 5, task="b", family="path")
-        source.close()
-        compact(tmp_path / "jsonl", tmp_path / "col", verify=True).close()
-        decompact(tmp_path / "col", tmp_path / "back", verify=True).close()
-        original = _store_bytes(str(tmp_path / "jsonl"))
-        regenerated = _store_bytes(str(tmp_path / "back"))
-        assert original == regenerated
+        _legacy_store(tmp_path / "jsonl", source)
+        original = _store_bytes(str(tmp_path / "jsonl" / "shards"))
+        compacted = compact(tmp_path / "jsonl", tmp_path / "col",
+                            flush_rows=5, verify=True)
+        by_task = {}
+        for record in compacted.records():
+            by_task.setdefault(f"{record['task']}.jsonl", []).append(
+                jsonl_line(record).encode())
+        assert {name: b"".join(lines) for name, lines in by_task.items()} \
+            == original
 
     def test_migration_preserves_content_addressed_keys(self, tmp_path):
-        source = TrialStore(tmp_path / "jsonl")
+        source = ColumnarStore(tmp_path / "src")
         specs = _fill(source, 4)
+        _legacy_store(tmp_path / "jsonl", source)
         compact(tmp_path / "jsonl", tmp_path / "col").close()
         migrated = ColumnarStore(tmp_path / "col")
         for spec in specs:
             assert spec_key("t", spec) in migrated
-        assert verify_migration(source, migrated) == 4
+        assert verify_migration(tmp_path / "jsonl", migrated) == 4
 
     def test_compaction_refuses_nonfresh_destination(self, tmp_path):
-        _fill(TrialStore(tmp_path / "jsonl"), 2)
+        source = ColumnarStore(tmp_path / "src")
+        _fill(source, 2)
+        _legacy_store(tmp_path / "jsonl", source)
         _fill(ColumnarStore(tmp_path / "col"), 1, task="other")
         with pytest.raises(ConfigurationError, match="fresh"):
             compact(tmp_path / "jsonl", tmp_path / "col")
@@ -196,11 +226,10 @@ class TestEmptyAndSingle:
         assert ColumnarStore(tmp_path / "col")._manifest["segments"] == []
 
     def test_empty_migrations(self, tmp_path):
-        TrialStore(tmp_path / "jsonl").close()
+        assert _legacy_store(tmp_path / "jsonl") == []
         migrated = compact(tmp_path / "jsonl", tmp_path / "col", verify=True)
         assert len(migrated) == 0
-        back = decompact(tmp_path / "col", tmp_path / "back", verify=True)
-        assert len(back) == 0
+        assert migrated._manifest["segments"] == []
 
     def test_single_trial_store(self, tmp_path):
         store = ColumnarStore(tmp_path / "col")
@@ -210,7 +239,8 @@ class TestEmptyAndSingle:
         assert len(reloaded) == 1
         assert reloaded.get("t", spec) == _probe_task(spec)
         assert reloaded.select(family="cycle", seed=0) == [_probe_task(spec)]
-        decompact(tmp_path / "col", tmp_path / "back", verify=True).close()
+        _legacy_store(tmp_path / "jsonl", reloaded)
+        compact(tmp_path / "jsonl", tmp_path / "back", verify=True).close()
 
     def test_merge_of_empty_sources_is_a_noop(self, tmp_path):
         dest = ColumnarStore(tmp_path / "dest")
@@ -218,7 +248,7 @@ class TestEmptyAndSingle:
         dest.flush()
         before = list(dest.records())
         stats = merge_stores(dest, [ColumnarStore(tmp_path / "empty-col"),
-                                    TrialStore(tmp_path / "empty-jl")])
+                                    tmp_path / "empty-col"])
         assert stats == {"added": 0, "duplicate": 0}
         assert list(dest.records()) == before
 
@@ -302,36 +332,32 @@ class TestTornFlush:
 
 
 class TestMergeRefusal:
-    def _conflicting_pair(self, tmp_path, fmt_a, fmt_b):
+    def _conflicting_pair(self, tmp_path, flushed):
         """Two stores agreeing on a key but not its payload; returns
-        (dest, source, key, digest_a, digest_b)."""
+        (dest, source, key, digest_a, digest_b). The source's copy sits
+        in a packed segment (``flushed``) or in its tail."""
         spec = TrialSpec.of("cycle", 8, 0)
         key = spec_key("t", spec)
-        a = open_store(tmp_path / "a", fmt_a)
+        a = ColumnarStore(tmp_path / "a")
         a.put("t", spec, TrialResult(spec, True, {"rounds": 1}))
-        b = open_store(tmp_path / "b", fmt_b)
+        a.flush()
+        b = ColumnarStore(tmp_path / "b")
         b.put("t", spec, TrialResult(spec, True, {"rounds": 2}))
-        for store in (a, b):
-            flush = getattr(store, "flush", None)
-            if flush:
-                flush()
-        digest_a = record_digest(a._get_record(key))
-        digest_b = record_digest(b._get_record(key))
+        if flushed:
+            b.flush()
+        assert bool(b._segments) is flushed
+        [record_a], [record_b] = list(a.records()), list(b.records())
+        digest_a, digest_b = record_digest(record_a), record_digest(record_b)
         assert digest_a != digest_b
         return a, b, key, digest_a, digest_b
 
-    @pytest.mark.parametrize("fmt_a,fmt_b", [
-        ("jsonl", "jsonl"),
-        ("jsonl", "columnar"),
-        ("columnar", "jsonl"),
-        ("columnar", "columnar"),  # exercises the bulk-adoption path
-    ])
-    def test_conflict_names_key_and_both_digests(self, tmp_path, fmt_a, fmt_b):
+    @pytest.mark.parametrize("flushed", [True, False], ids=["segment", "tail"])
+    def test_conflict_names_key_and_both_digests(self, tmp_path, flushed):
         """Regression: the refusal must identify the first conflicting
         key and the digest of both payloads, so two operators can tell
         whose store diverged without replaying anything."""
         dest, source, key, digest_a, digest_b = self._conflicting_pair(
-            tmp_path, fmt_a, fmt_b)
+            tmp_path, flushed)
         with pytest.raises(ConfigurationError) as exc:
             merge_stores(dest, [source])
         message = str(exc.value)
@@ -351,21 +377,26 @@ class TestMergeRefusal:
         assert stats == {"added": 0, "duplicate": 1}
         assert len(dest) == 1
 
-    def test_cross_format_merges_agree(self, tmp_path):
-        """jsonl+jsonl and columnar+columnar merges of the same halves
-        must produce the same record stream."""
-        specs = [TrialSpec.of("cycle", 8, seed) for seed in range(6)]
-        jl_a, jl_b = TrialStore(tmp_path / "jl-a"), TrialStore(tmp_path / "jl-b")
-        for store, chunk in ((jl_a, specs[:3]), (jl_b, specs[3:])):
+    def test_merged_stream_equals_source_stream(self, tmp_path):
+        """Merging packed and tail-only halves yields exactly the
+        sources' record streams, in source order, and re-merging the
+        same sources reproduces the destination byte for byte."""
+        specs = [TrialSpec.of("cycle", 8, seed) for seed in range(7)]
+        packed = ColumnarStore(tmp_path / "packed", flush_rows=2)
+        tail_only = ColumnarStore(tmp_path / "tail-only")
+        for store, chunk in ((packed, specs[:5]), (tail_only, specs[5:])):
             for spec in chunk:
                 store.put("t", spec, _probe_task(spec))
-        compact(tmp_path / "jl-a", tmp_path / "col-a").close()
-        compact(tmp_path / "jl-b", tmp_path / "col-b").close()
-        jl_dest = TrialStore(tmp_path / "jl-merged")
-        merge_stores(jl_dest, [tmp_path / "jl-a", tmp_path / "jl-b"])
-        col_dest = ColumnarStore(tmp_path / "col-merged")
-        merge_stores(col_dest, [tmp_path / "col-a", tmp_path / "col-b"])
-        assert list(jl_dest.records()) == list(col_dest.records())
+        assert packed._segments and not tail_only._segments
+        expected = list(packed.records()) + list(tail_only.records())
+        for name in ("merged", "again"):
+            dest = ColumnarStore(tmp_path / name)
+            stats = merge_stores(dest, [packed, tmp_path / "tail-only"])
+            assert stats == {"added": len(specs), "duplicate": 0}
+            assert list(dest.records()) == expected
+            dest.close()
+        assert _store_bytes(str(tmp_path / "merged")) == \
+            _store_bytes(str(tmp_path / "again"))
 
 
 class TestQueries:
@@ -404,37 +435,38 @@ class TestQueries:
             assert store.aggregate(by=by, **kwargs) == \
                 aggregate(store.select(**kwargs), by=by)
 
-    def test_select_results_is_format_agnostic(self, tmp_path):
+    def test_select_equals_brute_force_filter(self, tmp_path):
         store = self._grid_store(tmp_path)
-        decompact(tmp_path / "col", tmp_path / "jl").close()
-        jsonl = TrialStore(tmp_path / "jl")
-        for kwargs in ({"family": "cycle"}, {"seed": 3}, {"n": 8}):
-            assert select_results(store, **kwargs) == \
-                select_results(jsonl, **kwargs)
+        extra = TrialSpec.of("path", 16, 1)
+        store.put("other", extra, _probe_task(extra))  # a tail row
+        records = list(store.records())
+        for kwargs in ({}, {"family": "cycle"}, {"seed": 3}, {"n": 8},
+                       {"task": "other"}, {"family": "path", "seed": 1},
+                       {"n": 99}):
+            expected = [
+                result_of_record(r) for r in records
+                if all((r["task"] if field == "task" else r["spec"][field])
+                       == value for field, value in kwargs.items())
+            ]
+            assert store.select(**kwargs) == expected
 
 
 class TestOpenStore:
-    def test_autodetects_both_formats(self, tmp_path):
-        _fill(TrialStore(tmp_path / "jl"), 1)
-        _fill(ColumnarStore(tmp_path / "col"), 1)
-        assert store_format(tmp_path / "jl") == "jsonl"
-        assert store_format(tmp_path / "col") == "columnar"
-        assert isinstance(open_store(tmp_path / "jl"), TrialStore)
-        assert isinstance(open_store(tmp_path / "col"), ColumnarStore)
-        assert store_format(tmp_path / "fresh") is None
-        assert isinstance(open_store(tmp_path / "fresh"), TrialStore)
-
     def test_contradicting_format_raises(self, tmp_path):
-        """Opening a columnar store as jsonl would 'work' while
-        computing everything cold — it must refuse instead."""
-        _fill(ColumnarStore(tmp_path / "col"), 1)
-        with pytest.raises(ConfigurationError, match="columnar"):
-            open_store(tmp_path / "col", "jsonl")
-        _fill(TrialStore(tmp_path / "jl"), 1)
-        with pytest.raises(ConfigurationError, match="jsonl"):
-            open_store(tmp_path / "jl", "columnar")
-        with pytest.raises(ConfigurationError, match="unknown store format"):
-            open_store(tmp_path / "jl", "parquet")
+        """Opening a legacy JSONL-shard store live would 'work' while
+        computing everything cold — it must refuse instead, naming the
+        upgrade, and leave the directory untouched."""
+        source = ColumnarStore(tmp_path / "src")
+        _fill(source, 2)
+        _legacy_store(tmp_path / "jl", source)
+        before = _store_bytes(str(tmp_path / "jl"))
+        with pytest.raises(ConfigurationError, match="--compact"):
+            ColumnarStore(tmp_path / "jl")
+        assert _store_bytes(str(tmp_path / "jl")) == before
+        assert sorted(os.listdir(tmp_path / "jl")) == ["index.json", "shards"]
+        # Once upgraded, the destination opens normally.
+        compact(tmp_path / "jl", tmp_path / "col").close()
+        assert len(ColumnarStore(tmp_path / "col")) == 2
 
 
 class TestRunTrialsIntegration:

@@ -26,6 +26,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.batch import (
     AuthenticationError,
+    ColumnarStore,
     CoordinatorClient,
     CoordinatorServer,
     CoordinatorUnavailable,
@@ -40,7 +41,6 @@ from repro.sim.batch import (
     Transport,
     TrialResult,
     TrialSpec,
-    TrialStore,
     WorkUnit,
     deterministic_uniform,
     flood_min_trial,
@@ -52,6 +52,7 @@ from repro.sim.batch import (
     run_worker,
     wait_until_done,
 )
+from repro.sim.batch.colstore import TAIL_NAME
 from repro.sim.batch.distrib import (
     JOURNAL_NAME,
     verify_pushed_files,
@@ -420,8 +421,8 @@ class TestJournal:
 
 
 class TestTransports:
-    def _populated_store(self, root) -> TrialStore:
-        store = TrialStore(root)
+    def _populated_store(self, root) -> ColumnarStore:
+        store = ColumnarStore(root)
         for seed in range(3):
             spec = TrialSpec.of("cycle", 12, seed)
             store.put("t", spec, _probe_task(spec))
@@ -433,10 +434,40 @@ class TestTransports:
         transport = DirTransport(str(tmp_path / "staging"))
         transport.push(str(tmp_path / "src"), "u0-a1-w")
         (pushed,) = pushed_store_dirs(str(tmp_path / "staging"))
-        merged = TrialStore(tmp_path / "merged")
+        merged = ColumnarStore(tmp_path / "merged")
         assert merge_stores(merged, [pushed]) == {"added": 3, "duplicate": 0}
         spec = TrialSpec.of("cycle", 12, 1)
         assert merged.get("t", spec) == _probe_task(spec)
+
+    def test_push_ships_records_as_one_tail_file(self, tmp_path):
+        """The payload is the store's records as the exact JSON lines
+        its ingest tail would hold, packed segments included, and the
+        staged copy opens as a tail-only store with the same stream."""
+        source = self._populated_store(tmp_path / "src")
+        source.flush()
+        spec = TrialSpec.of("path", 12, 9)
+        source.put("t", spec, _probe_task(spec))  # one row left in the tail
+        expected = list(source.records())
+        source.close()
+        DirTransport(str(tmp_path / "staging")).push(str(tmp_path / "src"), "p")
+        (pushed,) = pushed_store_dirs(str(tmp_path / "staging"))
+        assert os.listdir(pushed) == [TAIL_NAME]
+        with open(os.path.join(pushed, TAIL_NAME), encoding="utf-8") as handle:
+            assert handle.read() == "".join(
+                json.dumps(r, separators=(",", ":")) + "\n" for r in expected
+            )
+        staged = ColumnarStore(pushed)
+        assert not staged._segments
+        assert list(staged.records()) == expected
+
+    def test_merge_pushed_refuses_a_legacy_push(self, tmp_path):
+        """A JSONL-shard push from an older build is listed, then refused
+        loudly at merge time instead of silently contributing nothing."""
+        staging = tmp_path / "staging"
+        write_pushed_store(str(staging), "old", {"shards/t.jsonl": "{}\n"})
+        assert pushed_store_dirs(str(staging)) == [str(staging / "old")]
+        with pytest.raises(ConfigurationError, match="--compact"):
+            merge_pushed(str(staging), ColumnarStore(tmp_path / "dest"))
 
     def test_duplicate_push_keeps_the_first_copy(self, tmp_path):
         self._populated_store(tmp_path / "src").close()
@@ -454,7 +485,7 @@ class TestTransports:
         assert pushed_store_dirs(str(staging)) == [str(staging / "good")]
 
     def test_pushed_names_cannot_collide_with_bookkeeping(self, tmp_path):
-        dest = write_pushed_store(str(tmp_path), "_merged", {"shards/t.jsonl": ""})
+        dest = write_pushed_store(str(tmp_path), "_merged", {"tail.jsonl": ""})
         assert os.path.basename(dest) == "p_merged"
 
     def test_push_rejects_path_escapes(self, tmp_path):
@@ -462,7 +493,7 @@ class TestTransports:
             write_pushed_store(str(tmp_path), "evil", {"../escape": "x"})
 
     def test_merge_pushed_with_empty_staging_is_a_noop(self, tmp_path):
-        dest = TrialStore(tmp_path / "dest")
+        dest = ColumnarStore(tmp_path / "dest")
         stats = merge_pushed(str(tmp_path / "missing"), dest)
         assert stats == {"added": 0, "duplicate": 0} and len(dest) == 0
 
@@ -470,9 +501,9 @@ class TestTransports:
 class TestReadThroughStore:
     def test_fallback_hits_are_copied_forward(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        fallback = TrialStore(tmp_path / "fallback")
+        fallback = ColumnarStore(tmp_path / "fallback")
         fallback.put("t", spec, _probe_task(spec))
-        primary = TrialStore(tmp_path / "primary")
+        primary = ColumnarStore(tmp_path / "primary")
         layered = ReadThroughStore(primary, fallback)
         assert layered.get("t", spec) == _probe_task(spec)
         assert primary.get("t", spec) == _probe_task(spec)
@@ -480,8 +511,8 @@ class TestReadThroughStore:
 
     def test_misses_stay_misses_and_puts_go_to_primary(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        fallback = TrialStore(tmp_path / "fallback")
-        primary = TrialStore(tmp_path / "primary")
+        fallback = ColumnarStore(tmp_path / "fallback")
+        primary = ColumnarStore(tmp_path / "primary")
         layered = ReadThroughStore(primary, fallback)
         assert layered.get("t", spec) is None
         layered.put("t", spec, _probe_task(spec))
@@ -491,20 +522,20 @@ class TestReadThroughStore:
     def test_repack_is_byte_identical_to_single_host(self, tmp_path):
         """Merge order scrambles record order; the repack restores it."""
         specs = grid(["cycle", "path"], [12], range(4), radius=12)
-        single = TrialStore(tmp_path / "single")
+        single = ColumnarStore(tmp_path / "single")
         cold = run_trials(flood_min_trial, specs, store=single)
         single.close()
 
-        host0 = TrialStore(tmp_path / "host0")
-        host1 = TrialStore(tmp_path / "host1")
+        host0 = ColumnarStore(tmp_path / "host0")
+        host1 = ColumnarStore(tmp_path / "host1")
         run_trials(flood_min_trial, specs, store=host0, shard=(0, 2))
         run_trials(flood_min_trial, specs, store=host1, shard=(1, 2))
-        staging = TrialStore(tmp_path / "staging")
+        staging = ColumnarStore(tmp_path / "staging")
         merge_stores(staging, [host1, host0])  # deliberately reversed
         single_bytes = _store_bytes(str(tmp_path / "single"))
         assert _store_bytes(str(tmp_path / "staging")) != single_bytes
 
-        final = TrialStore(tmp_path / "final")
+        final = ColumnarStore(tmp_path / "final")
         layered = ReadThroughStore(final, staging)
         replay = run_trials(
             _poison_task, specs, store=layered, task_name=FLOOD_TASK_NAME
@@ -533,7 +564,7 @@ class TestHTTPControlPlane:
             assert client.lease("w").done
 
     def test_http_transport_push_lands_in_staging(self, tmp_path):
-        source = TrialStore(tmp_path / "src")
+        source = ColumnarStore(tmp_path / "src")
         spec = TrialSpec.of("cycle", 12, 3)
         source.put("t", spec, _probe_task(spec))
         source.close()
@@ -542,7 +573,7 @@ class TestHTTPControlPlane:
         with CoordinatorServer(coordinator, staging) as server:
             HTTPTransport(server.url).push(str(tmp_path / "src"), "u0-a1-w")
         (pushed,) = pushed_store_dirs(staging)
-        assert TrialStore(pushed).get("t", spec) == _probe_task(spec)
+        assert ColumnarStore(pushed).get("t", spec) == _probe_task(spec)
 
     def test_bad_requests_surface_as_configuration_errors(self, tmp_path):
         coordinator = SweepCoordinator(_units(1), lease_ttl=30)
@@ -589,7 +620,7 @@ class TestControlPlaneAuth:
         return coordinator, server
 
     def _source_store(self, tmp_path) -> str:
-        source = TrialStore(tmp_path / "src")
+        source = ColumnarStore(tmp_path / "src")
         spec = TrialSpec.of("cycle", 12, 3)
         source.put("t", spec, _probe_task(spec))
         source.close()
@@ -659,7 +690,7 @@ class TestCoordinatedEndToEnd:
 
     def test_worker_death_then_recovery_is_byte_identical(self, tmp_path):
         specs = grid(["cycle", "path"], [12], range(3), radius=12)
-        single = TrialStore(tmp_path / "single")
+        single = ColumnarStore(tmp_path / "single")
         cold = run_trials(flood_min_trial, specs, store=single)
         single.close()
 
@@ -683,9 +714,9 @@ class TestCoordinatedEndToEnd:
         assert stats["completed"] == 3
         assert coordinator.reassigned == 1 and coordinator.done
 
-        staging = TrialStore(tmp_path / "merged-staging")
+        staging = ColumnarStore(tmp_path / "merged-staging")
         merge_pushed(staging_root, staging)
-        final = TrialStore(tmp_path / "final")
+        final = ColumnarStore(tmp_path / "final")
         replay = run_trials(
             _poison_task,
             specs,
@@ -718,13 +749,13 @@ class TestCoordinatedEndToEnd:
         )
         assert stats["completed"] == 2 and coordinator.done
         # The slow worker wakes up, finishes the same unit, and pushes.
-        slow_store = TrialStore(tmp_path / "scratch-slow")
+        slow_store = ColumnarStore(tmp_path / "scratch-slow")
         self._execute(specs)(slow.unit, slow_store, lambda *a: None)
         slow_store.close()
         transport.push(str(tmp_path / "scratch-slow"), "u0-a1-slow")
         assert coordinator.complete("slow", 0) == "duplicate"
 
-        staging = TrialStore(tmp_path / "merged")
+        staging = ColumnarStore(tmp_path / "merged")
         stats = merge_pushed(staging_root, staging)
         assert stats["duplicate"] == 2  # the re-computed unit's records
         assert stats["added"] == len(specs)
@@ -747,7 +778,7 @@ class TestCoordinatedEndToEnd:
             worker_id="solo",
         )
         assert stats["completed"] == 3 and coordinator.done
-        staging = TrialStore(tmp_path / "merged")
+        staging = ColumnarStore(tmp_path / "merged")
         assert merge_pushed(staging_root, staging)["added"] == len(specs)
 
     def test_failing_execute_reports_fail_and_keeps_working(self, tmp_path):
@@ -881,7 +912,7 @@ class TestCoordinatedEndToEnd:
         assert coordinator.done and coordinator.reassigned == 0
         total = sum(stats["completed"] for stats in results.values())
         assert total == 4
-        staging = TrialStore(tmp_path / "merged")
+        staging = ColumnarStore(tmp_path / "merged")
         merge_pushed(staging_root, staging)
         replay = run_trials(
             _poison_task, specs, store=staging, task_name=FLOOD_TASK_NAME
@@ -951,6 +982,34 @@ class TestCoordinationCLI:
         assert "coordinator flag" in capsys.readouterr().err
         assert main(["--worker", "http://h:1", "--max-attempts", "3"]) == 2
         assert "coordinator flag" in capsys.readouterr().err
+
+    def test_resume_refuses_a_legacy_staged_push(self, tmp_path, capsys):
+        """--resume over a staging area holding a JSONL-shard push (an
+        older build's) refuses before serving, naming the upgrade."""
+        from repro.analysis.cli import main
+
+        staging = tmp_path / "staging"
+        staging.mkdir()
+        (staging / JOURNAL_NAME).write_text("")
+        write_pushed_store(str(staging), "u0000-a01-w", {"shards/t.jsonl": "{}\n"})
+        rc = main(
+            [
+                "--coordinator",
+                "127.0.0.1:0",
+                "--store",
+                str(tmp_path / "store"),
+                "--staging",
+                str(staging),
+                "--resume",
+                "--timeout",
+                "5",
+                "e06",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "u0000-a01-w" in err and "--compact" in err
+        assert not (tmp_path / "store").exists()
 
     def test_resume_without_a_journal_is_an_error(self, tmp_path, capsys):
         from repro.analysis.cli import main
@@ -1047,7 +1106,7 @@ class TestCoordinatedCLIService:
     ):
         from repro.analysis.cli import main
 
-        single = TrialStore(tmp_path / "single")
+        single = ColumnarStore(tmp_path / "single")
         run_trials(flood_min_trial, self.SPECS, store=single)
         single.close()
 
@@ -1373,7 +1432,7 @@ class TestQuarantine:
 
 
 class TestPushIntegrity:
-    FILES = {"shards/t.jsonl": '{"r":1}\n', "index.json": "{}\n"}
+    FILES = {"tail.jsonl": '{"r":1}\n', "extra.txt": "{}\n"}
 
     def test_matching_digests_verify(self):
         verify_pushed_files(self.FILES, {
@@ -1383,20 +1442,20 @@ class TestPushIntegrity:
     def test_truncated_file_is_rejected(self):
         digests = {rel: file_digest(text) for rel, text in self.FILES.items()}
         corrupted = dict(self.FILES)
-        corrupted["shards/t.jsonl"] = corrupted["shards/t.jsonl"][:3]
+        corrupted["tail.jsonl"] = corrupted["tail.jsonl"][:3]
         with pytest.raises(PushIntegrityError, match="corrupt"):
             verify_pushed_files(corrupted, digests)
 
     def test_manifest_key_mismatch_is_rejected(self):
         digests = {rel: file_digest(text) for rel, text in self.FILES.items()}
-        short = {"index.json": self.FILES["index.json"]}
+        short = {"extra.txt": self.FILES["extra.txt"]}
         with pytest.raises(PushIntegrityError, match="manifest mismatch"):
             verify_pushed_files(short, digests)
 
     def test_write_pushed_store_verifies_before_staging(self, tmp_path):
         digests = {rel: file_digest(text) for rel, text in self.FILES.items()}
         corrupted = dict(self.FILES)
-        corrupted["shards/t.jsonl"] = ""
+        corrupted["tail.jsonl"] = ""
         with pytest.raises(PushIntegrityError):
             write_pushed_store(str(tmp_path), "bad", corrupted, digests)
         assert list(tmp_path.iterdir()) == []  # nothing staged
@@ -1410,7 +1469,7 @@ class TestPushIntegrity:
                 rel: file_digest(text) for rel, text in self.FILES.items()
             }
             corrupted = dict(self.FILES)
-            corrupted["shards/t.jsonl"] = '{"r"'
+            corrupted["tail.jsonl"] = '{"r"'
             with pytest.raises(PushIntegrityError) as excinfo:
                 transport._deliver("u0-a1-w", corrupted, digests)
             assert isinstance(excinfo.value, RetryableError)
@@ -1426,7 +1485,7 @@ class TestPushIntegrity:
         staging = str(tmp_path / "staging")
         with CoordinatorServer(coordinator, staging) as server:
             reply = CoordinatorClient(server.url)._post(
-                "/push?name=legacy", {"files": {"shards/t.jsonl": "x\n"}}
+                "/push?name=legacy", {"files": {"tail.jsonl": "x\n"}}
             )
             assert reply["stored"] == "legacy"
 
@@ -1435,7 +1494,7 @@ class TestPushIntegrity:
         coordinator = SweepCoordinator(_units(1), lease_ttl=30)
         staging = str(tmp_path / "staging")
         store_root = tmp_path / "src"
-        store = TrialStore(store_root)
+        store = ColumnarStore(store_root)
         spec = TrialSpec.of("cycle", 12, 0)
         store.put("t", spec, _probe_task(spec))
         store.close()
@@ -1634,7 +1693,7 @@ class TestControlPlaneConcurrency:
 
         monkeypatch.setattr(distrib, "write_pushed_store", slow_write)
         source = tmp_path / "src"
-        store = TrialStore(source)
+        store = ColumnarStore(source)
         spec = TrialSpec.of("cycle", 12, 0)
         store.put("t", spec, _probe_task(spec))
         store.close()

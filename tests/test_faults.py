@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.batch import (
+    ColumnarStore,
     CoordinatorUnavailable,
     DirTransport,
     FaultPlan,
@@ -24,7 +25,6 @@ from repro.sim.batch import (
     RetryPolicy,
     RetryableError,
     SweepCoordinator,
-    TrialStore,
     WorkUnit,
     flood_min_trial,
     grid,
@@ -155,7 +155,7 @@ class TestFlakyControl:
 class TestFlakyTransport:
     def _source(self, tmp_path) -> str:
         specs = grid(["cycle"], [12], range(2), radius=12)
-        store = TrialStore(tmp_path / "src")
+        store = ColumnarStore(tmp_path / "src")
         run_trials(flood_min_trial, specs, store=store)
         store.close()
         return str(tmp_path / "src")
@@ -217,7 +217,7 @@ class TestChaosSweepEndToEnd:
         self, tmp_path
     ):
         specs = grid(["cycle", "path"], [12], range(3), radius=12)
-        single = TrialStore(tmp_path / "single")
+        single = ColumnarStore(tmp_path / "single")
         run_trials(flood_min_trial, specs, store=single)
         single.close()
 
@@ -297,12 +297,12 @@ class TestChaosSweepEndToEnd:
         # does: the quarantined unit's slice is computed locally into
         # the staging layer first, then the replay repacks from a full
         # cache — byte-identical to the single-host store.
-        staging = TrialStore(tmp_path / "merged-staging")
+        staging = ColumnarStore(tmp_path / "merged-staging")
         merge_pushed(staging_root, staging)
         run_trials(
             flood_min_trial, specs, store=staging, shard=(poisoned, 4)
         )
-        final = TrialStore(tmp_path / "final")
+        final = ColumnarStore(tmp_path / "final")
         layered = ReadThroughStore(final, staging)
         replay = run_trials(flood_min_trial, specs, store=layered)
         assert replay == run_trials(flood_min_trial, specs)

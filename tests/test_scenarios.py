@@ -42,7 +42,7 @@ from repro.scenarios import (
     scenario_from_arg,
     sweep_scenario,
 )
-from repro.sim.batch import RoundFaultPlan, TrialResult, TrialSpec, TrialStore
+from repro.sim.batch import ColumnarStore, RoundFaultPlan, TrialResult, TrialSpec
 
 
 def _rich_scenario() -> ScenarioSpec:
@@ -311,7 +311,7 @@ class TestScenarioUnits:
         units = scenario_units(spec, 2)
         assert [u.index for u in units] == [0, 1]
         direct = spec.run()
-        with TrialStore(str(tmp_path / "store")) as store:
+        with ColumnarStore(str(tmp_path / "store")) as store:
             for unit in units:
                 execute_experiment_unit(unit, store, lambda *_: None)
             assert len(store) == len(direct)

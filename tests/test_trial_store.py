@@ -5,8 +5,8 @@ The load-bearing guarantees, each pinned here:
 * equal specs can never produce distinct store keys (params are
   canonicalized on construction, however the spec was built);
 * a cached result is byte-for-byte the result a fresh run computes
-  (ints, floats, bools, strings, tuples, None all survive the JSONL
-  round trip);
+  (ints, floats, bools, strings, tuples, None all survive the store
+  round trip, through the JSONL tail and through packed segments);
 * a sweep interrupted at any prefix and resumed via the store yields
   results, aggregates, and store contents identical to an uninterrupted
   run — across worker counts and engines;
@@ -16,16 +16,21 @@ The load-bearing guarantees, each pinned here:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.batch import (
+    RESULT_FORMAT_VERSION,
+    ColumnarStore,
     TrialResult,
     TrialSpec,
-    TrialStore,
     aggregate,
+    canonical_spec,
+    compact,
     default_chunksize,
     flood_min_trial,
     grid,
@@ -33,7 +38,10 @@ from repro.sim.batch import (
     run_trials,
     shard,
     spec_key,
+    verify_migration,
 )
+from repro.sim.batch.colstore import TAIL_NAME
+from repro.sim.batch.store import legacy_records
 
 
 def _probe_task(spec: TrialSpec) -> TrialResult:
@@ -51,6 +59,17 @@ def _probe_task(spec: TrialSpec) -> TrialResult:
 def _poison_task(spec: TrialSpec) -> TrialResult:
     """A task that must never run — proves replays come from the cache."""
     raise AssertionError(f"task executed for {spec} despite a full cache")
+
+
+class _Killed:
+    """The store a sweep sees when it is killed before its final flush.
+
+    Puts land in the fsynced tail exactly as in a live sweep, but the
+    end-of-sweep segment pack never happens.
+    """
+
+    def __init__(self, store) -> None:
+        self.get, self.put = store.get, store.put
 
 
 def _store_bytes(root: str) -> dict:
@@ -96,7 +115,7 @@ class TestSpecKeys:
 
 class TestStoreRoundTrip:
     def test_put_get_is_identity(self, tmp_path):
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         spec = TrialSpec.of("cycle", 12, 3)
         result = _probe_task(spec)
         store.put("t", spec, result)
@@ -114,43 +133,41 @@ class TestStoreRoundTrip:
 
     def test_reload_from_disk(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        TrialStore(tmp_path).put("t", spec, _probe_task(spec))
-        reloaded = TrialStore(tmp_path)
+        ColumnarStore(tmp_path).put("t", spec, _probe_task(spec))
+        reloaded = ColumnarStore(tmp_path)
         assert len(reloaded) == 1
         assert reloaded.get("t", spec) == _probe_task(spec)
 
     def test_miss_returns_none(self, tmp_path):
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         assert store.get("t", TrialSpec.of("cycle", 12, 3)) is None
 
     def test_unstorable_data_raises(self, tmp_path):
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         spec = TrialSpec.of("cycle", 12, 3)
         with pytest.raises(ConfigurationError, match="not storable"):
             store.put("t", spec, TrialResult(spec, True, {"x": object()}))
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         """A crash mid-append loses only the unacknowledged record."""
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         specs = [TrialSpec.of("cycle", 12, s) for s in range(3)]
         for spec in specs:
             store.put("t", spec, _probe_task(spec))
         store.close()
-        shard_dir = tmp_path / "shards"
-        (path,) = list(shard_dir.iterdir())
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(tmp_path / TAIL_NAME, "a", encoding="utf-8") as handle:
             handle.write('{"key": "deadbeef", "task": "t", "ok": tr')
-        reopened = TrialStore(tmp_path)
+        reopened = ColumnarStore(tmp_path)
         assert len(reopened) == 3
         for spec in specs:
             assert reopened.get("t", spec) == _probe_task(spec)
         # And appending after the torn line still round-trips.
         extra = TrialSpec.of("cycle", 12, 99)
         reopened.put("t", extra, _probe_task(extra))
-        assert TrialStore(tmp_path).get("t", extra) == _probe_task(extra)
+        assert ColumnarStore(tmp_path).get("t", extra) == _probe_task(extra)
 
     def test_put_is_idempotent(self, tmp_path):
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         spec = TrialSpec.of("cycle", 12, 3)
         store.put("t", spec, _probe_task(spec))
         store.put("t", spec, _probe_task(spec))
@@ -159,7 +176,7 @@ class TestStoreRoundTrip:
     def test_put_conflicting_result_raises(self, tmp_path):
         """Regression: a divergent payload for an existing key used to be
         silently dropped; it must raise like merge_stores' conflict rule."""
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         spec = TrialSpec.of("cycle", 12, 3)
         store.put("t", spec, TrialResult(spec, True, {"x": 1}))
         with pytest.raises(ConfigurationError, match="conflicting"):
@@ -174,15 +191,15 @@ class TestStoreRoundTrip:
         """Disk-loaded records compare equal to identical fresh ones
         (idempotent re-put) and unequal to divergent ones (conflict)."""
         spec = TrialSpec.of("cycle", 12, 3)
-        TrialStore(tmp_path).put("t", spec, _probe_task(spec))
-        reopened = TrialStore(tmp_path)
+        ColumnarStore(tmp_path).put("t", spec, _probe_task(spec))
+        reopened = ColumnarStore(tmp_path)
         reopened.put("t", spec, _probe_task(spec))
         assert len(reopened) == 1
         with pytest.raises(ConfigurationError, match="conflicting"):
             reopened.put("t", spec, TrialResult(spec, True, {"seed": -1}))
 
     def test_describe_lists_tasks(self, tmp_path):
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         spec = TrialSpec.of("cycle", 12, 3)
         store.put("beta", spec, _probe_task(spec))
         store.put("alpha", spec, _probe_task(spec))
@@ -195,21 +212,21 @@ class TestRunTrialsWithStore:
     def test_fills_store_and_matches_cold_run(self, tmp_path):
         specs = grid(["cycle", "path"], [12], range(3), radius=12)
         cold = run_trials(flood_min_trial, specs, workers=1)
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         warm = run_trials(flood_min_trial, specs, store=store)
         assert warm == cold
         assert len(store) == len(specs)
 
     def test_replay_never_executes_the_task(self, tmp_path):
         specs = [TrialSpec.of("cycle", 12, s) for s in range(4)]
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         first = run_trials(_probe_task, specs, store=store, task_name="t")
         replay = run_trials(_poison_task, specs, store=store, task_name="t")
         assert replay == first
 
     def test_duplicate_specs_computed_once(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         results = run_trials(_probe_task, [spec, spec, spec], store=store)
         assert results == [_probe_task(spec)] * 3
         assert len(store) == 1
@@ -218,7 +235,7 @@ class TestRunTrialsWithStore:
         """workers=0 must fail identically whether or not the cache is
         already full — cache state must not mask misconfiguration."""
         specs = [TrialSpec.of("cycle", 12, s) for s in range(3)]
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         run_trials(_probe_task, specs, store=store, task_name="t")
         with pytest.raises(ConfigurationError, match="workers"):
             run_trials(_probe_task, specs, workers=0, store=store,
@@ -230,7 +247,7 @@ class TestRunTrialsWithStore:
                        shard=(0, 2))
 
     def test_default_task_name_is_module_qualified(self, tmp_path):
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         run_trials(_probe_task, [TrialSpec.of("cycle", 12, 3)], store=store)
         (task_name,) = store.tasks()
         assert task_name.endswith("._probe_task")
@@ -248,15 +265,18 @@ class TestResumeDeterminism:
                      engine=engine)
         cold = run_trials(flood_min_trial, specs, workers=1)
 
-        uninterrupted = TrialStore(tmp_path / "whole")
+        uninterrupted = ColumnarStore(tmp_path / "whole")
         whole = run_trials(flood_min_trial, specs, workers=workers,
                            store=uninterrupted)
 
         # Simulate a kill after an arbitrary prefix: only the first
-        # trials reached the store, then the sweep reruns end to end.
-        interrupted = TrialStore(tmp_path / "resumed")
+        # trials reached the store's tail, then the sweep reruns end to
+        # end in a fresh process.
+        killed = ColumnarStore(tmp_path / "resumed")
         run_trials(flood_min_trial, specs[:4], workers=workers,
-                   store=interrupted)
+                   store=_Killed(killed))
+        killed.close()
+        interrupted = ColumnarStore(tmp_path / "resumed")
         resumed = run_trials(flood_min_trial, specs, workers=workers,
                              store=interrupted)
 
@@ -268,11 +288,33 @@ class TestResumeDeterminism:
         assert (_store_bytes(str(tmp_path / "resumed"))
                 == _store_bytes(str(tmp_path / "whole")))
 
+    def test_multi_sweep_resume_is_byte_identical(self, tmp_path):
+        """A kill inside the second of two sweeps: rerunning both packs
+        the same segments as the uninterrupted pair (the first, fully
+        cached sweep must not pack the cut sweep's tail rows early)."""
+        first = grid(["cycle"], [12], range(3), radius=12)
+        second = grid(["path"], [12], range(4), radius=12)
+        whole = ColumnarStore(tmp_path / "whole")
+        for specs in (first, second):
+            run_trials(flood_min_trial, specs, store=whole)
+        whole.close()
+
+        killed = ColumnarStore(tmp_path / "resumed")
+        run_trials(flood_min_trial, first, store=killed)
+        run_trials(flood_min_trial, second[:2], store=_Killed(killed))
+        killed.close()
+        resumed = ColumnarStore(tmp_path / "resumed")
+        for specs in (first, second):
+            run_trials(flood_min_trial, specs, store=resumed)
+        resumed.close()
+        assert (_store_bytes(str(tmp_path / "resumed"))
+                == _store_bytes(str(tmp_path / "whole")))
+
     def test_resume_at_every_prefix(self, tmp_path):
         specs = grid(["cycle"], [12], range(5), radius=12)
         cold = run_trials(flood_min_trial, specs, workers=1)
         for cut in range(len(specs) + 1):
-            store = TrialStore(tmp_path / f"cut{cut}")
+            store = ColumnarStore(tmp_path / f"cut{cut}")
             run_trials(flood_min_trial, specs[:cut], store=store)
             assert run_trials(flood_min_trial, specs, store=store) == cold
             assert len(store) == len(specs)
@@ -313,8 +355,8 @@ class TestShardAndMerge:
         specs = grid(["cycle", "path"], [12], range(4), radius=12)
         cold = run_trials(flood_min_trial, specs, workers=1)
 
-        host0 = TrialStore(tmp_path / "host0")
-        host1 = TrialStore(tmp_path / "host1")
+        host0 = ColumnarStore(tmp_path / "host0")
+        host1 = ColumnarStore(tmp_path / "host1")
         partial = run_trials(flood_min_trial, specs, store=host0,
                              shard=(0, 2))
         run_trials(flood_min_trial, specs, store=host1, shard=(1, 2))
@@ -324,7 +366,7 @@ class TestShardAndMerge:
                                                   in enumerate(partial)
                                                   if i % 2 == 0]
 
-        merged = TrialStore(tmp_path / "merged")
+        merged = ColumnarStore(tmp_path / "merged")
         stats = merge_stores(merged, [host0, host1])
         assert stats == {"added": len(specs), "duplicate": 0}
         replay = run_trials(_poison_task, specs, store=merged,
@@ -334,24 +376,24 @@ class TestShardAndMerge:
 
     def test_merge_is_idempotent(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        src = TrialStore(tmp_path / "src")
+        src = ColumnarStore(tmp_path / "src")
         src.put("t", spec, _probe_task(spec))
-        dest = TrialStore(tmp_path / "dest")
+        dest = ColumnarStore(tmp_path / "dest")
         assert merge_stores(dest, [src]) == {"added": 1, "duplicate": 0}
         assert merge_stores(dest, [src]) == {"added": 0, "duplicate": 1}
         assert len(dest) == 1
 
     def test_merge_accepts_paths(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        TrialStore(tmp_path / "src").put("t", spec, _probe_task(spec))
-        dest = TrialStore(tmp_path / "dest")
+        ColumnarStore(tmp_path / "src").put("t", spec, _probe_task(spec))
+        dest = ColumnarStore(tmp_path / "dest")
         merge_stores(dest, [str(tmp_path / "src")])
         assert dest.get("t", spec) == _probe_task(spec)
 
     def test_merge_refuses_empty_source_list(self, tmp_path):
         """Regression: merging zero sources used to "succeed" as a no-op,
         hiding globs/fleets that produced no stores."""
-        dest = TrialStore(tmp_path / "dest")
+        dest = ColumnarStore(tmp_path / "dest")
         with pytest.raises(ConfigurationError, match="at least one"):
             merge_stores(dest, [])
         with pytest.raises(ConfigurationError, match="at least one"):
@@ -360,18 +402,18 @@ class TestShardAndMerge:
 
     def test_merge_refuses_missing_source(self, tmp_path):
         """A typo'd source path must fail loudly, not merge nothing."""
-        dest = TrialStore(tmp_path / "dest")
+        dest = ColumnarStore(tmp_path / "dest")
         with pytest.raises(ConfigurationError, match="does not exist"):
             merge_stores(dest, [str(tmp_path / "no-such-store")])
         assert not (tmp_path / "no-such-store").exists()
 
     def test_merge_refuses_conflicting_records(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
-        a = TrialStore(tmp_path / "a")
+        a = ColumnarStore(tmp_path / "a")
         a.put("t", spec, TrialResult(spec, True, {"x": 1}))
-        b = TrialStore(tmp_path / "b")
+        b = ColumnarStore(tmp_path / "b")
         b.put("t", spec, TrialResult(spec, False, {"x": 2}))
-        dest = TrialStore(tmp_path / "dest")
+        dest = ColumnarStore(tmp_path / "dest")
         merge_stores(dest, [a])
         with pytest.raises(ConfigurationError, match="conflicting"):
             merge_stores(dest, [b])
@@ -396,8 +438,8 @@ class TestAdaptiveChunksize:
 
     def test_adaptive_equals_chunksize_one_with_store(self, tmp_path):
         specs = grid(["cycle"], [12], range(6), radius=12)
-        s1 = TrialStore(tmp_path / "one")
-        s2 = TrialStore(tmp_path / "auto")
+        s1 = ColumnarStore(tmp_path / "one")
+        s2 = ColumnarStore(tmp_path / "auto")
         one = run_trials(flood_min_trial, specs, workers=4, chunksize=1,
                          store=s1)
         auto = run_trials(flood_min_trial, specs, workers=4, store=s2)
@@ -412,7 +454,7 @@ class TestExperimentsWithStore:
     def test_e06_resumes_from_store(self, tmp_path):
         from repro.analysis import EXPERIMENTS
 
-        store = TrialStore(tmp_path)
+        store = ColumnarStore(tmp_path)
         first = EXPERIMENTS["e06"](quick=True, seed=2, store=store)
         filled = len(store)
         assert filled > 0
@@ -440,17 +482,17 @@ class TestExperimentsWithStore:
                     for name in experiments.EXPERIMENTS}
         with mock.patch.dict(experiments.EXPERIMENTS, registry,
                              clear=True):
-            experiments.run_all(store=TrialStore(tmp_path), shard=(0, 2))
+            experiments.run_all(store=ColumnarStore(tmp_path), shard=(0, 2))
         assert sorted(calls) == sorted(experiments.SWEEPING)
 
     def test_e06_sharded_stores_merge_to_full_table(self, tmp_path):
         from repro.analysis import EXPERIMENTS
 
-        host0 = TrialStore(tmp_path / "h0")
-        host1 = TrialStore(tmp_path / "h1")
+        host0 = ColumnarStore(tmp_path / "h0")
+        host1 = ColumnarStore(tmp_path / "h1")
         EXPERIMENTS["e06"](quick=True, seed=2, store=host0, shard=(0, 2))
         EXPERIMENTS["e06"](quick=True, seed=2, store=host1, shard=(1, 2))
-        merged = TrialStore(tmp_path / "merged")
+        merged = ColumnarStore(tmp_path / "merged")
         merge_stores(merged, [host0, host1])
         before = len(merged)
         table = EXPERIMENTS["e06"](quick=True, seed=2, store=merged)
@@ -464,7 +506,7 @@ class TestStoreCLI:
         from repro.analysis.cli import main
 
         spec = TrialSpec.of("cycle", 12, 3)
-        TrialStore(tmp_path / "src").put("t", spec, _probe_task(spec))
+        ColumnarStore(tmp_path / "src").put("t", spec, _probe_task(spec))
         dest = str(tmp_path / "dest")
         assert main(["--store", dest, "--merge",
                      str(tmp_path / "src")]) == 0
@@ -484,3 +526,107 @@ class TestStoreCLI:
         assert main(["--store", str(tmp_path / "s"), "--merge",
                      str(tmp_path / "no-such-store")]) == 2
         capsys.readouterr()
+
+    def test_read_only_commands_refuse_missing_store(self, tmp_path, capsys):
+        """Regression: --query/--list/--compact on a typo'd --store used
+        to create an empty store and report on it with exit 0."""
+        from repro.analysis.cli import main
+
+        missing = str(tmp_path / "typo")
+        for extra in (["--query", "family=cycle"], ["--list"],
+                      ["--compact", str(tmp_path / "dest")]):
+            assert main(["--store", missing, *extra]) == 2
+            err = capsys.readouterr().err
+            assert missing in err and "does not exist" in err
+        assert sorted(os.listdir(tmp_path)) == []
+
+
+def _record(task: str, spec: TrialSpec, data: dict) -> dict:
+    """A raw store record, exactly as ``put`` would build it."""
+    return {"version": RESULT_FORMAT_VERSION, "task": task,
+            "key": spec_key(task, spec), "spec": canonical_spec(spec),
+            "ok": True, "data": data}
+
+
+def _line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _legacy_fixture(root) -> list:
+    """A hand-written legacy JSONL-shard store; returns its load order.
+
+    Two shard files — one under a sanitized-and-hashed name, as the
+    legacy writer named the file of task ``a/b`` — holding a torn
+    trailing line, foreign lines, a blank line, and second copies of
+    keys (in the same file and across files) that must lose to the
+    first copy in sorted-file, line order.
+    """
+    shards = root / "shards"
+    shards.mkdir(parents=True)
+    ab0 = _record("a/b", TrialSpec.of("cycle", 8, 0), {"rounds": 1})
+    t1 = _record("t", TrialSpec.of("cycle", 8, 1), {"rounds": 2})
+    t2 = _record("t", TrialSpec.of("path", 8, 2), {"pair": {"__tuple__": [1, 2]}})
+    hashed = hashlib.blake2b(b"a/b", digest_size=4).hexdigest()
+    (shards / f"a_b-{hashed}.jsonl").write_text(
+        _line(ab0) + '{"version": 1, "task": "a/b", "key": "0f')
+    (shards / "notes.txt").write_text(_line(dict(t1, data={"rounds": 9})))
+    (shards / "t.jsonl").write_text(
+        '["not", "a", "record"]\n' + '{"task": "t"}\n' + _line(t1)
+        + _line(dict(ab0, data={"rounds": 7})) + "\n"
+        + _line(dict(t1, data={"rounds": 8})) + _line(t2))
+    (root / "index.json").write_text('{"format": 1, "total": 3}\n')
+    return [ab0, t1, t2]
+
+
+class TestLegacyStores:
+    """Legacy JSONL-shard stores: read once by compact, never opened live."""
+
+    def test_reader_keeps_load_order_and_tolerance(self, tmp_path):
+        expected = _legacy_fixture(tmp_path / "legacy")
+        assert list(legacy_records(tmp_path / "legacy")) == expected
+
+    def test_compact_verify_round_trip(self, tmp_path):
+        expected = _legacy_fixture(tmp_path / "legacy")
+        upgraded = compact(tmp_path / "legacy", tmp_path / "col",
+                           flush_rows=2, verify=True)
+        assert list(upgraded.records()) == expected
+        assert verify_migration(tmp_path / "legacy", upgraded) == 3
+        spec = TrialSpec.of("path", 8, 2)
+        assert upgraded.get("t", spec) == TrialResult(spec, True,
+                                                      {"pair": (1, 2)})
+        extra = TrialSpec.of("cycle", 8, 99)
+        upgraded.put("t", extra, _probe_task(extra))
+        with pytest.raises(ConfigurationError, match="more records"):
+            verify_migration(tmp_path / "legacy", upgraded)
+
+    def test_compact_refuses_a_non_legacy_source(self, tmp_path):
+        spec = TrialSpec.of("cycle", 8, 0)
+        ColumnarStore(tmp_path / "col").put("t", spec, _probe_task(spec))
+        with pytest.raises(ConfigurationError, match="not a legacy"):
+            compact(tmp_path / "col", tmp_path / "dest")
+
+    def test_merge_refuses_a_legacy_source(self, tmp_path):
+        _legacy_fixture(tmp_path / "legacy")
+        dest = ColumnarStore(tmp_path / "dest")
+        with pytest.raises(ConfigurationError, match="--compact"):
+            merge_stores(dest, [tmp_path / "legacy"])
+        assert len(dest) == 0
+
+    def test_sweep_cli_refuses_a_legacy_store(self, tmp_path, capsys):
+        from repro.analysis.cli import main
+
+        _legacy_fixture(tmp_path / "legacy")
+        assert main(["e06", "--store", str(tmp_path / "legacy")]) == 2
+        assert "--compact" in capsys.readouterr().err
+
+    def test_compact_cli_upgrades_then_the_store_opens(self, tmp_path, capsys):
+        from repro.analysis.cli import main
+
+        expected = _legacy_fixture(tmp_path / "legacy")
+        dest = str(tmp_path / "col")
+        assert main(["--store", str(tmp_path / "legacy"),
+                     "--compact", dest]) == 0
+        assert "compacted 3 result(s)" in capsys.readouterr().out
+        assert list(ColumnarStore(dest).records()) == expected
+        assert main(["--store", dest, "--query", "task=t"]) == 0
+        assert capsys.readouterr().out.startswith("2 of 3 result(s) match")
