@@ -511,6 +511,19 @@ def e06_shattering(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 # E7 — Lemma 4.1: exhaustive-seed derandomization
 # ----------------------------------------------------------------------
+def _splits_on_public_string(inst, shared) -> bool:
+    """Color V-node x by public bit ``x % seed_bits``; is ``inst`` split?
+
+    One block read of the public string. ``random_instance`` makes
+    ``v_side == range(num_v)``, so ``x % seed_bits`` touches exactly the
+    bits ``[0, min(len(v_side), seed_bits))`` read here, and the ledger
+    matches a per-bit ``global_bit`` walk.
+    """
+    public = shared.global_bits(min(len(inst.v_side), shared.seed_bits))
+    coloring = {x: public[x % shared.seed_bits] for x in inst.v_side}
+    return inst.is_satisfied(coloring)
+
+
 def e07_derandomize(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
                     store: Store = None,
@@ -525,16 +538,9 @@ def e07_derandomize(quick: bool = False, seed: int = 0,
             random_instance(12, 24, degree, seed=seed + 101 * i)
             for i in range(family_size)
         ]
-
-        def run(inst, shared):
-            coloring = {
-                x: shared.global_bit(x % shared.seed_bits)
-                for x in inst.v_side
-            }
-            return inst.is_satisfied(coloring)
-
         try:
-            result = exhaustive_derandomize(run, instances, seed_bits)
+            result = exhaustive_derandomize(
+                _splits_on_public_string, instances, seed_bits)
             curve = seeds_to_failure_curve(result)
             rows.append({
                 "family size": family_size,

@@ -82,7 +82,7 @@ def exhaustive_derandomize(
                     break
         per_seed_failures.append(failures)
         if failures == 0 and good is None:
-            good = [shared.global_bit(i) for i in range(seed_bits)]
+            good = shared.global_bits(seed_bits)
             if stop_early:
                 break
     if good is None:

@@ -122,7 +122,7 @@ class EpsilonBiasedSource(RandomSource):
             )
         point = node_i * self.bits_per_node + start
         powers = self.field.pow_range_vec(self.x, point + 1, count)
-        if powers is None:  # no log tables for this degree: scalar walk
+        if powers is None:  # m > 16 has no log tables: scalar walk
             return super()._raw_block(node, start, count)
         return _parity64(powers & self.y)
 

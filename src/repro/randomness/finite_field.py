@@ -9,11 +9,20 @@ over GF(2), reduced modulo a fixed irreducible polynomial.
 The irreducible polynomials used here are standard low-weight ones
 (trinomials/pentanomials) from Seroussi's table; they are hard-coded for
 the degrees the library needs.
+
+For every m <= 16, multiplication goes through discrete-log tables over
+the smallest generator of GF(2^m)* (x itself, except for the AES modulus
+at m = 8, where x has order 51 and x + 1 generates). Each degree's
+tables are built once per process by shift-and-reduce and shared
+read-only by every ``GF2m(m)``: scalar code reads tuples, vector code
+reads non-writeable numpy arrays. Larger degrees use carry-less
+multiplication and have no vector kernels.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,10 +61,84 @@ _IRREDUCIBLE = {
 }
 
 
+#: Largest degree with log/antilog tables (2^16 entries per table).
+_MAX_TABLE_DEGREE = 16
+
+
+class _Tables(NamedTuple):
+    """Discrete-log tables of one degree, shared by every ``GF2m(m)``.
+
+    ``exp`` is the antilog walk doubled, so ``exp[log a + log b]`` never
+    needs a modulo; ``log[0]`` is a junk entry the scalar code never
+    reads. The numpy copies replace ``log[0]`` with a sentinel that
+    indexes past every real sum of two logs (even when added to
+    itself) into a zero-padded tail of ``exp``, so a zero operand
+    yields zero with no mask.
+    """
+
+    log: tuple
+    exp: tuple
+    log_np: np.ndarray
+    exp_np: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(m: int) -> Optional[_Tables]:
+    """Build (once per process) the tables of GF(2^m), or None if m > 16.
+
+    The cache is keyed by the supported degrees only (``GF2m`` validates
+    ``m`` first) and hands out immutable values.
+    """
+    if m > _MAX_TABLE_DEGREE:
+        return None
+    order = 1 << m
+    modulus = _IRREDUCIBLE[m]
+    group = order - 1  # size of the multiplicative group
+
+    def times(value: int, g: int) -> int:
+        # Shift-and-reduce product of value by the small polynomial g.
+        out = 0
+        while g:
+            if g & 1:
+                out ^= value
+            g >>= 1
+            value <<= 1
+            if value & order:
+                value ^= modulus
+        return out
+
+    g = 2  # x; the next candidates are x + 1, x^2, ...
+    while True:
+        exp = [1]
+        value = 1
+        for _ in range(group - 1):
+            value = times(value, g)
+            if value == 1:
+                break  # g has order < 2^m - 1: not a generator
+            exp.append(value)
+        if len(exp) == group:
+            break
+        g += 1
+    log = [0] * order
+    for i, v in enumerate(exp):
+        log[v] = i
+    exp = exp + exp
+    zero = 2 * group  # > any real log sum; zero + zero is still in range
+    log_np = np.asarray(log, dtype=np.int64)
+    log_np[0] = zero
+    exp_np = np.zeros(2 * zero + 1, dtype=np.int64)
+    exp_np[:zero] = exp
+    log_np.flags.writeable = False
+    exp_np.flags.writeable = False
+    return _Tables(tuple(log), tuple(exp), log_np, exp_np)
+
+
 class GF2m:
     """The finite field GF(2^m) for a supported degree ``m``.
 
-    Instances are lightweight: they carry only the degree and modulus.
+    Instances are lightweight: they carry the degree, the modulus and a
+    reference to the degree's shared log/antilog tables (m <= 16), which
+    are built once per process over the smallest generator.
     Field elements are plain integers, which keeps hot loops fast.
 
     >>> f = GF2m(8)
@@ -73,16 +156,15 @@ class GF2m:
         self.modulus = _IRREDUCIBLE[m]
         self.order = 1 << m
         self._mask = self.order - 1
-        # Log/antilog tables make mul O(1); only worth the memory for
-        # moderate m, and only if x is a generator of the multiplicative
-        # group (true for the primitive polynomials below; verified at
-        # build time, falling back to carry-less multiplication if not).
-        self._log: list = []
-        self._exp: list = []
-        self._log_np: Optional[np.ndarray] = None
-        self._exp_np: Optional[np.ndarray] = None
-        if m <= 16:
-            self._build_tables()
+        # Log/antilog tables make mul O(1). Every m <= 16 has them,
+        # shared read-only across instances and built on the first
+        # GF2m(m) of the process; larger m multiply carry-less.
+        tables = _tables(m)
+        if tables is None:
+            self._log = self._exp = ()
+            self._log_np = self._exp_np = None
+        else:
+            self._log, self._exp, self._log_np, self._exp_np = tables
 
     def __repr__(self) -> str:
         return f"GF2m({self.m})"
@@ -100,23 +182,6 @@ class GF2m:
     def add(self, a: int, b: int) -> int:
         """Field addition (XOR of coefficient vectors)."""
         return a ^ b
-
-    def _build_tables(self) -> None:
-        """Precompute discrete logs base x (when x generates GF(2^m)*)."""
-        exp = [1]
-        value = 1
-        for _ in range(self.order - 2):
-            value = self._mul_slow(value, 2)  # multiply by x
-            if value == 1:
-                self._log = []
-                self._exp = []
-                return  # x is not primitive for this modulus; keep slow path
-            exp.append(value)
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp + exp  # doubled so mul never needs a modulo
-        self._log = log
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication (table-based when available)."""
@@ -176,35 +241,28 @@ class GF2m:
         return acc
 
     # ------------------------------------------------------------------
-    # Vectorized arithmetic (table-backed; None when tables are absent)
+    # Vectorized arithmetic (table-backed; None when m > 16)
     # ------------------------------------------------------------------
-    def _tables_np(self) -> Optional[tuple]:
-        """The log/antilog tables as numpy arrays, or None (m > 16)."""
-        if not self._log:
-            return None
-        if self._log_np is None:
-            self._log_np = np.asarray(self._log, dtype=np.int64)
-            self._exp_np = np.asarray(self._exp, dtype=np.int64)
-        return self._log_np, self._exp_np
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         """Elementwise field product of two int64 arrays (or None)."""
-        tables = self._tables_np()
-        if tables is None:
+        if self._log_np is None:
             return None
-        log, exp = tables
-        # log[0] is a junk entry; mask zeros out afterwards.
-        out = exp[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        log = self._log_np
+        return self._exp_np[log[a] + log[b]]
 
     def eval_poly_vec(self, coeffs: list, xs: np.ndarray) -> Optional[np.ndarray]:
-        """Horner evaluation of one polynomial at many points (or None)."""
-        tables = self._tables_np()
-        if tables is None:
+        """Horner evaluation of one polynomial at many points (or None).
+
+        Runs in the log domain: ``log x`` is looked up once, and each
+        Horner step is one gather, ``acc = exp[log acc + log x] ^ c``.
+        """
+        if self._log_np is None:
             return None
+        log, exp = self._log_np, self._exp_np
+        log_x = log[xs]
         acc = np.zeros(xs.size, dtype=np.int64)
         for c in reversed(coeffs):
-            acc = self.mul_vec(acc, xs) ^ c
+            acc = exp[log[acc] + log_x] ^ c
         return acc
 
     def pow_range_vec(self, a: int, start: int, count: int) -> Optional[np.ndarray]:
@@ -214,18 +272,16 @@ class GF2m:
         ``exp[(log a * e) mod (2^m - 1)]`` — one vectorized modmul per
         block instead of a chain of field multiplications.
         """
-        tables = self._tables_np()
-        if tables is None:
+        if self._log_np is None:
             return None
         if a == 0:
             out = np.zeros(count, dtype=np.int64)
             if start == 0 and count:
                 out[0] = 1  # 0^0 == 1 by the repeated-product convention
             return out
-        log, exp = tables
-        la = int(log[a])
+        la = self._log[a]
         exps = (la * (start + np.arange(count, dtype=np.int64))) % (self.order - 1)
-        return exp[exps]
+        return self._exp_np[exps]
 
 
 def inner_product_bits(a: int, b: int) -> int:

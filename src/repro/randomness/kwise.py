@@ -109,7 +109,7 @@ class KWiseSource(RandomSource):
         self._point(node, start + count - 1)  # validate the far end too
         points = first + np.arange(count, dtype=np.int64)
         values = self.field.eval_poly_vec(self._coeffs, points)
-        if values is None:  # no log tables for this degree: scalar walk
+        if values is None:  # m > 16 has no log tables: scalar walk
             return super()._raw_block(node, start, count)
         return (values & 1).astype(np.uint8)
 

@@ -1,5 +1,6 @@
 """GF(2^m) arithmetic: axioms, tables, and polynomial evaluation."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from repro.randomness.finite_field import (
 )
 
 SMALL_DEGREES = [1, 2, 3, 4, 5, 8]
+TABLE_DEGREES = [m for m in supported_degrees() if m <= 16]
 
 
 @pytest.fixture(params=SMALL_DEGREES)
@@ -86,10 +88,88 @@ class TestTables:
                 assert field.mul(a, b) == field._mul_slow(a, b)
 
     def test_aes_field_falls_back(self):
-        # x is not primitive for the AES polynomial; the slow path must
-        # still give the textbook product.
+        # x is not primitive for the AES polynomial, so its tables are
+        # built over the generator x + 1; they must still give the
+        # textbook product.
         field = GF2m(8)
         assert field.mul(0x53, 0xCA) == 0x01
+
+    def test_aes_table_matches_slow_exhaustively(self):
+        field = GF2m(8)
+        for a in range(256):
+            for b in range(256):
+                assert field.mul(a, b) == field._mul_slow(a, b)
+
+    @pytest.mark.parametrize("m", TABLE_DEGREES)
+    def test_every_small_degree_has_tables(self, m):
+        field = GF2m(m)
+        assert field._log and field._log_np is not None
+
+    def test_large_degree_has_no_tables(self):
+        field = GF2m(17)
+        assert field._log_np is None
+        assert field.mul_vec(np.array([3]), np.array([5])) is None
+
+    @pytest.mark.parametrize("m", [1, 8, 16])
+    def test_instances_share_one_table_object(self, m):
+        a, b = GF2m(m), GF2m(m)
+        assert a._log is b._log and a._exp is b._exp
+        assert a._log_np is b._log_np and a._exp_np is b._exp_np
+
+    @pytest.mark.parametrize("m", [1, 8, 16])
+    def test_numpy_tables_are_read_only(self, m):
+        field = GF2m(m)
+        for table in (field._log_np, field._exp_np):
+            with pytest.raises(ValueError):
+                table[1] = 0
+
+
+def _operands(field):
+    """Every element for m <= 8; otherwise a sample with zero and one."""
+    if field.m <= 8:
+        return np.arange(field.order, dtype=np.int64)
+    rng = np.random.default_rng(field.m)
+    sample = rng.integers(0, field.order, 300, dtype=np.int64)
+    return np.concatenate([[0, 1, field.order - 1], sample])
+
+
+class TestVectorKernels:
+    """The numpy kernels must equal the scalar arithmetic, zeros included."""
+
+    @pytest.mark.parametrize("m", TABLE_DEGREES)
+    def test_mul_vec_matches_mul(self, m):
+        field = GF2m(m)
+        xs = _operands(field)
+        a = np.repeat(xs, xs.size)  # every pair: exhaustive for m <= 8
+        b = np.tile(xs, xs.size)
+        got = field.mul_vec(a, b)
+        want = [field.mul(int(p), int(q)) for p, q in zip(a, b)]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("m", TABLE_DEGREES)
+    def test_eval_poly_vec_matches_eval_poly(self, m):
+        field = GF2m(m)
+        xs = _operands(field)
+        top = field.order - 1
+        polys = [[], [0], [5 & top], [0, 0, 0], [top, 0, 1 % field.order],
+                 [0, 3 & top, 0, top], [1, 1, 1, 1, 1]]
+        rng = np.random.default_rng(100 + m)
+        polys.append(rng.integers(0, field.order, 6).tolist())
+        for coeffs in polys:
+            got = field.eval_poly_vec(coeffs, xs)
+            want = [field.eval_poly(coeffs, int(x)) for x in xs]
+            assert got.tolist() == want, coeffs
+
+    @pytest.mark.parametrize("m", TABLE_DEGREES)
+    def test_pow_range_vec_matches_pow(self, m):
+        field = GF2m(m)
+        count = field.order + 2 if m <= 8 else 40
+        for a in _operands(field).tolist():
+            for start in (0, 1, field.order - 2):
+                got = field.pow_range_vec(a, start, count)
+                want = [field.pow(a, start + i) for i in range(count)]
+                assert got.tolist() == want, (a, start)
 
 
 class TestHelpers:

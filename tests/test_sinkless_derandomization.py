@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.experiments import _splits_on_public_string
 from repro.core.derandomization import (
     exhaustive_derandomize,
     family_size_bound,
@@ -22,7 +23,7 @@ from repro.core.sinkless import (
 from repro.core.splitting import random_instance
 from repro.errors import ConfigurationError, DerandomizationFailure
 from repro.graphs import assign, complete_tree, random_regular
-from repro.randomness import IndependentSource
+from repro.randomness import IndependentSource, SharedRandomness
 
 
 class TestSinkless:
@@ -102,7 +103,6 @@ class TestExhaustiveDerandomization:
         assert len(result.good_seed) == 8
         assert result.instances == 5
         # Replaying the good seed must succeed everywhere.
-        from repro.randomness import SharedRandomness
         shared = SharedRandomness(8, explicit_bits=result.good_seed)
         assert all(self._run(inst, shared) for inst in instances)
 
@@ -131,6 +131,44 @@ class TestExhaustiveDerandomization:
         with pytest.raises(ConfigurationError):
             exhaustive_derandomize(
                 self._run, [random_instance(4, 8, 4, seed=1)], seed_bits=30)
+
+
+class TestE7BlockRead:
+    """E7's one-block read of the public string against the per-bit walk."""
+
+    # E7's closure before its block read: one global_bit per V-node.
+    _per_bit = staticmethod(TestExhaustiveDerandomization._run)
+
+    # (num_u, num_v, degree, seed_bits): more V-nodes than seed bits,
+    # as in E7, and fewer.
+    SHAPES = [(12, 24, 8, 8), (6, 8, 4, 10)]
+
+    @pytest.mark.parametrize("num_u,num_v,degree,seed_bits", SHAPES)
+    def test_same_search_result(self, num_u, num_v, degree, seed_bits):
+        instances = [random_instance(num_u, num_v, degree, seed=s)
+                     for s in range(4)]
+        block = exhaustive_derandomize(
+            _splits_on_public_string, instances, seed_bits)
+        reference = exhaustive_derandomize(
+            self._per_bit, instances, seed_bits)
+        assert block.per_seed_failures == reference.per_seed_failures
+        assert block.good_seed == reference.good_seed
+        assert block.seeds_tried == reference.seeds_tried
+
+    @pytest.mark.parametrize("num_u,num_v,degree,seed_bits", SHAPES)
+    @pytest.mark.parametrize("pattern", [0, 1, 0b1011001110, 0x2AA])
+    def test_same_ledger(self, num_u, num_v, degree, seed_bits, pattern):
+        instances = [random_instance(num_u, num_v, degree, seed=s)
+                     for s in range(3)]
+        bits = [(pattern >> i) & 1 for i in range(seed_bits)]
+        meters = []
+        for run in (_splits_on_public_string, self._per_bit):
+            shared = SharedRandomness(seed_bits, explicit_bits=bits)
+            verdicts = [run(inst, shared) for inst in instances]
+            meters.append((verdicts, shared.bits_consumed,
+                           shared.bits_consumed_by("__shared__")))
+        assert meters[0] == meters[1]
+        assert meters[0][1] == min(num_v, seed_bits)
 
 
 class TestLieAboutN:
