@@ -4,11 +4,14 @@ Two building blocks shared by every :class:`~repro.randomness.source.
 RandomSource` implementation:
 
 * :class:`BlockStream` — a lazily materialized, random-access bit stream.
-  Block ``i`` is ``BLAKE2b(key=stream_key, data=i)`` unpacked into a
-  512-entry numpy bit array, so reading bit ``j`` costs one dict lookup
-  plus an array index, *independent of j* (counter mode: no chaining, so
+  Block ``i`` is the 64-byte digest ``BLAKE2b(key=stream_key, data=i)``,
+  cached as raw bytes; bit ``j`` is bit ``j % 8`` (little-endian) of
+  byte ``j // 8``. Reading bit ``j`` costs one dict lookup plus a byte
+  index and a shift, *independent of j* (counter mode: no chaining, so
   any index is O(1) away — unlike the old iterated-SHA-256 chain that
-  had to hash every block below the target).
+  had to hash every block below the target). Bulk readers unpack only
+  the bytes they touch, and samplers that draw from many streams at once
+  can stack the raw digests into one ``uint8[k, 64]`` matrix.
 * :class:`IntervalSet` — sorted disjoint half-open integer ranges with
   O(log k) insertion (k = number of fragments). The metering ledger keeps
   one of these per node instead of one dict entry per served bit, so a
@@ -21,7 +24,7 @@ Both are internal machinery; the public metering contract lives in
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -39,66 +42,70 @@ def derive_key(*parts: object) -> bytes:
     tuples can never collide by concatenation; the mapping is independent
     of Python's per-process hash randomization.
     """
-    h = hashlib.blake2b(digest_size=32)
+    chunks = []
     for part in parts:
         data = str(part).encode()
-        h.update(len(data).to_bytes(4, "big"))
-        h.update(data)
-    return h.digest()
+        chunks.append(len(data).to_bytes(4, "big"))
+        chunks.append(data)
+    return hashlib.blake2b(b"".join(chunks), digest_size=32).digest()
 
 
 class BlockStream:
     """Random-access deterministic bit stream in counter mode.
 
     Bit ``index`` lives in block ``index // 512``; blocks are generated
-    on demand and cached as read-only ``uint8`` arrays (values 0/1,
-    little-endian bit order within each digest byte).
+    on demand and cached as their raw 64-byte digests, bit ``j`` of a
+    block being bit ``j % 8`` of byte ``j // 8`` (little-endian bit
+    order within each digest byte).
     """
 
     __slots__ = ("_key", "_blocks")
 
     def __init__(self, key: bytes):
         self._key = key
-        self._blocks: Dict[int, np.ndarray] = {}
+        self._blocks: Dict[int, bytes] = {}
 
-    def block(self, i: int) -> np.ndarray:
-        """The 512-bit block with counter ``i`` (cached, read-only)."""
+    def block(self, i: int) -> bytes:
+        """The 64-byte digest of the block with counter ``i`` (cached)."""
         cached = self._blocks.get(i)
         if cached is not None:
             return cached
         digest = hashlib.blake2b(
             i.to_bytes(8, "big"), key=self._key, digest_size=64).digest()
-        bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8),
-                             bitorder="little")
-        bits.flags.writeable = False
-        self._blocks[i] = bits
-        return bits
+        self._blocks[i] = digest
+        return digest
 
     def bit(self, index: int) -> int:
         """Bit ``index`` of the stream (0 or 1)."""
-        return int(self.block(index >> _BLOCK_SHIFT)[index & _BLOCK_MASK])
+        byte = self.block(index >> _BLOCK_SHIFT)[(index & _BLOCK_MASK) >> 3]
+        return (byte >> (index & 7)) & 1
 
     def read(self, start: int, count: int) -> np.ndarray:
         """``count`` consecutive bits from ``start`` as a uint8 array.
 
-        Touches only ``ceil(count / 512) + 1`` blocks; the result may be
-        a read-only view into a cached block — treat it as immutable.
+        Touches only ``ceil(count / 512) + 1`` blocks and unpacks only
+        the digest bytes under the range.
         """
         if count <= 0:
             return np.empty(0, dtype=np.uint8)
         first = start >> _BLOCK_SHIFT
         last = (start + count - 1) >> _BLOCK_SHIFT
-        lo = start & _BLOCK_MASK
         if first == last:
-            return self.block(first)[lo:lo + count]
-        parts = [self.block(first)[lo:]]
-        parts.extend(self.block(i) for i in range(first + 1, last))
-        parts.append(self.block(last)[:((start + count - 1) & _BLOCK_MASK) + 1])
-        return np.concatenate(parts)
+            data = self.block(first)
+        else:
+            data = b"".join([self.block(i) for i in range(first, last + 1)])
+        lo = start & _BLOCK_MASK
+        hi = lo + count
+        raw = np.frombuffer(data[lo >> 3:(hi + 7) >> 3], dtype=np.uint8)
+        skip = lo & 7
+        return np.unpackbits(raw, bitorder="little")[skip:skip + count]
 
 
 class IntervalSet:
     """Sorted disjoint half-open intervals over the integers.
+
+    No two intervals touch (``add`` merges adjacent ones), so a covered
+    set has one representation whatever order its ranges arrived in.
 
     The metering ledger: ``add`` returns how many integers were newly
     covered, ``missing`` lists the uncovered gaps of a query range, and
@@ -162,7 +169,7 @@ class IntervalSet:
             self.total += end - start
             return end - start
         # Leftmost interval that touches-or-overlaps [start, end).
-        lo = bisect_right(ends, start)
+        lo = bisect_left(ends, start)
         hi = bisect_right(starts, end)
         if lo == hi:
             # No overlap or adjacency: plain insert.

@@ -12,10 +12,11 @@ access to any bit index: block ``i`` of a stream is
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .block import BlockStream, derive_key
 from .source import RandomSource
 
@@ -65,11 +66,32 @@ class IndependentSource(RandomSource):
             self._streams[node] = stream
         return stream
 
+    @staticmethod
+    def _check_index(node: object, index: int) -> None:
+        if index < 0:
+            raise ConfigurationError(
+                f"node {node!r} requested negative stream index {index}")
+
     def _raw_bit(self, node: object, index: int) -> int:
+        self._check_index(node, index)
         return self._stream(node).bit(index)
 
     def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
+        self._check_index(node, start)
         return self._stream(node).read(start, count)
+
+    def _digest_blocks(self, nodes: Sequence[object],
+                       block_indices: np.ndarray) -> np.ndarray:
+        """Raw PRF block ``block_indices[i]`` of ``nodes[i]``'s stream, for
+        every ``i``, as the rows of a ``uint8[len(nodes), 64]`` matrix.
+
+        The hook behind :meth:`RandomSource.uniform_int_each`'s one-pass
+        path; indices must be non-negative.
+        """
+        stream = self._stream
+        data = b"".join([stream(v).block(b)
+                         for v, b in zip(nodes, block_indices.tolist())])
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, 64)
 
     def fork(self, label: str) -> "IndependentSource":
         """Derive an independent child source (for multi-phase algorithms).

@@ -17,22 +17,24 @@ any length costs O(1) amortized ledger work instead of one dict entry
 per bit; the reported counts are identical to per-bit bookkeeping.
 
 Subclasses implement :meth:`_raw_bit` (one bit) and, for speed, override
-:meth:`_raw_block` (a contiguous run of bits as a numpy array). The
-public bulk readers (:meth:`bits_block`, :meth:`uniform_ints`,
-:meth:`geometrics`) let hot algorithms draw a whole round's randomness
-in one call while consuming *exactly* the bits the per-call samplers
-would.
+:meth:`_raw_block` (a contiguous run of bits as a numpy array); PRF-backed
+sources also expose their raw 512-bit blocks through ``_digest_blocks``.
+The public bulk readers (:meth:`bits_block`, :meth:`uniform_ints`,
+:meth:`uniform_int_each`, :meth:`geometrics`) let hot algorithms draw a
+whole round's randomness in one call while consuming *exactly* the bits
+the per-call samplers would; :meth:`uniform_int_each` draws every node's
+value in one vectorized pass over a matrix of those blocks.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, RandomnessExhausted
-from .block import IntervalSet
+from .block import BLOCK_BITS, IntervalSet
 
 
 def pack_bits(bits) -> int:
@@ -54,6 +56,12 @@ class RandomSource(abc.ABC):
 
     #: total independent seed bits behind this source (None = unbounded).
     seed_bits: Optional[int] = None
+
+    #: Optional hook ``(nodes, block_indices) -> uint8[k, 64]``: the raw
+    #: 512-bit PRF block ``block_indices[i]`` of ``nodes[i]``'s unbounded
+    #: stream. Sources that provide it get :meth:`uniform_int_each`'s
+    #: one-pass path.
+    _digest_blocks: Optional[Callable[..., np.ndarray]] = None
 
     def __init__(self, bit_budget: Optional[int] = None):
         self._bit_budget = bit_budget
@@ -300,51 +308,79 @@ class RandomSource(abc.ABC):
         algorithms (e.g. Luby priorities: every undecided node draws one
         value per iteration from its own stream at its own cursor).
         ``offsets[i]`` is node ``i``'s stream cursor. Returns
-        ``(values, bits_used)`` arrays aligned with ``nodes``; values and
-        metering match per-node :meth:`uniform_int` calls exactly, with
-        the validation, width computation, and bit packing hoisted out of
-        the loop (each node still needs its own PRF block reads and
-        ledger entry, so the per-node work is O(1) block operations).
+        ``(values, bits_used)`` arrays aligned with ``nodes``; values,
+        metering and errors match per-node :meth:`uniform_int` calls
+        exactly.
+
+        On a source with a ``_digest_blocks`` hook, no bit budget and a
+        bound of at most ``2**62``, all draws are one numpy pass over a
+        matrix of each node's PRF block under its cursor; only rejected
+        lanes retry. Each node still needs its own PRF block reads and
+        ledger entry, so the per-node work is O(1) block operations: one
+        block lookup and one ``IntervalSet.add``, in node order. A lane
+        whose window would cross its block's end, that is still rejected
+        after 64 attempts, or whose cursor is negative falls back to
+        :meth:`uniform_int` at its place in that order, as does every
+        lane on other sources.
         """
         if bound <= 0:
             raise ConfigurationError(f"bound must be positive, got {bound}")
         count = len(nodes)
-        values = np.empty(count, dtype=np.int64)
+        values = np.zeros(count, dtype=np.int64)
         used = np.zeros(count, dtype=np.int64)
         if bound == 1:
-            values.fill(0)
             return values, used
         width = (bound - 1).bit_length()
-        # Big-endian fold via packbits: the last packed byte is padded on
-        # the right, so shift the pad back out.
-        pad = (-width) % 8
-        raw_block = self._raw_block
-        consume = self._consume
-        pack = np.packbits
-        for i, node in enumerate(nodes):
-            offset = int(offsets[i])
-            limit = self._stream_limit(node)
-            if limit is not None:
-                # Bounded streams are short; delegate to the exact
-                # per-call path so prefix metering and range errors
-                # surface exactly as the sequential walk would.
-                values[i], used[i] = self.uniform_int(node, bound, offset)
+        if self._digest_blocks is None or self._bit_budget is not None \
+                or width > 62:
+            for i, node in enumerate(nodes):
+                values[i], used[i] = self.uniform_int(
+                    node, bound, int(offsets[i]))
+            return values, used
+
+        starts = np.asarray(offsets, dtype=np.int64).reshape(count)
+        fallback = starts < 0  # lanes drawn by uniform_int instead
+        lanes = np.flatnonzero(~fallback)
+        blocks = self._digest_blocks([nodes[i] for i in lanes.tolist()],
+                                     starts[lanes] // BLOCK_BITS)
+        # Window bits gathered per lane: enough bytes for any bit phase.
+        span = (7 + width + 7) // 8
+        byte_steps = np.arange(span)
+        bit_steps = np.arange(width)
+        weights = np.left_shift(1, np.arange(width - 1, -1, -1),
+                                dtype=np.int64)
+        rows = np.arange(lanes.size)
+        cursor = starts[lanes] % BLOCK_BITS  # bit position in the block
+        for _ in range(64):
+            fits = cursor[rows] + width <= BLOCK_BITS
+            fallback[lanes[rows[~fits]]] = True
+            rows = rows[fits]
+            if not rows.size:
+                break
+            at = cursor[rows]
+            byte_idx = np.minimum((at >> 3)[:, None] + byte_steps, 63)
+            bits = np.unpackbits(blocks[rows[:, None], byte_idx], axis=1,
+                                 bitorder="little")
+            window = bits[np.arange(rows.size)[:, None],
+                          (at & 7)[:, None] + bit_steps]
+            drawn = window @ weights
+            cursor[rows] += width
+            accepted = drawn < bound
+            values[lanes[rows[accepted]]] = drawn[accepted]
+            rows = rows[~accepted]
+        fallback[lanes[rows]] = True
+        used[lanes] = cursor - starts[lanes] % BLOCK_BITS
+
+        ledgers = self._ledgers
+        for i, (node, start, step, slow) in enumerate(zip(
+                nodes, starts.tolist(), used.tolist(), fallback.tolist())):
+            if slow:
+                values[i], used[i] = self.uniform_int(node, bound, start)
                 continue
-            spent = 0
-            value = bound
-            for _ in range(64):
-                raw = raw_block(node, offset + spent, width)
-                spent += width
-                value = int.from_bytes(pack(raw).tobytes(), "big") >> pad
-                if value < bound:
-                    break
-            consume(node, offset, offset + spent)
-            if value >= bound:
-                raise RandomnessExhausted(
-                    f"rejection sampling for bound {bound} did not converge"
-                )
-            values[i] = value
-            used[i] = spent
+            ledger = ledgers.get(node)
+            if ledger is None:
+                ledger = ledgers[node] = IntervalSet()
+            self._total_consumed += ledger.add(start, start + step)
         return values, used
 
     def bernoulli(self, node: object, numer: int, denom: int,

@@ -24,6 +24,7 @@ from repro.errors import (
     BandwidthExceeded,
     ConfigurationError,
     ModelViolation,
+    RandomnessExhausted,
 )
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
@@ -272,22 +273,88 @@ class TestArrayHelpers:
         assert_identical(ref, arr)
 
 
+def _ledger_state(source, nodes):
+    return {v: (source._ledgers[v].starts, source._ledgers[v].ends)
+            for v in nodes if v in source._ledgers}
+
+
 class TestUniformIntEach:
     """The bulk per-node sampler is sequential-equivalent."""
 
-    def test_matches_uniform_int(self):
-        for bound in (1, 2, 3, 10, 1000, 2**20 + 7):
-            ref = IndependentSource(seed=42)
-            bulk = IndependentSource(seed=42)
-            nodes = list(range(8))
-            offsets = [3 * v for v in nodes]
-            expected = [ref.uniform_int(v, bound, offsets[i])
-                        for i, v in enumerate(nodes)]
+    @staticmethod
+    def assert_matches_per_node(nodes, bound, offsets, seed=42,
+                                prior_reads=(), bit_budget=None):
+        """uniform_int_each on one source == per-node uniform_int calls on
+        a fresh twin: values, bits used, totals, every node's ledger, and
+        the exception text if the batch raises."""
+        ref = IndependentSource(seed=seed, bit_budget=bit_budget)
+        bulk = IndependentSource(seed=seed, bit_budget=bit_budget)
+        for source in (ref, bulk):
+            for node, start, count in prior_reads:
+                source.bits_block(node, count, start)
+        expected, ref_error = [], None
+        try:
+            for node, offset in zip(nodes, offsets):
+                expected.append(ref.uniform_int(node, bound, int(offset)))
+        except RandomnessExhausted as exc:
+            ref_error = str(exc)
+        if ref_error is None:
             values, used = bulk.uniform_int_each(nodes, bound,
                                                  np.array(offsets))
             assert values.tolist() == [v for v, _ in expected]
             assert used.tolist() == [u for _, u in expected]
-            assert bulk.bits_consumed == ref.bits_consumed
+        else:
+            with pytest.raises(RandomnessExhausted) as info:
+                bulk.uniform_int_each(nodes, bound, np.array(offsets))
+            assert str(info.value) == ref_error
+        assert bulk.bits_consumed == ref.bits_consumed
+        assert _ledger_state(bulk, nodes) == _ledger_state(ref, nodes)
+        return ref_error
+
+    def test_matches_uniform_int(self):
+        for bound in (1, 2, 3, 10, 1000, 2**20 + 7):
+            nodes = list(range(8))
+            self.assert_matches_per_node(nodes, bound, [3 * v for v in nodes])
+
+    def test_block_straddling_cursors(self):
+        # Width 34: every cursor in 478..511 crosses the 512-bit block end
+        # on some attempt, most of them on the first.
+        nodes = list(range(34))
+        self.assert_matches_per_node(nodes, 2**33 + 5,
+                                     [478 + v for v in nodes])
+
+    def test_rejection_chains(self):
+        # bound 2^k + 1 rejects almost half of all windows.
+        nodes = list(range(64))
+        for k in (1, 3, 9, 20):
+            self.assert_matches_per_node(nodes, 2**k + 1,
+                                         [37 * v % 700 for v in nodes])
+
+    def test_wide_bound(self):
+        nodes = list(range(40))
+        self.assert_matches_per_node(nodes, (10**6) ** 2,
+                                     [11 * v for v in nodes])
+
+    def test_tuple_and_string_node_keys(self):
+        nodes = [(0, 1), (2, 3), "a", "b", (0, 1)]
+        self.assert_matches_per_node(nodes, 1000, [0, 5, 10, 500, 40])
+
+    def test_same_node_twice_in_one_call(self):
+        self.assert_matches_per_node([7, 7, 3, 7], 2**17 + 1,
+                                     [0, 10, 4, 0])
+
+    def test_rereads_after_scattered_reads_are_free(self):
+        nodes = list(range(6))
+        prior = [(v, start, 9) for v in nodes for start in (0, 30, 505)]
+        self.assert_matches_per_node(nodes, 2**12 + 1, [2, 25, 28, 500, 8, 0],
+                                     prior_reads=prior)
+
+    def test_budget_runs_out_mid_batch(self):
+        nodes = list(range(20))
+        for budget in (1, 37, 150):
+            error = self.assert_matches_per_node(
+                nodes, 1000, [5 * v for v in nodes], bit_budget=budget)
+            assert error is not None and f"{budget} bits" in error
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ConfigurationError):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import RandomnessExhausted
+from repro.errors import ConfigurationError, RandomnessExhausted
 from repro.graphs import assign, make
 from repro.randomness import (
     EpsilonBiasedSource,
@@ -32,6 +32,7 @@ from repro.randomness import (
     SharedRandomness,
     SparseRandomness,
     covering_holders,
+    derive_key,
 )
 from repro.randomness.pooled import PooledBits
 from repro.sim.batch.csr import CSRGraph, bfs_distances, nx_to_csr
@@ -143,6 +144,11 @@ def test_interval_set_matches_set_semantics(ranges):
     gaps = ledger.missing(0, 100)
     uncovered = {i for i in range(100) if i not in model}
     assert {i for s, e in gaps for i in range(s, e)} == uncovered
+    # One representation per covered set: the maximal runs, in order.
+    runs = [i for i in sorted(model) if i - 1 not in model]
+    assert ledger.starts == runs
+    assert ledger.ends == [next(j for j in range(i, 200) if j not in model)
+                           for i in runs]
 
 
 class TestBudget:
@@ -220,6 +226,69 @@ class TestErrorPathParity:
         assert fast.outputs == sync.outputs
         assert fast.report.total_bits == sync.report.total_bits
         assert fast.report.max_message_bits == sync.report.max_message_bits
+
+
+class TestNegativeIndex:
+    """A negative stream index is a caller error, raised before metering."""
+
+    @pytest.mark.parametrize("call, index", [
+        (lambda s: s.bit(0, -1), -1),
+        (lambda s: s.bits_block(0, 4, -3), -3),
+        (lambda s: s.uniform_ints(0, 10, 3, -7), -7),
+        (lambda s: s.uniform_int_each([0], 10, [-2]), -2),
+        (lambda s: s.geometrics([0], 5, -4), -4),
+    ])
+    def test_rejected_with_node_and_index(self, call, index):
+        source = IndependentSource(1)
+        with pytest.raises(ConfigurationError,
+                           match=f"node 0 .*index {index}$"):
+            call(source)
+        assert source.bits_consumed == 0
+
+    def test_bulk_sampler_meters_earlier_nodes_like_per_node_calls(self):
+        bulk, ref = IndependentSource(1), IndependentSource(1)
+        with pytest.raises(ConfigurationError, match="node 'b'"):
+            bulk.uniform_int_each(["a", "b", "c"], 1000, [0, -9, 0])
+        ref.uniform_int("a", 1000, 0)
+        with pytest.raises(ConfigurationError, match="node 'b'"):
+            ref.uniform_int("b", 1000, -9)
+        assert bulk.bits_consumed == ref.bits_consumed > 0
+        assert list(bulk.nodes_touched()) == ["a"]
+
+
+class TestPinnedPRF:
+    """The PRF bytes themselves, so key derivation and block generation
+    can be restructured only if every stream stays the same."""
+
+    def test_derived_keys(self):
+        expected = {
+            5: "f1c6470b3707b42f26962a52e27682c4"
+               "53801ea866f7a90d6b456fc45ada4452",
+            (2, 3): "d9ff87e491cc0d7d2d5020d9ce61ea9f"
+                    "f2f7447fd6cef89b602e6c0d16076dcc",
+            "a": "8006398247372d3b7fc75c412cc1bf73"
+                 "20044f4e5ae17a28728ff97d2461cde3",
+        }
+        for node, key in expected.items():
+            assert derive_key("repro-independent", 0, repr(node)).hex() == key
+
+    def test_independent_stream_prefix(self):
+        # First 128 bits, packed little-endian within each byte (the
+        # digest's own byte layout).
+        expected = {0: "a040c95ac36e929ad9bad22998d47175",
+                    1: "878488c5e7977222686b713632123c21"}
+        source = IndependentSource(seed=0)
+        for node, prefix in expected.items():
+            bits = source.bits_block(node, 128)
+            assert np.packbits(bits, bitorder="little").tobytes().hex() \
+                == prefix
+            assert [source.bit(node, i) for i in range(128)] == bits.tolist()
+
+    def test_shared_first_block(self):
+        bits = SharedRandomness(512, seed=0).global_bits(512)
+        assert np.packbits(bits, bitorder="little").tobytes().hex() == (
+            "d66054bdfb3c54edc6c09c5ff3288ba66ddc8c811111f5381d7bb90ecd4f1799"
+            "bb684c874532bdf3598580a3bbe13e379bbe1d5bd77c185ed50a079c78375898")
 
 
 class TestBulkSamplers:
