@@ -1,17 +1,16 @@
-"""Measured vs accounted: the two implementation styles, side by side.
+"""Measured vs accounted: the two round counts, side by side.
 
-DESIGN.md §5 distinguishes *engine* algorithms (genuine per-node
-message-passing programs with measured rounds and bits) from
-*orchestrated* ones (faithful central simulations with formula-accounted
-rounds). This example runs the Elkin–Neiman decomposition both ways on
-the same graph and compares:
+A :class:`RunReport` with ``accounted=True`` carries rounds computed from
+the paper's complexity expression; an engine run carries the rounds the
+engine measured. Elkin–Neiman reports both: its report keeps the
+accounted ``phases*(cap+2)``, and ``extra`` holds the rounds and messages
+its top-two flood actually took. This example prints:
 
-* the engine's measured rounds against the orchestrated accounting
-  formula phases*(cap+2);
-* the engine's largest message against the CONGEST budget;
-* the structural quality (colors, diameter, validity) of both outputs;
-* the two engine implementations (SyncEngine vs FastEngine) on the same
-  program — identical outputs and reports, different wall time.
+* Elkin–Neiman's accounted rounds against its measured rounds and
+  messages, and the per-message size against the CONGEST budget;
+* the structural quality (colors, diameter, validity) of its output;
+* the two engine implementations (SyncEngine vs FastEngine) on one
+  program (Luby MIS) — identical outputs and reports, different wall time.
 
     python examples/engine_vs_orchestrated.py
 """
@@ -19,7 +18,7 @@ the same graph and compares:
 import dataclasses
 import time
 
-from repro.core.decomposition import elkin_neiman, en_engine_decomposition, measure
+from repro.core.decomposition import elkin_neiman, measure
 from repro.core.mis import LubyMIS
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
@@ -32,36 +31,27 @@ def main() -> None:
     phases, cap = 30, 10
     print(f"network: {graph}; phases={phases}, cap={cap}\n")
 
-    dec_o, report_o, _ = elkin_neiman(
+    dec, report, extra = elkin_neiman(
         graph, IndependentSource(seed=1), phases=phases, cap=cap,
         finish="singletons")
-    q_o = measure(graph, dec_o)
-    print("orchestrated (accounted):")
-    print(f"  rounds = {report_o.rounds}  (formula: {phases}*({cap}+2))")
-    print(f"  colors={q_o.colors} strong_diam={q_o.max_strong_diameter} "
-          f"valid={q_o.valid}")
-
-    dec_e, result_e = en_engine_decomposition(
-        graph, IndependentSource(seed=1), phases=phases, cap=cap,
-        strict=False)
-    q_e = measure(graph, dec_e)
+    quality = measure(graph, dec)
+    # A flood message is two (value <= cap, center UID) pairs.
+    message_bits = 2 * (cap.bit_length() + graph.uid_bits())
     limit = congest_limit(graph.n)
-    print("\nengine (measured):")
-    print(f"  rounds = {result_e.report.rounds}, "
-          f"messages = {result_e.report.messages}, "
-          f"total bits = {result_e.report.total_bits}")
-    print(f"  largest message = {result_e.report.max_message_bits} bits "
-          f"(CONGEST budget {limit}) -> "
-          f"{'within' if result_e.report.max_message_bits <= limit else 'OVER'}")
-    print(f"  colors={q_e.colors} strong_diam={q_e.max_strong_diameter} "
-          f"valid={q_e.valid}")
-
-    print("\ncomparison:")
-    print(f"  accounted {report_o.rounds} vs measured "
-          f"{result_e.report.rounds} rounds "
-          f"(engine terminates early once everyone clusters)")
-    assert q_o.valid and q_e.valid
-    assert result_e.report.max_message_bits <= limit
+    print("Elkin–Neiman:")
+    print(f"  accounted rounds = {report.rounds}  "
+          f"(formula: {phases}*({cap}+2))")
+    print(f"  measured rounds  = {extra['rounds_measured']}, "
+          f"messages = {extra['messages']}")
+    print(f"  message size <= {message_bits} bits "
+          f"(CONGEST budget {limit})")
+    print(f"  colors={quality.colors} "
+          f"strong_diam={quality.max_strong_diameter} valid={quality.valid}")
+    print("  (the flood stops once no shifted value changes, and phases "
+          "stop once everyone clusters)")
+    assert quality.valid
+    assert extra["rounds_measured"] <= report.rounds
+    assert message_bits <= limit
 
     # ------------------------------------------------------------------
     # SyncEngine vs FastEngine: same program, same bits, less time.

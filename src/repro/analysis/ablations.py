@@ -19,11 +19,13 @@ paper's "why the gap rule / the spacing / the phase budget" remarks.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-import networkx as nx
-
-from ..core.decomposition import elkin_neiman, sparse_bits_decomposition
+from ..core.decomposition import (
+    elkin_neiman,
+    en_phases_on_nx,
+    sparse_bits_decomposition,
+)
 from ..graphs import assign, make
 from ..randomness import IndependentSource, SparseRandomness
 from ..structures import Decomposition
@@ -33,38 +35,6 @@ from .tables import Table
 
 def _logn(n: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n))))
-
-
-def _en_with_gap_rule(graph: nx.Graph, draw, phases: int, cap: int,
-                      min_gap: int):
-    """The EN phase loop with a configurable gap threshold.
-
-    A reimplementation of the loop in
-    :func:`repro.core.decomposition.elkin_neiman.en_phases_on_nx` whose
-    join condition is ``m1 - m2 > min_gap`` — min_gap=1 is the paper,
-    min_gap=0 is the ablated variant.
-    """
-    from repro.core.decomposition.elkin_neiman import _top_two_shifted
-
-    live: Set[Hashable] = set(graph.nodes())
-    assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
-    for phase in range(phases):
-        if not live:
-            break
-        radii = {v: draw(v, phase) for v in live}
-        best = _top_two_shifted(graph, live, radii)
-        newly: List[Hashable] = []
-        for u in live:
-            entries = best.get(u, [])
-            if not entries:
-                continue
-            m1, center = entries[0]
-            m2 = entries[1][0] if len(entries) > 1 else 0
-            if m1 - m2 > min_gap:
-                assignment[u] = (phase, center)
-                newly.append(u)
-        live.difference_update(newly)
-    return assignment, live
 
 
 def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
@@ -80,12 +50,12 @@ def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
                        seed=seed + t)
             source = IndependentSource(seed=seed + 91 * t)
 
-            def draw(v, phase):
-                value, _ = source.geometric(v, cap, phase * cap)
-                return value
+            def draw_radii(nodes, phase):
+                values, _ = source.geometrics(nodes, cap, phase * cap)
+                return dict(zip(nodes, values.tolist()))
 
-            assignment, remaining = _en_with_gap_rule(
-                g.nx, draw, phases, cap, min_gap)
+            assignment, remaining, _measured = en_phases_on_nx(
+                g.nx, draw_radii, phases, cap, min_gap=min_gap)
             cluster_ids: Dict[Tuple[int, Hashable], int] = {}
             cluster_of, color_of = {}, {}
             for v, (phase, center) in assignment.items():

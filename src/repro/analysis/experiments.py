@@ -1,10 +1,10 @@
 """Experiment drivers E1–E10: one per theorem, one table each.
 
 The paper proves theorems rather than reporting measurements, so the
-"tables and figures" this module regenerates are defined in DESIGN.md
-(Section 4) and recorded in EXPERIMENTS.md: each driver measures the
-quantities a theorem bounds and prints them against the bound. Every
-driver takes a ``quick`` flag — benchmarks run the quick profile; the
+"tables and figures" this module regenerates are defined here, one
+function per theorem, and recorded in EXPERIMENTS.md: each measures the
+quantities a theorem bounds and prints them against the bound. Each
+takes a ``quick`` flag — benchmarks run the quick profile; the
 EXPERIMENTS.md numbers come from the default profile.
 
 Per-seed trial loops are fanned through

@@ -16,12 +16,12 @@ from .deterministic import (
     deterministic_decomposition,
     improve_decomposition,
 )
-from .en_program import ENProgram, en_engine_decomposition
 from .elkin_neiman import (
     default_cap,
     default_phases,
     elkin_neiman,
     en_phases_on_nx,
+    top_two_flood,
 )
 from .kwise_local import kwise_decomposition
 from .quality import DecompositionQuality, measure
@@ -44,8 +44,6 @@ from .sparse_bits import (
 
 __all__ = [
     "DecompositionQuality",
-    "ENProgram",
-    "en_engine_decomposition",
     "GatheredBits",
     "ball_carving_nx",
     "default_cap",
@@ -65,4 +63,5 @@ __all__ = [
     "sparse_bits_strong_decomposition",
     "target_K",
     "theoretical_failure_bound",
+    "top_two_flood",
 ]

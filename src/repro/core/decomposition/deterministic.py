@@ -3,10 +3,10 @@
 Plays the role of the Panconesi–Srinivasan 2^O(sqrt(log n)) deterministic
 algorithm [PS92] / the [Gha19] cluster-graph decomposition inside
 Theorem 4.2: whenever the paper says "now finish deterministically", this
-is the module that runs. (See DESIGN.md's substitution table: at laptop
-scale what matters is a *valid deterministic* construction with
-(O(log n), O(log n)) parameters, and the classic sequential ball-carving
-argument of [AGLP89]/[LS93] gives exactly that.)
+is the module that runs. (A substitution: at laptop scale what matters is
+a *valid deterministic* construction with (O(log n), O(log n))
+parameters, and the classic sequential ball-carving argument of
+[AGLP89]/[LS93] gives exactly that.)
 
 The construction runs O(log n) color phases. In each phase it scans the
 still-unclustered nodes in UID order; around each free node it grows a

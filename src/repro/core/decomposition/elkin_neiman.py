@@ -24,10 +24,17 @@ Distances are measured through *live* nodes only (removed nodes no
 longer relay), which is what a message-passing implementation measures
 and what makes the connectivity argument self-contained.
 
-The implementation is *orchestrated* (DESIGN.md Section 5): each phase
-is a bounded multi-source BFS carrying the top-two (value, center)
-pairs, exactly the O(log n)-bit messages of the CONGEST implementation;
-rounds are accounted as ``phases * (cap + 2)``.
+Each phase is one :func:`top_two_flood` over the live nodes' CSR
+adjacency: every node forwards its best two (value, center) pairs, the
+O(log n)-bit messages of the CONGEST implementation, until nothing
+changes. This flood is the only top-two computation in the package;
+Theorems 3.1, 3.6 and 3.7 and the A1 ablation all run it. The
+:class:`RunReport` keeps the *accounted* ``phases * (cap + 2)`` rounds
+(``accounted=True``: the paper's expression, not an engine count), while
+the rounds and messages the flood actually took are *measured* and land
+in ``extra["rounds_measured"]`` / ``extra["messages"]``; the measured
+rounds never exceed the accounted ones, because a flood round only
+happens while some shifted value is still positive.
 """
 
 from __future__ import annotations
@@ -36,9 +43,11 @@ import math
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ...errors import ConfigurationError
 from ...randomness.source import RandomSource
+from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
@@ -54,101 +63,133 @@ def default_cap(n: int) -> int:
     return max(4, 10 * max(1, math.ceil(math.log2(max(2, n)))))
 
 
+def top_two_flood(
+    offsets: np.ndarray,
+    indices: np.ndarray,
+    live: np.ndarray,
+    radii: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Every live node's two best ``(r_c - d(c, u), c)`` pairs, by flooding.
+
+    ``offsets``/``indices`` are a CSR adjacency; ``live`` (bool[n]) masks
+    the nodes that take part — distances run through live nodes only —
+    and ``radii`` (int64[n]) holds each center's shift. A live node with
+    a radius <= 0 is no center. Each round, the live nodes whose positive
+    pairs changed in the previous round send them, decremented by one, to
+    their live neighbors; each receiver keeps the best value per center
+    and then its best two centers, ties broken by node index. The flood
+    stops when no positive pair changes, which takes at most
+    ``max(radii)`` rounds: a pair adopted in round k is worth at most
+    ``max(radii) - k``.
+
+    Returns ``(m1, center, m2, rounds, messages)``: the best value
+    (``-1`` where no center reaches), its center (``-1`` likewise), the
+    second-best value of a different center (``0`` where there is none),
+    the number of rounds that sent anything, and the messages sent (one
+    per sender and live neighbor per round).
+    """
+    n = len(radii)
+    nodes = np.arange(n)
+    src = np.repeat(nodes, np.diff(offsets))
+    keep = live[src] & live[indices]
+    src, dst = src[keep], indices[keep]
+    m1 = np.where(live & (radii > 0), radii, -1)
+    c1 = np.where(m1 >= 0, nodes, -1)
+    m2 = np.full(n, -1, dtype=np.int64)
+    c2 = np.full(n, -1, dtype=np.int64)
+    senders = m1 > 0
+    rounds = messages = 0
+    while True:
+        out = senders[src]
+        if not out.any():
+            break
+        rounds += 1
+        messages += int(np.count_nonzero(out))
+        es, ed = src[out], dst[out]
+        two = m2[es] > 0
+        hit = np.zeros(n, dtype=bool)
+        hit[ed] = True
+        receivers = np.flatnonzero(hit)
+        mine1 = receivers[c1[receivers] >= 0]
+        mine2 = receivers[c2[receivers] >= 0]
+        at = np.concatenate((ed, ed[two], mine1, mine2))
+        value = np.concatenate((m1[es] - 1, m2[es][two] - 1, m1[mine1], m2[mine2]))
+        center = np.concatenate((c1[es], c2[es][two], c1[mine1], c2[mine2]))
+        # Best value per (receiver, center) ...
+        order = np.lexsort((-value, center, at))
+        at, value, center = at[order], value[order], center[order]
+        first = np.ones(len(at), dtype=bool)
+        first[1:] = (at[1:] != at[:-1]) | (center[1:] != center[:-1])
+        at, value, center = at[first], value[first], center[first]
+        # ... then the best two centers per receiver.
+        order = np.lexsort((center, -value, at))
+        at, value, center = at[order], value[order], center[order]
+        head = np.ones(len(at), dtype=bool)
+        head[1:] = at[1:] != at[:-1]
+        second = np.zeros(len(at), dtype=bool)
+        second[1:] = head[:-1] & ~head[1:]
+        r = receivers
+        was1, was_c1, was2, was_c2 = m1[r], c1[r], m2[r], c2[r]
+        m1[at[head]], c1[at[head]] = value[head], center[head]
+        m2[r], c2[r] = -1, -1
+        m2[at[second]], c2[at[second]] = value[second], center[second]
+        # A positive pair is only ever displaced by another positive
+        # pair, so "a slot now holds a new positive pair" is exactly
+        # "the pairs worth forwarding changed".
+        senders = np.zeros(n, dtype=bool)
+        senders[r] = (((m1[r] > 0) & ((m1[r] != was1) | (c1[r] != was_c1)))
+                      | ((m2[r] > 0) & ((m2[r] != was2) | (c2[r] != was_c2))))
+    return m1, c1, np.maximum(m2, 0), rounds, messages
+
+
 def en_phases_on_nx(
     graph: nx.Graph,
-    draw_radius: Callable[[Hashable, int], int],
+    draw_radii: Callable[[List[Hashable], int], Dict[Hashable, int]],
     phases: int,
     cap: int,
-    draw_radii: Optional[Callable[[List[Hashable], int],
-                                  Dict[Hashable, int]]] = None,
-) -> Tuple[Dict[Hashable, Tuple[int, Hashable]], Set[Hashable]]:
+    min_gap: int = 1,
+) -> Tuple[Dict[Hashable, Tuple[int, Hashable]], Set[Hashable],
+           Dict[str, int]]:
     """Run the phase loop on an arbitrary networkx graph.
 
-    ``draw_radius(node, phase)`` supplies the Geometric(1/2) value (use a
-    :class:`RandomSource`; the indirection is what lets Lemma 3.3 feed
-    gathered cluster pools and Theorem 3.5 feed k-wise bits into the same
-    construction). ``draw_radii(nodes, phase)``, when given, supplies a
-    whole phase's shifts in one bulk call (same values — each node's
-    draw is a pure function of its stream — with the sampler's
-    validation and dispatch paid once per phase instead of per node).
+    ``draw_radii(nodes, phase)`` maps each live node to its
+    Geometric(1/2) shift for the phase (the indirection is what lets
+    Lemma 3.3 feed gathered cluster pools and Theorem 3.5 feed k-wise
+    bits into the same construction). A node joins its best center iff
+    ``m1 - m2 > min_gap``; ``min_gap=1`` is the paper's gap rule, and the
+    A1 ablation relaxes it to 0.
 
-    Returns ``(assignment, remaining)`` where assignment maps a node to
-    ``(phase_color, center)`` and ``remaining`` holds nodes unclustered
-    after all phases.
+    Returns ``(assignment, remaining, measured)``: assignment maps a node
+    to ``(phase_color, center)``, ``remaining`` holds nodes unclustered
+    after all phases, and ``measured`` counts the flood's
+    ``rounds_measured`` (each phase: its flood rounds, plus one round to
+    draw and one to decide) and ``messages``.
     """
     if phases < 1 or cap < 1:
         raise ConfigurationError("phases and cap must be >= 1")
-    live: Set[Hashable] = set(graph.nodes())
+    offsets, indices, nodes = nx_to_csr(graph)
+    live = np.ones(len(nodes), dtype=bool)
     assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
+    measured = {"rounds_measured": 0, "messages": 0}
     for phase in range(phases):
-        if not live:
+        if not live.any():
             break
-        if draw_radii is not None:
-            radii = draw_radii(list(live), phase)
-        else:
-            radii = {v: draw_radius(v, phase) for v in live}
-        best = _top_two_shifted(graph, live, radii)
-        newly: List[Hashable] = []
-        for u in live:
-            entries = best.get(u, [])
-            if not entries:
-                continue
-            m1, center = entries[0]
-            m2 = entries[1][0] if len(entries) > 1 else 0
-            if m1 - m2 > 1:
-                assignment[u] = (phase, center)
-                newly.append(u)
-        live.difference_update(newly)
-    return assignment, live
-
-
-def _top_two_shifted(
-    graph: nx.Graph,
-    live: Set[Hashable],
-    radii: Dict[Hashable, int],
-) -> Dict[Hashable, List[Tuple[int, Hashable]]]:
-    """For every live node, the two best (r_v - d(v, u), v) pairs.
-
-    Bounded BFS from each live center through live nodes only; a center's
-    influence dies when its shifted value drops below 0. Ties between
-    centers are broken by a stable key so reruns are deterministic
-    (the gap criterion makes the tie-break semantically irrelevant:
-    m1 == m2 never clusters).
-    """
-    best: Dict[Hashable, List[Tuple[int, Hashable]]] = {}
-
-    def offer(u: Hashable, value: int, center: Hashable) -> None:
-        entries = best.setdefault(u, [])
-        for i, (val, c) in enumerate(entries):
-            if c == center:
-                if value > val:
-                    entries[i] = (value, center)
-                    entries.sort(key=lambda e: (-e[0], repr(e[1])))
-                return
-        entries.append((value, center))
-        entries.sort(key=lambda e: (-e[0], repr(e[1])))
-        del entries[2:]
-
-    for center in live:
-        r = radii[center]
-        if r <= 0:
-            continue
-        # BFS truncated at depth r: value r - d stays >= 0.
-        dist: Dict[Hashable, int] = {center: 0}
-        frontier = [center]
-        offer(center, r, center)
-        depth = 0
-        while frontier and depth < r:
-            depth += 1
-            nxt: List[Hashable] = []
-            for x in frontier:
-                for y in graph.neighbors(x):
-                    if y in live and y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-                        offer(y, r - depth, center)
-            frontier = nxt
-    return best
+        at = np.flatnonzero(live)
+        labels = [nodes[i] for i in at]
+        drawn = draw_radii(labels, phase)
+        radii = np.zeros(len(nodes), dtype=np.int64)
+        radii[at] = [drawn[v] for v in labels]
+        m1, center, m2, rounds, messages = top_two_flood(
+            offsets, indices, live, radii)
+        measured["rounds_measured"] += rounds + 2
+        measured["messages"] += messages
+        joins = np.flatnonzero(live & (m1 - m2 > min_gap))
+        for i, c in zip(joins.tolist(), center[joins].tolist()):
+            assignment[nodes[i]] = (phase, nodes[c])
+        live[joins] = False
+    remaining = set(graph.nodes())
+    remaining.difference_update(assignment)
+    return assignment, remaining, measured
 
 
 def elkin_neiman(
@@ -176,7 +217,9 @@ def elkin_neiman(
     Returns
     -------
     (decomposition | None, report, extra) where extra records the
-    unclustered set and per-phase progress.
+    ``assignment`` (node -> ``(phase, center)``), the ``unclustered``
+    set, and the flood's ``rounds_measured`` and ``messages``; the
+    report's ``rounds`` stays the accounted ``phases * (cap + 2)``.
     """
     if finish not in ("strict", "singletons"):
         raise ConfigurationError(f"unknown finish mode {finish!r}")
@@ -186,16 +229,12 @@ def elkin_neiman(
 
     consumed_before = source.bits_consumed
 
-    def draw(v: Hashable, phase: int) -> int:
-        value, _used = source.geometric(v, cap, bit_offset + phase * cap)
-        return value
-
-    def draw_all(nodes: List[Hashable], phase: int) -> Dict[Hashable, int]:
+    def draw_radii(nodes: List[Hashable], phase: int) -> Dict[Hashable, int]:
         values, _used = source.geometrics(nodes, cap, bit_offset + phase * cap)
         return dict(zip(nodes, values.tolist()))
 
-    assignment, remaining = en_phases_on_nx(graph.nx, draw, phases, cap,
-                                            draw_radii=draw_all)
+    assignment, remaining, measured = en_phases_on_nx(
+        graph.nx, draw_radii, phases, cap)
 
     report = RunReport(
         rounds=phases * (cap + 2),
@@ -208,9 +247,11 @@ def elkin_neiman(
         ],
     )
     extra: Dict[str, object] = {
+        "assignment": assignment,
         "unclustered": set(remaining),
         "phases": phases,
         "cap": cap,
+        **measured,
     }
 
     if remaining and finish == "strict":

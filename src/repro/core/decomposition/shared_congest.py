@@ -23,9 +23,14 @@ from the global shared string ([AS04] expansion, implemented by
 :meth:`SharedRandomness.expand_kwise`), so the whole algorithm consumes
 only the poly(log n)-bit shared seed — no private randomness at all.
 
-Messages: per epoch a bounded multi-source BFS carrying the top-two
-(value, center-UID) pairs — O(log n) bits per message, CONGEST-legal;
-rounds are accounted per DESIGN.md Section 5.
+Messages: per epoch one :func:`~.elkin_neiman.top_two_flood` through the
+available nodes, with only the centers' radii ``R_i + X_u`` set; every
+message is a top-two (value, center) pair, O(log n) bits, CONGEST-legal.
+The :class:`RunReport` keeps the *accounted* rounds
+``phases x epochs x (R_1 + 2)`` (``accounted=True``); the rounds the
+floods actually took (each epoch: its flood rounds plus one round to
+elect and one to decide) and their messages are *measured* into
+``extra["rounds_measured"]`` / ``extra["messages"]``.
 """
 
 from __future__ import annotations
@@ -33,12 +38,16 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ...errors import ConfigurationError
 from ...randomness.shared import SharedRandomness
 from ...randomness.source import pack_bits
+from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
+from .elkin_neiman import top_two_flood
 
 #: Bits per Bernoulli center election (a 16-bit threshold comparison).
 ELECTION_BITS = 16
@@ -67,61 +76,57 @@ def phase_epoch_decomposition(
     if max_phases < 1 or epochs < 1 or cap < 1:
         raise ConfigurationError("max_phases, epochs and cap must be >= 1")
     step = cap + 2  # base-radius decrement per epoch, > max X_u
-    live: Set[int] = set(graph.nodes())
+    offsets, indices, _labels = nx_to_csr(graph.nx)
+    live = np.ones(graph.n, dtype=bool)
     cluster_of: Dict[int, int] = {}
     color_of: Dict[int, int] = {}
     trees: Dict[int, List[Tuple[int, int]]] = {}
-    members_of: Dict[int, Set[int]] = {}
     phase_log: List[Dict[str, int]] = []
+    measured = {"rounds_measured": 0, "messages": 0}
     phases_run = 0
 
     for phase in range(max_phases):
-        if not live:
+        if not live.any():
             break
         phases_run += 1
-        available = set(live)
-        set_aside: Set[int] = set()
+        available = live.copy()
+        set_aside = 0
         clustered_this_phase = 0
         for epoch in range(1, epochs + 1):
-            if not available:
+            if not available.any():
                 break
             base = (epochs - epoch) * step
-            centers = {v for v in available if elect(v, phase, epoch, epochs)}
-            if not centers:
+            radii = np.zeros(graph.n, dtype=np.int64)
+            for v in np.flatnonzero(available).tolist():
+                if elect(v, phase, epoch, epochs):
+                    radii[v] = base + radius_draw(v, phase, epoch)
+            if not radii.any():
                 continue
-            radii = {u: base + radius_draw(u, phase, epoch) for u in centers}
-            best = _top_two(graph, available, radii)
-            joined: Dict[int, int] = {}
-            for v in available:
-                entries = best.get(v)
-                if not entries:
-                    continue
-                m1, center = entries[0]
-                m2 = entries[1][0] if len(entries) > 1 else 0
-                if m1 - m2 > 1:
-                    joined[v] = center
-                else:
-                    set_aside.add(v)
-            for v in set_aside:
-                available.discard(v)
+            m1, center, m2, rounds, messages = top_two_flood(
+                offsets, indices, available, radii)
+            measured["rounds_measured"] += rounds + 2
+            measured["messages"] += messages
+            reached = available & (center >= 0)
+            joined = reached & (m1 - m2 > 1)
+            set_aside += int(np.count_nonzero(reached & ~joined))
+            available &= ~reached
+            live &= ~joined
             new_clusters: Dict[int, Set[int]] = {}
-            for v, center in joined.items():
-                new_clusters.setdefault(center, set()).add(v)
-                available.discard(v)
-            for center, members in new_clusters.items():
+            for v in np.flatnonzero(joined).tolist():
+                new_clusters.setdefault(int(center[v]), set()).add(v)
+            for c, members in new_clusters.items():
                 cid = len(color_of)
                 color_of[cid] = phase
-                members_of[cid] = members
                 for v in members:
                     cluster_of[v] = cid
-                trees[cid] = _spanning_tree_edges(graph, members, center)
+                trees[cid] = _spanning_tree_edges(graph, members, c)
                 clustered_this_phase += len(members)
-        live -= set(cluster_of)
         phase_log.append({
             "phase": phase,
             "clustered": clustered_this_phase,
-            "set_aside": len(set_aside),
+            "set_aside": set_aside,
         })
+    leftovers = np.flatnonzero(live).tolist()
 
     report = RunReport(
         rounds=phases_run * epochs * (epochs * step + 2),
@@ -134,60 +139,26 @@ def phase_epoch_decomposition(
         ],
     )
     extra: Dict[str, object] = {
-        "unclustered": set(live),
+        "unclustered": set(leftovers),
         "phases_run": phases_run,
         "phase_log": phase_log,
         "max_radius": epochs * step + cap,
+        **measured,
     }
-    if live and strict:
+    if leftovers and strict:
         return None, report, extra
-    if live:
+    if leftovers:
         next_color = (max(color_of.values()) + 1) if color_of else 0
-        for v in sorted(live):
+        for v in leftovers:
             cid = len(color_of)
             cluster_of[v] = cid
             color_of[cid] = next_color
             trees[cid] = []
             next_color += 1
-        report.annotate(f"{len(live)} leftovers parked as singletons")
+        report.annotate(f"{len(leftovers)} leftovers parked as singletons")
     decomposition = Decomposition(cluster_of=cluster_of, color_of=color_of,
                                   trees=trees).normalize_colors()
     return decomposition, report, extra
-
-
-def _top_two(graph: DistributedGraph, available: Set[int],
-             radii: Dict[int, int]) -> Dict[int, List[Tuple[int, int]]]:
-    """Top-two shifted values via truncated BFS through available nodes."""
-    best: Dict[int, List[Tuple[int, int]]] = {}
-
-    def offer(v: int, value: int, center: int) -> None:
-        entries = best.setdefault(v, [])
-        for i, (val, c) in enumerate(entries):
-            if c == center:
-                if value > val:
-                    entries[i] = (value, center)
-                    entries.sort(key=lambda e: (-e[0], graph.uid(e[1])))
-                return
-        entries.append((value, center))
-        entries.sort(key=lambda e: (-e[0], graph.uid(e[1])))
-        del entries[2:]
-
-    for center, reach in radii.items():
-        dist = {center: 0}
-        frontier = [center]
-        offer(center, reach, center)
-        depth = 0
-        while frontier and depth < reach:
-            depth += 1
-            nxt: List[int] = []
-            for x in frontier:
-                for y in graph.neighbors(x):
-                    if y in available and y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-                        offer(y, reach - depth, center)
-            frontier = nxt
-    return best
 
 
 def _spanning_tree_edges(graph: DistributedGraph, members: Set[int],

@@ -25,7 +25,7 @@ the target failure bound, which is Theorem 4.2's statement.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -82,10 +82,6 @@ def shattering_decomposition(
     # ------------------------------------------------------------------
     # Shattered finish.
     # ------------------------------------------------------------------
-    # Clustered part of the EN run (rebuild from a singletons-finish of
-    # the same assignment would re-draw bits; instead recompute the
-    # cluster structure from what EN already assigned).
-    clustered_nodes = [v for v in graph.nodes() if v not in leftover]
     alpha = 2 * t + 1
     separated, ruling_report = greedy_ruling_set(
         graph, alpha=alpha, subset=leftover)
@@ -116,15 +112,18 @@ def shattering_decomposition(
                                                    for c in cg.nodes()})
 
     # ------------------------------------------------------------------
-    # Combine: EN clusters keep their phase colors; shattered clusters get
-    # fresh colors offset past the EN palette.
+    # Combine: EN clusters keep their phase colors (one cluster per
+    # (phase, center) of the strict run's assignment); shattered clusters
+    # get fresh colors offset past the EN palette.
     # ------------------------------------------------------------------
-    en_partial, _report2, _extra2 = _rebuild_en_partial(graph, en_extra,
-                                                        clustered_nodes,
-                                                        source, en_phases, cap)
-    cluster_of: Dict[int, int] = dict(en_partial.cluster_of)
-    color_of: Dict[int, int] = dict(en_partial.color_of)
-    en_colors = en_partial.num_colors()
+    cluster_of: Dict[int, int] = {}
+    color_of: Dict[int, int] = {}
+    en_ids: Dict[Tuple[int, Hashable], int] = {}
+    for v, (phase, center) in en_extra["assignment"].items():
+        cid = en_ids.setdefault((phase, center), len(en_ids))
+        cluster_of[v] = cid
+        color_of[cid] = phase
+    en_colors = len(set(color_of.values()))
     offset = (max(color_of.values()) + 1) if color_of else 0
     det_ids: Dict[Tuple[int, Hashable], int] = {}
     next_cid = (max(color_of.keys()) + 1) if color_of else 0
@@ -156,26 +155,6 @@ def shattering_decomposition(
     return (Decomposition(cluster_of=cluster_of,
                           color_of=color_of).normalize_colors(),
             report, extra)
-
-
-def _rebuild_en_partial(graph: DistributedGraph, en_extra: Dict[str, object],
-                        clustered_nodes: List[int], source: RandomSource,
-                        phases: int, cap: int):
-    """Re-derive the EN cluster assignment from the same (cached) bits.
-
-    Sources are pure functions of (node, index), so re-running the phase
-    loop with identical parameters reproduces the identical assignment —
-    this time collecting the partial decomposition over the clustered
-    nodes only (leftovers are excluded by the caller).
-    """
-    decomposition, report, extra = elkin_neiman(
-        graph, source, phases=phases, cap=cap, finish="singletons")
-    keep = set(clustered_nodes)
-    cluster_of = {v: c for v, c in decomposition.cluster_of.items()
-                  if v in keep}
-    color_of = {c: decomposition.color_of[c]
-                for c in set(cluster_of.values())}
-    return Decomposition(cluster_of=cluster_of, color_of=color_of), report, extra
 
 
 def theoretical_failure_bound(n: int, K: int) -> float:

@@ -150,7 +150,7 @@ def sparse_bits_decomposition(
     cursor: Dict[int, int] = {}
     exhaustions = [0]
 
-    def draw(center, phase: int) -> int:
+    def draw(center) -> int:
         offset = cursor.get(center, 0)
         try:
             value, used = pools.geometric(center, cap, offset)
@@ -160,7 +160,9 @@ def sparse_bits_decomposition(
         cursor[center] = offset + used
         return value
 
-    assignment_cg, remaining = en_phases_on_nx(cg_active, draw, phases, cap)
+    assignment_cg, remaining, _measured = en_phases_on_nx(
+        cg_active, lambda centers, _phase: {c: draw(c) for c in centers},
+        phases, cap)
 
     extra: Dict[str, object] = {
         "unclustered_clusters": set(remaining),
@@ -239,7 +241,8 @@ def sparse_bits_strong_decomposition(
     if k is None:
         # The theorem uses Θ(log² n)-wise independence; we default to the
         # laptop-scaled Θ(log n) so the k*m seed cost stays below
-        # realistic pool sizes (see DESIGN.md Section 5 on constants).
+        # realistic pool sizes (constants are scaled down, asymptotics
+        # are not).
         k = max(4, logn)
     if max_phases is None:
         max_phases = max(4, 10 * logn)

@@ -12,9 +12,9 @@ This module implements both halves:
 
 * :func:`deterministic_small_edges` — deterministic conflict-free
   multi-coloring for bounded-size hyperedges, via the method of
-  conditional expectations (see DESIGN.md substitutions: this is the
-  same potential-function argument as [GKM17]'s distributed algorithm,
-  run sequentially). Per size class i (sizes s in [2^(i-1), 2^i)) it runs
+  conditional expectations (a substitution: this is the same
+  potential-function argument as [GKM17]'s distributed algorithm, run
+  sequentially). Per size class i (sizes s in [2^(i-1), 2^i)) it runs
   rounds of single-color assignments from a palette of size 4·s², scanning
   vertices and greedily minimizing the expected number of monochromatic
   collisions Σ_e E[C_e]. Since E[C_e] <= s²/(2·4s²) = 1/8 under random

@@ -15,7 +15,8 @@ class RunReport:
     rounds:
         Number of synchronous rounds. For ``accounted=True`` runs this is
         computed from the paper's complexity expression with measured
-        structural quantities substituted in (see DESIGN.md Section 5);
+        structural quantities substituted in (orchestrated algorithms
+        simulate the nodes centrally, so there is no engine to count);
         otherwise it is the measured engine round count.
     messages:
         Total messages delivered (engine runs only).

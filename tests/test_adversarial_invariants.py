@@ -39,14 +39,14 @@ class TestGapRuleIsAdversarialProof:
         graph = make("gnp-dense", n, seed=seed)
         radii_table = {}
 
-        def draw(v, phase):
-            key = (v, phase)
-            if key not in radii_table:
-                radii_table[key] = data.draw(
-                    st.integers(0, 12), label=f"r{key}")
-            return radii_table[key]
+        def draw_radii(nodes, phase):
+            for v in nodes:
+                radii_table[(v, phase)] = data.draw(
+                    st.integers(0, 12), label=f"r{(v, phase)}")
+            return {v: radii_table[(v, phase)] for v in nodes}
 
-        assignment, _remaining = en_phases_on_nx(graph, draw, phases=3, cap=12)
+        assignment, _remaining, _m = en_phases_on_nx(
+            graph, draw_radii, phases=3, cap=12)
         clusters = _clusters_of(assignment)
         keys = list(clusters)
         for i, a in enumerate(keys):
@@ -65,10 +65,12 @@ class TestGapRuleIsAdversarialProof:
     def test_clusters_always_connected(self, data, n, seed):
         graph = make("gnp-sparse", n, seed=seed)
 
-        def draw(v, phase):
-            return data.draw(st.integers(0, 10), label=f"r{v},{phase}")
+        def draw_radii(nodes, phase):
+            return {v: data.draw(st.integers(0, 10), label=f"r{v},{phase}")
+                    for v in nodes}
 
-        assignment, _remaining = en_phases_on_nx(graph, draw, phases=2, cap=10)
+        assignment, _remaining, _m = en_phases_on_nx(
+            graph, draw_radii, phases=2, cap=10)
         for members in _clusters_of(assignment).values():
             assert nx.is_connected(graph.subgraph(members))
 
@@ -78,8 +80,9 @@ class TestGapRuleIsAdversarialProof:
         graph = make("grid", 25, seed=1)
         radii = {v: data.draw(st.integers(0, 8), label=f"r{v}")
                  for v in graph.nodes()}
-        assignment, _remaining = en_phases_on_nx(
-            graph, lambda v, p: radii[v], phases=1, cap=8)
+        assignment, _remaining, _m = en_phases_on_nx(
+            graph, lambda nodes, p: {v: radii[v] for v in nodes},
+            phases=1, cap=8)
         for (phase, center), members in _clusters_of(assignment).items():
             sub = graph.subgraph(members)
             lengths = nx.single_source_shortest_path_length(sub, center)

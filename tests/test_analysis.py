@@ -87,3 +87,28 @@ class TestExperimentRegistry:
     def test_e06_smoke(self):
         table = EXPERIMENTS["e06"](quick=True, seed=2)
         assert table.rows[0]["shattering success"] == 1.0
+
+
+class TestAblationsPinned:
+    """The A1–A3 quick tables at seed 0, pinned byte for byte.
+
+    EXPERIMENTS.md pins only E1–E11; these digests give the ablations the
+    same guard, so a refactor of the code they run (the Elkin–Neiman
+    phase loop, the Lemma 3.2 gathering) cannot shift them silently.
+    """
+
+    PINNED = {
+        "a1": "d5107d36c40355b7e3a0b95d97d859c8",
+        "a2": "4968dcacec8ac2062afc84b00844f877",
+        "a3": "c3d17a823b108863b6c2531c477b5888",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_quick_table_digest(self, name):
+        import hashlib
+
+        from repro.analysis.ablations import ABLATIONS
+
+        rendered = ABLATIONS[name](quick=True, seed=0).render()
+        digest = hashlib.blake2b(rendered.encode(), digest_size=16)
+        assert digest.hexdigest() == self.PINNED[name], rendered

@@ -124,6 +124,7 @@ class TestSharedCongest36:
         assert dec is not None
         assert dec.violations(gnp60) == []
         assert dec.congestion() == 1
+        assert 0 < extra["rounds_measured"] <= report.rounds
 
     def test_diameter_and_colors_bounds(self, gnp60):
         dec, _r, _e = shared_randomness_decomposition(

@@ -1,7 +1,10 @@
-"""The Elkin–Neiman decomposition: validity, bounds, determinism."""
+"""The Elkin–Neiman decomposition: validity, bounds, determinism, and
+the top-two flood every random-shift decomposition runs."""
 
 import math
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.decomposition import (
@@ -9,12 +12,21 @@ from repro.core.decomposition import (
     default_phases,
     elkin_neiman,
     en_phases_on_nx,
+    kwise_decomposition,
+    sparse_bits_decomposition,
+    top_two_flood,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
-from repro.randomness import IndependentSource
+from repro.randomness import IndependentSource, SparseRandomness
+from repro.sim.batch.csr import nx_to_csr
 
 from helpers import family_graphs
+
+
+def _constant(radius):
+    """A ``draw_radii`` callback giving every live node the same shift."""
+    return lambda nodes, phase: {v: radius for v in nodes}
 
 
 class TestValidity:
@@ -75,9 +87,9 @@ class TestModes:
     def test_invalid_phase_cap(self, cycle12, source):
         import networkx as nx
         with pytest.raises(ConfigurationError):
-            en_phases_on_nx(nx.path_graph(3), lambda v, p: 1, 0, 4)
+            en_phases_on_nx(nx.path_graph(3), _constant(1), 0, 4)
         with pytest.raises(ConfigurationError):
-            en_phases_on_nx(nx.path_graph(3), lambda v, p: 1, 4, 0)
+            en_phases_on_nx(nx.path_graph(3), _constant(1), 4, 0)
 
 
 class TestDeterminism:
@@ -113,10 +125,10 @@ class TestPhaseCore:
         g = nx.path_graph(7)
         draws = {3: 100}
 
-        def draw(v, phase):
-            return draws.get(v, 1)
+        def draw_radii(nodes, phase):
+            return {v: draws.get(v, 1) for v in nodes}
 
-        assignment, remaining = en_phases_on_nx(g, draw, 1, 100)
+        assignment, remaining, _m = en_phases_on_nx(g, draw_radii, 1, 100)
         assert not remaining
         assert {a for a in assignment.values()} == {(0, 3)}
 
@@ -124,7 +136,7 @@ class TestPhaseCore:
         """All-equal shifts produce gap <= 1 everywhere (the k=1 failure)."""
         import networkx as nx
         g = nx.cycle_graph(8)
-        assignment, remaining = en_phases_on_nx(g, lambda v, p: 3, 4, 10)
+        assignment, remaining, _m = en_phases_on_nx(g, _constant(3), 4, 10)
         assert len(remaining) == 8
         assert not assignment
 
@@ -134,12 +146,112 @@ class TestPhaseCore:
         g = nx.path_graph(5)
         draws = {0: 3, 4: 3}
 
-        def draw(v, phase):
-            return draws.get(v, 0) if phase == 0 else 0
+        def draw_radii(nodes, phase):
+            return {v: draws.get(v, 0) if phase == 0 else 0 for v in nodes}
 
-        assignment, remaining = en_phases_on_nx(g, draw, 1, 10)
+        assignment, remaining, _m = en_phases_on_nx(g, draw_radii, 1, 10)
         # Node 2 sees 3-2=1 from both: m1=m2 -> unclustered. Nodes 0, 1
         # see 3, 2 vs 1, 0: gap 2 -> clustered with center 0.
         assert assignment.get(0) == (0, 0)
         assert assignment.get(1) == (0, 0)
         assert 2 in remaining
+
+
+def _oracle_top_two(graph, live, radii):
+    """Brute force: every ``(r_c - d(c, u), c)`` pair, best two centers."""
+    sub = graph.nx.subgraph([v for v in graph.nodes() if live[v]])
+    pairs = {v: [] for v in graph.nodes()}
+    for c in sub.nodes():
+        if radii[c] > 0:
+            reach = nx.single_source_shortest_path_length(
+                sub, c, cutoff=int(radii[c]))
+            for u, d in reach.items():
+                pairs[u].append((-(int(radii[c]) - d), c))
+    out = []
+    for v in graph.nodes():
+        top = sorted(pairs[v])[:2]
+        m1, center = (-top[0][0], top[0][1]) if top else (-1, -1)
+        out.append((m1, center, -top[1][0] if len(top) > 1 else 0))
+    return out
+
+
+def _flood_cases(graph, seed):
+    """(live, radii) pairs: all live, random masks, far-reaching centers
+    (the Theorem 3.6 regime: radii beyond the diameter), and ties."""
+    rng = np.random.default_rng(seed)
+    n = graph.n
+    everyone = np.ones(n, dtype=bool)
+    yield everyone, rng.integers(0, 7, n)
+    for _ in range(3):
+        yield rng.random(n) < 0.6, rng.integers(-1, 9, n)
+    centers = rng.random(n) < 0.15
+    yield everyone, np.where(centers, n + rng.integers(0, 5, n), 0)
+    yield rng.random(n) < 0.8, np.where(centers, 2 * n, 0)
+    yield everyone, np.full(n, 3)
+    yield rng.random(n) < 0.7, rng.choice([2, 3], n)
+
+
+class TestTopTwoFlood:
+    """The one top-two computation, against a shortest-path oracle."""
+
+    @pytest.mark.parametrize("name,graph", list(family_graphs(36, seed=5)))
+    def test_matches_oracle_on_families(self, name, graph):
+        offsets, indices, _nodes = nx_to_csr(graph.nx)
+        cases = _flood_cases(graph, seed=sum(map(ord, name)))
+        for case, (live, radii) in enumerate(cases):
+            radii = radii.astype(np.int64)
+            m1, center, m2, rounds, messages = top_two_flood(
+                offsets, indices, live, radii)
+            got = list(zip(m1.tolist(), center.tolist(), m2.tolist()))
+            assert got == _oracle_top_two(graph, live, radii), (name, case)
+            assert rounds <= max(0, int(radii.max())), (name, case)
+            assert messages <= rounds * len(indices), (name, case)
+
+    def test_dead_or_unshifted_nodes_never_offer(self):
+        graph = nx.path_graph(4)
+        offsets, indices, _nodes = nx_to_csr(graph)
+        live = np.array([True, True, False, True])
+        radii = np.array([3, 0, 5, -2], dtype=np.int64)
+        m1, center, m2, rounds, _messages = top_two_flood(
+            offsets, indices, live, radii)
+        # Node 2 is dead: it neither offers nor relays, so 3 is unreached.
+        assert m1.tolist() == [3, 2, -1, -1]
+        assert center.tolist() == [0, 0, -1, -1]
+        assert m2.tolist() == [0, 0, 0, 0]
+        # 0 -> 1, then 1 echoes value 1 back; 0's pairs do not change.
+        assert rounds == 2
+
+    @pytest.mark.parametrize("name,graph", list(family_graphs(40, seed=6)))
+    def test_measured_rounds_within_accounted(self, name, graph):
+        phases, cap = 6, 5
+        _d, report, extra = elkin_neiman(
+            graph, IndependentSource(seed=21), phases=phases, cap=cap,
+            finish="singletons")
+        assert report.rounds == phases * (cap + 2)
+        assert 0 < extra["rounds_measured"] <= phases * (cap + 2), name
+        directed_edges = 2 * graph.nx.number_of_edges()
+        assert extra["messages"] <= extra["rounds_measured"] * directed_edges
+
+
+class TestRandomnessPinned:
+    """Exact metered bits for the three kinds of source EN draws from."""
+
+    def test_independent(self):
+        g = assign(make("gnp-sparse", 64, seed=3), "random", seed=3)
+        _d, report, extra = elkin_neiman(g, IndependentSource(seed=4),
+                                         finish="singletons")
+        assert report.randomness_bits == 357
+        assert (extra["rounds_measured"], extra["messages"]) == (46, 764)
+
+    def test_kwise(self):
+        g = assign(make("gnp-sparse", 64, seed=3), "random", seed=3)
+        _d, report, _e = kwise_decomposition(g, k=8, seed=5, strict=False)
+        assert report.randomness_bits == 245
+
+    def test_pooled(self):
+        g = assign(make("grid", 144, seed=1), "random", seed=1)
+        _d, report, extra = sparse_bits_decomposition(
+            g, SparseRandomness.for_graph(g, h=1, seed=2), spacing=12,
+            strict=False)
+        assert report.randomness_bits == extra["pool_bits_used"] == 14
+        assert extra["pool_exhaustions"] == 0

@@ -1,9 +1,8 @@
-"""Engine primitives and the message-passing Elkin–Neiman program."""
+"""Engine primitives, and Elkin–Neiman's measured rounds and messages."""
 
 import pytest
 
 from repro.core.decomposition import elkin_neiman
-from repro.core.decomposition.en_program import en_engine_decomposition
 from repro.errors import ConfigurationError
 from repro.randomness import IndependentSource
 from repro.sim import CONGEST, SyncEngine
@@ -93,41 +92,56 @@ class TestConvergecast:
 
 
 class TestENEngineProgram:
+    """Elkin–Neiman's measured flood against its accounted rounds."""
+
     def test_valid_on_families(self):
         for name, g in family_graphs(36, seed=9):
-            dec, result = en_engine_decomposition(
-                g, IndependentSource(seed=13), strict=False)
+            dec, report, extra = elkin_neiman(
+                g, IndependentSource(seed=13), finish="singletons")
             assert dec.violations(g) == [], name
+            assert extra["rounds_measured"] <= report.rounds, name
 
     def test_congest_messages_within_limit(self, gnp60):
-        _dec, result = en_engine_decomposition(
-            gnp60, IndependentSource(seed=14), strict=False)
-        assert result.report.max_message_bits <= congest_limit(gnp60.n)
+        _dec, _report, extra = elkin_neiman(
+            gnp60, IndependentSource(seed=14), finish="singletons")
+        # A message is at most one per directed edge per round ...
+        directed_edges = 2 * gnp60.nx.number_of_edges()
+        assert 0 < extra["messages"] <= extra["rounds_measured"] * directed_edges
+        # ... and carries two (value <= cap, center < n) pairs.
+        pair_bits = extra["cap"].bit_length() + gnp60.n.bit_length()
+        assert 2 * pair_bits <= congest_limit(gnp60.n)
 
     def test_measured_rounds_match_structure(self, cycle12):
         phases, cap = 6, 5
-        _dec, result = en_engine_decomposition(
+        _dec, report, extra = elkin_neiman(
             cycle12, IndependentSource(seed=15), phases=phases, cap=cap,
-            strict=False)
-        assert result.report.rounds <= phases * (cap + 2) + 1
+            finish="singletons")
+        assert report.accounted and report.rounds == phases * (cap + 2)
+        # Every phase that ran spends its draw and decision rounds.
+        assert 2 <= extra["rounds_measured"] <= phases * (cap + 2)
 
     def test_agrees_with_orchestrated_invariants(self, gnp60):
-        """Engine and orchestrated EN satisfy the same bounds."""
+        """Strict and singleton finishes share one flood and its bounds."""
         phases, cap = 30, 10
-        dec_e, _res = en_engine_decomposition(
-            gnp60, IndependentSource(seed=16), phases=phases, cap=cap,
-            strict=False)
-        dec_o, _r, _e = elkin_neiman(
+        dec_s, _r, extra_s = elkin_neiman(
             gnp60, IndependentSource(seed=16), phases=phases, cap=cap,
             finish="singletons")
-        for dec in (dec_e, dec_o):
-            assert dec.is_valid(gnp60)
-            assert dec.num_colors() <= phases + gnp60.n
-            assert dec.max_strong_diameter(gnp60) <= 2 * cap
+        _dec, _r, extra_t = elkin_neiman(
+            gnp60, IndependentSource(seed=16), phases=phases, cap=cap,
+            finish="strict")
+        for key in ("assignment", "unclustered", "rounds_measured", "messages"):
+            assert extra_s[key] == extra_t[key], key
+        assert dec_s.is_valid(gnp60)
+        assert dec_s.num_colors() <= phases + gnp60.n
+        assert dec_s.max_strong_diameter(gnp60) <= 2 * cap
 
     def test_strict_mode(self, cycle12):
-        dec, result = en_engine_decomposition(
+        dec, _report, extra = elkin_neiman(
             cycle12, IndependentSource(seed=17), phases=1, cap=1,
-            strict=True)
-        if result.extra["unclustered"]:
-            assert dec is None
+            finish="strict")
+        # cap=1 makes every shift 1: one flood round tells each node's two
+        # neighbors "0", and m1 - m2 = 1 - 0 is no gap, so nobody joins.
+        assert extra["rounds_measured"] == 1 + 2
+        assert extra["messages"] == 2 * cycle12.n
+        assert extra["unclustered"] == set(cycle12.nodes())
+        assert dec is None
