@@ -8,14 +8,21 @@ it. This is exactly the argument behind the paper's 2^(-n²) threshold
 (there the family is all labeled n-node graphs).
 
     python examples/derandomize_splitting.py
+
+The search evaluates every seed at once with the bitmask kernel
+``splits_under_codes``; the script then replays the good seed through
+the plain per-node coloring and asserts it splits every instance.
 """
+
+import functools
 
 from repro.core.derandomization import (
     exhaustive_derandomize,
     family_size_bound,
     seeds_to_failure_curve,
 )
-from repro.core.splitting import random_instance
+from repro.core.splitting import random_instance, splits_under_codes
+from repro.randomness import SharedRandomness
 
 
 def main() -> None:
@@ -25,14 +32,8 @@ def main() -> None:
     print(f"family: {len(family)} splitting instances; "
           f"seed space: 2^{seed_bits} = {1 << seed_bits} seeds")
 
-    def run(instance, shared) -> bool:
-        coloring = {
-            x: shared.global_bit(x % shared.seed_bits)
-            for x in instance.v_side
-        }
-        return instance.is_satisfied(coloring)
-
-    result = exhaustive_derandomize(run, family, seed_bits)
+    run_all = functools.partial(splits_under_codes, seed_bits=seed_bits)
+    result = exhaustive_derandomize(run_all, family, seed_bits)
     curve = seeds_to_failure_curve(result)
     print(f"randomized error probability (measured): "
           f"{result.empirical_error:.3f} "
@@ -41,6 +42,15 @@ def main() -> None:
     print(f"good seed found: {''.join(map(str, result.good_seed))}")
     print("=> hard-wiring this seed IS a deterministic algorithm "
           "for every instance in the family")
+
+    # Replay: the zero-round algorithm, V-node x outputting public bit
+    # x % b of the hard-wired string, splits every instance.
+    shared = SharedRandomness(seed_bits, explicit_bits=result.good_seed)
+    for instance in family:
+        coloring = {x: shared.global_bit(x % seed_bits)
+                    for x in instance.v_side}
+        assert instance.is_satisfied(coloring), "good seed fails to split"
+    print(f"replayed the good seed on all {len(family)} instances: split")
 
     # The paper-scale version of the same numerology: how small must the
     # error be to cover ALL graphs on n nodes? (Lemma 4.1's 2^(-n^2).)

@@ -43,6 +43,7 @@ experiments kind), and :func:`run_all` is now a thin wrapper over it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -59,6 +60,7 @@ from ..core import (
     randomized_orientation,
     seeds_to_failure_curve,
     split,
+    splits_under_codes,
     trial_coloring,
 )
 from ..core.decomposition import (
@@ -70,7 +72,11 @@ from ..core.decomposition import (
     sparse_bits_decomposition,
     sparse_bits_strong_decomposition,
 )
-from ..errors import ConfigurationError, DerandomizationFailure
+from ..errors import (
+    ConfigurationError,
+    DerandomizationFailure,
+    InvalidSolution,
+)
 from ..graphs import assign, make, random_regular
 from ..randomness import IndependentSource, SparseRandomness
 from ..scenarios import (
@@ -511,17 +517,20 @@ def e06_shattering(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 # E7 — Lemma 4.1: exhaustive-seed derandomization
 # ----------------------------------------------------------------------
-def _splits_on_public_string(inst, shared) -> bool:
-    """Color V-node x by public bit ``x % seed_bits``; is ``inst`` split?
+def _check_lemma41(row: Dict[str, object],
+                   per_seed_failures: List[int]) -> None:
+    """Assert Lemma 4.1's averaging step on one searched E7 row.
 
-    One block read of the public string. ``random_instance`` makes
-    ``v_side == range(num_v)``, so ``x % seed_bits`` touches exactly the
-    bits ``[0, min(len(v_side), seed_bits))`` read here, and the ledger
-    matches a per-bit ``global_bit`` walk.
+    The mean failure count per seed is ``empirical error * |F|``; below
+    one, some seed fails on no instance. So a row whose error is under
+    1/|F| must be derandomized, and its good seeds are exactly the
+    seeds with zero failures.
     """
-    public = shared.global_bits(min(len(inst.v_side), shared.seed_bits))
-    coloring = {x: public[x % shared.seed_bits] for x in inst.v_side}
-    return inst.is_satisfied(coloring)
+    if (row["good seeds"] != per_seed_failures.count(0)
+            or (row["empirical error"] < row["error threshold 1/|F|"]
+                and not row["derandomized"])):
+        raise InvalidSolution(
+            f"E7 row contradicts Lemma 4.1's averaging step: {row}")
 
 
 def e07_derandomize(quick: bool = False, seed: int = 0,
@@ -540,17 +549,8 @@ def e07_derandomize(quick: bool = False, seed: int = 0,
         ]
         try:
             result = exhaustive_derandomize(
-                _splits_on_public_string, instances, seed_bits)
-            curve = seeds_to_failure_curve(result)
-            rows.append({
-                "family size": family_size,
-                "seed bits": seed_bits,
-                "derandomized": True,
-                "good seeds": curve.get(0, 0),
-                "of seeds": result.seeds_tried,
-                "empirical error": result.empirical_error,
-                "error threshold 1/|F|": 1.0 / family_size,
-            })
+                functools.partial(splits_under_codes, seed_bits=seed_bits),
+                instances, seed_bits)
         except DerandomizationFailure:
             rows.append({
                 "family size": family_size,
@@ -561,6 +561,18 @@ def e07_derandomize(quick: bool = False, seed: int = 0,
                 "empirical error": "-",
                 "error threshold 1/|F|": 1.0 / family_size,
             })
+            continue
+        good = seeds_to_failure_curve(result).get(0, 0)
+        rows.append({
+            "family size": family_size,
+            "seed bits": seed_bits,
+            "derandomized": good > 0,
+            "good seeds": good,
+            "of seeds": result.seeds_tried,
+            "empirical error": result.empirical_error,
+            "error threshold 1/|F|": 1.0 / family_size,
+        })
+        _check_lemma41(rows[-1], result.per_seed_failures)
     return Table(
         title="E7 (Lemma 4.1): derandomization by seed enumeration",
         rows=rows,

@@ -54,6 +54,7 @@ from .splitting import (
     shared_neighborhood_instance,
     split,
     split_with_source,
+    splits_under_codes,
 )
 
 __all__ = [
@@ -97,6 +98,7 @@ __all__ = [
     "slocal_greedy_mis",
     "split",
     "split_with_source",
+    "splits_under_codes",
     "theorem43_deterministic_time",
     "theorem46_N",
     "verify_ruling_set",

@@ -26,8 +26,9 @@ import dataclasses
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError, DerandomizationFailure
-from ..randomness.shared import SharedRandomness
 from ..sim.graph import DistributedGraph
 from ..sim.metrics import RunReport
 
@@ -44,21 +45,42 @@ class DerandomizationResult:
 
     @property
     def empirical_error(self) -> float:
-        """Average failure probability of the randomized algorithm."""
+        """Average failure probability of the randomized algorithm.
+
+        Exact only for a full search. Under ``stop_early`` each entry
+        of ``per_seed_failures`` is a 0/1 flag (the seed failed on some
+        instance) and the search stops at the first good seed, so this
+        is a lower bound.
+        """
         total = self.seeds_tried * self.instances
         return sum(self.per_seed_failures) / total if total else 0.0
 
 
+#: Seeds evaluated per predicate call; bounds the search's temporaries
+#: for every allowed ``seed_bits``.
+SEED_CHUNK = 1 << 16
+
+
 def exhaustive_derandomize(
-    run: Callable[[object, SharedRandomness], bool],
+    run_all: Callable[[object, np.ndarray], np.ndarray],
     instances: Sequence[object],
     seed_bits: int,
     stop_early: bool = False,
 ) -> DerandomizationResult:
-    """Find a shared seed on which ``run`` succeeds for every instance.
+    """Find a shared seed on which the algorithm succeeds for every instance.
 
-    ``run(instance, shared) -> bool`` must be deterministic given the
-    shared string (the w.l.o.g. normal form of the Lemma 4.1 proof).
+    ``run_all(instance, codes) -> bool[k]`` evaluates the algorithm on
+    one instance under ``k`` shared strings at once: bit ``i`` of
+    ``codes[j]`` (an ``int64``) is public bit ``i`` of the ``j``-th
+    string. It must be deterministic given the shared string (the
+    w.l.o.g. normal form of the Lemma 4.1 proof). Seeds are tried in
+    code order ``0 .. 2^b - 1``, in chunks of :data:`SEED_CHUNK`.
+
+    ``per_seed_failures[code]`` counts the instances that seed fails.
+    With ``stop_early`` it is a 0/1 flag per seed instead, and the
+    search stops at the first good seed, so ``seeds_tried`` and the
+    list end there and ``empirical_error`` is only a lower bound.
+
     Raises :class:`DerandomizationFailure` if every seed fails somewhere
     — i.e. if the algorithm's error probability is >= 1/|instances| and
     the lemma's premise does not hold for this family.
@@ -69,31 +91,36 @@ def exhaustive_derandomize(
         )
     if not instances:
         raise ConfigurationError("at least one instance is required")
-    per_seed_failures: List[int] = []
-    good: Optional[List[int]] = None
-    tried = 0
-    for shared in SharedRandomness.enumerate_all(seed_bits):
-        tried += 1
-        failures = 0
+    space = 1 << seed_bits
+    failures = np.zeros(space, dtype=np.int64)
+    good: Optional[int] = None
+    tried = space
+    for start in range(0, space, SEED_CHUNK):
+        codes = np.arange(start, min(start + SEED_CHUNK, space),
+                          dtype=np.int64)
+        counts = failures[start:start + codes.size]
         for instance in instances:
-            if not run(instance, shared):
-                failures += 1
+            counts += ~np.asarray(run_all(instance, codes), dtype=bool)
+        if stop_early:
+            np.minimum(counts, 1, out=counts)
+        if good is None:
+            zero = np.flatnonzero(counts == 0)
+            if zero.size:
+                good = start + int(zero[0])
                 if stop_early:
+                    tried = good + 1
                     break
-        per_seed_failures.append(failures)
-        if failures == 0 and good is None:
-            good = shared.global_bits(seed_bits)
-            if stop_early:
-                break
     if good is None:
         raise DerandomizationFailure(
             f"no seed of {seed_bits} bits succeeds on all "
             f"{len(instances)} instances; best seed fails "
-            f"{min(per_seed_failures)} of them"
+            f"{int(failures.min())} of them"
         )
     return DerandomizationResult(
-        seed_bits=seed_bits, good_seed=good, seeds_tried=tried,
-        per_seed_failures=per_seed_failures, instances=len(instances))
+        seed_bits=seed_bits,
+        good_seed=[(good >> i) & 1 for i in range(seed_bits)],
+        seeds_tried=tried, per_seed_failures=failures[:tried].tolist(),
+        instances=len(instances))
 
 
 def lie_about_n(

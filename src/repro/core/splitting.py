@@ -24,6 +24,8 @@ import math
 import random
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..randomness.epsilon_biased import EpsilonBiasedSource
 from ..randomness.independent import IndependentSource
@@ -89,6 +91,26 @@ def split_with_source(instance: SplittingInstance,
         notes=["zero-round splitting: each V-node outputs its own bit"],
     )
     return coloring, report
+
+
+def splits_under_codes(instance: SplittingInstance, codes: np.ndarray,
+                       seed_bits: int) -> np.ndarray:
+    """Is ``instance`` split when V-node x takes public bit ``x % seed_bits``?
+
+    One verdict per shared string: bit ``i`` of ``codes[j]`` is public
+    bit ``i`` of the ``j``-th string (the :func:`exhaustive_derandomize`
+    contract). U-node u sees the bits in ``mask_u``, the OR of
+    ``1 << (x % seed_bits)`` over its V-neighbors, so it sees both
+    colors iff ``codes & mask_u`` is neither 0 nor ``mask_u``. Only the
+    bits ``{x % seed_bits : x in V}`` are read — for ``V = range(|V|)``,
+    the first ``min(|V|, seed_bits)``.
+    """
+    masks = np.zeros(len(instance.u_side), dtype=np.int64)
+    for i, u in enumerate(instance.u_side):
+        for x in instance.adjacency[u]:
+            masks[i] |= 1 << (x % seed_bits)
+    seen = np.asarray(codes, dtype=np.int64)[:, None] & masks
+    return ((seen != 0) & (seen != masks)).all(axis=1)
 
 
 def make_source(regime: str, instance: SplittingInstance, seed: int = 0,

@@ -1,11 +1,16 @@
 """Sinkless orientation and the Lemma 4.1 / Theorem 4.3 machinery."""
 
+import functools
 import math
 
+import numpy as np
 import pytest
+from helpers import per_seed_oracle
 
-from repro.analysis.experiments import _splits_on_public_string
+from repro.analysis import experiments
 from repro.core.derandomization import (
+    SEED_CHUNK,
+    DerandomizationResult,
     exhaustive_derandomize,
     family_size_bound,
     lemma41_error_threshold,
@@ -20,10 +25,42 @@ from repro.core.sinkless import (
     randomized_orientation,
     sinks,
 )
-from repro.core.splitting import random_instance
-from repro.errors import ConfigurationError, DerandomizationFailure
+from repro.core.splitting import random_instance, splits_under_codes
+from repro.errors import (
+    ConfigurationError,
+    DerandomizationFailure,
+    InvalidSolution,
+)
 from repro.graphs import assign, complete_tree, random_regular
 from repro.randomness import IndependentSource, SharedRandomness
+
+
+def splits_on_public_string(inst, shared) -> bool:
+    """E7's scalar predicate: one block read of the public string, V-node
+    x colored by public bit ``x % seed_bits`` (the oracle for
+    :func:`splits_under_codes`)."""
+    public = shared.global_bits(min(len(inst.v_side), shared.seed_bits))
+    coloring = {x: public[x % shared.seed_bits] for x in inst.v_side}
+    return inst.is_satisfied(coloring)
+
+
+def kernel(seed_bits):
+    return functools.partial(splits_under_codes, seed_bits=seed_bits)
+
+
+def e7_family(family_size):
+    """The instances E7 (seed 0) enumerates seeds over for one family size."""
+    return [random_instance(12, 24, 8, seed=101 * i)
+            for i in range(family_size)]
+
+
+@functools.lru_cache(maxsize=None)
+def e7_oracle_verdicts(family_size, seed_bits):
+    """bool[|F|, 2^b]: the scalar predicate on every E7 instance and seed,
+    computed once per family and shared by both ``stop_early`` cases."""
+    run_all = per_seed_oracle(splits_on_public_string, seed_bits)
+    codes = np.arange(1 << seed_bits, dtype=np.int64)
+    return np.array([run_all(inst, codes) for inst in e7_family(family_size)])
 
 
 class TestSinkless:
@@ -99,7 +136,8 @@ class TestExhaustiveDerandomization:
 
     def test_finds_good_seed(self):
         instances = [random_instance(8, 16, 8, seed=s) for s in range(5)]
-        result = exhaustive_derandomize(self._run, instances, seed_bits=8)
+        result = exhaustive_derandomize(
+            per_seed_oracle(self._run, 8), instances, seed_bits=8)
         assert len(result.good_seed) == 8
         assert result.instances == 5
         # Replaying the good seed must succeed everywhere.
@@ -110,33 +148,87 @@ class TestExhaustiveDerandomization:
         # With 1 shared bit, all of V gets one color: guaranteed failure.
         instances = [random_instance(4, 8, 4, seed=s) for s in range(3)]
         with pytest.raises(DerandomizationFailure):
-            exhaustive_derandomize(self._run, instances, seed_bits=1)
+            exhaustive_derandomize(
+                per_seed_oracle(self._run, 1), instances, seed_bits=1)
+
+    @pytest.mark.parametrize("stop_early", [False, True])
+    def test_failure_message(self, stop_early):
+        instances = [random_instance(4, 8, 4, seed=s) for s in range(3)]
+        worst = 1 if stop_early else 3
+        messages = []
+        for run_all in (kernel(1), per_seed_oracle(self._run, 1)):
+            with pytest.raises(DerandomizationFailure) as info:
+                exhaustive_derandomize(run_all, instances, seed_bits=1,
+                                       stop_early=stop_early)
+            messages.append(str(info.value))
+        assert messages == [
+            "no seed of 1 bits succeeds on all 3 instances; "
+            f"best seed fails {worst} of them"] * 2
 
     def test_failure_curve(self):
         instances = [random_instance(8, 16, 8, seed=s) for s in range(4)]
-        result = exhaustive_derandomize(self._run, instances, seed_bits=6)
+        result = exhaustive_derandomize(
+            per_seed_oracle(self._run, 6), instances, seed_bits=6)
         curve = seeds_to_failure_curve(result)
         assert sum(curve.values()) == 64
         assert curve.get(0, 0) >= 1
 
     def test_stop_early(self):
         instances = [random_instance(8, 16, 8, seed=s) for s in range(3)]
-        result = exhaustive_derandomize(self._run, instances, seed_bits=8,
-                                        stop_early=True)
+        result = exhaustive_derandomize(
+            per_seed_oracle(self._run, 8), instances, seed_bits=8,
+            stop_early=True)
         assert result.seeds_tried <= 256
+        assert result.per_seed_failures[-1] == 0
+        assert set(result.per_seed_failures[:-1]) <= {1}
 
     def test_validates_parameters(self):
+        run_all = per_seed_oracle(self._run, 4)
         with pytest.raises(ConfigurationError):
-            exhaustive_derandomize(self._run, [], seed_bits=4)
+            exhaustive_derandomize(run_all, [], seed_bits=4)
         with pytest.raises(ConfigurationError):
             exhaustive_derandomize(
-                self._run, [random_instance(4, 8, 4, seed=1)], seed_bits=30)
+                run_all, [random_instance(4, 8, 4, seed=1)], seed_bits=30)
+
+    def test_crosses_seed_chunks(self):
+        """b = 17 spans two chunks: the counts stitch together exactly."""
+        seed_bits = 17
+        assert 1 << seed_bits > SEED_CHUNK
+        instances = [random_instance(3, 20, 4, seed=s) for s in range(2)]
+        codes = np.arange(1 << seed_bits, dtype=np.int64)
+        expected = sum((~splits_under_codes(inst, codes, seed_bits)).astype(int)
+                       for inst in instances)
+        result = exhaustive_derandomize(kernel(seed_bits), instances,
+                                        seed_bits)
+        assert result.per_seed_failures == expected.tolist()
+        assert result.seeds_tried == 1 << seed_bits
+        first = int(np.flatnonzero(expected == 0)[0])
+        assert result.good_seed == [(first >> i) & 1 for i in range(seed_bits)]
+
+    @pytest.mark.parametrize("stop_early", [False, True])
+    def test_good_seed_past_first_chunk(self, stop_early):
+        # Instance t fails every code below t, so the first good seed
+        # is max(t) = 70000, in the second chunk.
+        def run_all(t, codes):
+            return codes >= t
+
+        result = exhaustive_derandomize(run_all, [70000, 65536], 17,
+                                        stop_early=stop_early)
+        assert result.good_seed == [(70000 >> i) & 1 for i in range(17)]
+        if stop_early:
+            assert result.seeds_tried == 70001
+            assert result.per_seed_failures == [1] * 70000 + [0]
+        else:
+            assert result.seeds_tried == 1 << 17
+            assert result.per_seed_failures == (
+                [2] * 65536 + [1] * (70000 - 65536)
+                + [0] * ((1 << 17) - 70000))
 
 
 class TestE7BlockRead:
-    """E7's one-block read of the public string against the per-bit walk."""
+    """E7's bitmask kernel against the scalar per-seed predicates."""
 
-    # E7's closure before its block read: one global_bit per V-node.
+    # The per-bit walk: one global_bit per V-node.
     _per_bit = staticmethod(TestExhaustiveDerandomization._run)
 
     # (num_u, num_v, degree, seed_bits): more V-nodes than seed bits,
@@ -147,10 +239,10 @@ class TestE7BlockRead:
     def test_same_search_result(self, num_u, num_v, degree, seed_bits):
         instances = [random_instance(num_u, num_v, degree, seed=s)
                      for s in range(4)]
-        block = exhaustive_derandomize(
-            _splits_on_public_string, instances, seed_bits)
+        block = exhaustive_derandomize(kernel(seed_bits), instances,
+                                       seed_bits)
         reference = exhaustive_derandomize(
-            self._per_bit, instances, seed_bits)
+            per_seed_oracle(self._per_bit, seed_bits), instances, seed_bits)
         assert block.per_seed_failures == reference.per_seed_failures
         assert block.good_seed == reference.good_seed
         assert block.seeds_tried == reference.seeds_tried
@@ -158,17 +250,66 @@ class TestE7BlockRead:
     @pytest.mark.parametrize("num_u,num_v,degree,seed_bits", SHAPES)
     @pytest.mark.parametrize("pattern", [0, 1, 0b1011001110, 0x2AA])
     def test_same_ledger(self, num_u, num_v, degree, seed_bits, pattern):
+        """The scalar paths meter exactly min(|V|, b) public bits, and
+        the kernel reads no code bit at or above that index."""
         instances = [random_instance(num_u, num_v, degree, seed=s)
                      for s in range(3)]
-        bits = [(pattern >> i) & 1 for i in range(seed_bits)]
+        code = pattern & ((1 << seed_bits) - 1)
+        bits = [(code >> i) & 1 for i in range(seed_bits)]
         meters = []
-        for run in (_splits_on_public_string, self._per_bit):
+        for run in (splits_on_public_string, self._per_bit):
             shared = SharedRandomness(seed_bits, explicit_bits=bits)
             verdicts = [run(inst, shared) for inst in instances]
             meters.append((verdicts, shared.bits_consumed,
                            shared.bits_consumed_by("__shared__")))
         assert meters[0] == meters[1]
-        assert meters[0][1] == min(num_v, seed_bits)
+        metered = min(num_v, seed_bits)
+        assert meters[0][1] == metered
+        flipped = np.array([code] + [code ^ (1 << i)
+                                     for i in range(metered, 24)])
+        for inst, verdict in zip(instances, meters[0][0]):
+            assert splits_under_codes(inst, flipped, seed_bits).tolist() == \
+                [verdict] * flipped.size
+
+    @pytest.mark.parametrize("stop_early", [False, True])
+    @pytest.mark.parametrize("seed_bits", [10, 12])
+    @pytest.mark.parametrize("family_size", [4, 16, 64])
+    def test_e7_families_match_oracle(self, family_size, seed_bits,
+                                      stop_early):
+        block = exhaustive_derandomize(kernel(seed_bits),
+                                       e7_family(family_size), seed_bits,
+                                       stop_early=stop_early)
+        verdicts = e7_oracle_verdicts(family_size, seed_bits)
+        reference = exhaustive_derandomize(
+            lambda i, codes: verdicts[i][codes], range(family_size),
+            seed_bits, stop_early=stop_early)
+        assert block.per_seed_failures == reference.per_seed_failures
+        assert block.good_seed == reference.good_seed
+        assert block.seeds_tried == reference.seeds_tried
+
+
+class TestE7Lemma41:
+    """E7 asserts Lemma 4.1's averaging step on every row it prints."""
+
+    def test_rows_satisfy_averaging_step(self):
+        table = experiments.e07_derandomize(quick=True)
+        for row in table.rows:
+            assert row["derandomized"] is True
+            assert row["good seeds"] >= 1
+
+    def test_doctored_result_raises(self, monkeypatch):
+        # Error 1/(2|F|) < 1/|F| with no seed failing nowhere: averaging
+        # says this cannot happen, so E7 must refuse to print the row.
+        def doctored(run_all, instances, seed_bits, stop_early=False):
+            space = 1 << seed_bits
+            return DerandomizationResult(
+                seed_bits=seed_bits, good_seed=[0] * seed_bits,
+                seeds_tried=space, per_seed_failures=[1] * space,
+                instances=2 * len(instances))
+
+        monkeypatch.setattr(experiments, "exhaustive_derandomize", doctored)
+        with pytest.raises(InvalidSolution, match="Lemma 4.1"):
+            experiments.e07_derandomize(quick=True)
 
 
 class TestLieAboutN:
