@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from .block import BlockStream, derive_key
+from .block import BLOCK_BITS, BlockStream, derive_key
 from .source import RandomSource
 
 
@@ -80,13 +80,31 @@ class IndependentSource(RandomSource):
         self._check_index(node, start)
         return self._stream(node).read(start, count)
 
+    def _raw_blocks(self, nodes: Sequence[object], start: int,
+                    count: int) -> np.ndarray:
+        """Every node's bits ``[start, start + count)``: the digests of
+        the blocks under the range, read through :meth:`_digest_blocks`
+        (so the block cache sees every block) and unpacked in one call.
+        A negative ``start`` goes through the per-node base path, which
+        names the first node."""
+        if start < 0:
+            return super()._raw_blocks(nodes, start, count)
+        first = start // BLOCK_BITS
+        covered = range(first, (start + count - 1) // BLOCK_BITS + 1)
+        rows = np.hstack([self._digest_blocks(nodes, np.full(len(nodes), b))
+                          for b in covered])
+        lo = start - first * BLOCK_BITS
+        bits = np.unpackbits(rows[:, lo >> 3:(lo + count + 7) >> 3], axis=1,
+                             bitorder="little")
+        return bits[:, (lo & 7):(lo & 7) + count]
+
     def _digest_blocks(self, nodes: Sequence[object],
                        block_indices: np.ndarray) -> np.ndarray:
         """Raw PRF block ``block_indices[i]`` of ``nodes[i]``'s stream, for
         every ``i``, as the rows of a ``uint8[len(nodes), 64]`` matrix.
 
         The hook behind :meth:`RandomSource.uniform_int_each`'s one-pass
-        path; indices must be non-negative.
+        path and :meth:`_raw_blocks`; indices must be non-negative.
         """
         stream = self._stream
         data = b"".join([stream(v).block(b)

@@ -113,6 +113,24 @@ class KWiseSource(RandomSource):
             return super()._raw_block(node, start, count)
         return (values & 1).astype(np.uint8)
 
+    def _raw_blocks(self, nodes: Sequence[object], start: int,
+                    count: int) -> np.ndarray:
+        """Every node's bits ``[start, start + count)`` from one
+        :meth:`GF2m.eval_poly_vec` call over all ``len(nodes) * count``
+        points. Out-of-range nodes or indices, and fields without log
+        tables (m > 16), go through the per-node base path, which raises
+        each node's own range error."""
+        node_ids = np.array([int(v) for v in nodes], dtype=np.int64)
+        in_range = start >= 0 and start + count <= self.bits_per_node \
+            and bool(np.all((node_ids >= 0) & (node_ids < self.num_nodes)))
+        if in_range:
+            points = (node_ids * self.bits_per_node + start)[:, None] \
+                + np.arange(count, dtype=np.int64)
+            values = self.field.eval_poly_vec(self._coeffs, points.ravel())
+            if values is not None:
+                return (values & 1).astype(np.uint8).reshape(len(nodes), count)
+        return super()._raw_blocks(nodes, start, count)
+
     def _stream_limit(self, node: object) -> Optional[int]:
         return self.bits_per_node
 

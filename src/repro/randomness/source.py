@@ -17,13 +17,16 @@ any length costs O(1) amortized ledger work instead of one dict entry
 per bit; the reported counts are identical to per-bit bookkeeping.
 
 Subclasses implement :meth:`_raw_bit` (one bit) and, for speed, override
-:meth:`_raw_block` (a contiguous run of bits as a numpy array); PRF-backed
-sources also expose their raw 512-bit blocks through ``_digest_blocks``.
-The public bulk readers (:meth:`bits_block`, :meth:`uniform_ints`,
-:meth:`uniform_int_each`, :meth:`geometrics`) let hot algorithms draw a
-whole round's randomness in one call while consuming *exactly* the bits
-the per-call samplers would; :meth:`uniform_int_each` draws every node's
-value in one vectorized pass over a matrix of those blocks.
+:meth:`_raw_block` (a contiguous run of one node's bits as a numpy array)
+and :meth:`_raw_blocks` (the same run for many nodes at once, as the
+rows of one matrix); PRF-backed sources also expose their raw 512-bit
+blocks through ``_digest_blocks``. The public bulk readers
+(:meth:`bits_block`, :meth:`uniform_ints`, :meth:`uniform_int_each`,
+:meth:`geometrics`) let hot algorithms draw a whole round's randomness
+in one call while consuming *exactly* the bits the per-call samplers
+would; :meth:`uniform_int_each` and :meth:`geometrics` draw every node's
+value in one vectorized pass over a matrix of those bits, and only the
+ledger update stays per node.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ class RandomSource(abc.ABC):
         """``count`` consecutive raw bits from ``start`` as a uint8 array.
 
         Unmetered. The default loops :meth:`_raw_bit`; sources with a
-        vectorizable derivation override this — it is the single hook the
-        whole fast path rests on.
+        vectorizable derivation override this, and every single-node bulk
+        reader (:meth:`bits_block`, :meth:`uniform_ints`,
+        :meth:`geometric`) generates through it.
         """
         out = np.empty(count, dtype=np.uint8)
         for i in range(count):
@@ -89,6 +93,21 @@ class RandomSource(abc.ABC):
                 raise ConfigurationError(
                     f"_raw_bit returned non-bit value {value!r}")
             out[i] = value
+        return out
+
+    def _raw_blocks(self, nodes: Sequence[object], start: int,
+                    count: int) -> np.ndarray:
+        """Bits ``[start, start + count)`` of every node's stream, as the
+        rows of a ``uint8[len(nodes), count]`` matrix.
+
+        Unmetered. The default stacks :meth:`_raw_block` one node at a
+        time, so every source supports it; sources whose derivation
+        vectorizes across nodes override it. The hook behind
+        :meth:`geometrics`.
+        """
+        out = np.empty((len(nodes), count), dtype=np.uint8)
+        for i, node in enumerate(nodes):
+            out[i] = self._raw_block(node, start, count)
         return out
 
     def _stream_limit(self, node: object) -> Optional[int]:
@@ -439,30 +458,59 @@ class RandomSource(abc.ABC):
         The bulk form of :meth:`geometric` for phase-structured
         algorithms (Elkin–Neiman shifts: every live node draws from its
         own stream's block ``[offset, offset + cap)``). Returns
-        ``(values, bits_used)`` arrays aligned with ``nodes``; values and
-        metering match per-node :meth:`geometric` calls exactly, with
-        the argument validation and dispatch hoisted out of the loop
-        (each node still needs its own PRF block and ledger entry, so
-        the per-node work is O(1) block operations, not per-bit ones).
+        ``(values, bits_used)`` arrays aligned with ``nodes``; values,
+        metering and errors match per-node :meth:`geometric` calls
+        exactly.
+
+        Every node's block comes from one :meth:`_raw_blocks` call, and
+        each draw is the first zero of its row (one ``argmax``). Only
+        the ledger update stays per node, in node order: one
+        ``IntervalSet.add`` per node, or :meth:`_consume` under a bit
+        budget so exhaustion raises at the same node with the same
+        served prefix. A node whose bounded stream ends before
+        ``offset + cap`` keeps its :meth:`geometric` call at its place
+        in that order. If generation raises, nothing is metered yet and
+        the per-node calls are replayed, so the error and the partial
+        ledger are theirs.
         """
         if cap < 1:
             raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        # A Geometric(1/2) value is the number of flips it read, so
+        # ``values`` doubles as ``bits_used``.
         values = np.empty(len(nodes), dtype=np.int64)
-        used = np.empty(len(nodes), dtype=np.int64)
-        raw_block = self._raw_block
-        consume = self._consume
-        for i, node in enumerate(nodes):
-            limit = self._stream_limit(node)
-            if limit is not None and offset + cap > limit:
-                values[i], used[i] = self.geometric(node, cap, offset)
+        short = [limit is not None and offset + cap > limit
+                 for limit in map(self._stream_limit, nodes)]
+        fast = [node for node, slow in zip(nodes, short) if not slow]
+        try:
+            raw = self._raw_blocks(fast, offset, cap)
+        except Exception:
+            # Any generation error (a range error, a node that is not an
+            # integer, ...): nothing is metered yet, so replay per node
+            # for their error and their partial ledger.
+            for i, node in enumerate(nodes):
+                values[i], _ = self.geometric(node, cap, offset)
+            return values, values.copy()
+        zero = raw == 0
+        first = zero.argmax(axis=1)
+        steps = np.where(zero[np.arange(len(fast)), first], first + 1, cap)
+        values[~np.array(short, dtype=bool)] = steps
+
+        ledgers = self._ledgers
+        budget = self._bit_budget
+        drawn = iter(steps.tolist())
+        for i, (node, slow) in enumerate(zip(nodes, short)):
+            if slow:
+                values[i], _ = self.geometric(node, cap, offset)
                 continue
-            raw = raw_block(node, offset, cap)
-            zeros = np.flatnonzero(raw == 0)
-            step = int(zeros[0]) + 1 if zeros.size else cap
-            consume(node, offset, offset + step)
-            values[i] = step if zeros.size else cap
-            used[i] = step
-        return values, used
+            end = offset + next(drawn)
+            if budget is not None:
+                self._consume(node, offset, end)
+                continue
+            ledger = ledgers.get(node)
+            if ledger is None:
+                ledger = ledgers[node] = IntervalSet()
+            self._total_consumed += ledger.add(offset, end)
+        return values, values.copy()
 
     # ------------------------------------------------------------------
     # Accounting

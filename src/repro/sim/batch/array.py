@@ -47,7 +47,7 @@ from ..engine import CONGEST, LOCAL
 from ..graph import DistributedGraph
 from ..messages import congest_limit, message_bits
 from ..metrics import AlgorithmResult, RunReport
-from .csr import CSRGraph, ensure_csr
+from .csr import CSRGraph, ensure_csr, segment_reduce  # noqa: F401
 
 #: int64 sentinel for "no value" in min-reductions (identity of minimum).
 INT64_MAX = np.iinfo(np.int64).max
@@ -135,28 +135,6 @@ def tuple_message_bits(*element_bits) -> Any:
     for bits in element_bits:
         total = total + bits + _ELEMENT_OVERHEAD
     return total
-
-
-def segment_reduce(edge_values: np.ndarray, offsets: np.ndarray,
-                   ufunc: np.ufunc, identity) -> np.ndarray:
-    """Per-node reduction of per-edge values over CSR segments.
-
-    ``edge_values`` is aligned with the CSR ``indices`` array; node
-    ``v``'s reduction covers ``edge_values[offsets[v]:offsets[v+1]]``,
-    and empty segments yield ``identity``. One padded ``reduceat`` call —
-    the pad element is the identity, so the final (to-the-end) segment
-    reduces correctly and empty segments are masked afterwards.
-
-    Stateless reference: :class:`ArrayContext` runs the same reduction
-    on padded buffers it reuses across calls, and the tests hold its
-    fused ops to this function.
-    """
-    values = np.asarray(edge_values)
-    padded = np.empty(values.size + 1, dtype=values.dtype)
-    padded[:-1] = values
-    padded[-1] = identity
-    reduced = ufunc.reduceat(padded, offsets[:-1])
-    return np.where(offsets[1:] > offsets[:-1], reduced, identity)
 
 
 class Sends:

@@ -53,8 +53,8 @@ def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
     Returns an ``int64[n]`` array with -1 for nodes unreached (because of
     disconnection or the ``cutoff``). Frontier expansion is fully
     vectorized: one fancy-gather per level instead of one networkx dict
-    per call — the ball/weak-diameter workhorse for orchestrated
-    pipelines.
+    per call — the ball/distance workhorse for orchestrated pipelines
+    (many-source distances go through :func:`weak_diameter`).
     """
     n = offsets.size - 1
     dist = np.full(n, -1, dtype=np.int64)
@@ -76,6 +76,80 @@ def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
         depth += 1
         dist[frontier] = depth
     return dist
+
+
+def segment_reduce(edge_values: np.ndarray, offsets: np.ndarray,
+                   ufunc: np.ufunc, identity) -> np.ndarray:
+    """Per-node reduction of per-edge values over CSR segments.
+
+    ``edge_values`` is aligned with the CSR ``indices`` array along axis
+    0 (rows may be arrays, e.g. packed bitsets); node ``v``'s reduction
+    covers ``edge_values[offsets[v]:offsets[v+1]]``, and empty segments
+    yield ``identity``. One padded ``reduceat`` call — the pad row is the
+    identity, so the final (to-the-end) segment reduces correctly and
+    empty segments are masked afterwards.
+
+    Stateless reference: :class:`~repro.sim.batch.array.ArrayContext`
+    runs the same reduction on padded buffers it reuses across calls,
+    and the tests hold its fused ops to this function.
+    """
+    values = np.asarray(edge_values)
+    padded = np.empty((values.shape[0] + 1,) + values.shape[1:],
+                      dtype=values.dtype)
+    padded[:-1] = values
+    padded[-1] = identity
+    reduced = ufunc.reduceat(padded, offsets[:-1], axis=0)
+    nonempty = (offsets[1:] > offsets[:-1]).reshape(
+        (-1,) + (1,) * (values.ndim - 1))
+    return np.where(nonempty, reduced, identity)
+
+
+#: Source members per :func:`weak_diameter` pass: bounds each bitset row
+#: at 128 bytes, so a pass holds O(nnz * 128 B) whatever the set's size.
+WEAK_DIAMETER_CHUNK = 1024
+
+_DISCONNECTED = "weak diameter undefined: nodes in different components"
+
+
+def weak_diameter(offsets: np.ndarray, indices: np.ndarray,
+                  members: np.ndarray) -> int:
+    """Max hop distance over a CSR adjacency between any two ``members``.
+
+    One multi-source BFS on packed bitsets per chunk of
+    :data:`WEAK_DIAMETER_CHUNK` source members: row ``v`` of
+    ``reach``/``frontier`` (``uint8[n, ceil(s / 8)]``) holds the sources
+    that have reached ``v``, and one level ORs each node's neighbors'
+    frontier rows (:func:`segment_reduce` over the CSR gather). The
+    chunk's answer is the first depth at which every member's row holds
+    all ``s`` source bits; the result is the max over chunks. Empty and
+    single-member sets give 0; duplicates are ignored. Raises
+    :class:`ConfigurationError` if two members lie in different
+    components.
+    """
+    members = np.unique(np.asarray(members, dtype=np.int64))
+    if members.size < 2:
+        return 0
+    n = offsets.size - 1
+    best = 0
+    for lo in range(0, members.size, WEAK_DIAMETER_CHUNK):
+        sources = members[lo:lo + WEAK_DIAMETER_CHUNK]
+        lanes = np.arange(sources.size)
+        reach = np.zeros((n, (sources.size + 7) // 8), dtype=np.uint8)
+        reach[sources, lanes >> 3] = np.left_shift(1, lanes & 7)
+        full = np.packbits(np.ones(sources.size, dtype=np.uint8),
+                           bitorder="little")
+        frontier = reach
+        depth = 0
+        while not np.all(reach[members] == full):
+            frontier = segment_reduce(frontier[indices], offsets,
+                                      np.bitwise_or, 0)
+            frontier &= ~reach
+            if not frontier.any():
+                raise ConfigurationError(_DISCONNECTED)
+            reach |= frontier
+            depth += 1
+        best = max(best, depth)
+    return best
 
 
 def adjacency_to_csr(neighbor_lists: Sequence[Sequence[int]]

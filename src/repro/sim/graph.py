@@ -159,16 +159,10 @@ class DistributedGraph:
 
     def weak_diameter(self, nodes: Iterable[int]) -> int:
         """Max distance *in G* between any two of the given nodes."""
-        members = np.fromiter(nodes, dtype=np.int64)
-        best = 0
-        for v in members.tolist():
-            lengths = self.bfs_distances(v)[members]
-            if np.any(lengths < 0):
-                raise ConfigurationError(
-                    "weak diameter undefined: nodes in different components"
-                )
-            best = max(best, int(lengths.max()))
-        return best
+        from .batch.csr import weak_diameter
+        offsets, indices = self._csr()
+        return weak_diameter(offsets, indices,
+                             np.fromiter(nodes, dtype=np.int64))
 
     def power_graph(self, r: int) -> "DistributedGraph":
         """The r-th power G^r (edges between nodes at distance <= r).

@@ -16,10 +16,12 @@ checked against networkx ground truth.
 
 from __future__ import annotations
 
+from functools import partial
+
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, RandomnessExhausted
@@ -35,6 +37,7 @@ from repro.randomness import (
     derive_key,
 )
 from repro.randomness.pooled import PooledBits
+from repro.sim.batch import csr as csr_module
 from repro.sim.batch.csr import CSRGraph, bfs_distances, nx_to_csr
 from repro.sim.graph import DistributedGraph
 
@@ -356,6 +359,281 @@ class TestBulkSamplers:
         pool2 = PooledBits({"c": [1, 1, 1, 1]})
         with pytest.raises(RandomnessExhausted):
             pool2.geometric("c", cap=10)
+
+
+def _outcome(call):
+    """``(result, None)`` or ``(None, (error type, message))``."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _ledger(source):
+    return {v: (source._ledgers[v].starts, source._ledgers[v].ends)
+            for v in source.nodes_touched()}
+
+
+def _assert_geometrics_like_per_node(make, nodes, cap, offset):
+    """``geometrics`` on one fresh source against per-node ``geometric``
+    calls on its twin: same values, bits used, error and ledger."""
+    bulk, ref = make(), make()
+    got, got_error = _outcome(lambda: bulk.geometrics(nodes, cap, offset))
+    want, want_error = _outcome(
+        lambda: [ref.geometric(v, cap, offset) for v in nodes])
+    assert got_error == want_error
+    if want is not None:
+        values, used = got
+        assert values.tolist() == [value for value, _ in want]
+        assert used.tolist() == [step for _, step in want]
+    assert bulk.bits_consumed == ref.bits_consumed
+    assert list(bulk.nodes_touched()) == list(ref.nodes_touched())
+    for v in ref.nodes_touched():
+        assert bulk.bits_consumed_by(v) == ref.bits_consumed_by(v)
+    assert _ledger(bulk) == _ledger(ref)
+    return got_error
+
+
+def _pools(lengths):
+    return lambda: PooledBits({
+        key: [(key * 5 + i * 3) % 4 // 3 for i in range(length)]
+        for key, length in enumerate(lengths)})
+
+
+class TestGeometricsParity:
+    """``geometrics`` draws every node's block with one ``_raw_blocks``
+    call and must stay indistinguishable from per-node ``geometric``."""
+
+    CASES = {
+        "independent": (lambda: IndependentSource(seed=8), range(30), 12, 36),
+        "kwise-tabled": (lambda: KWiseSource(4, num_nodes=40,
+                                             bits_per_node=64, seed=2),
+                         range(40), 10, 20),
+        "kwise-m18": (lambda: KWiseSource(3, num_nodes=2048,
+                                          bits_per_node=64, seed=2),
+                      [0, 5, 2047, 900, 5], 8, 11),
+        "epsilon-biased": (lambda: EpsilonBiasedSource(
+            num_nodes=8, bits_per_node=64, epsilon=0.05, seed=3),
+            range(8), 10, 3),
+        "expand-kwise": (lambda: SharedRandomness(512, seed=6).expand_kwise(
+            4, num_nodes=32, bits_per_node=64), range(32), 9, 40),
+        "shared": (lambda: SharedRandomness(512, seed=3),
+                   ["__shared__", "x", "__shared__"], 7, 100),
+        # A short pool (4 bits < cap) sits between full ones; it holds a
+        # zero, so its per-bit walk succeeds.
+        "pooled-short-lanes": (_pools([64, 4, 64, 64, 3, 64]),
+                               [0, 1, 2, 3, 5], 8, 0),
+        "duplicates": (lambda: IndependentSource(seed=4),
+                       [3, 1, 3, 2, 1, 3], 9, 0),
+        "kwise-duplicates": (lambda: KWiseSource(4, num_nodes=8,
+                                                 bits_per_node=64, seed=5),
+                             [7, 0, 7, 7, 2], 6, 30),
+        "crosses-block": (lambda: IndependentSource(seed=12),
+                          range(64), 40, 500),
+        "no-nodes": (lambda: IndependentSource(seed=1), [], 5, 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_node_calls(self, case):
+        make, nodes, cap, offset = self.CASES[case]
+        assert _assert_geometrics_like_per_node(
+            make, list(nodes), cap, offset) is None
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_raw_blocks_call(self, case, monkeypatch):
+        make, nodes, cap, offset = self.CASES[case]
+        source = make()
+        calls = []
+        bulk = source._raw_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return bulk(*args)
+
+        monkeypatch.setattr(source, "_raw_blocks", counted)
+        source.geometrics(list(nodes), cap, offset)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("source, start, count", [
+        (IndependentSource(seed=12), 500, 40),
+        (IndependentSource(seed=12), 1020, 600),
+        (KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3), 17, 40),
+        (KWiseSource(3, num_nodes=2048, bits_per_node=64, seed=2), 60, 4),
+        (EpsilonBiasedSource(num_nodes=8, bits_per_node=64, epsilon=0.05,
+                             seed=3), 0, 64),
+    ])
+    def test_raw_blocks_rows_are_raw_block(self, source, start, count):
+        nodes = [0, 5, 7, 5]
+        rows = source._raw_blocks(nodes, start, count)
+        assert rows.dtype == np.uint8 and rows.shape == (4, count)
+        for node, row in zip(nodes, rows):
+            assert row.tolist() == source._raw_block(node, start,
+                                                     count).tolist()
+        assert source.bits_consumed == 0
+
+    def test_independent_raw_blocks_reads_through_block_cache(self):
+        source = IndependentSource(seed=12)
+        source._raw_blocks([0, 1], 500, 40)
+        assert sorted(source._stream(0)._blocks) == [0, 1]
+        assert sorted(source._stream(1)._blocks) == [0, 1]
+
+    def test_budget_runs_out_mid_call(self):
+        make = partial(IndependentSource, seed=8, bit_budget=25)
+        error = _assert_geometrics_like_per_node(make, list(range(30)), 12, 0)
+        assert error is not None and error[0] is RandomnessExhausted
+
+    def test_budget_with_prior_reads(self):
+        def make():
+            source = IndependentSource(seed=8, bit_budget=40)
+            source.bits_block(3, 20, 0)
+            return source
+        error = _assert_geometrics_like_per_node(make, list(range(30)), 12, 0)
+        assert error is not None and error[0] is RandomnessExhausted
+
+    def test_short_pool_exhausts_mid_call(self):
+        # Pool 1 is all ones and shorter than cap: its per-bit walk runs
+        # off the end after pool 0 has been metered.
+        make = partial(PooledBits, {0: [1, 0] * 8, 1: [1, 1, 1], 2: [0] * 16})
+        error = _assert_geometrics_like_per_node(make, [0, 1, 2], 8, 0)
+        assert error is not None and error[0] is RandomnessExhausted
+
+    def test_out_of_range_kwise_node_meters_earlier_nodes(self):
+        bulk = KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3)
+        ref = KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3)
+        with pytest.raises(ConfigurationError, match="node 9"):
+            bulk.geometrics([0, 1, 9, 2], 6, 10)
+        ref.geometric(0, 6, 10)
+        ref.geometric(1, 6, 10)
+        with pytest.raises(ConfigurationError, match="node 9"):
+            ref.geometric(9, 6, 10)
+        assert bulk.bits_consumed == ref.bits_consumed > 0
+        assert list(bulk.nodes_touched()) == [0, 1]
+        assert _assert_geometrics_like_per_node(
+            lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
+            [0, 1, 9, 2], 6, 10) is not None
+
+    def test_non_integer_kwise_node_meters_earlier_nodes(self):
+        # int("x") fails with a ValueError, not a ReproError: the bulk
+        # call must still meter nodes 0 and 1 first, like per-node calls.
+        error = _assert_geometrics_like_per_node(
+            lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
+            [0, 1, "x", 2], 6, 10)
+        assert error is not None and error[0] is ValueError
+
+    def test_negative_offset_on_kwise(self):
+        error = _assert_geometrics_like_per_node(
+            lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
+            [0, 1], 6, -2)
+        assert error is not None and error[0] is ConfigurationError
+
+
+def _weak_diameter_oracle(graph: DistributedGraph, members) -> int:
+    """Max over members of one single-source BFS each."""
+    members = np.asarray(list(members), dtype=np.int64)
+    best = 0
+    for v in members.tolist():
+        lengths = graph.bfs_distances(v)[members]
+        if np.any(lengths < 0):
+            raise ConfigurationError(
+                "weak diameter undefined: nodes in different components")
+        best = max(best, int(lengths.max()))
+    return best
+
+
+@st.composite
+def _graph_and_members(draw):
+    n = draw(st.integers(1, 24))
+    # A random forest (parent -1 starts a new tree) plus a few chords,
+    # relabeled at random: sparse, so a dropped arc changes distances.
+    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    chords = draw(st.lists(pairs, max_size=6))
+    label = draw(st.permutations(range(n)))
+    # Trailing edgeless nodes put empty CSR segments after the last
+    # nonempty one, the case a segment reduction's final slot must get
+    # right.
+    tail = draw(st.integers(0, 3))
+    g = nx.Graph()
+    g.add_nodes_from(range(n + tail))  # isolated nodes stay in the graph
+    g.add_edges_from((label[u], label[v]) for u, v in
+                     [(i, p) for i, p in enumerate(parents) if p >= 0]
+                     + chords if u != v)
+    members = draw(st.lists(st.integers(0, n + tail - 1), max_size=12))
+    return DistributedGraph(g), members
+
+
+class TestWeakDiameterOracle:
+    """The bitset multi-source BFS against per-member BFS."""
+
+    @settings(max_examples=200)
+    @given(_graph_and_members(), st.sampled_from([1, 3, 8, 1024]))
+    def test_matches_per_member_bfs(self, case, chunk):
+        graph, members = case
+        want, want_error = _outcome(
+            lambda: _weak_diameter_oracle(graph, members))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csr_module, "WEAK_DIAMETER_CHUNK", chunk)
+            got, got_error = _outcome(lambda: graph.weak_diameter(members))
+        assert (got, got_error) == (want, want_error)
+
+    def test_disconnected_members_raise(self):
+        g = nx.Graph([(0, 1), (1, 2), (3, 4)])
+        graph = DistributedGraph(g)
+        with pytest.raises(ConfigurationError,
+                           match="weak diameter undefined: nodes in "
+                                 "different components"):
+            graph.weak_diameter([0, 2, 4])
+        assert graph.weak_diameter([0, 2]) == 2
+
+    def test_isolated_nodes(self):
+        g = nx.Graph([(1, 2), (2, 3)])
+        g.add_nodes_from([0, 4])
+        graph = DistributedGraph(g)
+        assert graph.weak_diameter([1, 3]) == 2
+        assert graph.weak_diameter([0]) == 0
+        with pytest.raises(ConfigurationError):
+            graph.weak_diameter([0, 4])
+        edgeless = DistributedGraph(nx.empty_graph(3))
+        assert edgeless.weak_diameter([2, 2]) == 0
+        with pytest.raises(ConfigurationError):
+            edgeless.weak_diameter([0, 1])
+
+    def test_last_nonempty_segment_before_isolated_nodes(self):
+        # Node 2, the last node with neighbours, hears from both 0 and 1
+        # even though isolated node 3 follows it.
+        g = nx.Graph([(0, 2), (1, 2)])
+        g.add_node(3)
+        assert DistributedGraph(g).weak_diameter([0, 1]) == 2
+        # A star whose hub has the highest non-isolated index.
+        star = nx.Graph((leaf, 5) for leaf in range(5))
+        star.add_nodes_from([6, 7, 8])
+        graph = DistributedGraph(star)
+        assert graph.weak_diameter(range(5)) == 2
+        assert graph.weak_diameter([0, 5]) == 1
+        with pytest.raises(ConfigurationError):
+            graph.weak_diameter([0, 7])
+
+    def test_empty_single_and_duplicate_members(self):
+        graph = assign(make("grid", 36, seed=5), "random", seed=5)
+        assert graph.weak_diameter([]) == 0
+        assert graph.weak_diameter([7]) == 0
+        assert graph.weak_diameter([7, 7, 7]) == 0
+        assert graph.weak_diameter([0, 7, 0, 35, 7]) \
+            == _weak_diameter_oracle(graph, [0, 7, 35])
+
+    def test_path_crosses_member_chunk(self):
+        graph = DistributedGraph(nx.path_graph(1100))
+        assert graph.weak_diameter(range(1100)) == 1099
+
+    def test_farthest_pair_in_second_chunk(self):
+        # 1024 leaves (the first chunk) hang off the middle of a path on
+        # nodes 1024..1099; only the path's own ends, both in the second
+        # chunk, are 75 apart.
+        g = nx.path_graph(range(1024, 1100))
+        g.add_edges_from((leaf, 1062) for leaf in range(1024))
+        graph = DistributedGraph(g)
+        assert graph.weak_diameter(range(1100)) == 75
+        assert graph.weak_diameter(range(1024)) == 2
 
 
 class TestCSRDistances:
