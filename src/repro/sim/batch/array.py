@@ -23,9 +23,17 @@ for the property-style parity sweep).
 
 The aggregation ops are fused passes: each gathers neighbor values into
 edge-sized buffers that the context allocates once per topology
-(``int64[e + 1]`` pads and ``bool[e]`` masks) and reduces them with one
-``reduceat``. A round therefore allocates only its ``int64[n]`` results,
-and those are always fresh arrays that no later op overwrites.
+(``int64[e]`` values and ``bool[e]`` masks) and reduces them per node.
+The buffers hold the edges in jagged-diagonal (JDS) order (Saad, SIAM
+J. Sci. Stat. Comput. 10(6), 1989): the rows are stably sorted by
+degree, descending — the identity on a regular graph — and column ``j``
+holds the ``j``-th edge of every row with more than ``j`` edges, a
+contiguous prefix of the sorted rows. A reduction folds column by
+column, one vector ``ufunc`` pass each, and the few rows still open once
+a column holds fewer than :data:`FOLD_MIN_ROWS` rows finish with one
+``reduceat`` over their tails, so a hub costs no Python iteration per
+edge. A round therefore allocates only its ``int64[n]`` results, and
+those are always fresh arrays that no later op overwrites.
 
 Unlike node programs, array programs are *trusted* infrastructure code:
 they can see the whole state, so the model's knowledge limits (only use
@@ -51,6 +59,11 @@ from .csr import CSRGraph, ensure_csr, segment_reduce  # noqa: F401
 
 #: int64 sentinel for "no value" in min-reductions (identity of minimum).
 INT64_MAX = np.iinfo(np.int64).max
+
+#: Rows a JDS column must still cover to be folded on its own. The rows
+#: open past the last such column (fewer than this many) finish with one
+#: ``reduceat`` over their tails instead of one Python pass per column.
+FOLD_MIN_ROWS = 1024
 
 #: ``engine=`` values: "fast" steps a node program per node on
 #: FastEngine, "array" runs the whole-round ArrayProgram here.
@@ -189,15 +202,11 @@ class ArrayContext:
         self._finished = np.zeros(csr.n, dtype=bool)
         self._outputs: List[Any] = [None] * csr.n
         self._all_nodes: Optional[np.ndarray] = None
-        self._segments: Optional[np.ndarray] = None
         self._edges = int(self.indices.size)
-        self._starts = self.offsets[:-1]
-        # Degree-0 nodes, whose reduceat lanes need the identity written
-        # back (reduceat yields the next segment's first value there);
-        # None when every node has a neighbor.
-        empty = self.offsets[1:] == self._starts
-        self._empty = empty if empty.any() else None
         self._degree_total = int(np.sum(self.degrees))
+        self._layout()
+        self._edge_order: Optional[np.ndarray] = None
+        self._owners: Optional[np.ndarray] = None
         self._pads: Dict[str, np.ndarray] = {}
         self._masks: Dict[str, np.ndarray] = {}
 
@@ -212,14 +221,6 @@ class ArrayContext:
         return self._claimed_n
 
     @property
-    def segments(self) -> np.ndarray:
-        """Per-edge owner node: indices[e] belongs to segments[e]'s list."""
-        if self._segments is None:
-            self._segments = np.repeat(
-                np.arange(self.size, dtype=np.int64), np.diff(self.offsets))
-        return self._segments
-
-    @property
     def all_nodes(self) -> np.ndarray:
         """``int64`` arange over every node index, built once."""
         if self._all_nodes is None:
@@ -227,13 +228,78 @@ class ArrayContext:
         return self._all_nodes
 
     # ------------------------------------------------------------------
+    # The jagged-diagonal edge layout, built once per topology
+    # ------------------------------------------------------------------
+    def _layout(self) -> None:
+        """Sort the rows by degree and cut the edges into JDS columns."""
+        degrees = np.asarray(self.degrees)
+        # Sorted row i is node _order[i]; None when the rows are already
+        # non-increasing (every regular graph), so no scatter is needed.
+        self._order: Optional[np.ndarray] = None
+        self._row_starts = self.offsets[:-1]
+        if np.any(degrees[1:] > degrees[:-1]):
+            # Sort on the narrowest unsigned key: numpy's stable sort is a
+            # radix sort for keys of 16 bits or less (degrees < 65536).
+            top = int(degrees.max())
+            key = (top - degrees).astype(np.min_scalar_type(top))
+            self._order = np.argsort(key, kind="stable")
+            degrees = degrees[self._order]
+            self._row_starts = self.offsets[self._order]
+        # Column j is folded on its own while at least FOLD_MIN_ROWS rows
+        # have more than j edges: for every j below the FOLD_MIN_ROWS-th
+        # largest degree.
+        folded = 0
+        if degrees.size >= FOLD_MIN_ROWS:
+            folded = int(degrees[FOLD_MIN_ROWS - 1])
+        # open_rows[j]: how many sorted rows have more than j edges.
+        open_rows = np.searchsorted(-degrees, -np.arange(folded + 1))
+        # Row count of each folded column, in slot order.
+        self._columns: List[int] = open_rows[:folded].tolist()
+        self._linked = int(open_rows[0])
+        # The open rows' remaining edges, and where each row's run
+        # starts within the tail region.
+        self._tail_lengths = degrees[:int(open_rows[folded])] - folded
+        self._tail_starts = np.cumsum(self._tail_lengths) - self._tail_lengths
+        self._neighbors = self.indices[self._edge_ids()]
+
+    def _edge_ids(self) -> np.ndarray:
+        """Per JDS slot, the CSR edge it holds (a fresh ``int64[e]``)."""
+        starts = self._row_starts
+        lengths = self._tail_lengths
+        first = starts[:lengths.size] + len(self._columns) - self._tail_starts
+        tail = np.repeat(first, lengths) + np.arange(int(lengths.sum()))
+        return np.concatenate(
+            [starts[:rows] + j for j, rows in enumerate(self._columns)]
+            + [tail])
+
+    @property
+    def edge_order(self) -> np.ndarray:
+        """Per JDS slot, the CSR edge it holds (built on first use)."""
+        if self._edge_order is None:
+            self._edge_order = self._edge_ids()
+        return self._edge_order
+
+    @property
+    def owners(self) -> np.ndarray:
+        """Per JDS slot, the node whose edge it holds (built on first
+        use): a tied-lane test compares each slot with its owner's
+        reduced value."""
+        if self._owners is None:
+            rows = self.all_nodes if self._order is None else self._order
+            lengths = self._tail_lengths
+            self._owners = np.concatenate(
+                [rows[:count] for count in self._columns]
+                + [np.repeat(rows[:lengths.size], lengths)])
+        return self._owners
+
+    # ------------------------------------------------------------------
     # Reusable edge buffers and the reduction they feed
     # ------------------------------------------------------------------
     def _pad(self, name: str) -> np.ndarray:
-        """A named ``int64[e + 1]`` gather/reduce buffer, built once."""
+        """A named ``int64[e]`` JDS-ordered edge buffer, built once."""
         buf = self._pads.get(name)
         if buf is None:
-            buf = self._pads[name] = np.empty(self._edges + 1, dtype=np.int64)
+            buf = self._pads[name] = np.empty(self._edges, dtype=np.int64)
         return buf
 
     def _mask(self, name: str) -> np.ndarray:
@@ -243,56 +309,89 @@ class ArrayContext:
             buf = self._masks[name] = np.empty(self._edges, dtype=bool)
         return buf
 
-    def _reduce(self, ufunc: np.ufunc, pad: np.ndarray, identity) -> np.ndarray:
-        """Per-node ``ufunc`` over ``pad[:e]`` by CSR segment (fresh array).
+    def _reduce(self, ufunc: np.ufunc, buf: np.ndarray,
+                identity) -> np.ndarray:
+        """Per-node ``ufunc`` over the JDS-ordered ``buf`` (fresh array).
 
-        The identity in the last slot makes the final segment reduce
-        correctly and gives trailing empty segments a valid index.
+        Folds column by column into the sorted rows: ``out[:c0] =
+        col0``, then ``ufunc(out[:cj], colj, out=out[:cj])`` for each
+        later column. Rows still open after the folded columns combine
+        with one ``reduceat`` over their tails (every tail is non-empty,
+        so no pad slot); rows without edges get ``identity``; one
+        scatter restores node order unless the rows were already
+        sorted. Each row is folded left to right, so the result is
+        bit-identical to :func:`segment_reduce` for every ufunc whose
+        value does not depend on grouping (integer and bitwise ops,
+        min, max). Float ``add`` may differ in the last bits, since
+        ``reduceat`` itself sums a row as ``x0 + (x1 + ...)``.
         """
-        pad[self._edges] = identity
-        out = ufunc.reduceat(pad, self._starts)
-        if self._empty is not None:
-            out[self._empty] = identity
-        return out
+        out = np.empty(self.size, dtype=buf.dtype)
+        at = 0
+        for rows in self._columns:
+            if at:
+                ufunc(out[:rows], buf[at:at + rows], out=out[:rows])
+            else:
+                out[:rows] = buf[:rows]
+            at += rows
+        open_rows = self._tail_starts.size
+        if open_rows:
+            tails = ufunc.reduceat(buf[at:], self._tail_starts)
+            if at:
+                ufunc(out[:open_rows], tails, out=out[:open_rows])
+            else:
+                out[:open_rows] = tails
+        out[self._linked:] = identity
+        if self._order is None:
+            return out
+        result = np.empty_like(out)
+        result[self._order] = out
+        return result
 
     def _take(self, node_values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Gather ``node_values`` along the CSR indices into ``out``."""
+        """Gather ``node_values`` along the JDS neighbor indices."""
         # mode="clip": CSR indices are validated in-range at
         # construction, so clipping never binds — it only skips the
         # per-element bounds check of the default mode="raise" path,
         # which measurably dominates a gather at E in the millions.
-        return np.take(node_values, self.indices, out=out, mode="clip")
+        return np.take(node_values, self._neighbors, out=out, mode="clip")
 
     # ------------------------------------------------------------------
-    # Neighbor aggregation (CSR segment reductions / column gathers)
+    # Neighbor aggregation over CSR-order edge values
     # ------------------------------------------------------------------
     def gather(self, node_values: np.ndarray) -> np.ndarray:
         """Per-edge view of per-node values: each node's broadcast as a
         column gather along the CSR indices."""
         return np.asarray(node_values)[self.indices]
 
-    def _reduce_edges(self, edge_values, ufunc: np.ufunc,
-                      identity) -> np.ndarray:
+    def neighbor_reduce(self, edge_values: np.ndarray, ufunc: np.ufunc,
+                        identity) -> np.ndarray:
+        """Per-node ``ufunc`` over its incident CSR-order edge values
+        (``identity`` if none); see :meth:`_reduce` for the fold."""
         values = np.asarray(edge_values)
+        if values.shape != (self._edges,):
+            raise ConfigurationError(
+                f"edge values must have shape ({self._edges},), got "
+                f"{values.shape}")
+        # mode="clip" also keeps np.take from buffering the output.
         if values.dtype == np.int64:
-            pad = self._pad("reduce")
+            buf = np.take(values, self.edge_order, out=self._pad("reduce"),
+                          mode="clip")
         else:  # rare; nothing on the bundled programs' path
-            pad = np.empty(self._edges + 1, dtype=values.dtype)
-        pad[:self._edges] = values
-        return self._reduce(ufunc, pad, identity)
+            buf = np.take(values, self.edge_order, mode="clip")
+        return self._reduce(ufunc, buf, identity)
 
     def neighbor_min(self, edge_values: np.ndarray,
                      empty=INT64_MAX) -> np.ndarray:
         """Per-node min over its incident edge values (``empty`` if none)."""
-        return self._reduce_edges(edge_values, np.minimum, empty)
+        return self.neighbor_reduce(edge_values, np.minimum, empty)
 
     def neighbor_max(self, edge_values: np.ndarray, empty=-1) -> np.ndarray:
         """Per-node max over its incident edge values (``empty`` if none)."""
-        return self._reduce_edges(edge_values, np.maximum, empty)
+        return self.neighbor_reduce(edge_values, np.maximum, empty)
 
     def neighbor_sum(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-node sum over its incident edge values (0 if none)."""
-        return self._reduce_edges(
+        return self.neighbor_reduce(
             np.asarray(edge_values, dtype=np.int64), np.add, 0)
 
     # ------------------------------------------------------------------
@@ -302,14 +401,13 @@ class ArrayContext:
         """Per-node count of neighbors where ``node_mask`` holds."""
         mask = self._take(np.asarray(node_mask), self._mask("mask"))
         pad = self._pad("a")
-        pad[:self._edges] = mask
+        pad[:] = mask
         return self._reduce(np.add, pad, 0)
 
     def gather_neighbor_min(self, node_values: np.ndarray,
                             empty=INT64_MAX) -> np.ndarray:
         """Per-node min of neighbor values (``empty`` if no neighbors)."""
-        pad = self._pad("a")
-        self._take(np.asarray(node_values), pad[:self._edges])
+        pad = self._take(np.asarray(node_values), self._pad("a"))
         return self._reduce(np.minimum, pad, empty)
 
     def lex_neighbor_max2(self, primary: np.ndarray, secondary: np.ndarray,
@@ -317,22 +415,20 @@ class ArrayContext:
         """Per-node ``(max primary, max secondary among the primary
         ties)`` over masked neighbors; ``(empty, empty)`` where none.
         Masked values must exceed ``empty``."""
-        e = self._edges
         mask = self._take(np.asarray(node_mask), self._mask("mask"))
         scratch = self._mask("scratch")
-        vals = self._pad("a")
-        self._take(np.asarray(primary), vals[:e])
+        vals = self._take(np.asarray(primary), self._pad("a"))
         np.logical_not(mask, out=scratch)
-        np.copyto(vals[:e], empty, where=scratch)
+        np.copyto(vals, empty, where=scratch)
         best = self._reduce(np.maximum, vals, empty)
-        # The primary ties: masked lanes whose value hit their segment max.
+        # The primary ties: masked lanes whose value hit their row max.
         tied = self._pad("b")
-        np.take(best, self.segments, out=tied[:e], mode="clip")
-        np.equal(vals[:e], tied[:e], out=scratch)
+        np.take(best, self.owners, out=tied, mode="clip")
+        np.equal(vals, tied, out=scratch)
         np.logical_and(scratch, mask, out=scratch)
-        self._take(np.asarray(secondary), tied[:e])
+        self._take(np.asarray(secondary), tied)
         np.logical_not(scratch, out=mask)
-        np.copyto(tied[:e], empty, where=mask)
+        np.copyto(tied, empty, where=mask)
         return best, self._reduce(np.maximum, tied, empty)
 
     def adopt_neighbor_min3(self, primary: np.ndarray, secondary: np.ndarray,
@@ -342,32 +438,30 @@ class ArrayContext:
         ``(min primary; min secondary + bias among the primary ties; min
         neighbor index among the full ties)``, all ``empty`` where no
         neighbor is masked. Masked primaries must be below ``empty``."""
-        e = self._edges
         mask = self._take(np.asarray(node_mask), self._mask("mask"))
         tie = self._mask("scratch")
-        pad_a = self._pad("a")
+        pad_a = self._take(np.asarray(primary), self._pad("a"))
         pad_b = self._pad("b")
         pad_c = self._pad("c")
-        self._take(np.asarray(primary), pad_a[:e])
         np.logical_not(mask, out=tie)
-        np.copyto(pad_a[:e], empty, where=tie)
+        np.copyto(pad_a, empty, where=tie)
         best = self._reduce(np.minimum, pad_a, empty)
         # tie := masked lanes tied on primary.
-        np.take(best, self.segments, out=pad_c[:e], mode="clip")
-        np.equal(pad_a[:e], pad_c[:e], out=tie)
+        np.take(best, self.owners, out=pad_c, mode="clip")
+        np.equal(pad_a, pad_c, out=tie)
         np.logical_and(tie, mask, out=tie)
-        self._take(np.asarray(secondary), pad_b[:e])
-        pad_b[:e] += bias
+        self._take(np.asarray(secondary), pad_b)
+        pad_b += bias
         np.logical_not(tie, out=mask)
-        np.copyto(pad_b[:e], empty, where=mask)
+        np.copyto(pad_b, empty, where=mask)
         best_2 = self._reduce(np.minimum, pad_b, empty)
         # mask := lanes tied on (primary, secondary).
-        np.take(best_2, self.segments, out=pad_c[:e], mode="clip")
-        np.equal(pad_b[:e], pad_c[:e], out=mask)
+        np.take(best_2, self.owners, out=pad_c, mode="clip")
+        np.equal(pad_b, pad_c, out=mask)
         np.logical_and(mask, tie, out=mask)
-        pad_c[:e] = self.indices
+        pad_c[:] = self._neighbors
         np.logical_not(mask, out=tie)
-        np.copyto(pad_c[:e], empty, where=tie)
+        np.copyto(pad_c, empty, where=tie)
         return best, best_2, self._reduce(np.minimum, pad_c, empty)
 
     # ------------------------------------------------------------------
@@ -402,7 +496,7 @@ class ArrayContext:
     def broadcast(self, senders: np.ndarray, bits: np.ndarray) -> Sends:
         """Account a broadcast: each sender fans one ``bits[i]``-sized
         payload to its whole neighborhood (degree-0 senders send nothing)."""
-        if senders is self._all_nodes and self._empty is None and self.size:
+        if senders is self._all_nodes and self._linked == self.size:
             # A whole-network broadcast with no isolated node (every
             # FloodMin round) needs no per-sender gather: the fanout is
             # ``degrees`` itself, whose sum is precomputed. A CONGEST

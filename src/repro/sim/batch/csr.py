@@ -89,9 +89,10 @@ def segment_reduce(edge_values: np.ndarray, offsets: np.ndarray,
     identity, so the final (to-the-end) segment reduces correctly and
     empty segments are masked afterwards.
 
-    Stateless reference: :class:`~repro.sim.batch.array.ArrayContext`
-    runs the same reduction on padded buffers it reuses across calls,
-    and the tests hold its fused ops to this function.
+    Stateless reference oracle: :class:`~repro.sim.batch.array.
+    ArrayContext` computes the same per-node reductions by folding its
+    jagged-diagonal edge buffers column by column, and the tests hold
+    that fold and its fused ops to this function.
     """
     values = np.asarray(edge_values)
     padded = np.empty((values.shape[0] + 1,) + values.shape[1:],

@@ -6,9 +6,12 @@ pair (node program on FastEngine, array program on ArrayEngine), graph
 family, size, seed, and model, the outputs and the full cost report —
 rounds, messages, total/max bits, randomness bits — must match bit for
 bit. The property-style sweep below runs the cross product
-(family x size x seed) for Luby MIS, FloodMin, and BFS-forest, then the
-engine-semantics cases (lying about n, uniformity, bandwidth, CSR
-reuse) and the bulk sampler the array programs draw from.
+(family x size x seed) for Luby MIS, FloodMin, and BFS-forest, repeats
+the three on array-built graphs large enough for the jagged-diagonal
+column fold (degree-regular, where the layout keeps node order, and
+irregular, where it sorts the rows), then the engine-semantics cases
+(lying about n, uniformity, bandwidth, CSR reuse) and the bulk sampler
+the array programs draw from.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.randomness import IndependentSource
 from repro.sim import CONGEST, LOCAL, ArrayEngine, FastEngine
 from repro.sim.batch import CSRGraph
 from repro.sim.batch.array import (
+    ArrayContext,
     ArrayProgram,
     int_message_bits,
     segment_reduce,
@@ -95,6 +99,55 @@ class TestParitySweep:
                 parity_case(family, n, seed, lambda _v: BFSTree(roots, n),
                             ArrayBFSForest(roots, n), CONGEST,
                             max_rounds=n + 2)
+
+
+def ring_lattice(n, reach, uid_seed):
+    """Circulant CSR (v±1 .. v±reach mod n) built as arrays, random
+    UIDs: ``reach=1`` is the cycle, ``reach=2`` the degree-4 lattice."""
+    span = np.arange(1, reach + 1, dtype=np.int64)
+    steps = np.concatenate([-span[::-1], span])
+    indices = ((np.arange(n, dtype=np.int64)[:, None] + steps) % n).ravel()
+    offsets = np.arange(n + 1, dtype=np.int64) * steps.size
+    uids = np.random.default_rng(uid_seed).permutation(n) + 1
+    return CSRGraph(offsets, indices, tuple(uids.tolist()))
+
+
+def engine_parity(csr):
+    """FloodMin, BFS forest and Luby MIS, array vs fast, on ``csr``."""
+    n = csr.n
+    runs = (
+        lambda engine: flood_min(None, 12, engine=engine, csr=csr),
+        lambda engine: build_bfs_forest(None, {0, n // 3, n // 2}, 40,
+                                        engine=engine, csr=csr),
+        lambda engine: luby_mis(None, IndependentSource(seed=3),
+                                engine=engine, csr=csr),
+    )
+    for run in runs:
+        assert_identical(run("fast"), run("array"))
+
+
+class TestColumnFoldParity:
+    """Parity on graphs whose JDS columns hold at least FOLD_MIN_ROWS
+    rows, so the column fold (not only the reduceat tail) runs."""
+
+    @pytest.mark.parametrize("n, reach", [(5000, 1), (3000, 2)],
+                             ids=["cycle-5000", "ring4-3000"])
+    def test_regular_keeps_node_order(self, n, reach):
+        csr = ring_lattice(n, reach, uid_seed=n)
+        ctx = ArrayContext(csr, n, None, CONGEST, 64, False)
+        assert ctx._order is None and len(ctx._columns) == 2 * reach
+        engine_parity(csr)
+
+    def test_irregular_sorts_rows(self):
+        csr = CSRGraph.from_graph(
+            assign(make("gnp-sparse", 2500, seed=4), "random", seed=4))
+        ctx = ArrayContext(csr, csr.n, None, CONGEST, 64, False)
+        assert ctx._order is not None and ctx._tail_starts.size
+        engine_parity(csr)
+        # The CSR-order edge API maps through the lazy permutation.
+        values = np.random.default_rng(4).integers(0, 1000, size=csr.n)
+        np.testing.assert_array_equal(ctx.neighbor_min(ctx.gather(values)),
+                                      ctx.gather_neighbor_min(values))
 
 
 class TestParitySemantics:

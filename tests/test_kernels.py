@@ -3,9 +3,12 @@
 Five contracts, each pinned here:
 
 1. **Fused ops are bit-identical** to the stateless reference passes,
-   including on the degenerate topologies ``reduceat`` gets wrong
-   without the padded-sentinel fix (empty graphs, all-isolated nodes,
-   single node, empty segments interleaved with full ones).
+   including on the degenerate topologies a naive ``reduceat`` gets
+   wrong (empty graphs, all-isolated nodes, single node, empty segments
+   interleaved with full ones), and the jagged-diagonal column fold
+   behind them matches ``segment_reduce`` on hypothesis graphs with the
+   fold-row threshold low enough that both the column fold and the
+   ``reduceat`` tail run.
 2. **Fused results are fresh and cheap**: no later op overwrites an
    earlier result, and after warm-up an op allocates nothing
    edge-sized — only its ``int64[n]`` results.
@@ -30,6 +33,8 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FAMILY_NAMES
 from repro.core.mis import luby_mis
@@ -39,6 +44,7 @@ from repro.randomness import IndependentSource
 from repro.scenarios import ScenarioSpec
 from repro.sim import CONGEST
 from repro.sim.batch import CSRGraph, TrialSpec, grid, run_trials
+from repro.sim.batch import array as array_module
 from repro.sim.batch import tasks as batch_tasks
 from repro.sim.batch.array import (
     ENGINES,
@@ -57,6 +63,7 @@ from repro.sim.graph import DistributedGraph
 from repro.sim.primitives import build_bfs_forest, flood_min
 
 INT64_MAX = np.iinfo(np.int64).max
+INT64_MIN = np.iinfo(np.int64).min
 
 
 def csr_of(neighbor_lists, uids=None):
@@ -172,6 +179,175 @@ class TestWorkspaceEdgeCases:
             np.testing.assert_array_equal(g, w)
 
 
+@st.composite
+def irregular_adjacency(draw):
+    """Neighbor lists of a relabeled random forest plus chords, with
+    isolated nodes at the start, in the middle and at the end."""
+    n = draw(st.integers(1, 30))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    chords = draw(st.lists(pairs, max_size=10))
+    lead, middle, trail = (draw(st.integers(0, 3)) for _ in range(3))
+    cut = draw(st.integers(0, n))
+    label = draw(st.permutations(
+        list(range(lead, lead + cut))
+        + list(range(lead + cut + middle, lead + n + middle))))
+    adjacency = [set() for _ in range(lead + n + middle + trail)]
+    for u, v in [(i, p) for i, p in enumerate(parents) if p >= 0] + chords:
+        if u != v:
+            adjacency[label[u]].add(label[v])
+            adjacency[label[v]].add(label[u])
+    return [sorted(a) for a in adjacency]
+
+
+def star_adjacency(leaves, isolated=3):
+    """A star with its hub mid-index (so the degree sort moves it),
+    followed by ``isolated`` edgeless nodes."""
+    hub = leaves // 2
+    adjacency = [[hub] for _ in range(leaves + 1)]
+    adjacency[hub] = [v for v in range(leaves + 1) if v != hub]
+    return adjacency + [[] for _ in range(isolated)]
+
+
+#: Per-row results of these cannot depend on how a row is grouped.
+EXACT_FOLDS = ((np.minimum, INT64_MAX), (np.maximum, INT64_MIN),
+               (np.add, 0), (np.bitwise_or, 0))
+
+#: Fold-row thresholds under test; None keeps the module default.
+FOLD_THRESHOLDS = (1, 2, None)
+
+FOLD_CASES = {
+    "single-node": [[]],
+    "edgeless": [[], [], [], []],
+    "hub-above-threshold": star_adjacency(array_module.FOLD_MIN_ROWS + 500),
+    # Edges (0,2),(1,2) plus isolated node 3: node 2, the last row with
+    # edges, must hear from both 0 and 1.
+    "last-row-before-isolated": [[2], [2], [0, 1], []],
+}
+
+
+def fold_context(neighbor_lists, threshold):
+    """(csr, ArrayContext) with the JDS layout cut at ``threshold``."""
+    csr = csr_of(neighbor_lists)
+    with pytest.MonkeyPatch.context() as patch:
+        if threshold is not None:
+            patch.setattr(array_module, "FOLD_MIN_ROWS", threshold)
+        return csr, context_of(csr)
+
+
+def sequential_sums(values, offsets):
+    """Each CSR row's float sum, strictly left to right (0.0 if empty)."""
+    sums = np.zeros(offsets.size - 1)
+    for v in range(sums.size):
+        row = values[offsets[v]:offsets[v + 1]]
+        if row.size:
+            acc = row[0]
+            for x in row[1:]:
+                acc = acc + x
+            sums[v] = acc
+    return sums
+
+
+class TestJDSFold:
+    """The jagged-diagonal column fold against ``segment_reduce``."""
+
+    def check_exact(self, neighbor_lists, threshold, seed):
+        csr, ctx = fold_context(neighbor_lists, threshold)
+        values = np.random.default_rng(seed).integers(
+            INT64_MIN, INT64_MAX, size=csr.indices.size, endpoint=True,
+            dtype=np.int64)
+        for ufunc, identity in EXACT_FOLDS:
+            np.testing.assert_array_equal(
+                ctx.neighbor_reduce(values, ufunc, identity),
+                segment_reduce(values, csr.offsets, ufunc, identity),
+                err_msg=ufunc.__name__)
+
+    @settings(max_examples=150, deadline=None)
+    @given(irregular_adjacency(), st.sampled_from(FOLD_THRESHOLDS),
+           st.integers(0, 2**32 - 1))
+    def test_matches_segment_reduce(self, neighbor_lists, threshold, seed):
+        self.check_exact(neighbor_lists, threshold, seed)
+
+    @pytest.mark.parametrize("threshold", FOLD_THRESHOLDS)
+    @pytest.mark.parametrize("name", sorted(FOLD_CASES))
+    def test_fixed_cases(self, name, threshold):
+        for seed in range(3):
+            self.check_exact(FOLD_CASES[name], threshold, seed)
+
+    def test_hub_finishes_in_the_reduceat_tail(self):
+        # Column 0 covers every leaf and is folded; the hub alone is
+        # left open and takes one reduceat over its remaining edges.
+        _, ctx = fold_context(FOLD_CASES["hub-above-threshold"], None)
+        assert len(ctx._columns) == 1 and ctx._tail_starts.size == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(irregular_adjacency(), st.integers(0, 2**32 - 1))
+    def test_float_add_order(self, neighbor_lists, seed):
+        rng = np.random.default_rng(seed)
+        csr = csr_of(neighbor_lists)
+        e = csr.indices.size
+        values = rng.standard_normal(e) * 10.0 ** rng.integers(-8, 9, e)
+        # Threshold 1 folds every column: each row strictly left to right.
+        _, ctx = fold_context(neighbor_lists, 1)
+        np.testing.assert_array_equal(ctx.neighbor_reduce(values, np.add, 0.0),
+                                      sequential_sums(values, csr.offsets))
+        # The default leaves these small graphs' rows whole in the tail,
+        # where reduceat's own grouping applies.
+        want = segment_reduce(values, csr.offsets, np.add, 0.0)
+        _, ctx = fold_context(neighbor_lists, None)
+        np.testing.assert_array_equal(ctx.neighbor_reduce(values, np.add, 0.0),
+                                      want)
+        # Every threshold stays within the rounding bound of a float64
+        # sum of deg terms, (deg - 1) * eps / 2 * sum|x| on each side.
+        bound = csr.degrees * np.finfo(np.float64).eps * segment_reduce(
+            np.abs(values), csr.offsets, np.add, 0.0)
+        for threshold in FOLD_THRESHOLDS:
+            _, ctx = fold_context(neighbor_lists, threshold)
+            got = ctx.neighbor_reduce(values, np.add, 0.0)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_float_add_grouping_differs_from_reduceat(self):
+        # Row [1e16, 1, 1]: left to right, each 1 rounds away; reduceat
+        # groups the row as 1e16 + (1 + 1).
+        csr, ctx = fold_context([[1, 2, 3], [0], [0], [0]], 1)
+        values = np.zeros(csr.indices.size)
+        values[:3] = [1e16, 1.0, 1.0]
+        assert ctx.neighbor_reduce(values, np.add, 0.0)[0] == 1e16
+        assert segment_reduce(values, csr.offsets, np.add, 0.0)[0] == 1e16 + 2
+
+    def test_edge_values_must_cover_every_edge(self):
+        _, ctx = fold_context(FOLD_CASES["last-row-before-isolated"], None)
+        with pytest.raises(ConfigurationError, match="shape"):
+            ctx.neighbor_min(np.zeros(3, dtype=np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(irregular_adjacency(), st.sampled_from(FOLD_THRESHOLDS),
+           st.integers(0, 2**32 - 1))
+    def test_fused_ops_match_references(self, neighbor_lists, threshold,
+                                        seed):
+        csr, ctx = fold_context(neighbor_lists, threshold)
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 6, size=csr.n, dtype=np.int64)  # ties
+        secondary = rng.integers(0, 4, size=csr.n, dtype=np.int64)
+        mask = rng.integers(0, 2, size=csr.n).astype(bool)
+        np.testing.assert_array_equal(
+            ctx.neighbor_count(mask),
+            segment_reduce(mask[csr.indices].astype(np.int64), csr.offsets,
+                           np.add, 0))
+        np.testing.assert_array_equal(
+            ctx.gather_neighbor_min(values),
+            segment_reduce(values[csr.indices], csr.offsets, np.minimum,
+                           INT64_MAX))
+        for got, want in zip(
+                ctx.lex_neighbor_max2(values, secondary, mask),
+                reference_lex_max2(csr, values, secondary, mask)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(
+                ctx.adopt_neighbor_min3(values, secondary, mask, bias=2),
+                reference_adopt_min3(csr, values, secondary, mask, bias=2)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestFastIntMessageBits:
     """The frexp bit counter must match the shift-loop reference on
     every non-negative int64 it could ever see."""
@@ -245,6 +421,51 @@ class TestWorkspaceMechanics:
         finally:
             tracemalloc.stop()
         assert peak - before < edges  # smaller than a single bool[e]
+
+    def test_permuted_layout_allocates_no_edge_buffers_after_warmup(self):
+        # An irregular dense G(n, p) with isolated nodes at the start,
+        # middle and end: its rows need sorting, so every reduction
+        # scatters them back; the early columns fold, the high-degree
+        # rows finish in the reduceat tail, and warm-up builds the
+        # CSR-to-JDS edge permutation that neighbor_min maps through.
+        rng = np.random.default_rng(5)
+        n = 1500
+        upper = np.triu(rng.random((n, n)) < 0.12, k=1)
+        adjacency = upper | upper.T
+        for v in (0, n // 2, n - 1):
+            adjacency[v, :] = adjacency[:, v] = False
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(adjacency.sum(axis=1), out=offsets[1:])
+        indices = np.nonzero(adjacency)[1].astype(np.int64)
+        ctx = context_of(CSRGraph(offsets, indices, tuple(range(1, n + 1))))
+        assert ctx._order is not None
+        assert ctx._columns and ctx._tail_starts.size
+        edges = ctx.indices.size
+        values = np.arange(ctx.size, dtype=np.int64)
+        mask = values % 2 == 0
+        edge_values = values[ctx.indices]
+
+        def exercise():
+            self.fused_ops(ctx, values, mask)
+            ctx.neighbor_min(edge_values)
+            ctx.broadcast(ctx.all_nodes, ctx.int_message_bits(values))
+
+        exercise()  # warm up: build the edge buffers and permutation
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            exercise()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < edges  # smaller than a single bool[e]
+
+    def test_whole_network_broadcast_skips_isolated_senders(self):
+        # Node 3 has no neighbors, so its (largest) payload goes nowhere.
+        ctx = context_of(csr_of([[1], [0, 2], [1], []]))
+        sends = ctx.broadcast(ctx.all_nodes, np.array([3, 4, 5, 9]))
+        assert (sends.messages, sends.total_bits,
+                sends.max_message_bits) == (4, 3 + 8 + 5, 5)
 
     def test_engine_run_never_calls_np_append(self, monkeypatch, gnp60):
         # The original hot-path bug: segment_reduce padded via np.append
