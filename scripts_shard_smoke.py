@@ -4,7 +4,7 @@ CI runs this after the test suite: a quick sweep is computed three ways
 — cold (no store), and as two host-style shards merged into one store
 and replayed — and the results, aggregates, and cache behaviour are
 asserted identical. The store directory is left on disk so CI can
-upload it as an artifact next to the ``BENCH_*.json`` records.
+upload it as an artifact.
 
 Usage::
 

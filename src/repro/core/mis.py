@@ -23,7 +23,6 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..randomness.source import RandomSource
 from ..sim.batch.array import (
     ArrayContext,
@@ -31,6 +30,7 @@ from ..sim.batch.array import (
     ArrayProgram,
     Sends,
     check_engine,
+    reject_array_faults,
     tuple_message_bits,
 )
 from ..sim.batch.fast_engine import FastEngine
@@ -227,10 +227,7 @@ def luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
     independence/maximality honestly.
     """
     if check_engine(engine) == "array":
-        if faults is not None and faults.active:
-            raise ConfigurationError(
-                "fault injection requires engine='fast'; the array engine "
-                "has no per-message delivery hook")
+        reject_array_faults(faults)
         result = ArrayEngine(graph, ArrayLubyMIS(), source=source,
                              model=CONGEST, max_rounds=max_rounds,
                              csr=csr).run()

@@ -90,6 +90,14 @@ def check_engine(engine: Any, key: str = "engine") -> str:
     raise ConfigurationError(f"unknown {key} {engine!r}; choose from {ENGINES}")
 
 
+def reject_array_faults(faults: Any) -> None:
+    """Refuse an active fault plan: only FastEngine can inject faults."""
+    if faults is not None and faults.active:
+        raise ConfigurationError(
+            "fault injection requires engine='fast'; the array engine "
+            "has no per-message delivery hook")
+
+
 def int_message_bits(values: np.ndarray) -> np.ndarray:
     """Vectorized ``message_bits`` for arrays of non-negative integers.
 

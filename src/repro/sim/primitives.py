@@ -35,6 +35,7 @@ from .batch.array import (
     ArrayProgram,
     Sends,
     check_engine,
+    reject_array_faults,
     tuple_message_bits,
 )
 from .batch.fast_engine import FastEngine
@@ -214,13 +215,6 @@ class ArrayBFSForest(ArrayProgram):
             ctx.int_message_bits(self.depth[senders])))
 
 
-def _reject_array_faults(faults) -> None:
-    if faults is not None and faults.active:
-        raise ConfigurationError(
-            "fault injection requires engine='fast'; the array engine "
-            "has no per-message delivery hook")
-
-
 def flood_min(graph: Optional[DistributedGraph], radius: int,
               model: str = CONGEST, engine: str = "fast", faults=None,
               csr=None) -> AlgorithmResult:
@@ -232,7 +226,7 @@ def flood_min(graph: Optional[DistributedGraph], radius: int,
     be ``None``).
     """
     if check_engine(engine) == "array":
-        _reject_array_faults(faults)
+        reject_array_faults(faults)
         return ArrayEngine(graph, ArrayFloodMin(radius), model=model,
                            csr=csr).run()
     return FastEngine(graph, lambda _v: FloodMin(radius),
@@ -260,7 +254,7 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
             "build_bfs_forest needs a DistributedGraph or a pre-built "
             "CSRGraph; both were None")
     if engine == "array":
-        _reject_array_faults(faults)
+        reject_array_faults(faults)
         return ArrayEngine(graph, ArrayBFSForest(roots, bound),
                            model=CONGEST, max_rounds=bound + 2,
                            csr=csr).run()

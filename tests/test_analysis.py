@@ -1,4 +1,7 @@
-"""Analysis layer: tables, statistics, and experiment smoke tests."""
+"""Analysis layer: tables, statistics, experiment smoke tests, and the
+paper's claims asserted on every quick table."""
+
+import copy
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.analysis import (
     success_rate,
     wilson_interval,
 )
+from repro.analysis.ablations import ABLATIONS
 
 
 class TestTable:
@@ -76,9 +80,9 @@ class TestExperimentRegistry:
     def test_all_eleven_registered(self):
         assert sorted(EXPERIMENTS) == [f"e{i:02d}" for i in range(1, 12)]
 
-    # The heavy experiments have their own benchmarks; here just smoke
-    # the two cheapest drivers to make sure the module stays importable
-    # and table-shaped.
+    # TestPaperClaims below checks every driver at seed 1; here the two
+    # cheapest also run at another seed, to make sure the tables stay
+    # well-shaped off the pinned profile.
     def test_e09_smoke(self):
         table = EXPERIMENTS["e09"](quick=True, seed=2)
         assert table.rows
@@ -107,8 +111,220 @@ class TestAblationsPinned:
     def test_quick_table_digest(self, name):
         import hashlib
 
-        from repro.analysis.ablations import ABLATIONS
-
         rendered = ABLATIONS[name](quick=True, seed=0).render()
         digest = hashlib.blake2b(rendered.encode(), digest_size=16)
         assert digest.hexdigest() == self.PINNED[name], rendered
+
+
+# --- The paper's claims, one check per quick table --------------------
+#
+# Each check is a plain function over a driver's Table and asserts the
+# theorem's shape on it. TestPaperClaims runs them on the quick profile
+# at seed 1, the tables EXPERIMENTS.md pins.
+
+
+def check_e01(table):
+    """E1, Theorem 3.1: decomposition from one bit per h hops."""
+    # Theorem shape: every h succeeds and colors stay logarithmic.
+    for row in table.rows:
+        assert row["success"] == 1.0
+
+
+def check_e02(table):
+    """E2, Theorem 3.5: k-wise independence suffices."""
+    by_k = {row["k"]: row["success"] for row in table.rows}
+    # k = 1 (fully correlated radii) must fail; large k must match the
+    # fully independent reference.
+    assert by_k[1] == 0.0
+    assert by_k[max(by_k)] >= 0.9
+
+
+def check_e03(table):
+    """E3, Lemma 3.4: zero-round splitting."""
+    for row in table.rows:
+        assert row["rounds"] == 0
+        assert row["success"] >= 0.9, row
+    biased = [r for r in table.rows if r["regime"] == "epsilon-biased"][0]
+    # Lemma 3.4's headline: O(log n) shared bits.
+    assert isinstance(biased["seed bits"], int)
+    assert biased["seed bits"] <= 64
+
+
+def check_e04(table):
+    """E4, Theorem 3.6: shared-randomness CONGEST decomposition."""
+    for row in table.rows:
+        assert row["success"] == 1.0
+        assert row["congestion"] == 1
+        assert row["colors(max)"] <= row["O(log n)"]
+        assert row["strong diam(max)"] <= row["O(log^2 n)"]
+
+
+def check_e05(table):
+    """E5, Theorem 3.7: h-free strong-diameter decomposition."""
+    for row in table.rows:
+        assert row["Thm3.7 strong diam"] <= row["O(log^2 n)"]
+
+
+def check_e06(table):
+    """E6, Theorem 4.2: shattering boosts success probability."""
+    row = table.rows[0]
+    # The whole point: plain EN fails here, the shattered finish does not.
+    assert row["shattering success"] == 1.0
+    assert row["max separated K"] <= 3
+
+
+def check_e07(table):
+    """E7, Lemma 4.1: derandomization by seed enumeration."""
+    for row in table.rows:
+        assert row["derandomized"] is True
+        assert row["good seeds"] >= 1
+
+
+def check_e08(table):
+    """E8, Theorems 4.3/4.6: error vs rounds by lying about n."""
+    succ = table.column("success")
+    rounds = table.column("T(N) rounds")
+    # Rounds grow with the claimed N; success is (weakly) increasing
+    # from the first to the last point, and the gap is substantial.
+    assert rounds == sorted(rounds)
+    assert succ[-1] >= succ[0] + 0.3
+
+
+def check_e09(table):
+    """E9: MIS and coloring, randomized vs via-decomposition."""
+    for row in table.rows:
+        assert row["Luby valid"] and row["det MIS valid"]
+        assert row["trial valid"] and row["det valid"]
+
+
+def check_e10(table):
+    """E10: sinkless orientation fix-up convergence."""
+    for row in table.rows:
+        assert row["all valid"] is True
+    rounds = table.column("avg fix-up rounds")
+    # Slow growth: the largest instance needs at most ~4x the smallest.
+    assert rounds[-1] <= 6 * max(1.0, rounds[0])
+
+
+def check_e11(table):
+    """E11: uniform algorithms via guess-and-double."""
+    for row in table.rows:
+        assert row["final guess N"] >= row["n"]
+        assert row["overhead"] >= 1.0
+
+
+def check_a1(table):
+    """A1: the Elkin–Neiman gap rule (paper vs relaxed)."""
+    by_rule = {row["rule"]: row for row in table.rows}
+    paper = by_rule["paper (gap > 1)"]
+    ablated = by_rule["ablated (gap > 0)"]
+    # The paper rule must produce valid decompositions; the relaxed rule
+    # must be visibly worse (adjacent same-phase clusters).
+    assert paper["valid rate"] >= 0.9
+    assert ablated["valid rate"] <= paper["valid rate"] - 0.5
+
+
+def check_a2(table):
+    """A2: phase budget vs success probability."""
+    succ = table.column("success")
+    # Success climbs steeply with the budget (exponential failure decay).
+    assert succ[-1] >= 0.8
+    assert succ[-1] >= succ[0] + 0.5
+
+
+def check_a3(table):
+    """A3: Lemma 3.2 spacing vs gathered pool budget."""
+    numeric = [p for p in table.column("min pool bits")
+               if isinstance(p, int)]
+    # Bigger spacing must trap more holder bits per cluster.
+    assert numeric == sorted(numeric)
+    exhaustions = table.column("avg exhaustions")
+    assert exhaustions[0] > exhaustions[-1]
+    assert table.rows[-1]["success"] == 1.0
+
+
+CLAIMS = {
+    "e01": check_e01, "e02": check_e02, "e03": check_e03, "e04": check_e04,
+    "e05": check_e05, "e06": check_e06, "e07": check_e07, "e08": check_e08,
+    "e09": check_e09, "e10": check_e10, "e11": check_e11,
+    "a1": check_a1, "a2": check_a2, "a3": check_a3,
+}
+
+
+@pytest.fixture(scope="module")
+def quick_table():
+    """``quick_table(name)``: the driver's quick table at seed 1, built
+    at most once per module and shared by every test that reads it."""
+    drivers = {**EXPERIMENTS, **ABLATIONS}
+    tables = {}
+
+    def table(name):
+        if name not in tables:
+            tables[name] = drivers[name](quick=True, seed=1)
+        return tables[name]
+
+    return table
+
+
+class TestPaperClaims:
+    def test_every_driver_has_a_claim(self):
+        assert set(CLAIMS) == {*EXPERIMENTS, *ABLATIONS}
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_quick_table_meets_claim(self, name, quick_table):
+        CLAIMS[name](quick_table(name))
+
+
+class TestInjectedViolations:
+    """Each claim check must fail once one cell of its real quick table
+    moves just past the bound one of its assertions draws."""
+
+    # (driver, row, column, nudged value); every assertion above has at
+    # least one entry. Values are relative to the seed-1 quick tables.
+    VIOLATIONS = [
+        ("e01", 0, "success", 0.95),
+        ("e02", 0, "success", 0.1),  # k = 1
+        ("e02", -1, "success", 0.85),
+        ("e03", 0, "rounds", 1),
+        ("e03", 1, "success", 0.85),
+        ("e03", 3, "seed bits", "unbounded"),  # epsilon-biased
+        ("e03", 3, "seed bits", 65),
+        ("e04", 0, "success", 0.95),
+        ("e04", 0, "congestion", 2),
+        ("e04", 1, "colors(max)", 15),  # O(log n) = 14
+        ("e04", 1, "strong diam(max)", 99),  # O(log^2 n) = 98
+        ("e05", 0, "Thm3.7 strong diam", 129),  # O(log^2 n) = 128
+        ("e06", 0, "shattering success", 0.95),
+        ("e06", 0, "max separated K", 4),
+        ("e07", 0, "derandomized", False),
+        ("e07", 2, "good seeds", 0),
+        ("e08", 1, "T(N) rounds", 39),  # row 0 has 40
+        ("e08", -1, "success", 0.29),  # row 0 has 0
+        ("e09", 0, "Luby valid", False),
+        ("e09", 0, "det MIS valid", False),
+        ("e09", 1, "trial valid", False),
+        ("e09", 1, "det valid", False),
+        ("e10", 0, "all valid", False),
+        ("e10", -1, "avg fix-up rounds", 10.9),  # 6 * 1.8 = 10.8
+        ("e11", 0, "final guess N", 19),  # n = 20
+        ("e11", 1, "overhead", 0.99),
+        ("a1", 0, "valid rate", 0.89),  # paper rule
+        ("a1", 1, "valid rate", 0.51),  # ablated, paper's is 1
+        ("a2", -1, "success", 0.79),
+        ("a2", 0, "success", 0.51),  # last row has 1
+        ("a3", 1, "min pool bits", 0),  # row 0 has 1
+        ("a3", 0, "avg exhaustions", 0.0),  # last row has 0
+        ("a3", -1, "success", 0.95),
+    ]
+
+    def test_every_claim_has_a_violation(self):
+        assert {name for name, *_ in self.VIOLATIONS} == set(CLAIMS)
+
+    @pytest.mark.parametrize("name, row, column, value", VIOLATIONS)
+    def test_nudged_cell_fails_claim(self, name, row, column, value,
+                                     quick_table):
+        table = copy.deepcopy(quick_table(name))
+        assert table.rows[row][column] != value
+        table.rows[row][column] = value
+        with pytest.raises(AssertionError):
+            CLAIMS[name](table)

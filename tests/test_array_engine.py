@@ -286,6 +286,24 @@ class TestEngineKnobs:
         with pytest.raises(ConfigurationError, match="CONGEST"):
             luby_mis_trial(grid(["cycle"], [12], [0], model=LOCAL)[0])
 
+    @pytest.mark.parametrize("run", [
+        lambda g, faults: luby_mis(g, IndependentSource(seed=2),
+                                   engine="array", faults=faults),
+        lambda g, faults: flood_min(g, 3, engine="array", faults=faults),
+        lambda g, faults: build_bfs_forest(g, {0}, engine="array",
+                                           faults=faults),
+    ], ids=["luby_mis", "flood_min", "build_bfs_forest"])
+    def test_array_rejects_active_faults(self, cycle12, run):
+        from repro.sim.batch import RoundFaultPlan
+
+        with pytest.raises(ConfigurationError) as info:
+            run(cycle12, RoundFaultPlan(seed=1, loss=0.5))
+        assert str(info.value) == (
+            "fault injection requires engine='fast'; the array engine "
+            "has no per-message delivery hook")
+        # A plan with every rate at zero is a no-op, not an error.
+        assert run(cycle12, RoundFaultPlan(seed=1)).outputs
+
 
 class TestArrayHelpers:
     def test_int_message_bits_matches_encoder(self):
