@@ -17,8 +17,11 @@ We implement:
   every edge by a fair coin, then repeatedly let every remaining sink
   flip one uniformly random incident edge outward. Two adjacent nodes
   can never claim the same edge (an edge cannot point into both), so
-  flips commute; experiment E10 measures the number of fix-up rounds,
-  which grows extremely slowly with n (the log log n landscape).
+  flips commute; experiment E10 measures the number of fix-up rounds.
+  On random 3-regular graphs (30 trials per size) their average rises
+  from 7.1 at n = 270 to 21.3 at n = 21,870, i.e. from 0.88 log₂n to
+  1.48 log₂n: at least logarithmic growth, not the Θ(log log n) of
+  [GS17]'s shattering algorithm, which this process is not.
 """
 
 from __future__ import annotations

@@ -247,6 +247,13 @@ class CSRGraph:
     uids:
         Tuple of the n unique identifiers, by node index (lazy when the
         instance was loaded from disk).
+
+    The arcs must be symmetric: ``u`` is in ``v``'s list exactly when
+    ``v`` is in ``u``'s (every builder here guarantees it). FastEngine
+    delivers a broadcast along the sender's own list and the array
+    engine's frontier branch pushes along it too, while the jagged-
+    diagonal fold pulls along the receiver's list; only symmetry makes
+    the two agree, and nothing checks it.
     """
 
     __slots__ = ("n", "m", "offsets", "indices", "_degrees", "_uids",

@@ -77,8 +77,10 @@ class ArrayFloodMin(ArrayProgram):
     """:class:`FloodMin` as whole-round array operations.
 
     One segment-min over the CSR edge list per round replaces n inbox
-    scans; engine-parity (outputs and full report) with FloodMin under
-    FastEngine is asserted in ``tests/test_array_engine.py``.
+    scans, and the every-round re-broadcast is a standing broadcast that
+    re-measures only the nodes whose minimum moved; engine-parity
+    (outputs and full report) with FloodMin under FastEngine is asserted
+    in ``tests/test_array_engine.py``.
     """
 
     def __init__(self, radius: int):
@@ -92,19 +94,19 @@ class ArrayFloodMin(ArrayProgram):
         if self.radius == 0:
             ctx.finish(ctx.all_nodes, self.best)
             return None
-        return ctx.broadcast(ctx.all_nodes,
-                             ctx.int_message_bits(self.best))
+        return ctx.standing_broadcast(self.best)
 
     def step(self, ctx: ArrayContext, round_index: int) -> Optional[Sends]:
         # What neighbors broadcast last round is their current best: it
         # only changes below, after this aggregation.
         nbr_best = ctx.gather_neighbor_min(self.best)
-        np.minimum(self.best, nbr_best, out=self.best)
+        changed = np.flatnonzero(nbr_best < self.best)
+        self.best[changed] = nbr_best[changed]
         if round_index >= self.radius:
             ctx.finish(ctx.all_nodes, self.best)
             return None
-        return ctx.broadcast(ctx.all_nodes,
-                             ctx.int_message_bits(self.best))
+        # Everyone re-broadcasts, but only the improved payloads are new.
+        return ctx.standing_broadcast(self.best, changed)
 
 
 class BFSTree(NodeProgram):

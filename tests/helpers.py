@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.graphs import assign, make
 from repro.randomness import SharedRandomness
+from repro.sim.batch.array import ArrayContext
 from repro.sim.graph import DistributedGraph
 
 #: The named families every cross-topology test sweeps over.
@@ -52,3 +53,18 @@ def per_seed_oracle(run: Callable[[object, SharedRandomness], bool],
         return np.array([run(instance, shared) for shared in block["shared"]],
                         dtype=bool)
     return run_all
+
+
+def count_frontier_calls(patch) -> list:
+    """Count ``ArrayContext._frontier_arcs`` calls, i.e. how often an op
+    took the frontier branch, into a one-item list; ``patch`` is a
+    pytest ``MonkeyPatch``."""
+    calls = [0]
+    real = ArrayContext._frontier_arcs
+
+    def counted(self, senders):
+        calls[0] += 1
+        return real(self, senders)
+
+    patch.setattr(ArrayContext, "_frontier_arcs", counted)
+    return calls

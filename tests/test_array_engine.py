@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import FAMILY_NAMES
+from helpers import FAMILY_NAMES, count_frontier_calls
 from repro.core.mis import ArrayLubyMIS, LubyMIS, is_valid_mis, luby_mis
 from repro.errors import (
     BandwidthExceeded,
@@ -40,6 +41,7 @@ from repro.sim.batch.array import (
     segment_reduce,
     tuple_message_bits,
 )
+from repro.sim.graph import DistributedGraph
 from repro.sim.messages import message_bits
 from repro.sim.primitives import (
     ArrayBFSForest,
@@ -128,22 +130,28 @@ def engine_parity(csr):
 
 class TestColumnFoldParity:
     """Parity on graphs whose JDS columns hold at least FOLD_MIN_ROWS
-    rows, so the column fold (not only the reduceat tail) runs."""
+    rows, so the column fold (not only the reduceat tail) runs. The BFS
+    wavefronts there are sparse, so its adoption takes the frontier
+    branch; each test asserts that it did."""
 
     @pytest.mark.parametrize("n, reach", [(5000, 1), (3000, 2)],
                              ids=["cycle-5000", "ring4-3000"])
-    def test_regular_keeps_node_order(self, n, reach):
+    def test_regular_keeps_node_order(self, n, reach, monkeypatch):
         csr = ring_lattice(n, reach, uid_seed=n)
         ctx = ArrayContext(csr, n, None, CONGEST, 64, False)
         assert ctx._order is None and len(ctx._columns) == 2 * reach
+        calls = count_frontier_calls(monkeypatch)
         engine_parity(csr)
+        assert calls[0]
 
-    def test_irregular_sorts_rows(self):
+    def test_irregular_sorts_rows(self, monkeypatch):
         csr = CSRGraph.from_graph(
             assign(make("gnp-sparse", 2500, seed=4), "random", seed=4))
         ctx = ArrayContext(csr, csr.n, None, CONGEST, 64, False)
         assert ctx._order is not None and ctx._tail_starts.size
+        calls = count_frontier_calls(monkeypatch)
         engine_parity(csr)
+        assert calls[0]
         # The CSR-order edge API maps through the lazy permutation.
         values = np.random.default_rng(4).integers(0, 1000, size=csr.n)
         np.testing.assert_array_equal(ctx.neighbor_min(ctx.gather(values)),
@@ -209,6 +217,32 @@ class TestParitySemantics:
 
         with pytest.raises(BandwidthExceeded):
             ArrayEngine(path9, BigBroadcast(), model=CONGEST).run()
+
+    def test_flood_isolated_largest_uids_send_nothing(self):
+        # Three isolated nodes hold the largest UIDs (42-bit payloads):
+        # they broadcast to no one, so the max stays a path UID's size.
+        nx_graph = nx.path_graph(6)
+        nx_graph.add_nodes_from(range(6, 9))
+        g = DistributedGraph(nx_graph, uids=[4, 2, 6, 1, 5, 3]
+                             + [2**40, 2**40 + 1, 2**40 + 2])
+        ref = FastEngine(g, lambda _v: FloodMin(3), model=CONGEST).run()
+        arr = ArrayEngine(g, ArrayFloodMin(3), model=CONGEST).run()
+        assert_identical(ref, arr)
+        assert arr.report.max_message_bits == message_bits(6)
+
+    def test_flood_congest_overflow_message(self):
+        # Node 7's UID 8 needs 5 bits; the text is the one the general
+        # broadcast path has always raised, and FastEngine's too.
+        g = assign(make("path", 8), "sequential")
+        want = "node 7 -> 6: message of 5 bits exceeds CONGEST limit of 4 bits"
+        for run in (
+                lambda: FastEngine(g, lambda _v: FloodMin(3), model=CONGEST,
+                                   bandwidth_bits=4).run(),
+                lambda: ArrayEngine(g, ArrayFloodMin(3), model=CONGEST,
+                                    bandwidth_bits=4).run()):
+            with pytest.raises(BandwidthExceeded) as info:
+                run()
+            assert str(info.value) == want
 
     def test_max_rounds_guard(self, path9):
         class Forever(ArrayProgram):

@@ -8,10 +8,13 @@ Five contracts, each pinned here:
    interleaved with full ones), and the jagged-diagonal column fold
    behind them matches ``segment_reduce`` on hypothesis graphs with the
    fold-row threshold low enough that both the column fold and the
-   ``reduceat`` tail run.
+   ``reduceat`` tail run. ``adopt_neighbor_min3`` matches on both sides
+   of its frontier threshold, and the standing broadcast accounts what
+   a whole-network ``broadcast`` would.
 2. **Fused results are fresh and cheap**: no later op overwrites an
    earlier result, and after warm-up an op allocates nothing
-   edge-sized — only its ``int64[n]`` results.
+   edge-sized — only its ``int64[n]`` results, plus per-arc
+   temporaries on a sparse frontier.
 3. **Persistence round-trips exactly**: ``CSRGraph.save``/``load``
    (mmap or not) reproduce offsets/indices/uids/degrees bit-for-bit
    and engine runs on a mmap-loaded CSR match in-memory runs.
@@ -36,9 +39,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FAMILY_NAMES
+from helpers import FAMILY_NAMES, count_frontier_calls
 from repro.core.mis import luby_mis
-from repro.errors import ConfigurationError
+from repro.errors import BandwidthExceeded, ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
 from repro.scenarios import ScenarioSpec
@@ -348,6 +351,118 @@ class TestJDSFold:
             np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def frontier_cases(draw):
+    """(neighbor lists, sender mask, primary, secondary) on both sides of
+    the frontier threshold: no sender, one sender, a hub sender (plus a
+    few leaves), or any subset. Irregular graphs carry isolated nodes at
+    the end; keys in 0..2 tie on primary and on secondary."""
+    kind = draw(st.sampled_from(["empty", "single", "hub", "subset"]))
+    if kind == "hub":
+        leaves = draw(st.integers(1, 40))
+        adjacency = star_adjacency(leaves, isolated=draw(st.integers(0, 3)))
+        senders = [leaves // 2] + draw(st.lists(st.integers(0, leaves),
+                                                max_size=3))
+    else:
+        adjacency = draw(irregular_adjacency())
+        nodes = st.integers(0, len(adjacency) - 1)
+        senders = draw({"empty": st.just([]),
+                        "single": st.lists(nodes, min_size=1, max_size=1),
+                        "subset": st.lists(nodes)}[kind])
+    n = len(adjacency)
+    mask = np.zeros(n, dtype=bool)
+    mask[senders] = True
+    keys = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    return (adjacency, mask, np.array(draw(keys), dtype=np.int64),
+            np.array(draw(keys), dtype=np.int64))
+
+
+class TestFrontierBranch:
+    """``adopt_neighbor_min3`` pushes along the senders' arcs when they
+    number fewer than ``e / FRONTIER_DIV`` and folds every edge
+    otherwise; both branches equal the reference pass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(frontier_cases())
+    def test_both_branches_match_reference(self, case):
+        adjacency, mask, primary, secondary = case
+        csr = csr_of(adjacency)
+        want = reference_adopt_min3(csr, primary, secondary, mask, bias=2)
+        edges = csr.indices.size
+        arcs = int(csr.degrees[mask].sum())
+        # 0 sends every op with an edge to the frontier; 2**40 sends every
+        # op with a sender to the fold.
+        for div in (0, array_module.FRONTIER_DIV, 2**40):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(array_module, "FRONTIER_DIV", div)
+                calls = count_frontier_calls(patch)
+                got = context_of(csr).adopt_neighbor_min3(
+                    primary, secondary, mask, bias=2)
+            assert calls[0] == (arcs * div < edges)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_default_threshold_splits_a_star(self, monkeypatch):
+        # One leaf sends 1 arc of 2 * 60: frontier. The hub sends 60 of
+        # 120: fold.
+        csr = csr_of(star_adjacency(60))
+        values = np.arange(csr.n, dtype=np.int64)
+        calls = count_frontier_calls(monkeypatch)
+        for sender, frontier in ((0, 1), (30, 0)):
+            mask = values == sender
+            calls[0] = 0
+            got = context_of(csr).adopt_neighbor_min3(values, values, mask)
+            assert calls[0] == frontier
+            for g, w in zip(got, reference_adopt_min3(csr, values, values,
+                                                      mask)):
+                np.testing.assert_array_equal(g, w)
+
+
+class TestStandingBroadcast:
+    """``standing_broadcast`` re-measures only the changed nodes, yet
+    accounts exactly what a whole-network ``broadcast`` would."""
+
+    @staticmethod
+    def totals(sends):
+        return sends.messages, sends.total_bits, sends.max_message_bits
+
+    @settings(max_examples=100, deadline=None)
+    @given(irregular_adjacency(), st.integers(0, 2**32 - 1))
+    def test_matches_broadcast_as_values_move(self, neighbor_lists, seed):
+        rng = np.random.default_rng(seed)
+        ctx = context_of(csr_of(neighbor_lists))
+        values = rng.integers(0, 2**20, size=ctx.size, dtype=np.int64)
+        got = ctx.standing_broadcast(values)
+        for _ in range(4):
+            assert self.totals(got) == self.totals(ctx.broadcast(
+                ctx.all_nodes, ctx.int_message_bits(values)))
+            # Values rise as well as fall; isolated nodes move too.
+            changed = np.flatnonzero(rng.random(ctx.size) < 0.4)
+            values[changed] = rng.integers(0, 2**20, size=changed.size)
+            got = ctx.standing_broadcast(values, changed)
+
+    def test_isolated_senders_never_set_the_max(self):
+        ctx = context_of(csr_of([[1], [0, 2], [1], []]))
+        values = np.array([3, 4, 5, 9])
+        # Payloads of 3, 4, 4 bits on 1, 2, 1 arcs; node 3's goes nowhere.
+        assert self.totals(ctx.standing_broadcast(values)) == (4, 15, 4)
+        values[3] = 2**40  # 42 bits, still to no one
+        assert self.totals(ctx.standing_broadcast(values, [3])) == (4, 15, 4)
+
+    def test_overflow_on_a_later_round_raises_broadcasts_error(self):
+        ctx = ArrayContext(csr_of([[1], [0, 2], [1], []]), 4, None,
+                           CONGEST, 8, False)
+        values = np.array([3, 4, 5, 9], dtype=np.int64)
+        ctx.standing_broadcast(values)
+        values[2] = 2**10  # 12 bits
+        with pytest.raises(BandwidthExceeded) as standing:
+            ctx.standing_broadcast(values, [2])
+        with pytest.raises(BandwidthExceeded) as general:
+            ctx.broadcast(ctx.all_nodes, ctx.int_message_bits(values))
+        assert str(standing.value) == str(general.value) == (
+            "node 2 -> 1: message of 12 bits exceeds CONGEST limit of 8 bits")
+
+
 class TestFastIntMessageBits:
     """The frexp bit counter must match the shift-loop reference on
     every non-negative int64 it could ever see."""
@@ -420,6 +535,25 @@ class TestWorkspaceMechanics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak - before < edges  # smaller than a single bool[e]
+
+    def test_frontier_round_allocates_less_than_an_edge_mask(self):
+        # One sender's 199 arcs of the clique's 39800: the push branch
+        # allocates per arc and per node, never per edge.
+        ctx = context_of(CSRGraph.from_graph(
+            DistributedGraph(nx.complete_graph(200))))
+        edges = ctx.indices.size
+        values = np.arange(ctx.size, dtype=np.int64)
+        mask = values == 7
+        ctx.adopt_neighbor_min3(values, values, mask)  # warm up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ctx.adopt_neighbor_min3(values, values, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ctx._pads and not ctx._masks  # the fold never ran
         assert peak - before < edges  # smaller than a single bool[e]
 
     def test_permuted_layout_allocates_no_edge_buffers_after_warmup(self):
