@@ -9,9 +9,8 @@ same command after a kill and only the missing trials execute.
 ``--shard-index/--shard-count`` let independent hosts each compute a
 deterministic slice into their own store; ``--merge`` combines shard
 stores, after which a plain ``--store`` run renders the tables entirely
-from cache. ``--graph-cache DIR`` (or ``$REPRO_GRAPH_CACHE``) persists
-frozen graph topologies across sweeps, so reruns memory-map each graph
-instead of rebuilding it (README "Large graphs").
+from cache. Within a process each distinct graph is built once and
+carries its frozen CSR topology (README "Large graphs").
 
 Usage::
 

@@ -23,7 +23,7 @@ from typing import Dict, Hashable, List, Tuple
 
 from ..core.decomposition import (
     elkin_neiman,
-    en_phases_on_nx,
+    en_phase_loop,
     sparse_bits_decomposition,
 )
 from ..graphs import assign, make
@@ -54,8 +54,9 @@ def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
                 values, _ = source.geometrics(nodes, cap, phase * cap)
                 return dict(zip(nodes, values.tolist()))
 
-            assignment, remaining, _measured = en_phases_on_nx(
-                g.nx, draw_radii, phases, cap, min_gap=min_gap)
+            assignment, remaining, _measured = en_phase_loop(
+                g.csr.offsets, g.csr.indices, g.nodes(), draw_radii,
+                phases, cap, min_gap=min_gap)
             cluster_ids: Dict[Tuple[int, Hashable], int] = {}
             cluster_of, color_of = {}, {}
             for v, (phase, center) in assignment.items():

@@ -116,10 +116,6 @@ def add_store_arguments(parser: argparse.ArgumentParser) -> None:
                              "family=cycle n=16) and print matching-trial "
                              "counts plus per-cell aggregates, answered from "
                              "the filter columns alone")
-    parser.add_argument("--graph-cache", metavar="DIR", default=None,
-                        help="content-addressed on-disk cache of frozen "
-                             "graph topologies (CSR), shared across sweeps; "
-                             "equivalent to setting $REPRO_GRAPH_CACHE")
 
 
 def add_scenario_argument(parser: argparse.ArgumentParser) -> None:
@@ -192,15 +188,7 @@ def run_scenario_locally(
 def resolve_store_arguments(
         args: argparse.Namespace,
 ) -> Tuple[Optional[ColumnarStore], Optional[Tuple[int, int]]]:
-    """Validate the flag combinations; open the store; build the shard pair.
-
-    Also exports ``--graph-cache`` as ``$REPRO_GRAPH_CACHE`` so worker
-    processes (spawned with the parent's environment) inherit it.
-    """
-    if getattr(args, "graph_cache", None) is not None:
-        from ..sim.batch.csr import GRAPH_CACHE_ENV
-
-        os.environ[GRAPH_CACHE_ENV] = args.graph_cache
+    """Validate the flag combinations; open the store; build the shard pair."""
     if (args.shard_index is None) != (args.shard_count is None):
         raise ConfigurationError(
             "--shard-index and --shard-count must be given together")

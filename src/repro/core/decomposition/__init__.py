@@ -20,7 +20,7 @@ from .elkin_neiman import (
     default_cap,
     default_phases,
     elkin_neiman,
-    en_phases_on_nx,
+    en_phase_loop,
     top_two_flood,
 )
 from .kwise_local import kwise_decomposition
@@ -50,7 +50,7 @@ __all__ = [
     "default_phases",
     "deterministic_decomposition",
     "elkin_neiman",
-    "en_phases_on_nx",
+    "en_phase_loop",
     "gather_bits",
     "improve_decomposition",
     "kwise_decomposition",

@@ -40,14 +40,13 @@ happens while some shifted value is still positive.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Set,
+                    Tuple)
 
-import networkx as nx
 import numpy as np
 
 from ...errors import ConfigurationError
 from ...randomness.source import RandomSource
-from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
@@ -142,53 +141,55 @@ def top_two_flood(
     return m1, c1, np.maximum(m2, 0), rounds, messages
 
 
-def en_phases_on_nx(
-    graph: nx.Graph,
+def en_phase_loop(
+    offsets: np.ndarray,
+    indices: np.ndarray,
+    labels: Sequence[Hashable],
     draw_radii: Callable[[List[Hashable], int], Dict[Hashable, int]],
     phases: int,
     cap: int,
     min_gap: int = 1,
 ) -> Tuple[Dict[Hashable, Tuple[int, Hashable]], Set[Hashable],
            Dict[str, int]]:
-    """Run the phase loop on an arbitrary networkx graph.
+    """Run the phase loop on a CSR adjacency whose node ``i`` is
+    ``labels[i]`` (a network's ``graph.csr`` arrays with its indices, or
+    :func:`~repro.sim.batch.csr.nx_to_csr` of a cluster graph).
 
-    ``draw_radii(nodes, phase)`` maps each live node to its
+    ``draw_radii(nodes, phase)`` maps each live node's label to its
     Geometric(1/2) shift for the phase (the indirection is what lets
     Lemma 3.3 feed gathered cluster pools and Theorem 3.5 feed k-wise
     bits into the same construction). A node joins its best center iff
     ``m1 - m2 > min_gap``; ``min_gap=1`` is the paper's gap rule, and the
     A1 ablation relaxes it to 0.
 
-    Returns ``(assignment, remaining, measured)``: assignment maps a node
-    to ``(phase_color, center)``, ``remaining`` holds nodes unclustered
+    Returns ``(assignment, remaining, measured)``: assignment maps a label
+    to ``(phase_color, center)``, ``remaining`` holds labels unclustered
     after all phases, and ``measured`` counts the flood's
     ``rounds_measured`` (each phase: its flood rounds, plus one round to
     draw and one to decide) and ``messages``.
     """
     if phases < 1 or cap < 1:
         raise ConfigurationError("phases and cap must be >= 1")
-    offsets, indices, nodes = nx_to_csr(graph)
-    live = np.ones(len(nodes), dtype=bool)
+    live = np.ones(len(labels), dtype=bool)
     assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
     measured = {"rounds_measured": 0, "messages": 0}
     for phase in range(phases):
         if not live.any():
             break
         at = np.flatnonzero(live)
-        labels = [nodes[i] for i in at]
-        drawn = draw_radii(labels, phase)
-        radii = np.zeros(len(nodes), dtype=np.int64)
-        radii[at] = [drawn[v] for v in labels]
+        live_labels = [labels[i] for i in at]
+        drawn = draw_radii(live_labels, phase)
+        radii = np.zeros(len(labels), dtype=np.int64)
+        radii[at] = [drawn[v] for v in live_labels]
         m1, center, m2, rounds, messages = top_two_flood(
             offsets, indices, live, radii)
         measured["rounds_measured"] += rounds + 2
         measured["messages"] += messages
         joins = np.flatnonzero(live & (m1 - m2 > min_gap))
         for i, c in zip(joins.tolist(), center[joins].tolist()):
-            assignment[nodes[i]] = (phase, nodes[c])
+            assignment[labels[i]] = (phase, labels[c])
         live[joins] = False
-    remaining = set(graph.nodes())
-    remaining.difference_update(assignment)
+    remaining = {labels[i] for i in np.flatnonzero(live).tolist()}
     return assignment, remaining, measured
 
 
@@ -233,8 +234,9 @@ def elkin_neiman(
         values, _used = source.geometrics(nodes, cap, bit_offset + phase * cap)
         return dict(zip(nodes, values.tolist()))
 
-    assignment, remaining, measured = en_phases_on_nx(
-        graph.nx, draw_radii, phases, cap)
+    assignment, remaining, measured = en_phase_loop(
+        graph.csr.offsets, graph.csr.indices, graph.nodes(), draw_radii,
+        phases, cap)
 
     report = RunReport(
         rounds=phases * (cap + 2),

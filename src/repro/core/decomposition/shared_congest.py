@@ -43,7 +43,6 @@ import numpy as np
 from ...errors import ConfigurationError
 from ...randomness.shared import SharedRandomness
 from ...randomness.source import pack_bits
-from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
@@ -76,7 +75,7 @@ def phase_epoch_decomposition(
     if max_phases < 1 or epochs < 1 or cap < 1:
         raise ConfigurationError("max_phases, epochs and cap must be >= 1")
     step = cap + 2  # base-radius decrement per epoch, > max X_u
-    offsets, indices, _labels = nx_to_csr(graph.nx)
+    offsets, indices = graph.csr.offsets, graph.csr.indices
     live = np.ones(graph.n, dtype=bool)
     cluster_of: Dict[int, int] = {}
     color_of: Dict[int, int] = {}

@@ -40,11 +40,12 @@ from ...randomness.pooled import PooledBits
 from ...randomness.shared import SharedRandomness
 from ...randomness.source import pack_bits
 from ...randomness.sparse import SparseRandomness
+from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 from ..ruling_sets import cluster_adjacency, greedy_ruling_set, voronoi_clusters
-from .elkin_neiman import en_phases_on_nx
+from .elkin_neiman import en_phase_loop
 from .shared_congest import ELECTION_BITS, phase_epoch_decomposition
 
 
@@ -160,9 +161,13 @@ def sparse_bits_decomposition(
         cursor[center] = offset + used
         return value
 
-    assignment_cg, remaining, _measured = en_phases_on_nx(
-        cg_active, lambda centers, _phase: {c: draw(c) for c in centers},
-        phases, cap)
+    assignment_cg, _left, _measured = en_phase_loop(
+        *nx_to_csr(cg_active),
+        lambda centers, _phase: {c: draw(c) for c in centers}, phases, cap)
+    # Built from the cluster graph's own node order: that fixes the
+    # order in which leftover clusters are numbered below.
+    remaining = set(cg_active.nodes())
+    remaining.difference_update(assignment_cg)
 
     extra: Dict[str, object] = {
         "unclustered_clusters": set(remaining),

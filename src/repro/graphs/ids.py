@@ -16,7 +16,7 @@ from typing import List
 import networkx as nx
 
 from ..errors import ConfigurationError
-from ..sim.graph import DistributedGraph
+from ..sim.graph import DistributedGraph, sorted_labels
 
 
 def random_ids(graph: nx.Graph, seed: int = 0, c: int = 3) -> DistributedGraph:
@@ -40,12 +40,11 @@ def adversarial_path_ids(graph: nx.Graph) -> DistributedGraph:
     to a long sequential chain on such assignments; useful for showing
     why ID-based symmetry breaking costs locality.
     """
-    start = min(graph.nodes(), key=repr)
-    order = list(nx.bfs_tree(graph, start).nodes())
-    remaining = [v for v in graph.nodes() if v not in set(order)]
-    order.extend(sorted(remaining, key=repr))
+    labels = sorted_labels(graph.nodes())
+    order = list(nx.bfs_tree(graph, labels[0]).nodes())
+    reached = set(order)
+    order.extend(v for v in labels if v not in reached)
     uid_of = {v: i + 1 for i, v in enumerate(order)}
-    labels = sorted(graph.nodes(), key=repr)
     return DistributedGraph(graph, uids=[uid_of[v] for v in labels])
 
 

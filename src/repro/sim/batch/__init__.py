@@ -1,15 +1,16 @@
 """Batch simulation: CSR topology, the fast engines, and seed sweeps.
 
-The scaling layer of the simulator (ROADMAP north star): freeze the
-static network structure once (:class:`CSRGraph`), run node programs on
-it without per-round allocation churn (:class:`FastEngine`, a drop-in
-:class:`~repro.sim.engine.SyncEngine` replacement), execute
-data-parallel programs as whole-round fused numpy passes with no
-per-node Python dispatch at all (:class:`ArrayEngine` running
-:class:`ArrayProgram`\\ s, bit-identical to FastEngine; the ``engine=``
-knob picks one of :data:`ENGINES`), keep frozen topologies in an
-on-disk cache (:class:`GraphCache`), and fan whole (family, size, seed)
-grids across processes (:func:`run_trials`).
+The scaling layer of the simulator (ROADMAP north star): the static
+network structure is frozen once, when the
+:class:`~repro.sim.graph.DistributedGraph` is built (its
+:class:`CSRGraph`); node programs run on it without per-round
+allocation churn (:class:`FastEngine`, a drop-in
+:class:`~repro.sim.engine.SyncEngine` replacement), data-parallel
+programs run as whole-round fused numpy passes with no per-node Python
+dispatch at all (:class:`ArrayEngine` running :class:`ArrayProgram`\\ s,
+bit-identical to FastEngine; the ``engine=`` knob picks one of
+:data:`ENGINES`), and whole (family, size, seed) grids fan across
+processes (:func:`run_trials`).
 """
 
 from .array import (
@@ -20,13 +21,7 @@ from .array import (
     Sends,
     check_engine,
 )
-from .csr import (
-    GRAPH_CACHE_ENV,
-    CSRGraph,
-    GraphCache,
-    default_graph_cache,
-    ensure_csr,
-)
+from .csr import CSRGraph, ensure_csr
 from .distrib import (
     AuthenticationError,
     CoordinatorClient,
@@ -92,8 +87,6 @@ __all__ = [
     "FaultPlan",
     "FlakyControl",
     "FlakyTransport",
-    "GRAPH_CACHE_ENV",
-    "GraphCache",
     "HTTPTransport",
     "LeaseReply",
     "PushIntegrityError",
@@ -114,7 +107,6 @@ __all__ = [
     "check_engine",
     "compact",
     "default_chunksize",
-    "default_graph_cache",
     "deterministic_uniform",
     "ensure_csr",
     "flood_min_trial",

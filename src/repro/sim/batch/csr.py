@@ -1,49 +1,31 @@
-"""Compressed-sparse-row adjacency for the batch simulation engine.
+"""Compressed-sparse-row adjacency: the one frozen topology of a network.
 
-A :class:`~repro.sim.graph.DistributedGraph` answers topology queries
-through networkx and per-call Python lists; that is fine for checkers
-and orchestrated pipelines but wasteful on the engine hot path, where
-the same neighbor lists are walked every round. :class:`CSRGraph`
-freezes the static topology once into flat arrays — the classic
-offsets/indices layout — plus cached Python-level views (lists and
-frozensets) that the :class:`~repro.sim.batch.fast_engine.FastEngine`
-reads without any per-round allocation.
+Every :class:`~repro.sim.graph.DistributedGraph` builds one
+:class:`CSRGraph` at construction (:attr:`DistributedGraph.csr`) from
+its input's edge list (:func:`index_edges` + :func:`edges_to_csr`) and
+answers its topology queries from it; the engines run on that same
+instance. :class:`CSRGraph` holds the classic offsets/indices layout,
+with each neighbor list sorted, plus cached Python-level views (lists
+and frozensets) that the :class:`~repro.sim.batch.fast_engine.
+FastEngine` reads without any per-round allocation.
 
 The CSR arrays are numpy ``int64``; UIDs stay a Python tuple because the
 model only bounds them by Θ(log n) bits, not by machine-word width. For
 the engines that do need machine-word UIDs, :attr:`CSRGraph.uid_array`
 materializes them as ``int64`` once (and refuses wider values loudly).
-
-:meth:`CSRGraph.save` / :meth:`CSRGraph.load` persist a frozen topology
-as ``.npy`` files; loading with ``mmap=True`` memory-maps the arrays via
-``np.lib.format.open_memmap`` and defers every O(n) derived structure,
-so a 10^6–10^7-node graph opens in O(1). :class:`GraphCache` keeps such
-directories in a content-addressed on-disk cache, so a sweep builds
-each distinct graph once and later runs memory-map it back. Point
-``$REPRO_GRAPH_CACHE`` (or either CLI's ``--graph-cache``) at a
-directory to enable it for the batch tasks.
+Large-graph callers may skip ``DistributedGraph`` entirely and hand the
+engines a ``CSRGraph`` built from their own arrays.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-from hashlib import blake2b
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError
-from ..graph import DistributedGraph
-
-#: On-disk layout version of :meth:`CSRGraph.save` directories.
-CSR_FORMAT_VERSION = 1
-
-_META_NAME = "csr-meta.json"
-
-#: Environment variable naming the on-disk graph cache directory.
-GRAPH_CACHE_ENV = "REPRO_GRAPH_CACHE"
+from ..graph import DistributedGraph, sorted_labels
 
 
 def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
@@ -153,17 +135,37 @@ def weak_diameter(offsets: np.ndarray, indices: np.ndarray,
     return best
 
 
-def adjacency_to_csr(neighbor_lists: Sequence[Sequence[int]]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten index-keyed neighbor lists into (offsets, indices) arrays."""
-    degrees = np.fromiter((len(a) for a in neighbor_lists), dtype=np.int64,
-                          count=len(neighbor_lists))
-    offsets = np.zeros(len(neighbor_lists) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    indices = np.empty(int(offsets[-1]), dtype=np.int64)
-    for v, adj in enumerate(neighbor_lists):
-        indices[offsets[v]:offsets[v + 1]] = adj
-    return offsets, indices
+def cluster_subgraphs(offsets: np.ndarray, indices: np.ndarray,
+                      cluster: np.ndarray
+                      ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Each cluster's induced subgraph as a CSR ``(offsets, indices)``.
+
+    ``cluster`` is ``int64[n]``: dense cluster ids ``0 .. k-1``, or -1
+    for nodes in no cluster. Yields one pair per id in id order, over
+    local indices ``0 .. |C|-1`` numbering the members in node order.
+    All k subgraphs come from one pass over the arcs: members are
+    grouped by cluster and only the arcs inside a cluster are kept, so
+    each subgraph is a slice of one compacted CSR.
+    """
+    n = offsets.size - 1
+    tails = np.repeat(np.arange(n), np.diff(offsets))
+    inside = (cluster[tails] == cluster[indices]) & (cluster[tails] >= 0)
+    members = np.argsort(cluster, kind="stable")
+    members = members[cluster[members] >= 0]
+    local = np.empty(n, dtype=np.int64)
+    local[members] = np.arange(members.size)
+    arc_tails = local[tails[inside]]
+    arc_order = np.argsort(arc_tails, kind="stable")
+    heads = local[indices[inside]][arc_order]
+    sub_offsets = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arc_tails, minlength=members.size),
+              out=sub_offsets[1:])
+    bounds = np.zeros(int(cluster.max(initial=-1)) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(cluster[members], minlength=bounds.size - 1),
+              out=bounds[1:])
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        first, last = sub_offsets[lo], sub_offsets[hi]
+        yield sub_offsets[lo:hi + 1] - first, heads[first:last] - lo
 
 
 def distances_to_ball(dist: np.ndarray) -> Dict[int, int]:
@@ -172,41 +174,67 @@ def distances_to_ball(dist: np.ndarray) -> Dict[int, int]:
     return dict(zip(reached.tolist(), dist[reached].tolist()))
 
 
+def index_edges(graph) -> Tuple[List, Dict, np.ndarray]:
+    """Index a networkx graph by its sorted labels.
+
+    Returns ``(labels, index_of, edges)``: the label list in index order
+    (:func:`~repro.sim.graph.sorted_labels`), its inverse map, and the
+    edges as an ``int64[m, 2]`` array of index pairs ``(u, v)`` with
+    ``u < v``, in ``graph.edges()`` order. Self-loops are refused: the
+    model's network is a simple graph.
+    """
+    labels = sorted_labels(graph.nodes())
+    index_of = {label: i for i, label in enumerate(labels)}
+    m = graph.number_of_edges()
+    edges = np.fromiter(
+        map(index_of.__getitem__, chain.from_iterable(graph.edges())),
+        dtype=np.int64, count=2 * m).reshape(m, 2)
+    edges.sort(axis=1)
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise ConfigurationError("self-loops are not allowed")
+    return labels, index_of, edges
+
+
+def edges_to_csr(n: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets, indices)`` holding both arcs of every edge.
+
+    One ``np.lexsort`` over the arcs (tail, then head) leaves every
+    neighbor list sorted.
+    """
+    tails = np.concatenate((edges[:, 0], edges[:, 1]))
+    heads = np.concatenate((edges[:, 1], edges[:, 0]))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
+    return offsets, heads[np.lexsort((heads, tails))]
+
+
 def nx_to_csr(graph) -> Tuple[np.ndarray, np.ndarray, List]:
     """CSR arrays for an arbitrary networkx graph.
 
-    Returns ``(offsets, indices, nodes)`` where ``nodes`` is the sorted
-    label list defining the index mapping (position = index). Mixed,
-    mutually unorderable label types fall back to a stable
-    type-then-repr ordering (mirroring :class:`~repro.sim.graph.
-    DistributedGraph`). Used by callers that run BFS over graphs whose
-    labels are not ``0..n-1`` (e.g. holder selection in
-    :mod:`repro.randomness.sparse`).
+    Returns ``(offsets, indices, labels)`` where ``labels`` is the
+    sorted label list defining the index mapping (position = index) and
+    every neighbor list is sorted: the build
+    :class:`~repro.sim.graph.DistributedGraph` runs, for graphs that are
+    not networks of the model (the cluster graph of Lemma 3.3, holder
+    selection in :mod:`repro.randomness.sparse`).
     """
-    try:
-        nodes = sorted(graph.nodes())
-    except TypeError:
-        nodes = sorted(graph.nodes(),
-                       key=lambda x: (type(x).__name__, repr(x)))
-    index_of = {label: i for i, label in enumerate(nodes)}
-    neighbor_lists = [[index_of[u] for u in graph.neighbors(v)] for v in nodes]
-    offsets, indices = adjacency_to_csr(neighbor_lists)
-    return offsets, indices, nodes
+    labels, _index_of, edges = index_edges(graph)
+    offsets, indices = edges_to_csr(len(labels), edges)
+    return offsets, indices, labels
 
 
 def ensure_csr(graph: Optional[DistributedGraph],
                csr: Optional["CSRGraph"]) -> "CSRGraph":
-    """Build a :class:`CSRGraph` for ``graph``, or validate a cached one.
+    """The :class:`CSRGraph` an engine runs on: ``graph.csr``, or a
+    supplied ``csr`` after checking it against ``graph``.
 
-    Shared by the batch engines: with ``csr=None`` the topology is frozen
-    fresh; otherwise sanity checks (O(n), not a full O(m) topology
-    compare — that would cost as much as rebuilding) verify node count,
-    UID assignment, and edge count, which catches the realistic misuse of
-    caching one CSRGraph across a sweep that rebuilds the graph per seed.
+    The checks are O(n), not a full O(m) topology compare: node count,
+    UID assignment and edge count, which catches the realistic misuse
+    of passing one graph's CSR with another graph.
 
     ``graph`` may be ``None`` when a pre-built ``csr`` is supplied — the
-    large-graph path, where materializing a DistributedGraph (networkx
-    adjacency plus per-node Python lists) would dwarf the run itself.
+    large-graph path, where a DistributedGraph's networkx input would
+    dwarf the run itself.
     """
     if graph is None:
         if csr is None:
@@ -215,18 +243,17 @@ def ensure_csr(graph: Optional[DistributedGraph],
                 "CSRGraph; both were None")
         return csr
     if csr is None:
-        return CSRGraph.from_graph(graph)
+        return graph.csr
     if csr.n != graph.n:
         raise ConfigurationError(
             f"csr has {csr.n} nodes but graph has {graph.n}")
-    if csr.uids != tuple(graph.uid(v) for v in range(graph.n)):
+    if csr.uids != graph.csr.uids:
         raise ConfigurationError(
             "csr UID assignment does not match the graph; was the "
             "CSRGraph built from a different DistributedGraph?")
-    if csr.m != graph.nx.number_of_edges():
+    if csr.m != graph.m:
         raise ConfigurationError(
-            f"csr has {csr.m} edges but graph has "
-            f"{graph.nx.number_of_edges()}")
+            f"csr has {csr.m} edges but graph has {graph.m}")
     return csr
 
 
@@ -243,10 +270,9 @@ class CSRGraph:
     indices:
         ``int64[2 m]`` concatenated sorted neighbor lists.
     degrees:
-        ``int64[n]`` (``offsets`` differences, materialized lazily).
+        ``int64[n]`` (``offsets`` differences).
     uids:
-        Tuple of the n unique identifiers, by node index (lazy when the
-        instance was loaded from disk).
+        Tuple of the n unique identifiers, by node index.
 
     The arcs must be symmetric: ``u`` is in ``v``'s list exactly when
     ``v`` is in ``u``'s (every builder here guarantees it). FastEngine
@@ -256,7 +282,7 @@ class CSRGraph:
     the two agree, and nothing checks it.
     """
 
-    __slots__ = ("n", "m", "offsets", "indices", "_degrees", "_uids",
+    __slots__ = ("n", "m", "offsets", "indices", "degrees", "uids",
                  "_uid_array", "_neighbor_lists", "_neighbor_sets",
                  "_uid_to_index")
 
@@ -281,139 +307,19 @@ class CSRGraph:
         self.m = int(indices.size // 2)
         self.offsets = offsets
         self.indices = indices
-        self._degrees = degrees
-        self._uids = tuple(uids)
+        self.degrees = degrees
+        self.uids = tuple(uids)
         self._uid_array: Optional[np.ndarray] = None
         self._neighbor_lists: List[List[int]] = None  # built lazily
         self._neighbor_sets: List[frozenset] = None
         self._uid_to_index: Dict[int, int] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Derived structures
     # ------------------------------------------------------------------
-    @classmethod
-    def from_graph(cls, graph: DistributedGraph) -> "CSRGraph":
-        """Freeze a :class:`DistributedGraph`'s topology into CSR form."""
-        degrees = np.fromiter((graph.degree(v) for v in range(graph.n)),
-                              dtype=np.int64, count=graph.n)
-        offsets = np.zeros(graph.n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        indices = np.empty(int(offsets[-1]), dtype=np.int64)
-        for v in range(graph.n):
-            indices[offsets[v]:offsets[v + 1]] = graph.neighbors(v)
-        return cls(offsets, indices,
-                   tuple(graph.uid(v) for v in range(graph.n)))
-
-    @classmethod
-    def _trusted(cls, offsets: np.ndarray, indices: np.ndarray,
-                 uid_array: np.ndarray) -> "CSRGraph":
-        """Adopt already-validated arrays without the O(n + m) checks.
-
-        Only for :meth:`load`, whose files were written by :meth:`save`
-        from a validated instance — this is what makes a memory-mapped
-        open O(1) instead of faulting in every page up front.
-        """
-        self = object.__new__(cls)
-        self.n = int(offsets.size - 1)
-        self.m = int(indices.size // 2)
-        self.offsets = offsets
-        self.indices = indices
-        self._degrees = None
-        self._uids = None
-        self._uid_array = uid_array
-        self._neighbor_lists = None
-        self._neighbor_sets = None
-        self._uid_to_index = None
-        return self
-
-    # ------------------------------------------------------------------
-    # Persistence (.npy files; mmap-able via np.lib.format.open_memmap)
-    # ------------------------------------------------------------------
-    def save(self, directory) -> None:
-        """Write the topology into ``directory`` as three ``.npy`` files.
-
-        UIDs are stored as ``int64`` (via :attr:`uid_array`, so wider
-        identifiers are refused loudly rather than truncated). The files
-        are written through ``open_memmap``, so graphs larger than
-        memory stream straight to disk.
-        """
-        path = os.fspath(directory)
-        uid_array = self.uid_array
-        os.makedirs(path, exist_ok=True)
-        for name, array in (("offsets", self.offsets),
-                            ("indices", self.indices),
-                            ("uids", uid_array)):
-            out = np.lib.format.open_memmap(
-                os.path.join(path, name + ".npy"), mode="w+",
-                dtype=np.int64, shape=array.shape)
-            out[:] = array
-            out.flush()
-            del out
-        meta = {"format": CSR_FORMAT_VERSION, "n": self.n, "m": self.m}
-        with open(os.path.join(path, _META_NAME), "w",
-                  encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, directory, mmap: bool = True) -> "CSRGraph":
-        """Reopen a :meth:`save` directory.
-
-        With ``mmap=True`` (the default) the arrays are memory-mapped
-        read-only and pages fault in on first touch — opening is O(1)
-        regardless of graph size. ``mmap=False`` reads them into memory.
-        Either way the instance runs bit-identically to the one that was
-        saved.
-        """
-        path = os.fspath(directory)
-        meta_path = os.path.join(path, _META_NAME)
-        try:
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(
-                f"{path} is not a CSRGraph.save directory: {exc}")
-        if meta.get("format") != CSR_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"{path} has CSR format {meta.get('format')!r}; this "
-                f"build reads format {CSR_FORMAT_VERSION}")
-
-        def read(name: str) -> np.ndarray:
-            file_path = os.path.join(path, name + ".npy")
-            if mmap:
-                return np.lib.format.open_memmap(file_path, mode="r")
-            return np.load(file_path)
-
-        offsets = read("offsets")
-        indices = read("indices")
-        uid_array = read("uids")
-        if (offsets.size - 1 != meta["n"] or indices.size != 2 * meta["m"]
-                or uid_array.size != meta["n"]):
-            raise ConfigurationError(
-                f"{path} is corrupt: array sizes disagree with "
-                f"{_META_NAME}")
-        return cls._trusted(offsets, indices, uid_array)
-
-    # ------------------------------------------------------------------
-    # Derived structures (lazy, so mmap-loaded instances stay O(1))
-    # ------------------------------------------------------------------
-    @property
-    def degrees(self) -> np.ndarray:
-        """``int64[n]`` per-node degrees (``offsets`` differences)."""
-        if self._degrees is None:
-            self._degrees = np.diff(self.offsets)
-        return self._degrees
-
-    @property
-    def uids(self) -> Tuple[int, ...]:
-        """The n unique identifiers as a tuple of Python ints."""
-        if self._uids is None:
-            self._uids = tuple(self._uid_array.tolist())
-        return self._uids
-
     @property
     def uid_array(self) -> np.ndarray:
-        """UIDs as an ``int64`` array (the array engines' view).
+        """UIDs as a read-only ``int64`` array (the array engines' view).
 
         Raises :class:`~repro.errors.ConfigurationError` when any UID
         exceeds the machine word — the model allows arbitrary-width
@@ -422,11 +328,12 @@ class CSRGraph:
         """
         if self._uid_array is None:
             try:
-                uid_array = np.asarray(self._uids, dtype=np.int64)
+                uid_array = np.asarray(self.uids, dtype=np.int64)
             except (OverflowError, TypeError, ValueError):
                 raise ConfigurationError(
-                    "UIDs do not fit in int64; the array engines and "
-                    "CSRGraph.save require machine-word identifiers")
+                    "UIDs do not fit in int64; the array engines "
+                    "require machine-word identifiers")
+            uid_array.flags.writeable = False
             self._uid_array = uid_array
         return self._uid_array
 
@@ -462,9 +369,7 @@ class CSRGraph:
 
     def uid(self, v: int) -> int:
         """Unique identifier of node ``v``."""
-        if self._uids is None:  # loaded instance: skip the O(n) tuple
-            return int(self._uid_array[v])
-        return self._uids[v]
+        return self.uids[v]
 
     def index_of_uid(self, uid: int) -> int:
         """Inverse UID lookup."""
@@ -522,128 +427,3 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self.m}, uid_bits={self.uid_bits()})"
-
-
-# ----------------------------------------------------------------------
-# Content-addressed on-disk graph cache
-# ----------------------------------------------------------------------
-class GraphCache:
-    """Content-addressed store of frozen graph topologies.
-
-    Each entry is a :meth:`CSRGraph.save` directory named by the
-    BLAKE2b-128 hex digest of the canonical JSON of its identifying
-    fields — the same keying discipline as the trial store — with the
-    fields themselves stored alongside in ``spec.json``, so a digest
-    collision or a stale foreign entry is detected on load instead of
-    silently served. Loads are memory-mapped: hitting the cache for a
-    10^6-node graph is O(1).
-
-    Writes go through a per-pid temp directory and an atomic rename, so
-    concurrent sweep workers racing on the same entry are safe (first
-    rename wins; losers discard their copy).
-    """
-
-    _SPEC_NAME = "spec.json"
-
-    def __init__(self, root):
-        self.root = os.fspath(root)
-        os.makedirs(self.root, exist_ok=True)
-
-    @staticmethod
-    def key_of(**fields) -> str:
-        """BLAKE2b-128 digest of the canonical JSON of ``fields``."""
-        payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        return blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
-
-    def path_of(self, key: str) -> str:
-        return os.path.join(self.root, key)
-
-    def entries(self) -> List[str]:
-        """Keys currently stored, newest first (by entry mtime)."""
-        found = []
-        for name in os.listdir(self.root):
-            path = os.path.join(self.root, name)
-            if os.path.isfile(os.path.join(path, self._SPEC_NAME)):
-                found.append((os.path.getmtime(path), name))
-        return [name for _, name in sorted(found, reverse=True)]
-
-    def load(self, mmap: bool = True, **fields) -> Optional[CSRGraph]:
-        """The cached topology for ``fields``, or None on a miss.
-
-        Raises :class:`~repro.errors.ConfigurationError` when the entry
-        under this key describes *different* fields — a key collision or
-        a corrupted entry, never something to serve silently.
-        """
-        key = self.key_of(**fields)
-        path = self.path_of(key)
-        spec_path = os.path.join(path, self._SPEC_NAME)
-        try:
-            with open(spec_path, encoding="utf-8") as fh:
-                stored = json.load(fh)
-        except OSError:
-            return None
-        except ValueError as exc:
-            msg = f"graph cache entry {key} has corrupt spec.json: {exc}"
-            raise ConfigurationError(msg)
-        expected = json.loads(json.dumps(fields))
-        if stored != expected:
-            msg = (
-                f"graph cache key {key} stores {stored!r}, not {expected!r}:"
-                f" digest collision or corrupted cache — clear {self.root}"
-            )
-            raise ConfigurationError(msg)
-        os.utime(path)  # LRU recency for prune()
-        return CSRGraph.load(path, mmap=mmap)
-
-    def store(self, csr: CSRGraph, **fields) -> str:
-        """Persist ``csr`` under the key of ``fields``; returns the key."""
-        key = self.key_of(**fields)
-        path = self.path_of(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            csr.save(tmp)
-            spec = os.path.join(tmp, self._SPEC_NAME)
-            with open(spec, "w", encoding="utf-8") as fh:
-                json.dump(fields, fh, sort_keys=True)
-                fh.write("\n")
-            try:
-                os.rename(tmp, path)
-            except OSError:
-                pass  # a concurrent writer won the race; keep its entry
-        finally:
-            if os.path.isdir(tmp):
-                shutil.rmtree(tmp, ignore_errors=True)
-        return key
-
-    def get(
-        self, builder: Callable[[], CSRGraph], mmap: bool = True, **fields
-    ) -> CSRGraph:
-        """The cached topology, building and storing it on a miss."""
-        cached = self.load(mmap=mmap, **fields)
-        if cached is not None:
-            return cached
-        built = builder()
-        self.store(built, **fields)
-        return built
-
-    def prune(self, keep: int) -> List[str]:
-        """Evict the least-recently-used entries beyond ``keep``.
-
-        Returns the evicted keys. ``keep=0`` empties the cache — the
-        documented cleanup path (the cache is content-addressed, so
-        deleting it is always safe).
-        """
-        if keep < 0:
-            raise ConfigurationError("keep must be >= 0")
-        victims = self.entries()[keep:]
-        for key in victims:
-            shutil.rmtree(self.path_of(key), ignore_errors=True)
-        return victims
-
-
-def default_graph_cache() -> Optional[GraphCache]:
-    """The cache named by ``$REPRO_GRAPH_CACHE``, or None when unset."""
-    root = os.environ.get(GRAPH_CACHE_ENV)
-    if not root:
-        return None
-    return GraphCache(root)

@@ -15,10 +15,9 @@ from global state — or cross-worker determinism is lost.
 
 The bundled tasks (:mod:`repro.sim.batch.tasks`) memoize graph builds
 per worker process and key the memo seed-free for seed-invariant
-families and ID schemes, so a sweep constructs each distinct graph once
-per worker; ``$REPRO_GRAPH_CACHE`` extends the reuse across sweep
-invocations via an on-disk CSR cache. Neither changes a single result
-byte — the memo only skips redundant identical builds.
+families and ID schemes, so a sweep constructs each distinct graph
+(and its CSR topology) once per worker. That changes no result byte —
+the memo only skips redundant identical builds.
 """
 
 from __future__ import annotations

@@ -13,15 +13,13 @@ Every task takes an ``engine`` knob (``"fast"``, the default, or
 in outputs and reports, so sweeps can switch freely for speed.
 
 Graph builds are deduplicated: each worker process keeps a small memo of
-``(DistributedGraph, CSRGraph)`` pairs keyed by the spec fields that
-actually determine the graph — for seed-invariant families (path, grid,
-...) and ID schemes (sequential, adversarial) the seed is dropped from
-the key, so a 100-seed sweep over a path builds it once per worker
-instead of 100 times. Outputs are byte-identical either way (that is
-what "seed-invariant" means, and tests assert it). Setting
-``$REPRO_GRAPH_CACHE`` additionally persists frozen CSR topologies to a
-content-addressed on-disk cache shared across sweeps (see
-:class:`~repro.sim.batch.csr.GraphCache`).
+:class:`~repro.sim.graph.DistributedGraph`\\ s (each carrying its one
+frozen CSR topology) keyed by the spec fields that actually determine
+the graph — for seed-invariant families (path, grid, ...) and ID
+schemes (sequential, adversarial) the seed is dropped from the key, so
+a 100-seed sweep over a path builds it once per worker instead of 100
+times. Outputs are byte-identical either way (that is what
+"seed-invariant" means, and tests assert it).
 
 The scenario layer (:mod:`repro.scenarios`) compiles its adversarial
 knobs onto the same specs: ``ids`` picks the UID-assignment scheme
@@ -40,7 +38,7 @@ those knobs take exactly the code paths they always did.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from ...errors import (
     BandwidthExceeded,
@@ -58,7 +56,6 @@ from ...randomness.independent import IndependentSource
 from ..engine import CONGEST
 from ..graph import DistributedGraph
 from .array import check_engine
-from .csr import CSRGraph, default_graph_cache, ensure_csr
 from .runner import TrialResult, TrialSpec
 
 #: Model-level failure signals an adversarial trial converts to data.
@@ -69,11 +66,10 @@ def _engine_of(spec: TrialSpec) -> str:
     return check_engine(spec.param("engine", "fast"))
 
 
-#: Process-local memo of built graphs: key -> (DistributedGraph, CSRGraph).
+#: Process-local memo of built graphs: key -> DistributedGraph.
 #: Small LRU — a sweep iterates specs grouped by graph, so adjacent
 #: trials hit; the cap bounds memory when they do not.
-_GRAPH_MEMO: "OrderedDict[tuple, Tuple[DistributedGraph, CSRGraph]]" = (
-    OrderedDict())
+_GRAPH_MEMO: "OrderedDict[tuple, DistributedGraph]" = OrderedDict()
 _GRAPH_MEMO_CAP = 4
 
 
@@ -81,8 +77,7 @@ def _memo_key(spec: TrialSpec) -> tuple:
     """The spec fields that determine the graph, seed-normalized.
 
     Seed-invariant families and ID schemes record ``None`` in the seed
-    slot, so every seed of a sweep maps to one memo entry (and one
-    on-disk cache entry).
+    slot, so every seed of a sweep maps to one memo entry.
     """
     ids = spec.param("ids", "random")
     topo_seed = (None if spec.family in SEED_INVARIANT_FAMILIES
@@ -91,35 +86,8 @@ def _memo_key(spec: TrialSpec) -> tuple:
     return (spec.family, spec.n, topo_seed, ids, uid_seed)
 
 
-def _csr_of(g: DistributedGraph, key: tuple) -> CSRGraph:
-    """Freeze ``g``'s topology, consulting the on-disk cache if enabled.
-
-    Cache trouble (stale entry, key collision, filesystem errors) never
-    breaks a sweep: any failure falls back to a fresh O(n + m) build,
-    which is exactly what running without the cache does.
-    """
-    cache = default_graph_cache()
-    if cache is None:
-        return ensure_csr(g, None)
-    family, n, topo_seed, ids, uid_seed = key
-    fields = dict(kind="trial-graph", family=family, n=n,
-                  topo_seed=topo_seed, ids=ids, uid_seed=uid_seed)
-    try:
-        cached = cache.load(**fields)
-        if cached is not None:
-            return ensure_csr(g, cached)
-    except (ConfigurationError, OSError):
-        pass
-    csr = ensure_csr(g, None)
-    try:
-        cache.store(csr, **fields)
-    except (ConfigurationError, OSError):
-        pass
-    return csr
-
-
-def _graph_of(spec: TrialSpec) -> Tuple[DistributedGraph, CSRGraph]:
-    """The spec's graph (ID scheme default "random") plus frozen CSR.
+def _graph_of(spec: TrialSpec) -> DistributedGraph:
+    """The spec's graph (ID scheme default "random").
 
     Memoized per worker process, so a sweep builds each distinct graph
     once no matter how many seeds or algorithms share it.
@@ -131,11 +99,10 @@ def _graph_of(spec: TrialSpec) -> Tuple[DistributedGraph, CSRGraph]:
         return hit
     g = assign(make(spec.family, spec.n, seed=spec.seed),
                key[3], seed=spec.seed)
-    entry = (g, _csr_of(g, key))
-    _GRAPH_MEMO[key] = entry
+    _GRAPH_MEMO[key] = g
     while len(_GRAPH_MEMO) > _GRAPH_MEMO_CAP:
         _GRAPH_MEMO.popitem(last=False)
-    return entry
+    return g
 
 
 def _faults_of(spec: TrialSpec):
@@ -195,7 +162,7 @@ def luby_mis_trial(spec: TrialSpec) -> TrialResult:
         # than silently running CONGEST on a spec that asks otherwise.
         raise ConfigurationError(
             f"luby_mis_trial runs in CONGEST, got model={model!r}")
-    g, csr = _graph_of(spec)
+    g = _graph_of(spec)
     faults = _faults_of(spec)
     budget = spec.param("bit_budget")
 
@@ -203,7 +170,7 @@ def luby_mis_trial(spec: TrialSpec) -> TrialResult:
         result = luby_mis(g, IndependentSource(seed=spec.seed,
                                                bit_budget=budget),
                           max_rounds=spec.param("max_rounds", 100_000),
-                          engine=_engine_of(spec), faults=faults, csr=csr)
+                          engine=_engine_of(spec), faults=faults)
         return TrialResult(spec, is_valid_mis(g, result.outputs),
                            _report_data(result))
 
@@ -221,14 +188,13 @@ def flood_min_trial(spec: TrialSpec) -> TrialResult:
     """
     from ..primitives import flood_min
 
-    g, csr = _graph_of(spec)
+    g = _graph_of(spec)
     faults = _faults_of(spec)
 
     def run() -> TrialResult:
         result = flood_min(g, spec.param("radius", 8),
                            model=spec.param("model", CONGEST),
-                           engine=_engine_of(spec), faults=faults,
-                           csr=csr)
+                           engine=_engine_of(spec), faults=faults)
         global_min = min(g.uid(v) for v in g.nodes())
         ok = all(out == global_min for out in result.outputs.values())
         return TrialResult(spec, ok, _report_data(result))
@@ -247,14 +213,13 @@ def bfs_forest_trial(spec: TrialSpec) -> TrialResult:
     """
     from ..primitives import build_bfs_forest
 
-    g, csr = _graph_of(spec)
+    g = _graph_of(spec)
     faults = _faults_of(spec)
 
     def run() -> TrialResult:
         result = build_bfs_forest(g, {0},
                                   depth_bound=spec.param("depth_bound"),
-                                  engine=_engine_of(spec), faults=faults,
-                                  csr=csr)
+                                  engine=_engine_of(spec), faults=faults)
         ok = all(out is not None for out in result.outputs.values())
         return TrialResult(spec, ok, _report_data(result))
 

@@ -1,9 +1,16 @@
 """The network graph abstraction underlying LOCAL/CONGEST simulations.
 
-A :class:`DistributedGraph` wraps a ``networkx`` graph with the two pieces
+A :class:`DistributedGraph` is one n-node network with the two pieces
 of bookkeeping the models require (Section 2 of the paper): contiguous
 node *indices* (used internally and by randomness sources) and unique
 Θ(log n)-bit *identifiers* (what algorithms may actually look at).
+
+The topology is frozen once, at construction, into one sorted CSR
+(:attr:`DistributedGraph.csr`, a :class:`~repro.sim.batch.csr.CSRGraph`
+whose arrays are read-only) built from the input's edge list in a
+single vectorized pass. Every query and every engine run on the graph
+reads that one snapshot; :attr:`DistributedGraph.nx` is a networkx copy
+built on first use, for the algorithms that still need networkx.
 """
 
 from __future__ import annotations
@@ -17,19 +24,30 @@ import numpy as np
 from ..errors import ConfigurationError
 
 
+def sorted_labels(nodes: Iterable) -> List:
+    """Node labels in index order: sorted, or — for mixed, mutually
+    unorderable label types — by a stable type-then-repr key."""
+    nodes = list(nodes)
+    try:
+        return sorted(nodes)
+    except TypeError:
+        return sorted(nodes, key=lambda x: (type(x).__name__, repr(x)))
+
+
 class DistributedGraph:
     """An n-node network with unique identifiers.
 
     Node *indices* are ``0 .. n-1`` (stable, dense; convenient keys for
-    randomness sources and arrays). Node *identifiers* (UIDs) are unique
+    randomness sources and arrays): index ``i`` is the ``i``-th label in
+    :func:`sorted_labels` order. Node *identifiers* (UIDs) are unique
     integers from a configurable range — by default a random permutation
     of ``Θ(log n)``-bit values, matching the standard model assumption.
 
     Parameters
     ----------
     graph:
-        Any networkx graph; nodes are relabeled to indices internally but
-        the original labels are preserved in :attr:`labels`.
+        Any simple networkx graph; it is read once and not kept. The
+        original labels are preserved in :attr:`labels`.
     uids:
         Optional explicit UID per index. Must be unique.
     uid_seed:
@@ -41,32 +59,42 @@ class DistributedGraph:
 
     def __init__(self, graph: nx.Graph, uids: Optional[List[int]] = None,
                  uid_seed: int = 0, uid_range: Optional[int] = None):
+        # Deferred: the batch package imports this module.
+        from .batch.csr import CSRGraph, edges_to_csr, index_edges
+
         if graph.number_of_nodes() == 0:
             raise ConfigurationError("graph must have at least one node")
-        try:
-            self.labels: List = sorted(graph.nodes())
-        except TypeError:
-            # Mixed / unorderable label types: fall back to a stable
-            # type-then-repr ordering.
-            self.labels = sorted(graph.nodes(),
-                                 key=lambda x: (type(x).__name__, repr(x)))
-        self._index_of: Dict = {label: i for i, label in enumerate(self.labels)}
-        self.nx = nx.relabel_nodes(graph, self._index_of, copy=True)
-        self.n = self.nx.number_of_nodes()
-        if uids is not None:
-            if len(uids) != self.n or len(set(uids)) != self.n:
-                raise ConfigurationError("uids must be n distinct values")
-            self._uids = list(uids)
-        else:
+        self.labels, index_of, self._edges = index_edges(graph)
+        self.n = len(self.labels)
+        self.m = len(self._edges)
+        # The input's node order, which the networkx copy reproduces.
+        self._node_order = np.fromiter(map(index_of.__getitem__, graph),
+                                       dtype=np.int64, count=self.n)
+        if uids is None:
             rng = random.Random(uid_seed)
             hi = uid_range if uid_range is not None else max(8, self.n ** 3)
             if hi < self.n:
                 raise ConfigurationError("uid_range smaller than node count")
-            self._uids = rng.sample(range(1, hi + 1), self.n)
-        self._uid_to_index = {uid: i for i, uid in enumerate(self._uids)}
-        self._adj: List[List[int]] = [sorted(self.nx.neighbors(v))
-                                      for v in range(self.n)]
-        self._csr_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+            uids = rng.sample(range(1, hi + 1), self.n)
+        offsets, indices = edges_to_csr(self.n, self._edges)
+        self.csr = CSRGraph(offsets, indices, uids)
+        for array in (self._edges, offsets, indices, self.csr.degrees):
+            array.flags.writeable = False
+        self._nx: Optional[nx.Graph] = None
+
+    @property
+    def nx(self) -> nx.Graph:
+        """The network as a networkx graph on indices, built on first use.
+
+        Node, adjacency and edge order match relabeling the input graph
+        to indices. Only networkx-only algorithms should touch it.
+        """
+        if self._nx is None:
+            view = nx.Graph()
+            view.add_nodes_from(self._node_order.tolist())
+            view.add_edges_from(self._edges.tolist())
+            self._nx = view
+        return self._nx
 
     # ------------------------------------------------------------------
     # Topology access
@@ -77,58 +105,42 @@ class DistributedGraph:
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted neighbor indices of ``v``."""
-        return self._adj[v]
+        return self.csr.neighbor_lists[v]
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
-        return len(self._adj[v])
+        return int(self.csr.degrees[v])
 
     def max_degree(self) -> int:
         """Maximum degree Δ of the graph."""
-        return max(len(a) for a in self._adj)
+        return self.csr.max_degree()
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        """All edges as index pairs (u < v)."""
-        for u, v in self.nx.edges():
-            yield (u, v) if u < v else (v, u)
+        """All edges as index pairs (u < v), in the input's edge order."""
+        return zip(self._edges[:, 0].tolist(), self._edges[:, 1].tolist())
 
     def uid(self, v: int) -> int:
         """Unique identifier of node ``v``."""
-        return self._uids[v]
+        return self.csr.uids[v]
 
     def index_of_uid(self, uid: int) -> int:
         """Inverse UID lookup."""
-        return self._uid_to_index[uid]
+        return self.csr.index_of_uid(uid)
 
     def uid_bits(self) -> int:
         """Bits needed to write any UID (the Θ(log n) of the model)."""
-        return max(self._uids).bit_length()
+        return self.csr.uid_bits()
 
     # ------------------------------------------------------------------
     # Distance helpers (used by orchestrated algorithms and checkers)
     # ------------------------------------------------------------------
-    def _csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Lazily frozen (offsets, indices) CSR arrays for BFS queries.
-
-        The topology is treated as immutable after construction (the
-        batch engine already relies on this); the arrays are built once
-        on the first distance query.
-        """
-        if self._csr_arrays is None:
-            from .batch.csr import adjacency_to_csr
-            self._csr_arrays = adjacency_to_csr(self._adj)
-        return self._csr_arrays
-
     def bfs_distances(self, v: int, cutoff: Optional[int] = None) -> np.ndarray:
         """Distances from ``v`` (int64, -1 = unreached / beyond cutoff)."""
-        from .batch.csr import bfs_distances
-        offsets, indices = self._csr()
-        return bfs_distances(offsets, indices, v, cutoff)
+        return self.csr.bfs_distances(v, cutoff)
 
     def ball(self, v: int, radius: int) -> Dict[int, int]:
         """Map of node -> distance for all nodes within ``radius`` of v."""
-        from .batch.csr import distances_to_ball
-        return distances_to_ball(self.bfs_distances(v, cutoff=radius))
+        return self.csr.ball(v, radius)
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Hop distance between u and v, or None if disconnected."""
@@ -147,21 +159,10 @@ class DistributedGraph:
         """Induced subgraph on the given indices (a plain networkx graph)."""
         return self.nx.subgraph(list(nodes)).copy()
 
-    def subgraph_diameter(self, nodes: Iterable[int]) -> int:
-        """Diameter of the induced subgraph (must be connected)."""
-        sub = self.induced(nodes)
-        if sub.number_of_nodes() <= 1:
-            return 0
-        return max(
-            max(lengths.values())
-            for _, lengths in nx.all_pairs_shortest_path_length(sub)
-        )
-
     def weak_diameter(self, nodes: Iterable[int]) -> int:
         """Max distance *in G* between any two of the given nodes."""
         from .batch.csr import weak_diameter
-        offsets, indices = self._csr()
-        return weak_diameter(offsets, indices,
+        return weak_diameter(self.csr.offsets, self.csr.indices,
                              np.fromiter(nodes, dtype=np.int64))
 
     def power_graph(self, r: int) -> "DistributedGraph":
@@ -178,8 +179,8 @@ class DistributedGraph:
             for u, d in self.ball(v, r).items():
                 if u != v and d <= r:
                     power.add_edge(v, u)
-        return DistributedGraph(power, uids=list(self._uids))
+        return DistributedGraph(power, uids=list(self.csr.uids))
 
     def __repr__(self) -> str:
-        return (f"DistributedGraph(n={self.n}, m={self.nx.number_of_edges()}, "
+        return (f"DistributedGraph(n={self.n}, m={self.m}, "
                 f"uid_bits={self.uid_bits()})")

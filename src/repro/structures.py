@@ -13,8 +13,10 @@ import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from .errors import ConfigurationError
+from .sim.batch.csr import cluster_subgraphs, weak_diameter
 from .sim.graph import DistributedGraph
 
 
@@ -66,13 +68,24 @@ class Decomposition:
     # Quality metrics
     # ------------------------------------------------------------------
     def max_strong_diameter(self, graph: DistributedGraph) -> int:
-        """Max diameter of G[C] over clusters C (inf -> n as sentinel)."""
+        """Max diameter of G[C] over clusters C (inf -> n as sentinel).
+
+        Each G[C] is a slice of one CSR of G's intra-cluster arcs, and
+        its diameter is the weak diameter of all its nodes there.
+        """
+        ids: Dict[int, int] = {}
+        cluster = np.full(graph.n, -1, dtype=np.int64)
+        for v, c in self.cluster_of.items():
+            cluster[v] = ids.setdefault(c, len(ids))
         worst = 0
-        for members in self.clusters().values():
-            sub = graph.induced(members)
-            if not nx.is_connected(sub):
+        for offsets, indices in cluster_subgraphs(
+                graph.csr.offsets, graph.csr.indices, cluster):
+            try:
+                diameter = weak_diameter(offsets, indices,
+                                         np.arange(offsets.size - 1))
+            except ConfigurationError:
                 return graph.n  # disconnected cluster: strong diameter is broken
-            worst = max(worst, self._diameter(sub))
+            worst = max(worst, diameter)
         return worst
 
     def max_weak_diameter(self, graph: DistributedGraph) -> int:

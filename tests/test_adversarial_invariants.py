@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition.elkin_neiman import en_phases_on_nx
+from repro.core.decomposition.elkin_neiman import en_phase_loop
 from repro.core.decomposition.shared_congest import phase_epoch_decomposition
 from repro.errors import (
     BandwidthExceeded,
@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.graphs import make
 from repro.randomness import IndependentSource, SparseRandomness
 from repro.randomness.pooled import PooledBits
+from repro.sim.batch.csr import nx_to_csr
 
 
 def _clusters_of(assignment):
@@ -45,8 +46,8 @@ class TestGapRuleIsAdversarialProof:
                     st.integers(0, 12), label=f"r{(v, phase)}")
             return {v: radii_table[(v, phase)] for v in nodes}
 
-        assignment, _remaining, _m = en_phases_on_nx(
-            graph, draw_radii, phases=3, cap=12)
+        assignment, _remaining, _m = en_phase_loop(
+            *nx_to_csr(graph), draw_radii, phases=3, cap=12)
         clusters = _clusters_of(assignment)
         keys = list(clusters)
         for i, a in enumerate(keys):
@@ -69,8 +70,8 @@ class TestGapRuleIsAdversarialProof:
             return {v: data.draw(st.integers(0, 10), label=f"r{v},{phase}")
                     for v in nodes}
 
-        assignment, _remaining, _m = en_phases_on_nx(
-            graph, draw_radii, phases=2, cap=10)
+        assignment, _remaining, _m = en_phase_loop(
+            *nx_to_csr(graph), draw_radii, phases=2, cap=10)
         for members in _clusters_of(assignment).values():
             assert nx.is_connected(graph.subgraph(members))
 
@@ -80,8 +81,8 @@ class TestGapRuleIsAdversarialProof:
         graph = make("grid", 25, seed=1)
         radii = {v: data.draw(st.integers(0, 8), label=f"r{v}")
                  for v in graph.nodes()}
-        assignment, _remaining, _m = en_phases_on_nx(
-            graph, lambda nodes, p: {v: radii[v] for v in nodes},
+        assignment, _remaining, _m = en_phase_loop(
+            *nx_to_csr(graph), lambda nodes, p: {v: radii[v] for v in nodes},
             phases=1, cap=8)
         for (phase, center), members in _clusters_of(assignment).items():
             sub = graph.subgraph(members)

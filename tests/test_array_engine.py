@@ -145,8 +145,7 @@ class TestColumnFoldParity:
         assert calls[0]
 
     def test_irregular_sorts_rows(self, monkeypatch):
-        csr = CSRGraph.from_graph(
-            assign(make("gnp-sparse", 2500, seed=4), "random", seed=4))
+        csr = assign(make("gnp-sparse", 2500, seed=4), "random", seed=4).csr
         ctx = ArrayContext(csr, csr.n, None, CONGEST, 64, False)
         assert ctx._order is not None and ctx._tail_starts.size
         calls = count_frontier_calls(monkeypatch)
@@ -256,7 +255,7 @@ class TestParitySemantics:
             ArrayEngine(path9, Forever(), max_rounds=10).run()
 
     def test_reusable_csr_across_runs(self, gnp60):
-        csr = CSRGraph.from_graph(gnp60)
+        csr = gnp60.csr
         first = ArrayEngine(gnp60, ArrayFloodMin(4), csr=csr).run()
         second = ArrayEngine(gnp60, ArrayFloodMin(4), csr=csr).run()
         assert first.outputs == second.outputs
@@ -267,7 +266,7 @@ class TestParitySemantics:
         g1 = assign(make("gnp-sparse", 30, seed=1), "random", seed=1)
         g2 = assign(make("gnp-sparse", 30, seed=2), "random", seed=2)
         with pytest.raises(ConfigurationError):
-            ArrayEngine(g1, ArrayFloodMin(1), csr=CSRGraph.from_graph(g2))
+            ArrayEngine(g1, ArrayFloodMin(1), csr=g2.csr)
 
 
 class TestEngineKnobs:

@@ -38,7 +38,7 @@ from repro.randomness import (
 )
 from repro.randomness.pooled import PooledBits
 from repro.sim.batch import csr as csr_module
-from repro.sim.batch.csr import CSRGraph, bfs_distances, nx_to_csr
+from repro.sim.batch.csr import bfs_distances, nx_to_csr
 from repro.sim.graph import DistributedGraph
 
 
@@ -675,9 +675,9 @@ class TestCSRDistances:
 
     def test_csr_graph_ball_agrees_with_distributed_graph(self):
         g = assign(make("gnp-sparse", 40, seed=9), "random", seed=9)
-        csr = CSRGraph.from_graph(g)
         for v in (0, 17, 39):
-            assert csr.ball(v, 3) == g.ball(v, 3)
+            expected = nx.single_source_shortest_path_length(g.nx, v, cutoff=3)
+            assert g.csr.ball(v, 3) == g.ball(v, 3) == expected
 
     def test_bfs_distances_on_nx_labels(self):
         g = nx.relabel_nodes(nx.path_graph(6), {i: f"v{i}" for i in range(6)})

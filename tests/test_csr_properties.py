@@ -1,10 +1,12 @@
-"""Property tests: CSRGraph is a faithful snapshot of DistributedGraph.
+"""Property tests: a DistributedGraph's CSR is a faithful copy of its input.
 
-For arbitrary graphs (random G(n, p) plus the named families), the CSR
-arrays must reproduce the source's degrees, sorted neighbor lists, UID
-assignment, and edge set exactly; construction must be deterministic
-(round-trip stable); and the validation in the constructor must reject
-malformed arrays.
+For arbitrary graphs (random G(n, p) plus the named families),
+``graph.csr`` must reproduce a reference adjacency built here straight
+from the networkx input — degrees, sorted neighbor lists, UID
+assignment and edge set — and ``graph.edges()`` must keep the input's
+edge order; construction must be deterministic (round-trip stable);
+the shared arrays must be read-only; and the validation in the
+``CSRGraph`` constructor must reject malformed arrays.
 """
 
 from __future__ import annotations
@@ -14,48 +16,65 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import family_graphs
 from repro.errors import ConfigurationError
-from repro.graphs import assign, make
+from repro.graphs import FAMILIES, assign, make
 from repro.sim.batch import CSRGraph
 from repro.sim.graph import DistributedGraph
 
 
 @st.composite
-def distributed_graphs(draw):
-    """Random connected-or-not graphs with random UID seeds."""
+def sources(draw):
+    """Random connected-or-not networkx graphs plus a UID seed."""
     n = draw(st.integers(min_value=1, max_value=40))
     p = draw(st.floats(min_value=0.0, max_value=0.5))
     graph_seed = draw(st.integers(min_value=0, max_value=10_000))
     uid_seed = draw(st.integers(min_value=0, max_value=10_000))
-    g = nx.gnp_random_graph(n, p, seed=graph_seed)
-    return DistributedGraph(g, uid_seed=uid_seed)
+    return nx.gnp_random_graph(n, p, seed=graph_seed), uid_seed
 
 
-def assert_matches(csr: CSRGraph, graph: DistributedGraph):
-    assert csr.n == graph.n
-    assert csr.m == graph.nx.number_of_edges()
+def reference_adjacency(source: nx.Graph):
+    """Label -> index map and sorted index neighbor lists, the slow way."""
+    index_of = {label: i for i, label in enumerate(sorted(source.nodes()))}
+    adjacency = [[] for _ in index_of]
+    for label, i in index_of.items():
+        adjacency[i] = sorted(index_of[u] for u in source.neighbors(label))
+    return index_of, adjacency
+
+
+def assert_matches(graph: DistributedGraph, source: nx.Graph):
+    index_of, adjacency = reference_adjacency(source)
+    csr = graph.csr
+    assert csr.n == graph.n == len(adjacency)
+    assert csr.m == graph.m == source.number_of_edges()
+    degrees = [len(a) for a in adjacency]
+    assert csr.offsets.tolist() == np.cumsum([0] + degrees).tolist()
+    assert csr.indices.tolist() == [u for a in adjacency for u in a]
     for v in graph.nodes():
-        assert csr.degree(v) == graph.degree(v)
-        assert csr.neighbor_list(v) == list(graph.neighbors(v))
-        assert list(csr.neighbors(v)) == list(graph.neighbors(v))
-        assert csr.neighbor_sets[v] == set(graph.neighbors(v))
+        assert csr.degree(v) == graph.degree(v) == degrees[v]
+        assert csr.neighbor_list(v) == graph.neighbors(v) == adjacency[v]
+        assert list(csr.neighbors(v)) == adjacency[v]
+        assert csr.neighbor_sets[v] == set(adjacency[v])
         assert csr.uid(v) == graph.uid(v)
         assert csr.index_of_uid(graph.uid(v)) == v
-    assert csr.max_degree() == (graph.max_degree() if graph.n else 0)
+    assert csr.max_degree() == graph.max_degree() == max(degrees)
     assert csr.uid_bits() == graph.uid_bits()
-    assert sorted(csr.edges()) == sorted(graph.edges())
+    expected_edges = [tuple(sorted((index_of[a], index_of[b])))
+                      for a, b in source.edges()]
+    assert list(graph.edges()) == expected_edges  # input order, u < v
+    assert sorted(csr.edges()) == sorted(expected_edges)
 
 
-@given(distributed_graphs())
-def test_csr_matches_source(graph):
-    assert_matches(CSRGraph.from_graph(graph), graph)
+@given(sources())
+def test_csr_matches_source(case):
+    source, uid_seed = case
+    assert_matches(DistributedGraph(source, uid_seed=uid_seed), source)
 
 
-@given(distributed_graphs())
-def test_round_trip_is_stable(graph):
-    first = CSRGraph.from_graph(graph)
-    second = CSRGraph.from_graph(graph)
+@given(sources())
+def test_round_trip_is_stable(case):
+    source, uid_seed = case
+    first = DistributedGraph(source, uid_seed=uid_seed).csr
+    second = DistributedGraph(source, uid_seed=uid_seed).csr
     assert first == second
     assert np.array_equal(first.offsets, second.offsets)
     assert np.array_equal(first.indices, second.indices)
@@ -63,15 +82,31 @@ def test_round_trip_is_stable(graph):
 
 
 def test_every_family_matches():
-    for _name, graph in family_graphs(32, seed=7):
-        assert_matches(CSRGraph.from_graph(graph), graph)
+    for name in sorted(FAMILIES):
+        for n in (30, 200):
+            source = make(name, n, seed=7)
+            assert_matches(assign(source, "random", seed=7), source)
 
 
 def test_degrees_are_offset_differences():
     graph = assign(make("gnp-dense", 30, seed=3), "random", seed=3)
-    csr = CSRGraph.from_graph(graph)
+    csr = graph.csr
     assert np.array_equal(csr.degrees, np.diff(csr.offsets))
     assert int(csr.offsets[-1]) == 2 * csr.m
+
+
+def test_shared_arrays_are_read_only():
+    graph = assign(make("cycle", 12), "random", seed=3)
+    csr = graph.csr
+    for array in (csr.offsets, csr.indices, csr.degrees, csr.uid_array):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert csr.indices[0] == 1  # nothing was written
+
+
+def test_self_loops_rejected():
+    with pytest.raises(ConfigurationError, match="self-loops"):
+        DistributedGraph(nx.Graph([(0, 1), (1, 1)]))
 
 
 class TestValidation:

@@ -11,7 +11,7 @@ from repro.core.decomposition import (
     default_cap,
     default_phases,
     elkin_neiman,
-    en_phases_on_nx,
+    en_phase_loop,
     kwise_decomposition,
     sparse_bits_decomposition,
     top_two_flood,
@@ -87,9 +87,9 @@ class TestModes:
     def test_invalid_phase_cap(self, cycle12, source):
         import networkx as nx
         with pytest.raises(ConfigurationError):
-            en_phases_on_nx(nx.path_graph(3), _constant(1), 0, 4)
+            en_phase_loop(*nx_to_csr(nx.path_graph(3)), _constant(1), 0, 4)
         with pytest.raises(ConfigurationError):
-            en_phases_on_nx(nx.path_graph(3), _constant(1), 4, 0)
+            en_phase_loop(*nx_to_csr(nx.path_graph(3)), _constant(1), 4, 0)
 
 
 class TestDeterminism:
@@ -128,7 +128,8 @@ class TestPhaseCore:
         def draw_radii(nodes, phase):
             return {v: draws.get(v, 1) for v in nodes}
 
-        assignment, remaining, _m = en_phases_on_nx(g, draw_radii, 1, 100)
+        assignment, remaining, _m = en_phase_loop(
+            *nx_to_csr(g), draw_radii, 1, 100)
         assert not remaining
         assert {a for a in assignment.values()} == {(0, 3)}
 
@@ -136,7 +137,8 @@ class TestPhaseCore:
         """All-equal shifts produce gap <= 1 everywhere (the k=1 failure)."""
         import networkx as nx
         g = nx.cycle_graph(8)
-        assignment, remaining, _m = en_phases_on_nx(g, _constant(3), 4, 10)
+        assignment, remaining, _m = en_phase_loop(
+            *nx_to_csr(g), _constant(3), 4, 10)
         assert len(remaining) == 8
         assert not assignment
 
@@ -149,7 +151,8 @@ class TestPhaseCore:
         def draw_radii(nodes, phase):
             return {v: draws.get(v, 0) if phase == 0 else 0 for v in nodes}
 
-        assignment, remaining, _m = en_phases_on_nx(g, draw_radii, 1, 10)
+        assignment, remaining, _m = en_phase_loop(
+            *nx_to_csr(g), draw_radii, 1, 10)
         # Node 2 sees 3-2=1 from both: m1=m2 -> unclustered. Nodes 0, 1
         # see 3, 2 vs 1, 0: gap 2 -> clustered with center 0.
         assert assignment.get(0) == (0, 0)
@@ -196,7 +199,7 @@ class TestTopTwoFlood:
 
     @pytest.mark.parametrize("name,graph", list(family_graphs(36, seed=5)))
     def test_matches_oracle_on_families(self, name, graph):
-        offsets, indices, _nodes = nx_to_csr(graph.nx)
+        offsets, indices = graph.csr.offsets, graph.csr.indices
         cases = _flood_cases(graph, seed=sum(map(ord, name)))
         for case, (live, radii) in enumerate(cases):
             radii = radii.astype(np.int64)

@@ -20,7 +20,6 @@ from repro.core.mis import LubyMIS, is_valid_mis
 from repro.errors import BandwidthExceeded, ConfigurationError, ModelViolation
 from repro.randomness import IndependentSource
 from repro.sim import CONGEST, LOCAL, FastEngine, SyncEngine
-from repro.sim.batch import CSRGraph
 from repro.sim.node import NodeProgram
 from repro.sim.primitives import BFSTree, FloodMin
 
@@ -150,7 +149,7 @@ class TestEquivalenceSemantics:
                 assert payloads[u] == 1
 
     def test_reusable_csr_across_runs(self, gnp60):
-        csr = CSRGraph.from_graph(gnp60)
+        csr = gnp60.csr
         first = FastEngine(gnp60, lambda _v: FloodMin(4), csr=csr).run()
         second = FastEngine(gnp60, lambda _v: FloodMin(4), csr=csr).run()
         assert first.outputs == second.outputs
@@ -160,7 +159,7 @@ class TestEquivalenceSemantics:
     def test_csr_size_mismatch_rejected(self, gnp60, path9):
         with pytest.raises(ConfigurationError):
             FastEngine(gnp60, lambda _v: FloodMin(1),
-                       csr=CSRGraph.from_graph(path9))
+                       csr=path9.csr)
 
     def test_csr_from_different_graph_rejected(self):
         from repro.graphs import assign, make
@@ -171,7 +170,7 @@ class TestEquivalenceSemantics:
         g2 = assign(make("gnp-sparse", 30, seed=2), "random", seed=2)
         with pytest.raises(ConfigurationError):
             FastEngine(g1, lambda _v: FloodMin(1),
-                       csr=CSRGraph.from_graph(g2))
+                       csr=g2.csr)
 
     def test_max_rounds_guard(self, path9):
         class Forever(NodeProgram):

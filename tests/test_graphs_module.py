@@ -149,10 +149,18 @@ class TestIdSchemes:
         g = assign(make("path", 5), "sequential")
         assert sorted(g.uid(v) for v in g.nodes()) == [1, 2, 3, 4, 5]
 
-    def test_adversarial_ids_follow_bfs(self):
-        g = assign(make("path", 8), "adversarial")
-        # BFS from node 0 on a path is the path order itself.
-        assert [g.uid(v) for v in g.nodes()] == list(range(1, 9))
+    @pytest.mark.parametrize("family,n", [("path", 8), ("path", 12),
+                                          ("path", 100), ("cycle", 12)])
+    def test_adversarial_ids_follow_bfs(self, family, n):
+        g = assign(make(family, n), "adversarial")
+        by_uid = sorted(g.nodes(), key=g.uid)
+        assert [g.uid(v) for v in by_uid] == list(range(1, n + 1))
+        # UID order is a BFS order from node 0: distances never decrease.
+        dist = g.bfs_distances(0).tolist()
+        assert by_uid[0] == 0
+        assert all(dist[a] <= dist[b] for a, b in zip(by_uid, by_uid[1:]))
+        if family == "path":  # BFS on a path is the path order itself
+            assert [g.uid(v) for v in g.nodes()] == list(range(1, n + 1))
 
     def test_spread_ids_have_uniform_bit_length(self):
         g = assign(make("path", 32), "spread", seed=4)

@@ -1,4 +1,4 @@
-"""The array engine's fused ops, mmap CSR, the graph cache, engine names.
+"""The array engine's fused ops, mmap CSR, the sweep memo, engine names.
 
 Five contracts, each pinned here:
 
@@ -15,12 +15,13 @@ Five contracts, each pinned here:
    earlier result, and after warm-up an op allocates nothing
    edge-sized — only its ``int64[n]`` results, plus per-arc
    temporaries on a sparse frontier.
-3. **Persistence round-trips exactly**: ``CSRGraph.save``/``load``
-   (mmap or not) reproduce offsets/indices/uids/degrees bit-for-bit
-   and engine runs on a mmap-loaded CSR match in-memory runs.
-4. **The cache and the sweep dedupe change no bytes**: memoized graph
-   builds and $REPRO_GRAPH_CACHE produce result-for-result identical
-   sweeps while building each distinct graph once.
+3. **A CSR over memory-mapped arrays is exact**: a graph's CSR
+   arrays written with ``np.save`` and reopened through
+   ``np.lib.format.open_memmap`` (mmap or not) rebuild the same
+   ``CSRGraph``, and engine runs on it match runs on the graph.
+4. **The sweep dedupe changes no bytes**: memoized graph builds
+   produce result-for-result identical sweeps while building each
+   distinct graph once.
 5. **Retired engine names fail loudly** everywhere an engine is named,
    and the error names ``"array"``, whose results match FastEngine.
 """
@@ -28,8 +29,6 @@ Five contracts, each pinned here:
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import re
 import tracemalloc
 
@@ -56,7 +55,6 @@ from repro.sim.batch.array import (
     int_message_bits,
     segment_reduce,
 )
-from repro.sim.batch.csr import GRAPH_CACHE_ENV, GraphCache, default_graph_cache
 from repro.sim.batch.tasks import (
     bfs_forest_trial,
     flood_min_trial,
@@ -500,7 +498,7 @@ class TestWorkspaceMechanics:
                 *ctx.adopt_neighbor_min3(values, values, mask)]
 
     def test_fused_results_survive_further_ops(self, gnp60):
-        ctx = context_of(CSRGraph.from_graph(gnp60))
+        ctx = context_of(gnp60.csr)
         values = np.arange(ctx.size, dtype=np.int64)
         mask = values % 3 != 0
         kept = ctx.gather_neighbor_min(values)
@@ -515,8 +513,7 @@ class TestWorkspaceMechanics:
         # A clique makes edge buffers 200x larger than node outputs, so
         # one stray bool[e] temporary would dwarf every legitimate
         # allocation below.
-        ctx = context_of(CSRGraph.from_graph(
-            DistributedGraph(nx.complete_graph(200))))
+        ctx = context_of(DistributedGraph(nx.complete_graph(200)).csr)
         edges = ctx.indices.size
         values = np.arange(ctx.size, dtype=np.int64)
         mask = values % 2 == 0
@@ -540,8 +537,7 @@ class TestWorkspaceMechanics:
     def test_frontier_round_allocates_less_than_an_edge_mask(self):
         # One sender's 199 arcs of the clique's 39800: the push branch
         # allocates per arc and per node, never per edge.
-        ctx = context_of(CSRGraph.from_graph(
-            DistributedGraph(nx.complete_graph(200))))
+        ctx = context_of(DistributedGraph(nx.complete_graph(200)).csr)
         edges = ctx.indices.size
         values = np.arange(ctx.size, dtype=np.int64)
         mask = values == 7
@@ -700,25 +696,32 @@ def test_bad_engine_rejected_everywhere(entry, engine):
         call(good)
 
 
+def mmap_csr(graph, directory, mmap=True):
+    """``graph.csr`` rebuilt from its arrays saved as ``.npy`` files."""
+    arrays = {"offsets": graph.csr.offsets, "indices": graph.csr.indices,
+              "uids": graph.csr.uid_array}
+    for name, array in arrays.items():
+        np.save(directory / f"{name}.npy", array)
+    read = ((lambda path: np.lib.format.open_memmap(path, mode="r"))
+            if mmap else np.load)
+    offsets, indices, uids = (read(directory / f"{name}.npy")
+                              for name in arrays)
+    return CSRGraph(offsets, indices, tuple(uids.tolist()))
+
+
 class TestMmapCSR:
     def test_save_load_roundtrip_exact(self, tmp_path, gnp60):
-        csr = CSRGraph.from_graph(gnp60)
-        path = tmp_path / "g"
-        csr.save(path)
+        csr = gnp60.csr
         for mmap in (True, False):
-            loaded = CSRGraph.load(path, mmap=mmap)
+            loaded = mmap_csr(gnp60, tmp_path, mmap=mmap)
             assert (loaded.n, loaded.m) == (csr.n, csr.m)
-            np.testing.assert_array_equal(loaded.offsets, csr.offsets)
-            np.testing.assert_array_equal(loaded.indices, csr.indices)
+            assert loaded == csr
             np.testing.assert_array_equal(loaded.degrees, csr.degrees)
-            assert loaded.uids == csr.uids
             assert loaded.uid(3) == csr.uid(3)
 
     def test_mmap_runs_bit_identical(self, tmp_path, gnp60):
-        csr = CSRGraph.from_graph(gnp60)
-        path = tmp_path / "g"
-        csr.save(path)
-        loaded = CSRGraph.load(path, mmap=True)
+        loaded = mmap_csr(gnp60, tmp_path)
+        assert isinstance(loaded.indices.base, np.memmap)
         ref = luby_mis(gnp60, IndependentSource(seed=5), engine="array")
         got = luby_mis(None, IndependentSource(seed=5), engine="array",
                        csr=loaded)
@@ -727,84 +730,11 @@ class TestMmapCSR:
         got = build_bfs_forest(None, {0, 7}, engine="array", csr=loaded)
         assert_identical(ref, got)
 
-    def test_load_rejects_non_cache_directory(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not a CSRGraph.save"):
-            CSRGraph.load(tmp_path / "missing")
-
     def test_engines_require_graph_or_csr(self):
         with pytest.raises(ConfigurationError, match="both were None"):
             flood_min(None, 3, engine="array")
         with pytest.raises(ConfigurationError, match="both were None"):
             build_bfs_forest(None, {0}, engine="array")
-
-
-class TestGraphCache:
-    FIELDS = dict(kind="test", family="path", n=9, seed=None)
-
-    def test_miss_then_hit(self, tmp_path, path9):
-        cache = GraphCache(tmp_path)
-        assert cache.load(**self.FIELDS) is None
-        csr = CSRGraph.from_graph(path9)
-        key = cache.store(csr, **self.FIELDS)
-        assert cache.entries() == [key]
-        hit = cache.load(**self.FIELDS)
-        assert hit is not None and hit.uids == csr.uids
-        np.testing.assert_array_equal(hit.indices, csr.indices)
-
-    def test_get_builds_once(self, tmp_path, path9):
-        cache = GraphCache(tmp_path)
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return CSRGraph.from_graph(path9)
-
-        first = cache.get(builder, **self.FIELDS)
-        second = cache.get(builder, **self.FIELDS)
-        assert len(calls) == 1
-        assert first.uids == second.uids
-
-    def test_collision_detected(self, tmp_path, path9):
-        cache = GraphCache(tmp_path)
-        key = cache.store(CSRGraph.from_graph(path9), **self.FIELDS)
-        spec = os.path.join(cache.path_of(key), "spec.json")
-        with open(spec, "w", encoding="utf-8") as fh:
-            json.dump({"kind": "something-else"}, fh)
-        with pytest.raises(ConfigurationError, match="collision"):
-            cache.load(**self.FIELDS)
-
-    def test_corrupt_spec_detected(self, tmp_path, path9):
-        cache = GraphCache(tmp_path)
-        key = cache.store(CSRGraph.from_graph(path9), **self.FIELDS)
-        spec = os.path.join(cache.path_of(key), "spec.json")
-        with open(spec, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
-        with pytest.raises(ConfigurationError, match="corrupt"):
-            cache.load(**self.FIELDS)
-
-    def test_prune_evicts_least_recently_used(self, tmp_path, path9):
-        cache = GraphCache(tmp_path)
-        csr = CSRGraph.from_graph(path9)
-        keys = [cache.store(csr, **{**self.FIELDS, "n": n})
-                for n in (1, 2, 3)]
-        for age, key in zip((30, 20, 10), keys):
-            ts = 1_700_000_000 - age
-            os.utime(cache.path_of(key), (ts, ts))
-        cache.load(**{**self.FIELDS, "n": 1})  # refresh the oldest
-        evicted = cache.prune(keep=2)
-        assert evicted == [keys[1]]
-        assert set(cache.entries()) == {keys[0], keys[2]}
-        assert cache.prune(keep=0) != []
-        assert cache.entries() == []
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            cache.prune(keep=-1)
-
-    def test_default_cache_reads_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(GRAPH_CACHE_ENV, raising=False)
-        assert default_graph_cache() is None
-        monkeypatch.setenv(GRAPH_CACHE_ENV, str(tmp_path / "cache"))
-        cache = default_graph_cache()
-        assert cache is not None and os.path.isdir(cache.root)
 
 
 class TestNativeKnob:
@@ -870,18 +800,6 @@ class TestSweepDedupe:
         # Distinct seeds must still see distinct UID assignments.
         bits = {r.data["total_bits"] for r in results}
         assert len(bits) > 1
-
-    def test_disk_cache_round_trip_identical(self, monkeypatch, tmp_path):
-        self.fresh_memo(monkeypatch)
-        monkeypatch.delenv(GRAPH_CACHE_ENV, raising=False)
-        baseline = self.run_sweep("path", engine="array")
-        monkeypatch.setenv(GRAPH_CACHE_ENV, str(tmp_path / "gc"))
-        self.fresh_memo(monkeypatch)
-        cold = self.run_sweep("path", engine="array")
-        assert GraphCache(tmp_path / "gc").entries()  # populated
-        self.fresh_memo(monkeypatch)
-        warm = self.run_sweep("path", engine="array")  # mmap hits
-        assert baseline == cold == warm
 
     def test_task_engine_kernel_matches_fast(self, monkeypatch):
         self.fresh_memo(monkeypatch)

@@ -1,12 +1,27 @@
-"""DistributedGraph: identifiers, topology access, distance helpers."""
+"""DistributedGraph: identifiers, topology access, distance helpers,
+and the lazily built networkx view."""
 
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.decomposition import (
+    elkin_neiman,
+    shared_randomness_decomposition,
+)
+from repro.core.mis import luby_mis
 from repro.errors import ConfigurationError
+from repro.graphs import FAMILIES, assign, make
+from repro.randomness import IndependentSource
+from repro.sim.batch import ENGINES
 from repro.sim.graph import DistributedGraph
+from repro.sim.primitives import build_bfs_forest, flood_min
+from repro.structures import Decomposition
+
+#: Labels of mutually unorderable types: indices fall back to the
+#: type-then-repr order.
+MIXED = nx.Graph([("a", 1), (1, 2.5), ("b", "a"), ((1, 2), 2.5), (3, "b")])
 
 
 class TestConstruction:
@@ -87,9 +102,13 @@ class TestTopology:
         assert sorted(map(sorted, comps)) == [[0, 1], [2]]
 
     def test_subgraph_diameter(self):
+        # The strong diameter of one cluster is its induced diameter.
         g = DistributedGraph(nx.path_graph(10))
-        assert g.subgraph_diameter([2, 3, 4]) == 2
-        assert g.subgraph_diameter([5]) == 0
+        cluster = Decomposition(cluster_of={2: 0, 3: 0, 4: 0},
+                                color_of={0: 0})
+        assert cluster.max_strong_diameter(g) == 2
+        singleton = Decomposition(cluster_of={5: 0}, color_of={0: 0})
+        assert singleton.max_strong_diameter(g) == 0
 
     def test_weak_diameter_uses_g_distances(self):
         g = DistributedGraph(nx.cycle_graph(8))
@@ -141,3 +160,55 @@ class TestReprAndBounds:
     def test_eccentricity_bound(self):
         g = DistributedGraph(nx.path_graph(5))
         assert g.eccentricity_bound() >= 4
+
+
+def sources():
+    """Every family at two sizes, plus the mixed-label graph."""
+    for name in sorted(FAMILIES):
+        for n in (30, 200):
+            yield f"{name}-{n}", make(name, n, seed=4)
+    yield "mixed", MIXED
+
+
+class TestNetworkxView:
+    @pytest.mark.parametrize("source", [pytest.param(source, id=name)
+                                        for name, source in sources()])
+    def test_view_matches_relabel_copy(self, source):
+        g = DistributedGraph(source, uid_seed=1)
+        index_of = {label: i for i, label in enumerate(g.labels)}
+        expected = nx.relabel_nodes(source, index_of, copy=True)
+        view = g.nx
+        assert list(view.nodes()) == list(expected.nodes())
+        for v in expected.nodes():
+            assert list(view.adj[v]) == list(expected.adj[v]), v
+        assert list(view.edges()) == list(expected.edges())
+        assert list(g.edges()) == [(min(e), max(e)) for e in expected.edges()]
+
+    def test_expander_input_order_is_not_sorted(self):
+        # The view's node order is observable: it follows the input's.
+        g = DistributedGraph(make("expander", 30, seed=4))
+        assert list(g.nx.nodes()) != sorted(g.nx.nodes())
+
+    def test_mixed_labels_use_type_then_repr_order(self):
+        g = DistributedGraph(MIXED)
+        assert g.labels == [2.5, 1, 3, "a", "b", (1, 2)]
+        assert g.neighbors(g.labels.index("a")) == [1, 4]
+
+    def test_view_is_built_once_on_first_use(self):
+        g = DistributedGraph(nx.path_graph(5))
+        assert g._nx is None
+        assert g.nx is g.nx
+
+    def test_engines_and_checkers_leave_view_unbuilt(self):
+        g = assign(make("gnp-sparse", 60, seed=5), "random", seed=5)
+        dec, _r, _e = elkin_neiman(g, IndependentSource(seed=3),
+                                   finish="singletons")
+        assert not dec.violations(g, max_diameter=g.n, strong=True)
+        dec, _r, _e = shared_randomness_decomposition(g, seed=2,
+                                                      strict=False)
+        assert not dec.violations(g, max_diameter=g.n, strong=True)
+        for engine in ENGINES:
+            luby_mis(g, IndependentSource(seed=3), engine=engine)
+            flood_min(g, 4, engine=engine)
+            build_bfs_forest(g, {0}, engine=engine)
+        assert g._nx is None

@@ -1,8 +1,12 @@
 """Solution structures: Decomposition, SplittingInstance, Hypergraph."""
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.sim.graph import DistributedGraph
 from repro.structures import (
     Decomposition,
     Hypergraph,
@@ -61,6 +65,14 @@ class TestDecomposition:
         d = Decomposition(cluster_of=cluster_of, color_of=color_of)
         assert d.max_weak_diameter(cycle12) >= 6
         assert d.max_strong_diameter(cycle12) == cycle12.n  # sentinel
+
+    def test_strong_diameter_ignores_unassigned_nodes(self, cycle12):
+        # Nodes outside cluster_of neither join a cluster nor relay.
+        d = Decomposition(cluster_of={0: 7, 1: 7, 2: 7, 4: 9},
+                          color_of={7: 0, 9: 0})
+        assert d.max_strong_diameter(cycle12) == 2
+        d.cluster_of[11] = 7  # 11-0-1-2 is still a path inside the cluster
+        assert d.max_strong_diameter(cycle12) == 3
 
     def test_color_of_node(self, cycle12):
         d = three_blocks(cycle12)
@@ -158,3 +170,53 @@ class TestHypergraph:
         assert conflict_free_ok(hg, {0: {"a", "c"}, 1: {"a"}, 2: {"b"}})
         # All colors held exactly twice: no unique color anywhere.
         assert not conflict_free_ok(hg, {0: {"a", "c"}, 1: {"a"}, 2: {"c"}})
+
+
+def oracle_strong_diameter(source: nx.Graph, cluster_of) -> int:
+    """Max over clusters of the all-pairs BFS diameter of G[C] (n if
+    some G[C] is disconnected), straight from networkx."""
+    clusters = {}
+    for v, c in cluster_of.items():
+        clusters.setdefault(c, []).append(v)
+    worst = 0
+    for members in clusters.values():
+        sub = source.subgraph(members)
+        if not nx.is_connected(sub):
+            return source.number_of_nodes()
+        for _v, lengths in nx.all_pairs_shortest_path_length(sub):
+            worst = max(worst, max(lengths.values()))
+    return worst
+
+
+@st.composite
+def decompositions(draw):
+    """A G(n, p) plus clusters that are connected (nearest of some
+    centers), arbitrary (often disconnected) or singletons."""
+    n = draw(st.integers(1, 30))
+    source = nx.gnp_random_graph(n, draw(st.floats(0.0, 0.4)),
+                                 seed=draw(st.integers(0, 10_000)))
+    style = draw(st.sampled_from(["voronoi", "arbitrary", "singletons"]))
+    if style == "singletons":
+        cluster_of = {v: 3 * v + 1 for v in range(n)}
+    elif style == "arbitrary":
+        k = draw(st.integers(1, 4))
+        cluster_of = {v: draw(st.integers(0, k - 1)) for v in range(n)}
+    else:
+        centers = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        lengths = {c: nx.single_source_shortest_path_length(source, c)
+                   for c in centers}
+        cluster_of = {}
+        for v in range(n):
+            reach = [(lengths[c][v], c) for c in centers if v in lengths[c]]
+            cluster_of[v] = min(reach)[1] if reach else -1 - v
+    return source, cluster_of
+
+
+class TestStrongDiameterParity:
+    @given(decompositions())
+    def test_matches_networkx_all_pairs(self, case):
+        source, cluster_of = case
+        d = Decomposition(cluster_of=cluster_of,
+                          color_of={c: 0 for c in cluster_of.values()})
+        assert (d.max_strong_diameter(DistributedGraph(source))
+                == oracle_strong_diameter(source, cluster_of))
