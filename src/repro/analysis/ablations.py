@@ -51,8 +51,7 @@ def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
             source = IndependentSource(seed=seed + 91 * t)
 
             def draw_radii(nodes, phase):
-                values, _ = source.geometrics(nodes, cap, phase * cap)
-                return dict(zip(nodes, values.tolist()))
+                return source.geometrics(nodes, cap, phase * cap)[0]
 
             assignment, remaining, _measured = en_phase_loop(
                 g.csr.offsets, g.csr.indices, g.nodes(), draw_radii,

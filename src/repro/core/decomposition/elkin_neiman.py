@@ -28,7 +28,11 @@ Each phase is one :func:`top_two_flood` over the live nodes' CSR
 adjacency: every node forwards its best two (value, center) pairs, the
 O(log n)-bit messages of the CONGEST implementation, until nothing
 changes. This flood is the only top-two computation in the package;
-Theorems 3.1, 3.6 and 3.7 and the A1 ablation all run it. The
+Theorems 3.1, 3.6 and 3.7 and the A1 ablation all run it. It sorts
+nothing: each pair is packed into one int64 key (a larger key is the
+better pair), and a round is two ``np.maximum.at`` scatter passes over
+the senders' arcs, one for the best pair and one for the best pair of
+another center. The
 :class:`RunReport` keeps the *accounted* ``phases * (cap + 2)`` rounds
 (``accounted=True``: the paper's expression, not an engine count), while
 the rounds and messages the flood actually took are *measured* and land
@@ -75,11 +79,22 @@ def top_two_flood(
     and ``radii`` (int64[n]) holds each center's shift. A live node with
     a radius <= 0 is no center. Each round, the live nodes whose positive
     pairs changed in the previous round send them, decremented by one, to
-    their live neighbors; each receiver keeps the best value per center
-    and then its best two centers, ties broken by node index. The flood
+    their live neighbors; each receiver keeps its best two pairs of
+    different centers, ties broken toward the smaller center. The flood
     stops when no positive pair changes, which takes at most
     ``max(radii)`` rounds: a pair adopted in round k is worth at most
     ``max(radii) - k``.
+
+    A pair is packed into one int64 key, ``value * (n + 1) + (n - c)``
+    (0: no pair), so that a larger key is the better pair and decrementing
+    the value subtracts ``n + 1``. A round is then two scatter-max passes
+    over the senders' arcs: ``np.maximum.at`` of the incoming best keys
+    into a copy of the first slot gives each node its best pair, and a
+    second ``np.maximum.at`` of the incoming keys whose center differs
+    from that best pair's, into the kept pair of another center, gives
+    the second slot. A
+    :class:`ConfigurationError` is raised if ``max(radii) * (n + 1) + n``
+    does not fit in an int64.
 
     Returns ``(m1, center, m2, rounds, messages)``: the best value
     (``-1`` where no center reaches), its center (``-1`` likewise), the
@@ -88,64 +103,65 @@ def top_two_flood(
     per sender and live neighbor per round).
     """
     n = len(radii)
+    step = n + 1
+    top = int(radii.max()) if n else 0
+    if top > (np.iinfo(np.int64).max - n) // step:
+        raise ConfigurationError(
+            f"top_two_flood packs value * (n + 1) + n into an int64: a "
+            f"radius of {top} on {n} nodes exceeds the bound "
+            f"{(np.iinfo(np.int64).max - n) // step}")
     nodes = np.arange(n)
     src = np.repeat(nodes, np.diff(offsets))
     keep = live[src] & live[indices]
     src, dst = src[keep], indices[keep]
-    m1 = np.where(live & (radii > 0), radii, -1)
-    c1 = np.where(m1 >= 0, nodes, -1)
-    m2 = np.full(n, -1, dtype=np.int64)
-    c2 = np.full(n, -1, dtype=np.int64)
-    senders = m1 > 0
+    key1 = np.where(live & (radii > 0), radii * step + (n - nodes), 0)
+    key2 = np.zeros(n, dtype=np.int64)
+    senders = key1 > step
     rounds = messages = 0
     while True:
         out = senders[src]
-        if not out.any():
+        es = src[out]
+        if not es.size:
             break
+        if rounds == top:  # cannot happen: see the bound above
+            raise RuntimeError(
+                f"top_two_flood still changing after max(radii) = {top} "
+                f"rounds")
         rounds += 1
-        messages += int(np.count_nonzero(out))
-        es, ed = src[out], dst[out]
-        two = m2[es] > 0
-        hit = np.zeros(n, dtype=bool)
-        hit[ed] = True
-        receivers = np.flatnonzero(hit)
-        mine1 = receivers[c1[receivers] >= 0]
-        mine2 = receivers[c2[receivers] >= 0]
-        at = np.concatenate((ed, ed[two], mine1, mine2))
-        value = np.concatenate((m1[es] - 1, m2[es][two] - 1, m1[mine1], m2[mine2]))
-        center = np.concatenate((c1[es], c2[es][two], c1[mine1], c2[mine2]))
-        # Best value per (receiver, center) ...
-        order = np.lexsort((-value, center, at))
-        at, value, center = at[order], value[order], center[order]
-        first = np.ones(len(at), dtype=bool)
-        first[1:] = (at[1:] != at[:-1]) | (center[1:] != center[:-1])
-        at, value, center = at[first], value[first], center[first]
-        # ... then the best two centers per receiver.
-        order = np.lexsort((center, -value, at))
-        at, value, center = at[order], value[order], center[order]
-        head = np.ones(len(at), dtype=bool)
-        head[1:] = at[1:] != at[:-1]
-        second = np.zeros(len(at), dtype=bool)
-        second[1:] = head[:-1] & ~head[1:]
-        r = receivers
-        was1, was_c1, was2, was_c2 = m1[r], c1[r], m2[r], c2[r]
-        m1[at[head]], c1[at[head]] = value[head], center[head]
-        m2[r], c2[r] = -1, -1
-        m2[at[second]], c2[at[second]] = value[second], center[second]
-        # A positive pair is only ever displaced by another positive
-        # pair, so "a slot now holds a new positive pair" is exactly
-        # "the pairs worth forwarding changed".
-        senders = np.zeros(n, dtype=bool)
-        senders[r] = (((m1[r] > 0) & ((m1[r] != was1) | (c1[r] != was_c1)))
-                      | ((m2[r] > 0) & ((m2[r] != was2) | (c2[r] != was_c2))))
-    return m1, c1, np.maximum(m2, 0), rounds, messages
+        messages += es.size
+        ed = dst[out]
+        # Best pair: the node's own first slot or an incoming first slot
+        # (a second slot is always worse than its sender's first).
+        offer1 = key1[es] - step
+        new1 = key1.copy()
+        np.maximum.at(new1, ed, offer1)
+        # Second slot: the best kept or incoming pair of another center.
+        # Of the kept pairs that is the old first slot if the best
+        # center changed (it beats the old second), else the old second.
+        center = new1 % step
+        new2 = np.where(key1 % step == center, key2, key1)
+        two = key2[es] > step
+        at = np.concatenate((ed, ed[two]))
+        offer = np.concatenate((offer1, key2[es][two] - step))
+        other = offer % step != center[at]
+        np.maximum.at(new2, at[other], offer[other])
+        # Both slots only grow, and a positive pair is only ever
+        # displaced by another positive pair, so "a slot grew past
+        # value 0" is exactly "the pairs worth forwarding changed".
+        senders = ((new1 > np.maximum(key1, step))
+                   | (new2 > np.maximum(key2, step)))
+        key1, key2 = new1, new2
+    reached = key1 > 0
+    m1 = np.where(reached, key1 // step, -1)
+    c1 = np.where(reached, n - key1 % step, -1)
+    return m1, c1, key2 // step, rounds, messages
 
 
 def en_phase_loop(
     offsets: np.ndarray,
     indices: np.ndarray,
     labels: Sequence[Hashable],
-    draw_radii: Callable[[List[Hashable], int], Dict[Hashable, int]],
+    draw_radii: Callable[[List[Hashable], int], np.ndarray],
     phases: int,
     cap: int,
     min_gap: int = 1,
@@ -155,8 +171,9 @@ def en_phase_loop(
     ``labels[i]`` (a network's ``graph.csr`` arrays with its indices, or
     :func:`~repro.sim.batch.csr.nx_to_csr` of a cluster graph).
 
-    ``draw_radii(nodes, phase)`` maps each live node's label to its
-    Geometric(1/2) shift for the phase (the indirection is what lets
+    ``draw_radii(nodes, phase)`` returns the live nodes' Geometric(1/2)
+    shifts for the phase, an int64 array aligned with the ``nodes`` list
+    of their labels (the indirection is what lets
     Lemma 3.3 feed gathered cluster pools and Theorem 3.5 feed k-wise
     bits into the same construction). A node joins its best center iff
     ``m1 - m2 > min_gap``; ``min_gap=1`` is the paper's gap rule, and the
@@ -177,10 +194,8 @@ def en_phase_loop(
         if not live.any():
             break
         at = np.flatnonzero(live)
-        live_labels = [labels[i] for i in at]
-        drawn = draw_radii(live_labels, phase)
         radii = np.zeros(len(labels), dtype=np.int64)
-        radii[at] = [drawn[v] for v in live_labels]
+        radii[at] = draw_radii([labels[i] for i in at.tolist()], phase)
         m1, center, m2, rounds, messages = top_two_flood(
             offsets, indices, live, radii)
         measured["rounds_measured"] += rounds + 2
@@ -230,9 +245,8 @@ def elkin_neiman(
 
     consumed_before = source.bits_consumed
 
-    def draw_radii(nodes: List[Hashable], phase: int) -> Dict[Hashable, int]:
-        values, _used = source.geometrics(nodes, cap, bit_offset + phase * cap)
-        return dict(zip(nodes, values.tolist()))
+    def draw_radii(nodes: List[Hashable], phase: int) -> np.ndarray:
+        return source.geometrics(nodes, cap, bit_offset + phase * cap)[0]
 
     assignment, remaining, measured = en_phase_loop(
         graph.csr.offsets, graph.csr.indices, graph.nodes(), draw_radii,

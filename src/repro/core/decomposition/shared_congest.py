@@ -42,7 +42,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...randomness.shared import SharedRandomness
-from ...randomness.source import pack_bits
+from ...randomness.source import RandomSource
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
@@ -51,11 +51,28 @@ from .elkin_neiman import top_two_flood
 #: Bits per Bernoulli center election (a 16-bit threshold comparison).
 ELECTION_BITS = 16
 
+#: Big-endian weights folding ``ELECTION_BITS`` bits into an integer.
+_ELECTION_WEIGHTS = np.left_shift(1, np.arange(ELECTION_BITS - 1, -1, -1),
+                                  dtype=np.int64)
+
+
+def election_threshold(epoch: int, logn: int, n: int) -> int:
+    """A node is elected iff its ``ELECTION_BITS``-bit value is below
+    this: probability ``min(1, 2^epoch log n / n)``."""
+    prob = min(1.0, (2 ** epoch) * logn / n)
+    return math.ceil(prob * (1 << ELECTION_BITS))
+
+
+def election_values(source: RandomSource, nodes: np.ndarray) -> np.ndarray:
+    """Each node's first ``ELECTION_BITS`` bits of ``source``, read
+    big-endian as an integer (one :meth:`~RandomSource.bits_each`)."""
+    return source.bits_each(nodes.tolist(), ELECTION_BITS) @ _ELECTION_WEIGHTS
+
 
 def phase_epoch_decomposition(
     graph: DistributedGraph,
-    elect: Callable[[int, int, int, int], bool],
-    radius_draw: Callable[[int, int, int], int],
+    elect: Callable[[np.ndarray, int, int, int], np.ndarray],
+    radius_draw: Callable[[np.ndarray, int, int], np.ndarray],
     max_phases: int,
     epochs: int,
     cap: int,
@@ -63,12 +80,18 @@ def phase_epoch_decomposition(
 ) -> Tuple[Optional[Decomposition], RunReport, Dict[str, object]]:
     """The phase/epoch carving loop shared by Theorems 3.6 and 3.7.
 
+    Each epoch makes one call of each callback, over all of its nodes
+    at once.
+
     Parameters
     ----------
     elect:
-        ``elect(v, phase, epoch, epochs) -> bool`` — is v a center?
+        ``elect(nodes, phase, epoch, epochs) -> bool[len(nodes)]`` — which
+        of the available ``nodes`` (an int64 array, ascending) are
+        centers?
     radius_draw:
-        ``radius_draw(v, phase, epoch) -> int`` in [1, cap].
+        ``radius_draw(nodes, phase, epoch) -> int[len(nodes)]``, each in
+        [1, cap]: the elected ``nodes``' radius draws.
     strict:
         Fail (return None) if nodes remain after ``max_phases``.
     """
@@ -95,12 +118,12 @@ def phase_epoch_decomposition(
             if not available.any():
                 break
             base = (epochs - epoch) * step
-            radii = np.zeros(graph.n, dtype=np.int64)
-            for v in np.flatnonzero(available).tolist():
-                if elect(v, phase, epoch, epochs):
-                    radii[v] = base + radius_draw(v, phase, epoch)
-            if not radii.any():
+            nodes = np.flatnonzero(available)
+            centers = nodes[elect(nodes, phase, epoch, epochs)]
+            if not centers.size:
                 continue
+            radii = np.zeros(graph.n, dtype=np.int64)
+            radii[centers] = base + radius_draw(centers, phase, epoch)
             m1, center, m2, rounds, messages = top_two_flood(
                 offsets, indices, available, radii)
             measured["rounds_measured"] += rounds + 2
@@ -252,18 +275,17 @@ def shared_randomness_decomposition(
                 k, max(2, n), bits_per_node, offset=index * per_source)
         return sources[key]
 
-    def elect(v: int, phase: int, epoch: int, total_epochs: int) -> bool:
-        logn = max(1, math.ceil(math.log2(max(2, n))))
-        prob = min(1.0, (2 ** epoch) * logn / n)
-        threshold = math.ceil(prob * (1 << ELECTION_BITS))
-        src = source_for(phase, epoch, "elect")
-        value = pack_bits(src.bits_block(v, ELECTION_BITS))
-        return value < threshold
+    logn = max(1, math.ceil(math.log2(max(2, n))))
 
-    def radius_draw(v: int, phase: int, epoch: int) -> int:
+    def elect(nodes: np.ndarray, phase: int, epoch: int,
+              total_epochs: int) -> np.ndarray:
+        src = source_for(phase, epoch, "elect")
+        return election_values(src, nodes) < election_threshold(
+            epoch, logn, n)
+
+    def radius_draw(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
         src = source_for(phase, epoch, "radius")
-        value, _used = src.geometric(v, cap, 0)
-        return value
+        return src.geometrics(nodes.tolist(), cap, 0)[0]
 
     decomposition, report, extra = phase_epoch_decomposition(
         graph, elect, radius_draw, max_phases, epochs, cap, strict=strict)

@@ -35,10 +35,11 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ...errors import ConfigurationError, RandomnessExhausted
 from ...randomness.pooled import PooledBits
 from ...randomness.shared import SharedRandomness
-from ...randomness.source import pack_bits
 from ...randomness.sparse import SparseRandomness
 from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
@@ -46,7 +47,8 @@ from ...sim.metrics import RunReport
 from ...structures import Decomposition
 from ..ruling_sets import cluster_adjacency, greedy_ruling_set, voronoi_clusters
 from .elkin_neiman import en_phase_loop
-from .shared_congest import ELECTION_BITS, phase_epoch_decomposition
+from .shared_congest import (ELECTION_BITS, election_threshold,
+                             election_values, phase_epoch_decomposition)
 
 
 @dataclasses.dataclass
@@ -163,7 +165,8 @@ def sparse_bits_decomposition(
 
     assignment_cg, _left, _measured = en_phase_loop(
         *nx_to_csr(cg_active),
-        lambda centers, _phase: {c: draw(c) for c in centers}, phases, cap)
+        lambda centers, _phase: np.array([draw(c) for c in centers],
+                                         dtype=np.int64), phases, cap)
     # Built from the cluster graph's own node order: that fixes the
     # order in which leftover clusters are numbered below.
     remaining = set(cg_active.nodes())
@@ -299,17 +302,32 @@ def sparse_bits_strong_decomposition(
                 k, max(2, n), bits_per_node, offset=index * per_source)
         return sources[key]
 
-    def elect(v: int, phase: int, epoch: int, total_epochs: int) -> bool:
-        prob = min(1.0, (2 ** epoch) * logn / n)
-        threshold = math.ceil(prob * (1 << ELECTION_BITS))
-        src = source_for(cluster_of_node[v], phase, epoch, "elect")
-        value = pack_bits(src.bits_block(v, ELECTION_BITS))
-        return value < threshold
+    owner = np.array([cluster_of_node[v] for v in graph.nodes()],
+                     dtype=np.int64)
 
-    def radius_draw(v: int, phase: int, epoch: int) -> int:
-        src = source_for(cluster_of_node[v], phase, epoch, "radius")
-        value, _used = src.geometric(v, cap, 0)
-        return value
+    def by_source(nodes: np.ndarray, phase: int, epoch: int, purpose: str,
+                  read) -> np.ndarray:
+        """``read(source, group)`` once per cluster source, on the nodes
+        whose cluster it belongs to; results in ``nodes`` order."""
+        out = np.empty(len(nodes), dtype=np.int64)
+        owners = owner[nodes]
+        order = np.argsort(owners, kind="stable")
+        centers, starts = np.unique(owners[order], return_index=True)
+        for center, group in zip(centers.tolist(),
+                                 np.split(order, starts[1:])):
+            src = source_for(center, phase, epoch, purpose)
+            out[group] = read(src, nodes[group])
+        return out
+
+    def elect(nodes: np.ndarray, phase: int, epoch: int,
+              total_epochs: int) -> np.ndarray:
+        values = by_source(nodes, phase, epoch, "elect", election_values)
+        return values < election_threshold(epoch, logn, n)
+
+    def radius_draw(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
+        return by_source(nodes, phase, epoch, "radius",
+                         lambda src, group: src.geometrics(
+                             group.tolist(), cap, 0)[0])
 
     decomposition, carve_report, extra = phase_epoch_decomposition(
         graph, elect, radius_draw, max_phases, epochs, cap, strict=strict)

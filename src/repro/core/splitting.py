@@ -80,10 +80,12 @@ def split_with_source(instance: SplittingInstance,
 
     Works with any :class:`RandomSource`; the V-node's index is the
     source key, so k-wise / ε-biased / shared-expansion sources plug in
-    unchanged.
+    unchanged. Every V-node's bit comes from one
+    :meth:`~RandomSource.bits_each` call.
     """
     before = source.bits_consumed
-    coloring = {x: source.bit(x, 0) for x in instance.v_side}
+    bits = source.bits_each(instance.v_side, 1)[:, 0].tolist()
+    coloring = dict(zip(instance.v_side, bits))
     report = RunReport(
         rounds=0,
         model="LOCAL",

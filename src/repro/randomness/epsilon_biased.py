@@ -15,12 +15,13 @@ exactly Lemma 3.4's budget.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .finite_field import GF2m, inner_product_bits, min_degree_for
+from .kwise import address_points
 from .source import RandomSource
 
 
@@ -125,6 +126,21 @@ class EpsilonBiasedSource(RandomSource):
         if powers is None:  # m > 16 has no log tables: scalar walk
             return super()._raw_block(node, start, count)
         return _parity64(powers & self.y)
+
+    def _raw_blocks(self, nodes: Sequence[object], start: int,
+                    count: int) -> np.ndarray:
+        """Every node's bits ``[start, start + count)`` from one
+        :meth:`GF2m.pow_vec` call over all ``len(nodes) * count`` points.
+        Out-of-range nodes or indices, and fields without log tables
+        (m > 16), go through the per-node base path, which raises each
+        node's own range error."""
+        points = address_points(nodes, start, count, self.num_nodes,
+                                self.bits_per_node)
+        if points is not None:
+            powers = self.field.pow_vec(self.x, points.ravel() + 1)
+            if powers is not None:
+                return _parity64(powers & self.y).reshape(points.shape)
+        return super()._raw_blocks(nodes, start, count)
 
     def _stream_limit(self, node: object) -> Optional[int]:
         return self.bits_per_node

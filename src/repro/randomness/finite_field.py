@@ -265,23 +265,25 @@ class GF2m:
             acc = exp[log[acc] + log_x] ^ c
         return acc
 
-    def pow_range_vec(self, a: int, start: int, count: int) -> Optional[np.ndarray]:
-        """``a**start, ..., a**(start+count-1)`` as int64 (or None).
+    def pow_vec(self, a: int, exps: np.ndarray) -> Optional[np.ndarray]:
+        """``a**e`` for every exponent ``e >= 0`` of an int64 array, as
+        int64 (or None).
 
         Exponentiation through the discrete log: ``a^e`` is
-        ``exp[(log a * e) mod (2^m - 1)]`` — one vectorized modmul per
-        block instead of a chain of field multiplications.
+        ``exp[(log a * e) mod (2^m - 1)]`` — one vectorized modmul for
+        the whole array instead of a chain of field multiplications.
         """
         if self._log_np is None:
             return None
         if a == 0:
-            out = np.zeros(count, dtype=np.int64)
-            if start == 0 and count:
-                out[0] = 1  # 0^0 == 1 by the repeated-product convention
-            return out
-        la = self._log[a]
-        exps = (la * (start + np.arange(count, dtype=np.int64))) % (self.order - 1)
-        return self._exp_np[exps]
+            # 0^0 == 1 by the repeated-product convention.
+            return (exps == 0).astype(np.int64)
+        return self._exp_np[(self._log[a] * exps) % (self.order - 1)]
+
+    def pow_range_vec(self, a: int, start: int, count: int) -> Optional[np.ndarray]:
+        """``a**start, ..., a**(start+count-1)`` as int64 (or None): one
+        :meth:`pow_vec` over the range."""
+        return self.pow_vec(a, start + np.arange(count, dtype=np.int64))
 
 
 def inner_product_bits(a: int, b: int) -> int:

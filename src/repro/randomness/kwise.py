@@ -44,6 +44,20 @@ def _coefficients_from_seed(seed: int, k: int, m: int) -> List[int]:
     return coeffs
 
 
+def address_points(nodes: Sequence[object], start: int, count: int,
+                   num_nodes: int, bits_per_node: int) -> Optional[np.ndarray]:
+    """The ``int64[len(nodes), count]`` matrix of points
+    ``node * bits_per_node + index`` for indices ``[start, start + count)``,
+    or None if a node or an index falls outside the address space (the
+    caller then takes its per-node path, which names the culprit)."""
+    node_ids = np.array([int(v) for v in nodes], dtype=np.int64)
+    if start < 0 or start + count > bits_per_node \
+            or not np.all((node_ids >= 0) & (node_ids < num_nodes)):
+        return None
+    return (node_ids * bits_per_node + start)[:, None] \
+        + np.arange(count, dtype=np.int64)
+
+
 class KWiseSource(RandomSource):
     """Source whose bits are exactly k-wise independent.
 
@@ -120,15 +134,12 @@ class KWiseSource(RandomSource):
         points. Out-of-range nodes or indices, and fields without log
         tables (m > 16), go through the per-node base path, which raises
         each node's own range error."""
-        node_ids = np.array([int(v) for v in nodes], dtype=np.int64)
-        in_range = start >= 0 and start + count <= self.bits_per_node \
-            and bool(np.all((node_ids >= 0) & (node_ids < self.num_nodes)))
-        if in_range:
-            points = (node_ids * self.bits_per_node + start)[:, None] \
-                + np.arange(count, dtype=np.int64)
+        points = address_points(nodes, start, count, self.num_nodes,
+                                self.bits_per_node)
+        if points is not None:
             values = self.field.eval_poly_vec(self._coeffs, points.ravel())
             if values is not None:
-                return (values & 1).astype(np.uint8).reshape(len(nodes), count)
+                return (values & 1).astype(np.uint8).reshape(points.shape)
         return super()._raw_blocks(nodes, start, count)
 
     def _stream_limit(self, node: object) -> Optional[int]:

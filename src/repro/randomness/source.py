@@ -22,11 +22,11 @@ and :meth:`_raw_blocks` (the same run for many nodes at once, as the
 rows of one matrix); PRF-backed sources also expose their raw 512-bit
 blocks through ``_digest_blocks``. The public bulk readers
 (:meth:`bits_block`, :meth:`uniform_ints`, :meth:`uniform_int_each`,
-:meth:`geometrics`) let hot algorithms draw a whole round's randomness
-in one call while consuming *exactly* the bits the per-call samplers
-would; :meth:`uniform_int_each` and :meth:`geometrics` draw every node's
-value in one vectorized pass over a matrix of those bits, and only the
-ledger update stays per node.
+:meth:`geometrics`, :meth:`bits_each`) let hot algorithms draw a whole
+round's randomness in one call while consuming *exactly* the bits the
+per-call samplers would; :meth:`uniform_int_each`, :meth:`geometrics`
+and :meth:`bits_each` draw every node's value in one vectorized pass
+over a matrix of those bits, and only the ledger update stays per node.
 """
 
 from __future__ import annotations
@@ -460,49 +460,86 @@ class RandomSource(abc.ABC):
         own stream's block ``[offset, offset + cap)``). Returns
         ``(values, bits_used)`` arrays aligned with ``nodes``; values,
         metering and errors match per-node :meth:`geometric` calls
-        exactly.
-
-        Every node's block comes from one :meth:`_raw_blocks` call, and
-        each draw is the first zero of its row (one ``argmax``). Only
-        the ledger update stays per node, in node order: one
-        ``IntervalSet.add`` per node, or :meth:`_consume` under a bit
-        budget so exhaustion raises at the same node with the same
-        served prefix. A node whose bounded stream ends before
-        ``offset + cap`` keeps its :meth:`geometric` call at its place
-        in that order. If generation raises, nothing is metered yet and
-        the per-node calls are replayed, so the error and the partial
-        ledger are theirs.
+        exactly. One :meth:`_per_node_pass`: each draw is the first zero
+        of its node's row (one ``argmax``).
         """
         if cap < 1:
             raise ConfigurationError(f"cap must be at least 1, got {cap}")
+
+        def first_zero(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            zero = raw == 0
+            first = zero.argmax(axis=1)
+            steps = np.where(zero[np.arange(len(raw)), first], first + 1, cap)
+            return steps, steps
+
         # A Geometric(1/2) value is the number of flips it read, so
         # ``values`` doubles as ``bits_used``.
-        values = np.empty(len(nodes), dtype=np.int64)
-        short = [limit is not None and offset + cap > limit
+        values = self._per_node_pass(
+            nodes, offset, cap, np.empty(len(nodes), dtype=np.int64),
+            first_zero, lambda node: self.geometric(node, cap, offset)[0])
+        return values, values.copy()
+
+    def bits_each(self, nodes: Sequence[object], count: int,
+                  offset: int = 0) -> np.ndarray:
+        """Bits ``[offset, offset + count)`` of every node's stream, as
+        the rows of a ``uint8[len(nodes), count]`` matrix.
+
+        The bulk form of :meth:`bits_block` and the raw-bits sibling of
+        :meth:`geometrics` (one :meth:`_per_node_pass`): values,
+        metering and errors match per-node :meth:`bits_block` calls
+        exactly.
+        """
+        if count <= 0:
+            return np.empty((len(nodes), 0), dtype=np.uint8)
+        return self._per_node_pass(
+            nodes, offset, count,
+            np.empty((len(nodes), count), dtype=np.uint8),
+            lambda raw: (raw, np.full(len(raw), count)),
+            lambda node: self.bits_block(node, count, offset))
+
+    def _per_node_pass(self, nodes: Sequence[object], offset: int,
+                       count: int, out: np.ndarray,
+                       draw: Callable[[np.ndarray],
+                                      Tuple[np.ndarray, np.ndarray]],
+                       one: Callable[[object], object]) -> np.ndarray:
+        """Fill ``out[i]`` with node ``i``'s value, as ``one(nodes[i])``
+        draws it from bits ``[offset, offset + count)`` of its stream.
+
+        The skeleton of the one-pass per-node samplers. Every node's
+        block comes from one :meth:`_raw_blocks` call, and
+        ``draw(raw) -> (values, used)`` turns that matrix into each
+        row's value and the number of bits it read. Only the ledger
+        update stays per node, in node order: one ``IntervalSet.add``
+        per node, or :meth:`_consume` under a bit budget so exhaustion
+        raises at the same node with the same served prefix. A node
+        whose bounded stream does not hold the whole range keeps its
+        ``one`` call at its place in that order. If generation raises,
+        nothing is metered yet and ``one`` is replayed node by node, so
+        the error and the partial ledger are the per-node calls'.
+        """
+        short = [limit is not None and (offset < 0 or offset + count > limit)
                  for limit in map(self._stream_limit, nodes)]
         fast = [node for node, slow in zip(nodes, short) if not slow]
         try:
-            raw = self._raw_blocks(fast, offset, cap)
+            raw = self._raw_blocks(fast, offset, count)
         except Exception:
             # Any generation error (a range error, a node that is not an
             # integer, ...): nothing is metered yet, so replay per node
             # for their error and their partial ledger.
             for i, node in enumerate(nodes):
-                values[i], _ = self.geometric(node, cap, offset)
-            return values, values.copy()
-        zero = raw == 0
-        first = zero.argmax(axis=1)
-        steps = np.where(zero[np.arange(len(fast)), first], first + 1, cap)
-        values[~np.array(short, dtype=bool)] = steps
+                out[i] = one(node)
+            return out
+        values, used = draw(raw)
+        out[~np.array(short, dtype=bool)] = values
 
         ledgers = self._ledgers
         budget = self._bit_budget
-        drawn = iter(steps.tolist())
+        ends = iter((offset + used).tolist())
         for i, (node, slow) in enumerate(zip(nodes, short)):
             if slow:
-                values[i], _ = self.geometric(node, cap, offset)
+                out[i] = one(node)
                 continue
-            end = offset + next(drawn)
+            end = next(ends)
             if budget is not None:
                 self._consume(node, offset, end)
                 continue
@@ -510,7 +547,7 @@ class RandomSource(abc.ABC):
             if ledger is None:
                 ledger = ledgers[node] = IntervalSet()
             self._total_consumed += ledger.add(offset, end)
-        return values, values.copy()
+        return out
 
     # ------------------------------------------------------------------
     # Accounting

@@ -9,6 +9,7 @@ for the model/ randomness enforcement lives here too.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +45,7 @@ class TestGapRuleIsAdversarialProof:
             for v in nodes:
                 radii_table[(v, phase)] = data.draw(
                     st.integers(0, 12), label=f"r{(v, phase)}")
-            return {v: radii_table[(v, phase)] for v in nodes}
+            return np.array([radii_table[(v, phase)] for v in nodes])
 
         assignment, _remaining, _m = en_phase_loop(
             *nx_to_csr(graph), draw_radii, phases=3, cap=12)
@@ -67,8 +68,9 @@ class TestGapRuleIsAdversarialProof:
         graph = make("gnp-sparse", n, seed=seed)
 
         def draw_radii(nodes, phase):
-            return {v: data.draw(st.integers(0, 10), label=f"r{v},{phase}")
-                    for v in nodes}
+            return np.array([data.draw(st.integers(0, 10),
+                                       label=f"r{v},{phase}")
+                             for v in nodes])
 
         assignment, _remaining, _m = en_phase_loop(
             *nx_to_csr(graph), draw_radii, phases=2, cap=10)
@@ -82,7 +84,8 @@ class TestGapRuleIsAdversarialProof:
         radii = {v: data.draw(st.integers(0, 8), label=f"r{v}")
                  for v in graph.nodes()}
         assignment, _remaining, _m = en_phase_loop(
-            *nx_to_csr(graph), lambda nodes, p: {v: radii[v] for v in nodes},
+            *nx_to_csr(graph),
+            lambda nodes, p: np.array([radii[v] for v in nodes]),
             phases=1, cap=8)
         for (phase, center), members in _clusters_of(assignment).items():
             sub = graph.subgraph(members)

@@ -527,6 +527,115 @@ class TestGeometricsParity:
         assert error is not None and error[0] is ConfigurationError
 
 
+def _assert_bits_each_like_per_node(make, nodes, count, offset):
+    """``bits_each`` on one fresh source against per-node ``bits_block``
+    calls on its twin: same matrix, error, ledger and ``bits_consumed``."""
+    bulk, ref = make(), make()
+    got, got_error = _outcome(lambda: bulk.bits_each(nodes, count, offset))
+    want, want_error = _outcome(
+        lambda: [ref.bits_block(v, count, offset) for v in nodes])
+    assert got_error == want_error
+    if want is not None:
+        assert got.dtype == np.uint8
+        assert got.shape == (len(nodes), max(count, 0))
+        assert got.tolist() == [row.tolist() for row in want]
+    assert bulk.bits_consumed == ref.bits_consumed
+    assert list(bulk.nodes_touched()) == list(ref.nodes_touched())
+    assert _ledger(bulk) == _ledger(ref)
+    return got_error
+
+
+class TestBitsEachParity:
+    """``bits_each`` reads every node's bits with one ``_raw_blocks``
+    call and must stay indistinguishable from per-node ``bits_block``."""
+
+    CASES = {
+        "independent": (lambda: IndependentSource(seed=8), range(30), 16, 36),
+        "crosses-block": (lambda: IndependentSource(seed=12),
+                          range(20), 40, 500),
+        "kwise-in-range": (lambda: KWiseSource(4, num_nodes=40,
+                                               bits_per_node=64, seed=2),
+                           range(40), 16, 20),
+        # Past the end of a 20-bit stream: the per-node call walks bit
+        # by bit and raises at index 20 after metering the prefix.
+        "kwise-short-stream": (lambda: KWiseSource(4, num_nodes=8,
+                                                   bits_per_node=20, seed=2),
+                               range(8), 16, 10),
+        "kwise-m18": (lambda: KWiseSource(3, num_nodes=2048,
+                                          bits_per_node=64, seed=2),
+                      [0, 5, 2047, 900, 5], 16, 11),
+        "epsilon-biased": (lambda: EpsilonBiasedSource(
+            num_nodes=8, bits_per_node=64, epsilon=0.05, seed=3),
+            range(8), 16, 3),
+        "pooled": (_pools([64, 40, 64]), [0, 1, 2, 1], 16, 8),
+        "pooled-short-pool": (_pools([64, 4, 64]), [0, 1, 2], 8, 0),
+        "expand-kwise": (lambda: SharedRandomness(512, seed=6).expand_kwise(
+            4, num_nodes=32, bits_per_node=64), range(32), 16, 40),
+        "shared": (lambda: SharedRandomness(512, seed=3),
+                   ["__shared__", "x", "__shared__"], 7, 100),
+        "kwise-duplicates": (lambda: KWiseSource(4, num_nodes=8,
+                                                 bits_per_node=64, seed=5),
+                             [7, 0, 7, 7, 2], 6, 30),
+        "one-bit": (lambda: KWiseSource(4, num_nodes=128, bits_per_node=1,
+                                        seed=5), range(128), 1, 0),
+        "no-nodes": (lambda: IndependentSource(seed=1), [], 5, 0),
+        "no-bits": (lambda: IndependentSource(seed=1), [0, 1], 0, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_node_calls(self, case):
+        make, nodes, count, offset = self.CASES[case]
+        error = _assert_bits_each_like_per_node(make, list(nodes), count,
+                                                offset)
+        assert (error is not None) == case.endswith(("short-stream",
+                                                     "short-pool"))
+
+    @pytest.mark.parametrize("case", ["independent", "kwise-in-range",
+                                      "expand-kwise", "pooled"])
+    def test_one_raw_blocks_call(self, case, monkeypatch):
+        make, nodes, count, offset = self.CASES[case]
+        source = make()
+        calls = []
+        bulk = source._raw_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return bulk(*args)
+
+        monkeypatch.setattr(source, "_raw_blocks", counted)
+        source.bits_each(list(nodes), count, offset)
+        assert len(calls) == 1
+
+    def test_budget_runs_out_mid_call(self):
+        make = partial(IndependentSource, seed=8, bit_budget=25)
+        error = _assert_bits_each_like_per_node(make, list(range(30)), 4, 0)
+        assert error == (RandomnessExhausted,
+                         "bit budget of 25 bits exhausted "
+                         "(node 6 requested index 1)")
+
+    def test_budget_with_prior_reads(self):
+        def make():
+            source = IndependentSource(seed=8, bit_budget=40)
+            source.bits_block(3, 20, 0)
+            return source
+        error = _assert_bits_each_like_per_node(make, list(range(30)), 6, 0)
+        assert error is not None and error[0] is RandomnessExhausted
+
+    @pytest.mark.parametrize("make", [
+        lambda: IndependentSource(seed=8),
+        lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
+    ])
+    def test_negative_offset(self, make):
+        error = _assert_bits_each_like_per_node(make, [0, 1], 6, -2)
+        assert error is not None and error[0] is ConfigurationError
+
+    def test_out_of_range_kwise_node_meters_earlier_nodes(self):
+        error = _assert_bits_each_like_per_node(
+            lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
+            [0, 1, 9, 2], 6, 10)
+        assert error is not None and "node 9" in error[1]
+
+
 def _weak_diameter_oracle(graph: DistributedGraph, members) -> int:
     """Max over members of one single-source BFS each."""
     members = np.asarray(list(members), dtype=np.int64)

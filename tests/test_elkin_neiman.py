@@ -6,6 +6,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decomposition import (
     default_cap,
@@ -19,14 +21,14 @@ from repro.core.decomposition import (
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource, SparseRandomness
-from repro.sim.batch.csr import nx_to_csr
+from repro.sim.batch.csr import edges_to_csr, nx_to_csr
 
-from helpers import family_graphs
+from helpers import family_graphs, reference_top_two_flood
 
 
 def _constant(radius):
     """A ``draw_radii`` callback giving every live node the same shift."""
-    return lambda nodes, phase: {v: radius for v in nodes}
+    return lambda nodes, phase: np.full(len(nodes), radius)
 
 
 class TestValidity:
@@ -126,7 +128,7 @@ class TestPhaseCore:
         draws = {3: 100}
 
         def draw_radii(nodes, phase):
-            return {v: draws.get(v, 1) for v in nodes}
+            return np.array([draws.get(v, 1) for v in nodes])
 
         assignment, remaining, _m = en_phase_loop(
             *nx_to_csr(g), draw_radii, 1, 100)
@@ -149,7 +151,8 @@ class TestPhaseCore:
         draws = {0: 3, 4: 3}
 
         def draw_radii(nodes, phase):
-            return {v: draws.get(v, 0) if phase == 0 else 0 for v in nodes}
+            return np.array([draws.get(v, 0) if phase == 0 else 0
+                             for v in nodes])
 
         assignment, remaining, _m = en_phase_loop(
             *nx_to_csr(g), draw_radii, 1, 10)
@@ -234,6 +237,77 @@ class TestTopTwoFlood:
         assert 0 < extra["rounds_measured"] <= phases * (cap + 2), name
         directed_edges = 2 * graph.nx.number_of_edges()
         assert extra["messages"] <= extra["rounds_measured"] * directed_edges
+
+
+@st.composite
+def flood_inputs(draw):
+    """(offsets, indices, live, radii) of a random CSR graph: G(n, p) on
+    a prefix of the nodes, the rest isolated; n from 0 to 200, partial
+    live masks, radii from negative to far beyond the diameter, ties."""
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 60),
+                       st.integers(61, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wired = n - draw(st.integers(0, min(n, 5)))  # trailing isolated nodes
+    degree = draw(st.sampled_from([0.5, 1.5, 4.0, 12.0]))
+    u, v = np.triu_indices(wired, k=1)
+    pick = rng.random(len(u)) < degree / max(1, wired)
+    offsets, indices = edges_to_csr(
+        n, np.stack((u[pick], v[pick]), axis=1).astype(np.int64))
+    live = rng.random(n) < draw(st.sampled_from([1.0, 0.8, 0.4, 0.0]))
+    low, high = draw(st.sampled_from([(-3, 4), (0, 2), (1, 9), (-1, 30)]))
+    radii = rng.integers(low, high + 1, n)
+    radii[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+    return offsets, indices, live, radii.astype(np.int64)
+
+
+class TestFloodOracle:
+    """The sort-free flood against the lexsort flood it replaced
+    (``helpers.reference_top_two_flood``), on all five return values."""
+
+    @staticmethod
+    def assert_same(offsets, indices, live, radii):
+        got = top_two_flood(offsets, indices, live, radii)
+        want = reference_top_two_flood(offsets, indices, live, radii)
+        for name, g, w in zip(("m1", "center", "m2"), got[:3], want[:3]):
+            assert g.tolist() == w.tolist(), name
+        assert got[3:] == want[3:], "rounds, messages"
+
+    @given(flood_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_flood(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        offsets, indices = edges_to_csr(
+            n, np.array([[0, 1]] if n == 2 else [], dtype=np.int64
+                        ).reshape(-1, 2))
+        for radius in (-1, 0, 1, 3):
+            for alive in (True, False):
+                self.assert_same(offsets, indices, np.full(n, alive),
+                                 np.full(n, radius, dtype=np.int64))
+
+    def test_ties_break_toward_smaller_center(self):
+        # Path 0-1-2-3-4: centers 0 and 4 tie at the midpoint; 1 and 3
+        # tie at 2 with the same value, so 2's best is the smaller one.
+        offsets, indices, _ = nx_to_csr(nx.path_graph(5))
+        radii = np.array([3, 0, 0, 0, 3], dtype=np.int64)
+        m1, center, m2, _r, _m = top_two_flood(
+            offsets, indices, np.ones(5, dtype=bool), radii)
+        assert center.tolist() == [0, 0, 0, 4, 4]
+        assert m1.tolist() == [3, 2, 1, 2, 3]
+        assert m2.tolist() == [0, 0, 1, 0, 0]
+
+    def test_overflow_guard(self):
+        # Edgeless, so the largest radius that fits floods in no time.
+        offsets, indices = edges_to_csr(3, np.empty((0, 2), dtype=np.int64))
+        live = np.ones(3, dtype=bool)
+        bound = (np.iinfo(np.int64).max - 3) // 4
+        top_two_flood(offsets, indices, live,
+                      np.array([bound, 0, 0], dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="exceeds the bound"):
+            top_two_flood(offsets, indices, live,
+                          np.array([bound + 1, 0, 0], dtype=np.int64))
 
 
 class TestRandomnessPinned:

@@ -171,6 +171,17 @@ class TestVectorKernels:
                 want = [field.pow(a, start + i) for i in range(count)]
                 assert got.tolist() == want, (a, start)
 
+    @pytest.mark.parametrize("m", TABLE_DEGREES)
+    def test_pow_vec_matches_pow(self, m):
+        field = GF2m(m)
+        rng = np.random.default_rng(200 + m)
+        exps = np.concatenate((
+            [0, 1, field.order - 1, field.order, 3 * field.order + 5],
+            rng.integers(0, 4 * field.order, 30))).astype(np.int64)
+        for a in _operands(field).tolist():
+            got = field.pow_vec(a, exps)
+            assert got.tolist() == [field.pow(a, int(e)) for e in exps], a
+
 
 class TestHelpers:
     def test_pow_matches_repeated_mul(self):
