@@ -12,7 +12,7 @@ Theorem 4.2 (shattering)      :func:`shattering_decomposition`
 """
 
 from .deterministic import (
-    ball_carving_nx,
+    ball_carving,
     deterministic_decomposition,
     improve_decomposition,
 )
@@ -45,7 +45,7 @@ from .sparse_bits import (
 __all__ = [
     "DecompositionQuality",
     "GatheredBits",
-    "ball_carving_nx",
+    "ball_carving",
     "default_cap",
     "default_phases",
     "deterministic_decomposition",

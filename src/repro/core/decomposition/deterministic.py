@@ -28,74 +28,72 @@ algorithm (locality O(log n) per decision); the report accounts rounds as
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import List, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
-from ...errors import ConfigurationError  # noqa: F401 (used below)
+from ...errors import ConfigurationError
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 
 
-def ball_carving_nx(
-    graph: nx.Graph,
-    priority: Optional[Dict[Hashable, int]] = None,
-) -> Dict[Hashable, Tuple[int, Hashable]]:
-    """Core carving loop on a plain networkx graph.
+def ball_carving(offsets: np.ndarray, indices: np.ndarray,
+                 priority: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Core carving loop on a CSR adjacency.
 
-    ``priority`` orders the scan (smaller first; defaults to ``repr``
-    order). Returns node -> (color, center).
+    Each phase scans the uncarved nodes in ascending ``priority`` (ties
+    by index). Returns ``(ball, color)``: ``ball`` is ``int64[n]``, each
+    node's ball numbered in carving order, and ``color`` is
+    ``int64[balls]``, each ball's phase.
     """
-    n = graph.number_of_nodes()
-    if n == 0:
-        return {}
+    n = offsets.size - 1
     max_radius = max(1, math.ceil(math.log2(max(2, n))))
-
-    def order_key(v: Hashable):
-        return (priority[v], repr(v)) if priority is not None else repr(v)
-
-    unclustered: Set[Hashable] = set(graph.nodes())
-    assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
+    # Balls are small, so growth walks the CSR as Python lists: one
+    # numpy pass per BFS level would cost more than the level itself.
+    heads, bounds = indices.tolist(), offsets.tolist()
+    order = sorted(range(n), key=priority.__getitem__)
+    ball = [-1] * n
+    colors: List[int] = []
     color = 0
-    while unclustered:
-        free = set(unclustered)  # nodes available within this phase
-        for v in sorted(unclustered, key=order_key):
-            if v not in free:
-                continue
-            ball, shell = _grow_ball(graph, v, free, max_radius)
-            for u in ball:
-                assignment[u] = (color, v)
-            unclustered.difference_update(ball)
-            free.difference_update(ball)
-            free.difference_update(shell)
+    while order:
+        free = [b < 0 for b in ball]  # nodes available within this phase
+        for v in order:
+            if free[v]:
+                for u in _grow_ball(heads, bounds, v, free, max_radius):
+                    ball[u] = len(colors)
+                colors.append(color)
+        order = [v for v in order if ball[v] < 0]
         color += 1
         if color > 2 * max_radius + 4:
             raise ConfigurationError(
                 "ball carving failed to terminate; this indicates a bug"
             )
-    return assignment
+    return np.array(ball, dtype=np.int64), np.array(colors, dtype=np.int64)
 
 
-def _grow_ball(graph: nx.Graph, v: Hashable, free: Set[Hashable],
-               max_radius: int) -> Tuple[Set[Hashable], Set[Hashable]]:
+def _grow_ball(heads: List[int], bounds: List[int], v: int,
+               free: List[bool], max_radius: int) -> List[int]:
     """Grow B(v, r) in G[free] until |B(v, r+1)| <= 2 |B(v, r)|.
 
-    Returns (ball, shell) where shell = B(v, r+1) \\ B(v, r).
+    Takes the ball and its shell B(v, r+1) \\ B(v, r) out of ``free``
+    and returns the ball's nodes.
     """
-    layers: List[Set[Hashable]] = [{v}]
-    ball: Set[Hashable] = {v}
+    free[v] = False
+    ball, layer = [v], [v]
+    radius = 0
     while True:
-        frontier = layers[-1]
-        nxt: Set[Hashable] = set()
-        for x in frontier:
-            for y in graph.neighbors(x):
-                if y in free and y not in ball and y not in nxt:
-                    nxt.add(y)
-        if len(ball) + len(nxt) <= 2 * len(ball) or len(layers) - 1 >= max_radius:
-            return ball, nxt
-        ball.update(nxt)
-        layers.append(nxt)
+        shell = []
+        for x in layer:
+            for y in heads[bounds[x]:bounds[x + 1]]:
+                if free[y]:
+                    free[y] = False
+                    shell.append(y)
+        if len(shell) <= len(ball) or radius >= max_radius:
+            return ball
+        ball += shell
+        layer = shell
+        radius += 1
 
 
 def deterministic_decomposition(
@@ -104,21 +102,15 @@ def deterministic_decomposition(
     """Deterministic (O(log n), O(log n)) decomposition of the graph.
 
     Scan order is by UID, the only symmetry breaker a deterministic
-    algorithm has.
+    algorithm has. Cluster ``i`` is the ``i``-th ball carved.
     """
-    priority = {v: graph.uid(v) for v in graph.nodes()}
-    assignment = ball_carving_nx(graph.nx, priority)
-
-    cluster_ids: Dict[Tuple[int, Hashable], int] = {}
-    cluster_of: Dict[int, int] = {}
-    color_of: Dict[int, int] = {}
-    for v, (color, center) in assignment.items():
-        cid = cluster_ids.setdefault((color, center), len(cluster_ids))
-        cluster_of[v] = cid
-        color_of[cid] = color
+    ball, color = ball_carving(graph.csr.offsets, graph.csr.indices,
+                               graph.csr.uids)
+    cluster_of = dict(enumerate(ball.tolist()))
+    color_of = dict(enumerate(color.tolist()))
 
     logn = max(1, math.ceil(math.log2(max(2, graph.n))))
-    colors = len(set(color_of.values())) if color_of else 0
+    colors = len(set(color_of.values()))
     report = RunReport(
         rounds=colors * (2 * logn + 2),
         accounted=True,

@@ -169,7 +169,8 @@ def en_phase_loop(
            Dict[str, int]]:
     """Run the phase loop on a CSR adjacency whose node ``i`` is
     ``labels[i]`` (a network's ``graph.csr`` arrays with its indices, or
-    :func:`~repro.sim.batch.csr.nx_to_csr` of a cluster graph).
+    a cluster graph's contracted CSR from
+    :func:`~repro.core.ruling_sets.cluster_adjacency` with its centers).
 
     ``draw_radii(nodes, phase)`` returns the live nodes' Geometric(1/2)
     shifts for the phase, an int64 array aligned with the ``nodes`` list

@@ -27,14 +27,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-import networkx as nx
-
 from ...randomness.source import RandomSource
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
-from ..ruling_sets import greedy_ruling_set, voronoi_clusters
-from .deterministic import ball_carving_nx
+from ..ruling_sets import cluster_adjacency, greedy_ruling_set, voronoi_clusters
+from .deterministic import ball_carving
 from .elkin_neiman import default_cap, elkin_neiman
 
 
@@ -90,26 +88,13 @@ def shattering_decomposition(
     # BFS clusters around S covering V̄ (trees may use any nodes, so the
     # assignment floods the whole graph and is then restricted to V̄).
     assignment_all = voronoi_clusters(graph, separated)
-    members: Dict[int, Set[int]] = {}
-    for v in leftover:
-        members.setdefault(assignment_all[v], set()).add(v)
+    center_of = {v: assignment_all[v] for v in leftover}
 
     # Cluster graph on the separated centers: adjacent iff their V̄
-    # members are adjacent in G (or within 2 hops through a clustered
-    # node, which keeps the coloring safe when combined with EN colors).
-    cg = nx.Graph()
-    cg.add_nodes_from(members.keys())
-    center_of: Dict[int, int] = {}
-    for center, mem in members.items():
-        for v in mem:
-            center_of[v] = center
-    for u, v in graph.edges():
-        cu, cv = center_of.get(u), center_of.get(v)
-        if cu is not None and cv is not None and cu != cv:
-            cg.add_edge(cu, cv)
-
-    det_assignment = ball_carving_nx(cg, priority={c: graph.uid(c)
-                                                   for c in cg.nodes()})
+    # members are adjacent in G.
+    offsets, indices, centers = cluster_adjacency(graph, center_of)
+    det_ball, det_color = ball_carving(
+        offsets, indices, [graph.uid(c) for c in centers.tolist()])
 
     # ------------------------------------------------------------------
     # Combine: EN clusters keep their phase colors (one cluster per
@@ -125,21 +110,15 @@ def shattering_decomposition(
         color_of[cid] = phase
     en_colors = len(set(color_of.values()))
     offset = (max(color_of.values()) + 1) if color_of else 0
-    det_ids: Dict[Tuple[int, Hashable], int] = {}
     next_cid = (max(color_of.keys()) + 1) if color_of else 0
-    for center, (det_color, det_center) in det_assignment.items():
-        key = (det_color, det_center)
-        if key not in det_ids:
-            det_ids[key] = next_cid
-            color_of[next_cid] = offset + det_color
-            next_cid += 1
-        cid = det_ids[key]
-        for v in members[center]:
-            cluster_of[v] = cid
+    for cid, det in enumerate(det_color.tolist(), start=next_cid):
+        color_of[cid] = offset + det
+    ball_of = dict(zip(centers.tolist(), det_ball.tolist()))
+    for v, center in center_of.items():
+        cluster_of[v] = next_cid + ball_of[center]
 
-    det_colors = len({c for c in color_of.values() if c >= offset})
     extra["en_colors"] = en_colors
-    extra["det_colors"] = det_colors
+    extra["det_colors"] = len(set(det_color.tolist()))
 
     logK = max(1, math.ceil(math.log2(max(2, len(separated) + 1))))
     finish_report = ruling_report.merge(RunReport(
@@ -147,7 +126,7 @@ def shattering_decomposition(
         accounted=True,
         model="CONGEST",
         notes=[
-            f"deterministic finish: ball carving on {cg.number_of_nodes()} "
+            f"deterministic finish: ball carving on {len(centers)} "
             f"shattered clusters of radius O(t log n)"
         ],
     ))

@@ -41,7 +41,6 @@ from ...errors import ConfigurationError, RandomnessExhausted
 from ...randomness.pooled import PooledBits
 from ...randomness.shared import SharedRandomness
 from ...randomness.sparse import SparseRandomness
-from ...sim.batch.csr import nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
@@ -95,8 +94,8 @@ def gather_bits(
     for v, c in assignment.items():
         members.setdefault(c, set()).add(v)
 
-    cg = cluster_adjacency(graph, assignment)
-    isolated = {c for c in cg.nodes() if cg.degree(c) == 0}
+    offsets, _indices, centers = cluster_adjacency(graph, assignment)
+    isolated = set(centers[np.diff(offsets) == 0].tolist())
 
     pools: Dict[int, List[int]] = {}
     for center, cluster in members.items():
@@ -146,9 +145,11 @@ def sparse_bits_decomposition(
 
     gathered = gather_bits(graph, source, bits_needed, spacing=spacing)
     pools = PooledBits({c: bits for c, bits in gathered.pools.items()})
-    cg = cluster_adjacency(graph, gathered.assignment)
-    active = [c for c in cg.nodes() if c not in gathered.isolated]
-    cg_active = cg.subgraph(active)
+    # The cluster graph without its isolated vertices (they have no
+    # edges, so dropping their members drops nothing else).
+    offsets, indices, active = cluster_adjacency(graph, {
+        v: c for v, c in gathered.assignment.items()
+        if c not in gathered.isolated})
 
     cursor: Dict[int, int] = {}
     exhaustions = [0]
@@ -163,18 +164,14 @@ def sparse_bits_decomposition(
         cursor[center] = offset + used
         return value
 
-    assignment_cg, _left, _measured = en_phase_loop(
-        *nx_to_csr(cg_active),
+    assignment_cg, remaining, _measured = en_phase_loop(
+        offsets, indices, active.tolist(),
         lambda centers, _phase: np.array([draw(c) for c in centers],
                                          dtype=np.int64), phases, cap)
-    # Built from the cluster graph's own node order: that fixes the
-    # order in which leftover clusters are numbered below.
-    remaining = set(cg_active.nodes())
-    remaining.difference_update(assignment_cg)
 
     extra: Dict[str, object] = {
         "unclustered_clusters": set(remaining),
-        "num_level1_clusters": cg.number_of_nodes(),
+        "num_level1_clusters": len(gathered.pools),
         "isolated_clusters": len(gathered.isolated),
         "pool_sizes": {c: len(b) for c, b in gathered.pools.items()},
         "pool_bits_used": pools.bits_consumed,
@@ -203,7 +200,7 @@ def sparse_bits_decomposition(
     final_ids: Dict[Tuple[int, int], int] = {}
     # Isolated clusters: color 0, one final cluster each (they have no
     # neighbors, so any color is legal).
-    for center in gathered.isolated:
+    for center in sorted(gathered.isolated):
         cid = final_ids.setdefault(("isolated", center), len(final_ids))
         color_of[cid] = 0
         for v in members[center]:
@@ -214,7 +211,7 @@ def sparse_bits_decomposition(
         for v in members[center]:
             cluster_of[v] = cid
     next_color = (max(color_of.values()) + 1) if color_of else 0
-    for center in remaining:
+    for center in sorted(remaining):
         cid = len(final_ids)
         final_ids[("leftover", center)] = cid
         color_of[cid] = next_color

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..sim.graph import DistributedGraph
@@ -170,14 +170,29 @@ def ruling_set_via_mis(graph: DistributedGraph, alpha: int,
     return selected, report
 
 
-def cluster_adjacency(graph: DistributedGraph,
-                      assignment: Dict[int, int]) -> nx.Graph:
-    """The cluster graph: one vertex per center, edges between clusters
-    containing adjacent nodes (the logical graph CG of Lemma 3.3)."""
-    cg = nx.Graph()
-    cg.add_nodes_from(set(assignment.values()))
-    for u, v in graph.edges():
-        cu, cv = assignment.get(u), assignment.get(v)
-        if cu is not None and cv is not None and cu != cv:
-            cg.add_edge(cu, cv)
-    return cg
+def cluster_adjacency(graph: DistributedGraph, assignment: Dict[int, int]
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cluster graph (the logical graph CG of Lemma 3.3) as a CSR.
+
+    ``assignment`` maps nodes to their cluster's center; nodes it omits
+    belong to no cluster. Returns ``(offsets, indices, centers)``: vertex
+    ``i`` is the cluster of ``centers[i]`` (the centers, sorted), and two
+    vertices are adjacent iff their clusters contain adjacent nodes. The
+    edges come from one ``np.unique`` over the cluster-id pairs of G's
+    arcs, which also sorts every neighbor list.
+    """
+    members = np.fromiter(assignment.keys(), dtype=np.int64,
+                          count=len(assignment))
+    owners = np.fromiter(assignment.values(), dtype=np.int64,
+                         count=len(assignment))
+    centers, dense = np.unique(owners, return_inverse=True)
+    k = centers.size
+    cluster = np.full(graph.n, -1, dtype=np.int64)
+    cluster[members] = dense
+    tails = cluster[np.repeat(np.arange(graph.n), graph.csr.degrees)]
+    heads = cluster[graph.csr.indices]
+    cross = (tails >= 0) & (heads >= 0) & (tails != heads)
+    pairs = np.unique(tails[cross] * k + heads[cross])
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // k, minlength=k), out=offsets[1:])
+    return offsets, pairs % k, centers

@@ -29,9 +29,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..randomness.source import RandomSource
+from ..sim.batch.csr import bfs_distances, component_labels
 from ..sim.graph import DistributedGraph
 from ..sim.metrics import RunReport
 
@@ -123,24 +125,28 @@ def tree_orientation(graph: DistributedGraph, min_degree: int = 3
     Raises :class:`ConfigurationError` on non-forests or if some tree
     has no exempt node to root at (impossible for ``min_degree >= 2``).
     """
-    if not nx.is_forest(graph.nx):
+    offsets, indices = graph.csr.offsets, graph.csr.indices
+    label = component_labels(offsets, indices)
+    size = np.bincount(label)
+    if graph.m != graph.n - size.size:
         raise ConfigurationError("tree_orientation requires a forest")
-    orientation: Orientation = {}
-    depth = 0
-    for component in nx.connected_components(graph.nx):
-        nodes = sorted(component)
-        if len(nodes) == 1:
-            continue
-        exempt = [v for v in nodes if graph.degree(v) < min_degree]
-        if not exempt:
-            raise ConfigurationError(
-                "no feasible root: every node is constrained"
-            )
-        root = min(exempt, key=graph.uid)
-        lengths = nx.single_source_shortest_path_length(graph.nx, root)
-        depth = max(depth, max(lengths.values()))
-        for u, v in nx.bfs_edges(graph.nx, root):
-            orientation[_canonical(u, v)] = (u, v)  # parent -> child
+    roots: Dict[int, int] = {}
+    for v in graph.nodes():
+        c = int(label[v])
+        if size[c] > 1 and graph.degree(v) < min_degree and (
+                c not in roots or graph.uid(v) < graph.uid(roots[c])):
+            roots[c] = v
+    if len(roots) < np.count_nonzero(size > 1):
+        raise ConfigurationError(
+            "no feasible root: every node is constrained"
+        )
+    # One BFS from every root at once; in a tree the parent of an edge
+    # is its endpoint nearer the root.
+    dist = bfs_distances(offsets, indices, list(roots.values())).tolist()
+    orientation: Orientation = {
+        (u, v): (u, v) if dist[u] < dist[v] else (v, u)
+        for u, v in graph.edges()}
+    depth = max(0, max(dist))
     report = RunReport(
         rounds=depth + 1,
         accounted=True,

@@ -13,13 +13,12 @@ Lemma 3.4 small-bias variant      :class:`EpsilonBiasedSource`
 ================================  ==========================================
 
 Bit generation is block-oriented (counter-mode PRF blocks, see
-:mod:`repro.randomness.block`) and metering is interval-based, so bulk
-reads (:meth:`RandomSource.bits_block`, :meth:`RandomSource.uniform_ints`)
-cost O(1) ledger work per contiguous range while reporting exactly the
-per-bit counts. The per-node bulk samplers
-(:meth:`RandomSource.uniform_int_each`, :meth:`RandomSource.geometrics`)
-generate every node's bits in one numpy pass and leave only one ledger
-update per node.
+:mod:`repro.randomness.block`) and metering is interval-based, so a bulk
+read (:meth:`RandomSource.bits_block`) costs O(1) ledger work per
+contiguous range while reporting exactly the per-bit counts. The
+per-node bulk samplers (:meth:`RandomSource.uniform_int_each`,
+:meth:`RandomSource.geometrics`) generate every node's bits in one
+numpy pass and leave only one ledger update per node.
 """
 
 from .block import BlockStream, IntervalSet, derive_key

@@ -21,8 +21,8 @@ Subclasses implement :meth:`_raw_bit` (one bit) and, for speed, override
 and :meth:`_raw_blocks` (the same run for many nodes at once, as the
 rows of one matrix); PRF-backed sources also expose their raw 512-bit
 blocks through ``_digest_blocks``. The public bulk readers
-(:meth:`bits_block`, :meth:`uniform_ints`, :meth:`uniform_int_each`,
-:meth:`geometrics`, :meth:`bits_each`) let hot algorithms draw a whole
+(:meth:`bits_block`, :meth:`uniform_int_each`, :meth:`geometrics`,
+:meth:`bits_each`) let hot algorithms draw a whole
 round's randomness in one call while consuming *exactly* the bits the
 per-call samplers would; :meth:`uniform_int_each`, :meth:`geometrics`
 and :meth:`bits_each` draw every node's value in one vectorized pass
@@ -83,8 +83,8 @@ class RandomSource(abc.ABC):
 
         Unmetered. The default loops :meth:`_raw_bit`; sources with a
         vectorizable derivation override this, and every single-node bulk
-        reader (:meth:`bits_block`, :meth:`uniform_ints`,
-        :meth:`geometric`) generates through it.
+        reader (:meth:`bits_block`, :meth:`geometric`) generates through
+        it.
         """
         out = np.empty(count, dtype=np.uint8)
         for i in range(count):
@@ -242,81 +242,6 @@ class RandomSource(abc.ABC):
         raise RandomnessExhausted(
             f"rejection sampling for bound {bound} did not converge"
         )
-
-    def uniform_ints(self, node: object, bound: int, count: int,
-                     offset: int = 0) -> Tuple[np.ndarray, int]:
-        """``count`` uniform draws in ``[0, bound)`` in one vectorized call.
-
-        Sequential-equivalent: the values and the total bits consumed are
-        exactly those of ``count`` back-to-back :meth:`uniform_int` calls
-        starting at ``offset``. Returns ``(values, bits_used)``.
-
-        This is the bulk entry point for sweep-style consumers that take
-        many draws from one node's stream (e.g. a vectorized node-program
-        API batching a node's per-round trials — the ROADMAP's next
-        engine step); the engine-backed algorithms draw one value per
-        round and go through :meth:`uniform_int`, which shares the same
-        block-read path.
-        """
-        if bound <= 0:
-            raise ConfigurationError(f"bound must be positive, got {bound}")
-        if count <= 0:
-            return np.empty(0, dtype=np.int64), 0
-        if bound == 1:
-            return np.zeros(count, dtype=np.int64), 0
-        width = (bound - 1).bit_length()
-        limit = self._stream_limit(node)
-        if limit is not None:
-            # Bounded streams are short; the peek-ahead fast path could
-            # step past the end even when the needed draws fit. Fall back
-            # to the exact sequential loop.
-            values = np.empty(count, dtype=np.int64)
-            used = 0
-            for i in range(count):
-                values[i], step = self.uniform_int(node, bound, offset + used)
-                used += step
-            return values, used
-
-        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-        values = np.empty(count, dtype=np.int64)
-        got = 0
-        pos = offset
-        rejected_run = 0
-        while got < count:
-            need = count - got
-            # Headroom for rejections (< 1/2 per attempt in expectation).
-            chunks = need + 4 + need // 2
-            raw = self._raw_block(node, pos, chunks * width)
-            vals = raw.reshape(chunks, width).astype(np.int64) @ weights
-            accepted = np.flatnonzero(vals < bound)
-            take = min(accepted.size, need)
-            if take:
-                lead = int(accepted[0]) + rejected_run
-                inner = np.diff(accepted[:take]) - 1
-                worst = max(lead, int(inner.max()) if inner.size else 0)
-                if worst >= 64:
-                    raise RandomnessExhausted(
-                        f"rejection sampling for bound {bound} did not converge"
-                    )
-                values[got:got + take] = vals[accepted[:take]]
-                got += take
-                consumed_chunks = int(accepted[take - 1]) + 1
-                rejected_run = 0
-                if got < count:
-                    # Everything after the last taken accept was rejected.
-                    rejected_run = chunks - consumed_chunks
-                    consumed_chunks = chunks
-            else:
-                rejected_run += chunks
-                consumed_chunks = chunks
-            if rejected_run >= 64:
-                self._consume(node, pos, pos + consumed_chunks * width)
-                raise RandomnessExhausted(
-                    f"rejection sampling for bound {bound} did not converge"
-                )
-            self._consume(node, pos, pos + consumed_chunks * width)
-            pos += consumed_chunks * width
-        return values, pos - offset
 
     def uniform_int_each(self, nodes: Sequence[object], bound: int,
                          offsets: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,25 +20,19 @@ that is exactly what Lemma 3.2's clustering does, and why the
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Set
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError, ModelViolation
 from .source import RandomSource
 
-
-def _csr_index(graph: nx.Graph):
-    """CSR arrays plus a label -> index map for an nx graph."""
-    from ..sim.batch.csr import nx_to_csr
-
-    offsets, indices, nodes = nx_to_csr(graph)
-    return offsets, indices, {label: i for i, label in enumerate(nodes)}
+if TYPE_CHECKING:
+    from ..sim.graph import DistributedGraph
 
 
-def covering_holders(graph: nx.Graph, h: int, *, seed: int = 0,
-                     style: str = "sparse") -> Set:
+def covering_holders(graph: "DistributedGraph", h: int, *, seed: int = 0,
+                     style: str = "sparse") -> Set[int]:
     """Choose a holder set with covering radius at most ``h``.
 
     ``style='sparse'`` greedily builds a set that is ``h``-independent
@@ -46,36 +40,30 @@ def covering_holders(graph: nx.Graph, h: int, *, seed: int = 0,
     ``h`` — the hardest legal regime for Theorem 3.1 since holders are as
     far apart as allowed. ``style='dense'`` returns all nodes (the
     standard model, h = 0). The greedy order is seeded for
-    reproducibility.
+    reproducibility. Holders are node indices of ``graph``.
     """
     if h < 0:
         raise ConfigurationError(f"h must be >= 0, got {h}")
-    graph = getattr(graph, "nx", graph)  # accept DistributedGraph too
-    nodes = sorted(graph.nodes())
     if style == "dense" or h == 0:
-        return set(nodes)
+        return set(graph.nodes())
     if style != "sparse":
         raise ConfigurationError(f"unknown style {style!r}")
 
-    def sort_key(v: object) -> int:
+    def sort_key(v: int) -> int:
         digest = hashlib.sha256(f"holders:{seed}:{v!r}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
-    # CSR-based bounded BFS (one vectorized frontier sweep per candidate)
-    # instead of one networkx dict per ball.
     from ..sim.batch.csr import bfs_distances
 
-    offsets, indices, index_of = _csr_index(graph)
-    order = sorted(nodes, key=sort_key)
-    holders: Set = set()
-    covered = np.zeros(len(index_of), dtype=bool)
-    for v in order:
-        vi = index_of[v]
-        if covered[vi]:
+    holders: Set[int] = set()
+    covered = np.zeros(graph.n, dtype=bool)
+    for v in sorted(graph.nodes(), key=sort_key):
+        if covered[v]:
             continue
         holders.add(v)
         # Mark the h-ball of v as covered.
-        covered |= bfs_distances(offsets, indices, vi, cutoff=h) >= 0
+        covered |= bfs_distances(graph.csr.offsets, graph.csr.indices, v,
+                                 cutoff=h) >= 0
     return holders
 
 
@@ -128,26 +116,23 @@ class SparseRandomness(RandomSource):
         """The single bit of a holder node."""
         return self.bit(node, 0)
 
-    def verify_covering(self, graph: nx.Graph) -> bool:
-        """Check every node has a holder within ``h`` hops (the premise)."""
+    def verify_covering(self, graph: "DistributedGraph") -> bool:
+        """Check every node has a holder within ``h`` hops (the premise):
+        one multi-source BFS from the holders that are nodes of
+        ``graph``."""
         from ..sim.batch.csr import bfs_distances
 
-        graph = getattr(graph, "nx", graph)  # accept DistributedGraph too
-        offsets, indices, index_of = _csr_index(graph)
-        covered = np.zeros(len(index_of), dtype=bool)
-        for s in self.holders:
-            if s not in index_of:
-                continue
-            covered |= bfs_distances(offsets, indices, index_of[s],
-                                     cutoff=self.h) >= 0
-            if covered.all():
-                return True
-        return bool(covered.all())
+        sources = [s for s in self.holders if s in graph.nodes()]
+        if not sources:
+            return False
+        return bool(np.all(bfs_distances(graph.csr.offsets,
+                                         graph.csr.indices, sources,
+                                         cutoff=self.h) >= 0))
 
     @classmethod
-    def for_graph(cls, graph, h: int, seed: int = 0,
+    def for_graph(cls, graph: "DistributedGraph", h: int, seed: int = 0,
                   style: str = "sparse") -> "SparseRandomness":
-        """Construct holders for ``graph`` (networkx or
-        :class:`~repro.sim.graph.DistributedGraph`) and wrap them."""
+        """Construct holders for a
+        :class:`~repro.sim.graph.DistributedGraph` and wrap them."""
         holders = covering_holders(graph, h, seed=seed, style=style)
         return cls(holders, h, seed=seed)

@@ -28,29 +28,34 @@ from ...errors import ConfigurationError
 from ..graph import DistributedGraph, sorted_labels
 
 
-def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
+def _neighbors_of(offsets: np.ndarray, indices: np.ndarray,
+                  frontier: np.ndarray) -> np.ndarray:
+    """The neighbors of every ``frontier`` node, concatenated (one
+    fancy-gather over their CSR segments)."""
+    starts = offsets[frontier]
+    counts = offsets[frontier + 1] - starts
+    base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return indices[base + np.arange(base.size)]
+
+
+def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source,
                   cutoff: Optional[int] = None) -> np.ndarray:
     """Hop distances from ``source`` over a CSR adjacency.
 
-    Returns an ``int64[n]`` array with -1 for nodes unreached (because of
-    disconnection or the ``cutoff``). Frontier expansion is fully
-    vectorized: one fancy-gather per level instead of one networkx dict
-    per call — the ball/distance workhorse for orchestrated pipelines
-    (many-source distances go through :func:`weak_diameter`).
+    ``source`` is one node or an array of nodes (distance to the
+    nearest). Returns an ``int64[n]`` array with -1 for nodes unreached
+    (because of disconnection or the ``cutoff``). Frontier expansion is
+    fully vectorized: one fancy-gather per level — the ball/distance
+    workhorse for orchestrated pipelines (many-source distances go
+    through :func:`weak_diameter`).
     """
     n = offsets.size - 1
     dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    frontier = np.atleast_1d(np.asarray(source, dtype=np.int64))
+    dist[frontier] = 0
     depth = 0
     while frontier.size and (cutoff is None or depth < cutoff):
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if not total:
-            break
-        base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        neighbors = indices[base + np.arange(total)]
+        neighbors = _neighbors_of(offsets, indices, frontier)
         neighbors = neighbors[dist[neighbors] < 0]
         if not neighbors.size:
             break
@@ -58,6 +63,25 @@ def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
         depth += 1
         dist[frontier] = depth
     return dist
+
+
+def component_labels(offsets: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Connected components as ``int64[n]`` labels ``0 .. k-1``, numbered
+    in the order of their smallest node (one frontier BFS each)."""
+    n = offsets.size - 1
+    label = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for v in range(n):
+        if label[v] >= 0:
+            continue
+        label[v] = count
+        frontier = np.array([v], dtype=np.int64)
+        while frontier.size:
+            neighbors = _neighbors_of(offsets, indices, frontier)
+            frontier = np.unique(neighbors[label[neighbors] < 0])
+            label[frontier] = count
+        count += 1
+    return label
 
 
 def segment_reduce(edge_values: np.ndarray, offsets: np.ndarray,
@@ -174,14 +198,14 @@ def distances_to_ball(dist: np.ndarray) -> Dict[int, int]:
     return dict(zip(reached.tolist(), dist[reached].tolist()))
 
 
-def index_edges(graph) -> Tuple[List, Dict, np.ndarray]:
+def index_edges(graph) -> Tuple[List, np.ndarray]:
     """Index a networkx graph by its sorted labels.
 
-    Returns ``(labels, index_of, edges)``: the label list in index order
-    (:func:`~repro.sim.graph.sorted_labels`), its inverse map, and the
-    edges as an ``int64[m, 2]`` array of index pairs ``(u, v)`` with
-    ``u < v``, in ``graph.edges()`` order. Self-loops are refused: the
-    model's network is a simple graph.
+    Returns ``(labels, edges)``: the label list in index order
+    (:func:`~repro.sim.graph.sorted_labels`) and the edges as an
+    ``int64[m, 2]`` array of index pairs ``(u, v)`` with ``u < v``, in
+    ``graph.edges()`` order. Self-loops are refused: the model's network
+    is a simple graph.
     """
     labels = sorted_labels(graph.nodes())
     index_of = {label: i for i, label in enumerate(labels)}
@@ -192,7 +216,7 @@ def index_edges(graph) -> Tuple[List, Dict, np.ndarray]:
     edges.sort(axis=1)
     if np.any(edges[:, 0] == edges[:, 1]):
         raise ConfigurationError("self-loops are not allowed")
-    return labels, index_of, edges
+    return labels, edges
 
 
 def edges_to_csr(n: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,21 +230,6 @@ def edges_to_csr(n: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
     return offsets, heads[np.lexsort((heads, tails))]
-
-
-def nx_to_csr(graph) -> Tuple[np.ndarray, np.ndarray, List]:
-    """CSR arrays for an arbitrary networkx graph.
-
-    Returns ``(offsets, indices, labels)`` where ``labels`` is the
-    sorted label list defining the index mapping (position = index) and
-    every neighbor list is sorted: the build
-    :class:`~repro.sim.graph.DistributedGraph` runs, for graphs that are
-    not networks of the model (the cluster graph of Lemma 3.3, holder
-    selection in :mod:`repro.randomness.sparse`).
-    """
-    labels, _index_of, edges = index_edges(graph)
-    offsets, indices = edges_to_csr(len(labels), edges)
-    return offsets, indices, labels
 
 
 def ensure_csr(graph: Optional[DistributedGraph],

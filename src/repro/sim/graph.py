@@ -8,9 +8,9 @@ node *indices* (used internally and by randomness sources) and unique
 The topology is frozen once, at construction, into one sorted CSR
 (:attr:`DistributedGraph.csr`, a :class:`~repro.sim.batch.csr.CSRGraph`
 whose arrays are read-only) built from the input's edge list in a
-single vectorized pass. Every query and every engine run on the graph
-reads that one snapshot; :attr:`DistributedGraph.nx` is a networkx copy
-built on first use, for the algorithms that still need networkx.
+single vectorized pass. Every query, algorithm, checker and engine run
+on the graph reads that one snapshot: networkx is only the input
+format, read once and not kept.
 """
 
 from __future__ import annotations
@@ -64,12 +64,9 @@ class DistributedGraph:
 
         if graph.number_of_nodes() == 0:
             raise ConfigurationError("graph must have at least one node")
-        self.labels, index_of, self._edges = index_edges(graph)
+        self.labels, self._edges = index_edges(graph)
         self.n = len(self.labels)
         self.m = len(self._edges)
-        # The input's node order, which the networkx copy reproduces.
-        self._node_order = np.fromiter(map(index_of.__getitem__, graph),
-                                       dtype=np.int64, count=self.n)
         if uids is None:
             rng = random.Random(uid_seed)
             hi = uid_range if uid_range is not None else max(8, self.n ** 3)
@@ -80,21 +77,6 @@ class DistributedGraph:
         self.csr = CSRGraph(offsets, indices, uids)
         for array in (self._edges, offsets, indices, self.csr.degrees):
             array.flags.writeable = False
-        self._nx: Optional[nx.Graph] = None
-
-    @property
-    def nx(self) -> nx.Graph:
-        """The network as a networkx graph on indices, built on first use.
-
-        Node, adjacency and edge order match relabeling the input graph
-        to indices. Only networkx-only algorithms should touch it.
-        """
-        if self._nx is None:
-            view = nx.Graph()
-            view.add_nodes_from(self._node_order.tolist())
-            view.add_edges_from(self._edges.tolist())
-            self._nx = view
-        return self._nx
 
     # ------------------------------------------------------------------
     # Topology access
@@ -152,12 +134,13 @@ class DistributedGraph:
         return self.n
 
     def connected_components(self) -> List[Set[int]]:
-        """Connected components as sets of indices."""
-        return [set(c) for c in nx.connected_components(self.nx)]
-
-    def induced(self, nodes: Iterable[int]) -> nx.Graph:
-        """Induced subgraph on the given indices (a plain networkx graph)."""
-        return self.nx.subgraph(list(nodes)).copy()
+        """Connected components as sets of indices, ordered by their
+        smallest node."""
+        from .batch.csr import component_labels
+        label = component_labels(self.csr.offsets, self.csr.indices)
+        order = np.argsort(label, kind="stable")
+        bounds = np.cumsum(np.bincount(label))[:-1]
+        return [set(part.tolist()) for part in np.split(order, bounds)]
 
     def weak_diameter(self, nodes: Iterable[int]) -> int:
         """Max distance *in G* between any two of the given nodes."""

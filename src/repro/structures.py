@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .errors import ConfigurationError
@@ -95,18 +94,6 @@ class Decomposition:
             worst = max(worst, graph.weak_diameter(members))
         return worst
 
-    def max_tree_diameter(self) -> Optional[int]:
-        """Max diameter over the recorded cluster trees, if any."""
-        if self.trees is None:
-            return None
-        worst = 0
-        for edges in self.trees.values():
-            if not edges:
-                continue
-            t = nx.Graph(edges)
-            worst = max(worst, self._diameter(t))
-        return worst
-
     def congestion(self) -> int:
         """Max, over (node, color), of clusters of that color using the node.
 
@@ -129,15 +116,6 @@ class Decomposition:
                 key = (v, color)
                 load[key] = load.get(key, 0) + 1
         return max(load.values()) if load else 1
-
-    @staticmethod
-    def _diameter(sub: nx.Graph) -> int:
-        if sub.number_of_nodes() <= 1:
-            return 0
-        return max(
-            max(lengths.values())
-            for _, lengths in nx.all_pairs_shortest_path_length(sub)
-        )
 
     # ------------------------------------------------------------------
     # Validity

@@ -9,13 +9,22 @@ directory on ``sys.path`` (rootdir import mode), which makes a bare
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Tuple
+import hashlib
+import math
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
+import networkx as nx
 import numpy as np
+from hypothesis import strategies as st
 
+from repro.core.decomposition import elkin_neiman, en_phase_loop, gather_bits
+from repro.core.ruling_sets import greedy_ruling_set, voronoi_clusters
+from repro.errors import ConfigurationError, RandomnessExhausted
 from repro.graphs import assign, make
 from repro.randomness import SharedRandomness
+from repro.randomness.pooled import PooledBits
 from repro.sim.batch.array import ArrayContext
+from repro.sim.batch.csr import bfs_distances, edges_to_csr, index_edges
 from repro.sim.graph import DistributedGraph
 
 #: The named families every cross-topology test sweeps over.
@@ -132,3 +141,299 @@ def reference_top_two_flood(
         senders[r] = (((m1[r] > 0) & ((m1[r] != was1) | (c1[r] != was_c1)))
                       | ((m2[r] > 0) & ((m2[r] != was2) | (c2[r] != was_c2))))
     return m1, c1, np.maximum(m2, 0), rounds, messages
+
+
+def nx_copy(graph: DistributedGraph) -> nx.Graph:
+    """The network as a networkx graph on indices, for oracles: nodes in
+    index order, edges in ``graph.edges()`` (the input's) order."""
+    copy = nx.Graph()
+    copy.add_nodes_from(graph.nodes())
+    copy.add_edges_from(graph.edges())
+    return copy
+
+
+@st.composite
+def sparse_graphs(draw, max_nodes: int = 24) -> DistributedGraph:
+    """A random forest (parent -1 starts a new tree) plus a few chords,
+    relabeled at random, with up to three trailing edgeless nodes: they
+    put empty CSR segments after the last nonempty one."""
+    n = draw(st.integers(1, max_nodes))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    chords = draw(st.lists(pairs, max_size=6))
+    label = draw(st.permutations(range(n)))
+    tail = draw(st.integers(0, 3))
+    g = nx.Graph()
+    g.add_nodes_from(range(n + tail))  # isolated nodes stay in the graph
+    g.add_edges_from((label[u], label[v]) for u, v in
+                     [(i, p) for i, p in enumerate(parents) if p >= 0]
+                     + chords if u != v)
+    return DistributedGraph(g, uid_seed=draw(st.integers(0, 99)))
+
+
+# ----------------------------------------------------------------------
+# The networkx implementations the CSR ports replaced, kept as oracles.
+# ----------------------------------------------------------------------
+def nx_to_csr(graph) -> Tuple[np.ndarray, np.ndarray, List]:
+    """CSR arrays ``(offsets, indices, labels)`` for an arbitrary
+    networkx graph, ``labels`` sorted (position = index)."""
+    labels, edges = index_edges(graph)
+    offsets, indices = edges_to_csr(len(labels), edges)
+    return offsets, indices, labels
+
+
+def ball_carving_nx(
+    graph: nx.Graph,
+    priority: Optional[Dict[Hashable, int]] = None,
+) -> Dict[Hashable, Tuple[int, Hashable]]:
+    """Core carving loop on a plain networkx graph.
+
+    ``priority`` orders the scan (smaller first; defaults to ``repr``
+    order). Returns node -> (color, center).
+    """
+    n = graph.number_of_nodes()
+    if n == 0:
+        return {}
+    max_radius = max(1, math.ceil(math.log2(max(2, n))))
+
+    def order_key(v: Hashable):
+        return (priority[v], repr(v)) if priority is not None else repr(v)
+
+    unclustered: Set[Hashable] = set(graph.nodes())
+    assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
+    color = 0
+    while unclustered:
+        free = set(unclustered)  # nodes available within this phase
+        for v in sorted(unclustered, key=order_key):
+            if v not in free:
+                continue
+            ball, shell = _grow_ball_nx(graph, v, free, max_radius)
+            for u in ball:
+                assignment[u] = (color, v)
+            unclustered.difference_update(ball)
+            free.difference_update(ball)
+            free.difference_update(shell)
+        color += 1
+        if color > 2 * max_radius + 4:
+            raise ConfigurationError(
+                "ball carving failed to terminate; this indicates a bug"
+            )
+    return assignment
+
+
+def _grow_ball_nx(graph: nx.Graph, v: Hashable, free: Set[Hashable],
+                  max_radius: int) -> Tuple[Set[Hashable], Set[Hashable]]:
+    """Grow B(v, r) in G[free] until |B(v, r+1)| <= 2 |B(v, r)|.
+
+    Returns (ball, shell) where shell = B(v, r+1) \\ B(v, r).
+    """
+    layers: List[Set[Hashable]] = [{v}]
+    ball: Set[Hashable] = {v}
+    while True:
+        frontier = layers[-1]
+        nxt: Set[Hashable] = set()
+        for x in frontier:
+            for y in graph.neighbors(x):
+                if y in free and y not in ball and y not in nxt:
+                    nxt.add(y)
+        if len(ball) + len(nxt) <= 2 * len(ball) or len(layers) - 1 >= max_radius:
+            return ball, nxt
+        ball.update(nxt)
+        layers.append(nxt)
+
+
+def reference_deterministic_decomposition(graph: DistributedGraph
+                                          ) -> Tuple[Dict, Dict]:
+    """``(cluster_of, color_of)`` of the networkx deterministic
+    decomposition."""
+    priority = {v: graph.uid(v) for v in graph.nodes()}
+    assignment = ball_carving_nx(nx_copy(graph), priority)
+    cluster_ids: Dict[Tuple[int, Hashable], int] = {}
+    cluster_of: Dict[int, int] = {}
+    color_of: Dict[int, int] = {}
+    for v, (color, center) in assignment.items():
+        cid = cluster_ids.setdefault((color, center), len(cluster_ids))
+        cluster_of[v] = cid
+        color_of[cid] = color
+    return cluster_of, color_of
+
+
+def reference_cluster_adjacency(graph: DistributedGraph,
+                                assignment: Dict[int, int]) -> nx.Graph:
+    """The cluster graph: one vertex per center, edges between clusters
+    containing adjacent nodes (the logical graph CG of Lemma 3.3)."""
+    cg = nx.Graph()
+    cg.add_nodes_from(set(assignment.values()))
+    for u, v in graph.edges():
+        cu, cv = assignment.get(u), assignment.get(v)
+        if cu is not None and cv is not None and cu != cv:
+            cg.add_edge(cu, cv)
+    return cg
+
+
+def reference_shattering(graph: DistributedGraph, source, en_phases: int,
+                         cap: int) -> Tuple[Dict, Dict]:
+    """``(cluster_of, color_of)`` of the networkx Theorem 4.2 pipeline
+    (before color normalization)."""
+    decomposition, _report, en_extra = elkin_neiman(
+        graph, source, phases=en_phases, cap=cap, finish="strict")
+    if decomposition is not None:
+        return decomposition.cluster_of, decomposition.color_of
+    leftover: Set[int] = set(en_extra["unclustered"])
+    t = en_phases * (cap + 2)
+    separated, _ruling = greedy_ruling_set(graph, alpha=2 * t + 1,
+                                           subset=leftover)
+    assignment_all = voronoi_clusters(graph, separated)
+    members: Dict[int, Set[int]] = {}
+    for v in leftover:
+        members.setdefault(assignment_all[v], set()).add(v)
+    cg = nx.Graph()
+    cg.add_nodes_from(members.keys())
+    center_of: Dict[int, int] = {}
+    for center, mem in members.items():
+        for v in mem:
+            center_of[v] = center
+    for u, v in graph.edges():
+        cu, cv = center_of.get(u), center_of.get(v)
+        if cu is not None and cv is not None and cu != cv:
+            cg.add_edge(cu, cv)
+    det_assignment = ball_carving_nx(cg, priority={c: graph.uid(c)
+                                                   for c in cg.nodes()})
+    cluster_of: Dict[int, int] = {}
+    color_of: Dict[int, int] = {}
+    en_ids: Dict[Tuple[int, Hashable], int] = {}
+    for v, (phase, center) in en_extra["assignment"].items():
+        cid = en_ids.setdefault((phase, center), len(en_ids))
+        cluster_of[v] = cid
+        color_of[cid] = phase
+    offset = (max(color_of.values()) + 1) if color_of else 0
+    det_ids: Dict[Tuple[int, Hashable], int] = {}
+    next_cid = (max(color_of.keys()) + 1) if color_of else 0
+    for center, (det_color, det_center) in det_assignment.items():
+        key = (det_color, det_center)
+        if key not in det_ids:
+            det_ids[key] = next_cid
+            color_of[next_cid] = offset + det_color
+            next_cid += 1
+        cid = det_ids[key]
+        for v in members[center]:
+            cluster_of[v] = cid
+    return cluster_of, color_of
+
+
+def reference_sparse_bits(graph: DistributedGraph, source, spacing: int,
+                          phases: int, cap: int) -> Tuple[Dict, Dict]:
+    """``(cluster_of, color_of)`` of the networkx Theorem 3.1 pipeline
+    with ``strict=False`` (before color normalization); the isolated
+    clusters are recomputed on the networkx cluster graph."""
+    gathered = gather_bits(graph, source, 4 * phases, spacing=spacing)
+    cg = reference_cluster_adjacency(graph, gathered.assignment)
+    isolated = {c for c in cg.nodes() if cg.degree(c) == 0}
+    pools = PooledBits({c: [] if c in isolated else bits
+                        for c, bits in gathered.pools.items()})
+    active = [c for c in cg.nodes() if c not in isolated]
+    cg_active = cg.subgraph(active)
+    cursor: Dict[int, int] = {}
+
+    def draw(center) -> int:
+        offset = cursor.get(center, 0)
+        try:
+            value, used = pools.geometric(center, cap, offset)
+        except RandomnessExhausted:
+            return 1
+        cursor[center] = offset + used
+        return value
+
+    assignment_cg, _left, _measured = en_phase_loop(
+        *nx_to_csr(cg_active),
+        lambda centers, _phase: np.array([draw(c) for c in centers],
+                                         dtype=np.int64), phases, cap)
+    remaining = set(cg_active.nodes())
+    remaining.difference_update(assignment_cg)
+    members = gathered.cluster_members()
+    cluster_of: Dict[int, int] = {}
+    color_of: Dict[int, int] = {}
+    final_ids: Dict[Tuple[int, int], int] = {}
+    for center in isolated:
+        cid = final_ids.setdefault(("isolated", center), len(final_ids))
+        color_of[cid] = 0
+        for v in members[center]:
+            cluster_of[v] = cid
+    for center, (phase, en_center) in assignment_cg.items():
+        cid = final_ids.setdefault((phase, en_center), len(final_ids))
+        color_of[cid] = phase
+        for v in members[center]:
+            cluster_of[v] = cid
+    next_color = (max(color_of.values()) + 1) if color_of else 0
+    for center in remaining:
+        cid = len(final_ids)
+        final_ids[("leftover", center)] = cid
+        color_of[cid] = next_color
+        next_color += 1
+        for v in members[center]:
+            cluster_of[v] = cid
+    return cluster_of, color_of
+
+
+def reference_tree_orientation(graph: DistributedGraph, min_degree: int = 3
+                               ) -> Tuple[Dict, int]:
+    """``(orientation, rounds)`` of the networkx leaf-rooted BFS
+    orientation."""
+    view = nx_copy(graph)
+    if not nx.is_forest(view):
+        raise ConfigurationError("tree_orientation requires a forest")
+    orientation = {}
+    depth = 0
+    for component in nx.connected_components(view):
+        nodes = sorted(component)
+        if len(nodes) == 1:
+            continue
+        exempt = [v for v in nodes if graph.degree(v) < min_degree]
+        if not exempt:
+            raise ConfigurationError(
+                "no feasible root: every node is constrained"
+            )
+        root = min(exempt, key=graph.uid)
+        lengths = nx.single_source_shortest_path_length(view, root)
+        depth = max(depth, max(lengths.values()))
+        for u, v in nx.bfs_edges(view, root):
+            orientation[(min(u, v), max(u, v))] = (u, v)  # parent -> child
+    return orientation, depth + 1
+
+
+def reference_covering_holders(graph: DistributedGraph, h: int,
+                               seed: int = 0, style: str = "sparse") -> Set:
+    """The holder greedy over the networkx copy's CSR."""
+    view = nx_copy(graph)
+    nodes = sorted(view.nodes())
+    if style == "dense" or h == 0:
+        return set(nodes)
+
+    def sort_key(v: object) -> int:
+        digest = hashlib.sha256(f"holders:{seed}:{v!r}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    offsets, indices, labels = nx_to_csr(view)
+    index_of = {label: i for i, label in enumerate(labels)}
+    holders: Set = set()
+    covered = np.zeros(len(index_of), dtype=bool)
+    for v in sorted(nodes, key=sort_key):
+        vi = index_of[v]
+        if covered[vi]:
+            continue
+        holders.add(v)
+        covered |= bfs_distances(offsets, indices, vi, cutoff=h) >= 0
+    return holders
+
+
+def reference_verify_covering(graph: DistributedGraph, holders, h: int) -> bool:
+    """One bounded BFS per holder on the networkx copy's CSR."""
+    offsets, indices, labels = nx_to_csr(nx_copy(graph))
+    index_of = {label: i for i, label in enumerate(labels)}
+    covered = np.zeros(len(index_of), dtype=bool)
+    for s in holders:
+        if s not in index_of:
+            continue
+        covered |= bfs_distances(offsets, indices, index_of[s],
+                                 cutoff=h) >= 0
+    return bool(covered.all())

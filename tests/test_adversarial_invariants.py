@@ -24,7 +24,8 @@ from repro.errors import (
 from repro.graphs import make
 from repro.randomness import IndependentSource, SparseRandomness
 from repro.randomness.pooled import PooledBits
-from repro.sim.batch.csr import nx_to_csr
+
+from helpers import nx_to_csr
 
 
 def _clusters_of(assignment):

@@ -92,6 +92,25 @@ class TestExperimentRegistry:
         table = EXPERIMENTS["e06"](quick=True, seed=2)
         assert table.rows[0]["shattering success"] == 1.0
 
+    def test_e03_builds_each_instance_once(self, monkeypatch):
+        # The four regimes split the same instance per trial seed.
+        import functools
+
+        from repro.analysis import experiments
+        from repro.core.splitting import random_instance
+
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return random_instance(*args)
+
+        monkeypatch.setattr(experiments, "_e03_instance",
+                            functools.lru_cache(maxsize=100)(counted))
+        table = EXPERIMENTS["e03"](quick=True, seed=3)
+        assert len(table.rows) == 4
+        assert len(built) == len(set(built)) == 20
+
 
 class TestAblationsPinned:
     """The A1–A3 quick tables at seed 0, pinned byte for byte.

@@ -38,8 +38,10 @@ from repro.randomness import (
 )
 from repro.randomness.pooled import PooledBits
 from repro.sim.batch import csr as csr_module
-from repro.sim.batch.csr import bfs_distances, nx_to_csr
+from repro.sim.batch.csr import bfs_distances
 from repro.sim.graph import DistributedGraph
+
+from helpers import nx_copy, nx_to_csr, sparse_graphs
 
 
 def _sources():
@@ -237,7 +239,6 @@ class TestNegativeIndex:
     @pytest.mark.parametrize("call, index", [
         (lambda s: s.bit(0, -1), -1),
         (lambda s: s.bits_block(0, 4, -3), -3),
-        (lambda s: s.uniform_ints(0, 10, 3, -7), -7),
         (lambda s: s.uniform_int_each([0], 10, [-2]), -2),
         (lambda s: s.geometrics([0], 5, -4), -4),
     ])
@@ -295,34 +296,6 @@ class TestPinnedPRF:
 
 
 class TestBulkSamplers:
-    @given(st.integers(2, 200), st.integers(1, 30), st.integers(0, 50))
-    def test_uniform_ints_equals_sequential(self, bound, count, offset):
-        bulk = IndependentSource(seed=21)
-        seq = IndependentSource(seed=21)
-        values, used = bulk.uniform_ints("n", bound, count, offset)
-        expected = []
-        cursor = offset
-        for _ in range(count):
-            value, step = seq.uniform_int("n", bound, cursor)
-            cursor += step
-            expected.append(value)
-        assert values.tolist() == expected
-        assert used == cursor - offset
-        assert bulk.bits_consumed == seq.bits_consumed
-        assert all(0 <= v < bound for v in values.tolist())
-
-    def test_uniform_ints_on_bounded_source(self):
-        shared = SharedRandomness(400, seed=4)
-        ref = SharedRandomness(400, seed=4)
-        values, used = shared.uniform_ints("__shared__", 5, 20)
-        cursor = 0
-        for v in values.tolist():
-            expected, step = ref.uniform_int("__shared__", 5, cursor)
-            assert v == expected
-            cursor += step
-        assert used == cursor
-        assert shared.bits_consumed == ref.bits_consumed
-
     @given(st.integers(1, 40), st.integers(0, 100))
     def test_geometric_block_equals_per_bit(self, cap, offset):
         fast = IndependentSource(seed=33)
@@ -651,24 +624,11 @@ def _weak_diameter_oracle(graph: DistributedGraph, members) -> int:
 
 @st.composite
 def _graph_and_members(draw):
-    n = draw(st.integers(1, 24))
-    # A random forest (parent -1 starts a new tree) plus a few chords,
-    # relabeled at random: sparse, so a dropped arc changes distances.
-    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    chords = draw(st.lists(pairs, max_size=6))
-    label = draw(st.permutations(range(n)))
-    # Trailing edgeless nodes put empty CSR segments after the last
-    # nonempty one, the case a segment reduction's final slot must get
-    # right.
-    tail = draw(st.integers(0, 3))
-    g = nx.Graph()
-    g.add_nodes_from(range(n + tail))  # isolated nodes stay in the graph
-    g.add_edges_from((label[u], label[v]) for u, v in
-                     [(i, p) for i, p in enumerate(parents) if p >= 0]
-                     + chords if u != v)
-    members = draw(st.lists(st.integers(0, n + tail - 1), max_size=12))
-    return DistributedGraph(g), members
+    # Sparse, so a dropped arc changes distances; the trailing edgeless
+    # nodes are the case a segment reduction's final slot must get right.
+    graph = draw(sparse_graphs())
+    members = draw(st.lists(st.integers(0, graph.n - 1), max_size=12))
+    return graph, members
 
 
 class TestWeakDiameterOracle:
@@ -758,18 +718,20 @@ class TestCSRDistances:
 
     def test_ball_matches_networkx(self):
         for g in self._graphs():
+            view = nx_copy(g)
             for v in (0, g.n // 2, g.n - 1):
                 for radius in (0, 1, 2, 5):
                     expected = nx.single_source_shortest_path_length(
-                        g.nx, v, cutoff=radius)
+                        view, v, cutoff=radius)
                     assert g.ball(v, radius) == dict(expected)
 
     def test_distance_matches_networkx(self):
         for g in self._graphs():
+            view = nx_copy(g)
             for u in (0, g.n - 1):
                 for v in range(g.n):
                     try:
-                        expected = nx.shortest_path_length(g.nx, u, v)
+                        expected = nx.shortest_path_length(view, u, v)
                     except nx.NetworkXNoPath:
                         expected = None
                     assert g.distance(u, v) == expected
@@ -777,15 +739,17 @@ class TestCSRDistances:
     def test_weak_diameter_matches_pairwise_distances(self):
         g = assign(make("grid", 36, seed=5), "random", seed=5)
         members = [0, 7, 14, 30]
-        expected = max(nx.shortest_path_length(g.nx, u, v)
+        view = nx_copy(g)
+        expected = max(nx.shortest_path_length(view, u, v)
                        for u in members for v in members)
         assert g.weak_diameter(members) == expected
         assert g.weak_diameter([3]) == 0
 
     def test_csr_graph_ball_agrees_with_distributed_graph(self):
         g = assign(make("gnp-sparse", 40, seed=9), "random", seed=9)
+        view = nx_copy(g)
         for v in (0, 17, 39):
-            expected = nx.single_source_shortest_path_length(g.nx, v, cutoff=3)
+            expected = nx.single_source_shortest_path_length(view, v, cutoff=3)
             assert g.csr.ball(v, 3) == g.ball(v, 3) == expected
 
     def test_bfs_distances_on_nx_labels(self):

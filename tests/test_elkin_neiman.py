@@ -21,9 +21,9 @@ from repro.core.decomposition import (
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource, SparseRandomness
-from repro.sim.batch.csr import edges_to_csr, nx_to_csr
+from repro.sim.batch.csr import edges_to_csr
 
-from helpers import family_graphs, reference_top_two_flood
+from helpers import family_graphs, nx_copy, nx_to_csr, reference_top_two_flood
 
 
 def _constant(radius):
@@ -57,10 +57,9 @@ class TestValidity:
         assert dec.max_strong_diameter(g) <= 20 * logn
 
     def test_clusters_are_connected(self, gnp60, source):
-        import networkx as nx
         dec, _r, _e = elkin_neiman(gnp60, source)
         for members in dec.clusters().values():
-            assert nx.is_connected(gnp60.induced(members))
+            assert nx.is_connected(nx_copy(gnp60).subgraph(members))
 
 
 class TestModes:
@@ -165,7 +164,7 @@ class TestPhaseCore:
 
 def _oracle_top_two(graph, live, radii):
     """Brute force: every ``(r_c - d(c, u), c)`` pair, best two centers."""
-    sub = graph.nx.subgraph([v for v in graph.nodes() if live[v]])
+    sub = nx_copy(graph).subgraph([v for v in graph.nodes() if live[v]])
     pairs = {v: [] for v in graph.nodes()}
     for c in sub.nodes():
         if radii[c] > 0:
@@ -235,7 +234,7 @@ class TestTopTwoFlood:
             finish="singletons")
         assert report.rounds == phases * (cap + 2)
         assert 0 < extra["rounds_measured"] <= phases * (cap + 2), name
-        directed_edges = 2 * graph.nx.number_of_edges()
+        directed_edges = 2 * graph.m
         assert extra["messages"] <= extra["rounds_measured"] * directed_edges
 
 

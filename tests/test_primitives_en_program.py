@@ -105,7 +105,7 @@ class TestENEngineProgram:
         _dec, _report, extra = elkin_neiman(
             gnp60, IndependentSource(seed=14), finish="singletons")
         # A message is at most one per directed edge per round ...
-        directed_edges = 2 * gnp60.nx.number_of_edges()
+        directed_edges = 2 * gnp60.m
         assert 0 < extra["messages"] <= extra["rounds_measured"] * directed_edges
         # ... and carries two (value <= cap, center < n) pairs.
         pair_bits = extra["cap"].bit_length() + gnp60.n.bit_length()

@@ -1,5 +1,5 @@
 """DistributedGraph: identifiers, topology access, distance helpers,
-and the lazily built networkx view."""
+and networkx as its input format only."""
 
 import networkx as nx
 import pytest
@@ -7,17 +7,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.decomposition import (
+    deterministic_decomposition,
     elkin_neiman,
     shared_randomness_decomposition,
+    shattering_decomposition,
+    sparse_bits_decomposition,
 )
 from repro.core.mis import luby_mis
+from repro.core.sinkless import tree_orientation
 from repro.errors import ConfigurationError
 from repro.graphs import FAMILIES, assign, make
-from repro.randomness import IndependentSource
+from repro.randomness import IndependentSource, SparseRandomness
 from repro.sim.batch import ENGINES
 from repro.sim.graph import DistributedGraph
 from repro.sim.primitives import build_bfs_forest, flood_min
 from repro.structures import Decomposition
+
+from helpers import nx_copy
 
 #: Labels of mutually unorderable types: indices fall back to the
 #: type-then-repr order.
@@ -128,9 +134,7 @@ class TestPowerGraph:
     def test_power_graph_edges(self):
         g = DistributedGraph(nx.path_graph(6), uid_seed=1)
         g2 = g.power_graph(2)
-        assert g2.nx.has_edge(0, 2)
-        assert g2.nx.has_edge(0, 1)
-        assert not g2.nx.has_edge(0, 3)
+        assert g2.neighbors(0) == [1, 2]
 
     def test_power_preserves_uids(self):
         g = DistributedGraph(nx.path_graph(6), uid_seed=1)
@@ -149,7 +153,7 @@ class TestPowerGraph:
         for u in range(11):
             for v in range(u + 1, 11):
                 expected = g.distance(u, v) <= r
-                assert gr.nx.has_edge(u, v) == expected
+                assert (v in gr.neighbors(u)) == expected
 
 
 class TestReprAndBounds:
@@ -171,44 +175,62 @@ def sources():
 
 
 class TestNetworkxView:
+    """networkx is only the input: indices follow sorted labels, the
+    tests' networkx view (``helpers.nx_copy``) is a relabel copy, and no
+    algorithm, checker or engine builds a networkx graph."""
+
     @pytest.mark.parametrize("source", [pytest.param(source, id=name)
                                         for name, source in sources()])
     def test_view_matches_relabel_copy(self, source):
         g = DistributedGraph(source, uid_seed=1)
         index_of = {label: i for i, label in enumerate(g.labels)}
         expected = nx.relabel_nodes(source, index_of, copy=True)
-        view = g.nx
-        assert list(view.nodes()) == list(expected.nodes())
+        view = nx_copy(g)
+        assert set(view.nodes()) == set(expected.nodes())
         for v in expected.nodes():
             assert list(view.adj[v]) == list(expected.adj[v]), v
-        assert list(view.edges()) == list(expected.edges())
         assert list(g.edges()) == [(min(e), max(e)) for e in expected.edges()]
 
     def test_expander_input_order_is_not_sorted(self):
-        # The view's node order is observable: it follows the input's.
-        g = DistributedGraph(make("expander", 30, seed=4))
-        assert list(g.nx.nodes()) != sorted(g.nx.nodes())
+        # Indices follow the sorted labels, not the input's node order.
+        source = make("expander", 30, seed=4)
+        assert list(source.nodes()) != sorted(source.nodes())
+        g = DistributedGraph(source)
+        assert g.labels == sorted(source.nodes())
+        assert list(nx_copy(g).nodes()) == list(g.nodes())
 
     def test_mixed_labels_use_type_then_repr_order(self):
         g = DistributedGraph(MIXED)
         assert g.labels == [2.5, 1, 3, "a", "b", (1, 2)]
         assert g.neighbors(g.labels.index("a")) == [1, 4]
 
-    def test_view_is_built_once_on_first_use(self):
-        g = DistributedGraph(nx.path_graph(5))
-        assert g._nx is None
-        assert g.nx is g.nx
-
-    def test_engines_and_checkers_leave_view_unbuilt(self):
+    def test_engines_and_checkers_leave_view_unbuilt(self, monkeypatch):
         g = assign(make("gnp-sparse", 60, seed=5), "random", seed=5)
+        tree = assign(make("tree", 40, seed=5), "random", seed=5)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a networkx graph was built")
+
+        monkeypatch.setattr(nx.Graph, "__init__", refuse)
         dec, _r, _e = elkin_neiman(g, IndependentSource(seed=3),
                                    finish="singletons")
         assert not dec.violations(g, max_diameter=g.n, strong=True)
         dec, _r, _e = shared_randomness_decomposition(g, seed=2,
                                                       strict=False)
         assert not dec.violations(g, max_diameter=g.n, strong=True)
+        dec, _r = deterministic_decomposition(g)
+        assert not dec.violations(g, max_diameter=g.n, strong=True)
+        dec, _r, _e = shattering_decomposition(
+            g, IndependentSource(seed=3), en_phases=1, cap=2)
+        assert not dec.violations(g)
+        source = SparseRandomness.for_graph(g, h=1, seed=3)
+        assert source.verify_covering(g)
+        dec, _r, _e = sparse_bits_decomposition(g, source, spacing=4,
+                                                strict=False)
+        assert not dec.violations(g)
+        tree_orientation(tree)
+        assert len(g.connected_components()) >= 1
         for engine in ENGINES:
             luby_mis(g, IndependentSource(seed=3), engine=engine)
             flood_min(g, 4, engine=engine)
             build_bfs_forest(g, {0}, engine=engine)
-        assert g._nx is None

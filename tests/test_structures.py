@@ -93,12 +93,6 @@ class TestDecomposition:
         }
         assert d.congestion() == 2
 
-    def test_tree_diameter(self, cycle12):
-        d = three_blocks(cycle12)
-        d.trees = {c: [] for c in d.color_of}
-        d.trees[0] = [(0, 1), (1, 2)]
-        assert d.max_tree_diameter() == 2
-
     def test_normalize_colors(self, cycle12):
         cluster_of = {v: v // 3 for v in range(12)}
         color_of = {0: 5, 1: 17, 2: 5, 3: 17}
