@@ -26,7 +26,7 @@ from ..core.decomposition import (
     en_phase_loop,
     sparse_bits_decomposition,
 )
-from ..graphs import assign, make
+from ..graphs import trial_graph
 from ..randomness import IndependentSource, SparseRandomness
 from ..structures import Decomposition
 from .stats import success_rate
@@ -46,8 +46,7 @@ def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
     for min_gap, label in ((1, "paper (gap > 1)"), (0, "ablated (gap > 0)")):
         valid, clustered_fraction = [], []
         for t in range(trials):
-            g = assign(make("gnp-sparse", n, seed=seed + t), "random",
-                       seed=seed + t)
+            g = trial_graph("gnp-sparse", n, seed + t)
             source = IndependentSource(seed=seed + 91 * t)
 
             def draw_radii(nodes, phase):
@@ -90,8 +89,7 @@ def a2_phase_budget(quick: bool = False, seed: int = 0) -> Table:
     for phases in (1, 2, 4, 8, 16):
         outcomes = []
         for t in range(trials):
-            g = assign(make("gnp-sparse", n, seed=seed + t), "random",
-                       seed=seed + t)
+            g = trial_graph("gnp-sparse", n, seed + t)
             dec, _r, _e = elkin_neiman(
                 g, IndependentSource(seed=seed + 17 * t),
                 phases=phases, cap=cap, finish="strict")
@@ -119,7 +117,7 @@ def a3_spacing(quick: bool = False, seed: int = 0) -> Table:
     for spacing in (3, 6, 12, 24):
         min_pools, exhaustions, outcomes = [], [], []
         for t in range(trials):
-            g = assign(make("grid", n, seed=seed + t), "random", seed=seed + t)
+            g = trial_graph("grid", n, seed + t)
             source = SparseRandomness.for_graph(g, h=h, seed=seed + 3 * t)
             dec, _r, extra = sparse_bits_decomposition(
                 g, source, spacing=spacing, strict=False)

@@ -39,6 +39,11 @@ keys, same tables. :func:`scenario_plan` exposes the plans;
 :func:`run_experiment_grid` executes an
 :class:`~repro.scenarios.ExperimentGrid` (the ``--scenario``
 experiments kind), and :func:`run_all` is now a thin wrapper over it.
+
+Every trial takes its graph from :func:`repro.graphs.trial_graph`, so a
+witness graph that several scenarios share — E2's cycles across the
+reference and every k, E8's G(n, p) graphs across every claimed N — is
+built once per process.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from ..errors import (
     DerandomizationFailure,
     InvalidSolution,
 )
-from ..graphs import assign, make, random_regular
+from ..graphs import trial_graph
 from ..randomness import IndependentSource, SparseRandomness
 from ..scenarios import (
     ExperimentGrid,
@@ -123,7 +128,7 @@ def _last_metric(results: List[TrialResult], name: str,
 # ----------------------------------------------------------------------
 def _e01_trial(spec: TrialSpec) -> TrialResult:
     base, h, t = spec.param("base"), spec.param("h"), spec.seed
-    g = assign(make("grid", spec.n, seed=base + t), "random", seed=base + t)
+    g = trial_graph("grid", spec.n, base + t)
     source = SparseRandomness.for_graph(g, h=h, seed=base + 17 * t)
     assert source.verify_covering(g)
     dec, report, _extra = sparse_bits_decomposition(
@@ -189,7 +194,7 @@ def e01_sparse_bits(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def _e02_ref_trial(spec: TrialSpec) -> TrialResult:
     base, t = spec.param("base"), spec.seed
-    g = assign(make("cycle", spec.n), "random", seed=base + t)
+    g = trial_graph("cycle", spec.n, id_seed=base + t)
     dec, _r, _e = elkin_neiman(
         g, IndependentSource(seed=base + 1000 + t),
         phases=spec.param("phases"), cap=spec.param("cap"), finish="strict")
@@ -198,7 +203,7 @@ def _e02_ref_trial(spec: TrialSpec) -> TrialResult:
 
 def _e02_kwise_trial(spec: TrialSpec) -> TrialResult:
     base, t = spec.param("base"), spec.seed
-    g = assign(make("cycle", spec.n), "random", seed=base + t)
+    g = trial_graph("cycle", spec.n, id_seed=base + t)
     dec, _r, extra = kwise_decomposition(
         g, k=spec.param("k"), seed=base + 2000 + 31 * t,
         phases=spec.param("phases"), cap=spec.param("cap"), strict=True)
@@ -335,8 +340,7 @@ def e03_splitting(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def _e04_trial(spec: TrialSpec) -> TrialResult:
     base, t = spec.param("base"), spec.seed
-    g = assign(make("gnp-sparse", spec.n, seed=base + t), "random",
-               seed=base + t)
+    g = trial_graph("gnp-sparse", spec.n, base + t)
     dec, _report, extra = shared_randomness_decomposition(
         g, seed=base + 11 * t, strict=False)
     valid = dec is not None and dec.is_valid(g)
@@ -398,7 +402,7 @@ def e04_shared_congest(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def _e05_trial(spec: TrialSpec) -> TrialResult:
     base, h, t = spec.param("base"), spec.param("h"), spec.seed
-    g = assign(make("grid", spec.n, seed=base + t), "random", seed=base + t)
+    g = trial_graph("grid", spec.n, base + t)
     s1 = SparseRandomness.for_graph(g, h=h, seed=base + t)
     d1, _r1, _e1 = sparse_bits_decomposition(
         g, s1, spacing=4 * h + 4, strict=False)
@@ -456,7 +460,7 @@ def e05_sparse_strong(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def _e06_trial(spec: TrialSpec) -> TrialResult:
     base, t = spec.param("base"), spec.seed
-    g = assign(make("grid", spec.n, seed=base + t), "random", seed=base + t)
+    g = trial_graph("grid", spec.n, base + t)
     source = IndependentSource(seed=base + 13 * t)
     dec, _rep, extra = shattering_decomposition(
         g, source, en_phases=spec.param("phases"), cap=spec.param("cap"))
@@ -592,8 +596,7 @@ def e07_derandomize(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def _e08_trial(spec: TrialSpec) -> TrialResult:
     base, t = spec.param("base"), spec.seed
-    g = assign(make("gnp-sparse", spec.n, seed=base + t), "random",
-               seed=base + t)
+    g = trial_graph("gnp-sparse", spec.n, base + t)
     dec, rep, _extra = elkin_neiman(
         g, IndependentSource(seed=base + 29 * t),
         phases=spec.param("phases"), cap=spec.param("cap"), finish="strict")
@@ -662,7 +665,7 @@ def e09_mis_coloring(quick: bool = False, seed: int = 0,
     sizes = (40, 80) if quick else (50, 100, 200)
     rows: List[Dict[str, object]] = []
     for n in sizes:
-        g = assign(make("gnp-dense", n, seed=seed), "random", seed=seed + n)
+        g = trial_graph("gnp-dense", n, seed, id_seed=seed + n)
         luby = luby_mis(g, IndependentSource(seed=seed + 1))
         dec, dec_rep = deterministic_decomposition(g)
         mis_det, mis_rep = mis_via_decomposition(g, dec)
@@ -695,8 +698,11 @@ def e09_mis_coloring(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def _e10_trial(spec: TrialSpec) -> TrialResult:
     base, t = spec.param("base"), spec.seed
-    g = assign(random_regular(spec.n, 3, seed=base + t), "random",
-               seed=base + t)
+    if spec.n % 2:
+        # "regular-3" rounds an odd n up; a scenario row must not record
+        # n for an (n + 1)-node graph.
+        raise ConfigurationError("n * d must be even for a d-regular graph")
+    g = trial_graph("regular-3", spec.n, base + t)
     orientation, _rep, extra = randomized_orientation(
         g, IndependentSource(seed=base + 37 * t))
     ok = orientation is not None and is_sinkless(g, orientation)
@@ -734,8 +740,7 @@ def e10_sinkless(quick: bool = False, seed: int = 0,
             # (CONGEST-enforced). Not run on shard hosts: it stores
             # nothing, so each host/worker would just repeat work the
             # final rendering run redoes anyway.
-            g_engine = assign(random_regular(n, 3, seed=seed), "random",
-                              seed=seed)
+            g_engine = trial_graph("regular-3", n, seed)
             engine_o, _res = randomized_orientation_engine(
                 g_engine, IndependentSource(seed=seed + 1))
             engine_ok = is_sinkless(g_engine, engine_o)
@@ -779,7 +784,7 @@ def e11_uniform(quick: bool = False, seed: int = 0,
     sizes = (20, 60) if quick else (30, 100, 300)
     rows: List[Dict[str, object]] = []
     for n in sizes:
-        g = assign(make("gnp-sparse", n, seed=seed), "random", seed=seed + n)
+        g = trial_graph("gnp-sparse", n, seed, id_seed=seed + n)
 
         def non_uniform(graph, claimed_n):
             if claimed_n < graph.n:

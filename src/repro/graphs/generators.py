@@ -242,8 +242,8 @@ FAMILIES = {
 
 
 #: Families whose topology ignores ``seed`` entirely — every seed yields
-#: the same graph. Sweep machinery uses this to deduplicate graph builds
-#: across seeds (see :mod:`repro.sim.batch.tasks`).
+#: the same graph. :func:`repro.graphs.ids.trial_graph` uses this to
+#: deduplicate graph builds across seeds.
 SEED_INVARIANT_FAMILIES = frozenset({
     "path", "cycle", "grid", "cliques", "caterpillar", "dumbbell",
     "lopsided",

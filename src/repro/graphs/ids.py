@@ -11,12 +11,14 @@ experiments sweep over.
 from __future__ import annotations
 
 import random
-from typing import List
+from collections import OrderedDict
+from typing import List, Optional
 
 import networkx as nx
 
 from ..errors import ConfigurationError
 from ..sim.graph import DistributedGraph, sorted_labels
+from .generators import SEED_INVARIANT_FAMILIES, make
 
 
 def random_ids(graph: nx.Graph, seed: int = 0, c: int = 3) -> DistributedGraph:
@@ -73,7 +75,7 @@ SCHEMES = {
 }
 
 #: Schemes whose assignment ignores ``seed`` — every seed yields the
-#: same UIDs. Sweep machinery uses this (with
+#: same UIDs. :func:`trial_graph` uses this (with
 #: :data:`repro.graphs.generators.SEED_INVARIANT_FAMILIES`) to
 #: deduplicate graph builds across seeds.
 SEED_INVARIANT_SCHEMES = frozenset({"sequential", "adversarial"})
@@ -86,3 +88,60 @@ def assign(graph: nx.Graph, scheme: str = "random", seed: int = 0) -> Distribute
             f"unknown ID scheme {scheme!r}; choose from {sorted(SCHEMES)}"
         )
     return SCHEMES[scheme](graph, seed=seed)
+
+
+#: Bounds of the :func:`trial_graph` memo: least-recently-used graphs are
+#: evicted while it holds more than ``TRIAL_GRAPH_CAP`` graphs or more
+#: than ``TRIAL_GRAPH_ARCS`` arcs (2m) in total; the newest graph is
+#: always kept, however large. Sized from what the experiment drivers
+#: revisit: a quick E1-E11 plus A1-A3 pass reuses a graph at most 70
+#: graphs (19,986 arcs) after its last use, and a full pass at most 59
+#: graphs (36,450 arcs) within one table. A sweep that never revisits a
+#: graph retains at most these bounds of dead graphs: a held graph costs
+#: about 50 bytes per arc on 5,000-20,000-node 3-regular graphs and
+#: about 27 KB on a 64-node G(n, p), so a few MB either way.
+TRIAL_GRAPH_CAP = 128
+TRIAL_GRAPH_ARCS = 1 << 17
+
+
+class _GraphMemo(OrderedDict):
+    """key -> DistributedGraph, least recently used first; ``arcs`` is the
+    running total of the held graphs' 2m."""
+
+    arcs = 0
+
+
+#: Process-local memo of :func:`trial_graph`.
+_TRIAL_GRAPHS = _GraphMemo()
+
+
+def trial_graph(family: str, n: int, seed: int = 0, ids: str = "random",
+                id_seed: Optional[int] = None) -> DistributedGraph:
+    """``assign(make(family, n, seed=seed), ids, seed=id_seed)``, built
+    once per process.
+
+    ``id_seed`` defaults to ``seed``. The memo key drops the topology
+    seed for :data:`~repro.graphs.generators.SEED_INVARIANT_FAMILIES`
+    and the ID seed for :data:`SEED_INVARIANT_SCHEMES`, so every trial
+    that would build the same graph shares one build — across seeds,
+    scenarios and randomness regimes. Callers share the returned graph
+    and must not mutate it (its CSR arrays are read-only; its cached
+    neighbor lists are plain lists). Forked pool workers inherit the
+    parent's memo and then grow their own.
+    """
+    if id_seed is None:
+        id_seed = seed
+    key = (family, n, None if family in SEED_INVARIANT_FAMILIES else seed,
+           ids, None if ids in SEED_INVARIANT_SCHEMES else id_seed)
+    memo = _TRIAL_GRAPHS
+    graph = memo.get(key)
+    if graph is not None:
+        memo.move_to_end(key)
+        return graph
+    graph = assign(make(family, n, seed=seed), ids, seed=id_seed)
+    memo[key] = graph
+    memo.arcs += 2 * graph.m
+    while len(memo) > 1 and (len(memo) > TRIAL_GRAPH_CAP
+                             or memo.arcs > TRIAL_GRAPH_ARCS):
+        memo.arcs -= 2 * memo.popitem(last=False)[1].m
+    return graph

@@ -13,9 +13,9 @@ the degrees the library needs.
 For every m <= 16, multiplication goes through discrete-log tables over
 the smallest generator of GF(2^m)* (x itself, except for the AES modulus
 at m = 8, where x has order 51 and x + 1 generates). Each degree's
-tables are built once per process by shift-and-reduce and shared
-read-only by every ``GF2m(m)``: scalar code reads tuples, vector code
-reads non-writeable numpy arrays. Larger degrees use carry-less
+tables are built once per process by vectorized shift-and-reduce and
+shared read-only by every ``GF2m(m)``: scalar code reads tuples, vector
+code reads non-writeable numpy arrays. Larger degrees use carry-less
 multiplication and have no vector kernels.
 """
 
@@ -82,55 +82,56 @@ class _Tables(NamedTuple):
     exp_np: np.ndarray
 
 
+def _times(values: np.ndarray, c: int, m: int) -> np.ndarray:
+    """``values * c`` in GF(2^m), elementwise: shift-and-reduce over the
+    bits of the constant ``c``."""
+    modulus = _IRREDUCIBLE[m]
+    out = np.zeros_like(values)
+    while c:
+        if c & 1:
+            out ^= values
+        c >>= 1
+        values = values << 1
+        values ^= (values >> m) * modulus
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _tables(m: int) -> Optional[_Tables]:
     """Build (once per process) the tables of GF(2^m), or None if m > 16.
 
-    The cache is keyed by the supported degrees only (``GF2m`` validates
-    ``m`` first) and hands out immutable values.
+    The antilog walk of each candidate generator ``g`` doubles: with
+    ``exp[:k]`` = g^0 .. g^(k-1) known, ``exp[k:2k] = exp[:k] * g^k``
+    is one vector multiply, so a degree costs O(m log 2^m) numpy passes.
+    The cache is keyed by the supported degrees only (``GF2m``
+    validates ``m`` first) and hands out immutable values.
     """
     if m > _MAX_TABLE_DEGREE:
         return None
     order = 1 << m
-    modulus = _IRREDUCIBLE[m]
     group = order - 1  # size of the multiplicative group
-
-    def times(value: int, g: int) -> int:
-        # Shift-and-reduce product of value by the small polynomial g.
-        out = 0
-        while g:
-            if g & 1:
-                out ^= value
-            g >>= 1
-            value <<= 1
-            if value & order:
-                value ^= modulus
-        return out
-
     g = 2  # x; the next candidates are x + 1, x^2, ...
+    exp = np.ones(group, dtype=np.int64)
     while True:
-        exp = [1]
-        value = 1
-        for _ in range(group - 1):
-            value = times(value, g)
-            if value == 1:
-                break  # g has order < 2^m - 1: not a generator
-            exp.append(value)
-        if len(exp) == group:
-            break
+        k = 1
+        while k < group:
+            power = int(_times(exp[k - 1:k], g, m)[0])  # g^k
+            exp[k:2 * k] = _times(exp[:min(k, group - k)], power, m)
+            k *= 2
+        if not np.any(exp[1:] == 1):
+            break  # g^i != 1 for 0 < i < 2^m - 1: a generator
         g += 1
-    log = [0] * order
-    for i, v in enumerate(exp):
-        log[v] = i
-    exp = exp + exp
+    log = np.zeros(order, dtype=np.int64)  # log[0] is the junk entry
+    log[exp] = np.arange(group)
     zero = 2 * group  # > any real log sum; zero + zero is still in range
-    log_np = np.asarray(log, dtype=np.int64)
+    log_np = log.copy()
     log_np[0] = zero
     exp_np = np.zeros(2 * zero + 1, dtype=np.int64)
-    exp_np[:zero] = exp
+    exp_np[:group] = exp_np[group:zero] = exp
     log_np.flags.writeable = False
     exp_np.flags.writeable = False
-    return _Tables(tuple(log), tuple(exp), log_np, exp_np)
+    walk = exp.tolist()  # both halves of the doubled walk share its ints
+    return _Tables(tuple(log.tolist()), tuple(walk + walk), log_np, exp_np)
 
 
 class GF2m:

@@ -13,6 +13,8 @@ bit-identical to FastEngine; the ``engine=`` knob picks one of
 processes (:func:`run_trials`).
 """
 
+import importlib
+
 from .array import (
     ENGINES,
     ArrayContext,
@@ -22,27 +24,6 @@ from .array import (
     check_engine,
 )
 from .csr import CSRGraph, ensure_csr
-from .distrib import (
-    AuthenticationError,
-    CoordinatorClient,
-    CoordinatorServer,
-    CoordinatorUnavailable,
-    DirTransport,
-    HTTPTransport,
-    LeaseReply,
-    PushIntegrityError,
-    RetryPolicy,
-    RetryableError,
-    SweepCoordinator,
-    Transport,
-    WorkUnit,
-    deterministic_uniform,
-    merge_pushed,
-    pushed_store_dirs,
-    run_worker,
-    wait_until_done,
-)
-from .faults import FaultPlan, FlakyControl, FlakyTransport, RoundFaultPlan
 from .fast_engine import FastEngine, run_program_fast
 from .tasks import bfs_forest_trial, flood_min_trial, luby_mis_trial
 from .runner import (
@@ -69,6 +50,46 @@ from .colstore import (
     compact,
     verify_migration,
 )
+
+#: Names re-exported lazily (PEP 562): the coordinator stack under them
+#: (http.server, urllib.request, ssl) is imported on first access, so
+#: experiments and local sweeps never pay for it.
+_LAZY = {
+    "distrib": (
+        "AuthenticationError",
+        "CoordinatorClient",
+        "CoordinatorServer",
+        "CoordinatorUnavailable",
+        "DirTransport",
+        "HTTPTransport",
+        "LeaseReply",
+        "PushIntegrityError",
+        "RetryPolicy",
+        "RetryableError",
+        "SweepCoordinator",
+        "Transport",
+        "WorkUnit",
+        "deterministic_uniform",
+        "merge_pushed",
+        "pushed_store_dirs",
+        "run_worker",
+        "wait_until_done",
+    ),
+    "faults": ("FaultPlan", "FlakyControl", "FlakyTransport",
+               "RoundFaultPlan"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items()
+              for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ArrayContext",

@@ -12,13 +12,11 @@ Every task takes an ``engine`` knob (``"fast"``, the default, or
 ``"array"``, see :mod:`repro.sim.batch.array`); both are bit-identical
 in outputs and reports, so sweeps can switch freely for speed.
 
-Graph builds are deduplicated: each worker process keeps a small memo of
-:class:`~repro.sim.graph.DistributedGraph`\\ s (each carrying its one
-frozen CSR topology) keyed by the spec fields that actually determine
-the graph — for seed-invariant families (path, grid, ...) and ID
-schemes (sequential, adversarial) the seed is dropped from the key, so
-a 100-seed sweep over a path builds it once per worker instead of 100
-times. Outputs are byte-identical either way (that is what
+Graph builds go through :func:`repro.graphs.trial_graph`, the one
+process-local graph memo: for seed-invariant families (path, grid, ...)
+and ID schemes (sequential, adversarial) it drops the seed from its key,
+so a 100-seed sweep over a path builds it once per worker instead of
+100 times. Outputs are byte-identical either way (that is what
 "seed-invariant" means, and tests assert it).
 
 The scenario layer (:mod:`repro.scenarios`) compiles its adversarial
@@ -37,7 +35,6 @@ those knobs take exactly the code paths they always did.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 from ...errors import (
@@ -46,12 +43,7 @@ from ...errors import (
     ModelViolation,
     RandomnessExhausted,
 )
-from ...graphs import (
-    SEED_INVARIANT_FAMILIES,
-    SEED_INVARIANT_SCHEMES,
-    assign,
-    make,
-)
+from ...graphs import trial_graph
 from ...randomness.independent import IndependentSource
 from ..engine import CONGEST
 from ..graph import DistributedGraph
@@ -66,43 +58,10 @@ def _engine_of(spec: TrialSpec) -> str:
     return check_engine(spec.param("engine", "fast"))
 
 
-#: Process-local memo of built graphs: key -> DistributedGraph.
-#: Small LRU — a sweep iterates specs grouped by graph, so adjacent
-#: trials hit; the cap bounds memory when they do not.
-_GRAPH_MEMO: "OrderedDict[tuple, DistributedGraph]" = OrderedDict()
-_GRAPH_MEMO_CAP = 4
-
-
-def _memo_key(spec: TrialSpec) -> tuple:
-    """The spec fields that determine the graph, seed-normalized.
-
-    Seed-invariant families and ID schemes record ``None`` in the seed
-    slot, so every seed of a sweep maps to one memo entry.
-    """
-    ids = spec.param("ids", "random")
-    topo_seed = (None if spec.family in SEED_INVARIANT_FAMILIES
-                 else spec.seed)
-    uid_seed = None if ids in SEED_INVARIANT_SCHEMES else spec.seed
-    return (spec.family, spec.n, topo_seed, ids, uid_seed)
-
-
 def _graph_of(spec: TrialSpec) -> DistributedGraph:
-    """The spec's graph (ID scheme default "random").
-
-    Memoized per worker process, so a sweep builds each distinct graph
-    once no matter how many seeds or algorithms share it.
-    """
-    key = _memo_key(spec)
-    hit = _GRAPH_MEMO.get(key)
-    if hit is not None:
-        _GRAPH_MEMO.move_to_end(key)
-        return hit
-    g = assign(make(spec.family, spec.n, seed=spec.seed),
-               key[3], seed=spec.seed)
-    _GRAPH_MEMO[key] = g
-    while len(_GRAPH_MEMO) > _GRAPH_MEMO_CAP:
-        _GRAPH_MEMO.popitem(last=False)
-    return g
+    """The spec's graph (ID scheme default "random"), memoized."""
+    return trial_graph(spec.family, spec.n, spec.seed,
+                       spec.param("ids", "random"))
 
 
 def _faults_of(spec: TrialSpec):

@@ -437,3 +437,45 @@ def reference_verify_covering(graph: DistributedGraph, holders, h: int) -> bool:
         covered |= bfs_distances(offsets, indices, index_of[s],
                                  cutoff=h) >= 0
     return bool(covered.all())
+
+
+def reference_gf2m_tables(m: int, modulus: int):
+    """GF(2^m)'s ``(log, exp, log_np, exp_np)`` built element by element:
+    the scalar shift-and-reduce walk over the smallest generator that
+    ``finite_field._tables`` vectorizes."""
+    order = 1 << m
+    group = order - 1
+
+    def times(value: int, g: int) -> int:
+        out = 0
+        while g:
+            if g & 1:
+                out ^= value
+            g >>= 1
+            value <<= 1
+            if value & order:
+                value ^= modulus
+        return out
+
+    g = 2
+    while True:
+        exp = [1]
+        value = 1
+        for _ in range(group - 1):
+            value = times(value, g)
+            if value == 1:
+                break  # g has order < 2^m - 1: not a generator
+            exp.append(value)
+        if len(exp) == group:
+            break
+        g += 1
+    log = [0] * order
+    for i, v in enumerate(exp):
+        log[v] = i
+    exp = exp + exp
+    zero = 2 * group
+    log_np = np.asarray(log, dtype=np.int64)
+    log_np[0] = zero
+    exp_np = np.zeros(2 * zero + 1, dtype=np.int64)
+    exp_np[:zero] = exp
+    return tuple(log), tuple(exp), log_np, exp_np

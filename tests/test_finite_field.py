@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reference_gf2m_tables
 from repro.errors import ConfigurationError
 from repro.randomness.finite_field import (
+    _IRREDUCIBLE,
     GF2m,
+    _tables,
     inner_product_bits,
     min_degree_for,
     supported_degrees,
@@ -109,6 +112,16 @@ class TestTables:
         field = GF2m(17)
         assert field._log_np is None
         assert field.mul_vec(np.array([3]), np.array([5])) is None
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_vectorized_build_matches_scalar_reference(self, m):
+        log, exp, log_np, exp_np = reference_gf2m_tables(m, _IRREDUCIBLE[m])
+        built = _tables(m)
+        assert built.log == log and built.exp == exp
+        assert all(type(v) is int for v in built.log[:4] + built.exp[:4])
+        for got, want in ((built.log_np, log_np), (built.exp_np, exp_np)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("m", [1, 8, 16])
     def test_instances_share_one_table_object(self, m):

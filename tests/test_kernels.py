@@ -42,6 +42,7 @@ from helpers import FAMILY_NAMES, count_frontier_calls
 from repro.core.mis import luby_mis
 from repro.errors import BandwidthExceeded, ConfigurationError
 from repro.graphs import assign, make
+from repro.graphs import ids as ids_module
 from repro.randomness import IndependentSource
 from repro.scenarios import ScenarioSpec
 from repro.sim import CONGEST
@@ -757,11 +758,14 @@ class TestSweepDedupe:
                      radius=6)
         return run_trials(flood_min_trial, specs, workers=1)
 
-    def fresh_memo(self, monkeypatch, cap=None):
-        monkeypatch.setattr(batch_tasks, "_GRAPH_MEMO",
-                            type(batch_tasks._GRAPH_MEMO)())
-        if cap is not None:
-            monkeypatch.setattr(batch_tasks, "_GRAPH_MEMO_CAP", cap)
+    def fresh_memo(self, monkeypatch, reuse=True):
+        monkeypatch.setattr(ids_module, "_TRIAL_GRAPHS",
+                            type(ids_module._TRIAL_GRAPHS)())
+        if not reuse:
+            monkeypatch.setattr(
+                batch_tasks, "trial_graph",
+                lambda family, n, seed, ids: assign(
+                    make(family, n, seed=seed), ids, seed=seed))
 
     @pytest.mark.parametrize("family", ["path", "gnp-sparse"])
     @pytest.mark.parametrize("engine", ENGINES)
@@ -769,16 +773,16 @@ class TestSweepDedupe:
                                            engine):
         self.fresh_memo(monkeypatch)
         memoized = self.run_sweep(family, engine=engine)
-        self.fresh_memo(monkeypatch, cap=0)  # cap 0 == no reuse at all
+        self.fresh_memo(monkeypatch, reuse=False)  # no reuse at all
         fresh = self.run_sweep(family, engine=engine)
         assert memoized == fresh
 
     def test_seed_invariant_family_builds_once(self, monkeypatch):
         self.fresh_memo(monkeypatch)
         calls = []
-        real_make = batch_tasks.make
+        real_make = ids_module.make
         monkeypatch.setattr(
-            batch_tasks, "make",
+            ids_module, "make",
             lambda *a, **k: calls.append(a) or real_make(*a, **k))
         self.run_sweep("path", ids="sequential")
         assert len(calls) == 1  # five seeds, one identical graph
@@ -791,9 +795,9 @@ class TestSweepDedupe:
         # per (family, n) only when the ID scheme is seed-free too.
         self.fresh_memo(monkeypatch)
         calls = []
-        real_make = batch_tasks.make
+        real_make = ids_module.make
         monkeypatch.setattr(
-            batch_tasks, "make",
+            ids_module, "make",
             lambda *a, **k: calls.append(a) or real_make(*a, **k))
         results = self.run_sweep("path", ids="random")
         assert len(calls) == len(self.SEEDS)
