@@ -14,25 +14,28 @@ is deterministic.
 
 import random
 
-import networkx as nx
-
 from repro.checkers import ColoringChecker, MISChecker
 from repro.core.coloring import coloring_via_decomposition, is_proper_coloring
 from repro.core.mis import is_valid_mis, mis_via_decomposition
 from repro.core.decomposition import sparse_bits_strong_decomposition
 from repro.graphs import assign, grid
 from repro.randomness import SparseRandomness
+from repro.sim.graph import EdgeList
 
 
-def build_field(rows: int, cols: int, long_links: int, seed: int) -> nx.Graph:
+def build_field(rows: int, cols: int, long_links: int, seed: int) -> EdgeList:
     """Grid of sensors plus a few random long-range links."""
-    g = grid(rows, cols)
+    field = grid(rows, cols)
+    edges = field.edges.tolist()
+    linked = {frozenset(e) for e in edges}
     rng = random.Random(seed)
-    nodes = list(g.nodes())
+    nodes = list(range(field.n))
     for _ in range(long_links):
-        u, v = rng.sample(nodes, 2)
-        g.add_edge(u, v)
-    return g
+        link = rng.sample(nodes, 2)
+        if frozenset(link) not in linked:
+            linked.add(frozenset(link))
+            edges.append(link)
+    return EdgeList(field.n, edges)
 
 
 def main() -> None:

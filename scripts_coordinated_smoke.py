@@ -525,6 +525,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=240.0)
     args = parser.parse_args(argv)
+    # The coordinator and workers run from the repository root, so paths
+    # given relative to the caller's directory are resolved here, once.
+    args.dir = os.path.abspath(args.dir)
+    if args.scenario is not None and os.path.exists(args.scenario):
+        args.scenario = os.path.abspath(args.scenario)
     if os.path.isdir(args.dir):
         # Leftover stores from a previous run would turn the sweep into
         # a cache replay and rob the kill of its target; the smoke must

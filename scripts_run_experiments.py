@@ -63,17 +63,15 @@ import time
 from repro.analysis import EXPERIMENTS
 from repro.analysis.experiments import SWEEPING
 from repro.analysis.cli import (
+    add_coordination_arguments,
     add_scenario_argument,
     add_store_arguments,
     apply_scenario_argument,
     positive_int,
     resolve_store_arguments,
+    run_coordination,
     run_scenario_locally,
     run_store_commands,
-)
-from repro.analysis.coordinated import (
-    add_coordination_arguments,
-    run_coordination,
 )
 from repro.errors import ConfigurationError
 

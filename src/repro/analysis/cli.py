@@ -64,18 +64,28 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..scenarios import ScenarioSpec, available, scenario_from_arg
-from ..sim.batch import ColumnarStore, compact, merge_stores
 from .ablations import ABLATIONS
-from .coordinated import add_coordination_arguments, run_coordination
 from .experiments import EXPERIMENTS, SWEEPING
 from .tables import Table, scenario_table
 
+if TYPE_CHECKING:
+    from ..sim.batch.colstore import ColumnarStore
+
+# The trial store and the coordinator stack (repro.analysis.coordinated,
+# http.server) are imported only by the flags that need them.
+
 #: Spec fields --query can filter on (column-wise, from the segments).
 QUERY_FIELDS = ("task", "family", "n", "seed")
+
+#: ``repro.sim.batch.distrib``'s ``TOKEN_ENV_VAR`` and
+#: ``DEFAULT_MAX_ATTEMPTS``, for the help text (importing distrib would
+#: load the HTTP stack; a test holds the two pairs equal).
+SWEEP_TOKEN_ENV = "REPRO_SWEEP_TOKEN"
+SWEEP_MAX_ATTEMPTS = 5
 
 
 def positive_int(text: str) -> int:
@@ -125,6 +135,167 @@ def add_scenario_argument(parser: argparse.ArgumentParser) -> None:
                              "experiments: a YAML/JSON spec path, or a "
                              "library scenario name "
                              f"({', '.join(available())})")
+
+
+def add_coordination_arguments(parser: argparse.ArgumentParser) -> None:
+    """The coordinated-sweep flags, shared by both experiment CLIs
+    (:mod:`repro.analysis.coordinated` acts on them)."""
+    group = parser.add_argument_group("coordinated sweeps")
+    group.add_argument(
+        "--coordinator",
+        metavar="HOST:PORT",
+        default=None,
+        help="serve the requested experiments as leasable work units on this "
+        "endpoint (port 0 picks a free port), collect worker pushes, and "
+        "merge them into --store byte-identically to a single-host run",
+    )
+    group.add_argument(
+        "--worker",
+        metavar="URL",
+        default=None,
+        help="act as a sweep worker: lease units from the coordinator at URL, "
+        "compute them into scratch stores, push results, repeat until done",
+    )
+    group.add_argument(
+        "--transport",
+        choices=("http", "dir"),
+        default="http",
+        help="how a worker ships completed shard stores back: POST to the "
+        "coordinator (http, default) or copy into a shared directory (dir)",
+    )
+    group.add_argument(
+        "--transport-dir",
+        metavar="DIR",
+        default=None,
+        help="with --transport dir: the shared directory pushes land in "
+        "(must be the coordinator's staging directory, or synced into it)",
+    )
+    group.add_argument(
+        "--units",
+        type=int,
+        default=4,
+        metavar="N",
+        help="coordinator: split every experiment's grids into N leasable "
+        "shard slices (default 4); more units = finer-grained reassignment",
+    )
+    group.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=60.0,
+        metavar="SEC",
+        help="coordinator: seconds a lease lives without renewal before its "
+        "unit is re-leased to another worker (default 60)",
+    )
+    group.add_argument(
+        "--staging",
+        metavar="DIR",
+        default=None,
+        help="coordinator: where pushed shard stores accumulate before the "
+        "merge (default: <store>.staging)",
+    )
+    group.add_argument(
+        "--poll",
+        type=float,
+        default=0.5,
+        metavar="SEC",
+        help="worker: seconds between lease polls when no unit is available",
+    )
+    group.add_argument(
+        "--worker-id",
+        metavar="NAME",
+        default=None,
+        help="worker: stable identity for leases (default: hostname-pid)",
+    )
+    group.add_argument(
+        "--scratch",
+        metavar="DIR",
+        default=None,
+        help="worker: directory for per-unit scratch stores (default: a "
+        "fresh temporary directory)",
+    )
+    group.add_argument(
+        "--throttle",
+        type=float,
+        default=0.0,
+        metavar="SEC",
+        help="worker: sleep this long after every completed trial — a pacing "
+        "knob for demos and for tests that need a kill window",
+    )
+    group.add_argument(
+        "--resume",
+        action="store_true",
+        help="coordinator: re-open an interrupted coordinated sweep from the "
+        "write-ahead journal and staged pushes in --staging instead of "
+        "starting cold (completed units stay completed; leases that were "
+        "live at the crash are requeued)",
+    )
+    group.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SEC",
+        help="coordinator: fail loudly if the sweep has not completed after "
+        "this many seconds (default: wait forever)",
+    )
+    group.add_argument(
+        "--auth-token",
+        metavar="TOKEN",
+        default=None,
+        help="shared secret for the control plane: the coordinator rejects "
+        "any verb without it (HTTP 401), workers send it with every "
+        f"request (default: ${SWEEP_TOKEN_ENV}, else no authentication)",
+    )
+    group.add_argument(
+        "--max-attempts",
+        type=int,
+        default=None,
+        metavar="N",
+        help="coordinator: quarantine a unit after N leases without a "
+        f"completion instead of re-leasing it forever (default "
+        f"{SWEEP_MAX_ATTEMPTS}; 0 = never quarantine)",
+    )
+    group.add_argument(
+        "--retries",
+        type=int,
+        default=8,
+        metavar="N",
+        help="worker: attempts per control-plane call and push before giving "
+        "up, with exponential backoff and deterministic jitter (default 8 — "
+        "enough patience to ride out a coordinator restart; 1 = fail fast)",
+    )
+    group.add_argument(
+        "--chaos",
+        type=int,
+        default=None,
+        metavar="SEED",
+        help="worker: inject deterministic faults (dropped/delayed/duplicated "
+        "calls, 503s, truncated pushes) on the schedule seeded here — the "
+        "recovery machinery must absorb all of it (testing/demo knob)",
+    )
+    group.add_argument(
+        "--chaos-poison",
+        type=int,
+        default=None,
+        metavar="UNIT",
+        help="worker: fail every execute of this unit id, simulating a "
+        "poison unit the coordinator must quarantine (testing/demo knob)",
+    )
+
+
+def run_coordination(
+    args: argparse.Namespace,
+    names: Sequence[str],
+    quick: bool,
+    seed: int,
+    scenario: Optional[ScenarioSpec] = None,
+) -> Optional[int]:
+    """Dispatch --coordinator/--worker through
+    :func:`repro.analysis.coordinated.run_coordination`, imported only
+    then; None means neither was asked for."""
+    if args.coordinator is None and args.worker is None:
+        return None
+    from .coordinated import run_coordination as coordinate
+    return coordinate(args, names, quick, seed, scenario=scenario)
 
 
 def apply_scenario_argument(
@@ -226,6 +397,7 @@ def resolve_store_arguments(
         flag = "--query" if args.query is not None else "--list"
         raise ConfigurationError(
             f"{flag}: store {args.store!r} does not exist")
+    from ..sim.batch.colstore import ColumnarStore
     return ColumnarStore(args.store), shard
 
 
@@ -255,11 +427,13 @@ def run_store_commands(args: argparse.Namespace,
                        store: Optional[ColumnarStore]) -> Optional[int]:
     """Handle --compact, --merge, --query, --store --list; None: keep going."""
     if args.compact is not None:
+        from ..sim.batch.colstore import compact
         with compact(args.store, args.compact, verify=True) as dest:
             print(f"compacted {len(dest)} result(s) from legacy store "
                   f"{args.store} into {args.compact}; round trip verified")
         return 0
     if args.merge is not None:
+        from ..sim.batch.store import merge_stores
         stats = merge_stores(store, args.merge)
         print(f"merged {len(args.merge)} store(s) into {store.root}: "
               f"{stats['added']} added, {stats['duplicate']} duplicate")

@@ -1,7 +1,9 @@
 """Coordinator/worker CLI modes shared by both experiment front ends.
 
 ``python -m repro.analysis`` and ``scripts_run_experiments.py`` both
-grow three coordination flags on top of PR 4's store/shard ones:
+grow three coordination flags on top of the store/shard ones (declared
+in :func:`repro.analysis.cli.add_coordination_arguments`, so that a run
+without them never imports this module or the HTTP stack under it):
 
 * ``--coordinator HOST:PORT`` — own the sweep: slice every requested
   experiment's grids into ``--units`` leasable shard slices, serve the
@@ -77,150 +79,6 @@ QUARANTINE_REPORT_NAME = "quarantine.json"
 #: Sweep-name prefix that marks a work unit as carrying a serialized
 #: :class:`ScenarioSpec` instead of naming an experiment driver.
 SCENARIO_SWEEP_PREFIX = "scenario:"
-
-
-def add_coordination_arguments(parser: argparse.ArgumentParser) -> None:
-    """The coordinated-sweep flags, shared by both experiment CLIs."""
-    group = parser.add_argument_group("coordinated sweeps")
-    group.add_argument(
-        "--coordinator",
-        metavar="HOST:PORT",
-        default=None,
-        help="serve the requested experiments as leasable work units on this "
-        "endpoint (port 0 picks a free port), collect worker pushes, and "
-        "merge them into --store byte-identically to a single-host run",
-    )
-    group.add_argument(
-        "--worker",
-        metavar="URL",
-        default=None,
-        help="act as a sweep worker: lease units from the coordinator at URL, "
-        "compute them into scratch stores, push results, repeat until done",
-    )
-    group.add_argument(
-        "--transport",
-        choices=("http", "dir"),
-        default="http",
-        help="how a worker ships completed shard stores back: POST to the "
-        "coordinator (http, default) or copy into a shared directory (dir)",
-    )
-    group.add_argument(
-        "--transport-dir",
-        metavar="DIR",
-        default=None,
-        help="with --transport dir: the shared directory pushes land in "
-        "(must be the coordinator's staging directory, or synced into it)",
-    )
-    group.add_argument(
-        "--units",
-        type=int,
-        default=4,
-        metavar="N",
-        help="coordinator: split every experiment's grids into N leasable "
-        "shard slices (default 4); more units = finer-grained reassignment",
-    )
-    group.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=60.0,
-        metavar="SEC",
-        help="coordinator: seconds a lease lives without renewal before its "
-        "unit is re-leased to another worker (default 60)",
-    )
-    group.add_argument(
-        "--staging",
-        metavar="DIR",
-        default=None,
-        help="coordinator: where pushed shard stores accumulate before the "
-        "merge (default: <store>.staging)",
-    )
-    group.add_argument(
-        "--poll",
-        type=float,
-        default=0.5,
-        metavar="SEC",
-        help="worker: seconds between lease polls when no unit is available",
-    )
-    group.add_argument(
-        "--worker-id",
-        metavar="NAME",
-        default=None,
-        help="worker: stable identity for leases (default: hostname-pid)",
-    )
-    group.add_argument(
-        "--scratch",
-        metavar="DIR",
-        default=None,
-        help="worker: directory for per-unit scratch stores (default: a "
-        "fresh temporary directory)",
-    )
-    group.add_argument(
-        "--throttle",
-        type=float,
-        default=0.0,
-        metavar="SEC",
-        help="worker: sleep this long after every completed trial — a pacing "
-        "knob for demos and for tests that need a kill window",
-    )
-    group.add_argument(
-        "--resume",
-        action="store_true",
-        help="coordinator: re-open an interrupted coordinated sweep from the "
-        "write-ahead journal and staged pushes in --staging instead of "
-        "starting cold (completed units stay completed; leases that were "
-        "live at the crash are requeued)",
-    )
-    group.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="coordinator: fail loudly if the sweep has not completed after "
-        "this many seconds (default: wait forever)",
-    )
-    group.add_argument(
-        "--auth-token",
-        metavar="TOKEN",
-        default=None,
-        help="shared secret for the control plane: the coordinator rejects "
-        "any verb without it (HTTP 401), workers send it with every "
-        f"request (default: ${TOKEN_ENV_VAR}, else no authentication)",
-    )
-    group.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="coordinator: quarantine a unit after N leases without a "
-        f"completion instead of re-leasing it forever (default "
-        f"{DEFAULT_MAX_ATTEMPTS}; 0 = never quarantine)",
-    )
-    group.add_argument(
-        "--retries",
-        type=int,
-        default=8,
-        metavar="N",
-        help="worker: attempts per control-plane call and push before giving "
-        "up, with exponential backoff and deterministic jitter (default 8 — "
-        "enough patience to ride out a coordinator restart; 1 = fail fast)",
-    )
-    group.add_argument(
-        "--chaos",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="worker: inject deterministic faults (dropped/delayed/duplicated "
-        "calls, 503s, truncated pushes) on the schedule seeded here — the "
-        "recovery machinery must absorb all of it (testing/demo knob)",
-    )
-    group.add_argument(
-        "--chaos-poison",
-        type=int,
-        default=None,
-        metavar="UNIT",
-        help="worker: fail every execute of this unit id, simulating a "
-        "poison unit the coordinator must quarantine (testing/demo knob)",
-    )
 
 
 def resolve_auth_token(args: argparse.Namespace) -> Optional[str]:

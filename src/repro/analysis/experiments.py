@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core import (
     exhaustive_derandomize,
@@ -89,15 +89,18 @@ from ..scenarios import (
     register_task,
     sweep_scenario,
 )
-from ..sim.batch import ColumnarStore, TrialResult, TrialSpec
+from ..sim.batch import TrialResult, TrialSpec
 from .stats import log2_or_floor, success_rate, wilson_interval
 from .tables import Table
+
+if TYPE_CHECKING:
+    from ..sim.batch.colstore import ColumnarStore
 
 #: run_trials sharding: (shard index, shard count) or None.
 Shard = Optional[Tuple[int, int]]
 
 #: The trial store a driver checkpoints into, if any.
-Store = Optional[ColumnarStore]
+Store = Optional["ColumnarStore"]
 
 #: run_trials per-trial completion hook (fresh computations only), or
 #: None. Coordinated workers pass a lease-renewal callback here

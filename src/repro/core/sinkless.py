@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -78,6 +77,8 @@ def deterministic_orientation(graph: DistributedGraph,
     exists (e.g. trees whose constrained nodes outnumber their incident
     edge budget).
     """
+    import networkx as nx  # lazy: no table runs this baseline
+
     constrained = [v for v in graph.nodes() if graph.degree(v) >= min_degree]
     edge_list = [_canonical(u, v) for u, v in graph.edges()]
     bipartite = nx.Graph()

@@ -13,55 +13,82 @@ stress the quantities each proof cares about:
 * cluster-of-cliques / dumbbells — adversarial diameters for clustering;
 * caterpillars — high-degree low-diameter mixtures.
 
-All generators return plain ``networkx`` graphs; wrap them in
-:class:`~repro.sim.graph.DistributedGraph` to attach UIDs.
+Every generator but :func:`expander` returns an
+:class:`~repro.sim.graph.EdgeList` built without networkx; wrap it in
+:class:`~repro.sim.graph.DistributedGraph` (or an ID scheme of
+:mod:`repro.graphs.ids`) to attach UIDs. Each one reproduces, edge for
+edge and in insertion order, the networkx generator it replaced (the
+tests hold them to those generators), so the edge order that sinkless
+orientation's coins follow is unchanged. :func:`expander` still builds
+its networkx graph, importing networkx only when called.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter, defaultdict
+from itertools import combinations
 from typing import Optional
 
-import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
+from ..sim.batch.csr import component_labels, edges_to_csr
+from ..sim.graph import EdgeList
 
 
-def path(n: int) -> nx.Graph:
+def _pairs(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    return np.column_stack((tails, heads))
+
+
+def path(n: int) -> EdgeList:
     """Path on n nodes — the canonical locality lower-bound instance."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    return nx.path_graph(n)
+    return EdgeList(n, _pairs(np.arange(n - 1), np.arange(1, n)))
 
 
-def cycle(n: int) -> nx.Graph:
+def cycle(n: int) -> EdgeList:
     """Cycle on n nodes."""
     if n < 3:
         raise ConfigurationError("cycle needs n >= 3")
-    return nx.cycle_graph(n)
+    return EdgeList(n, _pairs(np.arange(n), (np.arange(n) + 1) % n))
 
 
-def grid(rows: int, cols: int) -> nx.Graph:
-    """rows x cols grid — bounded growth, many far-apart neighborhoods."""
+def grid(rows: int, cols: int) -> EdgeList:
+    """rows x cols grid — bounded growth, many far-apart neighborhoods.
+
+    Node ``(i, j)`` is ``i * cols + j``; each node adds its down, then
+    its right edge."""
     if rows < 1 or cols < 1:
         raise ConfigurationError("grid dimensions must be >= 1")
-    g = nx.grid_2d_graph(rows, cols)
-    return nx.convert_node_labels_to_integers(g, ordering="sorted")
+    node = np.arange(rows * cols).reshape(rows, cols)
+    tails = np.concatenate((node[:-1].ravel(), node[:, :-1].ravel()))
+    heads = np.concatenate((node[1:].ravel(), node[:, 1:].ravel()))
+    order = np.argsort(tails, kind="stable")
+    return EdgeList(rows * cols, _pairs(tails[order], heads[order]))
 
 
-def gnp(n: int, p: float, seed: int = 0) -> nx.Graph:
+def gnp(n: int, p: float, seed: int = 0) -> EdgeList:
     """Erdős–Rényi G(n, p), forced connected by bridging components."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     if not 0 <= p <= 1:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
-    g = nx.gnp_random_graph(n, p, seed=seed)
-    return _bridge_components(g, seed)
+    draw = random.Random(seed).random
+    edges = [pair for pair in combinations(range(n), 2) if draw() < p]
+    return _bridge_components(n, edges, seed)
 
 
-def random_regular(n: int, d: int, seed: int = 0) -> nx.Graph:
-    """Random d-regular graph — the symmetry-breaking stress test."""
+def random_regular(n: int, d: int, seed: int = 0) -> EdgeList:
+    """Random d-regular graph — the symmetry-breaking stress test.
+
+    Steger–Wormald pairing: shuffle ``d`` stubs per node, pair them off,
+    re-pair the stubs of self-loops and repeated edges, and restart when
+    no re-pairing can succeed. The edges come out in the iteration
+    order of the edge set.
+    """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     if d < 1:
@@ -72,43 +99,103 @@ def random_regular(n: int, d: int, seed: int = 0) -> nx.Graph:
         raise ConfigurationError("n * d must be even for a d-regular graph")
     if d >= n:
         raise ConfigurationError("degree must be < n")
-    return nx.random_regular_graph(d, n, seed=seed)
+    rng = random.Random(seed)
+    edges = _pair_stubs(n, d, rng)
+    while edges is None:
+        edges = _pair_stubs(n, d, rng)
+    return EdgeList(n, list(edges))
 
 
-def random_tree(n: int, seed: int = 0) -> nx.Graph:
+def _suitable(edges: set, potential_edges: dict) -> bool:
+    """Whether some two leftover stubs still form a new edge."""
+    if not potential_edges:
+        return True
+    for s1 in potential_edges:
+        for s2 in potential_edges:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _pair_stubs(n: int, d: int, rng: random.Random) -> Optional[set]:
+    """One pairing attempt of :func:`random_regular`; None on a dead end."""
+    edges = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        potential_edges = defaultdict(int)
+        rng.shuffle(stubs)
+        stubiter = iter(stubs)
+        for s1, s2 in zip(stubiter, stubiter):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and ((s1, s2) not in edges):
+                edges.add((s1, s2))
+            else:
+                potential_edges[s1] += 1
+                potential_edges[s2] += 1
+        if not _suitable(edges, potential_edges):
+            return None
+        stubs = [node for node, potential in potential_edges.items()
+                 for _ in range(potential)]
+    return edges
+
+
+def random_tree(n: int, seed: int = 0) -> EdgeList:
     """Uniform random labeled tree (Prüfer)."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     if n <= 2:
-        return nx.path_graph(n)
+        return path(n)
     rng = random.Random(seed)
     prufer = [rng.randrange(n) for _ in range(n - 2)]
-    return nx.from_prufer_sequence(prufer)
+    # Linear-time decoding: join each code entry to the smallest node
+    # whose remaining degree (plus one) has dropped to 1.
+    degree = Counter(prufer)
+    degree.update(range(n))
+    edges = []
+    index = u = next(k for k in range(n) if degree[k] == 1)
+    for v in prufer:
+        edges.append((u, v))
+        degree[v] -= 1
+        if v < index and degree[v] == 1:
+            u = v
+        else:
+            index = u = next(k for k in range(index + 1, n)
+                             if degree[k] == 1)
+    joined = {u for u, _ in edges}
+    edges.append(tuple(v for v in range(n) if v not in joined))
+    return EdgeList(n, edges)
 
 
-def complete_tree(branching: int, height: int) -> nx.Graph:
-    """Complete ``branching``-ary tree of the given height."""
+def complete_tree(branching: int, height: int) -> EdgeList:
+    """Complete ``branching``-ary tree of the given height (node ``c``'s
+    parent is ``(c - 1) // branching``)."""
     if branching < 1 or height < 0:
         raise ConfigurationError("branching >= 1 and height >= 0 required")
-    g = nx.balanced_tree(branching, height)
-    return nx.convert_node_labels_to_integers(g, ordering="sorted")
+    if branching == 1:
+        n = height + 1
+    else:
+        n = (branching ** (height + 1) - 1) // (branching - 1)
+    child = np.arange(1, n)
+    return EdgeList(n, _pairs((child - 1) // branching, child))
 
 
-def caterpillar(spine: int, legs: int) -> nx.Graph:
+def caterpillar(spine: int, legs: int) -> EdgeList:
     """Path of length ``spine`` with ``legs`` pendant nodes per spine node."""
     if spine < 1 or legs < 0:
         raise ConfigurationError("spine >= 1 and legs >= 0 required")
-    g = nx.path_graph(spine)
-    next_id = spine
-    for v in range(spine):
-        for _ in range(legs):
-            g.add_edge(v, next_id)
-            next_id += 1
-    return g
+    feet = np.arange(spine, spine + spine * legs)
+    return EdgeList(spine + spine * legs, np.concatenate((
+        _pairs(np.arange(spine - 1), np.arange(1, spine)),
+        _pairs((feet - spine) // max(1, legs), feet))))
 
 
 def cluster_of_cliques(num_cliques: int, clique_size: int,
-                       chain: bool = True) -> nx.Graph:
+                       chain: bool = True) -> EdgeList:
     """Cliques joined by single edges (in a chain or a star).
 
     Hard for clustering: low-diameter dense pockets separated by cut
@@ -121,25 +208,16 @@ def cluster_of_cliques(num_cliques: int, clique_size: int,
             f"clique_size must be >= 2, got {clique_size} (a 1-clique has "
             f"no edges — the result would be a bare path/star, not a "
             f"cluster of cliques)")
-    g = nx.Graph()
-    anchors = []
-    for c in range(num_cliques):
-        base = c * clique_size
-        members = list(range(base, base + clique_size))
-        g.add_nodes_from(members)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                g.add_edge(u, v)
-        anchors.append(base)
+    edges = []
+    for base in range(0, num_cliques * clique_size, clique_size):
+        edges += combinations(range(base, base + clique_size), 2)
     for i in range(1, num_cliques):
-        if chain:
-            g.add_edge(anchors[i - 1], anchors[i])
-        else:
-            g.add_edge(anchors[0], anchors[i])
-    return g
+        hub = (i - 1) * clique_size if chain else 0
+        edges.append((hub, i * clique_size))
+    return EdgeList(num_cliques * clique_size, edges)
 
 
-def dumbbell(side: int, bar: int) -> nx.Graph:
+def dumbbell(side: int, bar: int) -> EdgeList:
     """Two cliques of size ``side`` joined by a path of ``bar`` nodes."""
     if side < 2:
         raise ConfigurationError(
@@ -150,24 +228,13 @@ def dumbbell(side: int, bar: int) -> nx.Graph:
             f"bar must be >= 1, got {bar} (a dumbbell with no bar nodes "
             f"is just two cliques sharing an edge — use cluster_of_cliques "
             f"for that shape)")
-    g = nx.Graph()
-    left = list(range(side))
-    right = list(range(side, 2 * side))
-    for group in (left, right):
-        for i, u in enumerate(group):
-            for v in group[i + 1:]:
-                g.add_edge(u, v)
-    prev = left[0]
-    next_id = 2 * side
-    for _ in range(bar):
-        g.add_edge(prev, next_id)
-        prev = next_id
-        next_id += 1
-    g.add_edge(prev, right[0])
-    return g
+    walk = [0, *range(2 * side, 2 * side + bar), side]
+    return EdgeList(2 * side + bar, [*combinations(range(side), 2),
+                                     *combinations(range(side, 2 * side), 2),
+                                     *zip(walk, walk[1:])])
 
 
-def lopsided(n: int, hubs: Optional[int] = None) -> nx.Graph:
+def lopsided(n: int, hubs: Optional[int] = None) -> EdgeList:
     """A chain of star hubs: few Θ(n/hubs)-degree hubs, many degree-1 leaves.
 
     The maximally skewed degree distribution: a handful of hubs carry
@@ -183,23 +250,24 @@ def lopsided(n: int, hubs: Optional[int] = None) -> nx.Graph:
         raise ConfigurationError(
             f"hubs must be in [1, n-1], got {hubs} (every hub needs at "
             f"least the chance of a leaf)")
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for h in range(1, hubs):
-        g.add_edge(h - 1, h)
-    for leaf in range(hubs, n):
-        g.add_edge((leaf - hubs) % hubs, leaf)
-    return g
+    leaves = np.arange(hubs, n)
+    return EdgeList(n, np.concatenate((
+        _pairs(np.arange(hubs - 1), np.arange(1, hubs)),
+        _pairs((leaves - hubs) % hubs, leaves))))
 
 
-def expander(n: int, seed: int = 0) -> nx.Graph:
+def expander(n: int, seed: int = 0):
     """A bounded-degree expander: the Margulis–Gabber–Galil construction.
 
     Built on the s x s torus (s = ceil(sqrt(n)), so the graph has s^2 >= n
     nodes), degree <= 8, constant spectral expansion — the topology where
     neighborhoods grow fastest, stressing any locality-based argument.
     The multigraph edges/self-loops of the construction are simplified.
+    The one family still built by networkx: returns a networkx graph
+    (whose node order is not sorted).
     """
+    import networkx as nx
+
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     side = max(2, math.isqrt(n - 1) + 1)
@@ -210,15 +278,21 @@ def expander(n: int, seed: int = 0) -> nx.Graph:
     return nx.convert_node_labels_to_integers(g, ordering="sorted")
 
 
-def _bridge_components(g: nx.Graph, seed: int) -> nx.Graph:
-    """Connect a possibly-disconnected graph with minimal extra edges."""
-    components = [sorted(c) for c in nx.connected_components(g)]
-    if len(components) <= 1:
-        return g
+def _bridge_components(n: int, edges: list, seed: int) -> EdgeList:
+    """Connect a possibly-disconnected graph with minimal extra edges:
+    one between random members of each pair of consecutive components
+    (ordered by smallest node)."""
+    graph = EdgeList(n, edges)
+    label = component_labels(*edges_to_csr(n, graph.edges))
+    if not label.size or label.max() == 0:
+        return graph
+    members = np.argsort(label, kind="stable")
+    bounds = np.cumsum(np.bincount(label))[:-1]
+    components = [part.tolist() for part in np.split(members, bounds)]
     rng = random.Random(seed + 1)
     for prev, cur in zip(components, components[1:]):
-        g.add_edge(rng.choice(prev), rng.choice(cur))
-    return g
+        edges.append((rng.choice(prev), rng.choice(cur)))
+    return EdgeList(n, edges)
 
 
 #: Named family registry used by experiments and tests.
@@ -250,7 +324,7 @@ SEED_INVARIANT_FAMILIES = frozenset({
 })
 
 
-def make(family: str, n: int, seed: int = 0) -> nx.Graph:
+def make(family: str, n: int, seed: int = 0):
     """Instantiate a named family at (approximately) size n."""
     if family not in FAMILIES:
         raise ConfigurationError(

@@ -14,50 +14,63 @@ import random
 from collections import OrderedDict
 from typing import List, Optional
 
-import networkx as nx
-
 from ..errors import ConfigurationError
-from ..sim.graph import DistributedGraph, sorted_labels
+from ..sim.graph import DistributedGraph, EdgeList, sorted_labels
 from .generators import SEED_INVARIANT_FAMILIES, make
 
+def _node_count(graph) -> int:
+    """n of an EdgeList or of a networkx graph (every scheme takes either)."""
+    return graph.n if isinstance(graph, EdgeList) else graph.number_of_nodes()
 
-def random_ids(graph: nx.Graph, seed: int = 0, c: int = 3) -> DistributedGraph:
+
+def random_ids(graph, seed: int = 0, c: int = 3) -> DistributedGraph:
     """Uniformly random distinct IDs from {1, ..., n^c} (the default)."""
     if c < 1:
         raise ConfigurationError("c must be >= 1")
-    n = graph.number_of_nodes()
+    n = _node_count(graph)
     return DistributedGraph(graph, uid_seed=seed, uid_range=max(8, n ** c))
 
 
-def sequential_ids(graph: nx.Graph) -> DistributedGraph:
+def sequential_ids(graph) -> DistributedGraph:
     """IDs 1..n in node order — the friendliest assignment."""
-    n = graph.number_of_nodes()
+    n = _node_count(graph)
     return DistributedGraph(graph, uids=list(range(1, n + 1)))
 
 
-def adversarial_path_ids(graph: nx.Graph) -> DistributedGraph:
+def adversarial_path_ids(graph) -> DistributedGraph:
     """IDs increasing along a BFS order — adversarial for greedy-by-ID.
 
     Greedy/sequential algorithms that process nodes in ID order degrade
     to a long sequential chain on such assignments; useful for showing
-    why ID-based symmetry breaking costs locality.
+    why ID-based symmetry breaking costs locality. The BFS starts at the
+    smallest label and scans each node's neighbors in the input's
+    adjacency order (an :class:`EdgeList`'s insertion order, a networkx
+    graph's ``adj``); unreached nodes follow in label order.
     """
-    labels = sorted_labels(graph.nodes())
-    order = list(nx.bfs_tree(graph, labels[0]).nodes())
-    reached = set(order)
+    if isinstance(graph, EdgeList):
+        labels, adjacency = range(graph.n), graph.adjacency()
+    else:
+        labels, adjacency = sorted_labels(graph.nodes()), graph.adj
+    order = [labels[0]]
+    reached = {labels[0]}
+    for v in order:
+        for u in adjacency[v]:
+            if u not in reached:
+                reached.add(u)
+                order.append(u)
     order.extend(v for v in labels if v not in reached)
     uid_of = {v: i + 1 for i, v in enumerate(order)}
     return DistributedGraph(graph, uids=[uid_of[v] for v in labels])
 
 
-def spread_ids(graph: nx.Graph, seed: int = 0) -> DistributedGraph:
+def spread_ids(graph, seed: int = 0) -> DistributedGraph:
     """Large, well-separated IDs (multiples of a step, shuffled).
 
     Exercises the Θ(log n)-bit width assumption: all IDs have roughly
     the same bit length, so bit-by-bit symmetry breaking gets no shortcut
     from length differences.
     """
-    n = graph.number_of_nodes()
+    n = _node_count(graph)
     rng = random.Random(seed)
     step = max(2, n)
     base = step * step  # all IDs land in [n^2, 2n^2): equal bit length
@@ -81,7 +94,7 @@ SCHEMES = {
 SEED_INVARIANT_SCHEMES = frozenset({"sequential", "adversarial"})
 
 
-def assign(graph: nx.Graph, scheme: str = "random", seed: int = 0) -> DistributedGraph:
+def assign(graph, scheme: str = "random", seed: int = 0) -> DistributedGraph:
     """Wrap a graph with the named ID scheme."""
     if scheme not in SCHEMES:
         raise ConfigurationError(
@@ -124,10 +137,10 @@ def trial_graph(family: str, n: int, seed: int = 0, ids: str = "random",
     seed for :data:`~repro.graphs.generators.SEED_INVARIANT_FAMILIES`
     and the ID seed for :data:`SEED_INVARIANT_SCHEMES`, so every trial
     that would build the same graph shares one build — across seeds,
-    scenarios and randomness regimes. Callers share the returned graph
-    and must not mutate it (its CSR arrays are read-only; its cached
-    neighbor lists are plain lists). Forked pool workers inherit the
-    parent's memo and then grow their own.
+    scenarios and randomness regimes. Callers share the returned graph,
+    which cannot be mutated: its CSR arrays are read-only and its
+    cached neighbor views are tuples and frozensets. Forked pool workers
+    inherit the parent's memo and then grow their own.
     """
     if id_seed is None:
         id_seed = seed

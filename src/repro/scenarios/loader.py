@@ -12,6 +12,8 @@ since JSON is a YAML subset, ``.json`` scenarios need no separate code
 path. Without PyYAML the loader degrades to :func:`json.loads`, so
 JSON scenarios keep working in stripped-down environments and YAML
 ones fail with an actionable message instead of an ImportError.
+PyYAML is imported on the first parse or dump, so runs that never read
+a scenario never load it.
 """
 
 from __future__ import annotations
@@ -23,19 +25,24 @@ from typing import List
 from ..errors import ConfigurationError
 from .spec import ScenarioSpec
 
-try:
-    import yaml
-except ImportError:  # pragma: no cover - PyYAML is in the normal env
-    yaml = None
-
 #: Directory holding the named scenario library.
 LIBRARY_DIR = os.path.join(os.path.dirname(__file__), "library")
 
 _EXTENSIONS = (".yaml", ".yml", ".json")
 
 
+def _yaml():
+    """The PyYAML module, or None when it is not installed."""
+    try:
+        import yaml
+    except ImportError:  # pragma: no cover - PyYAML is in the normal env
+        return None
+    return yaml
+
+
 def loads(text: str, source: str = "<string>") -> ScenarioSpec:
     """Parse one scenario from YAML (or JSON) text."""
+    yaml = _yaml()
     if yaml is not None:
         try:
             data = yaml.safe_load(text)
@@ -59,6 +66,7 @@ def dumps(spec: ScenarioSpec) -> str:
     """Serialize a scenario to YAML (JSON when PyYAML is unavailable —
     still loadable, JSON being a YAML subset)."""
     data = spec.to_dict()
+    yaml = _yaml()
     if yaml is not None:
         return yaml.safe_dump(data, sort_keys=False)
     return json.dumps(data, indent=2) + "\n"

@@ -44,17 +44,14 @@ from .store import (
     record_digest,
     spec_key,
 )
-from .colstore import (
-    COLSTORE_FORMAT_VERSION,
-    ColumnarStore,
-    compact,
-    verify_migration,
-)
 
-#: Names re-exported lazily (PEP 562): the coordinator stack under them
-#: (http.server, urllib.request, ssl) is imported on first access, so
-#: experiments and local sweeps never pay for it.
+#: Names re-exported lazily (PEP 562), imported on first access: the
+#: columnar store, which storeless runs never open, and the coordinator
+#: stack (http.server, urllib.request, ssl), which experiments and local
+#: sweeps never use.
 _LAZY = {
+    "colstore": ("COLSTORE_FORMAT_VERSION", "ColumnarStore", "compact",
+                 "verify_migration"),
     "distrib": (
         "AuthenticationError",
         "CoordinatorClient",

@@ -5,7 +5,7 @@ Every :class:`~repro.sim.graph.DistributedGraph` builds one
 its input's edge list (:func:`index_edges` + :func:`edges_to_csr`) and
 answers its topology queries from it; the engines run on that same
 instance. :class:`CSRGraph` holds the classic offsets/indices layout,
-with each neighbor list sorted, plus cached Python-level views (lists
+with each neighbor list sorted, plus cached Python-level views (tuples
 and frozensets) that the :class:`~repro.sim.batch.fast_engine.
 FastEngine` reads without any per-round allocation.
 
@@ -67,21 +67,30 @@ def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source,
 
 def component_labels(offsets: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Connected components as ``int64[n]`` labels ``0 .. k-1``, numbered
-    in the order of their smallest node (one frontier BFS each)."""
+    in the order of their smallest node.
+
+    Min-label propagation with hooking and pointer jumping, in
+    whole-array passes: every node takes the smallest label among its
+    own and its neighbors', hands it to the node its old label names,
+    then follows labels to their fixed point. Labels only fall and
+    always name a node of their own component, so at the fixed point
+    each component carries its smallest node; O(log n) passes on paths.
+    """
     n = offsets.size - 1
-    label = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for v in range(n):
-        if label[v] >= 0:
-            continue
-        label[v] = count
-        frontier = np.array([v], dtype=np.int64)
-        while frontier.size:
-            neighbors = _neighbors_of(offsets, indices, frontier)
-            frontier = np.unique(neighbors[label[neighbors] < 0])
-            label[frontier] = count
-        count += 1
-    return label
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        low = np.minimum(label, segment_reduce(label[indices], offsets,
+                                               np.minimum, n))
+        np.minimum.at(low, label, low)
+        while True:
+            jumped = low[low]
+            if np.array_equal(jumped, low):
+                break
+            low = jumped
+        if np.array_equal(low, label):
+            break
+        label = low
+    return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
 
 def segment_reduce(edge_values: np.ndarray, offsets: np.ndarray,
@@ -242,7 +251,7 @@ def ensure_csr(graph: Optional[DistributedGraph],
     of passing one graph's CSR with another graph.
 
     ``graph`` may be ``None`` when a pre-built ``csr`` is supplied — the
-    large-graph path, where a DistributedGraph's networkx input would
+    large-graph path, where building a DistributedGraph's input would
     dwarf the run itself.
     """
     if graph is None:
@@ -319,8 +328,8 @@ class CSRGraph:
         self.degrees = degrees
         self.uids = tuple(uids)
         self._uid_array: Optional[np.ndarray] = None
-        self._neighbor_lists: List[List[int]] = None  # built lazily
-        self._neighbor_sets: List[frozenset] = None
+        self._neighbor_lists: Tuple[Tuple[int, ...], ...] = None  # lazy
+        self._neighbor_sets: Tuple[frozenset, ...] = None
         self._uid_to_index: Dict[int, int] = None
 
     # ------------------------------------------------------------------
@@ -357,8 +366,8 @@ class CSRGraph:
         """Sorted neighbor indices of ``v`` (an array view, not a copy)."""
         return self.indices[self.offsets[v]:self.offsets[v + 1]]
 
-    def neighbor_list(self, v: int) -> List[int]:
-        """Sorted neighbors of ``v`` as a cached Python list of ints."""
+    def neighbor_list(self, v: int) -> Tuple[int, ...]:
+        """Sorted neighbors of ``v`` as a cached tuple of Python ints."""
         return self.neighbor_lists[v]
 
     def degree(self, v: int) -> int:
@@ -405,20 +414,24 @@ class CSRGraph:
     # Cached Python-level views (what the fast engine actually reads)
     # ------------------------------------------------------------------
     @property
-    def neighbor_lists(self) -> List[List[int]]:
-        """Per-node sorted neighbor lists of plain Python ints."""
+    def neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-node sorted neighbors as tuples of plain Python ints.
+
+        Tuples, so the views a shared graph hands out (one graph may
+        serve many trials) cannot be mutated."""
         if self._neighbor_lists is None:
-            flat = self.indices.tolist()
+            flat = tuple(self.indices.tolist())
             bounds = self.offsets.tolist()
-            self._neighbor_lists = [flat[bounds[v]:bounds[v + 1]]
-                                    for v in range(self.n)]
+            self._neighbor_lists = tuple(flat[bounds[v]:bounds[v + 1]]
+                                         for v in range(self.n))
         return self._neighbor_lists
 
     @property
-    def neighbor_sets(self) -> List[frozenset]:
+    def neighbor_sets(self) -> Tuple[frozenset, ...]:
         """Per-node neighbor frozensets (for O(1) membership checks)."""
         if self._neighbor_sets is None:
-            self._neighbor_sets = [frozenset(a) for a in self.neighbor_lists]
+            self._neighbor_sets = tuple(frozenset(a)
+                                        for a in self.neighbor_lists)
         return self._neighbor_sets
 
     # ------------------------------------------------------------------

@@ -9,8 +9,10 @@ The topology is frozen once, at construction, into one sorted CSR
 (:attr:`DistributedGraph.csr`, a :class:`~repro.sim.batch.csr.CSRGraph`
 whose arrays are read-only) built from the input's edge list in a
 single vectorized pass. Every query, algorithm, checker and engine run
-on the graph reads that one snapshot: networkx is only the input
-format, read once and not kept.
+on the graph reads that one snapshot. The input is an :class:`EdgeList`
+(what :mod:`repro.graphs.generators` builds) or any networkx graph,
+read once by duck typing and not kept; this module never imports
+networkx.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -34,6 +35,58 @@ def sorted_labels(nodes: Iterable) -> List:
         return sorted(nodes, key=lambda x: (type(x).__name__, repr(x)))
 
 
+class EdgeList:
+    """A simple graph on nodes ``0 .. n-1`` as an ordered edge list.
+
+    ``edges`` is a read-only ``int64[m, 2]`` array of node pairs in
+    insertion order: the graph is the one networkx builds by adding
+    nodes ``0 .. n-1`` and then these edges, in order. So each node's
+    neighbors are ordered by the first edge naming them
+    (:meth:`adjacency`), and :meth:`DistributedGraph.edges` lists the
+    edges u-major, each node's larger neighbors in that order — what
+    networkx's ``edges()`` would list. Self-loops, duplicate edges and
+    out-of-range nodes are refused when a :class:`DistributedGraph` is
+    built from it.
+    """
+
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges) -> None:
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        edges.flags.writeable = False
+        self.n = int(n)
+        self.edges = edges
+
+    def adjacency(self) -> List[List[int]]:
+        """Each node's neighbors, ordered by the first edge naming them."""
+        m = len(self.edges)
+        tails = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
+        heads = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
+        order = np.lexsort((np.tile(np.arange(m), 2), tails))
+        bounds = np.cumsum(np.bincount(tails, minlength=self.n))[:-1]
+        return [part.tolist() for part in np.split(heads[order], bounds)]
+
+    def __repr__(self) -> str:
+        return f"EdgeList(n={self.n}, m={len(self.edges)})"
+
+
+def u_major_edges(graph: EdgeList) -> np.ndarray:
+    """``graph``'s edges as ``(u, v)`` pairs with ``u < v``, u-major and
+    each node's larger neighbors in insertion order (a stable sort of
+    the normalized pairs by ``u``); refuses what a simple graph on
+    ``0 .. n-1`` cannot hold."""
+    n, edges = graph.n, graph.edges
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ConfigurationError(f"edge endpoint outside 0 .. {n - 1}")
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    if np.any(lo == hi):
+        raise ConfigurationError("self-loops are not allowed")
+    if np.unique(lo * n + hi).size != lo.size:
+        raise ConfigurationError("duplicate edges are not allowed")
+    order = np.argsort(lo, kind="stable")
+    return np.column_stack((lo[order], hi[order]))
+
+
 class DistributedGraph:
     """An n-node network with unique identifiers.
 
@@ -46,8 +99,9 @@ class DistributedGraph:
     Parameters
     ----------
     graph:
-        Any simple networkx graph; it is read once and not kept. The
-        original labels are preserved in :attr:`labels`.
+        An :class:`EdgeList` (labels ``0 .. n-1``), or any simple
+        networkx graph, read through ``nodes()``/``edges()`` and not
+        kept; its original labels are preserved in :attr:`labels`.
     uids:
         Optional explicit UID per index. Must be unique.
     uid_seed:
@@ -57,14 +111,18 @@ class DistributedGraph:
         UIDs fit in ``3 log2 n + O(1)`` bits (the usual Θ(log n) bits).
     """
 
-    def __init__(self, graph: nx.Graph, uids: Optional[List[int]] = None,
+    def __init__(self, graph, uids: Optional[List[int]] = None,
                  uid_seed: int = 0, uid_range: Optional[int] = None):
         # Deferred: the batch package imports this module.
         from .batch.csr import CSRGraph, edges_to_csr, index_edges
 
-        if graph.number_of_nodes() == 0:
+        if isinstance(graph, EdgeList):
+            self.labels = list(range(graph.n))
+            self._edges = u_major_edges(graph)
+        else:
+            self.labels, self._edges = index_edges(graph)
+        if not self.labels:
             raise ConfigurationError("graph must have at least one node")
-        self.labels, self._edges = index_edges(graph)
         self.n = len(self.labels)
         self.m = len(self._edges)
         if uids is None:
@@ -85,7 +143,7 @@ class DistributedGraph:
         """All node indices."""
         return range(self.n)
 
-    def neighbors(self, v: int) -> List[int]:
+    def neighbors(self, v: int) -> Tuple[int, ...]:
         """Sorted neighbor indices of ``v``."""
         return self.csr.neighbor_lists[v]
 
@@ -156,13 +214,12 @@ class DistributedGraph:
         """
         if r < 1:
             raise ConfigurationError(f"power must be >= 1, got {r}")
-        power = nx.Graph()
-        power.add_nodes_from(range(self.n))
+        pairs = []
         for v in range(self.n):
-            for u, d in self.ball(v, r).items():
-                if u != v and d <= r:
-                    power.add_edge(v, u)
-        return DistributedGraph(power, uids=list(self.csr.uids))
+            near = np.flatnonzero(self.bfs_distances(v, cutoff=r)[v + 1:] >= 0)
+            pairs.append(np.column_stack((np.full(near.size, v), near + v + 1)))
+        return DistributedGraph(EdgeList(self.n, np.concatenate(pairs)),
+                                uids=list(self.csr.uids))
 
     def __repr__(self) -> str:
         return (f"DistributedGraph(n={self.n}, m={self.m}, "

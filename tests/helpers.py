@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -25,7 +26,7 @@ from repro.randomness import SharedRandomness
 from repro.randomness.pooled import PooledBits
 from repro.sim.batch.array import ArrayContext
 from repro.sim.batch.csr import bfs_distances, edges_to_csr, index_edges
-from repro.sim.graph import DistributedGraph
+from repro.sim.graph import DistributedGraph, EdgeList
 
 #: The named families every cross-topology test sweeps over.
 FAMILY_NAMES = ("path", "cycle", "grid", "gnp-sparse", "gnp-dense",
@@ -479,3 +480,157 @@ def reference_gf2m_tables(m: int, modulus: int):
     exp_np = np.zeros(2 * zero + 1, dtype=np.int64)
     exp_np[:zero] = exp
     return tuple(log), tuple(exp), log_np, exp_np
+
+
+# ----------------------------------------------------------------------
+# The networkx generators the edge-list families replaced, kept as
+# oracles: ``repro.graphs.generators`` must match them edge for edge, in
+# insertion (adjacency) order.
+# ----------------------------------------------------------------------
+def _nx_bridge_components(g: nx.Graph, seed: int) -> nx.Graph:
+    components = [sorted(c) for c in nx.connected_components(g)]
+    if len(components) <= 1:
+        return g
+    rng = random.Random(seed + 1)
+    for prev, cur in zip(components, components[1:]):
+        g.add_edge(rng.choice(prev), rng.choice(cur))
+    return g
+
+
+def nx_path(n: int) -> nx.Graph:
+    return nx.path_graph(n)
+
+
+def nx_cycle(n: int) -> nx.Graph:
+    return nx.cycle_graph(n)
+
+
+def nx_grid(rows: int, cols: int) -> nx.Graph:
+    g = nx.grid_2d_graph(rows, cols)
+    return nx.convert_node_labels_to_integers(g, ordering="sorted")
+
+
+def nx_gnp(n: int, p: float, seed: int = 0) -> nx.Graph:
+    return _nx_bridge_components(nx.gnp_random_graph(n, p, seed=seed), seed)
+
+
+def nx_random_regular(n: int, d: int, seed: int = 0) -> nx.Graph:
+    return nx.random_regular_graph(d, n, seed=seed)
+
+
+def nx_random_tree(n: int, seed: int = 0) -> nx.Graph:
+    if n <= 2:
+        return nx.path_graph(n)
+    rng = random.Random(seed)
+    return nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+
+
+def nx_complete_tree(branching: int, height: int) -> nx.Graph:
+    g = nx.balanced_tree(branching, height)
+    return nx.convert_node_labels_to_integers(g, ordering="sorted")
+
+
+def nx_caterpillar(spine: int, legs: int) -> nx.Graph:
+    g = nx.path_graph(spine)
+    next_id = spine
+    for v in range(spine):
+        for _ in range(legs):
+            g.add_edge(v, next_id)
+            next_id += 1
+    return g
+
+
+def nx_cluster_of_cliques(num_cliques: int, clique_size: int,
+                          chain: bool = True) -> nx.Graph:
+    g = nx.Graph()
+    anchors = []
+    for c in range(num_cliques):
+        base = c * clique_size
+        members = list(range(base, base + clique_size))
+        g.add_nodes_from(members)
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                g.add_edge(u, v)
+        anchors.append(base)
+    for i in range(1, num_cliques):
+        g.add_edge(anchors[i - 1] if chain else anchors[0], anchors[i])
+    return g
+
+
+def nx_dumbbell(side: int, bar: int) -> nx.Graph:
+    g = nx.Graph()
+    for group in (range(side), range(side, 2 * side)):
+        for i, u in enumerate(group):
+            for v in group[i + 1:]:
+                g.add_edge(u, v)
+    prev, next_id = 0, 2 * side
+    for _ in range(bar):
+        g.add_edge(prev, next_id)
+        prev, next_id = next_id, next_id + 1
+    g.add_edge(prev, side)
+    return g
+
+
+def nx_lopsided(n: int, hubs: Optional[int] = None) -> nx.Graph:
+    if hubs is None:
+        hubs = max(1, n // 16)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for h in range(1, hubs):
+        g.add_edge(h - 1, h)
+    for leaf in range(hubs, n):
+        g.add_edge((leaf - hubs) % hubs, leaf)
+    return g
+
+
+#: ``FAMILIES`` as the networkx generators built them (``expander`` is
+#: still networkx-built in src, so it is its own oracle).
+NX_FAMILIES = {
+    "path": lambda n, seed=0: nx_path(n),
+    "cycle": lambda n, seed=0: nx_cycle(max(3, n)),
+    "grid": lambda n, seed=0: nx_grid(max(1, int(n ** 0.5)),
+                                      max(1, round(n / max(1, int(n ** 0.5))))),
+    "gnp-sparse": lambda n, seed=0: nx_gnp(n, min(1.0, 2.0 / max(1, n - 1)), seed),
+    "gnp-dense": lambda n, seed=0: nx_gnp(n, min(1.0, 10.0 / max(1, n - 1)), seed),
+    "regular-3": lambda n, seed=0: nx_random_regular(n + (n * 3) % 2, 3, seed),
+    "regular-4": lambda n, seed=0: nx_random_regular(max(5, n), 4, seed),
+    "tree": lambda n, seed=0: nx_random_tree(n, seed),
+    "cliques": lambda n, seed=0: nx_cluster_of_cliques(max(1, n // 8), 8),
+    "caterpillar": lambda n, seed=0: nx_caterpillar(max(1, n // 4), 3),
+    "dumbbell": lambda n, seed=0: nx_dumbbell(max(2, n // 3),
+                                              max(1, n - 2 * max(2, n // 3))),
+    "lopsided": lambda n, seed=0: nx_lopsided(max(2, n)),
+}
+
+
+def to_nx(graph) -> nx.Graph:
+    """An :class:`~repro.sim.graph.EdgeList` as the networkx graph it
+    stands for (nodes ``0 .. n-1``, then the edges in order); networkx
+    graphs pass through."""
+    if not isinstance(graph, EdgeList):
+        return graph
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges.tolist())
+    return g
+
+
+def nx_power_graph(graph: DistributedGraph, r: int) -> nx.Graph:
+    """The former ``DistributedGraph.power_graph`` construction."""
+    power = nx.Graph()
+    power.add_nodes_from(range(graph.n))
+    for v in range(graph.n):
+        for u, d in graph.ball(v, r).items():
+            if u != v and d <= r:
+                power.add_edge(v, u)
+    return power
+
+
+def nx_adversarial_uids(graph: nx.Graph) -> List[int]:
+    """The former ``adversarial_path_ids`` UIDs (``nx.bfs_tree`` order)."""
+    labels = sorted(graph.nodes())
+    order = list(nx.bfs_tree(graph, labels[0]).nodes())
+    reached = set(order)
+    order.extend(v for v in labels if v not in reached)
+    uid_of = {v: i + 1 for i, v in enumerate(order)}
+    return [uid_of[v] for v in labels]

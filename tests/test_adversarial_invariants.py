@@ -25,7 +25,7 @@ from repro.graphs import make
 from repro.randomness import IndependentSource, SparseRandomness
 from repro.randomness.pooled import PooledBits
 
-from helpers import nx_to_csr
+from helpers import nx_to_csr, to_nx
 
 
 def _clusters_of(assignment):
@@ -39,7 +39,7 @@ class TestGapRuleIsAdversarialProof:
     @given(data=st.data(), n=st.integers(6, 24), seed=st.integers(0, 100))
     @settings(max_examples=30)
     def test_same_phase_clusters_never_adjacent(self, data, n, seed):
-        graph = make("gnp-dense", n, seed=seed)
+        graph = to_nx(make("gnp-dense", n, seed=seed))
         radii_table = {}
 
         def draw_radii(nodes, phase):
@@ -66,7 +66,7 @@ class TestGapRuleIsAdversarialProof:
     @given(data=st.data(), n=st.integers(6, 24), seed=st.integers(0, 100))
     @settings(max_examples=30)
     def test_clusters_always_connected(self, data, n, seed):
-        graph = make("gnp-sparse", n, seed=seed)
+        graph = to_nx(make("gnp-sparse", n, seed=seed))
 
         def draw_radii(nodes, phase):
             return np.array([data.draw(st.integers(0, 10),
@@ -81,7 +81,7 @@ class TestGapRuleIsAdversarialProof:
     @given(data=st.data())
     @settings(max_examples=20)
     def test_cluster_radius_bounded_by_center_shift(self, data):
-        graph = make("grid", 25, seed=1)
+        graph = to_nx(make("grid", 25, seed=1))
         radii = {v: data.draw(st.integers(0, 8), label=f"r{v}")
                  for v in graph.nodes()}
         assignment, _remaining, _m = en_phase_loop(

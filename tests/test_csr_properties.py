@@ -19,7 +19,9 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.graphs import FAMILIES, assign, make
 from repro.sim.batch import CSRGraph
-from repro.sim.graph import DistributedGraph
+from repro.sim.graph import DistributedGraph, EdgeList
+
+from helpers import to_nx
 
 
 @st.composite
@@ -51,7 +53,7 @@ def assert_matches(graph: DistributedGraph, source: nx.Graph):
     assert csr.indices.tolist() == [u for a in adjacency for u in a]
     for v in graph.nodes():
         assert csr.degree(v) == graph.degree(v) == degrees[v]
-        assert csr.neighbor_list(v) == graph.neighbors(v) == adjacency[v]
+        assert csr.neighbor_list(v) == graph.neighbors(v) == tuple(adjacency[v])
         assert list(csr.neighbors(v)) == adjacency[v]
         assert csr.neighbor_sets[v] == set(adjacency[v])
         assert csr.uid(v) == graph.uid(v)
@@ -85,7 +87,7 @@ def test_every_family_matches():
     for name in sorted(FAMILIES):
         for n in (30, 200):
             source = make(name, n, seed=7)
-            assert_matches(assign(source, "random", seed=7), source)
+            assert_matches(assign(source, "random", seed=7), to_nx(source))
 
 
 def test_degrees_are_offset_differences():
@@ -107,6 +109,28 @@ def test_shared_arrays_are_read_only():
 def test_self_loops_rejected():
     with pytest.raises(ConfigurationError, match="self-loops"):
         DistributedGraph(nx.Graph([(0, 1), (1, 1)]))
+    with pytest.raises(ConfigurationError, match="self-loops"):
+        DistributedGraph(EdgeList(2, [(0, 1), (1, 1)]))
+
+
+def test_edge_list_refuses_what_a_simple_graph_cannot_hold():
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        DistributedGraph(EdgeList(3, [(0, 1), (1, 2), (1, 0)]))
+    with pytest.raises(ConfigurationError, match="outside"):
+        DistributedGraph(EdgeList(3, [(0, 1), (1, 3)]))
+    with pytest.raises(ConfigurationError, match="at least one node"):
+        DistributedGraph(EdgeList(0, []))
+
+
+@given(sources())
+def test_edge_list_input_matches_its_networkx_graph(case):
+    """An EdgeList of a graph's edges builds what that networkx graph
+    builds: same CSR, UIDs and (u-major) edge order."""
+    source, uid_seed = case
+    edges = EdgeList(source.number_of_nodes(), list(source.edges()))
+    graph = DistributedGraph(edges, uid_seed=uid_seed)
+    assert_matches(graph, source)
+    assert graph.csr == DistributedGraph(source, uid_seed=uid_seed).csr
 
 
 class TestValidation:

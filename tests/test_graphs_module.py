@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import to_nx
 from repro.errors import ConfigurationError
 from repro.graphs import (
     FAMILIES,
@@ -29,28 +30,28 @@ from repro.graphs import (
 class TestGenerators:
     @given(n=st.integers(2, 60))
     def test_path_and_cycle_shapes(self, n):
-        p = path(n)
+        p = to_nx(path(n))
         assert p.number_of_nodes() == n
         assert p.number_of_edges() == n - 1
         if n >= 3:
             from repro.graphs import cycle
-            c = cycle(n)
+            c = to_nx(cycle(n))
             assert c.number_of_edges() == n
 
     def test_grid_shape(self):
-        g = grid(4, 5)
+        g = to_nx(grid(4, 5))
         assert g.number_of_nodes() == 20
         assert nx.is_connected(g)
 
     @given(n=st.integers(4, 50), seed=st.integers(0, 5))
     def test_gnp_connected(self, n, seed):
-        g = gnp(n, 1.5 / n, seed=seed)
+        g = to_nx(gnp(n, 1.5 / n, seed=seed))
         assert nx.is_connected(g)
         assert g.number_of_nodes() == n
 
     @given(seed=st.integers(0, 5))
     def test_random_regular_degrees(self, seed):
-        g = random_regular(20, 3, seed=seed)
+        g = to_nx(random_regular(20, 3, seed=seed))
         assert all(d == 3 for _v, d in g.degree())
 
     def test_random_regular_validates_parity(self):
@@ -59,33 +60,33 @@ class TestGenerators:
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 5))
     def test_random_tree_is_tree(self, n, seed):
-        t = random_tree(n, seed=seed)
+        t = to_nx(random_tree(n, seed=seed))
         assert t.number_of_nodes() == n
         assert nx.is_tree(t) or n == 1
 
     def test_complete_tree(self):
-        t = complete_tree(2, 3)
+        t = to_nx(complete_tree(2, 3))
         assert nx.is_tree(t)
         assert t.number_of_nodes() == 15
 
     def test_caterpillar(self):
-        c = caterpillar(spine=4, legs=2)
+        c = to_nx(caterpillar(spine=4, legs=2))
         assert c.number_of_nodes() == 4 + 8
         assert nx.is_tree(c)
 
     def test_cluster_of_cliques(self):
-        g = cluster_of_cliques(3, 4)
+        g = to_nx(cluster_of_cliques(3, 4))
         assert g.number_of_nodes() == 12
         assert nx.is_connected(g)
         # Each clique is complete.
         assert g.number_of_edges() == 3 * 6 + 2
 
     def test_cluster_of_cliques_star(self):
-        g = cluster_of_cliques(4, 3, chain=False)
+        g = to_nx(cluster_of_cliques(4, 3, chain=False))
         assert nx.is_connected(g)
 
     def test_dumbbell(self):
-        g = dumbbell(side=4, bar=3)
+        g = to_nx(dumbbell(side=4, bar=3))
         assert nx.is_connected(g)
         assert g.number_of_nodes() == 11
         assert nx.diameter(g) >= 4
@@ -104,17 +105,17 @@ class TestGenerators:
 
     def test_new_named_families(self):
         for name in ("expander", "regular-4", "caterpillar"):
-            g = make(name, 40, seed=3)
+            g = to_nx(make(name, 40, seed=3))
             assert nx.is_connected(g), name
-        assert all(d == 4 for _, d in make("regular-4", 40, seed=3).degree())
-        cat = make("caterpillar", 40, seed=0)
+        assert all(d == 4 for _, d in to_nx(make("regular-4", 40, seed=3)).degree())
+        cat = to_nx(make("caterpillar", 40, seed=0))
         # A caterpillar: removing leaves yields a path (degree <= 2).
         spine = cat.subgraph(v for v, d in cat.degree() if d > 1)
         assert max(d for _, d in spine.degree()) <= 2 + 1  # spine + one leg edge
 
     def test_named_families_all_connected(self):
         for name in FAMILIES:
-            g = make(name, 40, seed=2)
+            g = to_nx(make(name, 40, seed=2))
             assert nx.is_connected(g), name
             assert g.number_of_nodes() >= 10, name
 

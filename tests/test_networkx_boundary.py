@@ -44,13 +44,12 @@ from repro.sim.graph import DistributedGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: The only modules that may import networkx: the generators and ID
-#: assignment (which produce networkx inputs), the input type itself,
-#: and the centralized bipartite-matching baseline.
+#: The only modules that may import networkx, each lazily inside one
+#: function: the generators (for ``expander`` alone) and the centralized
+#: bipartite-matching baseline. ``test_import_guard.py`` checks that no
+#: table run loads it.
 NETWORKX_MODULES = {
     "repro/graphs/generators.py",
-    "repro/graphs/ids.py",
-    "repro/sim/graph.py",
     "repro/core/sinkless.py",
 }
 
@@ -238,6 +237,19 @@ class TestCSRPorts:
         comps = DistributedGraph(raw).connected_components()
         assert comps == [{0, 2}, {1}, {3, 4}, {5}]
         assert all(type(v) is int for c in comps for v in c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 6), st.randoms())
+    def test_components_of_long_permuted_paths(self, n, parts, rng):
+        # Long paths are label propagation's slowest case: pointer
+        # jumping must still settle every component on its smallest node.
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = set(rng.sample(range(1, n), min(parts - 1, n - 1)))
+        raw = nx.empty_graph(n)
+        raw.add_edges_from((order[i - 1], order[i]) for i in range(1, n)
+                           if i not in cuts)
+        check_components(DistributedGraph(raw))
 
     def test_bfs_from_many_sources_is_distance_to_nearest(self):
         graph = _family("grid", 36)

@@ -165,6 +165,25 @@ class TestQuickPass:
             assert_same_graph(graph, fresh)
 
 
+class TestImmutable:
+    def test_memoized_graph_refuses_mutation(self, memo):
+        graph = trial_graph("gnp-sparse", 30, seed=4)
+        csr = graph.csr
+        with pytest.raises(AttributeError):
+            graph.neighbors(0).append(29)
+        with pytest.raises(TypeError):
+            csr.neighbor_lists[0][0] = 29
+        with pytest.raises(TypeError):
+            csr.neighbor_lists[0] = (29,)
+        with pytest.raises(AttributeError):
+            csr.neighbor_sets[0].add(29)
+        with pytest.raises(ValueError, match="read-only"):
+            csr.indices[0] = 29
+        assert trial_graph("gnp-sparse", 30, seed=4) is graph
+        assert_same_graph(graph, assign(make("gnp-sparse", 30, seed=4),
+                                        "random", seed=4))
+
+
 class TestE10Sizes:
     def test_odd_size_scenario_is_refused(self, memo):
         # "regular-3" rounds an odd n up to n + 1; E10 rows record n, so
