@@ -9,8 +9,10 @@ its top-two flood actually took. This example prints:
 * Elkin–Neiman's accounted rounds against its measured rounds and
   messages, and the per-message size against the CONGEST budget;
 * the structural quality (colors, diameter, validity) of its output;
-* the two engine implementations (SyncEngine vs FastEngine) on one
-  program (Luby MIS) — identical outputs and reports, different wall time.
+* the two round engines on one algorithm (Luby MIS): the per-node
+  program on FastEngine (``engine="fast"``, what an active fault plan
+  runs) and the whole-round program on ArrayEngine (``engine="array"``,
+  the default) — identical outputs and reports, different wall time.
 
     python examples/engine_vs_orchestrated.py
 """
@@ -19,10 +21,9 @@ import dataclasses
 import time
 
 from repro.core.decomposition import elkin_neiman, measure
-from repro.core.mis import LubyMIS
+from repro.core.mis import luby_mis
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
-from repro.sim import CONGEST, FastEngine, SyncEngine
 from repro.sim.messages import congest_limit
 
 
@@ -54,24 +55,22 @@ def main() -> None:
     assert message_bits <= limit
 
     # ------------------------------------------------------------------
-    # SyncEngine vs FastEngine: same program, same bits, less time.
+    # FastEngine vs ArrayEngine: same algorithm, same bits, less time.
     # ------------------------------------------------------------------
-    print("\nengine implementations (Luby MIS, CONGEST):")
-    timings = {}
+    print("\nround engines (Luby MIS, CONGEST):")
     results = {}
-    for label, engine_cls in (("sync", SyncEngine), ("fast", FastEngine)):
+    for engine in ("fast", "array"):
         start = time.perf_counter()
-        results[label] = engine_cls(
-            graph, lambda _v: LubyMIS(),
-            source=IndependentSource(seed=3), model=CONGEST).run()
-        timings[label] = time.perf_counter() - start
-        rep = results[label].report
-        print(f"  {label}Engine: {timings[label] * 1000:6.1f}ms  "
+        results[engine] = luby_mis(graph, IndependentSource(seed=3),
+                                   engine=engine)
+        elapsed = time.perf_counter() - start
+        rep = results[engine].report
+        print(f"  engine={engine!r}: {elapsed * 1000:6.1f}ms  "
               f"rounds={rep.rounds} messages={rep.messages} "
               f"bits={rep.total_bits}")
-    assert results["sync"].outputs == results["fast"].outputs
-    assert (dataclasses.asdict(results["sync"].report)
-            == dataclasses.asdict(results["fast"].report))
+    assert results["fast"].outputs == results["array"].outputs
+    assert (dataclasses.asdict(results["fast"].report)
+            == dataclasses.asdict(results["array"].report))
     print("  outputs and reports are bit-identical; only wall time differs")
 
 

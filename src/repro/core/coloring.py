@@ -17,8 +17,8 @@ from typing import Dict, Optional, Tuple
 
 from ..randomness.source import RandomSource
 from ..sim.batch.fast_engine import FastEngine
-from ..sim.engine import CONGEST
 from ..sim.graph import DistributedGraph
+from ..sim.messages import CONGEST
 from ..sim.metrics import AlgorithmResult, RunReport
 from ..sim.node import NodeContext, NodeProgram
 from ..structures import Decomposition

@@ -26,8 +26,8 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.batch.fast_engine import FastEngine
-from ..sim.engine import CONGEST
 from ..sim.graph import DistributedGraph
+from ..sim.messages import CONGEST
 from ..sim.metrics import AlgorithmResult
 from ..sim.node import NodeContext, NodeProgram
 

@@ -29,14 +29,12 @@ from ..sim.batch.array import (
     ArrayEngine,
     ArrayProgram,
     Sends,
-    check_engine,
-    reject_array_faults,
+    resolve_engine,
     tuple_message_bits,
 )
 from ..sim.batch.fast_engine import FastEngine
-from ..sim.engine import CONGEST
 from ..sim.graph import DistributedGraph
-from ..sim.messages import message_bits
+from ..sim.messages import CONGEST, message_bits
 from ..sim.metrics import AlgorithmResult, RunReport
 from ..sim.node import NodeContext, NodeProgram
 from ..sim.slocal import SLocalSimulator, SLocalView
@@ -209,25 +207,26 @@ class ArrayLubyMIS(ArrayProgram):
 
 def luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
              max_rounds: int = 100_000,
-             engine: str = "fast",
+             engine: Optional[str] = None,
              faults=None, csr=None) -> AlgorithmResult:
     """Run Luby's algorithm in the CONGEST model.
 
-    ``engine`` selects the execution backend: ``"fast"`` steps the
-    :class:`LubyMIS` node program per node on FastEngine; ``"array"``
-    runs the whole-round :class:`ArrayLubyMIS` on the
-    :class:`~repro.sim.batch.array.ArrayEngine`. Both produce
-    bit-identical outputs and reports.
+    The engine follows ``faults`` (a
+    :class:`~repro.sim.batch.faults.RoundFaultPlan`): under an active
+    plan the :class:`LubyMIS` node program steps per node on
+    FastEngine, and otherwise the whole-round :class:`ArrayLubyMIS`
+    runs on the :class:`~repro.sim.batch.array.ArrayEngine`. Both
+    produce bit-identical outputs and reports; ``engine`` (``"fast"``
+    or ``"array"``) pins one, see
+    :func:`~repro.sim.batch.array.resolve_engine`. A crashed node's
+    output stays ``None``, and :func:`is_valid_mis` then reports the
+    survivors' independence/maximality honestly.
 
     ``csr`` reuses a frozen :class:`~repro.sim.batch.csr.CSRGraph`
     across runs (``graph`` may then be ``None`` — the million-node
-    path). ``faults`` (a :class:`~repro.sim.batch.faults.RoundFaultPlan`)
-    is only supported on the fast engine; a crashed node's output stays
-    ``None`` and :func:`is_valid_mis` then reports the survivors'
-    independence/maximality honestly.
+    path).
     """
-    if check_engine(engine) == "array":
-        reject_array_faults(faults)
+    if resolve_engine(engine, faults) == "array":
         result = ArrayEngine(graph, ArrayLubyMIS(), source=source,
                              model=CONGEST, max_rounds=max_rounds,
                              csr=csr).run()

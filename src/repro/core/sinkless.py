@@ -280,7 +280,7 @@ def randomized_orientation_engine(graph: DistributedGraph,
     non-converged run yields a sink.
     """
     from ..sim.batch.fast_engine import FastEngine
-    from ..sim.engine import CONGEST
+    from ..sim.messages import CONGEST
 
     engine = FastEngine(
         graph, lambda _v: SinklessFixupProgram(min_degree, horizon),

@@ -12,7 +12,6 @@ for the model and ``library/`` for the named scenarios the CLIs accept
 via ``--scenario``.
 """
 
-from ..sim.batch.array import ENGINES
 from ..sim.batch.tasks import bfs_forest_trial, flood_min_trial, luby_mis_trial
 from .loader import (
     LIBRARY_DIR,
@@ -46,7 +45,6 @@ register_task("flood-min", flood_min_trial)
 register_task("bfs-forest", bfs_forest_trial)
 
 __all__ = [
-    "ENGINES",
     "LIBRARY_DIR",
     "AlgorithmSpec",
     "ExperimentGrid",

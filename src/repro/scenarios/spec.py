@@ -1,10 +1,10 @@
 """The scenario model: one frozen spec per workload, compiled to grids.
 
 A :class:`ScenarioSpec` is the single declarative description of a
-workload: which graphs (family and size schedule), which algorithm on
-which engine, how UIDs are assigned, how much randomness the nodes may
-burn, what faults the network injects, and which seeds to sweep. The
-paper experiments (E1–E11) and the adversarial library workloads
+workload: which graphs (family and size schedule), which algorithm,
+how UIDs are assigned, how much randomness the nodes may burn, what
+faults the network injects, and which seeds to sweep. The paper
+experiments (E1–E11) and the adversarial library workloads
 (``repro/scenarios/library/*.yaml``) are both expressed in it, so
 "what did this run actually execute?" always has one canonical,
 serializable answer.
@@ -49,12 +49,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from ..errors import ConfigurationError
 from ..graphs.generators import FAMILIES
 from ..graphs.ids import SCHEMES
-from ..sim.batch.array import check_engine
 
 #: Spec params the compiler owns; algorithm params must not shadow them.
 RESERVED_PARAMS = frozenset(
     (
-        "engine",
         "ids",
         "bit_budget",
         "fault_seed",
@@ -141,10 +139,13 @@ class GraphSchedule:
 
 @dataclasses.dataclass(frozen=True)
 class AlgorithmSpec:
-    """Which algorithm: a registered task name, engine pin, and knobs."""
+    """Which algorithm: a registered task name and its knobs.
+
+    There is no engine key: the fault section picks the engine
+    (:func:`~repro.sim.batch.array.resolve_engine`).
+    """
 
     task: str
-    engine: Optional[str] = None
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -152,8 +153,6 @@ class AlgorithmSpec:
             isinstance(self.task, str) and bool(self.task),
             "algorithm.task must be a non-empty string",
         )
-        if self.engine is not None:  # None = the task's default, "fast"
-            check_engine(self.engine, key="algorithm.engine")
         params = tuple(
             sorted((tuple(pair) for pair in self.params), key=lambda pair: pair[0])
         )
@@ -161,6 +160,11 @@ class AlgorithmSpec:
             _require(
                 isinstance(key, str) and bool(key),
                 f"algorithm.params keys must be strings, got {key!r}",
+            )
+            _require(
+                key != "engine",
+                "algorithm.params may not set 'engine'; the engine "
+                "follows the faults section",
             )
             _require(
                 key not in RESERVED_PARAMS,
@@ -175,10 +179,8 @@ class AlgorithmSpec:
         object.__setattr__(self, "params", params)
 
     @classmethod
-    def of(
-        cls, task: str, engine: Optional[str] = None, **params: Any
-    ) -> AlgorithmSpec:
-        return cls(task, engine, tuple(params.items()))
+    def of(cls, task: str, **params: Any) -> AlgorithmSpec:
+        return cls(task, tuple(params.items()))
 
     def param(self, name: str, default: Any = None) -> Any:
         for key, value in self.params:
@@ -376,8 +378,6 @@ class ScenarioSpec:
         nothing, keeping plain scenarios' TrialSpecs (and store keys)
         byte-identical to hand-written grids."""
         extra: Dict[str, Any] = dict(self.algorithm.params)
-        if self.algorithm.engine is not None:
-            extra["engine"] = self.algorithm.engine
         if self.ids is not None:
             extra["ids"] = self.ids.scheme
         if self.randomness is not None:
@@ -474,8 +474,6 @@ class ScenarioSpec:
             "sizes": list(self.graph.sizes),
         }
         algorithm: Dict[str, Any] = {"task": self.algorithm.task}
-        if self.algorithm.engine is not None:
-            algorithm["engine"] = self.algorithm.engine
         if self.algorithm.params:
             algorithm["params"] = dict(self.algorithm.params)
         data["algorithm"] = algorithm
@@ -568,12 +566,16 @@ class ScenarioSpec:
             sizes=tuple(sizes),
         )
         section = _section(data, "algorithm")
-        _check_keys(section, ("task", "engine", "params"), "algorithm")
+        _require(
+            "engine" not in section,
+            "algorithm.engine is gone; the engine follows the faults "
+            "section (FastEngine under active faults, else ArrayEngine)",
+        )
+        _check_keys(section, ("task", "params"), "algorithm")
         params = section.get("params", {})
         _require(isinstance(params, Mapping), "algorithm.params must be a mapping")
         kwargs["algorithm"] = AlgorithmSpec(
             task=section.get("task"),
-            engine=section.get("engine"),
             params=tuple(params.items()),
         )
         if "ids" in data:
@@ -646,7 +648,6 @@ def sweep_scenario(
     sizes,
     *,
     description: str = "",
-    engine: Optional[str] = None,
     ids: Optional[str] = None,
     bit_budget: Optional[int] = None,
     faults: Optional[FaultModel] = None,
@@ -667,7 +668,7 @@ def sweep_scenario(
         name=name,
         description=description,
         graph=GraphSchedule(family=family, sizes=tuple(sizes)),
-        algorithm=AlgorithmSpec.of(task, engine, **params),
+        algorithm=AlgorithmSpec.of(task, **params),
         ids=None if ids is None else IdAssignment(scheme=ids),
         randomness=randomness,
         faults=faults,

@@ -9,12 +9,10 @@ from .batch import (
     TrialSpec,
     aggregate,
     grid,
-    run_program_fast,
     run_trials,
 )
-from .engine import CONGEST, LOCAL, SyncEngine, run_program
 from .graph import DistributedGraph
-from .messages import congest_limit, message_bits
+from .messages import CONGEST, LOCAL, congest_limit, message_bits
 from .metrics import AlgorithmResult, RunReport
 from .node import NodeContext, NodeProgram
 from .primitives import (
@@ -41,7 +39,6 @@ __all__ = [
     "TrialSpec",
     "aggregate",
     "grid",
-    "run_program_fast",
     "run_trials",
     "FloodMin",
     "build_bfs_forest",
@@ -55,8 +52,6 @@ __all__ = [
     "RunReport",
     "SLocalSimulator",
     "SLocalView",
-    "SyncEngine",
     "congest_limit",
     "message_bits",
-    "run_program",
 ]

@@ -1,30 +1,28 @@
-"""Batch simulation: CSR topology, the fast engines, and seed sweeps.
+"""Batch simulation: CSR topology, the two round engines, and seed sweeps.
 
-The scaling layer of the simulator (ROADMAP north star): the static
-network structure is frozen once, when the
-:class:`~repro.sim.graph.DistributedGraph` is built (its
-:class:`CSRGraph`); node programs run on it without per-round
-allocation churn (:class:`FastEngine`, a drop-in
-:class:`~repro.sim.engine.SyncEngine` replacement), data-parallel
-programs run as whole-round fused numpy passes with no per-node Python
-dispatch at all (:class:`ArrayEngine` running :class:`ArrayProgram`\\ s,
-bit-identical to FastEngine; the ``engine=`` knob picks one of
-:data:`ENGINES`), and whole (family, size, seed) grids fan across
-processes (:func:`run_trials`).
+The scaling layer of the simulator: the static network structure is
+frozen once, when the :class:`~repro.sim.graph.DistributedGraph` is
+built (its :class:`CSRGraph`); node programs run on it without
+per-round allocation churn (:class:`FastEngine`, the per-node engine
+and the only one that takes a fault plan), data-parallel programs run
+as whole-round fused numpy passes with no per-node Python dispatch at
+all (:class:`ArrayEngine` running :class:`ArrayProgram`\\ s,
+bit-identical to FastEngine;
+:func:`~repro.sim.batch.array.resolve_engine` picks ArrayEngine unless
+a fault plan is active), and whole (family, size, seed) grids fan
+across processes (:func:`run_trials`).
 """
 
 import importlib
 
 from .array import (
-    ENGINES,
     ArrayContext,
     ArrayEngine,
     ArrayProgram,
     Sends,
-    check_engine,
 )
 from .csr import CSRGraph, ensure_csr
-from .fast_engine import FastEngine, run_program_fast
+from .fast_engine import FastEngine
 from .tasks import bfs_forest_trial, flood_min_trial, luby_mis_trial
 from .runner import (
     TrialResult,
@@ -100,7 +98,6 @@ __all__ = [
     "CoordinatorServer",
     "CoordinatorUnavailable",
     "DirTransport",
-    "ENGINES",
     "FastEngine",
     "FaultPlan",
     "FlakyControl",
@@ -122,7 +119,6 @@ __all__ = [
     "aggregate",
     "bfs_forest_trial",
     "canonical_spec",
-    "check_engine",
     "compact",
     "default_chunksize",
     "deterministic_uniform",
@@ -135,7 +131,6 @@ __all__ = [
     "pushed_store_dirs",
     "record_digest",
     "resolve_workers",
-    "run_program_fast",
     "run_trials",
     "run_worker",
     "shard",

@@ -65,9 +65,8 @@ import numpy as np
 
 from ...errors import BandwidthExceeded, ConfigurationError, ModelViolation
 from ...randomness.source import RandomSource
-from ..engine import CONGEST, LOCAL
 from ..graph import DistributedGraph
-from ..messages import congest_limit, message_bits
+from ..messages import CONGEST, LOCAL, congest_limit, message_bits
 from ..metrics import AlgorithmResult, RunReport
 from .csr import CSRGraph, ensure_csr, segment_reduce  # noqa: F401
 
@@ -88,37 +87,32 @@ FOLD_MIN_ROWS = 1024
 #: a fraction of the fold's edge buffers.
 FRONTIER_DIV = 4
 
-#: ``engine=`` values: "fast" steps a node program per node on
-#: FastEngine, "array" runs the whole-round ArrayProgram here.
-ENGINES = ("fast", "array")
-
 # Framing constants derived from the accounting encoder itself, so the
 # vectorized size formulas below can never drift from message_bits().
 _TUPLE_BASE = message_bits(())
 _ELEMENT_OVERHEAD = message_bits((0,)) - message_bits(0) - _TUPLE_BASE
 
 
-def check_engine(engine: Any, key: str = "engine") -> str:
-    """``engine`` if it is one of :data:`ENGINES`; else a loud error.
+def resolve_engine(engine: Optional[str], faults: Any) -> str:
+    """The engine a primitive runs on: ``"fast"`` or ``"array"``.
 
-    ``key`` names the setting in the message (scenario files pass
-    ``"algorithm.engine"``).
+    ``engine=None`` follows the fault plan: an active
+    :class:`~repro.sim.batch.faults.RoundFaultPlan` needs FastEngine's
+    per-message delivery hook, and every other run takes the
+    bit-identical, faster ArrayEngine. An explicit engine is checked
+    against the same rule.
     """
-    if engine in ENGINES:
-        return engine
-    if engine in ("kernel", "native"):
+    active = faults is not None and faults.active
+    if engine is None:
+        return "fast" if active else "array"
+    if engine not in ("fast", "array"):
         raise ConfigurationError(
-            f"{key}={engine!r} is gone; use {key}='array' (same fused "
-            f"kernels, bit-identical outputs and reports)")
-    raise ConfigurationError(f"unknown {key} {engine!r}; choose from {ENGINES}")
-
-
-def reject_array_faults(faults: Any) -> None:
-    """Refuse an active fault plan: only FastEngine can inject faults."""
-    if faults is not None and faults.active:
+            f"unknown engine {engine!r}; choose from ('fast', 'array')")
+    if engine == "array" and active:
         raise ConfigurationError(
             "fault injection requires engine='fast'; the array engine "
             "has no per-message delivery hook")
+    return engine
 
 
 def int_message_bits(values: np.ndarray) -> np.ndarray:
@@ -188,7 +182,7 @@ class Sends:
     CONGEST limits are enforced, matching FastEngine's resolve step) and
     folded into the report by the engine at *delivery* time one round
     later — so messages queued by nodes whose run ends before the next
-    round are dropped uncounted, exactly like the reference engines.
+    round are dropped uncounted, exactly as on FastEngine.
     """
 
     __slots__ = ("messages", "total_bits", "max_message_bits")

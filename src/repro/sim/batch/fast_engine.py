@@ -1,23 +1,30 @@
-"""A drop-in, allocation-light replacement for :class:`SyncEngine`.
+"""The per-node round engine for the LOCAL and CONGEST models.
 
-Same model semantics as :class:`~repro.sim.engine.SyncEngine` — the
-:class:`~repro.sim.node.NodeProgram`/:class:`~repro.sim.node.NodeContext`
-contract, LOCAL and CONGEST enforcement, ``n_override`` (lie about n),
-``uniform`` (deny access to n), and round/message/bit accounting are all
-identical, and for any program the two engines produce bit-identical
-outputs and reports (see ``tests/test_fast_engine_equivalence.py``).
+Section 2 of the paper: communication happens in synchronous rounds; per
+round each node can send one message to each neighbor. In LOCAL message
+sizes are unbounded; in CONGEST each message carries O(log n) bits. The
+engine executes a :class:`~repro.sim.node.NodeProgram` at every node,
+delivers messages with one-round latency, enforces the bandwidth limit
+in CONGEST mode, and measures rounds/messages/bits. ``n_override``
+implements the "lie about n" technique of Theorems 4.3/4.6 (nodes are
+told the network has ``N >= n`` nodes), and ``uniform`` denies nodes
+access to n.
 
-What changes is the hot path:
+It is the engine for arbitrary node programs and the only one that
+takes a fault plan; data-parallel programs run bit-identically on
+:class:`~repro.sim.batch.array.ArrayEngine`. The tests hold it to a
+plain dict-per-round reference engine (in ``tests/helpers.py``) on
+every program, family and model. Its hot path:
 
-* topology is frozen once into a :class:`~repro.sim.batch.csr.CSRGraph`
-  (cached neighbor lists + frozensets) instead of re-materializing
-  ``set(graph.neighbors(v))`` on every send of every round;
+* topology is the graph's frozen :class:`~repro.sim.batch.csr.CSRGraph`
+  (cached neighbor lists + frozensets), so no send re-materializes a
+  neighbor set;
 * pure broadcasts — the dominant outbox shape — skip per-target dict
   construction and per-target bandwidth checks: the payload is sized
   once and fanned out along the CSR neighbor list;
 * only nodes that actually received messages get a fresh inbox dict,
-  and only still-running nodes are stepped (an active list replaces the
-  all-nodes scan of the reference engine).
+  and only still-running nodes are stepped (an active list, not an
+  all-nodes scan).
 """
 
 from __future__ import annotations
@@ -26,9 +33,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...errors import BandwidthExceeded, ConfigurationError, ModelViolation
 from ...randomness.source import RandomSource
-from ..engine import CONGEST, LOCAL
 from ..graph import DistributedGraph
-from ..messages import congest_limit, message_bits
+from ..messages import CONGEST, LOCAL, congest_limit, message_bits
 from ..metrics import AlgorithmResult, RunReport
 from ..node import NodeContext, NodeProgram
 from .csr import CSRGraph, ensure_csr
@@ -40,9 +46,14 @@ _BCAST = object()
 class FastEngine:
     """Executes one node program per node, in lock-step rounds, fast.
 
-    Accepts the same parameters as :class:`~repro.sim.engine.SyncEngine`
-    plus an optional pre-built ``csr`` (reuse it across many runs on the
-    same topology — e.g. a seed sweep — to skip reconstruction) and an
+    Parameters: the ``graph``; a ``program_factory`` called once per
+    node index; an optional randomness ``source``; ``model`` (``LOCAL``
+    or ``CONGEST``); ``n_override`` (claimed n, at least the real one);
+    ``bandwidth_bits`` (CONGEST limit, default
+    :func:`~repro.sim.messages.congest_limit` of the claimed n);
+    ``max_rounds`` (raise past it); ``uniform`` (deny access to n); an
+    optional pre-built ``csr`` (reuse it across many runs on the same
+    topology — e.g. a seed sweep — to skip reconstruction); and an
     optional ``faults`` plan (duck-typed to
     :class:`~repro.sim.batch.faults.RoundFaultPlan`; kept untyped here so
     the hot path never imports the fault-injection module).
@@ -116,7 +127,8 @@ class FastEngine:
 
         Mixed outboxes (a BROADCAST key plus explicit targets) resolve
         with the explicit payload winning for its target regardless of
-        dict insertion order, matching :class:`SyncEngine`.
+        dict insertion order: the broadcast fans out first, then the
+        explicit entries overwrite.
         """
         if not outbox:
             return None
@@ -125,8 +137,8 @@ class FastEngine:
             payload = outbox[NodeProgram.BROADCAST]
             bits = message_bits(payload)
             if congest and bits > self.bandwidth:
-                # Matches SyncEngine: an empty neighborhood sends nothing,
-                # so an oversized broadcast there never trips the check.
+                # An empty neighborhood sends nothing, so an oversized
+                # broadcast there never trips the check.
                 if self.csr.degrees[v]:
                     raise BandwidthExceeded(
                         f"node {v} -> {self.csr.neighbor_lists[v][0]}: "
@@ -295,12 +307,3 @@ class FastEngine:
             report.randomness_bits = self.source.bits_consumed - before_bits
         outputs = {v: contexts[v].output for v in range(n)}
         return AlgorithmResult(outputs=outputs, report=report)
-
-
-def run_program_fast(graph: DistributedGraph, program_cls: type,
-                     source: Optional[RandomSource] = None, model: str = LOCAL,
-                     **kwargs) -> AlgorithmResult:
-    """Convenience wrapper: run one program class on every node, fast."""
-    engine = FastEngine(graph, lambda _v: program_cls(), source=source,
-                        model=model, **kwargs)
-    return engine.run()

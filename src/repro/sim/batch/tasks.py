@@ -8,9 +8,12 @@ all algorithm randomness derives from ``spec.seed`` — so sweeps are
 reproducible and independent of worker count. They double as templates
 for writing new tasks.
 
-Every task takes an ``engine`` knob (``"fast"``, the default, or
-``"array"``, see :mod:`repro.sim.batch.array`); both are bit-identical
-in outputs and reports, so sweeps can switch freely for speed.
+No task takes an engine knob: the fault plan picks it. A spec with a
+nonzero ``fault_crash``/``fault_loss``/``fault_churn`` runs FastEngine,
+the one engine with a per-message fault hook, and every other spec
+runs the bit-identical ArrayEngine
+(:func:`~repro.sim.batch.array.resolve_engine`). An ``engine`` param is
+refused, so no stored spec can claim an engine it did not run on.
 
 Graph builds go through :func:`repro.graphs.trial_graph`, the one
 process-local graph memo: for seed-invariant families (path, grid, ...)
@@ -30,7 +33,7 @@ play the task catches the model's own failure signals
 BandwidthExceeded`, :class:`~repro.errors.RandomnessExhausted`) and
 reports them as a failed trial instead of crashing the sweep — an
 adversarial run *failing* is a data point, not an error. Specs without
-those knobs take exactly the code paths they always did.
+those knobs let every error propagate.
 """
 
 from __future__ import annotations
@@ -45,17 +48,12 @@ from ...errors import (
 )
 from ...graphs import trial_graph
 from ...randomness.independent import IndependentSource
-from ..engine import CONGEST
 from ..graph import DistributedGraph
-from .array import check_engine
+from ..messages import CONGEST
 from .runner import TrialResult, TrialSpec
 
 #: Model-level failure signals an adversarial trial converts to data.
 _TRIAL_FAILURES = (ModelViolation, BandwidthExceeded, RandomnessExhausted)
-
-
-def _engine_of(spec: TrialSpec) -> str:
-    return check_engine(spec.param("engine", "fast"))
 
 
 def _graph_of(spec: TrialSpec) -> DistributedGraph:
@@ -65,7 +63,14 @@ def _graph_of(spec: TrialSpec) -> DistributedGraph:
 
 
 def _faults_of(spec: TrialSpec):
-    """The spec's RoundFaultPlan, or None when no fault knob is set."""
+    """The spec's RoundFaultPlan, or None when no fault knob is set.
+
+    The plan alone picks the engine, so an ``engine`` param is refused.
+    """
+    if "engine" in spec.kwargs:
+        raise ConfigurationError(
+            f"engine={spec.param('engine')!r} is not a trial param; the "
+            f"engine follows the fault_* knobs")
     crash = spec.param("fault_crash", 0.0)
     loss = spec.param("fault_loss", 0.0)
     churn = spec.param("fault_churn", 0.0)
@@ -105,11 +110,10 @@ def _report_data(result) -> dict:
 def luby_mis_trial(spec: TrialSpec) -> TrialResult:
     """Luby's MIS in CONGEST; ``ok`` is MIS validity.
 
-    Knobs: ``engine`` ("fast"/"array"),
-    ``max_rounds``, ``ids``, ``bit_budget``, ``fault_*`` (see module
-    docstring). Under crashes,
-    dead nodes output ``None`` and ``ok`` reports whether the surviving
-    flags still form a valid MIS — usually not, which is the point.
+    Knobs: ``max_rounds``, ``ids``, ``bit_budget``, ``fault_*`` (see
+    module docstring). Under crashes, dead nodes output ``None`` and
+    ``ok`` reports whether the surviving flags still form a valid MIS —
+    usually not, which is the point.
     """
     # Deferred: repro.core pulls in repro.checkers, which imports back
     # into repro.sim — a module-level import here would close the cycle.
@@ -129,7 +133,7 @@ def luby_mis_trial(spec: TrialSpec) -> TrialResult:
         result = luby_mis(g, IndependentSource(seed=spec.seed,
                                                bit_budget=budget),
                           max_rounds=spec.param("max_rounds", 100_000),
-                          engine=_engine_of(spec), faults=faults)
+                          faults=faults)
         return TrialResult(spec, is_valid_mis(g, result.outputs),
                            _report_data(result))
 
@@ -140,10 +144,9 @@ def flood_min_trial(spec: TrialSpec) -> TrialResult:
     """Deterministic FloodMin; ``ok`` means every node found the global min
     (only guaranteed once ``radius`` reaches the graph diameter).
 
-    Knobs: ``radius`` (default 8), ``model`` (default CONGEST),
-    ``engine`` ("fast"/"array"), ``ids``, ``fault_*``
-    (see module docstring; omission loss makes the min propagate late
-    or never).
+    Knobs: ``radius`` (default 8), ``model`` (default CONGEST), ``ids``,
+    ``fault_*`` (see module docstring; omission loss makes the min
+    propagate late or never).
     """
     from ..primitives import flood_min
 
@@ -153,7 +156,7 @@ def flood_min_trial(spec: TrialSpec) -> TrialResult:
     def run() -> TrialResult:
         result = flood_min(g, spec.param("radius", 8),
                            model=spec.param("model", CONGEST),
-                           engine=_engine_of(spec), faults=faults)
+                           faults=faults)
         global_min = min(g.uid(v) for v in g.nodes())
         ok = all(out == global_min for out in result.outputs.values())
         return TrialResult(spec, ok, _report_data(result))
@@ -165,9 +168,8 @@ def bfs_forest_trial(spec: TrialSpec) -> TrialResult:
     """BFS forest grown from node 0; ``ok`` means every node was claimed
     (guaranteed on connected graphs once the depth bound covers them).
 
-    Knobs: ``depth_bound`` (default n), ``engine``
-    ("fast"/"array"), ``ids``, ``fault_*`` (see
-    module docstring; churn can sever the frontier mid-growth, leaving
+    Knobs: ``depth_bound`` (default n), ``ids``, ``fault_*`` (see module
+    docstring; churn can sever the frontier mid-growth, leaving
     unclaimed nodes).
     """
     from ..primitives import build_bfs_forest
@@ -178,7 +180,7 @@ def bfs_forest_trial(spec: TrialSpec) -> TrialResult:
     def run() -> TrialResult:
         result = build_bfs_forest(g, {0},
                                   depth_bound=spec.param("depth_bound"),
-                                  engine=_engine_of(spec), faults=faults)
+                                  faults=faults)
         ok = all(out is not None for out in result.outputs.values())
         return TrialResult(spec, ok, _report_data(result))
 

@@ -15,6 +15,11 @@ from typing import Any
 
 from ..errors import ModelViolation
 
+#: The two message-passing models of Section 2: unbounded messages
+#: (LOCAL) and :func:`congest_limit` bits per message (CONGEST).
+LOCAL = "LOCAL"
+CONGEST = "CONGEST"
+
 #: framing overhead per container element, in bits (length/type tags).
 _FRAMING_BITS = 2
 

@@ -17,8 +17,9 @@ orchestrated pipelines.
 :class:`ArrayFloodMin` and :class:`ArrayBFSForest` are the whole-round
 array-program equivalents for the
 :class:`~repro.sim.batch.array.ArrayEngine` (bit-identical outputs and
-reports); :func:`flood_min` and :func:`build_bfs_forest` select the
-backend via their ``engine`` knob.
+reports); :func:`flood_min` and :func:`build_bfs_forest` run them
+unless a fault plan is active, which needs the per-node programs on
+FastEngine.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from .batch.array import (
     ArrayEngine,
     ArrayProgram,
     Sends,
-    check_engine,
-    reject_array_faults,
+    resolve_engine,
     tuple_message_bits,
 )
 from .batch.fast_engine import FastEngine
-from .engine import CONGEST
 from .graph import DistributedGraph
+from .messages import CONGEST
 from .metrics import AlgorithmResult
 from .node import NodeContext, NodeProgram
 
@@ -218,17 +218,17 @@ class ArrayBFSForest(ArrayProgram):
 
 
 def flood_min(graph: Optional[DistributedGraph], radius: int,
-              model: str = CONGEST, engine: str = "fast", faults=None,
-              csr=None) -> AlgorithmResult:
-    """Run FloodMin on the selected engine.
+              model: str = CONGEST, engine: Optional[str] = None,
+              faults=None, csr=None) -> AlgorithmResult:
+    """Run FloodMin on the engine ``faults`` picks.
 
-    ``engine`` is ``"fast"`` (the per-node program on FastEngine) or
-    ``"array"`` (the whole-round program on ArrayEngine); both are
-    bit-identical. ``csr`` reuses a frozen topology (``graph`` may then
-    be ``None``).
+    An active fault plan runs the per-node program on FastEngine; every
+    other run takes the bit-identical whole-round program on
+    ArrayEngine (``engine`` pins one, see
+    :func:`~repro.sim.batch.array.resolve_engine`). ``csr`` reuses a
+    frozen topology (``graph`` may then be ``None``).
     """
-    if check_engine(engine) == "array":
-        reject_array_faults(faults)
+    if resolve_engine(engine, faults) == "array":
         return ArrayEngine(graph, ArrayFloodMin(radius), model=model,
                            csr=csr).run()
     return FastEngine(graph, lambda _v: FloodMin(radius),
@@ -237,14 +237,14 @@ def flood_min(graph: Optional[DistributedGraph], radius: int,
 
 def build_bfs_forest(graph: Optional[DistributedGraph], roots,
                      depth_bound: Optional[int] = None,
-                     engine: str = "fast", faults=None,
+                     engine: Optional[str] = None, faults=None,
                      csr=None) -> AlgorithmResult:
-    """Grow the BFS forest on the selected engine (CONGEST).
+    """Grow the BFS forest (CONGEST) on the engine ``faults`` picks.
 
     Engine and ``csr`` knobs as in :func:`flood_min`. With ``graph=None``
     the default ``depth_bound`` comes from the CSR's node count.
     """
-    check_engine(engine)
+    engine = resolve_engine(engine, faults)
     if depth_bound is not None:
         bound = depth_bound
     elif graph is not None:
@@ -256,7 +256,6 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
             "build_bfs_forest needs a DistributedGraph or a pre-built "
             "CSRGraph; both were None")
     if engine == "array":
-        reject_array_faults(faults)
         return ArrayEngine(graph, ArrayBFSForest(roots, bound),
                            model=CONGEST, max_rounds=bound + 2,
                            csr=csr).run()

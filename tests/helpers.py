@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
+                    Set, Tuple)
 
 import networkx as nx
 import numpy as np
@@ -20,13 +21,22 @@ from hypothesis import strategies as st
 
 from repro.core.decomposition import elkin_neiman, en_phase_loop, gather_bits
 from repro.core.ruling_sets import greedy_ruling_set, voronoi_clusters
-from repro.errors import ConfigurationError, RandomnessExhausted
+from repro.errors import (
+    BandwidthExceeded,
+    ConfigurationError,
+    ModelViolation,
+    RandomnessExhausted,
+)
 from repro.graphs import assign, make
 from repro.randomness import SharedRandomness
 from repro.randomness.pooled import PooledBits
+from repro.randomness.source import RandomSource
 from repro.sim.batch.array import ArrayContext
 from repro.sim.batch.csr import bfs_distances, edges_to_csr, index_edges
 from repro.sim.graph import DistributedGraph, EdgeList
+from repro.sim.messages import CONGEST, LOCAL, congest_limit, message_bits
+from repro.sim.metrics import AlgorithmResult, RunReport
+from repro.sim.node import NodeContext, NodeProgram
 
 #: The named families every cross-topology test sweeps over.
 FAMILY_NAMES = ("path", "cycle", "grid", "gnp-sparse", "gnp-dense",
@@ -634,3 +644,143 @@ def nx_adversarial_uids(graph: nx.Graph) -> List[int]:
     order.extend(v for v in labels if v not in reached)
     uid_of = {v: i + 1 for i, v in enumerate(order)}
     return [uid_of[v] for v in labels]
+
+
+class SyncEngine:
+    """The reference round engine FastEngine is held to.
+
+    One dict per node per round and no shortcuts: every outbox is
+    resolved against ``set(graph.neighbors(v))``, every node is scanned
+    every round, every message is measured on delivery. Same parameters
+    and semantics as :class:`~repro.sim.batch.fast_engine.FastEngine`
+    without ``csr`` and ``faults``: ``program_factory`` is called once
+    per node index, ``model`` is ``LOCAL`` or ``CONGEST``,
+    ``n_override`` lies to the nodes about n (Theorem 4.3),
+    ``bandwidth_bits`` defaults to ``congest_limit`` of the claimed n,
+    ``max_rounds`` is the safety valve and ``uniform`` denies access to
+    n (Section 2).
+    """
+
+    def __init__(self, graph: DistributedGraph,
+                 program_factory: Callable[[int], NodeProgram],
+                 source: Optional[RandomSource] = None,
+                 model: str = LOCAL,
+                 n_override: Optional[int] = None,
+                 bandwidth_bits: Optional[int] = None,
+                 max_rounds: int = 100_000,
+                 uniform: bool = False):
+        if model not in (LOCAL, CONGEST):
+            raise ConfigurationError(f"unknown model {model!r}")
+        if n_override is not None and n_override < graph.n:
+            raise ConfigurationError(
+                f"n_override ({n_override}) must be >= actual n ({graph.n}); "
+                f"lying about n only inflates the network (Thm 4.3)"
+            )
+        self.graph = graph
+        self.model = model
+        self.source = source
+        self.claimed_n = n_override if n_override is not None else graph.n
+        if bandwidth_bits is not None:
+            self.bandwidth = bandwidth_bits
+        else:
+            self.bandwidth = congest_limit(self.claimed_n)
+        self.max_rounds = max_rounds
+        self._programs = {v: program_factory(v) for v in graph.nodes()}
+        self._contexts = {
+            v: NodeContext(v, graph.uid(v), graph.neighbors(v),
+                           self.claimed_n, source, uniform=uniform)
+            for v in graph.nodes()
+        }
+
+    def _validate_outbox(self, v: int, outbox: Dict[Any, Any]) -> Dict[int, Any]:
+        """Resolve broadcast, check addressing and bandwidth.
+
+        Mixed outboxes (a BROADCAST key plus explicit targets) resolve
+        with the explicit payload winning for its target regardless of
+        dict insertion order: the broadcast fans out first, then the
+        explicit entries overwrite. FastEngine pins the same rule.
+        """
+        if not outbox:
+            return {}
+        neighbors = set(self.graph.neighbors(v))
+        explicit: Dict[int, Any] = {}
+        broadcast_payload = None
+        has_broadcast = False
+        for target, payload in outbox.items():
+            if target == NodeProgram.BROADCAST:
+                broadcast_payload = payload
+                has_broadcast = True
+                continue
+            if target not in neighbors:
+                raise ModelViolation(
+                    f"node {v} tried to send to non-neighbor {target!r}"
+                )
+            explicit[target] = payload
+        resolved: Dict[int, Any] = {}
+        if has_broadcast:
+            for u in neighbors:
+                resolved[u] = broadcast_payload
+        resolved.update(explicit)
+        if self.model == CONGEST:
+            for target, payload in resolved.items():
+                size = message_bits(payload)
+                if size > self.bandwidth:
+                    raise BandwidthExceeded(
+                        f"node {v} -> {target}: message of {size} bits exceeds "
+                        f"CONGEST limit of {self.bandwidth} bits"
+                    )
+        return resolved
+
+    def run(self) -> AlgorithmResult:
+        """Execute until every node finished; return outputs and report."""
+        report = RunReport(model=self.model)
+        before_bits = self.source.bits_consumed if self.source else 0
+
+        # Round 0: init.
+        pending: Dict[int, Dict[int, Any]] = {v: {} for v in self.graph.nodes()}
+        outgoing: Dict[int, Dict[int, Any]] = {}
+        for v in self.graph.nodes():
+            outbox = self._programs[v].init(self._contexts[v]) or {}
+            outgoing[v] = self._validate_outbox(v, outbox)
+
+        round_index = 0
+        while True:
+            if all(self._contexts[v].finished for v in self.graph.nodes()):
+                break
+            round_index += 1
+            if round_index > self.max_rounds:
+                raise ModelViolation(
+                    f"algorithm exceeded max_rounds={self.max_rounds}"
+                )
+            # Deliver round (round_index)'s messages.
+            pending = {v: {} for v in self.graph.nodes()}
+            for sender, outbox in outgoing.items():
+                for target, payload in outbox.items():
+                    pending[target][sender] = payload
+                    report.messages += 1
+                    size = message_bits(payload)
+                    report.total_bits += size
+                    report.max_message_bits = max(report.max_message_bits, size)
+            # Step every live node.
+            outgoing = {}
+            for v in self.graph.nodes():
+                ctx = self._contexts[v]
+                if ctx.finished:
+                    continue
+                outbox = self._programs[v].step(ctx, round_index, pending[v]) or {}
+                outgoing[v] = self._validate_outbox(v, outbox)
+
+        report.rounds = round_index
+        if self.source is not None:
+            report.randomness_bits = self.source.bits_consumed - before_bits
+        outputs = {v: self._contexts[v].output for v in self.graph.nodes()}
+        return AlgorithmResult(outputs=outputs, report=report)
+
+
+def run_program(graph: DistributedGraph, program_cls: type,
+                source: Optional[RandomSource] = None, model: str = LOCAL,
+                engine: type = SyncEngine, **kwargs) -> AlgorithmResult:
+    """Run one program class on every node, on ``engine`` (the
+    reference by default; FastEngine takes the same arguments)."""
+    return engine(graph, lambda _v: program_cls(), source=source,
+                  model=model, **kwargs).run()

@@ -97,7 +97,8 @@ class TestGapRuleIsAdversarialProof:
 class TestFailureInjection:
     def test_congest_violation_surfaces_from_engine(self, path9):
         """A program over budget fails loudly, not silently."""
-        from repro.sim import NodeProgram, SyncEngine
+        from helpers import SyncEngine
+        from repro.sim import NodeProgram
 
         class TooBig(NodeProgram):
             def init(self, ctx):
@@ -143,7 +144,8 @@ class TestFailureInjection:
                 max_phases=0, epochs=2, cap=2)
 
     def test_engine_detects_runaway_algorithms(self, path9):
-        from repro.sim import NodeProgram, run_program
+        from helpers import run_program
+        from repro.sim import NodeProgram
 
         class Spinner(NodeProgram):
             def step(self, ctx, round_index, inbox):

@@ -10,8 +10,9 @@ bit. The property-style sweep below runs the cross product
 the three on array-built graphs large enough for the jagged-diagonal
 column fold (degree-regular, where the layout keeps node order, and
 irregular, where it sorts the rows), then the engine-semantics cases
-(lying about n, uniformity, bandwidth, CSR reuse) and the bulk sampler
-the array programs draw from.
+(lying about n, uniformity, bandwidth, CSR reuse), the engine each
+entry point picks from its fault plan, budget exhaustion, and the bulk
+sampler the array programs draw from.
 """
 
 from __future__ import annotations
@@ -33,7 +34,16 @@ from repro.errors import (
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
 from repro.sim import CONGEST, LOCAL, ArrayEngine, FastEngine
-from repro.sim.batch import CSRGraph
+from repro.sim.batch import (
+    CSRGraph,
+    RoundFaultPlan,
+    TrialSpec,
+    bfs_forest_trial,
+    flood_min_trial,
+    grid,
+    luby_mis_trial,
+    run_trials,
+)
 from repro.sim.batch.array import (
     ArrayContext,
     ArrayProgram,
@@ -269,8 +279,29 @@ class TestParitySemantics:
             ArrayEngine(g1, ArrayFloodMin(1), csr=g2.csr)
 
 
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Spy on FastEngine.run and ArrayEngine.run: the names of the
+    engines that ran, in call order."""
+    runs = []
+    for cls in (FastEngine, ArrayEngine):
+        def spy(self, _real=cls.run, _name=cls.__name__):
+            runs.append(_name)
+            return _real(self)
+        monkeypatch.setattr(cls, "run", spy)
+    return runs
+
+
+#: The three primitives that take ``engine=`` and ``faults=``.
+PRIMITIVES = {
+    "luby_mis": lambda g, **kw: luby_mis(g, IndependentSource(seed=2), **kw),
+    "flood_min": lambda g, **kw: flood_min(g, 3, **kw),
+    "build_bfs_forest": lambda g, **kw: build_bfs_forest(g, {0}, **kw),
+}
+
+
 class TestEngineKnobs:
-    """The engine= selector on the algorithm entry points and tasks."""
+    """The engine each entry point picks, and the engine= override."""
 
     def test_luby_mis_knob(self, gnp60):
         fast = luby_mis(gnp60, IndependentSource(seed=3), engine="fast")
@@ -293,29 +324,71 @@ class TestEngineKnobs:
         with pytest.raises(ConfigurationError):
             build_bfs_forest(gnp60, {0}, engine="warp")
 
-    def test_tasks_engine_param(self):
-        from repro.sim.batch import (
-            bfs_forest_trial,
-            flood_min_trial,
-            grid,
-            luby_mis_trial,
-            run_trials,
-        )
+    def test_tasks_engine_param(self, monkeypatch):
+        # The tasks take no engine param; what they run by default
+        # (ArrayEngine) equals the same sweep forced onto FastEngine.
+        import repro.core.mis as mis_module
+        import repro.sim.primitives as primitives_module
 
-        for task in (luby_mis_trial, flood_min_trial, bfs_forest_trial):
-            fast = run_trials(task, grid(["gnp-sparse", "tree"], [24],
-                                         range(3), engine="fast"))
-            arr = run_trials(task, grid(["gnp-sparse", "tree"], [24],
-                                        range(3), engine="array"))
-            assert [(r.ok, r.data) for r in fast] == \
-                   [(r.ok, r.data) for r in arr]
-            with pytest.raises(ConfigurationError):
+        tasks = (luby_mis_trial, flood_min_trial, bfs_forest_trial)
+        specs = grid(["gnp-sparse", "tree"], [24], range(3))
+        arr = [run_trials(task, specs) for task in tasks]
+        for module in (mis_module, primitives_module):
+            monkeypatch.setattr(module, "resolve_engine",
+                                lambda engine, faults: "fast")
+        fast = [run_trials(task, specs) for task in tasks]
+        assert ([[(r.ok, r.data) for r in rs] for rs in fast]
+                == [[(r.ok, r.data) for r in rs] for rs in arr])
+        for task in tasks:
+            with pytest.raises(ConfigurationError, match="engine='warp'"):
                 task(grid(["cycle"], [12], [0], engine="warp")[0])
 
-    def test_luby_trial_rejects_non_congest_model(self):
-        from repro.sim import LOCAL
-        from repro.sim.batch import grid, luby_mis_trial
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_default_engine_follows_fault_plan(self, cycle12, engine_runs,
+                                               name):
+        run = PRIMITIVES[name]
+        run(cycle12)
+        run(cycle12, faults=RoundFaultPlan(seed=1))  # every rate zero
+        run(cycle12, faults=RoundFaultPlan(seed=1, loss=0.5))
+        run(cycle12, engine="fast")
+        run(cycle12, engine="array", faults=RoundFaultPlan(seed=1))
+        assert engine_runs == ["ArrayEngine", "ArrayEngine", "FastEngine",
+                               "FastEngine", "ArrayEngine"]
 
+    def test_tasks_follow_fault_knobs(self, engine_runs):
+        for task in (luby_mis_trial, flood_min_trial, bfs_forest_trial):
+            task(TrialSpec.of("cycle", 12, 0))
+            task(TrialSpec.of("cycle", 12, 0, fault_seed=4))  # no rate set
+            task(TrialSpec.of("cycle", 12, 0, fault_churn=0.2))
+        assert engine_runs == ["ArrayEngine", "ArrayEngine",
+                               "FastEngine"] * 3
+
+    @pytest.mark.parametrize("family", ["path", "cliques", "gnp-sparse",
+                                        "lopsided"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_budget_exhaustion_parity(self, family, n):
+        # Under a bit budget both engines stop at the same draw: the
+        # same outcome, error text and bits consumed, for budgets from
+        # far too small to just enough.
+        for seed in range(4):
+            g = assign(make(family, n, seed=seed), "random", seed=seed)
+            need = luby_mis(g, IndependentSource(seed=seed)).report \
+                .randomness_bits
+            for budget in (1, 7, need // 3, need // 2, need - 1, need):
+                outcomes = []
+                for engine in ("fast", "array"):
+                    source = IndependentSource(seed=seed, bit_budget=budget)
+                    try:
+                        result = luby_mis(g, source, engine=engine)
+                        outcome = (result.outputs,
+                                   dataclasses.asdict(result.report))
+                    except RandomnessExhausted as exc:
+                        outcome = str(exc)
+                    outcomes.append((outcome, source.bits_consumed))
+                assert outcomes[0] == outcomes[1], (seed, budget)
+                assert isinstance(outcomes[0][0], str) == (budget < need)
+
+    def test_luby_trial_rejects_non_congest_model(self):
         with pytest.raises(ConfigurationError, match="CONGEST"):
             luby_mis_trial(grid(["cycle"], [12], [0], model=LOCAL)[0])
 
@@ -327,8 +400,6 @@ class TestEngineKnobs:
                                            faults=faults),
     ], ids=["luby_mis", "flood_min", "build_bfs_forest"])
     def test_array_rejects_active_faults(self, cycle12, run):
-        from repro.sim.batch import RoundFaultPlan
-
         with pytest.raises(ConfigurationError) as info:
             run(cycle12, RoundFaultPlan(seed=1, loss=0.5))
         assert str(info.value) == (

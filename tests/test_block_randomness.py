@@ -210,7 +210,8 @@ class TestErrorPathParity:
     def test_sized_cache_does_not_alias_bool_and_int_payloads(self):
         # True == 1 and hash(True) == hash(1), but they encode to
         # different message sizes; the engines must agree bit-for-bit.
-        from repro.sim import CONGEST, FastEngine, SyncEngine
+        from helpers import SyncEngine
+        from repro.sim import CONGEST, FastEngine
         from repro.sim.node import NodeProgram
 
         class AliasingProgram(NodeProgram):

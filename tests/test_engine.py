@@ -1,10 +1,16 @@
-"""The synchronous engine: delivery, enforcement, lying about n."""
+"""The round engine's semantics: delivery, enforcement, lying about n.
+
+Every engine test runs twice: on the reference ``SyncEngine`` of
+``helpers`` (the ``Test*`` classes) and on FastEngine, the per-node
+engine in ``repro`` (their ``*OnFastEngine`` subclasses).
+"""
 
 import pytest
 
+from helpers import SyncEngine, run_program
 from repro.errors import BandwidthExceeded, ConfigurationError, ModelViolation
 from repro.randomness import IndependentSource
-from repro.sim import CONGEST, LOCAL, NodeProgram, SyncEngine, run_program
+from repro.sim import CONGEST, LOCAL, FastEngine, NodeProgram
 from repro.sim.messages import congest_limit, message_bits
 
 
@@ -22,16 +28,25 @@ class Echo(NodeProgram):
         return {}
 
 
-class TestDelivery:
+class EngineCase:
+    """Runs programs on ``ENGINE``; subclasses swap the engine."""
+
+    ENGINE = SyncEngine
+
+    def run(self, graph, program_cls, **kwargs):
+        return run_program(graph, program_cls, engine=self.ENGINE, **kwargs)
+
+
+class TestDelivery(EngineCase):
     def test_messages_arrive_next_round(self, cycle12):
-        result = run_program(cycle12, Echo)
+        result = self.run(cycle12, Echo)
         for v in cycle12.nodes():
             expected = tuple(sorted(cycle12.uid(u)
                                     for u in cycle12.neighbors(v)))
             assert result.outputs[v] == expected
 
     def test_round_and_message_counts(self, cycle12):
-        result = run_program(cycle12, Echo)
+        result = self.run(cycle12, Echo)
         assert result.report.rounds == 1
         assert result.report.messages == 12 * 2
         assert result.report.total_bits > 0
@@ -46,13 +61,13 @@ class TestDelivery:
                 ctx.finish(sorted(inbox.values()))
                 return {}
 
-        result = run_program(path9, SendRight)
+        result = self.run(path9, SendRight)
         assert result.outputs[0] == []
         for v in range(1, 9):
             assert result.outputs[v] == [path9.uid(v - 1)]
 
 
-class TestEnforcement:
+class TestEnforcement(EngineCase):
     def test_non_neighbor_send_rejected(self, path9):
         class Cheat(NodeProgram):
             def init(self, ctx):
@@ -63,7 +78,7 @@ class TestEnforcement:
                 return {far: 1}
 
         with pytest.raises(ModelViolation):
-            run_program(path9, Cheat)
+            self.run(path9, Cheat)
 
     def test_congest_bandwidth_enforced(self, path9):
         class Flood(NodeProgram):
@@ -75,7 +90,7 @@ class TestEnforcement:
                 return {}
 
         with pytest.raises(BandwidthExceeded):
-            run_program(path9, Flood, model=CONGEST)
+            self.run(path9, Flood, model=CONGEST)
 
     def test_local_model_allows_big_messages(self, path9):
         class Flood(NodeProgram):
@@ -86,7 +101,7 @@ class TestEnforcement:
                 ctx.finish(None)
                 return {}
 
-        result = run_program(path9, Flood, model=LOCAL)
+        result = self.run(path9, Flood, model=LOCAL)
         assert result.report.max_message_bits > 1000
 
     def test_max_rounds_guard(self, path9):
@@ -95,7 +110,7 @@ class TestEnforcement:
                 return {}
 
         with pytest.raises(ModelViolation):
-            run_program(path9, Forever, max_rounds=10)
+            self.run(path9, Forever, max_rounds=10)
 
     def test_uniform_algorithm_cannot_read_n(self, path9):
         class PeekN(NodeProgram):
@@ -104,7 +119,7 @@ class TestEnforcement:
                 return {}
 
         with pytest.raises(ModelViolation):
-            run_program(path9, PeekN, uniform=True)
+            self.run(path9, PeekN, uniform=True)
 
     def test_randomness_requires_source(self, path9):
         class NeedsBits(NodeProgram):
@@ -113,34 +128,34 @@ class TestEnforcement:
                 return {}
 
         with pytest.raises(ModelViolation):
-            run_program(path9, NeedsBits)
+            self.run(path9, NeedsBits)
 
     def test_unknown_model_rejected(self, path9):
         with pytest.raises(ConfigurationError):
-            SyncEngine(path9, lambda v: Echo(), model="QUANTUM")
+            self.ENGINE(path9, lambda v: Echo(), model="QUANTUM")
 
 
-class TestLieAboutN:
+class TestLieAboutN(EngineCase):
     def test_nodes_see_the_claimed_n(self, path9):
         class ReportN(NodeProgram):
             def init(self, ctx):
                 ctx.finish(ctx.n)
                 return {}
 
-        result = run_program(path9, ReportN, n_override=1000)
+        result = self.run(path9, ReportN, n_override=1000)
         assert all(out == 1000 for out in result.outputs.values())
 
     def test_cannot_understate_n(self, path9):
         with pytest.raises(ConfigurationError):
-            SyncEngine(path9, lambda v: Echo(), n_override=3)
+            self.ENGINE(path9, lambda v: Echo(), n_override=3)
 
     def test_bandwidth_scales_with_claimed_n(self, path9):
-        small = SyncEngine(path9, lambda v: Echo())
-        big = SyncEngine(path9, lambda v: Echo(), n_override=10 ** 6)
+        small = self.ENGINE(path9, lambda v: Echo())
+        big = self.ENGINE(path9, lambda v: Echo(), n_override=10 ** 6)
         assert big.bandwidth > small.bandwidth
 
 
-class TestDeterminism:
+class TestDeterminism(EngineCase):
     def test_same_seed_same_run(self, gnp60):
         class Coin(NodeProgram):
             def init(self, ctx):
@@ -150,8 +165,8 @@ class TestDeterminism:
                 ctx.finish(tuple(ctx.rand_bits(8)))
                 return {}
 
-        r1 = run_program(gnp60, Coin, source=IndependentSource(seed=3))
-        r2 = run_program(gnp60, Coin, source=IndependentSource(seed=3))
+        r1 = self.run(gnp60, Coin, source=IndependentSource(seed=3))
+        r2 = self.run(gnp60, Coin, source=IndependentSource(seed=3))
         assert r1.outputs == r2.outputs
 
     def test_randomness_bits_metered(self, path9):
@@ -163,8 +178,24 @@ class TestDeterminism:
                 ctx.finish(tuple(ctx.rand_bits(4)))
                 return {}
 
-        result = run_program(path9, Coin, source=IndependentSource(seed=1))
+        result = self.run(path9, Coin, source=IndependentSource(seed=1))
         assert result.report.randomness_bits == 9 * 4
+
+
+class TestDeliveryOnFastEngine(TestDelivery):
+    ENGINE = FastEngine
+
+
+class TestEnforcementOnFastEngine(TestEnforcement):
+    ENGINE = FastEngine
+
+
+class TestLieAboutNOnFastEngine(TestLieAboutN):
+    ENGINE = FastEngine
+
+
+class TestDeterminismOnFastEngine(TestDeterminism):
+    ENGINE = FastEngine
 
 
 class TestMessageBits:

@@ -15,11 +15,11 @@ import dataclasses
 
 import pytest
 
-from helpers import family_graphs
+from helpers import SyncEngine, family_graphs
 from repro.core.mis import LubyMIS, is_valid_mis
 from repro.errors import BandwidthExceeded, ConfigurationError, ModelViolation
 from repro.randomness import IndependentSource
-from repro.sim import CONGEST, LOCAL, FastEngine, SyncEngine
+from repro.sim import CONGEST, LOCAL, FastEngine
 from repro.sim.node import NodeProgram
 from repro.sim.primitives import BFSTree, FloodMin
 

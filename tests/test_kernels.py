@@ -22,14 +22,16 @@ Five contracts, each pinned here:
 4. **The sweep dedupe changes no bytes**: memoized graph builds
    produce result-for-result identical sweeps while building each
    distinct graph once.
-5. **Retired engine names fail loudly** everywhere an engine is named,
-   and the error names ``"array"``, whose results match FastEngine.
+5. **Engine names fail loudly**: the primitives take only ``"fast"``
+   and ``"array"`` (retired names such as ``"kernel"`` get the plain
+   unknown-engine error, and the default ArrayEngine that replaced them
+   matches FastEngine), and the trial tasks and scenarios, which no
+   longer take an engine, refuse the knob by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
 import tracemalloc
 
 import networkx as nx
@@ -50,7 +52,6 @@ from repro.sim.batch import CSRGraph, TrialSpec, grid, run_trials
 from repro.sim.batch import array as array_module
 from repro.sim.batch import tasks as batch_tasks
 from repro.sim.batch.array import (
-    ENGINES,
     ArrayContext,
     fast_int_message_bits,
     int_message_bits,
@@ -615,71 +616,84 @@ def assert_identical(ref, got):
     assert dataclasses.asdict(got.report) == dataclasses.asdict(ref.report)
 
 
-def replacement_named_by(call):
-    """The engine value a retired-engine error tells the caller to use."""
-    with pytest.raises(ConfigurationError) as info:
-        call()
-    found = re.search(r"use engine='(\w+)'", str(info.value))
-    assert found, str(info.value)
-    return found.group(1)
-
-
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 @pytest.mark.parametrize("engine", ["kernel", "native"])
 class TestKernelParitySweep:
-    """Callers of the retired engines, on every graph family.
+    """Callers of the retired engine names, on every graph family.
 
-    The call is refused, and the engine its error names reproduces
-    FastEngine exactly as the retired engine did. The full parity sweep
-    of that engine lives in ``tests/test_array_engine.py``.
+    The call is refused as an unknown engine, and the default that
+    replaced those engines (ArrayEngine, which runs their fused passes)
+    reproduces FastEngine. The full parity sweep of ArrayEngine lives
+    in ``tests/test_array_engine.py``.
     """
 
     def graph(self, family):
         return assign(make(family, 13, seed=1), "random", seed=1)
 
+    def refused(self, call, engine):
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown engine '{engine}'; choose from"):
+            call(engine)
+
     def test_luby_mis(self, family, engine):
         g = self.graph(family)
-        use = replacement_named_by(
-            lambda: luby_mis(g, IndependentSource(seed=101), engine=engine))
-        assert_identical(luby_mis(g, IndependentSource(seed=101)),
-                         luby_mis(g, IndependentSource(seed=101), engine=use))
+        self.refused(lambda e: luby_mis(g, IndependentSource(seed=101),
+                                        engine=e), engine)
+        assert_identical(
+            luby_mis(g, IndependentSource(seed=101), engine="fast"),
+            luby_mis(g, IndependentSource(seed=101)))
 
     def test_flood_min(self, family, engine):
         g = self.graph(family)
-        use = replacement_named_by(lambda: flood_min(g, 2, engine=engine))
-        assert_identical(flood_min(g, 2), flood_min(g, 2, engine=use))
+        self.refused(lambda e: flood_min(g, 2, engine=e), engine)
+        assert_identical(flood_min(g, 2, engine="fast"), flood_min(g, 2))
 
     def test_bfs_forest(self, family, engine):
         g = self.graph(family)
-        use = replacement_named_by(
-            lambda: build_bfs_forest(g, {0, 2}, engine=engine))
-        assert_identical(build_bfs_forest(g, {0, 2}),
-                         build_bfs_forest(g, {0, 2}, engine=use))
+        self.refused(lambda e: build_bfs_forest(g, {0, 2}, engine=e), engine)
+        assert_identical(build_bfs_forest(g, {0, 2}, engine="fast"),
+                         build_bfs_forest(g, {0, 2}))
+
+
+def engine_knob(engine):
+    """``engine=`` as keyword arguments; ``None`` leaves it out."""
+    return {} if engine is None else {"engine": engine}
 
 
 def scenario_pinning(engine):
+    algorithm = {"task": "luby-mis", **engine_knob(engine)}
     return ScenarioSpec.from_dict({
         "name": "x",
         "graph": {"family": "path", "sizes": [8]},
-        "algorithm": {"task": "luby-mis", "engine": engine},
+        "algorithm": algorithm,
     })
 
 
 PATH8 = assign(make("path", 8), "sequential")
 
-#: Every place an engine is named, as a call taking the engine value.
+#: Every place an engine was ever named, as a call taking the engine
+#: value (``None``: the call without an engine).
 ENGINE_ENTRY_POINTS = {
     "luby_mis": lambda e: luby_mis(PATH8, IndependentSource(seed=1),
                                    engine=e),
     "flood_min": lambda e: flood_min(PATH8, 2, engine=e),
     "build_bfs_forest": lambda e: build_bfs_forest(PATH8, {0}, engine=e),
     "luby_mis_trial": lambda e: luby_mis_trial(
-        TrialSpec.of("path", 8, 0, engine=e)),
+        TrialSpec.of("path", 8, 0, **engine_knob(e))),
     "flood_min_trial": lambda e: flood_min_trial(
-        TrialSpec.of("path", 8, 0, engine=e)),
+        TrialSpec.of("path", 8, 0, **engine_knob(e))),
     "bfs_forest_trial": lambda e: bfs_forest_trial(
-        TrialSpec.of("path", 8, 0, engine=e)),
+        TrialSpec.of("path", 8, 0, **engine_knob(e))),
     "ScenarioSpec.from_dict": scenario_pinning,
+}
+
+#: The entry points that no longer take an engine, and the refusal
+#: naming the knob that each gives for any value.
+REMOVED_ENGINE_KNOBS = {
+    "luby_mis_trial": r"engine='{}' is not a trial param",
+    "flood_min_trial": r"engine='{}' is not a trial param",
+    "bfs_forest_trial": r"engine='{}' is not a trial param",
+    "ScenarioSpec.from_dict": r"algorithm\.engine is gone",
 }
 
 
@@ -687,14 +701,24 @@ ENGINE_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENGINE_ENTRY_POINTS))
 def test_bad_engine_rejected_everywhere(entry, engine):
     call = ENGINE_ENTRY_POINTS[entry]
-    if engine == "warp":
-        expected = r"unknown (algorithm\.)?engine 'warp'"
+    if entry in REMOVED_ENGINE_KNOBS:
+        expected = REMOVED_ENGINE_KNOBS[entry].format(engine)
+        valid = [None]
     else:
-        expected = rf"engine='{engine}' is gone; use (algorithm\.)?engine='array'"
+        expected = rf"unknown engine '{engine}'; choose from"
+        valid = [None, "fast", "array"]
     with pytest.raises(ConfigurationError, match=expected):
         call(engine)
-    for good in ENGINES:  # the same call with a valid engine runs
+    for good in valid:  # the same call with a valid engine runs
         call(good)
+
+
+@pytest.mark.parametrize("engine", ["fast", "array"])
+@pytest.mark.parametrize("entry", sorted(REMOVED_ENGINE_KNOBS))
+def test_removed_engine_knob_refuses_valid_engines(entry, engine):
+    with pytest.raises(ConfigurationError,
+                       match=REMOVED_ENGINE_KNOBS[entry].format(engine)):
+        ENGINE_ENTRY_POINTS[entry](engine)
 
 
 def mmap_csr(graph, directory, mmap=True):
@@ -740,12 +764,11 @@ class TestMmapCSR:
 
 class TestNativeKnob:
     def test_unknown_engine_and_backend_rejected(self, path9):
-        assert ENGINES == ("fast", "array")
-        with pytest.raises(ConfigurationError, match="unknown engine 'warp'"):
-            flood_min(path9, 2, engine="warp")
-        for retired in ("kernel", "native"):
-            with pytest.raises(ConfigurationError, match="use engine='array'"):
-                flood_min(path9, 2, engine=retired)
+        for name in ("warp", "kernel", "native"):
+            with pytest.raises(ConfigurationError) as info:
+                flood_min(path9, 2, engine=name)
+            assert str(info.value) == (
+                f"unknown engine {name!r}; choose from ('fast', 'array')")
 
 
 class TestSweepDedupe:
@@ -753,9 +776,12 @@ class TestSweepDedupe:
 
     SEEDS = list(range(5))
 
-    def run_sweep(self, family, engine="fast", ids="random"):
-        specs = grid([family], [12], self.SEEDS, engine=engine, ids=ids,
-                     radius=6)
+    #: The fault knobs that make the task pick each engine.
+    ENGINE_FAULTS = {"fast": {"fault_loss": 0.25}, "array": {}}
+
+    def run_sweep(self, family, engine="array", ids="random"):
+        specs = grid([family], [12], self.SEEDS, ids=ids, radius=6,
+                     **self.ENGINE_FAULTS[engine])
         return run_trials(flood_min_trial, specs, workers=1)
 
     def fresh_memo(self, monkeypatch, reuse=True):
@@ -768,7 +794,7 @@ class TestSweepDedupe:
                     make(family, n, seed=seed), ids, seed=seed))
 
     @pytest.mark.parametrize("family", ["path", "gnp-sparse"])
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["fast", "array"])
     def test_memoized_sweep_byte_identical(self, monkeypatch, family,
                                            engine):
         self.fresh_memo(monkeypatch)
@@ -806,12 +832,16 @@ class TestSweepDedupe:
         assert len(bits) > 1
 
     def test_task_engine_kernel_matches_fast(self, monkeypatch):
+        # A spec naming an engine is refused; the task's own engine
+        # (ArrayEngine, which absorbed the retired kernel engine)
+        # reproduces a FastEngine run exactly.
         self.fresh_memo(monkeypatch)
-        retired = TrialSpec.of("cycle", 12, 3, engine="kernel")
-        use = replacement_named_by(lambda: luby_mis_trial(retired))
-        spec = TrialSpec.of("cycle", 12, 3, engine=use)
-        ref = TrialSpec.of("cycle", 12, 3, engine="fast")
-        assert luby_mis_trial(spec).data == luby_mis_trial(ref).data
-        bad = TrialSpec("cycle", 12, 3, (("engine", "warp"),))
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            luby_mis_trial(bad)
+        for name in ("kernel", "warp", "fast"):
+            retired = TrialSpec.of("cycle", 12, 3, engine=name)
+            with pytest.raises(ConfigurationError,
+                               match=f"engine='{name}' is not a trial param"):
+                luby_mis_trial(retired)
+        spec = TrialSpec.of("cycle", 12, 3)
+        ref = luby_mis(batch_tasks._graph_of(spec), IndependentSource(seed=3),
+                       engine="fast")
+        assert luby_mis_trial(spec).data == batch_tasks._report_data(ref)

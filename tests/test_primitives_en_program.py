@@ -5,7 +5,7 @@ import pytest
 from repro.core.decomposition import elkin_neiman
 from repro.errors import ConfigurationError
 from repro.randomness import IndependentSource
-from repro.sim import CONGEST, SyncEngine
+from repro.sim import CONGEST
 from repro.sim.messages import congest_limit
 from repro.sim.primitives import (
     BFSTree,
@@ -14,7 +14,7 @@ from repro.sim.primitives import (
     convergecast_sum,
 )
 
-from helpers import family_graphs
+from helpers import SyncEngine, family_graphs
 
 
 class TestFloodMin:

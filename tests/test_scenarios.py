@@ -11,6 +11,7 @@ and scenario work units surviving the JSON trip through a coordinator.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -42,7 +43,15 @@ from repro.scenarios import (
     scenario_from_arg,
     sweep_scenario,
 )
-from repro.sim.batch import ColumnarStore, RoundFaultPlan, TrialResult, TrialSpec
+from repro.sim.batch import (
+    ColumnarStore,
+    RoundFaultPlan,
+    TrialResult,
+    TrialSpec,
+    canonical_spec,
+    spec_key,
+)
+from repro.sim.batch.runner import task_name_of
 
 
 def _rich_scenario() -> ScenarioSpec:
@@ -50,7 +59,7 @@ def _rich_scenario() -> ScenarioSpec:
     return sweep_scenario(
         "rich", "luby-mis", "path", (8, 12),
         description="every knob at once",
-        engine="fast", ids="adversarial", bit_budget=4096,
+        ids="adversarial", bit_budget=4096,
         faults=FaultModel(crash=0.1, loss=0.2, seed=9, start_round=2),
         seed_base=3, seed_count=2, max_rounds=500)
 
@@ -101,10 +110,10 @@ class TestValidation:
         {"name": "x", "graph": {"family": "path", "sizes": [8], "junk": 1},
          "algorithm": {"task": "luby-mis"}},
         {"name": "x", "graph": {"family": "path", "sizes": [8]},
-         "algorithm": {"task": "luby-mis", "engine": "quantum"}},
+         "algorithm": {"task": "luby-mis", "engine": "fast"}},  # removed
         {"name": "x", "graph": {"family": "path", "sizes": [8]},
          "algorithm": {"task": "luby-mis",
-                       "params": {"engine": "array"}}},  # reserved key
+                       "params": {"engine": "array"}}},  # removed knob
         {"name": "x", "graph": {"family": "path", "sizes": [8]},
          "algorithm": {"task": "luby-mis", "params": {"w": [1, 2]}}},
         {"name": "x", "graph": {"family": "path", "sizes": [8]},
@@ -132,6 +141,12 @@ class TestValidation:
     def test_bad_specs_fail_loudly(self, data):
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_dict(data)
+
+    def test_engine_param_is_refused_by_name(self):
+        # A file's algorithm.engine key is refused in test_kernels.
+        with pytest.raises(ConfigurationError,
+                           match="algorithm.params may not set 'engine'"):
+            sweep_scenario("x", "luby-mis", "path", (8,), engine="array")
 
     def test_loader_rejects_non_mapping(self):
         with pytest.raises(ConfigurationError):
@@ -296,6 +311,53 @@ class TestLibraryEndToEnd:
     def test_fault_free_scenarios_pass_their_checker(self, name):
         spec = load_named(name).scaled(max_size=16, max_count=1)
         assert all(r.ok for r in spec.run())
+
+    #: Per library scenario: its ScenarioSpec.digest and the digest of
+    #: its full storeless sweep's canonical records (see
+    #: :meth:`records_digest`), computed before the engine became a
+    #: function of the fault plan; none may move.
+    PINNED = {
+        "adversarial-ids": ("3090a540bbba769448e31fbb18d8f4d5",
+                            "02085a2c5463a76352bf306e99dba3f7"),
+        "cliques-stress": ("8f6894d71a7d99ed0164a551455e7c66",
+                           "e819c087ba44d15233246cb20858249d"),
+        "crash-midround": ("bc5fde64e57dd408b732f99c5561d766",
+                           "16c5b2411eebab60af331c4eb4f24259"),
+        "edge-churn": ("06de7f2eb5411ab13d5f8acf0167c9ce",
+                       "213fb4cef69ba41dd622e99e1cf4f5ee"),
+        "lopsided-degree": ("eee88b1b78d7fff71cfd0a86d25a403f",
+                            "6f06ec05059a4069f20321f74ed81e4e"),
+        "lossy-congest": ("006c7fdc5b025afbccf95883e0c90ef4",
+                          "95433dbf2dd290d469ddecd0c6576b95"),
+        "paper-full": ("a335af0bb3676fd9728326f8219784b3", None),
+        "paper-quick": ("7312b31f7beef7ac7a84d65163fdf7e1", None),
+    }
+
+    @staticmethod
+    def records_digest(spec):
+        """BLAKE2b-128 over one line per trial, in grid order: the
+        store key, then the record (task, canonical spec, ok, data) as
+        sorted-key JSON."""
+        name = task_name_of(spec.task(), None)
+        digest = hashlib.blake2b(digest_size=16)
+        for result in spec.run(workers=1):
+            record = {"task": name, "spec": canonical_spec(result.spec),
+                      "ok": bool(result.ok), "data": result.data}
+            line = spec_key(name, result.spec) + " " + json.dumps(
+                record, sort_keys=True, separators=(",", ":"))
+            digest.update(line.encode("utf-8") + b"\n")
+        return digest.hexdigest()
+
+    def test_pins_cover_the_library(self):
+        assert sorted(self.PINNED) == available()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_library_records_pinned(self, name):
+        spec = load_named(name)
+        scenario_digest, records = self.PINNED[name]
+        assert spec.digest() == scenario_digest
+        if records is not None:
+            assert self.records_digest(spec) == records
 
     def test_table_carries_digest(self):
         spec = load_named("cliques-stress").scaled(max_size=16, max_count=1)

@@ -326,7 +326,8 @@ class TestLieAboutN:
 
     def test_engine_integration(self, gnp60):
         """Lying through the engine: nodes' ctx.n is the claimed N."""
-        from repro.sim import NodeProgram, run_program
+        from helpers import run_program
+        from repro.sim import NodeProgram
 
         class ReportN(NodeProgram):
             def init(self, ctx):

@@ -9,7 +9,8 @@ The load-bearing guarantees, each pinned here:
   round trip, through the JSONL tail and through packed segments);
 * a sweep interrupted at any prefix and resumed via the store yields
   results, aggregates, and store contents identical to an uninterrupted
-  run — across worker counts and engines;
+  run — across worker counts and both engines (a fault knob picks
+  FastEngine, a clean spec ArrayEngine);
 * a 2-host-style shard+merge of the same grid equals the single-host
   run, with nothing recomputed on replay.
 """
@@ -257,12 +258,15 @@ class TestRunTrialsWithStore:
 class TestResumeDeterminism:
     """Satellite: kill-at-any-prefix + resume == uninterrupted, exactly."""
 
+    #: The fault knobs that make the task pick each engine.
+    ENGINE_FAULTS = {"fast": {"fault_loss": 0.25}, "array": {}}
+
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("engine", ["fast", "array"])
     def test_interrupted_resume_is_byte_identical(self, tmp_path, workers,
                                                   engine):
         specs = grid(["cycle", "path"], [12], range(3), radius=12,
-                     engine=engine)
+                     **self.ENGINE_FAULTS[engine])
         cold = run_trials(flood_min_trial, specs, workers=1)
 
         uninterrupted = ColumnarStore(tmp_path / "whole")
