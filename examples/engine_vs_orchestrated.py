@@ -10,9 +10,9 @@ its top-two flood actually took. This example prints:
   messages, and the per-message size against the CONGEST budget;
 * the structural quality (colors, diameter, validity) of its output;
 * the two round engines on one algorithm (Luby MIS): the per-node
-  program on FastEngine (``engine="fast"``, what an active fault plan
-  runs) and the whole-round program on ArrayEngine (``engine="array"``,
-  the default) — identical outputs and reports, different wall time.
+  program on FastEngine (what ``luby_mis`` runs under an active fault
+  plan) and the whole-round program on ArrayEngine (what it runs
+  otherwise) — identical outputs and reports, different wall time.
 
     python examples/engine_vs_orchestrated.py
 """
@@ -21,10 +21,11 @@ import dataclasses
 import time
 
 from repro.core.decomposition import elkin_neiman, measure
-from repro.core.mis import luby_mis
+from repro.core.mis import LubyMIS, luby_mis
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
-from repro.sim.messages import congest_limit
+from repro.sim.batch import FastEngine
+from repro.sim.messages import CONGEST, congest_limit
 
 
 def main() -> None:
@@ -58,19 +59,23 @@ def main() -> None:
     # FastEngine vs ArrayEngine: same algorithm, same bits, less time.
     # ------------------------------------------------------------------
     print("\nround engines (Luby MIS, CONGEST):")
+    runs = {
+        "FastEngine": lambda source: FastEngine(
+            graph, lambda _v: LubyMIS(), source=source, model=CONGEST).run(),
+        "ArrayEngine": lambda source: luby_mis(graph, source),
+    }
     results = {}
-    for engine in ("fast", "array"):
+    for name, run in runs.items():
         start = time.perf_counter()
-        results[engine] = luby_mis(graph, IndependentSource(seed=3),
-                                   engine=engine)
+        results[name] = run(IndependentSource(seed=3))
         elapsed = time.perf_counter() - start
-        rep = results[engine].report
-        print(f"  engine={engine!r}: {elapsed * 1000:6.1f}ms  "
+        rep = results[name].report
+        print(f"  {name}: {elapsed * 1000:6.1f}ms  "
               f"rounds={rep.rounds} messages={rep.messages} "
               f"bits={rep.total_bits}")
-    assert results["fast"].outputs == results["array"].outputs
-    assert (dataclasses.asdict(results["fast"].report)
-            == dataclasses.asdict(results["array"].report))
+    fast, array = results["FastEngine"], results["ArrayEngine"]
+    assert fast.outputs == array.outputs
+    assert dataclasses.asdict(fast.report) == dataclasses.asdict(array.report)
     print("  outputs and reports are bit-identical; only wall time differs")
 
 

@@ -211,22 +211,22 @@ def luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
              faults=None, csr=None) -> AlgorithmResult:
     """Run Luby's algorithm in the CONGEST model.
 
-    The engine follows ``faults`` (a
-    :class:`~repro.sim.batch.faults.RoundFaultPlan`): under an active
-    plan the :class:`LubyMIS` node program steps per node on
-    FastEngine, and otherwise the whole-round :class:`ArrayLubyMIS`
-    runs on the :class:`~repro.sim.batch.array.ArrayEngine`. Both
-    produce bit-identical outputs and reports; ``engine`` (``"fast"``
-    or ``"array"``) pins one, see
-    :func:`~repro.sim.batch.array.resolve_engine`. A crashed node's
-    output stays ``None``, and :func:`is_valid_mis` then reports the
-    survivors' independence/maximality honestly.
+    The engine follows the run: under an active ``faults`` plan (a
+    :class:`~repro.sim.batch.faults.RoundFaultPlan`), or with UIDs too
+    wide for ArrayEngine, the :class:`LubyMIS` node program steps per
+    node on FastEngine, and otherwise the whole-round
+    :class:`ArrayLubyMIS` runs on the
+    :class:`~repro.sim.batch.array.ArrayEngine`. Both produce
+    bit-identical outputs and reports; ``engine="array"`` pins the
+    latter, see :func:`~repro.sim.batch.array.resolve_engine`. A
+    crashed node's output stays ``None``, and :func:`is_valid_mis` then
+    reports the survivors' independence/maximality honestly.
 
     ``csr`` reuses a frozen :class:`~repro.sim.batch.csr.CSRGraph`
     across runs (``graph`` may then be ``None`` — the million-node
     path).
     """
-    if resolve_engine(engine, faults) == "array":
+    if resolve_engine(engine, faults, graph, csr) == "array":
         result = ArrayEngine(graph, ArrayLubyMIS(), source=source,
                              model=CONGEST, max_rounds=max_rounds,
                              csr=csr).run()

@@ -50,9 +50,11 @@ from ..errors import ConfigurationError
 from ..graphs.generators import FAMILIES
 from ..graphs.ids import SCHEMES
 
-#: Spec params the compiler owns; algorithm params must not shadow them.
+#: Spec params the compiler owns (and ``engine``, which no spec may
+#: set); algorithm params must not shadow them.
 RESERVED_PARAMS = frozenset(
     (
+        "engine",
         "ids",
         "bit_budget",
         "fault_seed",
@@ -141,8 +143,8 @@ class GraphSchedule:
 class AlgorithmSpec:
     """Which algorithm: a registered task name and its knobs.
 
-    There is no engine key: the fault section picks the engine
-    (:func:`~repro.sim.batch.array.resolve_engine`).
+    There is no engine key: the run picks the engine from its faults
+    and UIDs (:func:`~repro.sim.batch.array.resolve_engine`).
     """
 
     task: str
@@ -160,11 +162,6 @@ class AlgorithmSpec:
             _require(
                 isinstance(key, str) and bool(key),
                 f"algorithm.params keys must be strings, got {key!r}",
-            )
-            _require(
-                key != "engine",
-                "algorithm.params may not set 'engine'; the engine "
-                "follows the faults section",
             )
             _require(
                 key not in RESERVED_PARAMS,
@@ -566,11 +563,6 @@ class ScenarioSpec:
             sizes=tuple(sizes),
         )
         section = _section(data, "algorithm")
-        _require(
-            "engine" not in section,
-            "algorithm.engine is gone; the engine follows the faults "
-            "section (FastEngine under active faults, else ArrayEngine)",
-        )
         _check_keys(section, ("task", "params"), "algorithm")
         params = section.get("params", {})
         _require(isinstance(params, Mapping), "algorithm.params must be a mapping")

@@ -9,8 +9,8 @@ as whole-round fused numpy passes with no per-node Python dispatch at
 all (:class:`ArrayEngine` running :class:`ArrayProgram`\\ s,
 bit-identical to FastEngine;
 :func:`~repro.sim.batch.array.resolve_engine` picks ArrayEngine unless
-a fault plan is active), and whole (family, size, seed) grids fan
-across processes (:func:`run_trials`).
+a fault plan is active or the UIDs are too wide), and whole (family,
+size, seed) grids fan across processes (:func:`run_trials`).
 """
 
 import importlib

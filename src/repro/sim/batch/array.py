@@ -93,25 +93,47 @@ _TUPLE_BASE = message_bits(())
 _ELEMENT_OVERHEAD = message_bits((0,)) - message_bits(0) - _TUPLE_BASE
 
 
-def resolve_engine(engine: Optional[str], faults: Any) -> str:
+def array_uids_fit(csr: CSRGraph) -> bool:
+    """Whether ArrayEngine can hold ``csr``'s UIDs: all in [0, 2**62).
+
+    The model allows identifiers of any width; ArrayEngine keeps them
+    in ``int64`` with headroom for its sentinels. The default ``random``
+    ID scheme draws from {1..n^3}, which passes 2**62 from about 1.66M
+    nodes on.
+    """
+    try:
+        uids = csr.uid_array
+    except ConfigurationError:
+        return False  # wider than int64
+    return not uids.size or (int(uids.min()) >= 0
+                             and int(uids.max()) < 1 << 62)
+
+
+def resolve_engine(engine: Optional[str], faults: Any,
+                   graph: Optional[DistributedGraph],
+                   csr: Optional[CSRGraph]) -> str:
     """The engine a primitive runs on: ``"fast"`` or ``"array"``.
 
-    ``engine=None`` follows the fault plan: an active
+    ``engine=None`` follows the run. An active
     :class:`~repro.sim.batch.faults.RoundFaultPlan` needs FastEngine's
-    per-message delivery hook, and every other run takes the
-    bit-identical, faster ArrayEngine. An explicit engine is checked
-    against the same rule.
+    per-message delivery hook, and UIDs outside ArrayEngine's range
+    (:func:`array_uids_fit`) need its arbitrary-width identifiers;
+    every other run takes the bit-identical, faster ArrayEngine.
+    ``engine="array"`` pins ArrayEngine and is refused under an active
+    plan.
     """
     active = faults is not None and faults.active
     if engine is None:
-        return "fast" if active else "array"
-    if engine not in ("fast", "array"):
+        if active or not array_uids_fit(ensure_csr(graph, csr)):
+            return "fast"
+        return "array"
+    if engine != "array":
         raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from ('fast', 'array')")
-    if engine == "array" and active:
+            f"unknown engine {engine!r}; pin 'array' or leave engine unset")
+    if active:
         raise ConfigurationError(
-            "fault injection requires engine='fast'; the array engine "
-            "has no per-message delivery hook")
+            "fault injection needs FastEngine (leave engine unset); the "
+            "array engine has no per-message delivery hook")
     return engine
 
 
@@ -705,13 +727,7 @@ class ArrayEngine:
                 f"n_override ({n_override}) must be >= actual n ({csr.n}); "
                 f"lying about n only inflates the network (Thm 4.3)"
             )
-        limit = 1 << 62
-        try:
-            uid_array = csr.uid_array
-        except ConfigurationError:
-            uid_array = None  # wider than int64: definitely out of range
-        if uid_array is None or (uid_array.size and (
-                int(uid_array.min()) < 0 or int(uid_array.max()) >= limit)):
+        if not array_uids_fit(csr):
             raise ConfigurationError(
                 "ArrayEngine requires non-negative machine-word UIDs "
                 "(< 2**62); run FastEngine for wider identifiers")

@@ -8,12 +8,13 @@ all algorithm randomness derives from ``spec.seed`` — so sweeps are
 reproducible and independent of worker count. They double as templates
 for writing new tasks.
 
-No task takes an engine knob: the fault plan picks it. A spec with a
-nonzero ``fault_crash``/``fault_loss``/``fault_churn`` runs FastEngine,
-the one engine with a per-message fault hook, and every other spec
-runs the bit-identical ArrayEngine
-(:func:`~repro.sim.batch.array.resolve_engine`). An ``engine`` param is
-refused, so no stored spec can claim an engine it did not run on.
+No task takes an engine knob: the run picks it. A spec with a nonzero
+``fault_crash``/``fault_loss``/``fault_churn`` runs FastEngine, the one
+engine with a per-message fault hook, as does a graph whose UIDs are
+too wide for ArrayEngine; every other spec runs the bit-identical
+ArrayEngine (:func:`~repro.sim.batch.array.resolve_engine`). An
+``engine`` param is refused, so no stored spec can claim an engine it
+did not run on.
 
 Graph builds go through :func:`repro.graphs.trial_graph`, the one
 process-local graph memo: for seed-invariant families (path, grid, ...)
@@ -65,12 +66,12 @@ def _graph_of(spec: TrialSpec) -> DistributedGraph:
 def _faults_of(spec: TrialSpec):
     """The spec's RoundFaultPlan, or None when no fault knob is set.
 
-    The plan alone picks the engine, so an ``engine`` param is refused.
+    The run picks the engine, so an ``engine`` param is refused.
     """
     if "engine" in spec.kwargs:
         raise ConfigurationError(
             f"engine={spec.param('engine')!r} is not a trial param; the "
-            f"engine follows the fault_* knobs")
+            "run picks the engine")
     crash = spec.param("fault_crash", 0.0)
     loss = spec.param("fault_loss", 0.0)
     churn = spec.param("fault_churn", 0.0)

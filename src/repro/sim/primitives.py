@@ -220,15 +220,15 @@ class ArrayBFSForest(ArrayProgram):
 def flood_min(graph: Optional[DistributedGraph], radius: int,
               model: str = CONGEST, engine: Optional[str] = None,
               faults=None, csr=None) -> AlgorithmResult:
-    """Run FloodMin on the engine ``faults`` picks.
+    """Run FloodMin on the engine the run needs.
 
-    An active fault plan runs the per-node program on FastEngine; every
-    other run takes the bit-identical whole-round program on
-    ArrayEngine (``engine`` pins one, see
-    :func:`~repro.sim.batch.array.resolve_engine`). ``csr`` reuses a
-    frozen topology (``graph`` may then be ``None``).
+    An active fault plan, or UIDs too wide for ArrayEngine, runs the
+    per-node program on FastEngine; every other run takes the
+    bit-identical whole-round program on ArrayEngine (``engine="array"``
+    pins it, see :func:`~repro.sim.batch.array.resolve_engine`). ``csr``
+    reuses a frozen topology (``graph`` may then be ``None``).
     """
-    if resolve_engine(engine, faults) == "array":
+    if resolve_engine(engine, faults, graph, csr) == "array":
         return ArrayEngine(graph, ArrayFloodMin(radius), model=model,
                            csr=csr).run()
     return FastEngine(graph, lambda _v: FloodMin(radius),
@@ -239,12 +239,11 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
                      depth_bound: Optional[int] = None,
                      engine: Optional[str] = None, faults=None,
                      csr=None) -> AlgorithmResult:
-    """Grow the BFS forest (CONGEST) on the engine ``faults`` picks.
+    """Grow the BFS forest (CONGEST) on the engine the run needs.
 
     Engine and ``csr`` knobs as in :func:`flood_min`. With ``graph=None``
     the default ``depth_bound`` comes from the CSR's node count.
     """
-    engine = resolve_engine(engine, faults)
     if depth_bound is not None:
         bound = depth_bound
     elif graph is not None:
@@ -255,7 +254,7 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
         raise ConfigurationError(
             "build_bfs_forest needs a DistributedGraph or a pre-built "
             "CSRGraph; both were None")
-    if engine == "array":
+    if resolve_engine(engine, faults, graph, csr) == "array":
         return ArrayEngine(graph, ArrayBFSForest(roots, bound),
                            model=CONGEST, max_rounds=bound + 2,
                            csr=csr).run()

@@ -31,12 +31,16 @@ from repro.graphs import assign, make
 from repro.randomness import SharedRandomness
 from repro.randomness.pooled import PooledBits
 from repro.randomness.source import RandomSource
+from repro.core.mis import LubyMIS
 from repro.sim.batch.array import ArrayContext
-from repro.sim.batch.csr import bfs_distances, edges_to_csr, index_edges
+from repro.sim.batch.csr import (bfs_distances, edges_to_csr, ensure_csr,
+                                 index_edges)
+from repro.sim.batch.fast_engine import FastEngine
 from repro.sim.graph import DistributedGraph, EdgeList
 from repro.sim.messages import CONGEST, LOCAL, congest_limit, message_bits
 from repro.sim.metrics import AlgorithmResult, RunReport
 from repro.sim.node import NodeContext, NodeProgram
+from repro.sim.primitives import BFSTree, FloodMin
 
 #: The named families every cross-topology test sweeps over.
 FAMILY_NAMES = ("path", "cycle", "grid", "gnp-sparse", "gnp-dense",
@@ -784,3 +788,26 @@ def run_program(graph: DistributedGraph, program_cls: type,
     reference by default; FastEngine takes the same arguments)."""
     return engine(graph, lambda _v: program_cls(), source=source,
                   model=model, **kwargs).run()
+
+
+# FastEngine runs of the three engine-picking primitives' node programs:
+# what ``luby_mis``, ``flood_min`` and ``build_bfs_forest`` run under an
+# active fault plan, here without one, to hold ArrayEngine against.
+def fast_luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
+                  csr=None) -> AlgorithmResult:
+    return FastEngine(graph, lambda _v: LubyMIS(), source=source,
+                      model=CONGEST, csr=csr).run()
+
+
+def fast_flood_min(graph: Optional[DistributedGraph], radius: int,
+                   model: str = CONGEST, csr=None) -> AlgorithmResult:
+    return FastEngine(graph, lambda _v: FloodMin(radius), model=model,
+                      csr=csr).run()
+
+
+def fast_bfs_forest(graph: Optional[DistributedGraph], roots,
+                    depth_bound: Optional[int] = None,
+                    csr=None) -> AlgorithmResult:
+    bound = ensure_csr(graph, csr).n if depth_bound is None else depth_bound
+    return FastEngine(graph, lambda _v: BFSTree(roots, bound),
+                      model=CONGEST, max_rounds=bound + 2, csr=csr).run()

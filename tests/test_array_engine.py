@@ -23,7 +23,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import FAMILY_NAMES, count_frontier_calls
+from helpers import (
+    FAMILY_NAMES,
+    count_frontier_calls,
+    fast_bfs_forest,
+    fast_flood_min,
+    fast_luby_mis,
+)
 from repro.core.mis import ArrayLubyMIS, LubyMIS, is_valid_mis, luby_mis
 from repro.errors import (
     BandwidthExceeded,
@@ -126,16 +132,15 @@ def ring_lattice(n, reach, uid_seed):
 
 def engine_parity(csr):
     """FloodMin, BFS forest and Luby MIS, array vs fast, on ``csr``."""
-    n = csr.n
-    runs = (
-        lambda engine: flood_min(None, 12, engine=engine, csr=csr),
-        lambda engine: build_bfs_forest(None, {0, n // 3, n // 2}, 40,
-                                        engine=engine, csr=csr),
-        lambda engine: luby_mis(None, IndependentSource(seed=3),
-                                engine=engine, csr=csr),
-    )
-    for run in runs:
-        assert_identical(run("fast"), run("array"))
+    roots = {0, csr.n // 3, csr.n // 2}
+    assert_identical(fast_flood_min(None, 12, csr=csr),
+                     flood_min(None, 12, engine="array", csr=csr))
+    assert_identical(fast_bfs_forest(None, roots, 40, csr=csr),
+                     build_bfs_forest(None, roots, 40, engine="array",
+                                      csr=csr))
+    assert_identical(fast_luby_mis(None, IndependentSource(seed=3), csr=csr),
+                     luby_mis(None, IndependentSource(seed=3),
+                              engine="array", csr=csr))
 
 
 class TestColumnFoldParity:
@@ -292,7 +297,7 @@ def engine_runs(monkeypatch):
     return runs
 
 
-#: The three primitives that take ``engine=`` and ``faults=``.
+#: The three primitives that pick their engine from ``faults=``.
 PRIMITIVES = {
     "luby_mis": lambda g, **kw: luby_mis(g, IndependentSource(seed=2), **kw),
     "flood_min": lambda g, **kw: flood_min(g, 3, **kw),
@@ -301,42 +306,46 @@ PRIMITIVES = {
 
 
 class TestEngineKnobs:
-    """The engine each entry point picks, and the engine= override."""
+    """The engine each entry point picks, and the engine="array" pin."""
 
     def test_luby_mis_knob(self, gnp60):
-        fast = luby_mis(gnp60, IndependentSource(seed=3), engine="fast")
+        fast = fast_luby_mis(gnp60, IndependentSource(seed=3))
         arr = luby_mis(gnp60, IndependentSource(seed=3), engine="array")
         assert_identical(fast, arr)
         with pytest.raises(ConfigurationError):
             luby_mis(gnp60, IndependentSource(seed=3), engine="warp")
 
     def test_flood_min_knob(self, cycle12):
-        fast = flood_min(cycle12, 6, engine="fast")
+        fast = fast_flood_min(cycle12, 6)
         arr = flood_min(cycle12, 6, engine="array")
         assert_identical(fast, arr)
         with pytest.raises(ConfigurationError):
             flood_min(cycle12, 6, engine="warp")
 
     def test_bfs_forest_knob(self, gnp60):
-        fast = build_bfs_forest(gnp60, {0, 7}, engine="fast")
+        fast = fast_bfs_forest(gnp60, {0, 7})
         arr = build_bfs_forest(gnp60, {0, 7}, engine="array")
         assert_identical(fast, arr)
         with pytest.raises(ConfigurationError):
             build_bfs_forest(gnp60, {0}, engine="warp")
 
-    def test_tasks_engine_param(self, monkeypatch):
+    def test_tasks_engine_param(self, monkeypatch, engine_runs):
         # The tasks take no engine param; what they run by default
         # (ArrayEngine) equals the same sweep forced onto FastEngine.
+        # One in-process worker, so the spy and the patch see every run.
         import repro.core.mis as mis_module
         import repro.sim.primitives as primitives_module
 
         tasks = (luby_mis_trial, flood_min_trial, bfs_forest_trial)
         specs = grid(["gnp-sparse", "tree"], [24], range(3))
-        arr = [run_trials(task, specs) for task in tasks]
+        arr = [run_trials(task, specs, workers=1) for task in tasks]
+        assert engine_runs == ["ArrayEngine"] * (len(tasks) * len(specs))
+        engine_runs.clear()
         for module in (mis_module, primitives_module):
             monkeypatch.setattr(module, "resolve_engine",
-                                lambda engine, faults: "fast")
-        fast = [run_trials(task, specs) for task in tasks]
+                                lambda *_args: "fast")
+        fast = [run_trials(task, specs, workers=1) for task in tasks]
+        assert engine_runs == ["FastEngine"] * (len(tasks) * len(specs))
         assert ([[(r.ok, r.data) for r in rs] for rs in fast]
                 == [[(r.ok, r.data) for r in rs] for rs in arr])
         for task in tasks:
@@ -350,10 +359,42 @@ class TestEngineKnobs:
         run(cycle12)
         run(cycle12, faults=RoundFaultPlan(seed=1))  # every rate zero
         run(cycle12, faults=RoundFaultPlan(seed=1, loss=0.5))
-        run(cycle12, engine="fast")
         run(cycle12, engine="array", faults=RoundFaultPlan(seed=1))
         assert engine_runs == ["ArrayEngine", "ArrayEngine", "FastEngine",
-                               "FastEngine", "ArrayEngine"]
+                               "ArrayEngine"]
+        with pytest.raises(ConfigurationError,
+                           match="unknown engine 'fast'"):
+            run(cycle12, engine="fast")
+
+    @pytest.mark.parametrize("top", [2**62, 2**70])
+    def test_wide_uids_run_on_fast_engine(self, engine_runs, top):
+        # UIDs ArrayEngine cannot hold (>= 2**62, or past int64) send
+        # every primitive to FastEngine; only a pinned engine refuses.
+        g = DistributedGraph(nx.path_graph(5), uids=[3, 1, top, 7, 2])
+        result = flood_min(g, 4, model=LOCAL)
+        assert result.outputs == {v: 1 for v in range(5)}
+        assert_identical(result, fast_flood_min(g, 4, model=LOCAL))
+        assert_identical(luby_mis(g, IndependentSource(seed=2)),
+                         fast_luby_mis(g, IndependentSource(seed=2)))
+        assert_identical(build_bfs_forest(g, {1}), fast_bfs_forest(g, {1}))
+        assert engine_runs == ["FastEngine"] * 6
+        with pytest.raises(ConfigurationError, match="2\\*\\*62"):
+            flood_min(g, 4, model=LOCAL, engine="array")
+
+    def test_tasks_run_wide_uids_on_fast_engine(self, monkeypatch,
+                                                engine_runs):
+        # A sweep over a hand-built wide-UID graph needs no engine knob.
+        import repro.sim.batch.tasks as batch_tasks
+
+        g = DistributedGraph(nx.path_graph(5), uids=[3, 1, 2**62, 7, 2])
+        monkeypatch.setattr(batch_tasks, "trial_graph",
+                            lambda family, n, seed, ids: g)
+        spec = TrialSpec.of("path", 5, 0, model=LOCAL, radius=4)
+        result = run_trials(flood_min_trial, [spec], workers=1)[0]
+        assert result.ok
+        assert result.data == batch_tasks._report_data(
+            fast_flood_min(g, 4, model=LOCAL))
+        assert engine_runs == ["FastEngine"] * 2
 
     def test_tasks_follow_fault_knobs(self, engine_runs):
         for task in (luby_mis_trial, flood_min_trial, bfs_forest_trial):
@@ -376,10 +417,10 @@ class TestEngineKnobs:
                 .randomness_bits
             for budget in (1, 7, need // 3, need // 2, need - 1, need):
                 outcomes = []
-                for engine in ("fast", "array"):
+                for run in (fast_luby_mis, luby_mis):
                     source = IndependentSource(seed=seed, bit_budget=budget)
                     try:
-                        result = luby_mis(g, source, engine=engine)
+                        result = run(g, source)
                         outcome = (result.outputs,
                                    dataclasses.asdict(result.report))
                     except RandomnessExhausted as exc:
@@ -403,8 +444,8 @@ class TestEngineKnobs:
         with pytest.raises(ConfigurationError) as info:
             run(cycle12, RoundFaultPlan(seed=1, loss=0.5))
         assert str(info.value) == (
-            "fault injection requires engine='fast'; the array engine "
-            "has no per-message delivery hook")
+            "fault injection needs FastEngine (leave engine unset); the "
+            "array engine has no per-message delivery hook")
         # A plan with every rate at zero is a no-op, not an error.
         assert run(cycle12, RoundFaultPlan(seed=1)).outputs
 

@@ -22,11 +22,12 @@ Five contracts, each pinned here:
 4. **The sweep dedupe changes no bytes**: memoized graph builds
    produce result-for-result identical sweeps while building each
    distinct graph once.
-5. **Engine names fail loudly**: the primitives take only ``"fast"``
-   and ``"array"`` (retired names such as ``"kernel"`` get the plain
-   unknown-engine error, and the default ArrayEngine that replaced them
-   matches FastEngine), and the trial tasks and scenarios, which no
-   longer take an engine, refuse the knob by name.
+5. **Engine names fail loudly**: the primitives let only ``"array"``
+   be pinned (``"fast"`` and retired names such as ``"kernel"`` get the
+   plain unknown-engine error, and the default ArrayEngine that
+   replaced the retired engines matches FastEngine), and the trial
+   tasks and scenarios, which take no engine, refuse the knob by
+   name.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FAMILY_NAMES, count_frontier_calls
+from helpers import (
+    FAMILY_NAMES,
+    count_frontier_calls,
+    fast_bfs_forest,
+    fast_flood_min,
+    fast_luby_mis,
+)
 from repro.core.mis import luby_mis
 from repro.errors import BandwidthExceeded, ConfigurationError
 from repro.graphs import assign, make
@@ -602,7 +609,7 @@ class TestWorkspaceMechanics:
     def test_engine_run_never_calls_np_append(self, monkeypatch, gnp60):
         # The original hot-path bug: segment_reduce padded via np.append
         # on every call. A whole array-engine run must not touch it.
-        ref = flood_min(gnp60, 6, engine="fast")
+        ref = fast_flood_min(gnp60, 6)
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("np.append on the engine hot path")
@@ -632,26 +639,25 @@ class TestKernelParitySweep:
 
     def refused(self, call, engine):
         with pytest.raises(ConfigurationError,
-                           match=rf"unknown engine '{engine}'; choose from"):
+                           match=rf"unknown engine '{engine}'; pin 'array'"):
             call(engine)
 
     def test_luby_mis(self, family, engine):
         g = self.graph(family)
         self.refused(lambda e: luby_mis(g, IndependentSource(seed=101),
                                         engine=e), engine)
-        assert_identical(
-            luby_mis(g, IndependentSource(seed=101), engine="fast"),
-            luby_mis(g, IndependentSource(seed=101)))
+        assert_identical(fast_luby_mis(g, IndependentSource(seed=101)),
+                         luby_mis(g, IndependentSource(seed=101)))
 
     def test_flood_min(self, family, engine):
         g = self.graph(family)
         self.refused(lambda e: flood_min(g, 2, engine=e), engine)
-        assert_identical(flood_min(g, 2, engine="fast"), flood_min(g, 2))
+        assert_identical(fast_flood_min(g, 2), flood_min(g, 2))
 
     def test_bfs_forest(self, family, engine):
         g = self.graph(family)
         self.refused(lambda e: build_bfs_forest(g, {0, 2}, engine=e), engine)
-        assert_identical(build_bfs_forest(g, {0, 2}, engine="fast"),
+        assert_identical(fast_bfs_forest(g, {0, 2}),
                          build_bfs_forest(g, {0, 2}))
 
 
@@ -693,7 +699,7 @@ REMOVED_ENGINE_KNOBS = {
     "luby_mis_trial": r"engine='{}' is not a trial param",
     "flood_min_trial": r"engine='{}' is not a trial param",
     "bfs_forest_trial": r"engine='{}' is not a trial param",
-    "ScenarioSpec.from_dict": r"algorithm\.engine is gone",
+    "ScenarioSpec.from_dict": r"unknown key\(s\) \['engine'\] in algorithm",
 }
 
 
@@ -705,8 +711,8 @@ def test_bad_engine_rejected_everywhere(entry, engine):
         expected = REMOVED_ENGINE_KNOBS[entry].format(engine)
         valid = [None]
     else:
-        expected = rf"unknown engine '{engine}'; choose from"
-        valid = [None, "fast", "array"]
+        expected = rf"unknown engine '{engine}'; pin 'array'"
+        valid = [None, "array"]
     with pytest.raises(ConfigurationError, match=expected):
         call(engine)
     for good in valid:  # the same call with a valid engine runs
@@ -764,11 +770,12 @@ class TestMmapCSR:
 
 class TestNativeKnob:
     def test_unknown_engine_and_backend_rejected(self, path9):
-        for name in ("warp", "kernel", "native"):
+        for name in ("warp", "kernel", "native", "fast"):
             with pytest.raises(ConfigurationError) as info:
                 flood_min(path9, 2, engine=name)
             assert str(info.value) == (
-                f"unknown engine {name!r}; choose from ('fast', 'array')")
+                f"unknown engine {name!r}; pin 'array' or leave engine "
+                "unset")
 
 
 class TestSweepDedupe:
@@ -842,6 +849,6 @@ class TestSweepDedupe:
                                match=f"engine='{name}' is not a trial param"):
                 luby_mis_trial(retired)
         spec = TrialSpec.of("cycle", 12, 3)
-        ref = luby_mis(batch_tasks._graph_of(spec), IndependentSource(seed=3),
-                       engine="fast")
+        ref = fast_luby_mis(batch_tasks._graph_of(spec),
+                            IndependentSource(seed=3))
         assert luby_mis_trial(spec).data == batch_tasks._report_data(ref)

@@ -22,7 +22,8 @@ from repro.sim.graph import DistributedGraph
 from repro.sim.primitives import build_bfs_forest, flood_min
 from repro.structures import Decomposition
 
-from helpers import nx_copy, to_nx
+from helpers import (fast_bfs_forest, fast_flood_min, fast_luby_mis,
+                     nx_copy, to_nx)
 
 #: Labels of mutually unorderable types: indices fall back to the
 #: type-then-repr order.
@@ -230,7 +231,9 @@ class TestNetworkxView:
         assert not dec.violations(g)
         tree_orientation(tree)
         assert len(g.connected_components()) >= 1
-        for engine in ("fast", "array"):
-            luby_mis(g, IndependentSource(seed=3), engine=engine)
-            flood_min(g, 4, engine=engine)
-            build_bfs_forest(g, {0}, engine=engine)
+        for mis, flood, bfs in ((luby_mis, flood_min, build_bfs_forest),
+                                (fast_luby_mis, fast_flood_min,
+                                 fast_bfs_forest)):
+            mis(g, IndependentSource(seed=3))
+            flood(g, 4)
+            bfs(g, {0})
