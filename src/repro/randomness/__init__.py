@@ -15,10 +15,12 @@ Lemma 3.4 small-bias variant      :class:`EpsilonBiasedSource`
 Bit generation is block-oriented (counter-mode PRF blocks, see
 :mod:`repro.randomness.block`) and metering is interval-based, so a bulk
 read (:meth:`RandomSource.bits_block`) costs O(1) ledger work per
-contiguous range while reporting exactly the per-bit counts. The
-per-node bulk samplers (:meth:`RandomSource.uniform_int_each`,
-:meth:`RandomSource.geometrics`) generate every node's bits in one
-numpy pass and leave only one ledger update per node.
+contiguous range while reporting exactly the per-bit counts. A source
+implements one generation hook over many nodes at once; every reader,
+scalar or per-node bulk (:meth:`RandomSource.uniform_int_each`,
+:meth:`RandomSource.geometrics`, :meth:`RandomSource.bits_each`), runs
+one skeleton that generates all nodes' bits in one hook call per attempt
+and leaves one ledger update per node (see :mod:`.source`).
 """
 
 from .block import BlockStream, IntervalSet, derive_key

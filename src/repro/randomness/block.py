@@ -75,11 +75,6 @@ class BlockStream:
         self._blocks[i] = digest
         return digest
 
-    def bit(self, index: int) -> int:
-        """Bit ``index`` of the stream (0 or 1)."""
-        byte = self.block(index >> _BLOCK_SHIFT)[(index & _BLOCK_MASK) >> 3]
-        return (byte >> (index & 7)) & 1
-
     def read(self, start: int, count: int) -> np.ndarray:
         """``count`` consecutive bits from ``start`` as a uint8 array.
 

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from .finite_field import GF2m, inner_product_bits, min_degree_for
-from .kwise import address_points
+from .finite_field import GF2m, min_degree_for
+from .kwise import address_limit, address_points
 from .source import RandomSource
 
 
@@ -91,59 +91,20 @@ class EpsilonBiasedSource(RandomSource):
         self.x = self.field.element(x)
         self.y = self.field.element(y)
         self.seed_bits = 2 * m
-        # Cache of x^i, filled incrementally in index order.
-        self._powers = [1]
 
-    def _power(self, i: int) -> int:
-        while len(self._powers) <= i:
-            self._powers.append(self.field.mul(self._powers[-1], self.x))
-        return self._powers[i]
-
-    def _raw_bit(self, node: object, index: int) -> int:
-        node_i = int(node)
-        if not 0 <= node_i < self.num_nodes:
-            raise ConfigurationError(f"node {node!r} outside [0, {self.num_nodes})")
-        if not 0 <= index < self.bits_per_node:
-            raise ConfigurationError(
-                f"bit index {index} outside [0, {self.bits_per_node})"
-            )
-        point = node_i * self.bits_per_node + index
-        # Sample bit i is <bits(x^(i+1)), bits(y)>; starting the powers at
-        # x^1 avoids the degenerate constant bit at i = 0 when x = 1.
-        return inner_product_bits(self._power(point + 1), self.y)
-
-    def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
-        node_i = int(node)
-        if not 0 <= node_i < self.num_nodes:
-            raise ConfigurationError(f"node {node!r} outside [0, {self.num_nodes})")
-        if start < 0 or start + count > self.bits_per_node:
-            bad = start if start < 0 else self.bits_per_node
-            raise ConfigurationError(
-                f"bit index {bad} outside [0, {self.bits_per_node})"
-            )
-        point = node_i * self.bits_per_node + start
-        powers = self.field.pow_range_vec(self.x, point + 1, count)
-        if powers is None:  # m > 16 has no log tables: scalar walk
-            return super()._raw_block(node, start, count)
-        return _parity64(powers & self.y)
-
-    def _raw_blocks(self, nodes: Sequence[object], start: int,
-                    count: int) -> np.ndarray:
-        """Every node's bits ``[start, start + count)`` from one
-        :meth:`GF2m.pow_vec` call over all ``len(nodes) * count`` points.
-        Out-of-range nodes or indices, and fields without log tables
-        (m > 16), go through the per-node base path, which raises each
-        node's own range error."""
-        points = address_points(nodes, start, count, self.num_nodes,
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        """Every lane's bits from one :meth:`GF2m.pow_vec` call over all
+        ``len(nodes) * count`` points. Sample bit ``i`` is
+        ``<bits(x^(i+1)), bits(y)>``; starting the powers at ``x^1``
+        avoids the degenerate constant bit at ``i = 0`` when ``x = 1``."""
+        points = address_points(nodes, starts, count, self.num_nodes,
                                 self.bits_per_node)
-        if points is not None:
-            powers = self.field.pow_vec(self.x, points.ravel() + 1)
-            if powers is not None:
-                return _parity64(powers & self.y).reshape(points.shape)
-        return super()._raw_blocks(nodes, start, count)
+        powers = self.field.pow_vec(self.x, points.ravel() + 1)
+        return _parity64(powers & self.y).reshape(points.shape)
 
-    def _stream_limit(self, node: object) -> Optional[int]:
-        return self.bits_per_node
+    def _stream_limit(self, node: object) -> int:
+        return address_limit(node, self.num_nodes, self.bits_per_node)
 
     @classmethod
     def enumerate_seeds(cls, num_nodes: int, bits_per_node: int, epsilon: float):

@@ -16,7 +16,7 @@ at m = 8, where x has order 51 and x + 1 generates). Each degree's
 tables are built once per process by vectorized shift-and-reduce and
 shared read-only by every ``GF2m(m)``: scalar code reads tuples, vector
 code reads non-writeable numpy arrays. Larger degrees use carry-less
-multiplication and have no vector kernels.
+multiplication, and their vector operations loop over the scalar ones.
 """
 
 from __future__ import annotations
@@ -242,23 +242,19 @@ class GF2m:
         return acc
 
     # ------------------------------------------------------------------
-    # Vectorized arithmetic (table-backed; None when m > 16)
+    # Vectorized arithmetic (table-backed; a scalar loop when m > 16)
     # ------------------------------------------------------------------
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-        """Elementwise field product of two int64 arrays (or None)."""
-        if self._log_np is None:
-            return None
-        log = self._log_np
-        return self._exp_np[log[a] + log[b]]
-
-    def eval_poly_vec(self, coeffs: list, xs: np.ndarray) -> Optional[np.ndarray]:
-        """Horner evaluation of one polynomial at many points (or None).
+    def eval_poly_vec(self, coeffs: list, xs: np.ndarray) -> np.ndarray:
+        """Horner evaluation of one polynomial at every point of an int64
+        array, as int64.
 
         Runs in the log domain: ``log x`` is looked up once, and each
         Horner step is one gather, ``acc = exp[log acc + log x] ^ c``.
+        Degrees without tables evaluate point by point.
         """
         if self._log_np is None:
-            return None
+            return np.array([self.eval_poly(coeffs, x) for x in xs.tolist()],
+                            dtype=np.int64)
         log, exp = self._log_np, self._exp_np
         log_x = log[xs]
         acc = np.zeros(xs.size, dtype=np.int64)
@@ -266,25 +262,22 @@ class GF2m:
             acc = exp[log[acc] + log_x] ^ c
         return acc
 
-    def pow_vec(self, a: int, exps: np.ndarray) -> Optional[np.ndarray]:
+    def pow_vec(self, a: int, exps: np.ndarray) -> np.ndarray:
         """``a**e`` for every exponent ``e >= 0`` of an int64 array, as
-        int64 (or None).
+        int64.
 
         Exponentiation through the discrete log: ``a^e`` is
         ``exp[(log a * e) mod (2^m - 1)]`` — one vectorized modmul for
         the whole array instead of a chain of field multiplications.
+        Degrees without tables exponentiate one exponent at a time.
         """
         if self._log_np is None:
-            return None
+            return np.array([self.pow(a, e) for e in exps.tolist()],
+                            dtype=np.int64)
         if a == 0:
             # 0^0 == 1 by the repeated-product convention.
             return (exps == 0).astype(np.int64)
         return self._exp_np[(self._log[a] * exps) % (self.order - 1)]
-
-    def pow_range_vec(self, a: int, start: int, count: int) -> Optional[np.ndarray]:
-        """``a**start, ..., a**(start+count-1)`` as int64 (or None): one
-        :meth:`pow_vec` over the range."""
-        return self.pow_vec(a, start + np.arange(count, dtype=np.int64))
 
 
 def inner_product_bits(a: int, b: int) -> int:

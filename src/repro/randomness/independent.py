@@ -66,50 +66,51 @@ class IndependentSource(RandomSource):
             self._streams[node] = stream
         return stream
 
-    @staticmethod
-    def _check_index(node: object, index: int) -> None:
-        if index < 0:
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        """Every lane's bits ``[starts[i], starts[i] + count)``: the PRF
+        blocks under each window, read through :meth:`BlockStream.block`
+        (so the block cache sees every block and no other is computed),
+        joined into one byte matrix and unpacked at each lane's phase.
+        One lane (every scalar read) slices its stream directly."""
+        starts = np.asarray(starts, dtype=np.int64)
+        if len(starts) and starts.min() < 0:
+            i = int(np.argmax(starts < 0))
             raise ConfigurationError(
-                f"node {node!r} requested negative stream index {index}")
-
-    def _raw_bit(self, node: object, index: int) -> int:
-        self._check_index(node, index)
-        return self._stream(node).bit(index)
-
-    def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
-        self._check_index(node, start)
-        return self._stream(node).read(start, count)
-
-    def _raw_blocks(self, nodes: Sequence[object], start: int,
-                    count: int) -> np.ndarray:
-        """Every node's bits ``[start, start + count)``: the digests of
-        the blocks under the range, read through :meth:`_digest_blocks`
-        (so the block cache sees every block) and unpacked in one call.
-        A negative ``start`` goes through the per-node base path, which
-        names the first node."""
-        if start < 0:
-            return super()._raw_blocks(nodes, start, count)
-        first = start // BLOCK_BITS
-        covered = range(first, (start + count - 1) // BLOCK_BITS + 1)
-        rows = np.hstack([self._digest_blocks(nodes, np.full(len(nodes), b))
-                          for b in covered])
-        lo = start - first * BLOCK_BITS
-        bits = np.unpackbits(rows[:, lo >> 3:(lo + count + 7) >> 3], axis=1,
-                             bitorder="little")
-        return bits[:, (lo & 7):(lo & 7) + count]
-
-    def _digest_blocks(self, nodes: Sequence[object],
-                       block_indices: np.ndarray) -> np.ndarray:
-        """Raw PRF block ``block_indices[i]`` of ``nodes[i]``'s stream, for
-        every ``i``, as the rows of a ``uint8[len(nodes), 64]`` matrix.
-
-        The hook behind :meth:`RandomSource.uniform_int_each`'s one-pass
-        path and :meth:`_raw_blocks`; indices must be non-negative.
-        """
-        stream = self._stream
-        data = b"".join([stream(v).block(b)
-                         for v, b in zip(nodes, block_indices.tolist())])
-        return np.frombuffer(data, dtype=np.uint8).reshape(-1, 64)
+                f"node {nodes[i]!r} requested negative stream index "
+                f"{int(starts[i])}")
+        if len(starts) == 1:
+            return self._stream(nodes[0]).read(int(starts[0]), count)[None]
+        block = starts // BLOCK_BITS
+        first = block.tolist()
+        spans = (starts + count - 1) // BLOCK_BITS - block + 1
+        span = int(spans.max(initial=1))  # blocks per row, zero-padded
+        known = self._streams.get
+        streams = [known(v) or self._stream(v) for v in nodes]
+        data = b"".join([s.block(b) for s, b in zip(streams, first)])
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(len(first), 64)
+        if span > 1:
+            rows = np.hstack([rows, np.zeros((len(first), (span - 1) * 64),
+                                             dtype=np.uint8)])
+            for j in range(1, span):
+                lanes = np.flatnonzero(spans > j)
+                data = b"".join([streams[i].block(first[i] + j)
+                                 for i in lanes.tolist()])
+                rows[lanes, j * 64:(j + 1) * 64] = np.frombuffer(
+                    data, dtype=np.uint8).reshape(-1, 64)
+        lo = starts % BLOCK_BITS  # bit phase in the first block
+        phases = lo.tolist()
+        low, high = min(phases, default=0), max(phases, default=0)
+        if low == high:
+            bits = np.unpackbits(rows[:, low >> 3:(low + count + 7) >> 3],
+                                 axis=1, bitorder="little")
+            return bits[:, (low & 7):(low & 7) + count]
+        # Per-lane phases: gather enough bytes for any bit phase.
+        lanes = np.arange(len(phases))[:, None]
+        byte_idx = np.minimum((lo >> 3)[:, None] + np.arange((count + 14) >> 3),
+                              span * 64 - 1)
+        bits = np.unpackbits(rows[lanes, byte_idx], axis=1, bitorder="little")
+        return bits[lanes, (lo & 7)[:, None] + np.arange(count)]
 
     def fork(self, label: str) -> "IndependentSource":
         """Derive an independent child source (for multi-phase algorithms).

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .finite_field import GF2m, min_degree_for
-from .source import RandomSource
+from .source import RandomSource, first_outside
 
 
 def _coefficients_from_seed(seed: int, k: int, m: int) -> List[int]:
@@ -44,17 +44,42 @@ def _coefficients_from_seed(seed: int, k: int, m: int) -> List[int]:
     return coeffs
 
 
-def address_points(nodes: Sequence[object], start: int, count: int,
-                   num_nodes: int, bits_per_node: int) -> Optional[np.ndarray]:
+def address_limit(node: object, num_nodes: int, bits_per_node: int) -> int:
+    """Stream length of ``node`` in a ``num_nodes * bits_per_node``
+    address space: ``bits_per_node``, or 0 for a node that is not an
+    integer in ``[0, num_nodes)``."""
+    try:
+        node_i = int(node)
+    except (TypeError, ValueError):
+        return 0
+    return bits_per_node if 0 <= node_i < num_nodes else 0
+
+
+def address_points(nodes: Sequence[object], starts: np.ndarray, count: int,
+                   num_nodes: int, bits_per_node: int,
+                   index_note: str = "") -> np.ndarray:
     """The ``int64[len(nodes), count]`` matrix of points
-    ``node * bits_per_node + index`` for indices ``[start, start + count)``,
-    or None if a node or an index falls outside the address space (the
-    caller then takes its per-node path, which names the culprit)."""
+    ``node * bits_per_node + index``, for indices
+    ``[starts[i], starts[i] + count)`` of ``nodes[i]``.
+
+    Raises ConfigurationError naming the first lane's node outside
+    ``[0, num_nodes)`` or its first index outside ``[0, bits_per_node)``
+    (``index_note`` is appended to the latter), and ValueError for a
+    node that is not an integer.
+    """
     node_ids = np.array([int(v) for v in nodes], dtype=np.int64)
-    if start < 0 or start + count > bits_per_node \
-            or not np.all((node_ids >= 0) & (node_ids < num_nodes)):
-        return None
-    return (node_ids * bits_per_node + start)[:, None] \
+    starts = np.asarray(starts, dtype=np.int64)
+    outside = (node_ids < 0) | (node_ids >= num_nodes) | (starts < 0) \
+        | (starts + count > bits_per_node)
+    if outside.any():
+        i = int(outside.argmax())
+        if not 0 <= node_ids[i] < num_nodes:
+            raise ConfigurationError(
+                f"node {nodes[i]!r} outside [0, {num_nodes})")
+        index = first_outside(int(starts[i]), count, bits_per_node)
+        raise ConfigurationError(
+            f"bit index {index} outside [0, {bits_per_node}){index_note}")
+    return (node_ids * bits_per_node + starts)[:, None] \
         + np.arange(count, dtype=np.int64)
 
 
@@ -100,50 +125,18 @@ class KWiseSource(RandomSource):
             self._coeffs = _coefficients_from_seed(seed, k, self.field.m)
         self.seed_bits = k * self.field.m
 
-    def _point(self, node: object, index: int) -> int:
-        node_i = int(node)
-        if not 0 <= node_i < self.num_nodes:
-            raise ConfigurationError(
-                f"node {node!r} outside [0, {self.num_nodes})"
-            )
-        if not 0 <= index < self.bits_per_node:
-            raise ConfigurationError(
-                f"bit index {index} outside [0, {self.bits_per_node}) "
-                f"for a KWiseSource; raise bits_per_node"
-            )
-        return node_i * self.bits_per_node + index
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        """Every lane's bits from one :meth:`GF2m.eval_poly_vec` call over
+        all ``len(nodes) * count`` points."""
+        points = address_points(
+            nodes, starts, count, self.num_nodes, self.bits_per_node,
+            " for a KWiseSource; raise bits_per_node")
+        values = self.field.eval_poly_vec(self._coeffs, points.ravel())
+        return (values & 1).astype(np.uint8).reshape(points.shape)
 
-    def _raw_bit(self, node: object, index: int) -> int:
-        point = self._point(node, index)
-        value = self.field.eval_poly(self._coeffs, point)
-        return value & 1
-
-    def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
-        first = self._point(node, start)
-        self._point(node, start + count - 1)  # validate the far end too
-        points = first + np.arange(count, dtype=np.int64)
-        values = self.field.eval_poly_vec(self._coeffs, points)
-        if values is None:  # m > 16 has no log tables: scalar walk
-            return super()._raw_block(node, start, count)
-        return (values & 1).astype(np.uint8)
-
-    def _raw_blocks(self, nodes: Sequence[object], start: int,
-                    count: int) -> np.ndarray:
-        """Every node's bits ``[start, start + count)`` from one
-        :meth:`GF2m.eval_poly_vec` call over all ``len(nodes) * count``
-        points. Out-of-range nodes or indices, and fields without log
-        tables (m > 16), go through the per-node base path, which raises
-        each node's own range error."""
-        points = address_points(nodes, start, count, self.num_nodes,
-                                self.bits_per_node)
-        if points is not None:
-            values = self.field.eval_poly_vec(self._coeffs, points.ravel())
-            if values is not None:
-                return (values & 1).astype(np.uint8).reshape(points.shape)
-        return super()._raw_blocks(nodes, start, count)
-
-    def _stream_limit(self, node: object) -> Optional[int]:
-        return self.bits_per_node
+    def _stream_limit(self, node: object) -> int:
+        return address_limit(node, self.num_nodes, self.bits_per_node)
 
     @classmethod
     def enumerate_seeds(cls, k: int, num_nodes: int, bits_per_node: int):

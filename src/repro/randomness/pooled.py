@@ -10,12 +10,12 @@ mode the paper's "100 log² n bits suffice w.h.p." arguments bound.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, RandomnessExhausted
-from .source import RandomSource
+from .source import RandomSource, first_outside
 
 
 class PooledBits(RandomSource):
@@ -30,9 +30,7 @@ class PooledBits(RandomSource):
             bits = list(bits)
             if any(b not in (0, 1) for b in bits):
                 raise ConfigurationError(f"pool {key!r} contains non-bits")
-            pool = np.asarray(bits, dtype=np.uint8)
-            pool.flags.writeable = False  # bulk reads hand out views
-            self._pools[key] = pool
+            self._pools[key] = np.asarray(bits, dtype=np.uint8)
         self.seed_bits = sum(len(b) for b in self._pools.values())
 
     def _pool(self, node: object) -> np.ndarray:
@@ -41,31 +39,28 @@ class PooledBits(RandomSource):
             raise ConfigurationError(f"no pool for key {node!r}")
         return pool
 
-    def _raw_bit(self, node: object, index: int) -> int:
-        pool = self._pool(node)
-        if index >= len(pool):
-            raise RandomnessExhausted(
-                f"pool {node!r} has {len(pool)} bits; index {index} requested"
-            )
-        return int(pool[index])
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        out = np.empty((len(nodes), count), dtype=np.uint8)
+        for row, (node, start) in enumerate(zip(nodes, np.asarray(
+                starts).tolist())):
+            pool = self._pool(node)
+            index = first_outside(start, count, len(pool))
+            if index is not None:
+                raise RandomnessExhausted(
+                    f"pool {node!r} has {len(pool)} bits; "
+                    f"index {index} requested")
+            out[row] = pool[start:start + count]
+        return out
 
-    def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
-        pool = self._pool(node)
-        if start < 0 or start + count > len(pool):
-            raise RandomnessExhausted(
-                f"pool {node!r} has {len(pool)} bits; "
-                f"index {max(start, len(pool))} requested"
-            )
-        return pool[start:start + count]
-
-    def _stream_limit(self, node: object) -> Optional[int]:
+    def _stream_limit(self, node: object) -> int:
         pool = self._pools.get(node)
         return len(pool) if pool is not None else 0
 
     def pool_size(self, key: object) -> int:
         """Total bits in one pool."""
-        return len(self._pools[key])
+        return len(self._pool(key))
 
     def remaining(self, key: object) -> int:
         """Bits in the pool not yet consumed."""
-        return len(self._pools[key]) - self.bits_consumed_by(key)
+        return len(self._pool(key)) - self.bits_consumed_by(key)

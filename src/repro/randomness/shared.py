@@ -13,14 +13,14 @@ there is no private randomness). The paper's headline uses:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, RandomnessExhausted
 from .block import BlockStream, derive_key
 from .kwise import KWiseSource
-from .source import RandomSource, pack_bits
+from .source import RandomSource, first_outside, pack_bits
 
 
 class SharedRandomness(RandomSource):
@@ -47,36 +47,27 @@ class SharedRandomness(RandomSource):
                 )
             if any(b not in (0, 1) for b in explicit_bits):
                 raise ConfigurationError("explicit_bits must contain only 0/1")
-            # Copy: freezing below must never alter a caller-owned array.
             self._bits = np.array(explicit_bits, dtype=np.uint8)
         else:
             self._bits = self._materialize(seed, num_bits)
-        self._bits.flags.writeable = False  # bulk reads hand out views
 
     @staticmethod
     def _materialize(seed: int, num_bits: int) -> np.ndarray:
         stream = BlockStream(derive_key("repro-shared", seed))
         return stream.read(0, num_bits).copy()
 
-    def _check_range(self, start: int, end: int) -> None:
-        if start < 0 or end > self.seed_bits:
-            bad = start if start < 0 else self.seed_bits
-            raise RandomnessExhausted(
-                f"shared string has {self.seed_bits} bits; index {bad} requested"
-            )
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        starts = np.asarray(starts, dtype=np.int64)
+        for start in starts.tolist():
+            index = first_outside(start, count, self.seed_bits)
+            if index is not None:
+                raise RandomnessExhausted(
+                    f"shared string has {self.seed_bits} bits; "
+                    f"index {index} requested")
+        return self._bits[starts[:, None] + np.arange(count)]
 
-    def _raw_bit(self, node: object, index: int) -> int:
-        if not 0 <= index < self.seed_bits:
-            raise RandomnessExhausted(
-                f"shared string has {self.seed_bits} bits; index {index} requested"
-            )
-        return int(self._bits[index])
-
-    def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
-        self._check_range(start, start + count)
-        return self._bits[start:start + count]
-
-    def _stream_limit(self, node: object) -> Optional[int]:
+    def _stream_limit(self, node: object) -> int:
         return self.seed_bits
 
     def global_bit(self, index: int) -> int:

@@ -16,28 +16,49 @@ interval-based (per-node sorted ranges of consumed indices, see
 any length costs O(1) amortized ledger work instead of one dict entry
 per bit; the reported counts are identical to per-bit bookkeeping.
 
-Subclasses implement :meth:`_raw_bit` (one bit) and, for speed, override
-:meth:`_raw_block` (a contiguous run of one node's bits as a numpy array)
-and :meth:`_raw_blocks` (the same run for many nodes at once, as the
-rows of one matrix); PRF-backed sources also expose their raw 512-bit
-blocks through ``_digest_blocks``. The public bulk readers
-(:meth:`bits_block`, :meth:`uniform_int_each`, :meth:`geometrics`,
-:meth:`bits_each`) let hot algorithms draw a whole
-round's randomness in one call while consuming *exactly* the bits the
-per-call samplers would; :meth:`uniform_int_each`, :meth:`geometrics`
-and :meth:`bits_each` draw every node's value in one vectorized pass
-over a matrix of those bits, and only the ledger update stays per node.
+A source implements two methods:
+
+* :meth:`RandomSource._raw_bits` — ``(nodes, starts, count) ->
+  uint8[len(nodes), count]``: the unmetered bits
+  ``[starts[i], starts[i] + count)`` of ``nodes[i]``'s stream, raising
+  the source's own error for an out-of-range node or index;
+* :meth:`RandomSource._stream_limit` — ``None`` for an unbounded stream,
+  else its length (``0`` for a node that has no stream).
+
+Every public reader, scalar (:meth:`~RandomSource.bit`,
+:meth:`~RandomSource.bits_block`, :meth:`~RandomSource.uniform_int`,
+:meth:`~RandomSource.geometric`) or bulk
+(:meth:`~RandomSource.bits_each`, :meth:`~RandomSource.uniform_int_each`,
+:meth:`~RandomSource.geometrics`), is a call of one skeleton over lanes
+(one lane per node): each attempt generates every live lane's window
+with one :meth:`_raw_bits` call, and the lanes are then metered in node
+order by :meth:`_meter`, the only writer of the ledger. Values, metering
+and errors are those of reading bit by bit: a lane that runs past its
+stream's end meters the prefix it read and raises the source's error at
+the first index it lacked; a bit budget raises at the first index that
+did not fit.
+
+To add a source, subclass :class:`RandomSource`, implement
+:meth:`_raw_bits` (vectorize across lanes where the derivation allows)
+and, for a bounded stream, :meth:`_stream_limit`.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, RandomnessExhausted
-from .block import BLOCK_BITS, IntervalSet
+from .block import IntervalSet
+
+#: Stands in for an unbounded stream's limit in the lane arithmetic.
+_UNBOUNDED = 1 << 62
+
+#: ``draw(raw) -> (values, used, done)`` over the rows of a window matrix.
+Draw = Callable[[np.ndarray], Tuple[np.ndarray, object, object]]
 
 
 def pack_bits(bits) -> int:
@@ -48,23 +69,40 @@ def pack_bits(bits) -> int:
     return value
 
 
+def first_outside(start: int, count: int, limit: int) -> Optional[int]:
+    """The first index of ``[start, start + count)`` outside
+    ``[0, limit)``, or None if the range fits."""
+    if start < 0 or start >= limit:
+        return start
+    return limit if start + count > limit else None
+
+
+def _whole_rows(raw: np.ndarray):
+    """Draw of the bit readers: every row as read, all of it used."""
+    return raw, raw.shape[1], True
+
+
+def _first_zero(raw: np.ndarray):
+    """Draw of the Geometric(1/2) samplers: the value is the index of
+    the first zero flip (capped at the row length), which is also the
+    number of bits read."""
+    zero = raw == 0
+    steps = np.where(zero.any(axis=1), zero.argmax(axis=1) + 1, raw.shape[1])
+    return steps, steps, True
+
+
 class RandomSource(abc.ABC):
     """Abstract source of per-node random bits.
 
-    Subclasses implement :meth:`_raw_bit`; the public API adds metering,
-    budget enforcement, and derived samplers (uniform integers, geometric
+    Subclasses implement :meth:`_raw_bits` (and :meth:`_stream_limit`
+    for bounded streams); the public API adds metering, budget
+    enforcement, and derived samplers (uniform integers, geometric
     variables) built only from bits, so the bit count is the single
     currency of randomness.
     """
 
     #: total independent seed bits behind this source (None = unbounded).
     seed_bits: Optional[int] = None
-
-    #: Optional hook ``(nodes, block_indices) -> uint8[k, 64]``: the raw
-    #: 512-bit PRF block ``block_indices[i]`` of ``nodes[i]``'s unbounded
-    #: stream. Sources that provide it get :meth:`uniform_int_each`'s
-    #: one-pass path.
-    _digest_blocks: Optional[Callable[..., np.ndarray]] = None
 
     def __init__(self, bit_budget: Optional[int] = None):
         self._bit_budget = bit_budget
@@ -75,174 +113,297 @@ class RandomSource(abc.ABC):
     # Raw generation (subclass contract)
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _raw_bit(self, node: object, index: int) -> int:
-        """Return bit ``index`` of ``node``'s random string (0 or 1)."""
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        """Bits ``[starts[i], starts[i] + count)`` of ``nodes[i]``'s
+        stream, as the rows of a ``uint8[len(nodes), count]`` matrix.
 
-    def _raw_block(self, node: object, start: int, count: int) -> np.ndarray:
-        """``count`` consecutive raw bits from ``start`` as a uint8 array.
-
-        Unmetered. The default loops :meth:`_raw_bit`; sources with a
-        vectorizable derivation override this, and every single-node bulk
-        reader (:meth:`bits_block`, :meth:`geometric`) generates through
-        it.
+        Unmetered, ``count >= 1``. Raises the source's own error for a
+        node without a stream or an index outside it.
         """
-        out = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            value = self._raw_bit(node, start + i)
-            if value not in (0, 1):
-                raise ConfigurationError(
-                    f"_raw_bit returned non-bit value {value!r}")
-            out[i] = value
-        return out
-
-    def _raw_blocks(self, nodes: Sequence[object], start: int,
-                    count: int) -> np.ndarray:
-        """Bits ``[start, start + count)`` of every node's stream, as the
-        rows of a ``uint8[len(nodes), count]`` matrix.
-
-        Unmetered. The default stacks :meth:`_raw_block` one node at a
-        time, so every source supports it; sources whose derivation
-        vectorizes across nodes override it. The hook behind
-        :meth:`geometrics`.
-        """
-        out = np.empty((len(nodes), count), dtype=np.uint8)
-        for i, node in enumerate(nodes):
-            out[i] = self._raw_block(node, start, count)
-        return out
 
     def _stream_limit(self, node: object) -> Optional[int]:
         """Exclusive upper bound on valid bit indices for ``node``.
 
-        ``None`` means unbounded. Bounded sources report their per-node
-        string length so the bulk samplers never *peek* past the end of
-        a stream whose prefix would have satisfied the request.
+        ``None`` means unbounded; ``0`` means ``node`` has no stream.
+        The readers never generate past it, so a read whose prefix
+        decides the value never *peeks* beyond the end of the stream.
         """
         return None
 
     # ------------------------------------------------------------------
     # Metering
     # ------------------------------------------------------------------
-    def _consume(self, node: object, start: int, end: int) -> None:
+    def _meter(self, node: object, start: int, end: int) -> None:
         """Meter ``[start, end)`` of ``node``'s stream.
 
-        Already-served sub-ranges are free re-reads. Enforces the bit
-        budget with per-bit-exact semantics: the served prefix is
-        recorded, and the exception names the first index that did not
-        fit — matching what bit-at-a-time accounting would have done.
+        Already-served sub-ranges are free re-reads. Under a bit budget,
+        the prefix that fits is recorded and the exception names the
+        first index that did not — what bit-at-a-time accounting would
+        have done.
         """
-        if start >= end:
-            return
+        cut = end
+        budget = self._bit_budget
         ledger = self._ledgers.get(node)
-        if ledger is None:
-            gaps = [(start, end)]
-        else:
-            gaps = ledger.missing(start, end)
-        if not gaps:
-            return
-
-        def record(s: int, e: int) -> None:
-            nonlocal ledger
+        if budget is not None:
+            room = budget - self._total_consumed
+            gaps = [(start, end)] if ledger is None \
+                else ledger.missing(start, end)
+            for s, e in gaps:
+                if e - s > room:
+                    cut = s + room
+                    break
+                room -= e - s
+        if start < cut:
             if ledger is None:
                 ledger = self._ledgers[node] = IntervalSet()
-            self._total_consumed += ledger.add(s, e)
-
-        budget = self._bit_budget
-        if budget is not None:
-            new = sum(e - s for s, e in gaps)
-            if self._total_consumed + new > budget:
-                room = budget - self._total_consumed
-                for s, e in gaps:
-                    take = min(room, e - s)
-                    if take:
-                        record(s, s + take)
-                        room -= take
-                    if take < e - s:
-                        raise RandomnessExhausted(
-                            f"bit budget of {budget} bits exhausted "
-                            f"(node {node!r} requested index {s + take})")
-        for s, e in gaps:
-            record(s, e)
+            self._total_consumed += ledger.add(start, cut)
+        if cut < end:
+            raise RandomnessExhausted(
+                f"bit budget of {budget} bits exhausted "
+                f"(node {node!r} requested index {cut})")
 
     # ------------------------------------------------------------------
-    # Core bit access
+    # The skeleton behind every reader
+    # ------------------------------------------------------------------
+    def _lanes(self, nodes: Sequence[object], starts, count: int,
+               draw: Draw, attempts: int = 1,
+               stuck: Optional[Callable[[], Exception]] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """One value per lane, lane ``i`` reading ``nodes[i]``'s stream
+        from ``starts[i]`` (an int is every lane's start).
+
+        Each attempt reads ``count`` bits at every live lane's cursor
+        (:meth:`_window`); ``draw(raw) -> (values, used, done)`` turns
+        that matrix into each row's value, the bits it read and whether
+        the lane is settled. Unsettled lanes read again at their
+        advanced cursor, up to ``attempts`` times; a lane still
+        unsettled then raises ``stuck()``. Returns ``(values, used)``,
+        ``used`` being the bits each lane read (an int when all read the
+        same).
+
+        Lanes are metered in node order, each over the contiguous range
+        it read. The first lane that failed meters its prefix and
+        raises: the source's error at the first index past its stream's
+        end (a draw that used more bits than the lane holds), or
+        ``stuck()``.
+        """
+        if not isinstance(nodes, list):
+            nodes = list(nodes)
+        n = len(nodes)
+        if isinstance(starts, int):
+            first = [starts] * n
+            start = np.array(first, dtype=np.int64)
+        else:
+            start = np.array(starts, dtype=np.int64).reshape(n)
+            first = start.tolist()
+        limits = list(map(self._stream_limit, nodes))
+        stop, clip = None, False  # no lane can run short
+        if limits.count(None) < n or min(first, default=0) < 0:
+            # A lane's readable range ends at its stream's end, or at its
+            # start if that lies outside the stream; clip an attempt's
+            # windows only where some lane may hold less than a window.
+            stop = [s if s < 0 or lim is not None and s >= lim
+                    else _UNBOUNDED if lim is None else lim
+                    for s, lim in zip(first, limits)]
+            clip = min(map(operator.sub, stop, first)) < count
+            stop = np.array(stop, dtype=np.int64)
+        short = None  # lanes that ran past their stream's end
+        live = None  # lanes still drawing; None: every lane
+        for _ in range(attempts):
+            if live is None:
+                lanes, at = nodes, start
+            else:
+                lanes, at = [nodes[i] for i in live.tolist()], cursor[live]
+                clip = stop is not None
+            if clip:
+                avail = np.minimum((stop if live is None else stop[live]) - at,
+                                   count)
+                raw = self._window(lanes, at, avail, count)
+            else:
+                avail = None  # every lane holds its whole window
+                raw = self._raw_bits(lanes, at, count)
+            got, used, done = draw(raw)
+            if avail is not None:
+                past = used > avail
+                used = np.minimum(used, avail)
+                if past.any():
+                    if short is None:
+                        short = np.zeros(n, dtype=bool)
+                    short[past if live is None else live[past]] = True
+                    done = past | done
+            if live is not None:
+                values[live] = got
+                cursor[live] += used
+                live = live[~done]
+            elif done is True or done.all():
+                values = got  # every lane settled on its first attempt
+                break
+            else:
+                values, cursor = got, start + used
+                live = np.flatnonzero(~done)
+            if not live.size:
+                break
+
+        if live is None:
+            ends = [a + used for a in first] if isinstance(used, int) \
+                else (start + used).tolist()
+        else:
+            ends, used = cursor.tolist(), cursor - start
+        # The first lane that ran short or stayed unsettled, if any.
+        bad = n
+        stuck_lanes = live is not None and live.size > 0
+        if short is not None or stuck_lanes:
+            failed = np.zeros(n, dtype=bool) if short is None \
+                else short.copy()
+            if stuck_lanes:
+                failed[live] = True
+            if failed.any():
+                bad = int(failed.argmax())
+        meter = self._meter
+        for node, s, e in zip(nodes[:bad] if bad < n else nodes, first, ends):
+            meter(node, s, e)
+        if bad < n:
+            node, end = nodes[bad], ends[bad]
+            meter(node, first[bad], end)
+            if short is not None and short[bad]:
+                self._raw_bits([node], np.array([end]), 1)
+                raise ConfigurationError(
+                    f"{type(self).__name__} served index {end} of node "
+                    f"{node!r}, past its stream limit")
+            raise stuck()
+        return values, used
+
+    def _window(self, lanes: List[object], at: np.ndarray,
+                avail: np.ndarray, count: int) -> np.ndarray:
+        """Bits ``[at[j], at[j] + count)`` of ``lanes[j]``'s stream, of
+        which it holds ``avail[j]``; the rest read as 0 (a draw that
+        uses them used more than the lane holds).
+
+        Lanes that hold the whole window are generated by one
+        :meth:`_raw_bits` call; the held prefixes of the rest (lanes at
+        a bounded stream's end) by one call per distinct prefix length.
+        """
+        held = avail.tolist()
+        if min(held) == count:
+            return self._raw_bits(lanes, at, count)
+        raw = np.zeros((len(lanes), count), dtype=np.uint8)
+        for length in sorted(set(held) - {0}):
+            rows = [j for j, h in enumerate(held) if h == length]
+            raw[rows, :length] = self._raw_bits(
+                [lanes[j] for j in rows], at[rows], length)
+        return raw
+
+    def _bit_rows(self, nodes: Sequence[object], count: int,
+                  offset: int) -> np.ndarray:
+        """Bits ``[offset, offset + count)`` of every node's stream, as
+        the rows of a ``uint8[len(nodes), count]`` matrix."""
+        if count <= 0:
+            return np.empty((len(nodes), 0), dtype=np.uint8)
+        return self._lanes(nodes, offset, count, _whole_rows)[0]
+
+    def _geometrics(self, nodes: Sequence[object], cap: int,
+                    offset: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One Geometric(1/2) draw per node from ``[offset, offset + cap)``
+        of its stream: the first zero of its row."""
+        if cap < 1:
+            raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        return self._lanes(nodes, offset, cap, _first_zero)
+
+    def _uniform(self, nodes: Sequence[object], bound: int,
+                 offsets) -> Tuple[np.ndarray, np.ndarray]:
+        """One rejection-sampled draw in ``[0, bound)`` per node.
+
+        Each attempt folds ``ceil(log2 bound)`` bits big-endian and
+        accepts a value below ``bound``; a rejected lane reads the next
+        window of its stream, up to 64 attempts (each fails with
+        probability < 1/2, so all 64 fail with probability < 2^-64).
+        Bounds up to ``2**62`` fold in int64; wider ones in Python ints.
+        """
+        if bound <= 0:
+            raise ConfigurationError(f"bound must be positive, got {bound}")
+        if bound == 1:
+            zeros = np.zeros(len(nodes), dtype=np.int64)
+            return zeros, zeros.copy()
+        width = (bound - 1).bit_length()
+        if width <= 62:
+            weights = np.left_shift(1, np.arange(width - 1, -1, -1),
+                                    dtype=np.int64)
+
+            def fold(raw):
+                return raw @ weights
+        else:
+            def fold(raw):
+                drawn = np.empty(len(raw), dtype=object)
+                drawn[:] = [pack_bits(row) for row in raw.tolist()]
+                return drawn
+
+        def draw(raw):
+            drawn = fold(raw)
+            return drawn, width, (drawn < bound).astype(bool, copy=False)
+
+        values, used = self._lanes(
+            nodes, offsets, width, draw, attempts=64,
+            stuck=lambda: RandomnessExhausted(
+                f"rejection sampling for bound {bound} did not converge"))
+        if isinstance(used, int):
+            used = np.full(len(values), used, dtype=np.int64)
+        return values, used
+
+    # ------------------------------------------------------------------
+    # Scalar readers (one lane)
     # ------------------------------------------------------------------
     def bit(self, node: object, index: int) -> int:
         """Metered access to bit ``index`` of ``node``'s random string."""
-        ledger = self._ledgers.get(node)
-        if self._bit_budget is not None \
-                and self._total_consumed >= self._bit_budget \
-                and (ledger is None or not ledger.covers(index)):
-            raise RandomnessExhausted(
-                f"bit budget of {self._bit_budget} bits exhausted "
-                f"(node {node!r} requested index {index})"
-            )
-        value = self._raw_bit(node, index)
-        if value not in (0, 1):
-            raise ConfigurationError(f"_raw_bit returned non-bit value {value!r}")
-        if ledger is None:
-            ledger = self._ledgers[node] = IntervalSet()
-        self._total_consumed += ledger.add(index, index + 1)
-        return value
+        return int(self._bit_rows([node], 1, index)[0, 0])
 
     def bits(self, node: object, count: int, offset: int = 0) -> List[int]:
         """Return ``count`` consecutive bits starting at ``offset``."""
-        return self.bits_block(node, count, offset).tolist()
+        return self._bit_rows([node], count, offset)[0].tolist()
 
     def bits_block(self, node: object, count: int,
                    offset: int = 0) -> np.ndarray:
         """Metered bulk read: ``count`` bits from ``offset`` as uint8.
 
-        One ledger operation and one block-wise generation regardless of
+        One generation call and one ledger operation regardless of
         ``count``; consumption is identical to ``count`` calls of
         :meth:`bit` — including on the error path: a read that runs past
-        a bounded stream's end meters the valid prefix before raising,
-        exactly as the per-bit walk would.
+        a bounded stream's end meters the valid prefix before raising.
         """
-        if count <= 0:
-            return np.empty(0, dtype=np.uint8)
-        limit = self._stream_limit(node)
-        if limit is not None and (offset < 0 or offset + count > limit):
-            # Out-of-range request on a bounded stream: walk bit-by-bit
-            # so the served prefix is recorded and the source's own
-            # range error surfaces at the first invalid index.
-            out = np.empty(count, dtype=np.uint8)
-            for i in range(count):
-                out[i] = self.bit(node, offset + i)
-            return out
-        values = self._raw_block(node, offset, count)
-        self._consume(node, offset, offset + count)
-        return values
+        return self._bit_rows([node], count, offset)[0]
 
-    # ------------------------------------------------------------------
-    # Derived samplers
-    # ------------------------------------------------------------------
-    def uniform_int(self, node: object, bound: int, offset: int = 0) -> Tuple[int, int]:
+    def uniform_int(self, node: object, bound: int,
+                    offset: int = 0) -> Tuple[int, int]:
         """Sample an integer in ``[0, bound)`` from the node's bit stream.
 
         Uses rejection sampling over ``ceil(log2 bound)`` bits per attempt,
         which preserves exact uniformity (important for the limited-
         independence analyses). Returns ``(value, bits_used)`` so callers
-        can advance their stream offset. Each attempt is one bulk block
-        read, not ``width`` per-bit calls.
+        can advance their stream offset.
         """
-        if bound <= 0:
-            raise ConfigurationError(f"bound must be positive, got {bound}")
-        if bound == 1:
-            return 0, 0
-        width = (bound - 1).bit_length()
-        used = 0
-        # Cap rejection attempts; the failure probability per attempt is
-        # < 1/2, so 64 attempts fail with probability < 2^-64.
-        for _ in range(64):
-            chunk = self.bits_block(node, width, offset + used)
-            used += width
-            value = pack_bits(chunk)
-            if value < bound:
-                return value, used
-        raise RandomnessExhausted(
-            f"rejection sampling for bound {bound} did not converge"
-        )
+        values, used = self._uniform([node], bound, [offset])
+        return int(values[0]), int(used[0])
 
+    def geometric(self, node: object, cap: int,
+                  offset: int = 0) -> Tuple[int, int]:
+        """Sample a Geometric(1/2) variable: Pr[X = k] = 2^-k for k >= 1.
+
+        This is the discrete analog of the exponential shifts in the
+        Elkin–Neiman construction (footnote 8 of the paper): flip fair
+        coins until the first tail; the value is the index of that flip.
+        The value is capped at ``cap`` (the paper caps at Theta(log n),
+        which holds w.h.p. anyway). Returns ``(value, bits_used)``.
+
+        Only the bits actually examined (up to and including the first
+        tail) are consumed, exactly as with bit-at-a-time flipping; a
+        draw that ends before a bounded stream does succeeds.
+        """
+        values, used = self._geometrics([node], cap, offset)
+        return int(values[0]), int(used[0])
+
+    # ------------------------------------------------------------------
+    # Bulk readers (one lane per node)
+    # ------------------------------------------------------------------
     def uniform_int_each(self, nodes: Sequence[object], bound: int,
                          offsets: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """One uniform draw in ``[0, bound)`` per node, each from its own
@@ -254,127 +415,10 @@ class RandomSource(abc.ABC):
         ``offsets[i]`` is node ``i``'s stream cursor. Returns
         ``(values, bits_used)`` arrays aligned with ``nodes``; values,
         metering and errors match per-node :meth:`uniform_int` calls
-        exactly.
-
-        On a source with a ``_digest_blocks`` hook, no bit budget and a
-        bound of at most ``2**62``, all draws are one numpy pass over a
-        matrix of each node's PRF block under its cursor; only rejected
-        lanes retry. Each node still needs its own PRF block reads and
-        ledger entry, so the per-node work is O(1) block operations: one
-        block lookup and one ``IntervalSet.add``, in node order. A lane
-        whose window would cross its block's end, that is still rejected
-        after 64 attempts, or whose cursor is negative falls back to
-        :meth:`uniform_int` at its place in that order, as does every
-        lane on other sources.
+        exactly. Each rejection round is one generation call over the
+        lanes still rejected.
         """
-        if bound <= 0:
-            raise ConfigurationError(f"bound must be positive, got {bound}")
-        count = len(nodes)
-        values = np.zeros(count, dtype=np.int64)
-        used = np.zeros(count, dtype=np.int64)
-        if bound == 1:
-            return values, used
-        width = (bound - 1).bit_length()
-        if self._digest_blocks is None or self._bit_budget is not None \
-                or width > 62:
-            for i, node in enumerate(nodes):
-                values[i], used[i] = self.uniform_int(
-                    node, bound, int(offsets[i]))
-            return values, used
-
-        starts = np.asarray(offsets, dtype=np.int64).reshape(count)
-        fallback = starts < 0  # lanes drawn by uniform_int instead
-        lanes = np.flatnonzero(~fallback)
-        blocks = self._digest_blocks([nodes[i] for i in lanes.tolist()],
-                                     starts[lanes] // BLOCK_BITS)
-        # Window bits gathered per lane: enough bytes for any bit phase.
-        span = (7 + width + 7) // 8
-        byte_steps = np.arange(span)
-        bit_steps = np.arange(width)
-        weights = np.left_shift(1, np.arange(width - 1, -1, -1),
-                                dtype=np.int64)
-        rows = np.arange(lanes.size)
-        cursor = starts[lanes] % BLOCK_BITS  # bit position in the block
-        for _ in range(64):
-            fits = cursor[rows] + width <= BLOCK_BITS
-            fallback[lanes[rows[~fits]]] = True
-            rows = rows[fits]
-            if not rows.size:
-                break
-            at = cursor[rows]
-            byte_idx = np.minimum((at >> 3)[:, None] + byte_steps, 63)
-            bits = np.unpackbits(blocks[rows[:, None], byte_idx], axis=1,
-                                 bitorder="little")
-            window = bits[np.arange(rows.size)[:, None],
-                          (at & 7)[:, None] + bit_steps]
-            drawn = window @ weights
-            cursor[rows] += width
-            accepted = drawn < bound
-            values[lanes[rows[accepted]]] = drawn[accepted]
-            rows = rows[~accepted]
-        fallback[lanes[rows]] = True
-        used[lanes] = cursor - starts[lanes] % BLOCK_BITS
-
-        ledgers = self._ledgers
-        for i, (node, start, step, slow) in enumerate(zip(
-                nodes, starts.tolist(), used.tolist(), fallback.tolist())):
-            if slow:
-                values[i], used[i] = self.uniform_int(node, bound, start)
-                continue
-            ledger = ledgers.get(node)
-            if ledger is None:
-                ledger = ledgers[node] = IntervalSet()
-            self._total_consumed += ledger.add(start, start + step)
-        return values, used
-
-    def bernoulli(self, node: object, numer: int, denom: int,
-                  offset: int = 0) -> Tuple[int, int]:
-        """Sample a Bernoulli(numer/denom) variable from the bit stream.
-
-        Returns ``(outcome, bits_used)``. Exact: draws a uniform value in
-        ``[0, denom)`` and compares against ``numer``.
-        """
-        if not 0 <= numer <= denom:
-            raise ConfigurationError(f"invalid probability {numer}/{denom}")
-        value, used = self.uniform_int(node, denom, offset)
-        return (1 if value < numer else 0), used
-
-    def geometric(self, node: object, cap: int, offset: int = 0) -> Tuple[int, int]:
-        """Sample a Geometric(1/2) variable: Pr[X = k] = 2^-k for k >= 1.
-
-        This is the discrete analog of the exponential shifts in the
-        Elkin–Neiman construction (footnote 8 of the paper): flip fair
-        coins until the first tail; the value is the index of that flip.
-        The value is capped at ``cap`` (the paper caps at Theta(log n),
-        which holds w.h.p. anyway). Returns ``(value, bits_used)``.
-
-        Only the bits actually examined (up to and including the first
-        tail) are consumed, exactly as with bit-at-a-time flipping.
-        """
-        if cap < 1:
-            raise ConfigurationError(f"cap must be at least 1, got {cap}")
-        limit = self._stream_limit(node)
-        if limit is not None and offset + cap > limit:
-            # Short stream: flip bit-by-bit so a run that ends before the
-            # stream does still succeeds (and exhaustion raises exactly
-            # where the per-bit walk would have hit the end).
-            used = 0
-            for k in range(1, cap + 1):
-                flip = self.bit(node, offset + used)
-                used += 1
-                if flip == 0:
-                    return k, used
-            return cap, used
-        raw = self._raw_block(node, offset, cap)
-        zeros = np.flatnonzero(raw == 0)
-        if zeros.size:
-            used = int(zeros[0]) + 1
-            value = used
-        else:
-            used = cap
-            value = cap
-        self._consume(node, offset, offset + used)
-        return value, used
+        return self._uniform(nodes, bound, offsets)
 
     def geometrics(self, nodes: Sequence[object], cap: int,
                    offset: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -385,94 +429,20 @@ class RandomSource(abc.ABC):
         own stream's block ``[offset, offset + cap)``). Returns
         ``(values, bits_used)`` arrays aligned with ``nodes``; values,
         metering and errors match per-node :meth:`geometric` calls
-        exactly. One :meth:`_per_node_pass`: each draw is the first zero
-        of its node's row (one ``argmax``).
+        exactly. Each draw is the first zero of its node's row (one
+        ``argmax``).
         """
-        if cap < 1:
-            raise ConfigurationError(f"cap must be at least 1, got {cap}")
-
-        def first_zero(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            zero = raw == 0
-            first = zero.argmax(axis=1)
-            steps = np.where(zero[np.arange(len(raw)), first], first + 1, cap)
-            return steps, steps
-
-        # A Geometric(1/2) value is the number of flips it read, so
-        # ``values`` doubles as ``bits_used``.
-        values = self._per_node_pass(
-            nodes, offset, cap, np.empty(len(nodes), dtype=np.int64),
-            first_zero, lambda node: self.geometric(node, cap, offset)[0])
-        return values, values.copy()
+        return self._geometrics(nodes, cap, offset)
 
     def bits_each(self, nodes: Sequence[object], count: int,
                   offset: int = 0) -> np.ndarray:
         """Bits ``[offset, offset + count)`` of every node's stream, as
         the rows of a ``uint8[len(nodes), count]`` matrix.
 
-        The bulk form of :meth:`bits_block` and the raw-bits sibling of
-        :meth:`geometrics` (one :meth:`_per_node_pass`): values,
-        metering and errors match per-node :meth:`bits_block` calls
-        exactly.
+        The bulk form of :meth:`bits_block`: values, metering and errors
+        match per-node :meth:`bits_block` calls exactly.
         """
-        if count <= 0:
-            return np.empty((len(nodes), 0), dtype=np.uint8)
-        return self._per_node_pass(
-            nodes, offset, count,
-            np.empty((len(nodes), count), dtype=np.uint8),
-            lambda raw: (raw, np.full(len(raw), count)),
-            lambda node: self.bits_block(node, count, offset))
-
-    def _per_node_pass(self, nodes: Sequence[object], offset: int,
-                       count: int, out: np.ndarray,
-                       draw: Callable[[np.ndarray],
-                                      Tuple[np.ndarray, np.ndarray]],
-                       one: Callable[[object], object]) -> np.ndarray:
-        """Fill ``out[i]`` with node ``i``'s value, as ``one(nodes[i])``
-        draws it from bits ``[offset, offset + count)`` of its stream.
-
-        The skeleton of the one-pass per-node samplers. Every node's
-        block comes from one :meth:`_raw_blocks` call, and
-        ``draw(raw) -> (values, used)`` turns that matrix into each
-        row's value and the number of bits it read. Only the ledger
-        update stays per node, in node order: one ``IntervalSet.add``
-        per node, or :meth:`_consume` under a bit budget so exhaustion
-        raises at the same node with the same served prefix. A node
-        whose bounded stream does not hold the whole range keeps its
-        ``one`` call at its place in that order. If generation raises,
-        nothing is metered yet and ``one`` is replayed node by node, so
-        the error and the partial ledger are the per-node calls'.
-        """
-        short = [limit is not None and (offset < 0 or offset + count > limit)
-                 for limit in map(self._stream_limit, nodes)]
-        fast = [node for node, slow in zip(nodes, short) if not slow]
-        try:
-            raw = self._raw_blocks(fast, offset, count)
-        except Exception:
-            # Any generation error (a range error, a node that is not an
-            # integer, ...): nothing is metered yet, so replay per node
-            # for their error and their partial ledger.
-            for i, node in enumerate(nodes):
-                out[i] = one(node)
-            return out
-        values, used = draw(raw)
-        out[~np.array(short, dtype=bool)] = values
-
-        ledgers = self._ledgers
-        budget = self._bit_budget
-        ends = iter((offset + used).tolist())
-        for i, (node, slow) in enumerate(zip(nodes, short)):
-            if slow:
-                out[i] = one(node)
-                continue
-            end = next(ends)
-            if budget is not None:
-                self._consume(node, offset, end)
-                continue
-            ledger = ledgers.get(node)
-            if ledger is None:
-                ledger = ledgers[node] = IntervalSet()
-            self._total_consumed += ledger.add(offset, end)
-        return out
+        return self._bit_rows(nodes, count, offset)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -20,12 +20,12 @@ that is exactly what Lemma 3.2's clustering does, and why the
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, Iterable, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Set
 
 import numpy as np
 
 from ..errors import ConfigurationError, ModelViolation
-from .source import RandomSource
+from .source import RandomSource, first_outside
 
 if TYPE_CHECKING:
     from ..sim.graph import DistributedGraph
@@ -97,17 +97,24 @@ class SparseRandomness(RandomSource):
             digest = hashlib.sha256(f"sparse-bit:{seed}:{v!r}".encode()).digest()
             self._values[v] = digest[0] & 1
 
-    def _raw_bit(self, node: object, index: int) -> int:
-        if node not in self.holders:
-            raise ModelViolation(
-                f"node {node!r} holds no randomness (not in S); "
-                f"sparse model allows bits only at holders"
-            )
-        if index != 0:
-            raise ModelViolation(
-                f"holder {node!r} has a single bit; index {index} requested"
-            )
-        return self._values[node]
+    def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
+                  count: int) -> np.ndarray:
+        out = np.empty((len(nodes), count), dtype=np.uint8)
+        for row, (node, start) in enumerate(zip(nodes, np.asarray(
+                starts).tolist())):
+            if node not in self.holders:
+                raise ModelViolation(
+                    f"node {node!r} holds no randomness (not in S); "
+                    f"sparse model allows bits only at holders"
+                )
+            index = first_outside(start, count, 1)
+            if index is not None:
+                raise ModelViolation(
+                    f"holder {node!r} has a single bit; "
+                    f"index {index} requested"
+                )
+            out[row] = self._values[node]
+        return out
 
     def _stream_limit(self, node: object) -> int:
         return 1 if node in self.holders else 0

@@ -86,20 +86,6 @@ class NodeContext:
         self._cursor += used
         return value
 
-    def rand_bernoulli(self, numer: int, denom: int) -> int:
-        """Fresh Bernoulli(numer/denom) sample (0 or 1)."""
-        value, used = self._require_source().bernoulli(
-            self.v, numer, denom, self._cursor)
-        self._cursor += used
-        return value
-
-    def rand_geometric(self, cap: int) -> int:
-        """Fresh Geometric(1/2) sample capped at ``cap``."""
-        value, used = self._require_source().geometric(
-            self.v, cap, self._cursor)
-        self._cursor += used
-        return value
-
     # ------------------------------------------------------------------
     # Termination
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ directory on ``sys.path`` (rootdir import mode), which makes a bare
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
@@ -811,3 +812,206 @@ def fast_bfs_forest(graph: Optional[DistributedGraph], roots,
     bound = ensure_csr(graph, csr).n if depth_bound is None else depth_bound
     return FastEngine(graph, lambda _v: BFSTree(roots, bound),
                       model=CONGEST, max_rounds=bound + 2, csr=csr).run()
+
+
+# ----------------------------------------------------------------------
+# Per-bit randomness reference
+# ----------------------------------------------------------------------
+def reference_bit(source: RandomSource, node: object, index: int) -> int:
+    """Bit ``index`` of ``node``'s stream of ``source``, derived on its
+    own, one bit at a time, from the source's parameters.
+
+    Raises what the source raises for a node without a stream or an
+    index outside it. Never touches the source's ledger.
+    """
+    from repro.randomness import (EpsilonBiasedSource, IndependentSource,
+                                  KWiseSource, SparseRandomness,
+                                  inner_product_bits)
+    from repro.randomness.block import derive_key
+
+    if isinstance(source, IndependentSource):
+        if index < 0:
+            raise ConfigurationError(
+                f"node {node!r} requested negative stream index {index}")
+        key = derive_key("repro-independent", source.seed, repr(node))
+        digest = hashlib.blake2b((index >> 9).to_bytes(8, "big"), key=key,
+                                 digest_size=64).digest()
+        return (digest[(index & 511) >> 3] >> (index & 7)) & 1
+    if isinstance(source, (KWiseSource, EpsilonBiasedSource)):
+        node_i = int(node)
+        if not 0 <= node_i < source.num_nodes:
+            raise ConfigurationError(
+                f"node {node!r} outside [0, {source.num_nodes})")
+        if not 0 <= index < source.bits_per_node:
+            note = " for a KWiseSource; raise bits_per_node" \
+                if isinstance(source, KWiseSource) else ""
+            raise ConfigurationError(
+                f"bit index {index} outside [0, {source.bits_per_node})"
+                f"{note}")
+        point = node_i * source.bits_per_node + index
+        field = source.field
+        if isinstance(source, KWiseSource):
+            return field.eval_poly(source._coeffs, point) & 1
+        return inner_product_bits(field.pow(source.x, point + 1), source.y)
+    if isinstance(source, PooledBits):
+        pool = source._pools.get(node)
+        if pool is None:
+            raise ConfigurationError(f"no pool for key {node!r}")
+        if not 0 <= index < len(pool):
+            raise RandomnessExhausted(
+                f"pool {node!r} has {len(pool)} bits; index {index} requested")
+        return int(pool[index])
+    if isinstance(source, SharedRandomness):
+        if not 0 <= index < source.seed_bits:
+            raise RandomnessExhausted(
+                f"shared string has {source.seed_bits} bits; "
+                f"index {index} requested")
+        return int(source._bits[index])
+    if isinstance(source, SparseRandomness):
+        if node not in source.holders:
+            raise ModelViolation(
+                f"node {node!r} holds no randomness (not in S); "
+                f"sparse model allows bits only at holders")
+        if index != 0:
+            raise ModelViolation(
+                f"holder {node!r} has a single bit; index {index} requested")
+        return source._values[node]
+    raise TypeError(f"no per-bit reference for {type(source).__name__}")
+
+
+class PerBitReader:
+    """Every public :class:`RandomSource` reader, read one bit at a time
+    against a per-bit set ledger: the semantics the block readers must
+    reproduce.
+
+    Bits come from :func:`reference_bit` on ``source``, which is used
+    for its parameters and its bit budget only. Each bit is checked
+    against its stream first (the source's range error), then, if not
+    yet served, against the budget; only then is it recorded. Bulk
+    readers are per-node loops of the scalar ones.
+    """
+
+    def __init__(self, source: RandomSource):
+        self.source = source
+        self.budget = source._bit_budget
+        self.served: Dict[object, Set[int]] = {}  # first-metered order
+
+    # -- readers --------------------------------------------------------
+    def bit(self, node: object, index: int) -> int:
+        value = reference_bit(self.source, node, index)
+        seen = self.served.get(node, ())
+        if index not in seen:
+            if self.budget is not None \
+                    and self.bits_consumed >= self.budget:
+                raise RandomnessExhausted(
+                    f"bit budget of {self.budget} bits exhausted "
+                    f"(node {node!r} requested index {index})")
+            self.served.setdefault(node, set()).add(index)
+        return value
+
+    def bits_block(self, node: object, count: int,
+                   offset: int = 0) -> List[int]:
+        return [self.bit(node, offset + i) for i in range(max(count, 0))]
+
+    bits = bits_block
+
+    def uniform_int(self, node: object, bound: int,
+                    offset: int = 0) -> Tuple[int, int]:
+        if bound <= 0:
+            raise ConfigurationError(f"bound must be positive, got {bound}")
+        if bound == 1:
+            return 0, 0
+        width = (bound - 1).bit_length()
+        used = 0
+        for _ in range(64):
+            value = 0
+            for _i in range(width):
+                value = (value << 1) | self.bit(node, offset + used)
+                used += 1
+            if value < bound:
+                return value, used
+        raise RandomnessExhausted(
+            f"rejection sampling for bound {bound} did not converge")
+
+    def geometric(self, node: object, cap: int,
+                  offset: int = 0) -> Tuple[int, int]:
+        if cap < 1:
+            raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        for k in range(1, cap + 1):
+            if self.bit(node, offset + k - 1) == 0:
+                return k, k
+        return cap, cap
+
+    def bits_each(self, nodes, count: int, offset: int = 0):
+        return [self.bits_block(v, count, offset) for v in nodes]
+
+    def uniform_int_each(self, nodes, bound: int, offsets):
+        if bound <= 0:
+            raise ConfigurationError(f"bound must be positive, got {bound}")
+        draws = [self.uniform_int(v, bound, int(o))
+                 for v, o in zip(nodes, offsets)]
+        return [v for v, _ in draws], [u for _, u in draws]
+
+    def geometrics(self, nodes, cap: int, offset: int = 0):
+        if cap < 1:
+            raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        draws = [self.geometric(v, cap, offset) for v in nodes]
+        return [v for v, _ in draws], [u for _, u in draws]
+
+    # -- ledger ---------------------------------------------------------
+    @property
+    def bits_consumed(self) -> int:
+        return sum(len(seen) for seen in self.served.values())
+
+    def ledger(self) -> Dict[object, Tuple[List[int], List[int]]]:
+        """Every node's served indices as maximal runs ``(starts, ends)``."""
+        out = {}
+        for node, seen in self.served.items():
+            starts = [i for i in sorted(seen) if i - 1 not in seen]
+            ends = [next(j for j in itertools.count(i) if j not in seen)
+                    for i in starts]
+            out[node] = (starts, ends)
+        return out
+
+
+def source_ledger(source: RandomSource) -> Dict[object, Tuple[List[int], List[int]]]:
+    """A source's interval ledger, node by node, as ``(starts, ends)``."""
+    return {v: (source._ledgers[v].starts, source._ledgers[v].ends)
+            for v in source.nodes_touched()}
+
+
+def _plain(value):
+    """Arrays as lists, recursively, so results compare with ``==``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(v) for v in value)
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def read_outcome(call: Callable[[], Any]):
+    """``(result, None)`` or ``(None, (error type, message))``."""
+    try:
+        return _plain(call()), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_like_per_bit(make: Callable[[], RandomSource],
+                        read: Callable[[Any], Any]):
+    """Run ``read`` on a fresh source and on the per-bit reference of a
+    twin: same values (``used`` included), same exception type and
+    text, same ledger intervals, node order and ``bits_consumed``.
+    Returns the error, if any, and the source after the read."""
+    source, reference = make(), PerBitReader(make())
+    got = read_outcome(lambda: read(source))
+    want = read_outcome(lambda: read(reference))
+    assert got == want
+    assert list(source.nodes_touched()) == list(reference.served)
+    assert source_ledger(source) == reference.ledger()
+    assert source.bits_consumed == reference.bits_consumed
+    for node in reference.served:
+        assert source.bits_consumed_by(node) == len(reference.served[node])
+    return want[1], source

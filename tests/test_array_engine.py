@@ -18,6 +18,7 @@ sampler the array programs draw from.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 
 from helpers import (
     FAMILY_NAMES,
+    assert_like_per_bit,
     count_frontier_calls,
     fast_bfs_forest,
     fast_flood_min,
@@ -489,43 +491,37 @@ class TestArrayHelpers:
         assert_identical(ref, arr)
 
 
-def _ledger_state(source, nodes):
-    return {v: (source._ledgers[v].starts, source._ledgers[v].ends)
-            for v in nodes if v in source._ledgers}
-
-
 class TestUniformIntEach:
-    """The bulk per-node sampler is sequential-equivalent."""
+    """The bulk per-node sampler reads like per-bit ``uniform_int``."""
 
     @staticmethod
     def assert_matches_per_node(nodes, bound, offsets, seed=42,
-                                prior_reads=(), bit_budget=None):
-        """uniform_int_each on one source == per-node uniform_int calls on
-        a fresh twin: values, bits used, totals, every node's ledger, and
-        the exception text if the batch raises."""
-        ref = IndependentSource(seed=seed, bit_budget=bit_budget)
-        bulk = IndependentSource(seed=seed, bit_budget=bit_budget)
-        for source in (ref, bulk):
+                                prior_reads=(), bit_budget=None,
+                                source=IndependentSource):
+        """uniform_int_each, and per-node uniform_int calls, each on a
+        fresh source against the per-bit reference: values, bits used,
+        totals, every node's ledger intervals, and the exception text if
+        the batch raises. Returns the error text, if any."""
+        if source is IndependentSource:
+            source = partial(IndependentSource, seed=seed,
+                             bit_budget=bit_budget)
+
+        def prior(reader):
             for node, start, count in prior_reads:
-                source.bits_block(node, count, start)
-        expected, ref_error = [], None
-        try:
-            for node, offset in zip(nodes, offsets):
-                expected.append(ref.uniform_int(node, bound, int(offset)))
-        except RandomnessExhausted as exc:
-            ref_error = str(exc)
-        if ref_error is None:
-            values, used = bulk.uniform_int_each(nodes, bound,
-                                                 np.array(offsets))
-            assert values.tolist() == [v for v, _ in expected]
-            assert used.tolist() == [u for _, u in expected]
-        else:
-            with pytest.raises(RandomnessExhausted) as info:
-                bulk.uniform_int_each(nodes, bound, np.array(offsets))
-            assert str(info.value) == ref_error
-        assert bulk.bits_consumed == ref.bits_consumed
-        assert _ledger_state(bulk, nodes) == _ledger_state(ref, nodes)
-        return ref_error
+                reader.bits_block(node, count, start)
+
+        def bulk(reader):
+            prior(reader)
+            return reader.uniform_int_each(nodes, bound, np.array(offsets))
+
+        def scalar(reader):
+            prior(reader)
+            return [reader.uniform_int(node, bound, int(offset))
+                    for node, offset in zip(nodes, offsets)]
+
+        error, _ = assert_like_per_bit(source, bulk)
+        assert assert_like_per_bit(source, scalar)[0] == error
+        return None if error is None else error[1]
 
     def test_matches_uniform_int(self):
         for bound in (1, 2, 3, 10, 1000, 2**20 + 7):
@@ -572,6 +568,13 @@ class TestUniformIntEach:
                 nodes, 1000, [5 * v for v in nodes], bit_budget=budget)
             assert error is not None and f"{budget} bits" in error
 
+    def test_bound_wider_than_int64(self):
+        nodes = list(range(12))
+        self.assert_matches_per_node(nodes, 2**70 + 3, [7 * v for v in nodes])
+        values, _ = IndependentSource(seed=3).uniform_int_each(
+            nodes, 2**70 + 3, [0] * 12)
+        assert max(values.tolist()) >= 2**63
+
     def test_rejects_bad_bound(self):
         with pytest.raises(ConfigurationError):
             IndependentSource(seed=1).uniform_int_each([0], 0, [0])
@@ -579,12 +582,12 @@ class TestUniformIntEach:
     def test_bounded_stream_fallback(self):
         from repro.randomness import KWiseSource
 
-        bound = 13
-        ref = KWiseSource(k=4, num_nodes=8, bits_per_node=64, seed=9)
-        bulk = KWiseSource(k=4, num_nodes=8, bits_per_node=64, seed=9)
-        nodes = list(range(4))
-        expected = [ref.uniform_int(v, bound, 0) for v in nodes]
-        values, used = bulk.uniform_int_each(nodes, bound, [0] * 4)
-        assert values.tolist() == [v for v, _ in expected]
-        assert used.tolist() == [u for _, u in expected]
-        assert bulk.bits_consumed == ref.bits_consumed
+        # 64-bit streams. Bound 9 reads 4-bit windows, so a lane that
+        # rejects its way to index 64 runs past its stream's end: the
+        # call raises there after metering the earlier lanes and the
+        # lane's held prefix.
+        source = partial(KWiseSource, k=4, num_nodes=8, bits_per_node=64,
+                         seed=9)
+        for bound, offsets in ((13, [0] * 4), (9, [0, 50, 58, 61])):
+            self.assert_matches_per_node(list(range(4)), bound, offsets,
+                                         source=source)

@@ -1,14 +1,17 @@
 """Block-mode randomness: purity, interval-ledger parity, CSR BFS.
 
-The PR that introduced counter-mode block generation and interval-based
-metering must preserve the :class:`~repro.randomness.source.RandomSource`
-contract exactly:
+Every public reader of every :class:`~repro.randomness.source.
+RandomSource`, scalar or bulk, must be indistinguishable from reading
+one bit at a time (``helpers.PerBitReader``, over the per-source bit
+derivations of ``helpers.reference_bit``):
 
 * a source is a pure function of ``(seed, node, index)`` — random access
   equals sequential access equals bulk access;
-* the interval ledger reports the same counts as per-bit bookkeeping;
-* ``bit_budget`` exhaustion raises at the same consumed-bit count;
-* the bulk samplers consume exactly the bits their per-call forms would.
+* the interval ledger reports the same intervals and counts as per-bit
+  bookkeeping;
+* ``bit_budget`` exhaustion raises at the same bit, with the same text;
+* a read past a stream's end, or from a node without one, meters the
+  same prefix and raises the source's own error at the same index.
 
 Plus the CSR-BFS ports of ``ball``/``weak_diameter``/holder selection,
 checked against networkx ground truth.
@@ -16,6 +19,8 @@ checked against networkx ground truth.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import partial
 
 import networkx as nx
@@ -24,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, RandomnessExhausted
+from repro.errors import ConfigurationError, ModelViolation, RandomnessExhausted
 from repro.graphs import assign, make
 from repro.randomness import (
     EpsilonBiasedSource,
@@ -41,7 +46,15 @@ from repro.sim.batch import csr as csr_module
 from repro.sim.batch.csr import bfs_distances
 from repro.sim.graph import DistributedGraph
 
-from helpers import nx_copy, nx_to_csr, sparse_graphs
+from helpers import (
+    assert_like_per_bit,
+    nx_copy,
+    nx_to_csr,
+    read_outcome,
+    reference_bit,
+    source_ledger,
+    sparse_graphs,
+)
 
 
 def _sources():
@@ -56,14 +69,97 @@ def _sources():
     ]
 
 
+def _pools(lengths):
+    return lambda: PooledBits({
+        key: [(key * 5 + i * 3) % 4 // 3 for i in range(length)]
+        for key, length in enumerate(lengths)})
+
+
+#: name -> (make, nodes (one repeated), a node without a stream or None,
+#: the stream end the reads crowd). Pools 1 and 3 are shorter than it.
+SOURCES = {
+    "independent": (lambda: IndependentSource(seed=3),
+                    [0, 5, "a", 5, (1, 2)], None, 512),
+    "independent-budget": (lambda: IndependentSource(seed=3, bit_budget=70),
+                           [0, 5, 1, 5, 2], None, 512),
+    "shared": (lambda: SharedRandomness(40, seed=3),
+               ["__shared__", "x", "__shared__"], None, 40),
+    "kwise": (lambda: KWiseSource(4, num_nodes=8, bits_per_node=40, seed=3),
+              [0, 5, 7, 5, 2], 9, 40),
+    "kwise-budget": (lambda: KWiseSource(4, num_nodes=8, bits_per_node=40,
+                                         seed=3, bit_budget=60),
+                     [0, 5, 7, 5, 2], -1, 40),
+    "kwise-m18": (lambda: KWiseSource(3, num_nodes=2048, bits_per_node=40,
+                                      seed=2),
+                  [0, 5, 2047, 900, 5], "x", 40),
+    "expand-kwise": (lambda: SharedRandomness(512, seed=6).expand_kwise(
+        4, num_nodes=32, bits_per_node=40), [31, 0, 7, 0], 32, 40),
+    "epsilon-biased": (lambda: EpsilonBiasedSource(
+        num_nodes=8, bits_per_node=40, epsilon=0.05, seed=3),
+        [0, 5, 7, 5, 2], 8, 40),
+    "epsilon-biased-m19": (lambda: EpsilonBiasedSource(
+        num_nodes=8, bits_per_node=40, epsilon=0.001, seed=3),
+        [0, 5, 7, 5, 2], "x", 40),
+    "pooled": (_pools([40, 4, 40, 3, 40]), [0, 1, 2, 4, 1], 99, 40),
+    "sparse": (lambda: SparseRandomness([0, 2, 5, "h"], h=1, seed=3),
+               [0, 2, "h", 2], 1, 1),
+}
+
+#: name -> read(reader, nodes, outsider, end).
+READS = {
+    "bit": lambda r, vs, out, end: [r.bit(v, i) for v in vs
+                                    for i in (0, end - 1, 0)],
+    "bit-past-end": lambda r, vs, out, end: r.bit(vs[0], end),
+    "bit-negative": lambda r, vs, out, end: r.bit(vs[0], -1),
+    "bits": lambda r, vs, out, end: [r.bits(v, 6, 0) for v in vs],
+    "bits-across-end": lambda r, vs, out, end: [r.bits(v, 6, end - 4)
+                                                for v in vs],
+    "bits_block": lambda r, vs, out, end: [r.bits_block(v, 12, end - 20)
+                                           for v in vs],
+    "bits_each": lambda r, vs, out, end: r.bits_each(vs, 12, end - 20),
+    "bits_each-across-end": lambda r, vs, out, end: r.bits_each(
+        vs, 8, end - 5),
+    "geometric": lambda r, vs, out, end: [r.geometric(v, 10, end - 12)
+                                          for v in vs],
+    "geometrics": lambda r, vs, out, end: r.geometrics(vs, 10, end - 12),
+    "geometrics-across-end": lambda r, vs, out, end: r.geometrics(
+        vs, 10, end - 3),
+    "uniform_int": lambda r, vs, out, end: [r.uniform_int(v, 1000, 1)
+                                            for v in vs],
+    "uniform_int_each": lambda r, vs, out, end: r.uniform_int_each(
+        vs, 1000, [1] * len(vs)),
+    "uniform_int_each-across-end": lambda r, vs, out, end: r.uniform_int_each(
+        vs, 33, [end - 12 + i for i in range(len(vs))]),
+    "outsider": lambda r, vs, out, end: [
+        r.geometrics(vs[:2] + [out] + vs[2:], 6, 1),
+        r.bits_each(vs[:2] + [out] + vs[2:], 6, 1),
+        r.uniform_int_each(vs[:2] + [out] + vs[2:], 9, [1] * (len(vs) + 1))],
+    "rereads": lambda r, vs, out, end: [
+        r.bits_block(vs[0], 8, 0), r.geometrics(vs, 6, 2),
+        r.uniform_int_each(vs, 100, [0] * len(vs)), r.bits_each(vs, 9, 0)],
+}
+
+
 class TestPurity:
-    """Block-mode bits are a pure function of (seed, node, index)."""
+    """Block-mode bits are a pure function of (seed, node, index), and
+    every reader reads them like the per-bit reference."""
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize("case", sorted(SOURCES))
+    def test_every_reader_matches_per_bit_reference(self, case, read):
+        make, nodes, outsider, end = SOURCES[case]
+        if outsider is None and read == "outsider":
+            outsider = nodes[0]
+        assert_like_per_bit(make, lambda r: READS[read](r, list(nodes),
+                                                        outsider, end))
 
     def test_random_access_equals_sequential(self):
         for source in _sources():
             twin = type(source).__name__
             seq = {(v, i): source.bit(v, i)
                    for v in range(8) for i in range(64)}
+            assert seq == {(v, i): reference_bit(source, v, i)
+                           for v in range(8) for i in range(64)}, twin
             # A fresh instance read in a scrambled order must agree.
             other = [s for s in _sources()
                      if type(s).__name__ == twin][0]
@@ -79,7 +175,7 @@ class TestPurity:
             for v in range(8):
                 block = source.bits_block(v, 64)
                 assert block.dtype == np.uint8
-                assert [source.bit(v, i) for i in range(64)] == \
+                assert [reference_bit(source, v, i) for i in range(64)] == \
                     block.tolist(), name
 
     def test_offset_blocks_are_views_of_the_same_stream(self):
@@ -97,23 +193,6 @@ class TestPurity:
         assert a.bits(0, 256) != c.bits(0, 256)
 
 
-class _PerBitReference:
-    """The old dict-per-bit ledger, reimplemented as ground truth."""
-
-    def __init__(self):
-        self.served = set()
-
-    def consume(self, node, start, end):
-        for i in range(start, end):
-            self.served.add((node, i))
-
-    def total(self):
-        return len(self.served)
-
-    def by_node(self, node):
-        return sum(1 for (v, _i) in self.served if v == node)
-
-
 @given(st.lists(
     st.tuples(st.integers(0, 3),          # node
               st.integers(0, 200),        # offset
@@ -121,15 +200,10 @@ class _PerBitReference:
     min_size=1, max_size=30))
 def test_interval_ledger_matches_per_bit_ledger(ops):
     """Arbitrary overlapping reads: interval counts == per-bit counts."""
-    source = IndependentSource(seed=11)
-    reference = _PerBitReference()
-    for node, offset, count in ops:
-        source.bits_block(node, count, offset)
-        reference.consume(node, offset, offset + count)
-    assert source.bits_consumed == reference.total()
-    for node in range(4):
-        assert source.bits_consumed_by(node) == reference.by_node(node)
-    assert set(source.nodes_touched()) == {v for v, _ in reference.served}
+    assert_like_per_bit(
+        partial(IndependentSource, seed=11),
+        lambda r: [r.bits_block(node, count, offset)
+                   for node, offset, count in ops])
 
 
 @given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 20)),
@@ -158,20 +232,22 @@ def test_interval_set_matches_set_semantics(ranges):
 
 class TestBudget:
     def test_bulk_exhaustion_raises_at_same_count(self):
-        # Per-bit reference: budget 10, reads of 4+4 fine, next 4 raises
-        # after serving 2 — the ledger must stop at exactly 10.
-        source = IndependentSource(seed=1, bit_budget=10)
-        source.bits_block("a", 4)
-        source.bits_block("a", 4, 4)
-        with pytest.raises(RandomnessExhausted):
-            source.bits_block("a", 4, 8)
+        # Budget 10: reads of 4+4 fine, the next 4 raises after serving
+        # 2 — the ledger must stop at exactly 10.
+        error, source = assert_like_per_bit(
+            partial(IndependentSource, seed=1, bit_budget=10),
+            lambda r: [r.bits_block("a", 4), r.bits_block("a", 4, 4),
+                       r.bits_block("a", 4, 8)])
+        assert error[0] is RandomnessExhausted
         assert source.bits_consumed == 10
         assert source.bits_consumed_by("a") == 10
 
     def test_exhaustion_message_names_first_unserved_index(self):
-        source = IndependentSource(seed=1, bit_budget=6)
-        with pytest.raises(RandomnessExhausted, match="index 6"):
-            source.bits_block("a", 9)
+        error, source = assert_like_per_bit(
+            partial(IndependentSource, seed=1, bit_budget=6),
+            lambda r: r.bits_block("a", 9))
+        assert error == (RandomnessExhausted, "bit budget of 6 bits "
+                         "exhausted (node 'a' requested index 6)")
         assert source.bits_consumed == 6
 
     def test_rereads_are_free_under_budget(self):
@@ -182,30 +258,82 @@ class TestBudget:
         assert source.bits_consumed == 8
         with pytest.raises(RandomnessExhausted):
             source.bit("a", 8)
+        error, _ = assert_like_per_bit(
+            partial(IndependentSource, seed=1, bit_budget=8),
+            lambda r: [r.bits("a", 8), r.bits("a", 8), r.bit("a", 3),
+                       r.geometric("a", 8, 0), r.uniform_int("a", 200, 0),
+                       r.bit("a", 8)])
+        assert error[0] is RandomnessExhausted
+
+    def test_exhaustion_names_the_first_unfit_bit_past_served_ones(self):
+        # The gap [4, 6) spends the last 2 bits of room; [6, 10) is served
+        # already, so the first bit that does not fit is 10, not 6.
+        error, source = assert_like_per_bit(
+            partial(IndependentSource, seed=1, bit_budget=10),
+            lambda r: [r.bits_block("a", 4), r.bits_block("a", 4, 6),
+                       r.bits_block("a", 12)])
+        assert error == (RandomnessExhausted, "bit budget of 10 bits "
+                         "exhausted (node 'a' requested index 10)")
+        assert source_ledger(source) == {"a": ([0], [10])}
 
     def test_partially_cached_bulk_read_counts_only_fresh_bits(self):
-        source = IndependentSource(seed=1, bit_budget=12)
-        source.bits_block("a", 8)
-        source.bits_block("a", 8, 4)  # 4 cached + 4 fresh
+        error, source = assert_like_per_bit(
+            partial(IndependentSource, seed=1, bit_budget=12),
+            lambda r: [r.bits_block("a", 8),
+                       r.bits_block("a", 8, 4),  # 4 cached + 4 fresh
+                       r.bit("a", 12)])
+        assert error[0] is RandomnessExhausted
         assert source.bits_consumed == 12
-        with pytest.raises(RandomnessExhausted):
-            source.bit("a", 12)
+
+    @pytest.mark.parametrize("budget", [0, 1, 13, 40])
+    @pytest.mark.parametrize("read", ["bits_each", "geometrics",
+                                      "uniform_int_each", "rereads"])
+    def test_budget_runs_out_in_every_reader(self, budget, read):
+        nodes = [0, 3, 1, 3, 2]
+        assert_like_per_bit(
+            partial(KWiseSource, 4, num_nodes=8, bits_per_node=40, seed=3,
+                    bit_budget=budget),
+            lambda r: READS[read](r, nodes, None, 40))
 
 
 class TestErrorPathParity:
     def test_bits_block_past_pool_end_meters_valid_prefix(self):
-        # Per-bit reference: bit(0..3) serve, bit(4) raises -> 4 consumed.
-        bulk = PooledBits({"n": [1, 0, 1, 1]})
-        with pytest.raises(RandomnessExhausted):
-            bulk.bits_block("n", 6)
+        # Per-bit: bit(0..3) serve, bit(4) raises -> 4 consumed.
+        error, bulk = assert_like_per_bit(
+            partial(PooledBits, {"n": [1, 0, 1, 1]}),
+            lambda r: r.bits_block("n", 6))
+        assert error == (RandomnessExhausted,
+                         "pool 'n' has 4 bits; index 4 requested")
         assert bulk.bits_consumed == 4
         assert bulk.bits_consumed_by("n") == 4
 
     def test_bits_block_past_shared_end_meters_valid_prefix(self):
-        shared = SharedRandomness(8, seed=1)
-        with pytest.raises(RandomnessExhausted):
-            shared.global_bits(12)
+        error, shared = assert_like_per_bit(
+            partial(SharedRandomness, 8, seed=1),
+            lambda r: r.bits_block("__shared__", 12))
+        assert error[0] is RandomnessExhausted
         assert shared.bits_consumed == 8
+        with pytest.raises(RandomnessExhausted):
+            SharedRandomness(8, seed=1).global_bits(12)
+
+    def test_negative_pool_index_is_a_range_error(self):
+        error, pool = assert_like_per_bit(
+            partial(PooledBits, {"n": [1, 0, 1, 1]}),
+            lambda r: r.bit("n", -1))
+        assert error == (RandomnessExhausted,
+                         "pool 'n' has 4 bits; index -1 requested")
+        assert pool.bits_consumed == 0
+
+    @pytest.mark.parametrize("read", [
+        lambda r: r.bit(1, 0),
+        lambda r: r.bits_each([0, 1, 2], 1),
+        lambda r: r.geometrics([0, 1], 3),
+        lambda r: r.uniform_int_each([0, 1], 2, [0, 0]),
+    ])
+    def test_sparse_reads_past_a_holders_bit(self, read):
+        error, _ = assert_like_per_bit(
+            partial(SparseRandomness, [0, 2], h=1, seed=4), read)
+        assert error is not None and error[0] is ModelViolation
 
     def test_sized_cache_does_not_alias_bool_and_int_payloads(self):
         # True == 1 and hash(True) == hash(1), but they encode to
@@ -235,7 +363,8 @@ class TestErrorPathParity:
 
 
 class TestNegativeIndex:
-    """A negative stream index is a caller error, raised before metering."""
+    """A negative stream index is a caller error, raised before metering
+    — also when the bit budget is already spent."""
 
     @pytest.mark.parametrize("call, index", [
         (lambda s: s.bit(0, -1), -1),
@@ -244,20 +373,40 @@ class TestNegativeIndex:
         (lambda s: s.geometrics([0], 5, -4), -4),
     ])
     def test_rejected_with_node_and_index(self, call, index):
-        source = IndependentSource(1)
+        self._assert_rejected(call, index, budget=None)
+
+    @pytest.mark.parametrize("name, call, index", [
+        ("bit", lambda s: s.bit(0, -1), -1),
+        ("bits", lambda s: s.bits(0, 2, -1), -1),
+        ("bits_block", lambda s: s.bits_block(0, 1, -1), -1),
+        ("bits_each", lambda s: s.bits_each([0], 5, -4), -4),
+        ("geometric", lambda s: s.geometric(0, 1, -1), -1),
+        ("geometrics", lambda s: s.geometrics([0], 5, -4), -4),
+        ("uniform_int", lambda s: s.uniform_int(0, 10, -2), -2),
+        ("uniform_int_each", lambda s: s.uniform_int_each([0], 10, [-2]), -2),
+    ])
+    def test_range_error_wins_over_an_exhausted_budget(self, name, call,
+                                                       index):
+        self._assert_rejected(call, index, budget=0)
+
+    @staticmethod
+    def _assert_rejected(call, index, budget):
+        source = IndependentSource(1, bit_budget=budget)
         with pytest.raises(ConfigurationError,
                            match=f"node 0 .*index {index}$"):
             call(source)
         assert source.bits_consumed == 0
+        error, _ = assert_like_per_bit(
+            partial(IndependentSource, 1, bit_budget=budget), call)
+        assert error[0] is ConfigurationError
 
     def test_bulk_sampler_meters_earlier_nodes_like_per_node_calls(self):
-        bulk, ref = IndependentSource(1), IndependentSource(1)
-        with pytest.raises(ConfigurationError, match="node 'b'"):
-            bulk.uniform_int_each(["a", "b", "c"], 1000, [0, -9, 0])
-        ref.uniform_int("a", 1000, 0)
-        with pytest.raises(ConfigurationError, match="node 'b'"):
-            ref.uniform_int("b", 1000, -9)
-        assert bulk.bits_consumed == ref.bits_consumed > 0
+        error, bulk = assert_like_per_bit(
+            partial(IndependentSource, 1),
+            lambda r: r.uniform_int_each(["a", "b", "c"], 1000, [0, -9, 0]))
+        assert error == (ConfigurationError,
+                         "node 'b' requested negative stream index -9")
+        assert bulk.bits_consumed > 0
         assert list(bulk.nodes_touched()) == ["a"]
 
 
@@ -296,33 +445,69 @@ class TestPinnedPRF:
             "bb684c874532bdf3598580a3bbe13e379bbe1d5bd77c185ed50a079c78375898")
 
 
+def _metering_state(source):
+    """PRF blocks computed, bits metered, and a digest of the ledger."""
+    ledger = {repr(v): [source._ledgers[v].starts, source._ledgers[v].ends]
+              for v in sorted(source.nodes_touched(), key=repr)}
+    text = json.dumps(ledger, sort_keys=True).encode()
+    return (sum(len(s._blocks) for s in source._streams.values()),
+            source.bits_consumed, len(ledger),
+            hashlib.sha256(text).hexdigest()[:16])
+
+
+class TestPinnedMetering:
+    """PRF work and metering of whole runs, pinned: a reader that
+    computes an extra block or meters a different bit changes them."""
+
+    def test_luby_on_array_engine(self):
+        from repro.core.mis import luby_mis
+
+        graph = assign(make("gnp-sparse", 2000, seed=1), "random", seed=1)
+        source = IndependentSource(seed=7)
+        assert luby_mis(graph, source, engine="array").report.rounds == 10
+        assert _metering_state(source) == (2000, 53416, 2000,
+                                           "c8e589d9ce4a7f7d")
+
+    def test_elkin_neiman(self):
+        from repro.core.decomposition import elkin_neiman
+
+        graph = assign(make("gnp-sparse", 64, seed=2), "random", seed=2)
+        source = IndependentSource(seed=3)
+        elkin_neiman(graph, source)
+        assert _metering_state(source) == (65, 283, 64, "068bb75f4a1022a4")
+        assert source_ledger(source)[63] == ([0, 60, 120, 180, 240, 300],
+                                             [5, 61, 121, 181, 241, 302])
+
+    def test_elkin_neiman_out_of_budget(self):
+        from repro.core.decomposition import elkin_neiman
+
+        graph = assign(make("gnp-sparse", 64, seed=2), "random", seed=2)
+        source = IndependentSource(seed=3, bit_budget=200)
+        with pytest.raises(RandomnessExhausted,
+                           match=r"^bit budget of 200 bits exhausted "
+                                 r"\(node 20 requested index 120\)$"):
+            elkin_neiman(graph, source)
+        assert _metering_state(source) == (64, 200, 64, "055c872e3eaf0b78")
+
+
 class TestBulkSamplers:
     @given(st.integers(1, 40), st.integers(0, 100))
     def test_geometric_block_equals_per_bit(self, cap, offset):
-        fast = IndependentSource(seed=33)
-        slow = IndependentSource(seed=33)
-        value, used = fast.geometric("g", cap, offset)
-        # Per-bit reference walk.
-        expected_used = 0
-        expected = cap
-        for k in range(1, cap + 1):
-            flip = slow.bit("g", offset + expected_used)
-            expected_used += 1
-            if flip == 0:
-                expected = k
-                break
-        assert (value, used) == (expected, expected_used)
-        assert fast.bits_consumed == slow.bits_consumed == expected_used
+        error, source = assert_like_per_bit(
+            partial(IndependentSource, seed=33),
+            lambda r: r.geometric("g", cap, offset))
+        assert error is None
+        assert 1 <= source.bits_consumed <= cap
 
     def test_geometrics_matches_scalar_calls(self):
-        bulk = IndependentSource(seed=8)
-        seq = IndependentSource(seed=8)
         nodes = list(range(20))
-        values, used = bulk.geometrics(nodes, cap=12, offset=36)
-        for i, v in enumerate(nodes):
-            value, step = seq.geometric(v, 12, 36)
-            assert (values[i], used[i]) == (value, step)
-        assert bulk.bits_consumed == seq.bits_consumed
+        bulk, _ = read_outcome(lambda: IndependentSource(seed=8).geometrics(
+            nodes, cap=12, offset=36))
+        seq = IndependentSource(seed=8)
+        assert bulk == tuple(map(list, zip(*[seq.geometric(v, 12, 36)
+                                             for v in nodes])))
+        assert _assert_geometrics_like_per_bit(
+            partial(IndependentSource, seed=8), nodes, 12, 36) is None
 
     def test_geometric_near_end_of_bounded_stream(self):
         # cap reaches past the pool's end but the draw ends before it:
@@ -333,50 +518,38 @@ class TestBulkSamplers:
         pool2 = PooledBits({"c": [1, 1, 1, 1]})
         with pytest.raises(RandomnessExhausted):
             pool2.geometric("c", cap=10)
+        for bits in ([1, 1, 0, 1], [1, 1, 1, 1]):
+            assert_like_per_bit(partial(PooledBits, {"c": bits}),
+                                lambda r: r.geometric("c", 10))
 
 
-def _outcome(call):
-    """``(result, None)`` or ``(None, (error type, message))``."""
-    try:
-        return call(), None
-    except Exception as exc:
-        return None, (type(exc), str(exc))
+def _assert_geometrics_like_per_bit(make, nodes, cap, offset):
+    """``geometrics`` and per-node ``geometric`` calls, each on a fresh
+    source, against the per-bit reference: same values, bits used,
+    error and ledger. Returns the error, if any."""
+    error, _ = assert_like_per_bit(
+        make, lambda r: r.geometrics(nodes, cap, offset))
+    scalar, _ = assert_like_per_bit(
+        make, lambda r: [r.geometric(v, cap, offset) for v in nodes])
+    assert scalar == error
+    return error
 
 
-def _ledger(source):
-    return {v: (source._ledgers[v].starts, source._ledgers[v].ends)
-            for v in source.nodes_touched()}
+def _count_raw_bits_calls(source, monkeypatch):
+    calls = []
+    hook = source._raw_bits
 
+    def counted(*args):
+        calls.append(args)
+        return hook(*args)
 
-def _assert_geometrics_like_per_node(make, nodes, cap, offset):
-    """``geometrics`` on one fresh source against per-node ``geometric``
-    calls on its twin: same values, bits used, error and ledger."""
-    bulk, ref = make(), make()
-    got, got_error = _outcome(lambda: bulk.geometrics(nodes, cap, offset))
-    want, want_error = _outcome(
-        lambda: [ref.geometric(v, cap, offset) for v in nodes])
-    assert got_error == want_error
-    if want is not None:
-        values, used = got
-        assert values.tolist() == [value for value, _ in want]
-        assert used.tolist() == [step for _, step in want]
-    assert bulk.bits_consumed == ref.bits_consumed
-    assert list(bulk.nodes_touched()) == list(ref.nodes_touched())
-    for v in ref.nodes_touched():
-        assert bulk.bits_consumed_by(v) == ref.bits_consumed_by(v)
-    assert _ledger(bulk) == _ledger(ref)
-    return got_error
-
-
-def _pools(lengths):
-    return lambda: PooledBits({
-        key: [(key * 5 + i * 3) % 4 // 3 for i in range(length)]
-        for key, length in enumerate(lengths)})
+    monkeypatch.setattr(source, "_raw_bits", counted)
+    return calls
 
 
 class TestGeometricsParity:
-    """``geometrics`` draws every node's block with one ``_raw_blocks``
-    call and must stay indistinguishable from per-node ``geometric``."""
+    """``geometrics`` draws every node's block with one ``_raw_bits``
+    call and must read like per-bit ``geometric`` calls."""
 
     CASES = {
         "independent": (lambda: IndependentSource(seed=8), range(30), 12, 36),
@@ -410,22 +583,21 @@ class TestGeometricsParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_node_calls(self, case):
         make, nodes, cap, offset = self.CASES[case]
-        assert _assert_geometrics_like_per_node(
+        assert _assert_geometrics_like_per_bit(
             make, list(nodes), cap, offset) is None
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_raw_blocks_call(self, case, monkeypatch):
+        """One ``_raw_bits`` call per draw; lanes at a short stream's end
+        read their held prefixes with one more per prefix length (here
+        pool 1's 4 bits)."""
         make, nodes, cap, offset = self.CASES[case]
         source = make()
-        calls = []
-        bulk = source._raw_blocks
-
-        def counted(*args):
-            calls.append(args)
-            return bulk(*args)
-
-        monkeypatch.setattr(source, "_raw_blocks", counted)
+        calls = _count_raw_bits_calls(source, monkeypatch)
         source.geometrics(list(nodes), cap, offset)
+        assert len(calls) == (2 if case == "pooled-short-lanes" else 1)
+        del calls[:]
+        source.geometric(list(nodes or [0])[0], cap, offset + cap)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("source, start, count", [
@@ -437,91 +609,93 @@ class TestGeometricsParity:
                              seed=3), 0, 64),
     ])
     def test_raw_blocks_rows_are_raw_block(self, source, start, count):
+        """The rows of one multi-lane ``_raw_bits`` call (per-lane starts,
+        a node twice) are its one-lane calls and the per-bit bits."""
         nodes = [0, 5, 7, 5]
-        rows = source._raw_blocks(nodes, start, count)
+        starts = np.array([start, max(start - 3, 0), start, start])
+        rows = source._raw_bits(nodes, starts, count)
         assert rows.dtype == np.uint8 and rows.shape == (4, count)
-        for node, row in zip(nodes, rows):
-            assert row.tolist() == source._raw_block(node, start,
-                                                     count).tolist()
+        for node, at, row in zip(nodes, starts.tolist(), rows):
+            assert row.tolist() == source._raw_bits(
+                [node], np.array([at]), count)[0].tolist()
+            assert row.tolist() == [reference_bit(source, node, at + i)
+                                    for i in range(count)]
         assert source.bits_consumed == 0
 
     def test_independent_raw_blocks_reads_through_block_cache(self):
         source = IndependentSource(seed=12)
-        source._raw_blocks([0, 1], 500, 40)
+        source._raw_bits([0, 1], np.array([500, 500]), 40)
         assert sorted(source._stream(0)._blocks) == [0, 1]
         assert sorted(source._stream(1)._blocks) == [0, 1]
+        # Per-lane starts compute exactly the blocks under each window.
+        source._raw_bits([2, 3], np.array([5, 1530]), 20)
+        assert sorted(source._stream(2)._blocks) == [0]
+        assert sorted(source._stream(3)._blocks) == [2, 3]
 
     def test_budget_runs_out_mid_call(self):
         make = partial(IndependentSource, seed=8, bit_budget=25)
-        error = _assert_geometrics_like_per_node(make, list(range(30)), 12, 0)
+        error = _assert_geometrics_like_per_bit(make, list(range(30)), 12, 0)
         assert error is not None and error[0] is RandomnessExhausted
 
     def test_budget_with_prior_reads(self):
-        def make():
-            source = IndependentSource(seed=8, bit_budget=40)
-            source.bits_block(3, 20, 0)
-            return source
-        error = _assert_geometrics_like_per_node(make, list(range(30)), 12, 0)
+        error, _ = assert_like_per_bit(
+            partial(IndependentSource, seed=8, bit_budget=40),
+            lambda r: [r.bits_block(3, 20, 0),
+                       r.geometrics(list(range(30)), 12, 0)])
         assert error is not None and error[0] is RandomnessExhausted
 
     def test_short_pool_exhausts_mid_call(self):
         # Pool 1 is all ones and shorter than cap: its per-bit walk runs
         # off the end after pool 0 has been metered.
         make = partial(PooledBits, {0: [1, 0] * 8, 1: [1, 1, 1], 2: [0] * 16})
-        error = _assert_geometrics_like_per_node(make, [0, 1, 2], 8, 0)
-        assert error is not None and error[0] is RandomnessExhausted
+        error = _assert_geometrics_like_per_bit(make, [0, 1, 2], 8, 0)
+        assert error == (RandomnessExhausted,
+                         "pool 1 has 3 bits; index 3 requested")
 
     def test_out_of_range_kwise_node_meters_earlier_nodes(self):
-        bulk = KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3)
-        ref = KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3)
+        make = partial(KWiseSource, 4, num_nodes=8, bits_per_node=64, seed=3)
+        error = _assert_geometrics_like_per_bit(make, [0, 1, 9, 2], 6, 10)
+        assert error == (ConfigurationError, "node 9 outside [0, 8)")
+        bulk = make()
         with pytest.raises(ConfigurationError, match="node 9"):
             bulk.geometrics([0, 1, 9, 2], 6, 10)
-        ref.geometric(0, 6, 10)
-        ref.geometric(1, 6, 10)
-        with pytest.raises(ConfigurationError, match="node 9"):
-            ref.geometric(9, 6, 10)
-        assert bulk.bits_consumed == ref.bits_consumed > 0
+        assert bulk.bits_consumed > 0
         assert list(bulk.nodes_touched()) == [0, 1]
-        assert _assert_geometrics_like_per_node(
-            lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
-            [0, 1, 9, 2], 6, 10) is not None
 
     def test_non_integer_kwise_node_meters_earlier_nodes(self):
         # int("x") fails with a ValueError, not a ReproError: the bulk
-        # call must still meter nodes 0 and 1 first, like per-node calls.
-        error = _assert_geometrics_like_per_node(
+        # call must still meter nodes 0 and 1 first, like per-bit reads.
+        error = _assert_geometrics_like_per_bit(
             lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
             [0, 1, "x", 2], 6, 10)
         assert error is not None and error[0] is ValueError
 
     def test_negative_offset_on_kwise(self):
-        error = _assert_geometrics_like_per_node(
+        error = _assert_geometrics_like_per_bit(
             lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
             [0, 1], 6, -2)
         assert error is not None and error[0] is ConfigurationError
 
 
-def _assert_bits_each_like_per_node(make, nodes, count, offset):
-    """``bits_each`` on one fresh source against per-node ``bits_block``
-    calls on its twin: same matrix, error, ledger and ``bits_consumed``."""
-    bulk, ref = make(), make()
-    got, got_error = _outcome(lambda: bulk.bits_each(nodes, count, offset))
-    want, want_error = _outcome(
-        lambda: [ref.bits_block(v, count, offset) for v in nodes])
-    assert got_error == want_error
-    if want is not None:
+def _assert_bits_each_like_per_bit(make, nodes, count, offset):
+    """``bits_each`` and per-node ``bits_block`` calls, each on a fresh
+    source, against the per-bit reference: same matrix, error, ledger
+    and ``bits_consumed``. Returns the error, if any."""
+    error, source = assert_like_per_bit(
+        make, lambda r: r.bits_each(nodes, count, offset))
+    if error is None:
+        got = source.bits_each(nodes, count, offset)  # free re-read
         assert got.dtype == np.uint8
         assert got.shape == (len(nodes), max(count, 0))
-        assert got.tolist() == [row.tolist() for row in want]
-    assert bulk.bits_consumed == ref.bits_consumed
-    assert list(bulk.nodes_touched()) == list(ref.nodes_touched())
-    assert _ledger(bulk) == _ledger(ref)
-    return got_error
+    scalar, _ = assert_like_per_bit(
+        make, lambda r: [r.bits_block(v, count, offset) for v in nodes])
+    assert scalar == error
+    return error
 
 
 class TestBitsEachParity:
-    """``bits_each`` reads every node's bits with one ``_raw_blocks``
-    call and must stay indistinguishable from per-node ``bits_block``."""
+    """``bits_each`` reads every node's bits with one ``_raw_bits`` call
+    and must read like per-bit ``bits_block`` calls."""
 
     CASES = {
         "independent": (lambda: IndependentSource(seed=8), range(30), 16, 36),
@@ -530,8 +704,8 @@ class TestBitsEachParity:
         "kwise-in-range": (lambda: KWiseSource(4, num_nodes=40,
                                                bits_per_node=64, seed=2),
                            range(40), 16, 20),
-        # Past the end of a 20-bit stream: the per-node call walks bit
-        # by bit and raises at index 20 after metering the prefix.
+        # Past the end of a 20-bit stream: the read raises at index 20
+        # after metering the prefix.
         "kwise-short-stream": (lambda: KWiseSource(4, num_nodes=8,
                                                    bits_per_node=20, seed=2),
                                range(8), 16, 10),
@@ -559,40 +733,35 @@ class TestBitsEachParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_node_calls(self, case):
         make, nodes, count, offset = self.CASES[case]
-        error = _assert_bits_each_like_per_node(make, list(nodes), count,
-                                                offset)
+        error = _assert_bits_each_like_per_bit(make, list(nodes), count,
+                                               offset)
         assert (error is not None) == case.endswith(("short-stream",
                                                      "short-pool"))
 
     @pytest.mark.parametrize("case", ["independent", "kwise-in-range",
                                       "expand-kwise", "pooled"])
     def test_one_raw_blocks_call(self, case, monkeypatch):
+        """One ``_raw_bits`` call per draw, scalar or bulk."""
         make, nodes, count, offset = self.CASES[case]
         source = make()
-        calls = []
-        bulk = source._raw_blocks
-
-        def counted(*args):
-            calls.append(args)
-            return bulk(*args)
-
-        monkeypatch.setattr(source, "_raw_blocks", counted)
+        calls = _count_raw_bits_calls(source, monkeypatch)
         source.bits_each(list(nodes), count, offset)
         assert len(calls) == 1
+        source.bits_block(list(nodes)[0], count, offset)
+        assert len(calls) == 2
 
     def test_budget_runs_out_mid_call(self):
         make = partial(IndependentSource, seed=8, bit_budget=25)
-        error = _assert_bits_each_like_per_node(make, list(range(30)), 4, 0)
+        error = _assert_bits_each_like_per_bit(make, list(range(30)), 4, 0)
         assert error == (RandomnessExhausted,
                          "bit budget of 25 bits exhausted "
                          "(node 6 requested index 1)")
 
     def test_budget_with_prior_reads(self):
-        def make():
-            source = IndependentSource(seed=8, bit_budget=40)
-            source.bits_block(3, 20, 0)
-            return source
-        error = _assert_bits_each_like_per_node(make, list(range(30)), 6, 0)
+        error, _ = assert_like_per_bit(
+            partial(IndependentSource, seed=8, bit_budget=40),
+            lambda r: [r.bits_block(3, 20, 0),
+                       r.bits_each(list(range(30)), 6, 0)])
         assert error is not None and error[0] is RandomnessExhausted
 
     @pytest.mark.parametrize("make", [
@@ -600,11 +769,11 @@ class TestBitsEachParity:
         lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
     ])
     def test_negative_offset(self, make):
-        error = _assert_bits_each_like_per_node(make, [0, 1], 6, -2)
+        error = _assert_bits_each_like_per_bit(make, [0, 1], 6, -2)
         assert error is not None and error[0] is ConfigurationError
 
     def test_out_of_range_kwise_node_meters_earlier_nodes(self):
-        error = _assert_bits_each_like_per_node(
+        error = _assert_bits_each_like_per_bit(
             lambda: KWiseSource(4, num_nodes=8, bits_per_node=64, seed=3),
             [0, 1, 9, 2], 6, 10)
         assert error is not None and "node 9" in error[1]
@@ -639,11 +808,11 @@ class TestWeakDiameterOracle:
     @given(_graph_and_members(), st.sampled_from([1, 3, 8, 1024]))
     def test_matches_per_member_bfs(self, case, chunk):
         graph, members = case
-        want, want_error = _outcome(
+        want, want_error = read_outcome(
             lambda: _weak_diameter_oracle(graph, members))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(csr_module, "WEAK_DIAMETER_CHUNK", chunk)
-            got, got_error = _outcome(lambda: graph.weak_diameter(members))
+            got, got_error = read_outcome(lambda: graph.weak_diameter(members))
         assert (got, got_error) == (want, want_error)
 
     def test_disconnected_members_raise(self):

@@ -111,7 +111,22 @@ class TestTables:
     def test_large_degree_has_no_tables(self):
         field = GF2m(17)
         assert field._log_np is None
-        assert field.mul_vec(np.array([3]), np.array([5])) is None
+        assert field.eval_poly_vec([1, 2], np.array([3])).tolist() == \
+            [field.eval_poly([1, 2], 3)]
+
+    @pytest.mark.parametrize("m", [17, 24, 31])
+    def test_vector_ops_match_scalar_without_tables(self, m):
+        field = GF2m(m)
+        xs = _operands(field)[:60]
+        coeffs = np.random.default_rng(m).integers(0, field.order, 5).tolist()
+        got = field.eval_poly_vec(coeffs, xs)
+        assert got.dtype == np.int64
+        assert got.tolist() == [field.eval_poly(coeffs, x) for x in xs.tolist()]
+        exps = np.array([0, 1, 2, field.order - 1, field.order, 12345])
+        for a in (0, 1, 3, field.order - 1):
+            got = field.pow_vec(a, exps)
+            assert got.dtype == np.int64
+            assert got.tolist() == [field.pow(a, e) for e in exps.tolist()]
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_vectorized_build_matches_scalar_reference(self, m):
@@ -151,14 +166,15 @@ class TestVectorKernels:
 
     @pytest.mark.parametrize("m", TABLE_DEGREES)
     def test_mul_vec_matches_mul(self, m):
+        """The vector product — the log-domain step of each Horner
+        iteration — on every pair (exhaustive for m <= 8): ``b * x`` is
+        the polynomial ``[0, b]`` at ``x``."""
         field = GF2m(m)
         xs = _operands(field)
-        a = np.repeat(xs, xs.size)  # every pair: exhaustive for m <= 8
-        b = np.tile(xs, xs.size)
-        got = field.mul_vec(a, b)
-        want = [field.mul(int(p), int(q)) for p, q in zip(a, b)]
-        assert got.dtype == np.int64
-        assert got.tolist() == want
+        for b in xs.tolist():
+            got = field.eval_poly_vec([0, b], xs)
+            assert got.dtype == np.int64
+            assert got.tolist() == [field.mul(b, x) for x in xs.tolist()], b
 
     @pytest.mark.parametrize("m", TABLE_DEGREES)
     def test_eval_poly_vec_matches_eval_poly(self, m):
@@ -176,11 +192,13 @@ class TestVectorKernels:
 
     @pytest.mark.parametrize("m", TABLE_DEGREES)
     def test_pow_range_vec_matches_pow(self, m):
+        """``pow_vec`` over runs of consecutive exponents, the shape an
+        epsilon-biased source asks for, wrapping past the group order."""
         field = GF2m(m)
         count = field.order + 2 if m <= 8 else 40
         for a in _operands(field).tolist():
             for start in (0, 1, field.order - 2):
-                got = field.pow_range_vec(a, start, count)
+                got = field.pow_vec(a, start + np.arange(count))
                 want = [field.pow(a, start + i) for i in range(count)]
                 assert got.tolist() == want, (a, start)
 

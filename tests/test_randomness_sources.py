@@ -95,20 +95,6 @@ class TestSamplers:
         with pytest.raises(ConfigurationError):
             IndependentSource(seed=1).uniform_int("u", 0)
 
-    def test_bernoulli_bounds(self):
-        s = IndependentSource(seed=3)
-        offset = 0
-        hits = 0
-        for _ in range(400):
-            outcome, used = s.bernoulli("b", 1, 4, offset)
-            offset += used
-            hits += outcome
-        assert 50 <= hits <= 150  # ~100 expected
-
-    def test_bernoulli_validates(self):
-        with pytest.raises(ConfigurationError):
-            IndependentSource(seed=1).bernoulli("b", 5, 4)
-
     def test_geometric_distribution_shape(self):
         s = IndependentSource(seed=5)
         offset = 0
@@ -240,6 +226,12 @@ class TestPooledBits:
         p = PooledBits({"c": [1]})
         with pytest.raises(ConfigurationError):
             p.bit("d", 0)
+
+    @pytest.mark.parametrize("query", ["pool_size", "remaining"])
+    def test_unknown_pool_queries_raise_like_reads(self, query):
+        p = PooledBits({"c": [1]})
+        with pytest.raises(ConfigurationError, match="no pool for key 'd'"):
+            getattr(p, query)("d")
 
     def test_remaining_accounting(self):
         p = PooledBits({"c": [1, 0, 1, 1]})
