@@ -97,13 +97,17 @@ def gather_bits(
     offsets, _indices, centers = cluster_adjacency(graph, assignment)
     isolated = set(centers[np.diff(offsets) == 0].tolist())
 
+    # Each cluster's holders in UID order, all their bits in one read.
+    held = {center: [] if center in isolated
+            else sorted(cluster & source.holders, key=graph.uid)
+            for center, cluster in members.items()}
+    bits = source.bits_each([s for group in held.values() for s in group],
+                            1)[:, 0].tolist()
     pools: Dict[int, List[int]] = {}
-    for center, cluster in members.items():
-        if center in isolated:
-            pools[center] = []
-            continue
-        holders = sorted(cluster & source.holders, key=graph.uid)
-        pools[center] = [source.holder_bit(s) for s in holders]
+    at = 0
+    for center, group in held.items():
+        pools[center] = bits[at:at + len(group)]
+        at += len(group)
 
     logn = max(1, math.ceil(math.log2(max(2, graph.n))))
     report = ruling_report.merge(RunReport(

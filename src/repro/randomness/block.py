@@ -42,12 +42,21 @@ def derive_key(*parts: object) -> bytes:
     tuples can never collide by concatenation; the mapping is independent
     of Python's per-process hash randomization.
     """
-    chunks = []
+    return key_prefix(*parts).digest()
+
+
+def key_prefix(*parts: object) -> "hashlib._Hash":
+    """The BLAKE2b state :func:`derive_key` digests for ``parts``.
+
+    Feeding a ``copy()`` the length-prefixed text of further parts and
+    digesting it gives ``derive_key(*parts, *more)``: a family of keys
+    that share their leading parts hashes those once.
+    """
+    state = hashlib.blake2b(digest_size=32)
     for part in parts:
         data = str(part).encode()
-        chunks.append(len(data).to_bytes(4, "big"))
-        chunks.append(data)
-    return hashlib.blake2b(b"".join(chunks), digest_size=32).digest()
+        state.update(len(data).to_bytes(4, "big") + data)
+    return state
 
 
 class BlockStream:

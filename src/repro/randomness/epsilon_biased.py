@@ -15,13 +15,13 @@ exactly Lemma 3.4's budget.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .finite_field import GF2m, min_degree_for
-from .kwise import address_limit, address_points
+from .kwise import address_limits, address_points
 from .source import RandomSource
 
 
@@ -103,8 +103,8 @@ class EpsilonBiasedSource(RandomSource):
         powers = self.field.pow_vec(self.x, points.ravel() + 1)
         return _parity64(powers & self.y).reshape(points.shape)
 
-    def _stream_limit(self, node: object) -> int:
-        return address_limit(node, self.num_nodes, self.bits_per_node)
+    def _stream_limits(self, nodes: List[object]) -> np.ndarray:
+        return address_limits(nodes, self.num_nodes, self.bits_per_node)
 
     @classmethod
     def enumerate_seeds(cls, num_nodes: int, bits_per_node: int, epsilon: float):

@@ -12,22 +12,23 @@ access to any bit index: block ``i`` of a stream is
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence
+import operator
+from itertools import compress
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .block import BLOCK_BITS, BlockStream, derive_key
+# derive_key defines the stream keys (see IndependentSource._streams_of);
+# perfbench's tracer self-test looks it up in this module by name.
+from .block import BLOCK_BITS, BlockStream, derive_key, key_prefix  # noqa: F401
 from .source import RandomSource
 
 
-def _derive_stream_key(master_seed: int, node: object) -> bytes:
-    """Derive a per-node stream key from the master seed, stably.
-
-    Uses a keyed hash over the textual key so the mapping does not depend
-    on Python's per-process hash randomization.
-    """
-    return derive_key("repro-independent", master_seed, repr(node))
+def _plain(node: object) -> object:
+    """A numpy integer as the Python int it equals: the two are one dict
+    key, so they must name one stream."""
+    return int(node) if isinstance(node, np.integer) else node
 
 
 def _derive_fork_seed(master_seed: int, label: str) -> int:
@@ -58,13 +59,32 @@ class IndependentSource(RandomSource):
         super().__init__(bit_budget=bit_budget)
         self.seed = seed
         self._streams: Dict[object, BlockStream] = {}
+        self._prefix = key_prefix("repro-independent", seed)
 
-    def _stream(self, node: object) -> BlockStream:
-        stream = self._streams.get(node)
-        if stream is None:
-            stream = BlockStream(_derive_stream_key(self.seed, node))
-            self._streams[node] = stream
-        return stream
+    def _streams_of(self, nodes: Sequence[object]) -> List[BlockStream]:
+        """Every lane's stream, opening the missing ones in one pass.
+
+        A node's key is ``derive_key("repro-independent", seed,
+        repr(node))``, a numpy integer keyed as its int: a copy of the
+        state already fed the label and the seed, fed the node's
+        length-prefixed ``repr``.
+        """
+        streams = self._streams
+        found = list(map(streams.get, nodes))
+        if None not in found:
+            return found
+        prefix = self._prefix
+        # Walk the lanes without a stream lazily and drop ``found`` before
+        # the result is built: one n-length list at a time, as in a read
+        # whose streams are all open.
+        for node in compress(nodes, map(operator.not_, found)):
+            if node not in streams:  # a node listed twice opens once
+                text = repr(_plain(node)).encode()
+                state = prefix.copy()
+                state.update(len(text).to_bytes(4, "big") + text)
+                streams[node] = BlockStream(state.digest())
+        del found
+        return list(map(streams.get, nodes))
 
     def _raw_bits(self, nodes: Sequence[object], starts: np.ndarray,
                   count: int) -> np.ndarray:
@@ -79,15 +99,14 @@ class IndependentSource(RandomSource):
             raise ConfigurationError(
                 f"node {nodes[i]!r} requested negative stream index "
                 f"{int(starts[i])}")
+        streams = self._streams_of(nodes)
         if len(starts) == 1:
-            return self._stream(nodes[0]).read(int(starts[0]), count)[None]
+            return streams[0].read(int(starts[0]), count)[None]
         block = starts // BLOCK_BITS
         first = block.tolist()
         spans = (starts + count - 1) // BLOCK_BITS - block + 1
         span = int(spans.max(initial=1))  # blocks per row, zero-padded
-        known = self._streams.get
-        streams = [known(v) or self._stream(v) for v in nodes]
-        data = b"".join([s.block(b) for s, b in zip(streams, first)])
+        data = b"".join(map(BlockStream.block, streams, first))
         rows = np.frombuffer(data, dtype=np.uint8).reshape(len(first), 64)
         if span > 1:
             rows = np.hstack([rows, np.zeros((len(first), (span - 1) * 64),

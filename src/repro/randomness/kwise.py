@@ -44,15 +44,19 @@ def _coefficients_from_seed(seed: int, k: int, m: int) -> List[int]:
     return coeffs
 
 
-def address_limit(node: object, num_nodes: int, bits_per_node: int) -> int:
-    """Stream length of ``node`` in a ``num_nodes * bits_per_node``
+def address_limits(nodes: Sequence[object], num_nodes: int,
+                   bits_per_node: int) -> np.ndarray:
+    """Stream length of each node in a ``num_nodes * bits_per_node``
     address space: ``bits_per_node``, or 0 for a node that is not an
     integer in ``[0, num_nodes)``."""
-    try:
-        node_i = int(node)
-    except (TypeError, ValueError):
-        return 0
-    return bits_per_node if 0 <= node_i < num_nodes else 0
+    def limit(node):
+        try:
+            node_i = int(node)
+        except (TypeError, ValueError):
+            return 0
+        return bits_per_node if 0 <= node_i < num_nodes else 0
+
+    return np.array([limit(v) for v in nodes], dtype=np.int64)
 
 
 def address_points(nodes: Sequence[object], starts: np.ndarray, count: int,
@@ -135,8 +139,8 @@ class KWiseSource(RandomSource):
         values = self.field.eval_poly_vec(self._coeffs, points.ravel())
         return (values & 1).astype(np.uint8).reshape(points.shape)
 
-    def _stream_limit(self, node: object) -> int:
-        return address_limit(node, self.num_nodes, self.bits_per_node)
+    def _stream_limits(self, nodes: List[object]) -> np.ndarray:
+        return address_limits(nodes, self.num_nodes, self.bits_per_node)
 
     @classmethod
     def enumerate_seeds(cls, k: int, num_nodes: int, bits_per_node: int):

@@ -10,7 +10,7 @@ mode the paper's "100 log² n bits suffice w.h.p." arguments bound.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -53,9 +53,10 @@ class PooledBits(RandomSource):
             out[row] = pool[start:start + count]
         return out
 
-    def _stream_limit(self, node: object) -> int:
-        pool = self._pools.get(node)
-        return len(pool) if pool is not None else 0
+    def _stream_limits(self, nodes: List[object]) -> np.ndarray:
+        pools = self._pools
+        return np.array([len(pools.get(v, ())) for v in nodes],
+                        dtype=np.int64)
 
     def pool_size(self, key: object) -> int:
         """Total bits in one pool."""

@@ -67,8 +67,8 @@ class SharedRandomness(RandomSource):
                     f"index {index} requested")
         return self._bits[starts[:, None] + np.arange(count)]
 
-    def _stream_limit(self, node: object) -> int:
-        return self.seed_bits
+    def _stream_limits(self, nodes: List[object]) -> np.ndarray:
+        return np.full(len(nodes), self.seed_bits, dtype=np.int64)
 
     def global_bit(self, index: int) -> int:
         """Read bit ``index`` of the public string (node-independent)."""

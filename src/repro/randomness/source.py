@@ -22,31 +22,35 @@ A source implements two methods:
   uint8[len(nodes), count]``: the unmetered bits
   ``[starts[i], starts[i] + count)`` of ``nodes[i]``'s stream, raising
   the source's own error for an out-of-range node or index;
-* :meth:`RandomSource._stream_limit` — ``None`` for an unbounded stream,
-  else its length (``0`` for a node that has no stream).
+* :meth:`RandomSource._stream_limits` — ``nodes -> None | int64[n]``:
+  ``None`` when every stream is unbounded (the default), else each
+  lane's stream length (``0`` for a node that has no stream).
 
 Every public reader, scalar (:meth:`~RandomSource.bit`,
 :meth:`~RandomSource.bits_block`, :meth:`~RandomSource.uniform_int`,
 :meth:`~RandomSource.geometric`) or bulk
 (:meth:`~RandomSource.bits_each`, :meth:`~RandomSource.uniform_int_each`,
 :meth:`~RandomSource.geometrics`), is a call of one skeleton over lanes
-(one lane per node): each attempt generates every live lane's window
-with one :meth:`_raw_bits` call, and the lanes are then metered in node
-order by :meth:`_meter`, the only writer of the ledger. Values, metering
-and errors are those of reading bit by bit: a lane that runs past its
-stream's end meters the prefix it read and raises the source's error at
-the first index it lacked; a bit budget raises at the first index that
-did not fit.
+(one lane per node). A read asks for every lane's limit with one
+:meth:`_stream_limits` call; each attempt generates every live lane's
+window with one :meth:`_raw_bits` call; then one :meth:`_meter` call,
+the only writer of the ledger, meters the lanes in node order. So a
+lane costs what the two hooks spend on it plus one ledger update.
+Values, metering and errors are those of reading bit by bit: a lane
+that runs past its stream's end meters the prefix it read and raises
+the source's error at the first index it lacked; a bit budget raises
+at the first index that did not fit.
 
 To add a source, subclass :class:`RandomSource`, implement
 :meth:`_raw_bits` (vectorize across lanes where the derivation allows)
-and, for a bounded stream, :meth:`_stream_limit`.
+and, for bounded streams, :meth:`_stream_limits` (one array per call).
 """
 
 from __future__ import annotations
 
 import abc
-import operator
+import functools
+import gc
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,6 +81,28 @@ def first_outside(start: int, count: int, limit: int) -> Optional[int]:
     return limit if start + count > limit else None
 
 
+def _collector_paused(read):
+    """Run ``read`` with CPython's cyclic garbage collector paused.
+
+    A read allocates a few container objects per lane it opens (a
+    stream, a ledger and the ledger's two lists) and makes no reference
+    cycles. Left running, the collector would scan the young objects
+    every 700 of them and, as the heap grows, the whole heap: about a
+    quarter of the time of a 10^5-lane read. The previous state is
+    restored on return and on error.
+    """
+    @functools.wraps(read)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return read(*args, **kwargs)
+        gc.disable()
+        try:
+            return read(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 def _whole_rows(raw: np.ndarray):
     """Draw of the bit readers: every row as read, all of it used."""
     return raw, raw.shape[1], True
@@ -94,7 +120,7 @@ def _first_zero(raw: np.ndarray):
 class RandomSource(abc.ABC):
     """Abstract source of per-node random bits.
 
-    Subclasses implement :meth:`_raw_bits` (and :meth:`_stream_limit`
+    Subclasses implement :meth:`_raw_bits` (and :meth:`_stream_limits`
     for bounded streams); the public API adds metering, budget
     enforcement, and derived samplers (uniform integers, geometric
     variables) built only from bits, so the bit count is the single
@@ -122,11 +148,12 @@ class RandomSource(abc.ABC):
         node without a stream or an index outside it.
         """
 
-    def _stream_limit(self, node: object) -> Optional[int]:
-        """Exclusive upper bound on valid bit indices for ``node``.
+    def _stream_limits(self, nodes: List[object]) -> Optional[np.ndarray]:
+        """Exclusive upper bound on valid bit indices for each lane:
+        ``int64[len(nodes)]``, ``0`` for a node that has no stream.
 
-        ``None`` means unbounded; ``0`` means ``node`` has no stream.
-        The readers never generate past it, so a read whose prefix
+        ``None`` (the default) means every stream is unbounded. The
+        readers never generate past a limit, so a read whose prefix
         decides the value never *peeks* beyond the end of the stream.
         """
         return None
@@ -134,19 +161,37 @@ class RandomSource(abc.ABC):
     # ------------------------------------------------------------------
     # Metering
     # ------------------------------------------------------------------
-    def _meter(self, node: object, start: int, end: int) -> None:
-        """Meter ``[start, end)`` of ``node``'s stream.
+    def _meter(self, nodes: List[object], first: List[int],
+               ends: List[int]) -> None:
+        """Meter ``[first[i], ends[i])`` of ``nodes[i]``'s stream for
+        every lane of one read, in lane order (the shortest of the three
+        lists sets the lanes).
 
         Already-served sub-ranges are free re-reads. Under a bit budget,
-        the prefix that fits is recorded and the exception names the
+        the lanes are walked one by one: the first range that does not
+        fit records the prefix that does, and the exception names the
         first index that did not — what bit-at-a-time accounting would
         have done.
         """
-        cut = end
+        ledgers = self._ledgers
         budget = self._bit_budget
-        ledger = self._ledgers.get(node)
-        if budget is not None:
+        if budget is None:
+            known = ledgers.get
+            served = 0
+            try:
+                for node, start, end in zip(nodes, first, ends):
+                    if start < end:
+                        ledger = known(node)
+                        if ledger is None:
+                            ledger = ledgers[node] = IntervalSet()
+                        served += ledger.add(start, end)
+            finally:
+                self._total_consumed += served
+            return
+        for node, start, end in zip(nodes, first, ends):
+            cut = end
             room = budget - self._total_consumed
+            ledger = ledgers.get(node)
             gaps = [(start, end)] if ledger is None \
                 else ledger.missing(start, end)
             for s, e in gaps:
@@ -154,18 +199,19 @@ class RandomSource(abc.ABC):
                     cut = s + room
                     break
                 room -= e - s
-        if start < cut:
-            if ledger is None:
-                ledger = self._ledgers[node] = IntervalSet()
-            self._total_consumed += ledger.add(start, cut)
-        if cut < end:
-            raise RandomnessExhausted(
-                f"bit budget of {budget} bits exhausted "
-                f"(node {node!r} requested index {cut})")
+            if start < cut:
+                if ledger is None:
+                    ledger = ledgers[node] = IntervalSet()
+                self._total_consumed += ledger.add(start, cut)
+            if cut < end:
+                raise RandomnessExhausted(
+                    f"bit budget of {budget} bits exhausted "
+                    f"(node {node!r} requested index {cut})")
 
     # ------------------------------------------------------------------
     # The skeleton behind every reader
     # ------------------------------------------------------------------
+    @_collector_paused
     def _lanes(self, nodes: Sequence[object], starts, count: int,
                draw: Draw, attempts: int = 1,
                stuck: Optional[Callable[[], Exception]] = None
@@ -197,17 +243,16 @@ class RandomSource(abc.ABC):
         else:
             start = np.array(starts, dtype=np.int64).reshape(n)
             first = start.tolist()
-        limits = list(map(self._stream_limit, nodes))
+        limits = self._stream_limits(nodes)
         stop, clip = None, False  # no lane can run short
-        if limits.count(None) < n or min(first, default=0) < 0:
+        if limits is not None or min(first, default=0) < 0:
             # A lane's readable range ends at its stream's end, or at its
             # start if that lies outside the stream; clip an attempt's
             # windows only where some lane may hold less than a window.
-            stop = [s if s < 0 or lim is not None and s >= lim
-                    else _UNBOUNDED if lim is None else lim
-                    for s, lim in zip(first, limits)]
-            clip = min(map(operator.sub, stop, first)) < count
-            stop = np.array(stop, dtype=np.int64)
+            if limits is None:
+                limits = np.full(n, _UNBOUNDED, dtype=np.int64)
+            stop = np.where((start < 0) | (start >= limits), start, limits)
+            clip = bool((stop - start < count).any())
         short = None  # lanes that ran past their stream's end
         live = None  # lanes still drawing; None: every lane
         for _ in range(attempts):
@@ -260,12 +305,10 @@ class RandomSource(abc.ABC):
                 failed[live] = True
             if failed.any():
                 bad = int(failed.argmax())
-        meter = self._meter
-        for node, s, e in zip(nodes[:bad] if bad < n else nodes, first, ends):
-            meter(node, s, e)
+        # Every lane up to the first failed one, that one's prefix too.
+        self._meter(nodes if bad == n else nodes[:bad + 1], first, ends)
         if bad < n:
             node, end = nodes[bad], ends[bad]
-            meter(node, first[bad], end)
             if short is not None and short[bad]:
                 self._raw_bits([node], np.array([end]), 1)
                 raise ConfigurationError(

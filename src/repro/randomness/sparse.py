@@ -20,7 +20,7 @@ that is exactly what Lemma 3.2's clustering does, and why the
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 import numpy as np
 
@@ -116,8 +116,9 @@ class SparseRandomness(RandomSource):
             out[row] = self._values[node]
         return out
 
-    def _stream_limit(self, node: object) -> int:
-        return 1 if node in self.holders else 0
+    def _stream_limits(self, nodes: List[object]) -> np.ndarray:
+        holders = self.holders
+        return np.array([v in holders for v in nodes], dtype=np.int64)
 
     def holder_bit(self, node: object) -> int:
         """The single bit of a holder node."""

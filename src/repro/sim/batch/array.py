@@ -571,8 +571,8 @@ class ArrayContext:
                 "array program requested randomness but the run is "
                 "deterministic")
         nodes = np.asarray(nodes, dtype=np.int64)
-        # Stream keys must be Python ints: NodeContext passes ctx.v, and
-        # repr(np.int64(5)) != repr(5) would derive different streams.
+        # Python ints, like NodeContext's ctx.v: as stream and ledger
+        # keys they hash faster than numpy scalars.
         values, used = self._source.uniform_int_each(
             nodes.tolist(), bound, self._cursors[nodes])
         self._cursors[nodes] += used

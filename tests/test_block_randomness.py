@@ -19,6 +19,7 @@ checked against networkx ground truth.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from functools import partial
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, ModelViolation, RandomnessExhausted
 from repro.graphs import assign, make
 from repro.randomness import (
+    BlockStream,
     EpsilonBiasedSource,
     IndependentSource,
     IntervalSet,
@@ -138,6 +140,92 @@ READS = {
         r.bits_block(vs[0], 8, 0), r.geometrics(vs, 6, 2),
         r.uniform_int_each(vs, 100, [0] * len(vs)), r.bits_each(vs, 9, 0)],
 }
+
+
+#: name -> read(source, nodes): one bulk read over every lane.
+BULK_READS = {
+    "bits_each": lambda s, vs: s.bits_each(vs, 6, 1),
+    "geometrics": lambda s, vs: s.geometrics(vs, 6, 1),
+    # Rejects about 40% of draws, so lanes read again.
+    "uniform_int_each": lambda s, vs: s.uniform_int_each(vs, 600,
+                                                         [1] * len(vs)),
+}
+
+
+def _count_calls(source, name, monkeypatch):
+    """Spy on one hook of ``source``: the list its calls append to."""
+    calls = []
+    hook = getattr(source, name)
+
+    def counted(*args):
+        calls.append(args)
+        return hook(*args)
+
+    monkeypatch.setattr(source, name, counted)
+    return calls
+
+
+class TestCallShape:
+    """A bulk read asks every lane's stream limit in one
+    ``_stream_limits`` call and meters every lane in one ``_meter`` call,
+    however many generation attempts it makes and whether or not it
+    raises."""
+
+    @pytest.mark.parametrize("read", sorted(BULK_READS))
+    @pytest.mark.parametrize("case", sorted(SOURCES))
+    def test_one_limits_and_one_meter_call_per_read(self, case, read,
+                                                    monkeypatch):
+        make, nodes, _outsider, _end = SOURCES[case]
+        source = make()
+        limits = _count_calls(source, "_stream_limits", monkeypatch)
+        meters = _count_calls(source, "_meter", monkeypatch)
+        raws = _count_calls(source, "_raw_bits", monkeypatch)
+        try:
+            BULK_READS[read](source, list(nodes))
+        except (ConfigurationError, ModelViolation, RandomnessExhausted):
+            pass  # bounded streams may run out; the shape is the same
+        assert len(limits) == 1 and limits[0][0] == list(nodes)
+        assert len(meters) == 1
+        assert raws, "the read generated nothing"
+
+    def test_rejection_rounds_share_one_meter_call(self, monkeypatch):
+        source = IndependentSource(seed=3)
+        meters = _count_calls(source, "_meter", monkeypatch)
+        raws = _count_calls(source, "_raw_bits", monkeypatch)
+        source.uniform_int_each(list(range(200)), 600, [0] * 200)
+        assert len(raws) > 1 and len(meters) == 1
+
+    def test_independent_source_has_no_limits(self):
+        assert IndependentSource(seed=3)._stream_limits([0, "a"]) is None
+
+
+class TestCollectorPause:
+    """Reads run with the cyclic garbage collector paused and leave it
+    as they found it, also when they raise."""
+
+    def test_paused_inside_and_restored_after(self, monkeypatch):
+        source = IndependentSource(seed=1)
+        seen = []
+        hook = source._raw_bits
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return hook(*args)
+
+        monkeypatch.setattr(source, "_raw_bits", spy)
+        assert gc.isenabled()
+        source.bits_each([0, 1], 4)
+        source.bit(2, 0)
+        assert seen == [False, False] and gc.isenabled()
+        with pytest.raises(ConfigurationError, match="negative"):
+            source.bits_each([0, 1], 4, -1)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            source.bits_each([3], 4)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestPurity:
@@ -445,6 +533,53 @@ class TestPinnedPRF:
             "bb684c874532bdf3598580a3bbe13e379bbe1d5bd77c185ed50a079c78375898")
 
 
+class TestStreamKeys:
+    """``IndependentSource`` keys a new node's stream from a state fed
+    the label and seed once: byte for byte ``derive_key``."""
+
+    NODES = [0, 7, -3, 2**64 + 5, -(2**70), "a", "", "é", (1, 2),
+             ("x", (3, -4))]
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**200])
+    def test_keys_are_derive_key(self, seed):
+        parent = IndependentSource(seed=seed)
+        child = parent.fork("phase-1")
+        for source in (parent, child, child.fork("x")):
+            # A node listed twice in one call gets its one stream.
+            streams = source._streams_of(self.NODES + self.NODES[::3])
+            assert len(source._streams) == len(self.NODES)
+            for node, stream in zip(self.NODES + self.NODES[::3], streams):
+                assert stream is source._streams[node]
+                assert stream._key == derive_key(
+                    "repro-independent", source.seed, repr(node))
+
+    def test_bulk_and_scalar_reads_open_the_same_streams(self):
+        bulk, scalar = IndependentSource(seed=5), IndependentSource(seed=5)
+        rows = bulk.bits_each(self.NODES, 40, 490)
+        for node, row in zip(self.NODES, rows):
+            assert scalar.bits_block(node, 40, 490).tolist() == row.tolist()
+            assert row.tolist() == BlockStream(derive_key(
+                "repro-independent", 5, repr(node))).read(490, 40).tolist()
+
+    @pytest.mark.parametrize("order", ["numpy-first", "int-first"])
+    def test_numpy_integer_node_reads_the_ints_stream(self, order):
+        """``np.int64(5) == 5`` is one dict key, so it is one stream:
+        the stream of ``5``, whichever form opens it."""
+        expected = BlockStream(derive_key("repro-independent", 4, "5")).read(
+            0, 64).tolist()
+        forms = [np.int64(5), 5]
+        if order == "int-first":
+            forms.reverse()
+        scalar, bulk = IndependentSource(seed=4), IndependentSource(seed=4)
+        assert [scalar.bits_block(v, 64).tolist() for v in forms] == \
+            [expected, expected]
+        assert bulk.bits_each(forms + [np.uint8(5), np.int32(5)],
+                              64).tolist() == [expected] * 4
+        assert bulk._streams[5]._key == derive_key("repro-independent", 4,
+                                                   "5")
+        assert scalar.bits_consumed == bulk.bits_consumed == 64
+
+
 def _metering_state(source):
     """PRF blocks computed, bits metered, and a digest of the ledger."""
     ledger = {repr(v): [source._ledgers[v].starts, source._ledgers[v].ends]
@@ -535,18 +670,6 @@ def _assert_geometrics_like_per_bit(make, nodes, cap, offset):
     return error
 
 
-def _count_raw_bits_calls(source, monkeypatch):
-    calls = []
-    hook = source._raw_bits
-
-    def counted(*args):
-        calls.append(args)
-        return hook(*args)
-
-    monkeypatch.setattr(source, "_raw_bits", counted)
-    return calls
-
-
 class TestGeometricsParity:
     """``geometrics`` draws every node's block with one ``_raw_bits``
     call and must read like per-bit ``geometric`` calls."""
@@ -593,7 +716,7 @@ class TestGeometricsParity:
         pool 1's 4 bits)."""
         make, nodes, cap, offset = self.CASES[case]
         source = make()
-        calls = _count_raw_bits_calls(source, monkeypatch)
+        calls = _count_calls(source, "_raw_bits", monkeypatch)
         source.geometrics(list(nodes), cap, offset)
         assert len(calls) == (2 if case == "pooled-short-lanes" else 1)
         del calls[:]
@@ -625,12 +748,12 @@ class TestGeometricsParity:
     def test_independent_raw_blocks_reads_through_block_cache(self):
         source = IndependentSource(seed=12)
         source._raw_bits([0, 1], np.array([500, 500]), 40)
-        assert sorted(source._stream(0)._blocks) == [0, 1]
-        assert sorted(source._stream(1)._blocks) == [0, 1]
+        assert sorted(source._streams[0]._blocks) == [0, 1]
+        assert sorted(source._streams[1]._blocks) == [0, 1]
         # Per-lane starts compute exactly the blocks under each window.
         source._raw_bits([2, 3], np.array([5, 1530]), 20)
-        assert sorted(source._stream(2)._blocks) == [0]
-        assert sorted(source._stream(3)._blocks) == [2, 3]
+        assert sorted(source._streams[2]._blocks) == [0]
+        assert sorted(source._streams[3]._blocks) == [2, 3]
 
     def test_budget_runs_out_mid_call(self):
         make = partial(IndependentSource, seed=8, bit_budget=25)
@@ -744,7 +867,7 @@ class TestBitsEachParity:
         """One ``_raw_bits`` call per draw, scalar or bulk."""
         make, nodes, count, offset = self.CASES[case]
         source = make()
-        calls = _count_raw_bits_calls(source, monkeypatch)
+        calls = _count_calls(source, "_raw_bits", monkeypatch)
         source.bits_each(list(nodes), count, offset)
         assert len(calls) == 1
         source.bits_block(list(nodes)[0], count, offset)

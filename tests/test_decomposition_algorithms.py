@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import pytest
 
 from repro.core.decomposition import (
@@ -21,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource, SharedRandomness, SparseRandomness
 
-from helpers import family_graphs
+from helpers import family_graphs, source_ledger
 
 
 def _logn(n):
@@ -82,6 +83,34 @@ class TestSparseBits31:
         gathered = gather_bits(grid36, src, bits_needed=4, spacing=100)
         assert len(gathered.cluster_members()) == 1
         assert len(gathered.isolated) == 1
+
+    @pytest.mark.parametrize("family, n, h, spacing", [
+        ("grid", 36, 1, 6),
+        ("gnp-sparse", 90, 1, 4),
+        ("tree", 70, 2, 5),
+        ("path+cycle", 45, 1, 4),  # the 5-cycle is an isolated cluster
+        ("cycle", 40, 1, 100),  # one isolated cluster, no bits read
+    ])
+    def test_pools_read_like_per_holder_bits(self, family, n, h, spacing):
+        """One bulk read of all holders' bits gives the pools and the
+        ledger (order included) of one ``holder_bit`` call per holder."""
+        graph = assign(nx.disjoint_union(nx.path_graph(n - 5),
+                                         nx.cycle_graph(5))
+                       if family == "path+cycle" else make(family, n, seed=1),
+                       "random", seed=1)
+        bulk = SparseRandomness.for_graph(graph, h=h, seed=2)
+        gathered = gather_bits(graph, bulk, bits_needed=4, spacing=spacing)
+        scalar = SparseRandomness.for_graph(graph, h=h, seed=2)
+        expected = {}
+        for center, cluster in gathered.cluster_members().items():
+            holders = [] if center in gathered.isolated \
+                else sorted(cluster & scalar.holders, key=graph.uid)
+            expected[center] = [scalar.holder_bit(s) for s in holders]
+        assert list(gathered.pools.items()) == list(expected.items())
+        assert list(source_ledger(bulk).items()) == \
+            list(source_ledger(scalar).items())
+        assert bulk.bits_consumed == scalar.bits_consumed == sum(
+            map(len, expected.values()))
 
     def test_isolated_only_graph_needs_no_randomness(self, grid36):
         src = SparseRandomness.for_graph(grid36, h=1, seed=2)
