@@ -1,11 +1,12 @@
 """Check that the experiment tables still match EXPERIMENTS.md.
 
-Runs ``scripts_run_experiments.py --quick`` and compares its output with
-the "Quick profile" block of EXPERIMENTS.md; with ``--full``, runs the
-full profile (``scripts_run_experiments.py`` without ``--quick``) and
-compares it with the "Full profile" block instead. Only the
-``### done eXX in`` timing lines and trailing blank lines are ignored;
-any other difference is printed as a unified diff and the script exits 1.
+Runs ``python -m repro.analysis`` (the quick profile) and compares its
+output with the "Quick profile" block of EXPERIMENTS.md; with
+``--full``, runs ``python -m repro.analysis --full`` and compares it
+with the "Full profile" block instead. Only the ``### done eXX in``
+timing lines (``repro.analysis.cli.TIMING_LINE``) and trailing blank
+lines are ignored; any other difference is printed as a unified diff
+and the script exits 1.
 
 Usage::
 
@@ -15,18 +16,18 @@ Usage::
 
 import argparse
 import difflib
-import re
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.analysis.cli import TIMING_LINE
+
 ROOT = Path(__file__).resolve().parent
-TIMING = re.compile(r"^### done e\d\d in ")
 
 
 def comparable(text: str) -> list:
     """``text``'s lines without timing lines and trailing blank lines."""
-    lines = [line for line in text.split("\n") if not TIMING.match(line)]
+    lines = [line for line in text.split("\n") if not TIMING_LINE.match(line)]
     while lines and lines[-1] == "":
         lines.pop()
     return lines
@@ -48,9 +49,9 @@ def main() -> int:
     )
     full = parser.parse_args().full
     profile = "full" if full else "quick"
-    flags = [] if full else ["--quick"]
+    flags = ["--full"] if full else []
     fresh = subprocess.run(
-        [sys.executable, str(ROOT / "scripts_run_experiments.py"), *flags],
+        [sys.executable, "-m", "repro.analysis", *flags],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -62,7 +63,7 @@ def main() -> int:
             comparable(pinned_block(heading)),
             comparable(fresh),
             f"EXPERIMENTS.md ({heading})",
-            " ".join(["scripts_run_experiments.py", *flags]),
+            " ".join(["python -m repro.analysis", *flags]),
             lineterm="",
         )
     )

@@ -40,13 +40,13 @@ import re
 import shutil
 import sys
 
+# TIMING_LINE matches the wall-clock line the CLI prints above each
+# table ("### done e10 in 1.2s") — the only output allowed to differ
+# between the two replays.
+from repro.analysis.cli import TIMING_LINE
 from repro.analysis.cli import main as analysis_main
 from repro.sim.batch import RESULT_FORMAT_VERSION, ColumnarStore
 from repro.sim.batch.store import LEGACY_SHARD_DIR, jsonl_line
-
-#: Wall-clock lines the CLI prints under each table ("[e10: 1.2s]") —
-#: the only output allowed to differ between the two replays.
-TIMING_LINE = re.compile(r"^\[[^:\]]+: [0-9.]+s\]$")
 
 DEFAULT_EXPERIMENTS = ("e01", "e10")
 

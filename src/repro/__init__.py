@@ -11,7 +11,7 @@ The package is organized along the paper's structure:
   derandomization machinery (Sections 3 and 4);
 * :mod:`repro.checkers` — local checkability (Definition 2.2);
 * :mod:`repro.graphs` — witness graph families and ID schemes;
-* :mod:`repro.analysis` — the E1–E10 experiment drivers and tables.
+* :mod:`repro.analysis` — the E1–E11 experiment drivers and tables.
 
 Quickstart::
 

@@ -1,4 +1,4 @@
-"""Experiment drivers (E1–E10), statistics, and table rendering."""
+"""Experiment drivers (E1–E11), ablations, statistics, and table rendering."""
 
 from .ablations import ABLATIONS
 from .experiments import EXPERIMENTS, run_all

@@ -8,6 +8,10 @@ Usage::
     python -m repro.analysis a1 a2 a3        # ablations
     python -m repro.analysis --list          # show what exists
 
+Names run in the order given, each table printed as soon as it is done
+below a ``### done eXX in Ys`` line (:data:`TIMING_LINE`) — the format
+EXPERIMENTS.md pins.
+
 Scenario files (README "Scenario files") replace the name/profile/seed
 flags with one declarative spec — a library name or a YAML/JSON path::
 
@@ -62,14 +66,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..scenarios import ScenarioSpec, available, scenario_from_arg
+from ..scenarios import (ExperimentGrid, ScenarioSpec, available,
+                         scenario_from_arg)
 from .ablations import ABLATIONS
-from .experiments import EXPERIMENTS, SWEEPING
+from .experiments import EXPERIMENTS, run_experiment_grid
 from .tables import Table, scenario_table
 
 if TYPE_CHECKING:
@@ -77,6 +83,11 @@ if TYPE_CHECKING:
 
 # The trial store and the coordinator stack (repro.analysis.coordinated,
 # http.server) are imported only by the flags that need them.
+
+#: The wall-clock line :func:`print_tables` prints above each table: the
+#: one line that differs between two runs of the same tables (the table
+#: checks and smokes drop it before comparing).
+TIMING_LINE = re.compile(r"^### done \S+ in [0-9]+\.[0-9]s$")
 
 #: Spec fields --query can filter on (column-wise, from the segments).
 QUERY_FIELDS = ("task", "family", "n", "seed")
@@ -89,15 +100,40 @@ SWEEP_MAX_ATTEMPTS = 5
 
 
 def positive_int(text: str) -> int:
-    """argparse type for worker counts (shared with the script CLI)."""
+    """argparse type for worker and shard counts."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    """The durable-sweep flags, shared by this CLI and the script CLI."""
+def build_parser() -> argparse.ArgumentParser:
+    """Every flag of the one table front end."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="Regenerate the E1-E11 experiment and A1-A3 ablation "
+                    "tables (see EXPERIMENTS.md).")
+    parser.add_argument("names", nargs="*",
+                        help="experiment/ablation names, run in the order "
+                             "given (default: all experiments)")
+    parser.add_argument("--full", action="store_true",
+                        help="full profile (EXPERIMENTS.md scale; slow)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="base seed for the sweeps (default 1; "
+                             "conflicts with --scenario)")
+    parser.add_argument("--workers", type=positive_int, default=None,
+                        help="process fan-out for the seed-sweeping "
+                             "experiments e01-e06/e08/e10 "
+                             "(default: $REPRO_WORKERS or 1)")
+    parser.add_argument("--list", action="store_true",
+                        help="list available names and exit (with --store: "
+                             "list the store's contents instead)")
+    parser.add_argument("--scenario", metavar="FILE|NAME", default=None,
+                        help="run a declarative scenario instead of named "
+                             "experiments: a YAML/JSON spec path, or a "
+                             "library scenario name "
+                             f"({', '.join(available())})")
+
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="durable trial store: completed trials are "
                              "checkpointed there and reused on rerun, so "
@@ -127,19 +163,7 @@ def add_store_arguments(parser: argparse.ArgumentParser) -> None:
                              "counts plus per-cell aggregates, answered from "
                              "the filter columns alone")
 
-
-def add_scenario_argument(parser: argparse.ArgumentParser) -> None:
-    """The declarative-spec flag, shared by this CLI and the script CLI."""
-    parser.add_argument("--scenario", metavar="FILE|NAME", default=None,
-                        help="run a declarative scenario instead of named "
-                             "experiments: a YAML/JSON spec path, or a "
-                             "library scenario name "
-                             f"({', '.join(available())})")
-
-
-def add_coordination_arguments(parser: argparse.ArgumentParser) -> None:
-    """The coordinated-sweep flags, shared by both experiment CLIs
-    (:mod:`repro.analysis.coordinated` acts on them)."""
+    # repro.analysis.coordinated acts on these.
     group = parser.add_argument_group("coordinated sweeps")
     group.add_argument(
         "--coordinator",
@@ -280,14 +304,13 @@ def add_coordination_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker: fail every execute of this unit id, simulating a "
         "poison unit the coordinator must quarantine (testing/demo knob)",
     )
+    return parser
 
 
 def run_coordination(
     args: argparse.Namespace,
-    names: Sequence[str],
-    quick: bool,
-    seed: int,
-    scenario: Optional[ScenarioSpec] = None,
+    grid: Optional[ExperimentGrid],
+    scenario: Optional[ScenarioSpec],
 ) -> Optional[int]:
     """Dispatch --coordinator/--worker through
     :func:`repro.analysis.coordinated.run_coordination`, imported only
@@ -295,28 +318,28 @@ def run_coordination(
     if args.coordinator is None and args.worker is None:
         return None
     from .coordinated import run_coordination as coordinate
-    return coordinate(args, names, quick, seed, scenario=scenario)
+    return coordinate(args, grid, scenario=scenario)
 
 
 def apply_scenario_argument(
-        args: argparse.Namespace, *, quick: bool, profile_flag_set: bool,
-        profile_flag: str,
-) -> Tuple[Optional[ScenarioSpec], List[str], bool, int]:
+        args: argparse.Namespace,
+) -> Tuple[Optional[ScenarioSpec], Optional[ExperimentGrid]]:
     """Resolve ``--scenario`` against the classic flags, loudly.
 
-    Returns ``(sweep_scenario, names, quick, seed)``. A scenario owns
-    its own profile and seed plan, so combining it with positional
-    names, the profile flag, or an explicit ``--seed`` is a conflict
-    (``--seed`` defaults to ``None`` in both CLIs precisely so an
-    explicit value is detectable; it resolves to 1 here).
-    Experiments-kind scenarios lower to the classic triple and return
-    no scenario; sweep-kind scenarios return the spec itself.
+    Returns ``(sweep_scenario, grid)``, exactly one of them set. A
+    scenario owns its own profile and seed plan, so combining it with
+    positional names, ``--full``, or an explicit ``--seed`` is a
+    conflict (``--seed`` defaults to ``None`` precisely so an explicit
+    value is detectable; it resolves to 1 here). An experiments-kind
+    scenario is its grid; without ``--scenario`` the names, profile and
+    seed flags make one.
     """
-    seed = args.seed if args.seed is not None else 1
-    names = list(args.names) or sorted(EXPERIMENTS)
     if args.scenario is None:
-        return None, names, quick, seed
-    if getattr(args, "worker", None) is not None:
+        return None, ExperimentGrid(
+            names=tuple(args.names) or tuple(sorted(EXPERIMENTS)),
+            profile="full" if args.full else "quick",
+            seed=args.seed if args.seed is not None else 1)
+    if args.worker is not None:
         raise ConfigurationError(
             "--worker takes no --scenario: the coordinator decides which "
             "sweeps this worker runs (its units carry the spec)")
@@ -324,36 +347,59 @@ def apply_scenario_argument(
         raise ConfigurationError(
             f"--scenario and positional names are mutually exclusive: the "
             f"scenario decides what runs (got {args.names})")
-    if profile_flag_set:
+    if args.full:
         raise ConfigurationError(
-            f"--scenario and {profile_flag} conflict: the scenario fixes "
-            f"its own profile")
+            "--scenario and --full conflict: the scenario fixes its own "
+            "profile")
     if args.seed is not None:
         raise ConfigurationError(
             "--scenario and --seed conflict: the scenario fixes its own "
             "seed plan")
     spec = scenario_from_arg(args.scenario)
     if spec.kind == "experiments":
-        grid = spec.experiments
-        return None, list(grid.names), grid.profile == "quick", grid.seed
-    return spec, [], quick, seed
+        return None, spec.experiments
+    return spec, None
 
 
-def run_scenario_locally(
-        scenario: ScenarioSpec, args: argparse.Namespace,
-        store: Optional[ColumnarStore], shard: Optional[Tuple[int, int]],
-) -> int:
-    """Run a sweep-kind scenario in-process; render unless sharding."""
+def print_tables(
+        scenario: Optional[ScenarioSpec], grid: Optional[ExperimentGrid],
+        workers: Optional[int] = None, store=None,
+        shard: Optional[Tuple[int, int]] = None,
+) -> None:
+    """Run the sweep scenario or the grid; print each table as it lands.
+
+    The one output path for tables: local runs, shard runs and the
+    coordinator's final render over its read-through store. Above each
+    table goes the :data:`TIMING_LINE`. A shard run only populates the
+    store (its tables are partial by construction), so it prints one
+    line per driver instead; :func:`run_experiment_grid` skips the
+    drivers that have no trial sweep to slice.
+    """
+    def scenario_tables():
+        results = scenario.run(workers=workers, store=store, shard=shard)
+        yield scenario.name, scenario_table(scenario, results)
+
+    if scenario is not None:
+        tables = scenario_tables()
+    else:
+        tables = run_experiment_grid(grid, workers=workers, store=store,
+                                     shard=shard)
+        if shard is not None:
+            print(f"### shard {shard[0]}/{shard[1]}: drivers without a "
+                  f"trial sweep are skipped; they run on the merge host",
+                  flush=True)
     start = time.time()
-    results = scenario.run(workers=args.workers, store=store, shard=shard)
-    took = time.time() - start
-    if shard is not None:
-        print(f"[{scenario.name}: shard {shard[0]}/{shard[1]} populated in "
-              f"{took:.1f}s; store now holds {len(store)} result(s)]")
-        return 0
-    print(scenario_table(scenario, results).render())
-    print(f"[{scenario.name}: {took:.1f}s]")
-    return 0
+    for name, table in tables:
+        took = time.time() - start
+        if shard is not None:
+            print(f"### shard {shard[0]}/{shard[1]} of {name} populated in "
+                  f"{took:.1f}s; store holds {len(store)} result(s)",
+                  flush=True)
+        else:
+            print(f"### done {name} in {took:.1f}s", flush=True)
+            print(table.render(), flush=True)
+            print(flush=True)
+        start = time.time()
 
 
 def resolve_store_arguments(
@@ -454,84 +500,28 @@ def run_store_commands(args: argparse.Namespace,
 
 
 def main(argv: List[str] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Regenerate the E1-E10 experiment and A1-A3 ablation "
-                    "tables (see EXPERIMENTS.md).")
-    parser.add_argument("names", nargs="*",
-                        help="experiment/ablation names (default: all "
-                             "experiments)")
-    parser.add_argument("--full", action="store_true",
-                        help="full profile (EXPERIMENTS.md scale; slow)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="base seed for the sweeps (default 1; "
-                             "conflicts with --scenario)")
-    parser.add_argument("--workers", type=positive_int, default=None,
-                        help="process fan-out for the seed-sweeping "
-                             "experiments e01-e06/e08/e10 "
-                             "(default: $REPRO_WORKERS or 1)")
-    parser.add_argument("--list", action="store_true",
-                        help="list available names and exit (with --store: "
-                             "list the store's contents instead)")
-    add_scenario_argument(parser)
-    add_store_arguments(parser)
-    add_coordination_arguments(parser)
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
-        scenario, names, quick, seed = apply_scenario_argument(
-            args, quick=not args.full, profile_flag_set=args.full,
-            profile_flag="--full")
-        handled = run_coordination(args, names, quick=quick, seed=seed,
-                                   scenario=scenario)
+        scenario, grid = apply_scenario_argument(args)
+        handled = run_coordination(args, grid, scenario)
         if handled is not None:
             return handled
         store, shard = resolve_store_arguments(args)
         handled = run_store_commands(args, store)
-        if handled is None and scenario is not None:
-            handled = run_scenario_locally(scenario, args, store, shard)
+        if handled is not None:
+            return handled
+        if args.list:
+            registry = {**EXPERIMENTS, **ABLATIONS}
+            for name in sorted(registry):
+                doc = (registry[name].__doc__ or "").strip().splitlines()[0]
+                print(f"{name}: {doc}")
+            print(f"library scenarios (--scenario): {', '.join(available())}")
+            return 0
+        print_tables(scenario, grid, workers=args.workers, store=store,
+                     shard=shard)
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if handled is not None:
-        return handled
-
-    registry = {**EXPERIMENTS, **ABLATIONS}
-    if args.list:
-        for name in sorted(registry):
-            doc = (registry[name].__doc__ or "").strip().splitlines()[0]
-            print(f"{name}: {doc}")
-        print(f"library scenarios (--scenario): {', '.join(available())}")
-        return 0
-
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        print(f"unknown experiment(s): {unknown}; try --list",
-              file=sys.stderr)
-        return 2
-
-    for name in names:
-        if shard is not None and name not in SWEEPING:
-            # Nothing to slice: the driver has no trial sweep and would
-            # store nothing — run it once, on the final rendering host.
-            print(f"[{name}: no trial sweep to shard; skipped — it runs "
-                  f"on the merge host]")
-            continue
-        start = time.time()
-        kwargs = dict(quick=quick, seed=seed)
-        if name in EXPERIMENTS:  # ablations do not fan out
-            kwargs.update(workers=args.workers, store=store, shard=shard)
-        table = registry[name](**kwargs)
-        took = time.time() - start
-        if shard is not None:
-            # A shard run only populates the store; its tables are
-            # partial by construction, so don't render misleading ones.
-            print(f"[{name}: shard {shard[0]}/{shard[1]} populated in "
-                  f"{took:.1f}s; store now holds {len(store)} result(s)]")
-            continue
-        print(table.render())
-        print(f"[{name}: {took:.1f}s]")
-        print()
     return 0
 
 

@@ -1,9 +1,8 @@
-"""Coordinator/worker CLI modes shared by both experiment front ends.
+"""Coordinator/worker modes of ``python -m repro.analysis``.
 
-``python -m repro.analysis`` and ``scripts_run_experiments.py`` both
-grow three coordination flags on top of the store/shard ones (declared
-in :func:`repro.analysis.cli.add_coordination_arguments`, so that a run
-without them never imports this module or the HTTP stack under it):
+The coordination flags are declared in
+:func:`repro.analysis.cli.build_parser`, so that a run without them
+never imports this module or the HTTP stack under it:
 
 * ``--coordinator HOST:PORT`` — own the sweep: slice every requested
   experiment's grids into ``--units`` leasable shard slices, serve the
@@ -68,9 +67,9 @@ from ..sim.batch.distrib import (
     TOKEN_ENV_VAR,
     default_worker_id,
 )
-from ..scenarios import ScenarioSpec
-from .experiments import EXPERIMENTS, SWEEPING
-from .tables import scenario_table
+from ..scenarios import ExperimentGrid, ScenarioSpec
+from .cli import print_tables
+from .experiments import EXPERIMENTS, SWEEPING, run_experiment_grid
 
 #: File name of the coordinator's quarantine report inside the staging
 #: directory (written whenever the sweep finishes; CI uploads it).
@@ -113,7 +112,7 @@ def experiment_units(
 
     Non-sweeping drivers (e07/e09/e11) produce no units — they have no
     trial grid to slice or store, so the coordinator runs them itself
-    at render time, exactly as PR 4's shard hosts skip them.
+    at render time, exactly as shard hosts skip them.
     """
     if count < 1:
         raise ConfigurationError(f"--units must be >= 1, got {count}")
@@ -194,16 +193,14 @@ def execute_experiment_unit(
 
 def run_coordination(
     args: argparse.Namespace,
-    names: Sequence[str],
-    quick: bool,
-    seed: int,
+    grid: Optional[ExperimentGrid],
     scenario: Optional[ScenarioSpec] = None,
 ) -> Optional[int]:
     """Dispatch --coordinator/--worker; None means neither was asked for.
 
     ``scenario`` is a sweep-kind :class:`ScenarioSpec` to coordinate in
-    place of the named experiments (experiments-kind scenarios are
-    lowered to ``names``/``quick``/``seed`` before this is called).
+    place of the experiment ``grid`` (experiments-kind scenarios are
+    their grid by the time this is called).
     """
     if args.coordinator is None and args.worker is None:
         return None
@@ -241,7 +238,7 @@ def run_coordination(
                 "threshold); workers just report failures — drop it"
             )
         return run_worker_mode(args)
-    return run_coordinator_mode(args, names, quick, seed, scenario=scenario)
+    return run_coordinator_mode(args, grid, scenario=scenario)
 
 
 def open_coordinator(
@@ -335,9 +332,7 @@ def report_quarantine(status: dict, staging: str) -> str:
 
 def run_coordinator_mode(
     args: argparse.Namespace,
-    names: Sequence[str],
-    quick: bool,
-    seed: int,
+    grid: Optional[ExperimentGrid],
     scenario: Optional[ScenarioSpec] = None,
 ) -> int:
     """Serve units, wait for the fleet, merge, repack, render tables."""
@@ -350,13 +345,12 @@ def run_coordinator_mode(
     if scenario is not None:
         units = scenario_units(scenario, args.units)
     else:
-        unknown = [name for name in names if name not in EXPERIMENTS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown experiment(s) for --coordinator: {unknown}; choose "
-                f"from {sorted(EXPERIMENTS)}"
-            )
-        units = experiment_units(names, args.units, quick, seed)
+        # Checks the names before the fleet runs; no driver runs until
+        # the tables are iterated.
+        run_experiment_grid(grid)
+        units = experiment_units(
+            grid.names, args.units, grid.profile == "quick", grid.seed
+        )
     staging = args.staging or args.store.rstrip(os.sep) + ".staging"
     journal = os.path.join(staging, JOURNAL_NAME)
     coordinator = open_coordinator(args, units, journal)
@@ -412,17 +406,7 @@ def run_coordinator_mode(
         # them; their results exist thanks to the local backfill).
         final = ColumnarStore(args.store)
         layered = ReadThroughStore(final, staging_store)
-        if scenario is not None:
-            results = scenario.run(workers=args.workers, store=layered)
-            print(scenario_table(scenario, results).render())
-            print()
-        else:
-            for name in names:
-                table = EXPERIMENTS[name](
-                    quick=quick, seed=seed, workers=args.workers, store=layered
-                )
-                print(table.render())
-                print()
+        print_tables(scenario, grid, workers=args.workers, store=layered)
         print(
             f"coordinated sweep done in {time.time() - start:.1f}s: "
             f"units={status['completed']} "

@@ -37,8 +37,9 @@ granularity) whose ``compile()`` emits byte-identical
 :class:`~repro.sim.batch.TrialSpec` grids — same specs, same store
 keys, same tables. :func:`scenario_plan` exposes the plans;
 :func:`run_experiment_grid` executes an
-:class:`~repro.scenarios.ExperimentGrid` (the ``--scenario``
-experiments kind), and :func:`run_all` is now a thin wrapper over it.
+:class:`~repro.scenarios.ExperimentGrid` and is the one dispatch every
+table run goes through: ``python -m repro.analysis``, its
+``--scenario`` experiments kind, and :func:`run_all`.
 
 Every trial takes its graph from :func:`repro.graphs.trial_graph`, so a
 witness graph that several scenarios share — E2's cycles across the
@@ -50,7 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from ..core import (
     exhaustive_derandomize,
@@ -90,6 +92,7 @@ from ..scenarios import (
     sweep_scenario,
 )
 from ..sim.batch import TrialResult, TrialSpec
+from .ablations import ABLATIONS
 from .stats import log2_or_floor, success_rate, wilson_interval
 from .tables import Table
 
@@ -817,12 +820,6 @@ def e11_uniform(quick: bool = False, seed: int = 0,
     )
 
 
-#: Drivers with a per-seed run_trials sweep — the only ones a sharded,
-#: store-populating run needs to execute; e07/e09/e11 store nothing, so
-#: shard hosts skip them and only the final rendering run computes them.
-SWEEPING = frozenset(
-    ("e01", "e02", "e03", "e04", "e05", "e06", "e08", "e10"))
-
 #: registry used by benchmarks and the CLI of run_all.
 EXPERIMENTS: Dict[str, Callable[..., Table]] = {
     "e01": e01_sparse_bits,
@@ -863,6 +860,12 @@ SCENARIO_PLANS: Dict[str, Callable[[bool, int], List[ScenarioSpec]]] = {
     "e10": _e10_plan,
 }
 
+#: Drivers with a per-seed run_trials sweep: exactly those with a
+#: scenario plan. They are the only ones a sharded, store-populating run
+#: needs to execute; e07/e09/e11 store nothing, so shard hosts skip them
+#: and only the final rendering run computes them.
+SWEEPING = frozenset(SCENARIO_PLANS)
+
 
 def scenario_plan(name: str, quick: bool = False,
                   seed: int = 0) -> List[ScenarioSpec]:
@@ -884,28 +887,38 @@ def run_experiment_grid(grid: ExperimentGrid,
                         workers: Optional[int] = None,
                         store: Store = None,
                         shard: Shard = None,
-                        progress: Progress = None) -> List[Tuple[str, Table]]:
-    """Execute an experiments-kind scenario grid: ``(name, table)`` pairs.
+                        progress: Progress = None
+                        ) -> Iterator[Tuple[str, Table]]:
+    """Run an experiments-kind grid: an iterator of ``(name, table)``
+    pairs in the grid's order, each driver running as its pair is
+    drawn, so a caller can print every table as soon as it is done.
 
-    The single driver dispatch point — :func:`run_all`, both CLIs, and
-    ``--scenario`` experiment grids all funnel through here, so the
-    quick/seed/store/shard plumbing lives in exactly one place. In
-    shard mode non-:data:`SWEEPING` drivers are skipped (nothing to
-    slice or store; see :func:`run_all`).
+    The one dispatch for every table run: the CLI (local, shard and
+    coordinator runs), ``--scenario`` experiment grids and
+    :func:`run_all` all come through here. Names may be E1–E11 drivers
+    or A1–A3 ablations (which take only the profile and seed); unknown
+    ones raise when this is called, before any driver runs. In shard
+    mode only the :data:`SWEEPING` drivers run: the others have no
+    trials to slice or store, so they run on the host that renders the
+    merged store.
     """
-    unknown = sorted(set(grid.names) - set(EXPERIMENTS))
+    unknown = [name for name in grid.names
+               if name not in EXPERIMENTS and name not in ABLATIONS]
     if unknown:
         raise ConfigurationError(
             f"unknown experiment(s) {unknown}; choose from "
-            f"{sorted(EXPERIMENTS)}")
-    names = list(grid.names)
-    if shard is not None:
-        names = [name for name in names if name in SWEEPING]
+            f"{sorted(EXPERIMENTS) + sorted(ABLATIONS)}")
     quick = grid.profile == "quick"
-    return [(name, EXPERIMENTS[name](quick=quick, seed=grid.seed,
-                                     workers=workers, store=store,
-                                     shard=shard, progress=progress))
-            for name in names]
+
+    def table(name: str) -> Table:
+        if name in ABLATIONS:
+            return ABLATIONS[name](quick=quick, seed=grid.seed)
+        return EXPERIMENTS[name](quick=quick, seed=grid.seed,
+                                 workers=workers, store=store, shard=shard,
+                                 progress=progress)
+
+    return ((name, table(name)) for name in grid.names
+            if shard is None or name in SWEEPING)
 
 
 def run_all(quick: bool = True, seed: int = 0,

@@ -26,9 +26,9 @@ from .source import RandomSource
 
 
 def _plain(node: object) -> object:
-    """A numpy integer as the Python int it equals: the two are one dict
-    key, so they must name one stream."""
-    return int(node) if isinstance(node, np.integer) else node
+    """A bool or numpy integer as the Python int it equals: the two are
+    one dict key (``True == 1``), so they must name one stream."""
+    return int(node) if isinstance(node, (bool, np.integer, np.bool_)) else node
 
 
 def _derive_fork_seed(master_seed: int, label: str) -> int:
@@ -65,8 +65,8 @@ class IndependentSource(RandomSource):
         """Every lane's stream, opening the missing ones in one pass.
 
         A node's key is ``derive_key("repro-independent", seed,
-        repr(node))``, a numpy integer keyed as its int: a copy of the
-        state already fed the label and the seed, fed the node's
+        repr(node))``, a bool or numpy integer keyed as its int: a copy
+        of the state already fed the label and the seed, fed the node's
         length-prefixed ``repr``.
         """
         streams = self._streams

@@ -275,7 +275,8 @@ class SeedPlan:
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentGrid:
-    """Which E1–E11 drivers to run, at which profile, with which seed."""
+    """Which E1–E11 drivers (or A1–A3 ablations) to run, at which
+    profile, with which seed."""
 
     names: Tuple[str, ...]
     profile: str = "quick"

@@ -137,33 +137,15 @@ def resolve_engine(engine: Optional[str], faults: Any,
     return engine
 
 
-def int_message_bits(values: np.ndarray) -> np.ndarray:
+def fast_int_message_bits(values: np.ndarray) -> np.ndarray:
     """Vectorized ``message_bits`` for arrays of non-negative integers.
 
-    Matches ``max(1, v.bit_length()) + 1`` exactly for every int64 value
-    (an exact shift-count bit length, not a float log — powers of two
-    near 2**53 would round wrong through ``log2``). The readable
-    reference that :func:`fast_int_message_bits` is tested against.
-    """
-    v = np.asarray(values, dtype=np.int64)
-    if np.any(v < 0):
-        raise ConfigurationError("int_message_bits requires non-negative values")
-    bl = np.zeros(v.shape, dtype=np.int64)
-    x = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = x >= (np.int64(1) << shift)
-        bl[big] += shift
-        x[big] >>= shift
-    bl[x > 0] += 1
-    return np.maximum(bl, 1) + 1
-
-
-def fast_int_message_bits(values: np.ndarray) -> np.ndarray:
-    """:func:`int_message_bits` in a handful of vector ops.
-
-    The shift loop makes up to 63 whole-array passes, which dominates a
-    round's accounting at n = 10^6. This reads each value's bit length
-    off ``np.frexp``'s exponent instead (for x > 0, ``frexp(x) = (m, e)``
+    Matches ``max(1, v.bit_length()) + 1`` exactly for every int64
+    value, in a handful of vector ops. A shift-count loop (the tests'
+    reference) makes a masked whole-array pass per shift, which would
+    dominate a round's accounting at n = 10^6, and a float ``log2``
+    rounds wrong near 2**53. This reads each value's bit length off
+    ``np.frexp``'s exponent instead (for x > 0, ``frexp(x) = (m, e)``
     with ``x = m * 2**e`` and ``0.5 <= m < 1``, so ``e ==
     x.bit_length()``; frexp maps 0 to exponent 0, matching
     ``(0).bit_length()``). Values from 2^53 up are split into 32-bit

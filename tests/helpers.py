@@ -455,6 +455,23 @@ def reference_verify_covering(graph: DistributedGraph, holders, h: int) -> bool:
     return bool(covered.all())
 
 
+def int_message_bits(values: np.ndarray) -> np.ndarray:
+    """``message_bits`` of each non-negative integer by an exact
+    shift-count bit length: the readable reference that
+    ``repro.sim.batch.array.fast_int_message_bits`` is tested against."""
+    v = np.asarray(values, dtype=np.int64)
+    if np.any(v < 0):
+        raise ConfigurationError("int_message_bits requires non-negative values")
+    bl = np.zeros(v.shape, dtype=np.int64)
+    x = v.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        big = x >= (np.int64(1) << shift)
+        bl[big] += shift
+        x[big] >>= shift
+    bl[x > 0] += 1
+    return np.maximum(bl, 1) + 1
+
+
 def reference_gf2m_tables(m: int, modulus: int):
     """GF(2^m)'s ``(log, exp, log_np, exp_np)`` built element by element:
     the scalar shift-and-reduce walk over the smallest generator that

@@ -2,6 +2,9 @@
 paper's claims asserted on every quick table."""
 
 import copy
+import re
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,12 @@ from repro.analysis import (
     wilson_interval,
 )
 from repro.analysis.ablations import ABLATIONS
+from repro.analysis.cli import main
+from repro.analysis.experiments import run_experiment_grid
+from repro.errors import ConfigurationError
+from repro.scenarios import ExperimentGrid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestTable:
@@ -110,6 +119,72 @@ class TestExperimentRegistry:
         table = EXPERIMENTS["e03"](quick=True, seed=3)
         assert len(table.rows) == 4
         assert len(built) == len(set(built)) == 20
+
+
+class TestFrontEnd:
+    """``python -m repro.analysis`` is the one table front end, and
+    ``run_experiment_grid`` the one dispatch behind it."""
+
+    @staticmethod
+    def _recording(monkeypatch, registry, names):
+        calls = []
+        for name in names:
+            def driver(name=name, **kwargs):
+                calls.append((name, kwargs))
+                return Table(title=f"fake {name}", rows=[])
+            monkeypatch.setitem(registry, name, driver)
+        return calls
+
+    def test_e07_prints_timing_line_then_table(self, capsys):
+        assert main(["e07"]) == 0
+        out = capsys.readouterr().out
+        timing, rest = out.split("\n", 1)
+        assert re.fullmatch(r"### done e07 in [0-9]+\.[0-9]s", timing)
+        table = EXPERIMENTS["e07"](quick=True, seed=1).render()
+        assert rest == table + "\n\n"
+        check = runpy.run_path(str(ROOT / "scripts_check_quick_tables.py"))
+        assert check["comparable"](out) == table.split("\n")
+
+    def test_unknown_names_exit_2_and_are_named(self, capsys):
+        assert main(["e07", "e99", "zz"]) == 2
+        captured = capsys.readouterr()
+        assert "e99" in captured.err and "zz" in captured.err
+        assert captured.out == ""  # checked before any driver runs
+
+    def test_ablations_run_in_the_order_given(self, monkeypatch, capsys):
+        calls = self._recording(monkeypatch, ABLATIONS, ("a1", "a2"))
+        assert main(["a2", "e07", "a1", "--full", "--seed", "3"]) == 0
+        assert calls == [("a2", dict(quick=False, seed=3)),
+                         ("a1", dict(quick=False, seed=3))]
+        done = re.findall(r"^### done (\w+) in ", capsys.readouterr().out,
+                          re.M)
+        assert done == ["a2", "e07", "a1"]
+
+    def test_grid_checks_names_at_once_and_runs_as_iterated(
+            self, monkeypatch):
+        calls = self._recording(monkeypatch, EXPERIMENTS, ("e06", "e07"))
+        grid = ExperimentGrid(names=("e07", "e06"), seed=2)
+        with pytest.raises(ConfigurationError, match="e99"):
+            run_experiment_grid(ExperimentGrid(names=("e06", "e99")))
+        tables = run_experiment_grid(grid, workers=1)
+        assert calls == []
+        assert next(tables)[0] == "e07" and [c[0] for c in calls] == ["e07"]
+        assert [name for name, _ in tables] == ["e06"]
+        assert calls[1] == ("e06", dict(quick=True, seed=2, workers=1,
+                                        store=None, shard=None,
+                                        progress=None))
+
+    def test_shard_run_skips_drivers_without_a_sweep(self, monkeypatch,
+                                                     tmp_path, capsys):
+        calls = self._recording(monkeypatch, EXPERIMENTS, ("e06", "e07"))
+        argv = ["e07", "e06", "--store", str(tmp_path / "s"),
+                "--shard-index", "1", "--shard-count", "2"]
+        assert main(argv) == 0
+        assert [name for name, _ in calls] == ["e06"]
+        assert calls[0][1]["shard"] == (1, 2)
+        out = capsys.readouterr().out
+        assert "### shard 1/2 of e06 populated in " in out
+        assert "e07" not in out and "### done" not in out
 
 
 class TestAblationsPinned:

@@ -31,6 +31,7 @@ from helpers import (
     fast_bfs_forest,
     fast_flood_min,
     fast_luby_mis,
+    int_message_bits,
 )
 from repro.core.mis import ArrayLubyMIS, LubyMIS, is_valid_mis, luby_mis
 from repro.errors import (
@@ -55,7 +56,7 @@ from repro.sim.batch import (
 from repro.sim.batch.array import (
     ArrayContext,
     ArrayProgram,
-    int_message_bits,
+    fast_int_message_bits,
     segment_reduce,
     tuple_message_bits,
 )
@@ -456,9 +457,10 @@ class TestArrayHelpers:
     def test_int_message_bits_matches_encoder(self):
         values = [0, 1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 2**52 + 1]
         expected = [message_bits(v) for v in values]
-        assert int_message_bits(np.array(values)).tolist() == expected
-        with pytest.raises(ConfigurationError):
-            int_message_bits(np.array([-1]))
+        for measure in (fast_int_message_bits, int_message_bits):
+            assert measure(np.array(values)).tolist() == expected
+            with pytest.raises(ConfigurationError):
+                measure(np.array([-1]))
 
     def test_tuple_message_bits_matches_encoder(self):
         assert tuple_message_bits(message_bits(5), message_bits(0)) == \

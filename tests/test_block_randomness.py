@@ -579,6 +579,24 @@ class TestStreamKeys:
                                                    "5")
         assert scalar.bits_consumed == bulk.bits_consumed == 64
 
+    @pytest.mark.parametrize("order", ["bool-first", "int-first"])
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_bool_node_reads_the_ints_stream(self, order, flag):
+        """``True == 1`` is one dict key, so it is one stream: the stream
+        of ``1``, as a fresh source reads it, whichever form opens it."""
+        expected = IndependentSource(seed=4).bits_block(1, 16).tolist()
+        assert expected == BlockStream(derive_key(
+            "repro-independent", 4, "1")).read(0, 16).tolist()
+        forms = [flag, 1]
+        if order == "int-first":
+            forms.reverse()
+        scalar, bulk = IndependentSource(seed=4), IndependentSource(seed=4)
+        assert [scalar.bits_block(v, 16).tolist() for v in forms] == \
+            [expected, expected]
+        assert bulk.bits_each(forms, 16).tolist() == [expected] * 2
+        assert bulk._streams[1]._key == derive_key("repro-independent", 4,
+                                                   "1")
+
 
 def _metering_state(source):
     """PRF blocks computed, bits metered, and a digest of the ledger."""

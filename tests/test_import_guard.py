@@ -38,10 +38,9 @@ class TestImportGuard:
     def test_storeless_quick_run_loads_none(self):
         assert loaded_after("""
             import runpy, sys
-            sys.argv = ["scripts_run_experiments.py", "--quick", "e01", "e10"]
+            sys.argv = ["python -m repro.analysis", "e01", "e10"]
             try:
-                runpy.run_path("scripts_run_experiments.py",
-                               run_name="__main__")
+                runpy.run_module("repro.analysis", run_name="__main__")
             except SystemExit as done:
                 assert not done.code, done.code
         """) == []

@@ -47,6 +47,7 @@ from helpers import (
     fast_bfs_forest,
     fast_flood_min,
     fast_luby_mis,
+    int_message_bits,
 )
 from repro.core.mis import luby_mis
 from repro.errors import BandwidthExceeded, ConfigurationError
@@ -61,7 +62,6 @@ from repro.sim.batch import tasks as batch_tasks
 from repro.sim.batch.array import (
     ArrayContext,
     fast_int_message_bits,
-    int_message_bits,
     segment_reduce,
 )
 from repro.sim.batch.tasks import (
