@@ -8,24 +8,15 @@ its top-two flood actually took. This example prints:
 
 * Elkin–Neiman's accounted rounds against its measured rounds and
   messages, and the per-message size against the CONGEST budget;
-* the structural quality (colors, diameter, validity) of its output;
-* the two round engines on one algorithm (Luby MIS): the per-node
-  program on FastEngine (what ``luby_mis`` runs under an active fault
-  plan) and the whole-round program on ArrayEngine (what it runs
-  otherwise) — identical outputs and reports, different wall time.
+* the structural quality (colors, diameter, validity) of its output.
 
     python examples/engine_vs_orchestrated.py
 """
 
-import dataclasses
-import time
-
 from repro.core.decomposition import elkin_neiman, measure
-from repro.core.mis import LubyMIS, luby_mis
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
-from repro.sim.batch import FastEngine
-from repro.sim.messages import CONGEST, congest_limit
+from repro.sim.messages import congest_limit
 
 
 def main() -> None:
@@ -54,29 +45,6 @@ def main() -> None:
     assert quality.valid
     assert extra["rounds_measured"] <= report.rounds
     assert message_bits <= limit
-
-    # ------------------------------------------------------------------
-    # FastEngine vs ArrayEngine: same algorithm, same bits, less time.
-    # ------------------------------------------------------------------
-    print("\nround engines (Luby MIS, CONGEST):")
-    runs = {
-        "FastEngine": lambda source: FastEngine(
-            graph, lambda _v: LubyMIS(), source=source, model=CONGEST).run(),
-        "ArrayEngine": lambda source: luby_mis(graph, source),
-    }
-    results = {}
-    for name, run in runs.items():
-        start = time.perf_counter()
-        results[name] = run(IndependentSource(seed=3))
-        elapsed = time.perf_counter() - start
-        rep = results[name].report
-        print(f"  {name}: {elapsed * 1000:6.1f}ms  "
-              f"rounds={rep.rounds} messages={rep.messages} "
-              f"bits={rep.total_bits}")
-    fast, array = results["FastEngine"], results["ArrayEngine"]
-    assert fast.outputs == array.outputs
-    assert dataclasses.asdict(fast.report) == dataclasses.asdict(array.report)
-    print("  outputs and reports are bit-identical; only wall time differs")
 
 
 if __name__ == "__main__":

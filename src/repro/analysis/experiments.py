@@ -1,4 +1,4 @@
-"""Experiment drivers E1–E10: one per theorem, one table each.
+"""Experiment drivers E1–E11: one per theorem, one table each.
 
 The paper proves theorems rather than reporting measurements, so the
 "tables and figures" this module regenerates are defined here, one

@@ -20,7 +20,6 @@ from .derandomization import (
 from .hypergraph import deterministic_small_edges, mark_and_conquer
 from .linial import ColorReduceCV, log_star, reduce_to_three_colors
 from .mis import (
-    LubyMIS,
     is_valid_mis,
     luby_mis,
     mis_via_decomposition,
@@ -60,7 +59,6 @@ from .splitting import (
 __all__ = [
     "ColorReduceCV",
     "DerandomizationResult",
-    "LubyMIS",
     "log_star",
     "reduce_to_three_colors",
     "TrialColoring",

@@ -3,10 +3,9 @@
 Three algorithms, spanning the deterministic-vs-randomized landscape the
 paper studies:
 
-* :class:`LubyMIS` — the classic O(log n)-round randomized algorithm
-  [Lub86, ABI86], written as a genuine message-passing
-  :class:`~repro.sim.node.NodeProgram` (engine-measured rounds, CONGEST
-  messages).
+* :func:`luby_mis` — the classic O(log n)-round randomized algorithm
+  [Lub86, ABI86], run as the whole-round :class:`ArrayLubyMIS` on the
+  array engine (engine-measured rounds, CONGEST messages).
 * :func:`slocal_greedy_mis` — the locality-1 SLOCAL greedy ([GKM17]'s
   example of why SLOCAL trivializes sequential problems).
 * :func:`mis_via_decomposition` — the standard reduction: given a
@@ -29,97 +28,24 @@ from ..sim.batch.array import (
     ArrayEngine,
     ArrayProgram,
     Sends,
-    resolve_engine,
+    check_engine,
     tuple_message_bits,
 )
-from ..sim.batch.fast_engine import FastEngine
 from ..sim.graph import DistributedGraph
 from ..sim.messages import CONGEST, message_bits
 from ..sim.metrics import AlgorithmResult, RunReport
-from ..sim.node import NodeContext, NodeProgram
 from ..sim.slocal import SLocalSimulator, SLocalView
 from ..structures import Decomposition
 
 _PRIO, _IN, _OUT = "p", "i", "o"
 
 
-class LubyMIS(NodeProgram):
-    """Luby's MIS as a three-round-per-iteration node program.
-
-    Iteration structure (round index mod 3):
-
-    1. every undecided node draws a fresh priority and sends it to its
-       undecided neighbors;
-    2. a node that beats all received priorities joins the MIS and
-       announces IN;
-    3. neighbors of fresh IN nodes go OUT and announce it, so everyone
-       prunes its undecided-neighbor set before the next iteration.
-
-    Priorities are (random value, UID) pairs — the UID tiebreak makes
-    simultaneous joins of adjacent nodes impossible even on unlucky draws.
-    Messages are O(log n) bits; the program is CONGEST-legal.
-    """
-
-    def init(self, ctx: NodeContext) -> Dict:
-        ctx.state["alive"] = set(ctx.neighbors)
-        ctx.state["decided"] = None
-        ctx.state["prio"] = None
-        ctx.state["nbr_prio"] = {}
-        return {}
-
-    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
-        st = ctx.state
-        # Absorb announcements regardless of the phase we are in.
-        for sender, message in inbox.items():
-            kind = message[0]
-            if kind == _IN:
-                st["alive"].discard(sender)
-                if st["decided"] is None:
-                    st["decided"] = False
-            elif kind == _OUT:
-                st["alive"].discard(sender)
-            elif kind == _PRIO:
-                st["nbr_prio"][sender] = (message[1], message[2])
-
-        phase = round_index % 3
-        if phase == 1:
-            if st["decided"] is False:
-                ctx.finish(False)
-                return {}
-            st["nbr_prio"] = {}
-            value = ctx.rand_uniform(ctx.n ** 2)
-            st["prio"] = (value, ctx.uid)
-            out = {u: (_PRIO, value, ctx.uid) for u in st["alive"]}
-            return out
-        if phase == 2:
-            if st["decided"] is not None or st["prio"] is None:
-                return {}
-            mine = st["prio"]
-            rivals = [st["nbr_prio"][u] for u in st["alive"]
-                      if u in st["nbr_prio"]]
-            if all(mine > r for r in rivals):
-                st["decided"] = True
-                return {u: (_IN,) for u in st["alive"]}
-            return {}
-        # phase == 0: propagate OUT decisions and finish decided nodes.
-        if st["decided"] is True:
-            ctx.finish(True)
-            return {}
-        if st["decided"] is False:
-            # Tell undecided neighbors we are out, then finish next pass.
-            return {u: (_OUT,) for u in st["alive"]}
-        if not st["alive"]:
-            # All neighbors decided without claiming us: we join.
-            ctx.finish(True)
-            return {}
-        return {}
-
-
 # Node statuses of the array-native Luby program. UNDECIDED nodes are
 # still iterating; WINNER/LOSER are decided-but-unfinished for exactly
-# one round (decision round -> announcement absorbed), mirroring the
-# window between st["decided"] flipping and ctx.finish in LubyMIS.
-_UNDECIDED, _WINNER, _LOSER, _DONE_IN, _DONE_OUT = 0, 1, 2, 3, 4
+# one round (decision round -> announcement absorbed), the window
+# between a node's decision and its finish. CRASHED nodes stopped
+# stepping under a fault plan.
+_UNDECIDED, _WINNER, _LOSER, _DONE_IN, _DONE_OUT, _CRASHED = 0, 1, 2, 3, 4, 5
 
 #: (_IN,) and (_OUT,) announcements have the same fixed encoded size.
 _ANNOUNCE_BITS = message_bits((_IN,))
@@ -127,24 +53,60 @@ assert _ANNOUNCE_BITS == message_bits((_OUT,))
 
 
 class ArrayLubyMIS(ArrayProgram):
-    """:class:`LubyMIS` as whole-round array operations.
+    """Luby's MIS, three rounds per iteration, as whole-round arrays.
 
-    The three-round iteration becomes three vectorized phase handlers
-    over per-node status/priority arrays. The key invariant making the
-    per-node ``alive`` sets unnecessary: a node's alive set at every
-    *send* moment equals its currently-undecided neighbors — undecided
-    nodes never announce, every decided node's IN/OUT announcement is
-    absorbed exactly one round after its decision, and the silent
-    all-neighbors-decided join can never happen adjacent to a live node.
-    Priorities are drawn from the same per-node streams at the same
-    cursors as the node program, so outputs, reports, and randomness
-    bills are bit-identical (``tests/test_array_engine.py``).
+    Iteration (round index mod 3): 1. every undecided node draws a
+    priority and sends it to its alive set (the neighbors it has heard
+    no IN/OUT from); 2. a node beating every priority it received joins
+    and announces IN; 3. neighbors of fresh IN nodes go OUT and announce
+    it, and an undecided node whose alive set emptied joins. Priorities
+    are (random value, UID) pairs, O(log n) bits, drawn per node at the
+    per-node cursors, so outputs, reports and randomness bills equal a
+    per-node program's bit for bit.
+
+    Without a fault plan a node's alive set at every *send* moment
+    equals its currently-undecided neighbors — undecided nodes never
+    announce, every decided node's IN/OUT announcement is absorbed
+    exactly one round after its decision, and the silent
+    all-neighbors-decided join can never happen adjacent to a live node
+    — so no per-node sets are kept. Lost, cut or never-sent (crashed)
+    announcements break that invariant, so under a plan the program
+    keeps the alive sets per arc.
     """
 
     def init(self, ctx: ArrayContext) -> Optional[Sends]:
         self.status = np.zeros(ctx.size, dtype=np.int8)
         self.prio = np.zeros(ctx.size, dtype=np.int64)
+        #: JDS-order alive arcs, only under a fault plan.
+        self.alive_arcs: Optional[np.ndarray] = None
+        if ctx.crashed is not None:
+            self.alive_arcs = np.ones(ctx.indices.size, dtype=bool)
         return None
+
+    def _hear(self, ctx: ArrayContext, announcers=None) -> None:
+        """Under a plan: drop the heard ``announcers`` from the alive
+        sets, then retire the crashed nodes (this round's receipts still
+        read their last sends)."""
+        if self.alive_arcs is not None:
+            if announcers is not None:
+                self.alive_arcs &= ~ctx.heard_from(announcers)
+            self.status[ctx.crashed] = _CRASHED
+
+    def _alive(self, ctx: ArrayContext, undecided: np.ndarray) -> np.ndarray:
+        """Per node, the size of its alive set (``undecided``: the
+        undecided nodes, which make up the alive sets without a plan)."""
+        if self.alive_arcs is None:
+            return ctx.neighbor_count(undecided)
+        return ctx.arc_counts(self.alive_arcs)
+
+    def _announce(self, ctx: ArrayContext, senders: np.ndarray, bits,
+                  alive: Optional[np.ndarray] = None) -> Sends:
+        """``senders`` each send one message to their alive sets."""
+        if self.alive_arcs is not None:
+            return ctx.send_along(senders, self.alive_arcs, bits)
+        if alive is None:
+            alive = self._alive(ctx, self.status == _UNDECIDED)
+        return ctx.fanout(senders, alive[senders], bits)
 
     def step(self, ctx: ArrayContext, round_index: int) -> Optional[Sends]:
         status = self.status
@@ -152,6 +114,7 @@ class ArrayLubyMIS(ArrayProgram):
         if phase == 1:
             # OUT announcements from last round's losers land now; the
             # announcers themselves finish.
+            self._hear(ctx, status == _LOSER)
             losers = np.flatnonzero(status == _LOSER)
             if losers.size:
                 status[losers] = _DONE_OUT
@@ -161,15 +124,15 @@ class ArrayLubyMIS(ArrayProgram):
                 return None
             values = ctx.rand_uniform_each(drawers, ctx.n ** 2)
             self.prio[drawers] = values
-            alive = ctx.neighbor_count(status == _UNDECIDED)
             bits = tuple_message_bits(message_bits(_PRIO),
                                       ctx.int_message_bits(values),
                                       ctx.uid_message_bits[drawers])
-            return ctx.fanout(drawers, alive[drawers], bits)
+            return self._announce(ctx, drawers, bits)
         if phase == 2:
-            undecided = status == _UNDECIDED
             rival_val, rival_uid = ctx.lex_neighbor_max2(
-                self.prio, ctx.uids, undecided)
+                self.prio, ctx.uids, status == _UNDECIDED)
+            self._hear(ctx)
+            undecided = status == _UNDECIDED
             # "mine > every rival" on (value, uid) pairs: beat the
             # lexicographic max (UIDs are distinct, so no full ties).
             win = undecided & (
@@ -180,16 +143,16 @@ class ArrayLubyMIS(ArrayProgram):
             if not winners.size:
                 return None
             status[winners] = _WINNER
-            alive = ctx.neighbor_count(status == _UNDECIDED)
-            return ctx.fanout(winners, alive[winners], _ANNOUNCE_BITS)
+            return self._announce(ctx, winners, _ANNOUNCE_BITS)
         # phase == 0: IN announcements land; winners finish, their
         # undecided neighbors become losers (announcing OUT), and an
         # undecided node whose alive set emptied joins the MIS.
-        pre_undecided = status == _UNDECIDED
         beaten = ctx.neighbor_count(status == _WINNER) > 0
+        self._hear(ctx, status == _WINNER)
+        pre_undecided = status == _UNDECIDED
         # Alive sets right now: neighbors undecided at the start of this
         # round (new losers included — their OUT only lands next round).
-        alive = ctx.neighbor_count(pre_undecided)
+        alive = self._alive(ctx, pre_undecided)
         winners = np.flatnonzero(status == _WINNER)
         if winners.size:
             status[winners] = _DONE_IN
@@ -202,38 +165,29 @@ class ArrayLubyMIS(ArrayProgram):
         if not new_losers.size:
             return None
         status[new_losers] = _LOSER
-        return ctx.fanout(new_losers, alive[new_losers], _ANNOUNCE_BITS)
+        return self._announce(ctx, new_losers, _ANNOUNCE_BITS, alive)
 
 
 def luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
              max_rounds: int = 100_000,
              engine: Optional[str] = None,
              faults=None, csr=None) -> AlgorithmResult:
-    """Run Luby's algorithm in the CONGEST model.
+    """Run Luby's algorithm (:class:`ArrayLubyMIS`) in the CONGEST model.
 
-    The engine follows the run: under an active ``faults`` plan (a
-    :class:`~repro.sim.batch.faults.RoundFaultPlan`), or with UIDs too
-    wide for ArrayEngine, the :class:`LubyMIS` node program steps per
-    node on FastEngine, and otherwise the whole-round
-    :class:`ArrayLubyMIS` runs on the
-    :class:`~repro.sim.batch.array.ArrayEngine`. Both produce
-    bit-identical outputs and reports; ``engine="array"`` pins the
-    latter, see :func:`~repro.sim.batch.array.resolve_engine`. A
-    crashed node's output stays ``None``, and :func:`is_valid_mis` then
-    reports the survivors' independence/maximality honestly.
+    Every run is an :class:`~repro.sim.batch.array.ArrayEngine` run;
+    ``engine`` may only name ``"array"`` (see
+    :func:`~repro.sim.batch.array.check_engine`). ``faults`` is an
+    optional :class:`~repro.sim.batch.faults.RoundFaultPlan`: a crashed
+    node's output stays ``None``, and :func:`is_valid_mis` then reports
+    the survivors' independence/maximality honestly.
 
     ``csr`` reuses a frozen :class:`~repro.sim.batch.csr.CSRGraph`
     across runs (``graph`` may then be ``None`` — the million-node
     path).
     """
-    if resolve_engine(engine, faults, graph, csr) == "array":
-        result = ArrayEngine(graph, ArrayLubyMIS(), source=source,
-                             model=CONGEST, max_rounds=max_rounds,
-                             csr=csr).run()
-    else:
-        result = FastEngine(graph, lambda _v: LubyMIS(), source=source,
-                            model=CONGEST, max_rounds=max_rounds,
-                            csr=csr, faults=faults).run()
+    check_engine(engine)
+    result = ArrayEngine(graph, ArrayLubyMIS(), source=source, model=CONGEST,
+                         max_rounds=max_rounds, csr=csr, faults=faults).run()
     # Isolated nodes never hear from anyone and join immediately — make
     # sure outputs are booleans everywhere. Under faults, crashed nodes
     # legitimately die with output None.

@@ -143,8 +143,8 @@ class GraphSchedule:
 class AlgorithmSpec:
     """Which algorithm: a registered task name and its knobs.
 
-    There is no engine key: the run picks the engine from its faults
-    and UIDs (:func:`~repro.sim.batch.array.resolve_engine`).
+    There is no engine key: every task runs its primitive on the one
+    array engine, faults and UIDs of any width included.
     """
 
     task: str

@@ -18,8 +18,6 @@ from .node import NodeContext, NodeProgram
 from .primitives import (
     ArrayBFSForest,
     ArrayFloodMin,
-    BFSTree,
-    FloodMin,
     build_bfs_forest,
     convergecast_sum,
     flood_min,
@@ -32,7 +30,6 @@ __all__ = [
     "ArrayEngine",
     "ArrayFloodMin",
     "ArrayProgram",
-    "BFSTree",
     "CSRGraph",
     "FastEngine",
     "TrialResult",
@@ -40,7 +37,6 @@ __all__ = [
     "aggregate",
     "grid",
     "run_trials",
-    "FloodMin",
     "build_bfs_forest",
     "convergecast_sum",
     "flood_min",

@@ -2,15 +2,14 @@
 
 The scaling layer of the simulator: the static network structure is
 frozen once, when the :class:`~repro.sim.graph.DistributedGraph` is
-built (its :class:`CSRGraph`); node programs run on it without
-per-round allocation churn (:class:`FastEngine`, the per-node engine
-and the only one that takes a fault plan), data-parallel programs run
-as whole-round fused numpy passes with no per-node Python dispatch at
-all (:class:`ArrayEngine` running :class:`ArrayProgram`\\ s,
-bit-identical to FastEngine;
-:func:`~repro.sim.batch.array.resolve_engine` picks ArrayEngine unless
-a fault plan is active or the UIDs are too wide), and whole (family,
-size, seed) grids fan across processes (:func:`run_trials`).
+built (its :class:`CSRGraph`); data-parallel programs run on it as
+whole-round fused numpy passes with no per-node Python dispatch at all
+(:class:`ArrayEngine` running :class:`ArrayProgram`\\ s — every run of
+the three primitives, under a :class:`RoundFaultPlan` and with UIDs of
+any width too), the node programs with no array form yet run without
+per-round allocation churn (:class:`FastEngine`, the per-node engine),
+and whole (family, size, seed) grids fan across processes
+(:func:`run_trials`).
 """
 
 import importlib

@@ -1,25 +1,37 @@
 """Array-native round engine: whole-round numpy programs over CSR.
 
-:class:`~repro.sim.batch.fast_engine.FastEngine` removed the reference
-engine's allocation churn, but it still pays one Python ``step()`` call,
-one outbox dict, and one inbox dict per node per round. Many of the
-paper's node programs (Luby MIS, the FloodMin flooding of Lemma 3.2, the
-BFS cluster-growing of Theorem 4.2) are data-parallel across nodes: each
-round is a gather of neighbor state plus a per-node reduction. This
-module executes such programs as *whole-round array operations* over the
-frozen :class:`~repro.sim.batch.csr.CSRGraph` — neighbor aggregation via
-CSR segment reductions, broadcasts as column gathers — eliminating
-per-node Python dispatch entirely.
+A per-node engine (:class:`~repro.sim.batch.fast_engine.FastEngine`)
+pays one Python ``step()`` call, one outbox dict, and one inbox dict per
+node per round. Many of the paper's node programs (Luby MIS, the
+FloodMin flooding of Lemma 3.2, the BFS cluster-growing of Theorem 4.2)
+are data-parallel across nodes: each round is a gather of neighbor
+state plus a per-node reduction. This module executes such programs as
+*whole-round array operations* over the frozen
+:class:`~repro.sim.batch.csr.CSRGraph` — neighbor aggregation via CSR
+segment reductions, broadcasts as column gathers — eliminating per-node
+Python dispatch entirely. It is the one engine the three primitives
+(:func:`~repro.core.mis.luby_mis`, :func:`~repro.sim.primitives.
+flood_min`, :func:`~repro.sim.primitives.build_bfs_forest`) run on.
 
 The contract: an :class:`ArrayProgram`'s ``init``/``step`` operate on
 numpy state arrays for **all** nodes at once and report what was sent
 through the :class:`ArrayContext` accounting helpers. The
-:class:`ArrayEngine` drives the same round structure as FastEngine
+:class:`ArrayEngine` drives the per-node engines' round structure
 (init, then deliver + step until every node finished) and produces
 **bit-identical outputs and RunReports** — rounds, messages, total/max
-bits, randomness bits — to FastEngine running the equivalent
-:class:`~repro.sim.node.NodeProgram` (see ``tests/test_array_engine.py``
-for the property-style parity sweep).
+bits, randomness bits — to the equivalent per-node
+:class:`~repro.sim.node.NodeProgram` (the tests hold each program to
+its per-node twin on a reference engine).
+
+A :class:`~repro.sim.batch.faults.RoundFaultPlan` (duck-typed, so this
+module never imports the fault module) becomes per-round masks, built
+only while one is active: a crash set over the nodes about to step, and
+the *heard* arcs the masked kernels AND in. A crashing sender is charged
+only its escaped sends, a crashed one nothing, and a crashed node's
+output stays frozen. UIDs of any width run: outside [0, 2**62)
+``ctx.uids`` holds their dense order-preserving ranks, with payload
+widths (:meth:`ArrayContext.uid_bits`) and outputs
+(:meth:`ArrayContext.uid_values`) taken from the real UIDs.
 
 The aggregation ops are fused passes: each gathers neighbor values into
 edge-sized buffers that the context allocates once per topology
@@ -93,48 +105,12 @@ _TUPLE_BASE = message_bits(())
 _ELEMENT_OVERHEAD = message_bits((0,)) - message_bits(0) - _TUPLE_BASE
 
 
-def array_uids_fit(csr: CSRGraph) -> bool:
-    """Whether ArrayEngine can hold ``csr``'s UIDs: all in [0, 2**62).
-
-    The model allows identifiers of any width; ArrayEngine keeps them
-    in ``int64`` with headroom for its sentinels. The default ``random``
-    ID scheme draws from {1..n^3}, which passes 2**62 from about 1.66M
-    nodes on.
-    """
-    try:
-        uids = csr.uid_array
-    except ConfigurationError:
-        return False  # wider than int64
-    return not uids.size or (int(uids.min()) >= 0
-                             and int(uids.max()) < 1 << 62)
-
-
-def resolve_engine(engine: Optional[str], faults: Any,
-                   graph: Optional[DistributedGraph],
-                   csr: Optional[CSRGraph]) -> str:
-    """The engine a primitive runs on: ``"fast"`` or ``"array"``.
-
-    ``engine=None`` follows the run. An active
-    :class:`~repro.sim.batch.faults.RoundFaultPlan` needs FastEngine's
-    per-message delivery hook, and UIDs outside ArrayEngine's range
-    (:func:`array_uids_fit`) need its arbitrary-width identifiers;
-    every other run takes the bit-identical, faster ArrayEngine.
-    ``engine="array"`` pins ArrayEngine and is refused under an active
-    plan.
-    """
-    active = faults is not None and faults.active
-    if engine is None:
-        if active or not array_uids_fit(ensure_csr(graph, csr)):
-            return "fast"
-        return "array"
-    if engine != "array":
+def check_engine(engine: Optional[str]) -> None:
+    """Refuse a primitive's ``engine`` knob unless it is ``None`` or
+    ``"array"``, the name of the one engine every primitive runs on."""
+    if engine is not None and engine != "array":
         raise ConfigurationError(
             f"unknown engine {engine!r}; pin 'array' or leave engine unset")
-    if active:
-        raise ConfigurationError(
-            "fault injection needs FastEngine (leave engine unset); the "
-            "array engine has no per-message delivery hook")
-    return engine
 
 
 def fast_int_message_bits(values: np.ndarray) -> np.ndarray:
@@ -206,11 +182,14 @@ class ArrayContext:
     under ``uniform``), cursor-metered randomness drawn per node from the
     same streams node programs use, plus the two things only an engine
     may do — account sends and finish nodes.
+
+    ``faults`` is an active :class:`~repro.sim.batch.faults.RoundFaultPlan`
+    or ``None``; the engine calls :meth:`_begin_round` before each step.
     """
 
     def __init__(self, csr: CSRGraph, claimed_n: int,
                  source: Optional[RandomSource], model: str, bandwidth: int,
-                 uniform: bool):
+                 uniform: bool, faults: Any = None):
         self.csr = csr
         self.size = csr.n
         # np.asarray strips memmap subclasses (a mmap-loaded CSR) to
@@ -218,9 +197,11 @@ class ArrayContext:
         self.offsets = np.asarray(csr.offsets, dtype=np.int64)
         self.indices = np.asarray(csr.indices, dtype=np.int64)
         self.degrees = csr.degrees
-        self.uids = csr.uid_array
-        #: message_bits of each node's UID, precomputed once.
-        self.uid_message_bits = fast_int_message_bits(self.uids)
+        #: Rank -> UID when the UIDs are wide, else None.
+        self.uid_of: Optional[List[int]] = None
+        self._rank_bits: Optional[np.ndarray] = None  # rank -> width
+        #: UIDs (or ranks) and message_bits of each node's real UID.
+        self.uids, self.uid_message_bits = self._uid_columns(csr)
         self.model = model
         self.bandwidth = bandwidth
         self._congest = model == CONGEST
@@ -242,6 +223,46 @@ class ArrayContext:
         # has no neighbor) and their degree-weighted total.
         self._widths: Optional[np.ndarray] = None
         self._width_total = 0
+        # Fault state (see _begin_round), all None without a plan.
+        self._plan = faults
+        self._round = 0
+        self._left = self._decided = self._dropped = None
+        self._crashed = self._crashing = None
+        if faults is not None:
+            self._crashed = np.zeros(csr.n, dtype=bool)
+            self._crashing = np.zeros(csr.n, dtype=bool)
+
+    def _uid_columns(self, csr: CSRGraph):
+        """``(uids, uid_message_bits)``: the CSR's UID column when every
+        UID lies in [0, 2**62), else the dense order-preserving ranks."""
+        try:
+            uids = csr.uid_array
+            if not uids.size or (int(uids.min()) >= 0
+                                 and int(uids.max()) < 1 << 62):
+                return uids, fast_int_message_bits(uids)
+        except ConfigurationError:
+            pass  # wider than int64
+        order = sorted(range(csr.n), key=csr.uids.__getitem__)
+        self.uid_of = [csr.uids[v] for v in order]
+        self._rank_bits = np.array([message_bits(uid) for uid in self.uid_of],
+                                   dtype=np.int64)
+        ranks = np.empty(csr.n, dtype=np.int64)
+        ranks[order] = np.arange(csr.n, dtype=np.int64)
+        return ranks, self._rank_bits[ranks]
+
+    def uid_bits(self, values: np.ndarray) -> np.ndarray:
+        """``message_bits`` of the UIDs ``values`` (from :attr:`uids`)
+        stand for."""
+        if self._rank_bits is None:
+            return fast_int_message_bits(values)
+        return self._rank_bits[values]
+
+    def uid_values(self, values: np.ndarray) -> List[int]:
+        """The UIDs ``values`` (from :attr:`uids`) stand for, as ints."""
+        values = np.asarray(values).tolist()
+        if self.uid_of is None:
+            return values
+        return [self.uid_of[i] for i in values]
 
     # ------------------------------------------------------------------
     # Knowledge of n (mirrors NodeContext)
@@ -324,6 +345,71 @@ class ArrayContext:
                 [rows[:count] for count in self._columns]
                 + [np.repeat(rows[:lengths.size], lengths)])
         return self._owners
+
+    # ------------------------------------------------------------------
+    # Fault masks, built only while a plan is attached
+    # ------------------------------------------------------------------
+    @property
+    def crashed(self) -> Optional[np.ndarray]:
+        """``bool[n]``: the nodes that crashed in an earlier round (they
+        never step again), or ``None`` without a fault plan."""
+        return self._crashed
+
+    def _begin_round(self, round_index: int) -> None:
+        """Start round ``round_index``'s fault masks.
+
+        ``_crashed``/``_crashing`` (bool[n]): the nodes that crashed
+        before this round, and those that crash in it, drawn over the
+        nodes about to step. JDS slot ``i`` carries the message
+        ``_neighbors[i] -> owners[i]``; ``_left`` (bool[e]) says it left
+        its sender: the sender stepped last round and, had it crashed
+        then, the send escaped. ``_decided``/``_dropped`` fill in the
+        plan's drops as :meth:`_arrived` reads them.
+        """
+        plan = self._plan
+        senders = self._neighbors
+        left = ~self._crashed[senders]
+        cut = np.flatnonzero(self._crashing[senders])
+        if cut.size:
+            left[cut] = plan.escape_mask(round_index - 1, senders[cut],
+                                         self.owners[cut])
+        self._left = left
+        self._decided = np.zeros(self._edges, dtype=bool)
+        self._dropped = np.zeros(self._edges, dtype=bool)
+        self._crashed |= self._crashing
+        stepped = np.flatnonzero(~(self._finished | self._crashed))
+        self._crashing = np.zeros(self.size, dtype=bool)
+        self._crashing[stepped] = plan.crash_mask(round_index, stepped)
+        self._round = round_index
+
+    def _arrived(self, arcs: np.ndarray) -> np.ndarray:
+        """Narrow the JDS mask ``arcs`` (in place) to the slots whose
+        message left and was not dropped; the plan decides a slot's drop
+        on first read, so only arcs a message crosses are decided."""
+        arcs &= self._left
+        todo = np.flatnonzero(arcs & ~self._decided)
+        if todo.size:
+            self._dropped[todo] = self._plan.drop_mask(
+                self._round, self._neighbors[todo], self.owners[todo])
+            self._decided[todo] = True
+        arcs &= ~self._dropped
+        return arcs
+
+    def heard_from(self, node_mask: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """JDS ``bool[e]`` (into ``out``, else fresh): the arcs whose
+        neighbor is in ``node_mask`` and whose message arrived."""
+        heard = np.take(np.asarray(node_mask), self._neighbors, out=out,
+                        mode="clip")
+        if self._plan is not None:
+            self._arrived(heard)
+        return heard
+
+    def arc_counts(self, arcs: np.ndarray) -> np.ndarray:
+        """Per node, how many of its JDS slots ``arcs`` holds."""
+        pad = self._pad("a")
+        pad[:] = arcs
+        return self._reduce(np.add, pad, 0)
 
     # ------------------------------------------------------------------
     # Reusable edge buffers and the reduction they feed
@@ -430,17 +516,19 @@ class ArrayContext:
     # ------------------------------------------------------------------
     # Fused aggregation: gather, mask and reduce in the edge buffers
     # ------------------------------------------------------------------
+    # Under a fault plan these see only heard arcs (the CSR-order edge
+    # API above sees every arc).
     def neighbor_count(self, node_mask: np.ndarray) -> np.ndarray:
         """Per-node count of neighbors where ``node_mask`` holds."""
-        mask = self._take(np.asarray(node_mask), self._mask("mask"))
-        pad = self._pad("a")
-        pad[:] = mask
-        return self._reduce(np.add, pad, 0)
+        return self.arc_counts(self.heard_from(node_mask, self._mask("mask")))
 
     def gather_neighbor_min(self, node_values: np.ndarray,
                             empty=INT64_MAX) -> np.ndarray:
         """Per-node min of neighbor values (``empty`` if no neighbors)."""
         pad = self._take(np.asarray(node_values), self._pad("a"))
+        if self._plan is not None:
+            lost = ~self._arrived(np.ones(self._edges, dtype=bool))
+            np.copyto(pad, empty, where=lost)
         return self._reduce(np.minimum, pad, empty)
 
     def lex_neighbor_max2(self, primary: np.ndarray, secondary: np.ndarray,
@@ -448,7 +536,7 @@ class ArrayContext:
         """Per-node ``(max primary, max secondary among the primary
         ties)`` over masked neighbors; ``(empty, empty)`` where none.
         Masked values must exceed ``empty``."""
-        mask = self._take(np.asarray(node_mask), self._mask("mask"))
+        mask = self.heard_from(node_mask, self._mask("mask"))
         scratch = self._mask("scratch")
         vals = self._take(np.asarray(primary), self._pad("a"))
         np.logical_not(mask, out=scratch)
@@ -487,12 +575,14 @@ class ArrayContext:
 
         A sparse mask (its senders' arcs fewer than ``e /``
         :data:`FRONTIER_DIV`) pushes the three passes along those arcs
-        only; a dense one folds the JDS edge buffers."""
-        senders = np.flatnonzero(node_mask)
-        if int(self.degrees[senders].sum()) * FRONTIER_DIV < self._edges:
-            return self._adopt_min3_frontier(primary, secondary, senders,
-                                             bias, empty)
-        mask = self._take(np.asarray(node_mask), self._mask("mask"))
+        only, unless a fault plan is attached; otherwise the op folds
+        the JDS edge buffers."""
+        if self._plan is None:
+            senders = np.flatnonzero(node_mask)
+            if int(self.degrees[senders].sum()) * FRONTIER_DIV < self._edges:
+                return self._adopt_min3_frontier(primary, secondary, senders,
+                                                 bias, empty)
+        mask = self.heard_from(node_mask, self._mask("mask"))
         tie = self._mask("scratch")
         pad_a = self._take(np.asarray(primary), self._pad("a"))
         pad_b = self._pad("b")
@@ -575,20 +665,35 @@ class ArrayContext:
         fanout = self.degrees[senders]
         return self._account(senders, fanout, bits)
 
+    def send_along(self, senders: np.ndarray, arcs: np.ndarray,
+                   bits: np.ndarray) -> Sends:
+        """Account a subset send given per arc: sender ``i`` delivers one
+        ``bits[i]``-sized payload along each of its JDS slots that
+        ``arcs`` holds."""
+        senders = np.asarray(senders, dtype=np.int64)
+        bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), senders.shape)
+        return self._account(senders, self.arc_counts(arcs)[senders], bits,
+                             arcs)
+
     def standing_broadcast(self, values: np.ndarray,
                            changed: Optional[np.ndarray] = None) -> Sends:
-        """Account every node broadcasting its integer ``values[v]``.
+        """Account every node broadcasting the UID ``values[v]`` (an
+        entry of :attr:`uids`).
 
         The same :class:`Sends` as ``broadcast(all_nodes,
-        int_message_bits(values))``, but the payload widths stand between
-        calls: the first call (``changed=None``) measures every node, and
-        each later one re-measures only ``changed``, the nodes whose value
+        uid_bits(values))``, but the payload widths stand between calls:
+        the first call (``changed=None``) measures every node, and each
+        later one re-measures only ``changed``, the nodes whose value
         moved since the previous call. Widths are kept as ``uint8`` (0
         where a node has no neighbor, so an isolated sender never sets
         the max) beside their degree-weighted total, which moves by
-        ``dot(deg[changed], new - old)``.
+        ``dot(deg[changed], new - old)``. Under a fault plan, where
+        senders crash, or with wide UIDs, whose widths may pass 255, it
+        is that ``broadcast``.
         """
         values = np.asarray(values)
+        if self._plan is not None or self._rank_bits is not None:
+            return self.broadcast(self.all_nodes, self.uid_bits(values))
         if changed is None:
             widths = fast_int_message_bits(values).astype(np.uint8)
             widths[self.degrees == 0] = 0
@@ -611,14 +716,37 @@ class ArrayContext:
     def fanout(self, senders: np.ndarray, counts: np.ndarray,
                bits: np.ndarray) -> Sends:
         """Account a subset send: sender ``i`` delivers the same
-        ``bits[i]``-sized payload to ``counts[i]`` of its neighbors."""
+        ``bits[i]``-sized payload to ``counts[i]`` of its neighbors.
+        Counts cannot say which arcs a crashing sender's sends cross, so
+        under a fault plan use :meth:`send_along`."""
+        if self._plan is not None:
+            raise ConfigurationError("fanout under a fault plan; use send_along")
         senders = np.asarray(senders, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), senders.shape)
         return self._account(senders, counts, bits)
 
     def _account(self, senders: np.ndarray, fanout: np.ndarray,
-                 bits: np.ndarray) -> Sends:
+                 bits: np.ndarray, arcs: Optional[np.ndarray] = None) -> Sends:
+        """Check bandwidth on the sends as stepped, then charge them.
+
+        Under a fault plan a crashed sender never stepped, so it neither
+        sends nor trips the check, and a crashing one is charged only
+        its escaped sends (along ``arcs``, or all its arcs when None).
+        """
+        charged = fanout
+        if self._plan is not None:
+            fanout = charged = np.where(self._crashed[senders], 0, fanout)
+            cut = self._crashing[senders]
+            if cut.any():
+                # The crashing owners' sends, narrowed to those escaping.
+                sent = self._crashing[self.owners]
+                if arcs is not None:
+                    sent &= arcs
+                slots = np.flatnonzero(sent)
+                sent[slots] = self._plan.escape_mask(
+                    self._round, self.owners[slots], self._neighbors[slots])
+                charged = np.where(cut, self.arc_counts(sent)[senders], fanout)
         live = fanout > 0
         if self._congest:
             bad = live & (bits > self.bandwidth)
@@ -629,10 +757,11 @@ class ArrayContext:
                 raise BandwidthExceeded(
                     f"node {v} -> {target}: message of {int(bits[i])} bits "
                     f"exceeds CONGEST limit of {self.bandwidth} bits")
+        live = charged > 0
         if not live.any():
             return Sends()
-        return Sends(int(fanout.sum()),
-                     int((fanout * bits).sum()),
+        return Sends(int(charged.sum()),
+                     int((charged * bits).sum()),
                      int(bits[live].max()))
 
     # ------------------------------------------------------------------
@@ -646,9 +775,15 @@ class ArrayContext:
         what node programs produce.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        self._finished[nodes] = True
         if isinstance(outputs, np.ndarray):
             outputs = outputs.tolist()
+        if self._crashed is not None:
+            # A crashed node's output stays frozen.
+            stepped = ~self._crashed[nodes]
+            if not stepped.all():
+                outputs = [out for out, keep in zip(outputs, stepped) if keep]
+                nodes = nodes[stepped]
+        self._finished[nodes] = True
         store = self._outputs
         if nodes is self._all_nodes and nodes.size == len(store):
             store[:] = outputs
@@ -657,8 +792,10 @@ class ArrayContext:
                 store[v] = out
 
     def all_finished(self) -> bool:
-        """Whether every node has terminated."""
-        return bool(self._finished.all())
+        """Whether every node has terminated or crashed."""
+        if self._crashed is None:
+            return bool(self._finished.all())
+        return bool((self._finished | self._crashed | self._crashing).all())
 
 
 class ArrayProgram:
@@ -689,7 +826,9 @@ class ArrayEngine:
     ``max_rounds``, ``uniform``, optional pre-built ``csr``) but takes
     one whole-network program instead of a per-node factory. ``graph``
     may be ``None`` when ``csr`` is given — the million-node path, where
-    only the frozen arrays exist.
+    only the frozen arrays exist. ``faults`` is an optional
+    :class:`~repro.sim.batch.faults.RoundFaultPlan`; a plan with every
+    rate at zero changes nothing.
     """
 
     def __init__(self, graph: Optional[DistributedGraph],
@@ -700,7 +839,8 @@ class ArrayEngine:
                  bandwidth_bits: Optional[int] = None,
                  max_rounds: int = 100_000,
                  uniform: bool = False,
-                 csr: Optional[CSRGraph] = None):
+                 csr: Optional[CSRGraph] = None,
+                 faults: Any = None):
         if model not in (LOCAL, CONGEST):
             raise ConfigurationError(f"unknown model {model!r}")
         csr = ensure_csr(graph, csr)
@@ -709,10 +849,6 @@ class ArrayEngine:
                 f"n_override ({n_override}) must be >= actual n ({csr.n}); "
                 f"lying about n only inflates the network (Thm 4.3)"
             )
-        if not array_uids_fit(csr):
-            raise ConfigurationError(
-                "ArrayEngine requires non-negative machine-word UIDs "
-                "(< 2**62); run FastEngine for wider identifiers")
         self.graph = graph
         self.csr = csr
         self.model = model
@@ -724,8 +860,10 @@ class ArrayEngine:
         else:
             self.bandwidth = congest_limit(self.claimed_n)
         self.max_rounds = max_rounds
+        active = faults is not None and faults.active
         self._ctx = ArrayContext(csr, self.claimed_n, source, model,
-                                 self.bandwidth, uniform)
+                                 self.bandwidth, uniform,
+                                 faults if active else None)
 
     def run(self) -> AlgorithmResult:
         """Execute until every node finished; return outputs and report."""
@@ -749,6 +887,8 @@ class ArrayEngine:
                 total_bits += pending.total_bits
                 if pending.max_message_bits > max_bits:
                     max_bits = pending.max_message_bits
+            if ctx._plan is not None:
+                ctx._begin_round(round_index)
             pending = self.program.step(ctx, round_index)
 
         report.rounds = round_index

@@ -10,8 +10,9 @@ implements the "lie about n" technique of Theorems 4.3/4.6 (nodes are
 told the network has ``N >= n`` nodes), and ``uniform`` denies nodes
 access to n.
 
-It is the engine for arbitrary node programs and the only one that
-takes a fault plan; data-parallel programs run bit-identically on
+It runs the node programs that have no whole-round array form yet —
+E9's trial colouring, Linial's colour reduction and E10's sinkless
+fix-up; data-parallel programs, and every run under a fault plan, go to
 :class:`~repro.sim.batch.array.ArrayEngine`. The tests hold it to a
 plain dict-per-round reference engine (in ``tests/helpers.py``) on
 every program, family and model. Its hot path:
@@ -51,26 +52,9 @@ class FastEngine:
     or ``CONGEST``); ``n_override`` (claimed n, at least the real one);
     ``bandwidth_bits`` (CONGEST limit, default
     :func:`~repro.sim.messages.congest_limit` of the claimed n);
-    ``max_rounds`` (raise past it); ``uniform`` (deny access to n); an
-    optional pre-built ``csr`` (reuse it across many runs on the same
-    topology — e.g. a seed sweep — to skip reconstruction); and an
-    optional ``faults`` plan (duck-typed to
-    :class:`~repro.sim.batch.faults.RoundFaultPlan`; kept untyped here so
-    the hot path never imports the fault-injection module).
-
-    With a fault plan attached:
-
-    * a node that :meth:`~repro.sim.batch.faults.RoundFaultPlan.crashes`
-      in round r computes its round-r outbox, but each queued message
-      independently escapes only per ``delivers_on_crash`` (cut messages
-      are never counted — the node died before paying for them); the
-      node then leaves the active set forever, its output frozen;
-    * a message the plan :meth:`~repro.sim.batch.faults.RoundFaultPlan.
-      drops` (omission loss or edge churn) is still charged to the
-      sender's message/bit accounting but never reaches the inbox.
-
-    ``faults=None`` (the default) leaves every code path and every
-    reported number bit-identical to an engine without the parameter.
+    ``max_rounds`` (raise past it); ``uniform`` (deny access to n); and
+    an optional pre-built ``csr`` (reuse it across many runs on the same
+    topology — e.g. a seed sweep — to skip reconstruction).
     """
 
     def __init__(self, graph: DistributedGraph,
@@ -81,8 +65,7 @@ class FastEngine:
                  bandwidth_bits: Optional[int] = None,
                  max_rounds: int = 100_000,
                  uniform: bool = False,
-                 csr: Optional[CSRGraph] = None,
-                 faults: Optional[Any] = None):
+                 csr: Optional[CSRGraph] = None):
         if model not in (LOCAL, CONGEST):
             raise ConfigurationError(f"unknown model {model!r}")
         csr = ensure_csr(graph, csr)
@@ -101,7 +84,6 @@ class FastEngine:
         else:
             self.bandwidth = congest_limit(self.claimed_n)
         self.max_rounds = max_rounds
-        self.faults = faults if faults is not None and faults.active else None
         nbr_lists = csr.neighbor_lists
         self._programs = [program_factory(v) for v in range(csr.n)]
         self._contexts = [
@@ -185,26 +167,6 @@ class FastEngine:
             sizes[target] = size
         return (resolved, sizes, None)
 
-    def _crash_cut(self, v: int, record: Tuple, round_index: int) -> Optional[Tuple]:
-        """Filter a crashing node's send record down to escaping messages.
-
-        Converts broadcast records to explicit form so delivery charges
-        only the messages that actually left the node.
-        """
-        plan = self.faults
-        head, payload, bits = record
-        if head is _BCAST:
-            resolved = {t: payload for t in self.csr.neighbor_lists[v]
-                        if plan.delivers_on_crash(round_index, v, t)}
-            sizes = {t: bits for t in resolved}
-        else:
-            resolved = {t: item for t, item in head.items()
-                        if plan.delivers_on_crash(round_index, v, t)}
-            sizes = {t: payload[t] for t in resolved}
-        if not resolved:
-            return None
-        return (resolved, sizes, None)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -218,7 +180,6 @@ class FastEngine:
         contexts = self._contexts
         nbr_lists = self.csr.neighbor_lists
         resolve = self._resolve
-        plan = self.faults
         empty: Dict[int, Any] = {}
 
         # Round 0: init.
@@ -248,9 +209,6 @@ class FastEngine:
                 if head is _BCAST:
                     targets = nbr_lists[sender]
                     for target in targets:
-                        if plan is not None and plan.drops(
-                                round_index, sender, target):
-                            continue  # charged below, never delivered
                         inbox = received.get(target)
                         if inbox is None:
                             inbox = received[target] = {}
@@ -268,9 +226,6 @@ class FastEngine:
                         total_bits += size
                         if size > max_bits:
                             max_bits = size
-                        if plan is not None and plan.drops(
-                                round_index, sender, target):
-                            continue  # charged, never delivered
                         inbox = received.get(target)
                         if inbox is None:
                             inbox = received[target] = {}
@@ -285,14 +240,6 @@ class FastEngine:
                     inbox = {}
                 outbox = programs[v].step(ctx, round_index, inbox) or empty
                 record = resolve(v, outbox)
-                if plan is not None and plan.crashes(round_index, v):
-                    # Mid-round crash: the sends race the failure, the
-                    # node never runs again, its output stays frozen.
-                    if record is not None:
-                        record = self._crash_cut(v, record, round_index)
-                    if record is not None:
-                        outgoing.append((v, record))
-                    continue
                 if record is not None:
                     outgoing.append((v, record))
                 if not ctx.finished:

@@ -26,10 +26,14 @@ Everything here is worker-side and wrapper-shaped: production code in
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ...errors import ConfigurationError
+from ...randomness.block import key_prefix
 from .distrib import (
     CoordinatorUnavailable,
     LeaseReply,
@@ -54,24 +58,35 @@ class RoundFaultPlan:
     ``edge-churn``). Every decision is the same BLAKE2b counter-mode
     discipline: a pure function of (seed, round, endpoints), so a
     faulty run is exactly as reproducible as a clean one — across
-    engines' worker counts, stores, and reruns.
+    worker counts, stores, and reruns.
 
-    Semantics (enforced by :class:`~repro.sim.batch.fast_engine.
-    FastEngine` when handed a plan):
+    Semantics (what :class:`~repro.sim.batch.array.ArrayEngine` applies
+    when handed a plan; the tests' reference engine applies the same
+    decisions one message at a time):
 
     * ``crash`` — per node per round, the probability the node dies
-      *during* that round's send phase. A crashing node's outgoing
-      messages each independently escape with probability 1/2
-      (:meth:`delivers_on_crash` — the "mid-round" in crash-midround);
-      the node never steps again and its output stays whatever it had.
+      *during* that round's send phase. A crashing node still runs its
+      step (it draws its randomness, and may finish and keep its
+      output), but each of its outgoing messages independently escapes
+      with probability 1/2 (:meth:`escape_mask` — the "mid-round" in
+      crash-midround) and only escaped ones are charged; the node never
+      steps again and its output stays whatever it had.
     * ``loss`` — per message per delivery round, the probability it is
       silently dropped in transit (CONGEST omission). The sender still
       pays for it in the message/bit accounting.
     * ``churn`` — per *edge* per round, the probability the edge is
       down for that round; both directions drop together (a dynamic
       graph, re-sampled every round).
-    * ``start_round`` — faults begin at this round (default 1, the
-      first step round), so an algorithm's setup can be kept clean.
+    * ``start_round`` — crashes and drops begin at this round (default
+      1, the first step round), so an algorithm's setup can be kept
+      clean.
+
+    The decisions take endpoint arrays (:meth:`crash_mask`,
+    :meth:`escape_mask`, :meth:`drop_mask`); each entry is one
+    :func:`~repro.sim.batch.distrib.deterministic_uniform` draw of
+    (round, label, seed, endpoints). Each (label, seed, endpoints) key
+    is hashed once for the plan's lifetime — one run's weather — so a
+    round costs one keyed BLAKE2b per decision.
     """
 
     def __init__(
@@ -94,46 +109,63 @@ class RoundFaultPlan:
         self.loss = loss
         self.churn = churn
         self.start_round = start_round
+        #: label -> endpoints -> derive_key("sweep-chaos", label, seed,
+        #: *endpoints), filled by the array forms on first use.
+        self._keys: Dict[str, Dict[Tuple[int, ...], bytes]] = {}
 
     @property
     def active(self) -> bool:
         """Whether any rate is non-zero (a zero plan is a no-op)."""
         return bool(self.crash or self.loss or self.churn)
 
-    def crashes(self, round_index: int, node: int) -> bool:
-        """Does ``node`` crash during round ``round_index``'s sends?"""
+    def _uniforms(self, round_index: int, label: str, *endpoints) -> np.ndarray:
+        """``deterministic_uniform(round_index, label, seed, *ends)`` for
+        each tuple ``ends`` of the zipped ``endpoints`` arrays."""
+        keys = self._keys.setdefault(label, {})
+        prefix = key_prefix("sweep-chaos", label, self.seed)
+        counter = round_index.to_bytes(8, "big")
+        out = []
+        for ends in zip(*(np.asarray(e).tolist() for e in endpoints)):
+            key = keys.get(ends)
+            if key is None:
+                state = prefix.copy()
+                for part in ends:
+                    text = str(part).encode()
+                    state.update(len(text).to_bytes(4, "big") + text)
+                key = keys[ends] = state.digest()
+            digest = hashlib.blake2b(counter, key=key, digest_size=8).digest()
+            out.append(int.from_bytes(digest, "big") / 2**64)
+        return np.array(out, dtype=np.float64)
+
+    def crash_mask(self, round_index: int, nodes) -> np.ndarray:
+        """Does each of ``nodes`` crash during this round's sends?"""
+        nodes = np.asarray(nodes)
         if not self.crash or round_index < self.start_round:
-            return False
-        u = deterministic_uniform(round_index, "sim-crash", self.seed, node)
-        return u < self.crash
+            return np.zeros(nodes.shape, dtype=bool)
+        return self._uniforms(round_index, "sim-crash", nodes) < self.crash
 
-    def delivers_on_crash(self, round_index: int, node: int, target: int) -> bool:
-        """Does one send of a node crashing this round still escape?"""
-        u = deterministic_uniform(
-            round_index, "sim-crash-send", self.seed, node, target
-        )
-        return u < 0.5
+    def escape_mask(self, round_index: int, senders, targets) -> np.ndarray:
+        """Does each (sender, target) send of a crashing sender escape?"""
+        return self._uniforms(round_index, "sim-crash-send", senders, targets) < 0.5
 
-    def drops(self, round_index: int, sender: int, target: int) -> bool:
-        """Is the (sender -> target) message of this round lost?
+    def drop_mask(self, round_index: int, senders, targets) -> np.ndarray:
+        """Is each (sender, target) message of this round lost?
 
         Loss is directional (per message); churn is symmetric (both
         directions of a down edge drop in the same round).
         """
+        senders = np.asarray(senders)
+        targets = np.asarray(targets)
+        dropped = np.zeros(senders.shape, dtype=bool)
         if round_index < self.start_round:
-            return False
+            return dropped
         if self.loss:
-            u = deterministic_uniform(
-                round_index, "sim-loss", self.seed, sender, target
-            )
-            if u < self.loss:
-                return True
+            lost = self._uniforms(round_index, "sim-loss", senders, targets)
+            dropped |= lost < self.loss
         if self.churn:
-            a, b = (sender, target) if sender <= target else (target, sender)
-            u = deterministic_uniform(round_index, "sim-churn", self.seed, a, b)
-            if u < self.churn:
-                return True
-        return False
+            low, high = np.minimum(senders, targets), np.maximum(senders, targets)
+            dropped |= self._uniforms(round_index, "sim-churn", low, high) < self.churn
+        return dropped
 
 
 class FaultPlan:

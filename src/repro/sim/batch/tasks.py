@@ -8,13 +8,10 @@ all algorithm randomness derives from ``spec.seed`` — so sweeps are
 reproducible and independent of worker count. They double as templates
 for writing new tasks.
 
-No task takes an engine knob: the run picks it. A spec with a nonzero
-``fault_crash``/``fault_loss``/``fault_churn`` runs FastEngine, the one
-engine with a per-message fault hook, as does a graph whose UIDs are
-too wide for ArrayEngine; every other spec runs the bit-identical
-ArrayEngine (:func:`~repro.sim.batch.array.resolve_engine`). An
-``engine`` param is refused, so no stored spec can claim an engine it
-did not run on.
+No task takes an engine knob: every spec, with fault knobs or UIDs of
+any width too, runs its primitive on
+:class:`~repro.sim.batch.array.ArrayEngine`. An ``engine`` param is
+refused, so no stored spec can claim an engine it did not run on.
 
 Graph builds go through :func:`repro.graphs.trial_graph`, the one
 process-local graph memo: for seed-invariant families (path, grid, ...)
@@ -66,7 +63,7 @@ def _graph_of(spec: TrialSpec) -> DistributedGraph:
 def _faults_of(spec: TrialSpec):
     """The spec's RoundFaultPlan, or None when no fault knob is set.
 
-    The run picks the engine, so an ``engine`` param is refused.
+    There is one engine, so an ``engine`` param is refused.
     """
     if "engine" in spec.kwargs:
         raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""Classic CONGEST communication primitives as node programs.
+"""Classic CONGEST communication primitives as engine programs.
 
 The paper's constructions lean on three textbook subroutines — Lemma 3.2
 "a simple flooding of the name of nodes in R", "a simple upcast on the
@@ -7,19 +7,19 @@ them as genuine engine programs so their measured costs (depth + O(1)
 rounds, O(log n)-bit messages) back the accounted figures used by the
 orchestrated pipelines.
 
-* :class:`FloodMin` — every node learns the minimum UID within a given
-  radius (radius rounds; the building block of center adoption);
-* :class:`BFSTree` — builds a BFS tree rooted at marked nodes: every
-  node learns (root uid, parent, depth), ties to the smaller root UID;
+* :class:`ArrayFloodMin` / :func:`flood_min` — every node learns the
+  minimum UID within a given radius (radius rounds; the building block
+  of center adoption);
+* :class:`ArrayBFSForest` / :func:`build_bfs_forest` — builds a BFS
+  tree rooted at marked nodes: every node learns (root uid, parent,
+  depth), ties to the smaller root UID;
 * :func:`convergecast_sum` — upcast an aggregate along a BFS tree to the
   root (depth rounds), demonstrating the Lemma 3.2 bit-gathering cost.
 
-:class:`ArrayFloodMin` and :class:`ArrayBFSForest` are the whole-round
-array-program equivalents for the
-:class:`~repro.sim.batch.array.ArrayEngine` (bit-identical outputs and
-reports); :func:`flood_min` and :func:`build_bfs_forest` run them
-unless a fault plan is active, which needs the per-node programs on
-FastEngine.
+Both programs are whole-round :class:`~repro.sim.batch.array.
+ArrayProgram`\\ s, and every run of them — under a fault plan or with
+UIDs of any width too — is an :class:`~repro.sim.batch.array.
+ArrayEngine` run.
 """
 
 from __future__ import annotations
@@ -35,52 +35,24 @@ from .batch.array import (
     ArrayEngine,
     ArrayProgram,
     Sends,
-    resolve_engine,
+    check_engine,
     tuple_message_bits,
 )
-from .batch.fast_engine import FastEngine
 from .graph import DistributedGraph
 from .messages import CONGEST
 from .metrics import AlgorithmResult
-from .node import NodeContext, NodeProgram
-
-
-class FloodMin(NodeProgram):
-    """Learn the minimum UID within ``radius`` hops (radius rounds)."""
-
-    def __init__(self, radius: int):
-        if radius < 0:
-            raise ConfigurationError("radius must be >= 0")
-        self.radius = radius
-
-    def init(self, ctx: NodeContext) -> Dict:
-        ctx.state["best"] = ctx.uid
-        if self.radius == 0:
-            ctx.finish(ctx.uid)
-            return {}
-        return {NodeProgram.BROADCAST: ctx.uid}
-
-    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
-        for uid in inbox.values():
-            if uid < ctx.state["best"]:
-                ctx.state["best"] = uid
-        if round_index >= self.radius:
-            ctx.finish(ctx.state["best"])
-            return {}
-        # Re-broadcast every round, improved or not: neighbors joining
-        # late still need it. The message is O(log n) bits, so this
-        # stays CONGEST-legal.
-        return {NodeProgram.BROADCAST: ctx.state["best"]}
 
 
 class ArrayFloodMin(ArrayProgram):
-    """:class:`FloodMin` as whole-round array operations.
+    """Learn the minimum UID within ``radius`` hops (radius rounds).
 
-    One segment-min over the CSR edge list per round replaces n inbox
-    scans, and the every-round re-broadcast is a standing broadcast that
-    re-measures only the nodes whose minimum moved; engine-parity
-    (outputs and full report) with FloodMin under FastEngine is asserted
-    in ``tests/test_array_engine.py``.
+    Every node starts from its own UID and re-broadcasts its current
+    minimum every round, improved or not (neighbors joining late still
+    need it; the message is O(log n) bits, so this stays CONGEST-legal),
+    and finishes with it after ``radius`` rounds. One segment-min over
+    the CSR edge list per round replaces n inbox scans, and the
+    re-broadcast is a standing broadcast that re-measures only the nodes
+    whose minimum moved.
     """
 
     def __init__(self, radius: int):
@@ -92,7 +64,7 @@ class ArrayFloodMin(ArrayProgram):
     def init(self, ctx: ArrayContext) -> Optional[Sends]:
         self.best = ctx.uids.copy()
         if self.radius == 0:
-            ctx.finish(ctx.all_nodes, self.best)
+            ctx.finish(ctx.all_nodes, ctx.uid_values(self.best))
             return None
         return ctx.standing_broadcast(self.best)
 
@@ -103,59 +75,25 @@ class ArrayFloodMin(ArrayProgram):
         changed = np.flatnonzero(nbr_best < self.best)
         self.best[changed] = nbr_best[changed]
         if round_index >= self.radius:
-            ctx.finish(ctx.all_nodes, self.best)
+            ctx.finish(ctx.all_nodes, ctx.uid_values(self.best))
             return None
         # Everyone re-broadcasts, but only the improved payloads are new.
         return ctx.standing_broadcast(self.best, changed)
 
 
-class BFSTree(NodeProgram):
+class ArrayBFSForest(ArrayProgram):
     """Grow BFS trees from marked roots; adopt the smallest-root-UID wave.
 
-    Output per node: ``(root_uid, parent_index | None, depth)``. Roots
-    are the nodes whose index is in ``roots``. Terminates after
-    ``depth_bound`` rounds (pass the graph's size for full coverage).
-    """
-
-    def __init__(self, roots, depth_bound: int):
-        if depth_bound < 1:
-            raise ConfigurationError("depth_bound must be >= 1")
-        self.roots = set(roots)
-        self.depth_bound = depth_bound
-
-    def init(self, ctx: NodeContext) -> Dict:
-        if ctx.v in self.roots:
-            ctx.state["claim"] = (ctx.uid, None, 0)  # root uid, parent, depth
-            return {NodeProgram.BROADCAST: (ctx.uid, 0)}
-        ctx.state["claim"] = None
-        return {}
-
-    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
-        best = ctx.state["claim"]
-        changed = False
-        for sender, (root_uid, depth) in inbox.items():
-            offer = (root_uid, sender, depth + 1)
-            if best is None or (offer[0], offer[2]) < (best[0], best[2]):
-                best = offer
-                changed = True
-        ctx.state["claim"] = best
-        if round_index >= self.depth_bound:
-            ctx.finish(best)
-            return {}
-        if changed and best is not None:
-            return {NodeProgram.BROADCAST: (best[0], best[2])}
-        return {}
-
-
-class ArrayBFSForest(ArrayProgram):
-    """:class:`BFSTree` as whole-round array operations.
+    Output per node: ``(root_uid, parent_index | None, depth)``, or
+    ``None`` if no wave reached it. Roots are the nodes whose index is
+    in ``roots``; a node re-broadcasts its claim whenever it improves,
+    for ``depth_bound`` rounds (the graph's size covers it all).
 
     Claims are (root uid, depth) pairs with the sender index as the
     final tiebreak, so the per-round adoption is a three-pass
-    lexicographic segment-min over the CSR edge list — exactly the
-    sequential fold BFSTree performs over its inbox (current claim wins
-    ties; among tied offers the smallest sender, which is the first one
-    the reference inbox iteration encounters).
+    lexicographic segment-min over the CSR edge list — the sequential
+    fold of a node's inbox in sender order (the current claim wins
+    ties; among tied offers the smallest sender).
     """
 
     def __init__(self, roots, depth_bound: int):
@@ -169,8 +107,8 @@ class ArrayBFSForest(ArrayProgram):
         self.root = np.full(n, INT64_MAX, dtype=np.int64)  # MAX = no claim
         self.depth = np.zeros(n, dtype=np.int64)
         self.parent = np.full(n, -1, dtype=np.int64)
-        # Same membership test BFSTree runs per node, so exotic root
-        # collections (out-of-range labels) behave identically.
+        # A per-node membership test, so exotic root collections
+        # (out-of-range labels) simply mark no node.
         r = np.array([v for v in range(n) if v in self.roots], dtype=np.int64)
         self.sent = np.zeros(n, dtype=bool)
         if not r.size:
@@ -198,12 +136,14 @@ class ArrayBFSForest(ArrayProgram):
         else:
             self.sent = np.zeros(ctx.size, dtype=bool)
         if round_index >= self.depth_bound:
-            roots = self.root.tolist()
+            unclaimed = int(INT64_MAX)
+            raw = self.root.tolist()
+            roots = raw if ctx.uid_of is None else [
+                None if r == unclaimed else ctx.uid_of[r] for r in raw]
             parents = self.parent.tolist()
             depths = self.depth.tolist()
-            unclaimed = int(INT64_MAX)
             outputs = [
-                None if roots[v] == unclaimed else
+                None if raw[v] == unclaimed else
                 (roots[v], parents[v] if parents[v] >= 0 else None, depths[v])
                 for v in range(ctx.size)
             ]
@@ -213,37 +153,36 @@ class ArrayBFSForest(ArrayProgram):
         if not senders.size:
             return None
         return ctx.broadcast(senders, tuple_message_bits(
-            ctx.int_message_bits(self.root[senders]),
+            ctx.uid_bits(self.root[senders]),
             ctx.int_message_bits(self.depth[senders])))
 
 
 def flood_min(graph: Optional[DistributedGraph], radius: int,
               model: str = CONGEST, engine: Optional[str] = None,
               faults=None, csr=None) -> AlgorithmResult:
-    """Run FloodMin on the engine the run needs.
+    """Run :class:`ArrayFloodMin` on ArrayEngine.
 
-    An active fault plan, or UIDs too wide for ArrayEngine, runs the
-    per-node program on FastEngine; every other run takes the
-    bit-identical whole-round program on ArrayEngine (``engine="array"``
-    pins it, see :func:`~repro.sim.batch.array.resolve_engine`). ``csr``
-    reuses a frozen topology (``graph`` may then be ``None``).
+    ``faults`` is an optional :class:`~repro.sim.batch.faults.
+    RoundFaultPlan`; ``engine`` may only name ``"array"`` (see
+    :func:`~repro.sim.batch.array.check_engine`). ``csr`` reuses a
+    frozen topology (``graph`` may then be ``None``).
     """
-    if resolve_engine(engine, faults, graph, csr) == "array":
-        return ArrayEngine(graph, ArrayFloodMin(radius), model=model,
-                           csr=csr).run()
-    return FastEngine(graph, lambda _v: FloodMin(radius),
-                      model=model, csr=csr, faults=faults).run()
+    check_engine(engine)
+    return ArrayEngine(graph, ArrayFloodMin(radius), model=model, csr=csr,
+                       faults=faults).run()
 
 
 def build_bfs_forest(graph: Optional[DistributedGraph], roots,
                      depth_bound: Optional[int] = None,
                      engine: Optional[str] = None, faults=None,
                      csr=None) -> AlgorithmResult:
-    """Grow the BFS forest (CONGEST) on the engine the run needs.
+    """Grow the BFS forest (CONGEST) with :class:`ArrayBFSForest`.
 
-    Engine and ``csr`` knobs as in :func:`flood_min`. With ``graph=None``
-    the default ``depth_bound`` comes from the CSR's node count.
+    ``engine``, ``faults`` and ``csr`` as in :func:`flood_min`. With
+    ``graph=None`` the default ``depth_bound`` comes from the CSR's node
+    count.
     """
+    check_engine(engine)
     if depth_bound is not None:
         bound = depth_bound
     elif graph is not None:
@@ -254,13 +193,8 @@ def build_bfs_forest(graph: Optional[DistributedGraph], roots,
         raise ConfigurationError(
             "build_bfs_forest needs a DistributedGraph or a pre-built "
             "CSRGraph; both were None")
-    if resolve_engine(engine, faults, graph, csr) == "array":
-        return ArrayEngine(graph, ArrayBFSForest(roots, bound),
-                           model=CONGEST, max_rounds=bound + 2,
-                           csr=csr).run()
-    return FastEngine(graph, lambda _v: BFSTree(roots, bound),
-                      model=CONGEST, max_rounds=bound + 2,
-                      csr=csr, faults=faults).run()
+    return ArrayEngine(graph, ArrayBFSForest(roots, bound), model=CONGEST,
+                       max_rounds=bound + 2, csr=csr, faults=faults).run()
 
 
 def convergecast_sum(graph: DistributedGraph,

@@ -32,16 +32,15 @@ from repro.graphs import assign, make
 from repro.randomness import SharedRandomness
 from repro.randomness.pooled import PooledBits
 from repro.randomness.source import RandomSource
-from repro.core.mis import LubyMIS
 from repro.sim.batch.array import ArrayContext
 from repro.sim.batch.csr import (bfs_distances, edges_to_csr, ensure_csr,
                                  index_edges)
+from repro.sim.batch.distrib import deterministic_uniform
 from repro.sim.batch.fast_engine import FastEngine
 from repro.sim.graph import DistributedGraph, EdgeList
 from repro.sim.messages import CONGEST, LOCAL, congest_limit, message_bits
 from repro.sim.metrics import AlgorithmResult, RunReport
 from repro.sim.node import NodeContext, NodeProgram
-from repro.sim.primitives import BFSTree, FloodMin
 
 #: The named families every cross-topology test sweeps over.
 FAMILY_NAMES = ("path", "cycle", "grid", "gnp-sparse", "gnp-dense",
@@ -668,19 +667,212 @@ def nx_adversarial_uids(graph: nx.Graph) -> List[int]:
     return [uid_of[v] for v in labels]
 
 
+# ----------------------------------------------------------------------
+# The three primitives as per-node programs: the oracle their array
+# programs (ArrayLubyMIS, ArrayFloodMin, ArrayBFSForest) are held to
+# ----------------------------------------------------------------------
+_PRIO, _IN, _OUT = "p", "i", "o"
+
+
+class LubyMIS(NodeProgram):
+    """Luby's MIS as a three-round-per-iteration node program.
+
+    Iteration structure (round index mod 3):
+
+    1. every undecided node draws a fresh priority and sends it to its
+       undecided neighbors;
+    2. a node that beats all received priorities joins the MIS and
+       announces IN;
+    3. neighbors of fresh IN nodes go OUT and announce it, so everyone
+       prunes its undecided-neighbor set before the next iteration.
+
+    Priorities are (random value, UID) pairs — the UID tiebreak makes
+    simultaneous joins of adjacent nodes impossible even on unlucky draws.
+    Messages are O(log n) bits; the program is CONGEST-legal.
+    """
+
+    def init(self, ctx: NodeContext) -> Dict:
+        ctx.state["alive"] = set(ctx.neighbors)
+        ctx.state["decided"] = None
+        ctx.state["prio"] = None
+        ctx.state["nbr_prio"] = {}
+        return {}
+
+    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
+        st = ctx.state
+        # Absorb announcements regardless of the phase we are in.
+        for sender, message in inbox.items():
+            kind = message[0]
+            if kind == _IN:
+                st["alive"].discard(sender)
+                if st["decided"] is None:
+                    st["decided"] = False
+            elif kind == _OUT:
+                st["alive"].discard(sender)
+            elif kind == _PRIO:
+                st["nbr_prio"][sender] = (message[1], message[2])
+
+        phase = round_index % 3
+        if phase == 1:
+            if st["decided"] is False:
+                ctx.finish(False)
+                return {}
+            st["nbr_prio"] = {}
+            value = ctx.rand_uniform(ctx.n ** 2)
+            st["prio"] = (value, ctx.uid)
+            out = {u: (_PRIO, value, ctx.uid) for u in st["alive"]}
+            return out
+        if phase == 2:
+            if st["decided"] is not None or st["prio"] is None:
+                return {}
+            mine = st["prio"]
+            rivals = [st["nbr_prio"][u] for u in st["alive"]
+                      if u in st["nbr_prio"]]
+            if all(mine > r for r in rivals):
+                st["decided"] = True
+                return {u: (_IN,) for u in st["alive"]}
+            return {}
+        # phase == 0: propagate OUT decisions and finish decided nodes.
+        if st["decided"] is True:
+            ctx.finish(True)
+            return {}
+        if st["decided"] is False:
+            # Tell undecided neighbors we are out, then finish next pass.
+            return {u: (_OUT,) for u in st["alive"]}
+        if not st["alive"]:
+            # All neighbors decided without claiming us: we join.
+            ctx.finish(True)
+            return {}
+        return {}
+
+
+class FloodMin(NodeProgram):
+    """Learn the minimum UID within ``radius`` hops (radius rounds)."""
+
+    def __init__(self, radius: int):
+        if radius < 0:
+            raise ConfigurationError("radius must be >= 0")
+        self.radius = radius
+
+    def init(self, ctx: NodeContext) -> Dict:
+        ctx.state["best"] = ctx.uid
+        if self.radius == 0:
+            ctx.finish(ctx.uid)
+            return {}
+        return {NodeProgram.BROADCAST: ctx.uid}
+
+    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
+        for uid in inbox.values():
+            if uid < ctx.state["best"]:
+                ctx.state["best"] = uid
+        if round_index >= self.radius:
+            ctx.finish(ctx.state["best"])
+            return {}
+        # Re-broadcast every round, improved or not: neighbors joining
+        # late still need it. The message is O(log n) bits, so this
+        # stays CONGEST-legal.
+        return {NodeProgram.BROADCAST: ctx.state["best"]}
+
+
+class BFSTree(NodeProgram):
+    """Grow BFS trees from marked roots; adopt the smallest-root-UID wave.
+
+    Output per node: ``(root_uid, parent_index | None, depth)``. Roots
+    are the nodes whose index is in ``roots``. Terminates after
+    ``depth_bound`` rounds (pass the graph's size for full coverage).
+    """
+
+    def __init__(self, roots, depth_bound: int):
+        if depth_bound < 1:
+            raise ConfigurationError("depth_bound must be >= 1")
+        self.roots = set(roots)
+        self.depth_bound = depth_bound
+
+    def init(self, ctx: NodeContext) -> Dict:
+        if ctx.v in self.roots:
+            ctx.state["claim"] = (ctx.uid, None, 0)  # root uid, parent, depth
+            return {NodeProgram.BROADCAST: (ctx.uid, 0)}
+        ctx.state["claim"] = None
+        return {}
+
+    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
+        best = ctx.state["claim"]
+        changed = False
+        for sender, (root_uid, depth) in inbox.items():
+            offer = (root_uid, sender, depth + 1)
+            if best is None or (offer[0], offer[2]) < (best[0], best[2]):
+                best = offer
+                changed = True
+        ctx.state["claim"] = best
+        if round_index >= self.depth_bound:
+            ctx.finish(best)
+            return {}
+        if changed and best is not None:
+            return {NodeProgram.BROADCAST: (best[0], best[2])}
+        return {}
+
+
+# A RoundFaultPlan's decisions one message at a time, each one
+# ``deterministic_uniform`` draw: the oracle for the plan's masks.
+def crashes(plan, round_index: int, node: int) -> bool:
+    """Does ``node`` crash during round ``round_index``'s sends?"""
+    if not plan.crash or round_index < plan.start_round:
+        return False
+    u = deterministic_uniform(round_index, "sim-crash", plan.seed, node)
+    return u < plan.crash
+
+
+def delivers_on_crash(plan, round_index: int, node: int, target: int) -> bool:
+    """Does one send of a node crashing this round still escape?"""
+    u = deterministic_uniform(round_index, "sim-crash-send", plan.seed,
+                              node, target)
+    return u < 0.5
+
+
+def drops(plan, round_index: int, sender: int, target: int) -> bool:
+    """Is the (sender -> target) message of this round lost? Loss is per
+    message; churn per edge (both directions drop together)."""
+    if round_index < plan.start_round:
+        return False
+    if plan.loss:
+        u = deterministic_uniform(round_index, "sim-loss", plan.seed,
+                                  sender, target)
+        if u < plan.loss:
+            return True
+    if plan.churn:
+        a, b = (sender, target) if sender <= target else (target, sender)
+        u = deterministic_uniform(round_index, "sim-churn", plan.seed, a, b)
+        if u < plan.churn:
+            return True
+    return False
+
+
 class SyncEngine:
-    """The reference round engine FastEngine is held to.
+    """The reference round engine FastEngine and ArrayEngine are held to.
 
     One dict per node per round and no shortcuts: every outbox is
     resolved against ``set(graph.neighbors(v))``, every node is scanned
     every round, every message is measured on delivery. Same parameters
     and semantics as :class:`~repro.sim.batch.fast_engine.FastEngine`
-    without ``csr`` and ``faults``: ``program_factory`` is called once
-    per node index, ``model`` is ``LOCAL`` or ``CONGEST``,
-    ``n_override`` lies to the nodes about n (Theorem 4.3),
-    ``bandwidth_bits`` defaults to ``congest_limit`` of the claimed n,
-    ``max_rounds`` is the safety valve and ``uniform`` denies access to
-    n (Section 2).
+    without ``csr``: ``program_factory`` is called once per node index,
+    ``model`` is ``LOCAL`` or ``CONGEST``, ``n_override`` lies to the
+    nodes about n (Theorem 4.3), ``bandwidth_bits`` defaults to
+    ``congest_limit`` of the claimed n, ``max_rounds`` is the safety
+    valve and ``uniform`` denies access to n (Section 2).
+
+    ``faults`` (a :class:`~repro.sim.batch.faults.RoundFaultPlan`) makes
+    it the fault oracle ArrayEngine's masks are held to, one scalar
+    decision per node and message:
+
+    * a node that :func:`crashes` in round r still runs its round-r step
+      (draws its randomness, may finish and keep its output); each of
+      its round-r sends then escapes per :func:`delivers_on_crash` and
+      only escaped sends are ever charged; it never steps again, its
+      output frozen;
+    * a message the plan :func:`drops` (loss or churn) is charged to its
+      sender but never delivered;
+    * crash and drop decisions start at the plan's ``start_round``, and
+      sends still queued when the run ends are never charged.
     """
 
     def __init__(self, graph: DistributedGraph,
@@ -690,7 +882,8 @@ class SyncEngine:
                  n_override: Optional[int] = None,
                  bandwidth_bits: Optional[int] = None,
                  max_rounds: int = 100_000,
-                 uniform: bool = False):
+                 uniform: bool = False,
+                 faults: Any = None):
         if model not in (LOCAL, CONGEST):
             raise ConfigurationError(f"unknown model {model!r}")
         if n_override is not None and n_override < graph.n:
@@ -707,6 +900,7 @@ class SyncEngine:
         else:
             self.bandwidth = congest_limit(self.claimed_n)
         self.max_rounds = max_rounds
+        self.faults = faults if faults is not None and faults.active else None
         self._programs = {v: program_factory(v) for v in graph.nodes()}
         self._contexts = {
             v: NodeContext(v, graph.uid(v), graph.neighbors(v),
@@ -765,9 +959,12 @@ class SyncEngine:
             outbox = self._programs[v].init(self._contexts[v]) or {}
             outgoing[v] = self._validate_outbox(v, outbox)
 
+        plan = self.faults
+        crashed: Set[int] = set()
         round_index = 0
         while True:
-            if all(self._contexts[v].finished for v in self.graph.nodes()):
+            if all(self._contexts[v].finished or v in crashed
+                   for v in self.graph.nodes()):
                 break
             round_index += 1
             if round_index > self.max_rounds:
@@ -778,19 +975,26 @@ class SyncEngine:
             pending = {v: {} for v in self.graph.nodes()}
             for sender, outbox in outgoing.items():
                 for target, payload in outbox.items():
-                    pending[target][sender] = payload
                     report.messages += 1
                     size = message_bits(payload)
                     report.total_bits += size
                     report.max_message_bits = max(report.max_message_bits, size)
+                    if plan is None or not drops(plan, round_index, sender,
+                                                 target):
+                        pending[target][sender] = payload
             # Step every live node.
             outgoing = {}
             for v in self.graph.nodes():
                 ctx = self._contexts[v]
-                if ctx.finished:
+                if ctx.finished or v in crashed:
                     continue
                 outbox = self._programs[v].step(ctx, round_index, pending[v]) or {}
                 outgoing[v] = self._validate_outbox(v, outbox)
+                if plan is not None and crashes(plan, round_index, v):
+                    crashed.add(v)
+                    outgoing[v] = {
+                        t: payload for t, payload in outgoing[v].items()
+                        if delivers_on_crash(plan, round_index, v, t)}
 
         report.rounds = round_index
         if self.source is not None:
@@ -808,9 +1012,35 @@ def run_program(graph: DistributedGraph, program_cls: type,
                   model=model, **kwargs).run()
 
 
-# FastEngine runs of the three engine-picking primitives' node programs:
-# what ``luby_mis``, ``flood_min`` and ``build_bfs_forest`` run under an
-# active fault plan, here without one, to hold ArrayEngine against.
+# The primitives' per-node programs on the oracle, with the primitives'
+# own signatures, so a test can also patch them in for ``luby_mis``,
+# ``flood_min`` and ``build_bfs_forest``.
+def oracle_luby_mis(graph: DistributedGraph, source: RandomSource,
+                    max_rounds: int = 100_000, faults=None,
+                    bandwidth_bits: Optional[int] = None) -> AlgorithmResult:
+    return SyncEngine(graph, lambda _v: LubyMIS(), source=source,
+                      model=CONGEST, bandwidth_bits=bandwidth_bits,
+                      max_rounds=max_rounds, faults=faults).run()
+
+
+def oracle_flood_min(graph: DistributedGraph, radius: int,
+                     model: str = CONGEST, faults=None,
+                     bandwidth_bits: Optional[int] = None) -> AlgorithmResult:
+    return SyncEngine(graph, lambda _v: FloodMin(radius), model=model,
+                      bandwidth_bits=bandwidth_bits, faults=faults).run()
+
+
+def oracle_bfs_forest(graph: DistributedGraph, roots,
+                      depth_bound: Optional[int] = None, faults=None,
+                      bandwidth_bits: Optional[int] = None) -> AlgorithmResult:
+    bound = graph.n if depth_bound is None else depth_bound
+    return SyncEngine(graph, lambda _v: BFSTree(roots, bound), model=CONGEST,
+                      bandwidth_bits=bandwidth_bits, max_rounds=bound + 2,
+                      faults=faults).run()
+
+
+# The same programs on FastEngine (fault-free), which also runs on a
+# bare CSR: the oracle for array-built graphs too large for SyncEngine.
 def fast_luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
                   csr=None) -> AlgorithmResult:
     return FastEngine(graph, lambda _v: LubyMIS(), source=source,

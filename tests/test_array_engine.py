@@ -1,18 +1,21 @@
-"""ArrayEngine must be observationally identical to FastEngine.
+"""ArrayEngine must be observationally identical to the per-node oracle.
 
 The array engine replaces per-node Python dispatch with whole-round
 numpy passes, and it is only allowed to be *faster*: for every program
-pair (node program on FastEngine, array program on ArrayEngine), graph
-family, size, seed, and model, the outputs and the full cost report —
-rounds, messages, total/max bits, randomness bits — must match bit for
-bit. The property-style sweep below runs the cross product
-(family x size x seed) for Luby MIS, FloodMin, and BFS-forest, repeats
-the three on array-built graphs large enough for the jagged-diagonal
-column fold (degree-regular, where the layout keeps node order, and
-irregular, where it sorts the rows), then the engine-semantics cases
-(lying about n, uniformity, bandwidth, CSR reuse), the engine each
-entry point picks from its fault plan, budget exhaustion, and the bulk
-sampler the array programs draw from.
+pair (per-node program from ``helpers`` on FastEngine or the reference
+SyncEngine, array program on ArrayEngine), graph family, size, seed,
+and model, the outputs and the full cost report — rounds, messages,
+total/max bits, randomness bits — must match bit for bit. The
+property-style sweep below runs the cross product (family x size x
+seed) for Luby MIS, FloodMin, and BFS-forest, repeats the three on
+array-built graphs large enough for the jagged-diagonal column fold
+(degree-regular, where the layout keeps node order, and irregular,
+where it sorts the rows), then the engine-semantics cases (lying about
+n, uniformity, bandwidth, CSR reuse), that every entry point and task
+runs ArrayEngine — under fault plans and with wide UIDs too — and
+equals the oracle, a hypothesis sweep of fault plans, budgets and UID
+widths against the oracle, budget exhaustion, and the bulk sampler the
+array programs draw from.
 """
 
 from __future__ import annotations
@@ -24,16 +27,29 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import (
     FAMILY_NAMES,
+    BFSTree,
+    FloodMin,
+    LubyMIS,
     assert_like_per_bit,
     count_frontier_calls,
+    crashes,
     fast_bfs_forest,
     fast_flood_min,
     fast_luby_mis,
     int_message_bits,
+    nx_copy,
+    oracle_bfs_forest,
+    oracle_flood_min,
+    oracle_luby_mis,
+    source_ledger,
+    sparse_graphs,
 )
-from repro.core.mis import ArrayLubyMIS, LubyMIS, is_valid_mis, luby_mis
+from repro.core.mis import ArrayLubyMIS, is_valid_mis, luby_mis
 from repro.errors import (
     BandwidthExceeded,
     ConfigurationError,
@@ -65,8 +81,6 @@ from repro.sim.messages import message_bits
 from repro.sim.primitives import (
     ArrayBFSForest,
     ArrayFloodMin,
-    BFSTree,
-    FloodMin,
     build_bfs_forest,
     flood_min,
 )
@@ -300,16 +314,55 @@ def engine_runs(monkeypatch):
     return runs
 
 
-#: The three primitives that pick their engine from ``faults=``.
+def patch_onto_oracle(monkeypatch):
+    """Patch the three primitives onto the per-node oracle (SyncEngine,
+    which neither spy sees) where the tasks look them up; returns the
+    list the names of the oracle runs go to."""
+    import repro.core.mis as mis_module
+    import repro.sim.primitives as primitives_module
+
+    runs = []
+
+    def patch(module, name, oracle):
+        def run(*args, **kwargs):
+            runs.append(name)
+            return oracle(*args, **kwargs)
+        monkeypatch.setattr(module, name, run)
+
+    patch(mis_module, "luby_mis", oracle_luby_mis)
+    patch(primitives_module, "flood_min", oracle_flood_min)
+    patch(primitives_module, "build_bfs_forest", oracle_bfs_forest)
+    return runs
+
+
+#: Each primitive beside its oracle, same arguments.
 PRIMITIVES = {
-    "luby_mis": lambda g, **kw: luby_mis(g, IndependentSource(seed=2), **kw),
-    "flood_min": lambda g, **kw: flood_min(g, 3, **kw),
-    "build_bfs_forest": lambda g, **kw: build_bfs_forest(g, {0}, **kw),
+    "luby_mis": (lambda g, **kw: luby_mis(g, IndependentSource(seed=2), **kw),
+                 lambda g, **kw: oracle_luby_mis(g, IndependentSource(seed=2),
+                                                 **kw)),
+    "flood_min": (lambda g, **kw: flood_min(g, 3, **kw),
+                  lambda g, **kw: oracle_flood_min(g, 3, **kw)),
+    "build_bfs_forest": (lambda g, **kw: build_bfs_forest(g, {0}, **kw),
+                         lambda g, **kw: oracle_bfs_forest(g, {0}, **kw)),
 }
+
+#: Trial specs across the fault knobs: clean, every rate unset, each
+#: rate alone, and all three from round 2 on.
+FAULT_SPECS = [
+    TrialSpec.of("cycle", 12, 0),
+    TrialSpec.of("cycle", 12, 0, fault_seed=4),
+    TrialSpec.of("cycle", 12, 0, fault_crash=0.2),
+    TrialSpec.of("gnp-sparse", 24, 1, fault_loss=0.3),
+    TrialSpec.of("tree", 24, 2, fault_churn=0.3),
+    TrialSpec.of("grid", 25, 3, fault_crash=0.1, fault_loss=0.1,
+                 fault_churn=0.1, fault_start=2),
+]
 
 
 class TestEngineKnobs:
-    """The engine each entry point picks, and the engine="array" pin."""
+    """Every entry point and task runs ArrayEngine — under fault plans
+    and with wide UIDs too — and equals the per-node oracle; the
+    ``engine="array"`` pin still runs and anything else is refused."""
 
     def test_luby_mis_knob(self, gnp60):
         fast = fast_luby_mis(gnp60, IndependentSource(seed=3))
@@ -332,60 +385,66 @@ class TestEngineKnobs:
         with pytest.raises(ConfigurationError):
             build_bfs_forest(gnp60, {0}, engine="warp")
 
-    def test_tasks_engine_param(self, monkeypatch, engine_runs):
-        # The tasks take no engine param; what they run by default
-        # (ArrayEngine) equals the same sweep forced onto FastEngine.
-        # One in-process worker, so the spy and the patch see every run.
-        import repro.core.mis as mis_module
-        import repro.sim.primitives as primitives_module
-
+    def test_tasks_run_array_and_equal_the_oracle(self, monkeypatch,
+                                                  engine_runs):
+        # The tasks take no engine param; every run is an ArrayEngine
+        # run, and the same sweep with the primitives patched onto the
+        # oracle stores the same records. One in-process worker, so
+        # the spies and the patches see every run.
         tasks = (luby_mis_trial, flood_min_trial, bfs_forest_trial)
         specs = grid(["gnp-sparse", "tree"], [24], range(3))
         arr = [run_trials(task, specs, workers=1) for task in tasks]
         assert engine_runs == ["ArrayEngine"] * (len(tasks) * len(specs))
         engine_runs.clear()
-        for module in (mis_module, primitives_module):
-            monkeypatch.setattr(module, "resolve_engine",
-                                lambda *_args: "fast")
-        fast = [run_trials(task, specs, workers=1) for task in tasks]
-        assert engine_runs == ["FastEngine"] * (len(tasks) * len(specs))
-        assert ([[(r.ok, r.data) for r in rs] for rs in fast]
+        oracle_runs = patch_onto_oracle(monkeypatch)
+        ref = [run_trials(task, specs, workers=1) for task in tasks]
+        assert engine_runs == []
+        assert len(oracle_runs) == len(tasks) * len(specs)
+        assert ([[(r.ok, r.data) for r in rs] for rs in ref]
                 == [[(r.ok, r.data) for r in rs] for rs in arr])
         for task in tasks:
             with pytest.raises(ConfigurationError, match="engine='warp'"):
                 task(grid(["cycle"], [12], [0], engine="warp")[0])
 
     @pytest.mark.parametrize("name", sorted(PRIMITIVES))
-    def test_default_engine_follows_fault_plan(self, cycle12, engine_runs,
-                                               name):
-        run = PRIMITIVES[name]
-        run(cycle12)
-        run(cycle12, faults=RoundFaultPlan(seed=1))  # every rate zero
-        run(cycle12, faults=RoundFaultPlan(seed=1, loss=0.5))
-        run(cycle12, engine="array", faults=RoundFaultPlan(seed=1))
-        assert engine_runs == ["ArrayEngine", "ArrayEngine", "FastEngine",
-                               "ArrayEngine"]
+    def test_every_run_is_an_array_run(self, cycle12, engine_runs, name):
+        # No plan, an all-zero plan, an active plan and an active plan
+        # under the engine="array" pin: four ArrayEngine runs, each the
+        # oracle's run; the active plan changes the run.
+        run, oracle = PRIMITIVES[name]
+        active = RoundFaultPlan(seed=1, crash=0.2, loss=0.3)
+        results = []
+        for kwargs in ({}, {"faults": RoundFaultPlan(seed=1)},
+                       {"faults": active},
+                       {"engine": "array", "faults": active}):
+            results.append(run(cycle12, **kwargs))
+            kwargs.pop("engine", None)
+            assert_identical(oracle(cycle12, **kwargs), results[-1])
+        assert engine_runs == ["ArrayEngine"] * 4
+        assert results[2] != results[0]
         with pytest.raises(ConfigurationError,
                            match="unknown engine 'fast'"):
             run(cycle12, engine="fast")
 
-    @pytest.mark.parametrize("top", [2**62, 2**70])
-    def test_wide_uids_run_on_fast_engine(self, engine_runs, top):
-        # UIDs ArrayEngine cannot hold (>= 2**62, or past int64) send
-        # every primitive to FastEngine; only a pinned engine refuses.
+    @pytest.mark.parametrize("top", [2**62, 2**63 - 1, 2**70])
+    def test_wide_uids_run_on_array_engine(self, engine_runs, top):
+        # UIDs past 2**62 (2**63 - 1 is also the BFS no-claim sentinel),
+        # or past int64, run on ArrayEngine as ranks: outputs carry the
+        # real UIDs and bits measure them.
         g = DistributedGraph(nx.path_graph(5), uids=[3, 1, top, 7, 2])
         result = flood_min(g, 4, model=LOCAL)
         assert result.outputs == {v: 1 for v in range(5)}
-        assert_identical(result, fast_flood_min(g, 4, model=LOCAL))
-        assert_identical(luby_mis(g, IndependentSource(seed=2)),
-                         fast_luby_mis(g, IndependentSource(seed=2)))
-        assert_identical(build_bfs_forest(g, {1}), fast_bfs_forest(g, {1}))
-        assert engine_runs == ["FastEngine"] * 6
-        with pytest.raises(ConfigurationError, match="2\\*\\*62"):
-            flood_min(g, 4, model=LOCAL, engine="array")
+        assert_identical(oracle_flood_min(g, 4, model=LOCAL), result)
+        wide_root = build_bfs_forest(g, {2}, engine="array")
+        assert wide_root.outputs[0] == (top, 1, 2)
+        assert_identical(oracle_bfs_forest(g, {2}), wide_root)
+        assert_identical(oracle_luby_mis(g, IndependentSource(seed=2)),
+                         luby_mis(g, IndependentSource(seed=2)))
+        assert engine_runs == ["ArrayEngine"] * 3
+        assert result.report.max_message_bits == message_bits(top)
 
-    def test_tasks_run_wide_uids_on_fast_engine(self, monkeypatch,
-                                                engine_runs):
+    def test_tasks_run_wide_uids_on_array_engine(self, monkeypatch,
+                                                 engine_runs):
         # A sweep over a hand-built wide-UID graph needs no engine knob.
         import repro.sim.batch.tasks as batch_tasks
 
@@ -396,16 +455,23 @@ class TestEngineKnobs:
         result = run_trials(flood_min_trial, [spec], workers=1)[0]
         assert result.ok
         assert result.data == batch_tasks._report_data(
-            fast_flood_min(g, 4, model=LOCAL))
-        assert engine_runs == ["FastEngine"] * 2
+            oracle_flood_min(g, 4, model=LOCAL))
+        assert engine_runs == ["ArrayEngine"]
 
-    def test_tasks_follow_fault_knobs(self, engine_runs):
-        for task in (luby_mis_trial, flood_min_trial, bfs_forest_trial):
-            task(TrialSpec.of("cycle", 12, 0))
-            task(TrialSpec.of("cycle", 12, 0, fault_seed=4))  # no rate set
-            task(TrialSpec.of("cycle", 12, 0, fault_churn=0.2))
-        assert engine_runs == ["ArrayEngine", "ArrayEngine",
-                               "FastEngine"] * 3
+    def test_tasks_run_faults_on_array_engine(self, monkeypatch,
+                                              engine_runs):
+        tasks = (luby_mis_trial, flood_min_trial, bfs_forest_trial)
+        arr = [[task(spec) for spec in FAULT_SPECS] for task in tasks]
+        assert engine_runs == ["ArrayEngine"] * (len(tasks)
+                                                 * len(FAULT_SPECS))
+        oracle_runs = patch_onto_oracle(monkeypatch)
+        ref = [[task(spec) for spec in FAULT_SPECS] for task in tasks]
+        assert len(oracle_runs) == len(tasks) * len(FAULT_SPECS)
+        assert ([[(r.ok, r.data) for r in rs] for rs in ref]
+                == [[(r.ok, r.data) for r in rs] for rs in arr])
+        # The faults bite: a faulty spec's records differ from the
+        # clean spec's on the same graph.
+        assert all(rs[2].data != rs[0].data for rs in arr)
 
     @pytest.mark.parametrize("family", ["path", "cliques", "gnp-sparse",
                                         "lopsided"])
@@ -420,7 +486,7 @@ class TestEngineKnobs:
                 .randomness_bits
             for budget in (1, 7, need // 3, need // 2, need - 1, need):
                 outcomes = []
-                for run in (fast_luby_mis, luby_mis):
+                for run in (oracle_luby_mis, luby_mis):
                     source = IndependentSource(seed=seed, bit_budget=budget)
                     try:
                         result = run(g, source)
@@ -436,21 +502,112 @@ class TestEngineKnobs:
         with pytest.raises(ConfigurationError, match="CONGEST"):
             luby_mis_trial(grid(["cycle"], [12], [0], model=LOCAL)[0])
 
-    @pytest.mark.parametrize("run", [
-        lambda g, faults: luby_mis(g, IndependentSource(seed=2),
-                                   engine="array", faults=faults),
-        lambda g, faults: flood_min(g, 3, engine="array", faults=faults),
-        lambda g, faults: build_bfs_forest(g, {0}, engine="array",
-                                           faults=faults),
-    ], ids=["luby_mis", "flood_min", "build_bfs_forest"])
-    def test_array_rejects_active_faults(self, cycle12, run):
-        with pytest.raises(ConfigurationError) as info:
-            run(cycle12, RoundFaultPlan(seed=1, loss=0.5))
-        assert str(info.value) == (
-            "fault injection needs FastEngine (leave engine unset); the "
-            "array engine has no per-message delivery hook")
-        # A plan with every rate at zero is a no-op, not an error.
-        assert run(cycle12, RoundFaultPlan(seed=1)).outputs
+
+#: A bandwidth no run here reaches: at n <= 24 CONGEST's default limit
+#: is below one wide UID's width, and the bandwidth check has its own
+#: tests above.
+WIDE_BANDWIDTH = 1 << 12
+
+#: UIDs from three ranges: machine words, [2**62, 2**63) (int64 but
+#: past the sentinel headroom) and past 2**64 (no int64 at all).
+UIDS = st.one_of(st.integers(1, 10**6),
+                 st.integers(2**62, 2**62 + 10**6),
+                 st.integers(2**64 + 1, 2**64 + 10**6))
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+@st.composite
+def fault_cases(draw):
+    """A graph (a forest with chords and trailing isolated nodes, or a
+    path) of at most 24 nodes with UIDs of any width, and a fault plan."""
+    if draw(st.booleans()):  # up to 21 nodes plus 3 trailing isolated
+        topology = nx_copy(draw(sparse_graphs(max_nodes=21)))
+    else:
+        topology = nx.path_graph(draw(st.integers(1, 24)))
+    n = topology.number_of_nodes()
+    uids = draw(st.lists(UIDS, min_size=n, max_size=n, unique=True))
+    plan = RoundFaultPlan(seed=draw(st.integers(0, 99)), crash=draw(RATES),
+                          loss=draw(RATES), churn=draw(RATES),
+                          start_round=draw(st.integers(1, 3)))
+    return DistributedGraph(topology, uids=uids), plan
+
+
+def run_outcome(run, source):
+    """Outputs and full report, or the error's type and text; then the
+    bits the source consumed."""
+    try:
+        result = run()
+        outcome = (result.outputs, dataclasses.asdict(result.report))
+    except (RandomnessExhausted, ModelViolation) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, None if source is None else source.bits_consumed
+
+
+class TestFaultParity:
+    """ArrayEngine under random fault plans, budgets and UID widths
+    equals the per-node programs on the oracle: outputs, full report,
+    bits consumed and any exhaustion message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fault_cases(), seed=st.integers(0, 99),
+           budget=st.none() | st.integers(0, 300))
+    def test_luby_mis(self, case, seed, budget):
+        g, plan = case
+        sources = [IndependentSource(seed=seed, bit_budget=budget)
+                   for _ in range(2)]
+        arr = run_outcome(lambda: ArrayEngine(
+            g, ArrayLubyMIS(), source=sources[0], model=CONGEST,
+            bandwidth_bits=WIDE_BANDWIDTH, faults=plan).run(), sources[0])
+        ref = run_outcome(lambda: oracle_luby_mis(
+            g, sources[1], faults=plan, bandwidth_bits=WIDE_BANDWIDTH),
+            sources[1])
+        assert arr == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fault_cases(), radius=st.integers(0, 6))
+    def test_flood_min(self, case, radius):
+        g, plan = case
+        arr = run_outcome(lambda: ArrayEngine(
+            g, ArrayFloodMin(radius), model=CONGEST,
+            bandwidth_bits=WIDE_BANDWIDTH, faults=plan).run(), None)
+        ref = run_outcome(lambda: oracle_flood_min(
+            g, radius, faults=plan, bandwidth_bits=WIDE_BANDWIDTH), None)
+        assert arr == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fault_cases(), data=st.data())
+    def test_bfs_forest(self, case, data):
+        g, plan = case
+        roots = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+        bound = data.draw(st.integers(1, g.n + 2))
+        arr = run_outcome(lambda: ArrayEngine(
+            g, ArrayBFSForest(roots, bound), model=CONGEST,
+            max_rounds=bound + 2, bandwidth_bits=WIDE_BANDWIDTH,
+            faults=plan).run(), None)
+        ref = run_outcome(lambda: oracle_bfs_forest(
+            g, roots, bound, faults=plan, bandwidth_bits=WIDE_BANDWIDTH),
+            None)
+        assert arr == ref
+
+    def test_crash_semantics_pinned(self):
+        # One hand-checked plan, so the sweep above cannot pass on two
+        # engines that share a misreading: a node crashing in the draw
+        # round still drew its priority, its output stays None, and the
+        # survivors still decide.
+        g = assign(make("cycle", 12), "random", seed=3)
+        plan = RoundFaultPlan(seed=7, crash=0.3)
+        crashed = [v for v in range(12) if crashes(plan, 1, v)]
+        assert crashed  # seed 7 crashes someone in round 1
+        source = IndependentSource(seed=2)
+        result = luby_mis(g, source, faults=plan)
+        ledger = source_ledger(source)
+        for v in crashed:
+            assert result.outputs[v] is None
+            assert ledger[v][0]  # the round-1 draw was metered
+        assert all(isinstance(result.outputs[v], bool) for v in range(12)
+                   if not any(crashes(plan, r, v) for r in range(1, 40)))
+        assert_identical(oracle_luby_mis(g, IndependentSource(seed=2),
+                                         faults=plan), result)
 
 
 class TestArrayHelpers:
@@ -479,18 +636,30 @@ class TestArrayHelpers:
         assert segment_reduce(values, offsets, np.add, 0).tolist() == \
             [8, 0, 2, 0]
 
-    def test_wide_uids_rejected(self):
-        from repro.sim.graph import DistributedGraph
-        import networkx as nx
-
-        g = DistributedGraph(nx.path_graph(3), uids=[1, 2, 2**62])
-        with pytest.raises(ConfigurationError):
-            ArrayEngine(g, ArrayFloodMin(1))
-        # The widest machine-word UID the contract allows still works.
+    def test_wide_uids_become_ranks(self):
+        # Up to 2**62 - 1 the context keeps the CSR's UID column; one UID
+        # past it makes ctx.uids the dense order-preserving ranks, while
+        # payload widths and outputs stay the real UIDs'.
         g = DistributedGraph(nx.path_graph(3), uids=[1, 2, 2**62 - 1])
+        ctx = ArrayContext(g.csr, 3, None, CONGEST, 64, False)
+        assert ctx.uids is g.csr.uid_array
+        uids = [5, 2**64 + 3, 2**62, 1]
+        g = DistributedGraph(nx.path_graph(4), uids=uids)
+        ctx = ArrayContext(g.csr, 4, None, CONGEST, 64, False)
+        assert ctx.uids.tolist() == [1, 3, 2, 0]
+        widths = [message_bits(uid) for uid in uids]
+        assert ctx.uid_message_bits.tolist() == widths
+        assert ctx.uid_bits(ctx.uids).tolist() == widths
+        assert ctx.uid_values(ctx.uids) == uids
         ref = FastEngine(g, lambda _v: FloodMin(2)).run()
         arr = ArrayEngine(g, ArrayFloodMin(2)).run()
         assert_identical(ref, arr)
+        assert arr.outputs == {0: 5, 1: 1, 2: 1, 3: 1}
+        # A payload past 255 bits, wider than a standing width holds.
+        g = DistributedGraph(nx.path_graph(4), uids=[2**300, 7, 2**299, 9])
+        arr = ArrayEngine(g, ArrayFloodMin(3)).run()
+        assert_identical(oracle_flood_min(g, 3, model=LOCAL), arr)
+        assert arr.report.max_message_bits == message_bits(2**300)
 
 
 class TestUniformIntEach:

@@ -15,13 +15,12 @@ import dataclasses
 
 import pytest
 
-from helpers import SyncEngine, family_graphs
-from repro.core.mis import LubyMIS, is_valid_mis
+from helpers import BFSTree, FloodMin, LubyMIS, SyncEngine, family_graphs
+from repro.core.mis import is_valid_mis
 from repro.errors import BandwidthExceeded, ConfigurationError, ModelViolation
 from repro.randomness import IndependentSource
 from repro.sim import CONGEST, LOCAL, FastEngine
 from repro.sim.node import NodeProgram
-from repro.sim.primitives import BFSTree, FloodMin
 
 
 def run_both(graph, factory, model, seed=None, **kwargs):

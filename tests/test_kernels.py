@@ -783,12 +783,12 @@ class TestSweepDedupe:
 
     SEEDS = list(range(5))
 
-    #: The fault knobs that make the task pick each engine.
-    ENGINE_FAULTS = {"fast": {"fault_loss": 0.25}, "array": {}}
+    #: The sweep's fault knobs: a lossy sweep and a clean one.
+    SWEEP_FAULTS = {"lossy": {"fault_loss": 0.25}, "clean": {}}
 
-    def run_sweep(self, family, engine="array", ids="random"):
+    def run_sweep(self, family, faults="clean", ids="random"):
         specs = grid([family], [12], self.SEEDS, ids=ids, radius=6,
-                     **self.ENGINE_FAULTS[engine])
+                     **self.SWEEP_FAULTS[faults])
         return run_trials(flood_min_trial, specs, workers=1)
 
     def fresh_memo(self, monkeypatch, reuse=True):
@@ -801,13 +801,13 @@ class TestSweepDedupe:
                     make(family, n, seed=seed), ids, seed=seed))
 
     @pytest.mark.parametrize("family", ["path", "gnp-sparse"])
-    @pytest.mark.parametrize("engine", ["fast", "array"])
+    @pytest.mark.parametrize("faults", ["lossy", "clean"])
     def test_memoized_sweep_byte_identical(self, monkeypatch, family,
-                                           engine):
+                                           faults):
         self.fresh_memo(monkeypatch)
-        memoized = self.run_sweep(family, engine=engine)
+        memoized = self.run_sweep(family, faults=faults)
         self.fresh_memo(monkeypatch, reuse=False)  # no reuse at all
-        fresh = self.run_sweep(family, engine=engine)
+        fresh = self.run_sweep(family, faults=faults)
         assert memoized == fresh
 
     def test_seed_invariant_family_builds_once(self, monkeypatch):

@@ -8,35 +8,35 @@ from repro.randomness import IndependentSource
 from repro.sim import CONGEST
 from repro.sim.messages import congest_limit
 from repro.sim.primitives import (
-    BFSTree,
-    FloodMin,
+    ArrayBFSForest,
+    ArrayFloodMin,
     build_bfs_forest,
     convergecast_sum,
+    flood_min,
 )
 
-from helpers import SyncEngine, family_graphs
+from helpers import family_graphs
 
 
 class TestFloodMin:
     def test_learns_radius_ball_minimum(self, grid36):
         radius = 3
-        result = SyncEngine(
-            grid36, lambda _v: FloodMin(radius), model=CONGEST).run()
+        result = flood_min(grid36, radius, model=CONGEST)
         for v in grid36.nodes():
             expected = min(grid36.uid(u) for u in grid36.ball(v, radius))
             assert result.outputs[v] == expected
 
     def test_radius_zero_is_self(self, path9):
-        result = SyncEngine(path9, lambda _v: FloodMin(0)).run()
+        result = flood_min(path9, 0)
         assert all(result.outputs[v] == path9.uid(v) for v in path9.nodes())
 
     def test_takes_exactly_radius_rounds(self, path9):
-        result = SyncEngine(path9, lambda _v: FloodMin(4)).run()
+        result = flood_min(path9, 4)
         assert result.report.rounds == 4
 
     def test_validates_radius(self):
         with pytest.raises(ConfigurationError):
-            FloodMin(-1)
+            ArrayFloodMin(-1)
 
 
 class TestBFSTree:
@@ -73,7 +73,7 @@ class TestBFSTree:
 
     def test_validates_depth_bound(self):
         with pytest.raises(ConfigurationError):
-            BFSTree([0], 0)
+            ArrayBFSForest([0], 0)
 
 
 class TestConvergecast:

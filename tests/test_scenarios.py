@@ -14,7 +14,17 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
+
+from helpers import (
+    crashes,
+    delivers_on_crash,
+    drops,
+    oracle_bfs_forest,
+    oracle_flood_min,
+    oracle_luby_mis,
+)
 
 from repro.analysis.coordinated import execute_experiment_unit, scenario_units
 from repro.analysis.experiments import SCENARIO_PLANS, scenario_plan
@@ -263,11 +273,63 @@ class TestRoundFaultPlan:
         clean = luby_mis(g, IndependentSource(seed=2))
         assert first.outputs != clean.outputs
 
-    def test_array_engine_rejects_faults(self):
+    def test_pinned_array_engine_runs_faults(self):
+        # engine="array" names the one engine, so a pinned run under an
+        # active plan runs it and equals the per-node oracle.
         g = assign(make("cycle", 12), "random", seed=2)
-        with pytest.raises(ConfigurationError, match="array"):
-            luby_mis(g, IndependentSource(seed=2), engine="array",
-                     faults=RoundFaultPlan(seed=1, loss=0.5))
+        plan = RoundFaultPlan(seed=1, loss=0.5)
+        pinned = luby_mis(g, IndependentSource(seed=2), engine="array",
+                          faults=plan)
+        ref = oracle_luby_mis(g, IndependentSource(seed=2), faults=plan)
+        assert (pinned.outputs, pinned.report) == (ref.outputs, ref.report)
+        assert pinned.report != luby_mis(g, IndependentSource(seed=2)).report
+
+    @pytest.mark.parametrize("plan", [
+        RoundFaultPlan(seed=3, crash=0.3, loss=0.2, churn=0.4),
+        RoundFaultPlan(seed="chaos", crash=0.05, churn=0.15, start_round=3),
+        RoundFaultPlan(seed=9, loss=0.5, start_round=2),
+    ], ids=["all-rates", "late-start", "loss-only"])
+    def test_array_masks_equal_scalar_decisions(self, plan):
+        rng = np.random.default_rng(11)
+        for round_index in rng.integers(1, 40, size=8).tolist():
+            nodes = rng.integers(0, 500, size=64)
+            targets = rng.integers(0, 500, size=64)
+            assert plan.crash_mask(round_index, nodes).tolist() == [
+                crashes(plan, round_index, v) for v in nodes.tolist()]
+            pairs = list(zip(nodes.tolist(), targets.tolist()))
+            assert plan.escape_mask(round_index, nodes, targets).tolist() == [
+                delivers_on_crash(plan, round_index, v, t) for v, t in pairs]
+            assert plan.drop_mask(round_index, nodes, targets).tolist() == [
+                drops(plan, round_index, v, t) for v, t in pairs]
+
+    def test_array_masks_hash_each_key_once(self, monkeypatch):
+        # A (label, seed, endpoints) key is derived, from a copy of the
+        # label's hashed prefix, on the plan's first decision about
+        # those endpoints; later rounds reuse it.
+        import repro.sim.batch.faults as faults_module
+
+        derived = []
+        real = faults_module.key_prefix
+
+        class Counted:
+            def __init__(self, state):
+                self.state = state
+
+            def copy(self):
+                derived.append(1)
+                return self.state.copy()
+
+        monkeypatch.setattr(faults_module, "key_prefix",
+                            lambda *parts: Counted(real(*parts)))
+        plan = RoundFaultPlan(seed=4, loss=0.3, churn=0.3)
+        senders, targets = np.array([0, 1, 2, 1]), np.array([1, 0, 1, 2])
+        first = plan.drop_mask(1, senders, targets)
+        # Four directed loss keys, two undirected churn keys.
+        assert len(derived) == 6
+        for round_index in range(2, 6):
+            plan.drop_mask(round_index, senders, targets)
+        assert len(derived) == 6
+        assert plan.drop_mask(1, senders, targets).tolist() == first.tolist()
 
     def test_trial_task_reports_adversarial_failure_as_data(self):
         spec = TrialSpec.of("path", 12, 1, bit_budget=8)
@@ -350,6 +412,27 @@ class TestLibraryEndToEnd:
 
     def test_pins_cover_the_library(self):
         assert sorted(self.PINNED) == available()
+
+    @pytest.mark.parametrize("name", ["crash-midround", "edge-churn"])
+    def test_oracle_reproduces_fault_records(self, monkeypatch, name):
+        # The per-node programs on the reference engine, patched in for
+        # the primitives, reproduce the pinned records of the faulty
+        # scenarios: the fault semantics moved into ArrayEngine unchanged.
+        import repro.core.mis as mis_module
+        import repro.sim.primitives as primitives_module
+
+        runs = []
+        for module, name_, oracle in (
+                (mis_module, "luby_mis", oracle_luby_mis),
+                (primitives_module, "flood_min", oracle_flood_min),
+                (primitives_module, "build_bfs_forest", oracle_bfs_forest)):
+            def run(*args, _oracle=oracle, **kwargs):
+                runs.append(_oracle)
+                return _oracle(*args, **kwargs)
+            monkeypatch.setattr(module, name_, run)
+        spec = load_named(name)
+        assert self.records_digest(spec) == self.PINNED[name][1]
+        assert len(runs) == len(spec.compile())
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_library_records_pinned(self, name):

@@ -258,15 +258,15 @@ class TestRunTrialsWithStore:
 class TestResumeDeterminism:
     """Satellite: kill-at-any-prefix + resume == uninterrupted, exactly."""
 
-    #: The fault knobs that make the task pick each engine.
-    ENGINE_FAULTS = {"fast": {"fault_loss": 0.25}, "array": {}}
+    #: The sweep's fault knobs: a lossy sweep and a clean one.
+    SWEEP_FAULTS = {"lossy": {"fault_loss": 0.25}, "clean": {}}
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("engine", ["fast", "array"])
+    @pytest.mark.parametrize("faults", ["lossy", "clean"])
     def test_interrupted_resume_is_byte_identical(self, tmp_path, workers,
-                                                  engine):
+                                                  faults):
         specs = grid(["cycle", "path"], [12], range(3), radius=12,
-                     **self.ENGINE_FAULTS[engine])
+                     **self.SWEEP_FAULTS[faults])
         cold = run_trials(flood_min_trial, specs, workers=1)
 
         uninterrupted = ColumnarStore(tmp_path / "whole")
