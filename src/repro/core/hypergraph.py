@@ -37,8 +37,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
-from ..randomness.source import RandomSource, pack_bits
+from ..randomness.source import RandomSource
 from ..structures import Hypergraph, conflict_free_ok
 
 
@@ -143,6 +145,8 @@ def mark_and_conquer(
     logn = max(1, math.ceil(math.log2(n)))
     threshold = small_threshold if small_threshold is not None else 4 * logn
     mark_bits = 12  # probability resolution 2^-12
+    weights = np.left_shift(1, np.arange(mark_bits - 1, -1, -1),
+                            dtype=np.int64)
     colors: Dict[int, Set[Tuple[object, int, int]]] = {
         v: set() for v in hg.vertices}
     stats: Dict[str, object] = {"classes": {}, "failed_edges": 0}
@@ -162,11 +166,11 @@ def mark_and_conquer(
             prob = min(1.0, (4 * logn) / (1 << (cls - 1)))
             threshold_value = math.ceil(prob * (1 << mark_bits))
             touched = sorted({v for e in edges for v in e})
-            marked: Set[int] = set()
-            for v in touched:
-                value = pack_bits(source.bits_block(v, mark_bits, offset))
-                if value < threshold_value:
-                    marked.add(v)
+            # Every touched vertex's mark bits in one read, big-endian.
+            values = source.bits_each(touched, mark_bits, offset) @ weights
+            marked: Set[int] = {
+                v for v, value in zip(touched, values.tolist())
+                if value < threshold_value}
             traces: List[frozenset] = []
             failed = 0
             cap = max(threshold, 16 * logn)

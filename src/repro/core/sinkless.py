@@ -32,11 +32,17 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..randomness.source import RandomSource
+from ..sim.batch.array import ArrayContext, ArrayEngine, ArrayProgram, Sends
 from ..sim.batch.csr import bfs_distances, component_labels
 from ..sim.graph import DistributedGraph
+from ..sim.messages import CONGEST, message_bits
 from ..sim.metrics import RunReport
 
 Orientation = Dict[Tuple[int, int], Tuple[int, int]]  # edge -> (tail, head)
+
+#: The fix-up's two messages: a coin announcement and a flip.
+_INIT_BITS = message_bits(("init", 0))
+_FLIP_BITS = message_bits(("flip",))
 
 
 def _canonical(u: int, v: int) -> Tuple[int, int]:
@@ -175,16 +181,18 @@ def randomized_orientation(
 
     # Initial coin per edge, drawn from the lower endpoint's stream.
     # Edges arrive u-major from graph.edges(), so each node's coins are
-    # a contiguous prefix of its stream — one bulk read per node.
+    # a contiguous prefix of its stream — one read over every owner.
     edges_of: Dict[int, List[Tuple[int, int]]] = {}
     for u, v in graph.edges():
         a, b = _canonical(u, v)
         edges_of.setdefault(a, []).append((a, b))
-    for a, owned in edges_of.items():
-        coins = source.bits_block(a, len(owned))
-        cursor[a] = len(owned)
-        for (x, y), bit in zip(owned, coins.tolist()):
-            orientation[(x, y)] = (x, y) if bit else (y, x)
+    owners = list(edges_of)
+    counts = np.array([len(edges_of[a]) for a in owners], dtype=np.int64)
+    coins = source.bits_each(owners, counts).tolist()
+    owned = (edge for a in owners for edge in edges_of[a])
+    for (x, y), bit in zip(owned, coins):
+        orientation[(x, y)] = (x, y) if bit else (y, x)
+    cursor.update(zip(owners, counts.tolist()))
 
     trajectory: List[int] = []
     rounds = 0
@@ -192,14 +200,15 @@ def randomized_orientation(
     trajectory.append(len(current))
     while current and rounds < max_rounds:
         rounds += 1
-        for v in sorted(current):
-            incident = [_canonical(v, u) for u in graph.neighbors(v)]
-            value, used = source.uniform_int(v, len(incident),
-                                             cursor.get(v, 0))
-            cursor[v] = cursor.get(v, 0) + used
-            pick = incident[value]
-            other = pick[1] if pick[0] == v else pick[0]
-            orientation[pick] = (v, other)
+        # Every sink draws one incident edge, in one read in node order.
+        order = sorted(current)
+        picks, used = source.uniform_int_each(
+            order, np.array([graph.degree(v) for v in order], dtype=np.int64),
+            [cursor.get(v, 0) for v in order])
+        for v, value, bits in zip(order, picks.tolist(), used.tolist()):
+            cursor[v] = cursor.get(v, 0) + bits
+            other = graph.neighbors(v)[value]
+            orientation[_canonical(v, other)] = (v, other)
         current = sinks(graph, orientation, min_degree)
         trajectory.append(len(current))
 
@@ -214,17 +223,22 @@ def randomized_orientation(
     return orientation, report, extra
 
 
-class SinklessFixupProgram:
+class SinklessFixupProgram(ArrayProgram):
     """Engine version of the randomized fix-up (genuine message passing).
 
-    Each node tracks, per incident edge, whether its side is outgoing.
-    Rounds alternate: on *odd* rounds every current sink flips one
-    uniformly chosen incident edge outward and tells that neighbor with
-    a one-word message; on *even* rounds flips are absorbed, and nodes
-    finish together at the (even) horizon — so no flip is ever in
-    flight when anyone halts, and the two endpoints' views of every
-    edge agree at termination (two adjacent sinks can never pick the
-    same edge: an edge cannot point into both of them).
+    Each node tracks, per incident edge, whether its side is outgoing
+    (here one ``bool`` per CSR arc). In round 0 the lower-index endpoint
+    of every edge draws its coin and announces it (one O(1)-bit message
+    per edge; a node's coins are one read of its stream). Rounds then
+    alternate: on *odd* rounds every current sink flips one uniformly
+    chosen incident edge outward and tells that neighbor with a one-word
+    message; on *even* rounds flips are absorbed, and nodes finish
+    together at the (even) horizon — so no flip is ever in flight when
+    anyone halts, and the two endpoints' views of every edge agree at
+    termination (two adjacent sinks can never pick the same edge: an
+    edge cannot point into both of them). Every coin and flip read is
+    one read over its nodes in node order, so outputs, reports and the
+    randomness ledger equal the per-node program's bit for bit.
 
     Output per node: the frozenset of neighbors its edges point to.
     """
@@ -234,57 +248,64 @@ class SinklessFixupProgram:
         # Horizon must be even so the last round is an absorb round.
         self.horizon = horizon + (horizon % 2)
 
-    def init(self, ctx):
-        # Initial orientation: the lower-index endpoint draws the bit
-        # and announces it (one O(1)-bit message per edge). All coins
-        # come from one bulk read of this node's stream.
-        out = {}
-        ctx.state["outgoing"] = {}
-        upper = [u for u in ctx.neighbors if ctx.v < u]
-        for u, bit in zip(upper, ctx.rand_bits(len(upper))):
-            out[u] = ("init", bit)
-            ctx.state["outgoing"][u] = bool(bit)
-        return out
+    def init(self, ctx: ArrayContext) -> Optional[Sends]:
+        nbr = ctx.indices
+        self.owner = owner = np.repeat(ctx.all_nodes, ctx.degrees)
+        # The arcs sorted by (nbr, owner) reverse those sorted by
+        # (owner, nbr), the arcs being symmetric.
+        forward = np.lexsort((nbr, owner))
+        self.reverse = np.empty_like(forward)
+        self.reverse[forward] = np.lexsort((owner, nbr))
+        upper = owner < nbr
+        counts = np.bincount(owner[upper], minlength=ctx.size)
+        drawers = np.flatnonzero(counts)
+        counts = counts[drawers]
+        # bit=1 means the lower endpoint points at the upper one.
+        self.out = np.zeros(nbr.size, dtype=bool)
+        self.out[upper] = ctx.rand_bits_each(drawers, counts)
+        self.out[~upper] = ~self.out[self.reverse[~upper]]
+        return ctx.fanout(drawers, counts, _INIT_BITS)
 
-    def step(self, ctx, round_index, inbox):
-        outgoing = ctx.state["outgoing"]
-        for sender, message in inbox.items():
-            if message[0] == "init":
-                # bit=1 meant the sender points at us.
-                outgoing[sender] = not bool(message[1])
-            elif message[0] == "flip":
-                outgoing[sender] = False
-
+    def step(self, ctx: ArrayContext, round_index: int) -> Optional[Sends]:
         if round_index >= self.horizon:
-            ctx.finish(frozenset(u for u, o in outgoing.items() if o))
-            return {}
-        if round_index % 2 == 1:
-            constrained = ctx.degree >= self.min_degree
-            is_sink = constrained and not any(
-                outgoing.get(u, False) for u in ctx.neighbors)
-            if is_sink:
-                pick = ctx.neighbors[ctx.rand_uniform(ctx.degree)]
-                outgoing[pick] = True
-                return {pick: ("flip",)}
-        return {}
+            heads = ctx.indices.tolist()
+            out = self.out.tolist()
+            bounds = ctx.offsets.tolist()
+            ctx.finish(ctx.all_nodes, [
+                frozenset(u for u, o in zip(heads[a:b], out[a:b]) if o)
+                for a, b in zip(bounds, bounds[1:])])
+            return None
+        if round_index % 2 == 0:
+            return None
+        has_out = np.zeros(ctx.size, dtype=bool)
+        has_out[self.owner[self.out]] = True
+        sinks = np.flatnonzero((ctx.degrees >= self.min_degree) & ~has_out)
+        if not sinks.size:
+            return None
+        picks = ctx.offsets[sinks] + ctx.rand_uniform_each(
+            sinks, ctx.degrees[sinks])
+        # The neighbor absorbs the flip next round; no node reads its
+        # edges before then, so both sides turn now.
+        self.out[picks] = True
+        self.out[self.reverse[picks]] = False
+        return ctx.fanout(sinks, np.ones(sinks.size, dtype=np.int64),
+                          _FLIP_BITS)
 
 
 def randomized_orientation_engine(graph: DistributedGraph,
                                   source: RandomSource,
                                   min_degree: int = 3,
                                   horizon: int = 60):
-    """Run the fix-up process on the engine; returns (orientation, result).
+    """Run the fix-up process on the array engine; returns
+    (orientation, result).
 
     The caller should validate with :func:`is_sinkless` — like any
     fixed-horizon Monte Carlo process, an (exponentially unlikely)
     non-converged run yields a sink.
     """
-    from ..sim.batch.fast_engine import FastEngine
-    from ..sim.messages import CONGEST
-
-    engine = FastEngine(
-        graph, lambda _v: SinklessFixupProgram(min_degree, horizon),
-        source=source, model=CONGEST, max_rounds=horizon + 4)
+    engine = ArrayEngine(graph, SinklessFixupProgram(min_degree, horizon),
+                         source=source, model=CONGEST,
+                         max_rounds=horizon + 4)
     result = engine.run()
     orientation: Orientation = {}
     for u, v in graph.edges():

@@ -61,8 +61,20 @@ from .block import IntervalSet
 #: Stands in for an unbounded stream's limit in the lane arithmetic.
 _UNBOUNDED = 1 << 62
 
-#: ``draw(raw) -> (values, used, done)`` over the rows of a window matrix.
-Draw = Callable[[np.ndarray], Tuple[np.ndarray, object, object]]
+#: ``draw(raw, rows) -> (values, used, done)`` over the rows of a window
+#: matrix; ``rows`` indexes the lanes the rows belong to, in order.
+Draw = Callable[[np.ndarray, object], Tuple[np.ndarray, object, object]]
+
+#: ``rows`` of an attempt that reads every lane: indexes a per-lane
+#: array whole, without building an arange.
+_EVERY_ROW = slice(None)
+
+#: Widest window a read with per-lane bit counts takes per attempt.
+_BITS_WINDOW = 64
+
+#: ``2**k`` for k = 0..62: ``searchsorted(_POWERS, x, "right")`` is
+#: ``x.bit_length()`` for every non-negative int64 ``x``.
+_POWERS = np.left_shift(1, np.arange(63), dtype=np.int64)
 
 
 def pack_bits(bits) -> int:
@@ -103,12 +115,12 @@ def _collector_paused(read):
     return paused
 
 
-def _whole_rows(raw: np.ndarray):
+def _whole_rows(raw: np.ndarray, rows):
     """Draw of the bit readers: every row as read, all of it used."""
     return raw, raw.shape[1], True
 
 
-def _first_zero(raw: np.ndarray):
+def _first_zero(raw: np.ndarray, rows):
     """Draw of the Geometric(1/2) samplers: the value is the index of
     the first zero flip (capped at the row length), which is also the
     number of bits read."""
@@ -214,17 +226,20 @@ class RandomSource(abc.ABC):
     @_collector_paused
     def _lanes(self, nodes: Sequence[object], starts, count: int,
                draw: Draw, attempts: int = 1,
-               stuck: Optional[Callable[[], Exception]] = None
+               stuck: Optional[Callable[[int], Exception]] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
         """One value per lane, lane ``i`` reading ``nodes[i]``'s stream
         from ``starts[i]`` (an int is every lane's start).
 
         Each attempt reads ``count`` bits at every live lane's cursor
-        (:meth:`_window`); ``draw(raw) -> (values, used, done)`` turns
-        that matrix into each row's value, the bits it read and whether
+        (:meth:`_window`); ``draw(raw, rows) -> (values, used, done)``
+        turns that matrix, whose rows belong to the lanes ``rows``
+        indexes (every lane, then the index array of the lanes still
+        drawing), into each row's value, the bits it read (at most
+        ``count``; a lane may read fewer than its window) and whether
         the lane is settled. Unsettled lanes read again at their
-        advanced cursor, up to ``attempts`` times; a lane still
-        unsettled then raises ``stuck()``. Returns ``(values, used)``,
+        advanced cursor, up to ``attempts`` times; a lane ``i`` still
+        unsettled then raises ``stuck(i)``. Returns ``(values, used)``,
         ``used`` being the bits each lane read (an int when all read the
         same).
 
@@ -232,7 +247,7 @@ class RandomSource(abc.ABC):
         it read. The first lane that failed meters its prefix and
         raises: the source's error at the first index past its stream's
         end (a draw that used more bits than the lane holds), or
-        ``stuck()``.
+        ``stuck(i)``.
         """
         if not isinstance(nodes, list):
             nodes = list(nodes)
@@ -257,9 +272,10 @@ class RandomSource(abc.ABC):
         live = None  # lanes still drawing; None: every lane
         for _ in range(attempts):
             if live is None:
-                lanes, at = nodes, start
+                lanes, at, rows = nodes, start, _EVERY_ROW
             else:
-                lanes, at = [nodes[i] for i in live.tolist()], cursor[live]
+                lanes, at, rows = ([nodes[i] for i in live.tolist()],
+                                   cursor[live], live)
                 clip = stop is not None
             if clip:
                 avail = np.minimum((stop if live is None else stop[live]) - at,
@@ -268,7 +284,7 @@ class RandomSource(abc.ABC):
             else:
                 avail = None  # every lane holds its whole window
                 raw = self._raw_bits(lanes, at, count)
-            got, used, done = draw(raw)
+            got, used, done = draw(raw, rows)
             if avail is not None:
                 past = used > avail
                 used = np.minimum(used, avail)
@@ -314,7 +330,7 @@ class RandomSource(abc.ABC):
                 raise ConfigurationError(
                     f"{type(self).__name__} served index {end} of node "
                     f"{node!r}, past its stream limit")
-            raise stuck()
+            raise stuck(bad)
         return values, used
 
     def _window(self, lanes: List[object], at: np.ndarray,
@@ -337,13 +353,43 @@ class RandomSource(abc.ABC):
                 [lanes[j] for j in rows], at[rows], length)
         return raw
 
-    def _bit_rows(self, nodes: Sequence[object], count: int,
-                  offset: int) -> np.ndarray:
+    def _bit_rows(self, nodes: Sequence[object], count,
+                  offset) -> np.ndarray:
         """Bits ``[offset, offset + count)`` of every node's stream, as
-        the rows of a ``uint8[len(nodes), count]`` matrix."""
-        if count <= 0:
-            return np.empty((len(nodes), 0), dtype=np.uint8)
-        return self._lanes(nodes, offset, count, _whole_rows)[0]
+        the rows of a ``uint8[len(nodes), count]`` matrix.
+
+        ``count`` may be an array of per-lane counts instead (a count
+        below zero reads nothing, like ``count <= 0`` does): then the
+        result is every lane's bits back to back, ``uint8[sum(count)]``.
+        Each attempt reads a window of at most :data:`_BITS_WINDOW` bits
+        of every lane still short of its count, so a few long lanes
+        among many short ones cost their own bits, not a
+        ``len(nodes) x max(count)`` matrix."""
+        if not np.ndim(count):
+            if count <= 0:
+                return np.empty((len(nodes), 0), dtype=np.uint8)
+            return self._lanes(nodes, offset, count, _whole_rows)[0]
+        counts = np.maximum(np.asarray(count, dtype=np.int64), 0).reshape(
+            len(nodes))
+        ends = np.cumsum(counts)
+        out = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+        longest = int(counts.max(initial=0))
+        if not longest:
+            return out
+        window = min(longest, _BITS_WINDOW)
+        columns = np.arange(window)
+        filled = ends - counts  # where each lane's next bit goes in out
+
+        def draw(raw, rows):
+            take = np.minimum(ends[rows] - filled[rows], window)
+            held = columns < take[:, None]
+            out[(filled[rows][:, None] + columns)[held]] = raw[held]
+            filled[rows] += take
+            return take, take, filled[rows] == ends[rows]
+
+        self._lanes(nodes, offset, window, draw,
+                    attempts=-(-longest // window))
+        return out
 
     def _geometrics(self, nodes: Sequence[object], cap: int,
                     offset: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -353,7 +399,7 @@ class RandomSource(abc.ABC):
             raise ConfigurationError(f"cap must be at least 1, got {cap}")
         return self._lanes(nodes, offset, cap, _first_zero)
 
-    def _uniform(self, nodes: Sequence[object], bound: int,
+    def _uniform(self, nodes: Sequence[object], bound,
                  offsets) -> Tuple[np.ndarray, np.ndarray]:
         """One rejection-sampled draw in ``[0, bound)`` per node.
 
@@ -362,33 +408,62 @@ class RandomSource(abc.ABC):
         window of its stream, up to 64 attempts (each fails with
         probability < 1/2, so all 64 fail with probability < 2^-64).
         Bounds up to ``2**62`` fold in int64; wider ones in Python ints.
+
+        ``bound`` may be an int64 array of per-lane bounds instead: the
+        window is as wide as the widest lane's, and each lane folds its
+        own leading ``ceil(log2 bound[i])`` bits of it, so every lane
+        reads exactly what a one-lane read of its bound would.
         """
-        if bound <= 0:
-            raise ConfigurationError(f"bound must be positive, got {bound}")
-        if bound == 1:
-            zeros = np.zeros(len(nodes), dtype=np.int64)
-            return zeros, zeros.copy()
-        width = (bound - 1).bit_length()
-        if width <= 62:
+        if np.ndim(bound):
+            bounds = np.asarray(bound, dtype=np.int64).reshape(len(nodes))
+            low = bounds <= 0
+            if low.any():
+                raise ConfigurationError(
+                    f"bound must be positive, got {int(bounds[low.argmax()])}")
+            widths = np.searchsorted(_POWERS, bounds - 1, side="right")
+            width = int(widths.max(initial=0))
             weights = np.left_shift(1, np.arange(width - 1, -1, -1),
                                     dtype=np.int64)
 
-            def fold(raw):
-                return raw @ weights
-        else:
-            def fold(raw):
-                drawn = np.empty(len(raw), dtype=object)
-                drawn[:] = [pack_bits(row) for row in raw.tolist()]
-                return drawn
+            def draw(raw, rows):
+                lane_widths = widths[rows]
+                drawn = (raw @ weights) >> (width - lane_widths)
+                return drawn, lane_widths, drawn < bounds[rows]
 
-        def draw(raw):
-            drawn = fold(raw)
-            return drawn, width, (drawn < bound).astype(bool, copy=False)
+            def bound_of(lane):
+                return int(bounds[lane])
+        else:
+            if bound <= 0:
+                raise ConfigurationError(
+                    f"bound must be positive, got {bound}")
+            width = (bound - 1).bit_length()
+            if width <= 62:
+                weights = np.left_shift(1, np.arange(width - 1, -1, -1),
+                                        dtype=np.int64)
+
+                def fold(raw):
+                    return raw @ weights
+            else:
+                def fold(raw):
+                    drawn = np.empty(len(raw), dtype=object)
+                    drawn[:] = [pack_bits(row) for row in raw.tolist()]
+                    return drawn
+
+            def draw(raw, rows):
+                drawn = fold(raw)
+                return drawn, width, (drawn < bound).astype(bool, copy=False)
+
+            def bound_of(lane):
+                return bound
+        if not width:  # every bound is 1: no lane reads a bit
+            zeros = np.zeros(len(nodes), dtype=np.int64)
+            return zeros, zeros.copy()
 
         values, used = self._lanes(
             nodes, offsets, width, draw, attempts=64,
-            stuck=lambda: RandomnessExhausted(
-                f"rejection sampling for bound {bound} did not converge"))
+            stuck=lambda lane: RandomnessExhausted(
+                f"rejection sampling for bound {bound_of(lane)} did not "
+                f"converge"))
         if isinstance(used, int):
             used = np.full(len(values), used, dtype=np.int64)
         return values, used
@@ -447,7 +522,7 @@ class RandomSource(abc.ABC):
     # ------------------------------------------------------------------
     # Bulk readers (one lane per node)
     # ------------------------------------------------------------------
-    def uniform_int_each(self, nodes: Sequence[object], bound: int,
+    def uniform_int_each(self, nodes: Sequence[object], bound,
                          offsets: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """One uniform draw in ``[0, bound)`` per node, each from its own
         stream.
@@ -455,11 +530,13 @@ class RandomSource(abc.ABC):
         The bulk form of :meth:`uniform_int` for round-structured
         algorithms (e.g. Luby priorities: every undecided node draws one
         value per iteration from its own stream at its own cursor).
-        ``offsets[i]`` is node ``i``'s stream cursor. Returns
-        ``(values, bits_used)`` arrays aligned with ``nodes``; values,
-        metering and errors match per-node :meth:`uniform_int` calls
-        exactly. Each rejection round is one generation call over the
-        lanes still rejected.
+        ``offsets[i]`` is node ``i``'s stream cursor; ``bound`` is one
+        int or an int64 array of per-node bounds (a palette size, a
+        degree). Returns ``(values, bits_used)`` arrays aligned with
+        ``nodes``; values, metering and errors match per-node
+        :meth:`uniform_int` calls in node order exactly (a nonpositive
+        bound anywhere raises before any read). Each rejection round is
+        one generation call over the lanes still rejected.
         """
         return self._uniform(nodes, bound, offsets)
 
@@ -477,13 +554,16 @@ class RandomSource(abc.ABC):
         """
         return self._geometrics(nodes, cap, offset)
 
-    def bits_each(self, nodes: Sequence[object], count: int,
-                  offset: int = 0) -> np.ndarray:
+    def bits_each(self, nodes: Sequence[object], count,
+                  offset=0) -> np.ndarray:
         """Bits ``[offset, offset + count)`` of every node's stream, as
         the rows of a ``uint8[len(nodes), count]`` matrix.
 
         The bulk form of :meth:`bits_block`: values, metering and errors
-        match per-node :meth:`bits_block` calls exactly.
+        match per-node :meth:`bits_block` calls in node order exactly.
+        ``offset`` is one int or per-node cursors; ``count`` is one int
+        or an array of per-node counts (an owner's edges, say), which
+        returns every node's bits back to back as one ``uint8`` array.
         """
         return self._bit_rows(nodes, count, offset)
 

@@ -4,7 +4,6 @@ from .batch import (
     ArrayEngine,
     ArrayProgram,
     CSRGraph,
-    FastEngine,
     TrialResult,
     TrialSpec,
     aggregate,
@@ -14,7 +13,6 @@ from .batch import (
 from .graph import DistributedGraph
 from .messages import CONGEST, LOCAL, congest_limit, message_bits
 from .metrics import AlgorithmResult, RunReport
-from .node import NodeContext, NodeProgram
 from .primitives import (
     ArrayBFSForest,
     ArrayFloodMin,
@@ -31,7 +29,6 @@ __all__ = [
     "ArrayFloodMin",
     "ArrayProgram",
     "CSRGraph",
-    "FastEngine",
     "TrialResult",
     "TrialSpec",
     "aggregate",
@@ -43,8 +40,6 @@ __all__ = [
     "CONGEST",
     "DistributedGraph",
     "LOCAL",
-    "NodeContext",
-    "NodeProgram",
     "RunReport",
     "SLocalSimulator",
     "SLocalView",

@@ -1,13 +1,12 @@
-"""Batch simulation: CSR topology, the two round engines, and seed sweeps.
+"""Batch simulation: CSR topology, the round engine, and seed sweeps.
 
 The scaling layer of the simulator: the static network structure is
 frozen once, when the :class:`~repro.sim.graph.DistributedGraph` is
-built (its :class:`CSRGraph`); data-parallel programs run on it as
-whole-round fused numpy passes with no per-node Python dispatch at all
-(:class:`ArrayEngine` running :class:`ArrayProgram`\\ s — every run of
-the three primitives, under a :class:`RoundFaultPlan` and with UIDs of
-any width too), the node programs with no array form yet run without
-per-round allocation churn (:class:`FastEngine`, the per-node engine),
+built (its :class:`CSRGraph`); every message-passing program runs on it
+as whole-round fused numpy passes with no per-node Python dispatch at
+all (:class:`ArrayEngine` running :class:`ArrayProgram`\\ s — the three
+primitives, under a :class:`RoundFaultPlan` and with UIDs of any width
+too, color trials, Cole–Vishkin reduction and the sinkless fix-up),
 and whole (family, size, seed) grids fan across processes
 (:func:`run_trials`).
 """
@@ -21,7 +20,6 @@ from .array import (
     Sends,
 )
 from .csr import CSRGraph, ensure_csr
-from .fast_engine import FastEngine
 from .tasks import bfs_forest_trial, flood_min_trial, luby_mis_trial
 from .runner import (
     TrialResult,
@@ -97,7 +95,6 @@ __all__ = [
     "CoordinatorServer",
     "CoordinatorUnavailable",
     "DirTransport",
-    "FastEngine",
     "FaultPlan",
     "FlakyControl",
     "FlakyTransport",

@@ -1,27 +1,26 @@
 """Array-native round engine: whole-round numpy programs over CSR.
 
-A per-node engine (:class:`~repro.sim.batch.fast_engine.FastEngine`)
-pays one Python ``step()`` call, one outbox dict, and one inbox dict per
-node per round. Many of the paper's node programs (Luby MIS, the
-FloodMin flooding of Lemma 3.2, the BFS cluster-growing of Theorem 4.2)
-are data-parallel across nodes: each round is a gather of neighbor
-state plus a per-node reduction. This module executes such programs as
-*whole-round array operations* over the frozen
+A per-node engine pays one Python ``step()`` call, one outbox dict, and
+one inbox dict per node per round. The paper's node programs (Luby MIS,
+the FloodMin flooding of Lemma 3.2, the BFS cluster-growing of Theorem
+4.2, color trials, Cole–Vishkin reduction, the sinkless fix-up) are
+data-parallel across nodes: each round is a gather of neighbor state
+plus a per-node reduction. This module executes them as *whole-round
+array operations* over the frozen
 :class:`~repro.sim.batch.csr.CSRGraph` — neighbor aggregation via CSR
 segment reductions, broadcasts as column gathers — eliminating per-node
-Python dispatch entirely. It is the one engine the three primitives
-(:func:`~repro.core.mis.luby_mis`, :func:`~repro.sim.primitives.
-flood_min`, :func:`~repro.sim.primitives.build_bfs_forest`) run on.
+Python dispatch entirely. It is the one round engine: every
+message-passing run in the library is an :class:`ArrayEngine` run.
 
 The contract: an :class:`ArrayProgram`'s ``init``/``step`` operate on
 numpy state arrays for **all** nodes at once and report what was sent
 through the :class:`ArrayContext` accounting helpers. The
-:class:`ArrayEngine` drives the per-node engines' round structure
-(init, then deliver + step until every node finished) and produces
+:class:`ArrayEngine` drives the synchronous round structure of Section
+2 (init, then deliver + step until every node finished) and produces
 **bit-identical outputs and RunReports** — rounds, messages, total/max
-bits, randomness bits — to the equivalent per-node
-:class:`~repro.sim.node.NodeProgram` (the tests hold each program to
-its per-node twin on a reference engine).
+bits, randomness bits — to the equivalent per-node program, one dict
+per node per round (the tests hold each program to its per-node twin
+on a reference engine).
 
 A :class:`~repro.sim.batch.faults.RoundFaultPlan` (duck-typed, so this
 module never imports the fault module) becomes per-round masks, built
@@ -52,8 +51,8 @@ a handful of nodes on a graph of millions of arcs. So a masked op whose
 senders' arcs number fewer than ``e /`` :data:`FRONTIER_DIV` switches
 from pull to push, the switch of direction-optimizing BFS (Beamer,
 Asanović and Patterson, SC'12): it expands the senders' CSR segments
-into ``(src, dst)`` arcs, along each sender's own list as FastEngine
-delivers a broadcast, and scatters them with ``np.minimum.at`` into
+into ``(src, dst)`` arcs, along each sender's own list as a per-node
+engine delivers a broadcast, and scatters them with ``np.minimum.at`` into
 fresh ``int64[n]`` results. That branch allocates per arc, never per
 edge. Pushing equals pulling because the arcs are symmetric (see
 :class:`~repro.sim.batch.csr.CSRGraph`). A whole-network re-broadcast
@@ -159,10 +158,10 @@ class Sends:
     """Accounting snapshot of one round's outgoing messages.
 
     Built by the :class:`ArrayContext` send helpers at *send* time (when
-    CONGEST limits are enforced, matching FastEngine's resolve step) and
-    folded into the report by the engine at *delivery* time one round
-    later — so messages queued by nodes whose run ends before the next
-    round are dropped uncounted, exactly as on FastEngine.
+    CONGEST limits are enforced, as a per-node engine checks each
+    outbox) and folded into the report by the engine at *delivery* time
+    one round later — so messages queued by nodes whose run ends before
+    the next round are dropped uncounted, exactly as per node.
     """
 
     __slots__ = ("messages", "total_bits", "max_message_bits")
@@ -177,11 +176,11 @@ class Sends:
 class ArrayContext:
     """Whole-network state the engine shares with an array program.
 
-    The per-node :class:`~repro.sim.node.NodeContext` surface, batched:
-    UIDs and degrees as arrays, the claimed network size (``n``, denied
-    under ``uniform``), cursor-metered randomness drawn per node from the
-    same streams node programs use, plus the two things only an engine
-    may do — account sends and finish nodes.
+    A node's local view (Section 2), batched: UIDs and degrees as
+    arrays, the claimed network size (``n``, denied under ``uniform``),
+    cursor-metered randomness drawn per node from each node's own
+    stream, plus the two things only an engine may do — account sends
+    and finish nodes.
 
     ``faults`` is an active :class:`~repro.sim.batch.faults.RoundFaultPlan`
     or ``None``; the engine calls :meth:`_begin_round` before each step.
@@ -265,7 +264,7 @@ class ArrayContext:
         return [self.uid_of[i] for i in values]
 
     # ------------------------------------------------------------------
-    # Knowledge of n (mirrors NodeContext)
+    # Knowledge of n (non-uniform vs uniform algorithms, Section 2)
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -554,8 +553,8 @@ class ArrayContext:
 
     def _frontier_arcs(self, senders: np.ndarray):
         """``(src, dst)`` of every arc out of ``senders``, along each
-        sender's own CSR list (the direction FastEngine delivers a
-        broadcast): one ``repeat`` of the segment starts plus an
+        sender's own CSR list (the direction a per-node engine delivers
+        a broadcast): one ``repeat`` of the segment starts plus an
         ``arange``."""
         counts = self.degrees[senders]
         # Arc k of the run belongs to sender i and sits at CSR edge
@@ -629,26 +628,44 @@ class ArrayContext:
         return out
 
     # ------------------------------------------------------------------
-    # Randomness (cursor-based, same streams as NodeContext)
+    # Randomness (cursor-based: each node reads its own stream in order)
     # ------------------------------------------------------------------
-    def rand_uniform_each(self, nodes: np.ndarray, bound: int) -> np.ndarray:
-        """One fresh uniform draw in ``[0, bound)`` per listed node.
-
-        Each node draws from its own stream at its own cursor via the
-        block-mode bulk sampler, consuming exactly the bits that
-        per-node ``NodeContext.rand_uniform`` calls would.
-        """
+    def _require_source(self) -> RandomSource:
         if self._source is None:
             raise ModelViolation(
                 "array program requested randomness but the run is "
                 "deterministic")
+        return self._source
+
+    def rand_uniform_each(self, nodes: np.ndarray, bound) -> np.ndarray:
+        """One fresh uniform draw in ``[0, bound)`` per listed node;
+        ``bound`` is one int or an ``int64`` array aligned with ``nodes``.
+
+        Each node draws from its own stream at its own cursor, in one
+        read in the order listed, consuming exactly the bits (and
+        raising at exactly the node) that per-node ``rand_uniform``
+        calls in that order would.
+        """
+        source = self._require_source()
         nodes = np.asarray(nodes, dtype=np.int64)
-        # Python ints, like NodeContext's ctx.v: as stream and ledger
+        # Python ints, like a node program's ctx.v: as stream and ledger
         # keys they hash faster than numpy scalars.
-        values, used = self._source.uniform_int_each(
+        values, used = source.uniform_int_each(
             nodes.tolist(), bound, self._cursors[nodes])
         self._cursors[nodes] += used
         return values
+
+    def rand_bits_each(self, nodes: np.ndarray, counts) -> np.ndarray:
+        """``counts`` fresh bits per listed node: one int (the rows of a
+        ``uint8`` matrix) or an array aligned with ``nodes`` (every
+        node's bits back to back, see :meth:`~repro.randomness.source.
+        RandomSource.bits_each`); one read in the order listed, like
+        per-node ``rand_bits`` calls."""
+        source = self._require_source()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        bits = source.bits_each(nodes.tolist(), counts, self._cursors[nodes])
+        self._cursors[nodes] += np.maximum(counts, 0)
+        return bits
 
     # ------------------------------------------------------------------
     # Send accounting (CONGEST checks at send time, like _resolve)
@@ -821,14 +838,20 @@ class ArrayProgram:
 class ArrayEngine:
     """Executes an :class:`ArrayProgram`, one array pass per round.
 
-    Accepts the same parameters as FastEngine (graph, randomness source,
-    LOCAL/CONGEST model, ``n_override``, ``bandwidth_bits``,
-    ``max_rounds``, ``uniform``, optional pre-built ``csr``) but takes
-    one whole-network program instead of a per-node factory. ``graph``
-    may be ``None`` when ``csr`` is given — the million-node path, where
-    only the frozen arrays exist. ``faults`` is an optional
+    Parameters: the ``graph``; one whole-network ``program``; an
+    optional randomness ``source``; ``model`` (``LOCAL`` or
+    ``CONGEST``); ``n_override`` (claimed n, at least the real one, the
+    "lie about n" of Theorems 4.3/4.6); ``bandwidth_bits`` (CONGEST
+    limit, default :func:`~repro.sim.messages.congest_limit` of the
+    claimed n); ``max_rounds`` (raise past it); ``uniform`` (deny access
+    to n); and an optional pre-built ``csr`` (reuse it across many runs
+    on one topology). ``graph`` may be ``None`` when ``csr`` is given —
+    the million-node path, where only the frozen arrays exist.
+    ``faults`` is an optional
     :class:`~repro.sim.batch.faults.RoundFaultPlan`; a plan with every
-    rate at zero changes nothing.
+    rate at zero changes nothing. Programs that account sends with
+    :meth:`ArrayContext.fanout` (color trials, the sinkless fix-up)
+    refuse an active plan.
     """
 
     def __init__(self, graph: Optional[DistributedGraph],

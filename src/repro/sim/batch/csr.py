@@ -3,18 +3,17 @@
 Every :class:`~repro.sim.graph.DistributedGraph` builds one
 :class:`CSRGraph` at construction (:attr:`DistributedGraph.csr`) from
 its input's edge list (:func:`index_edges` + :func:`edges_to_csr`) and
-answers its topology queries from it; the engines run on that same
-instance. :class:`CSRGraph` holds the classic offsets/indices layout,
-with each neighbor list sorted, plus cached Python-level views (tuples
-and frozensets) that the :class:`~repro.sim.batch.fast_engine.
-FastEngine` reads without any per-round allocation.
+answers its topology queries from it; the array engine runs on that
+same instance. :class:`CSRGraph` holds the classic offsets/indices
+layout, with each neighbor list sorted, plus a cached Python-level view
+(:attr:`CSRGraph.neighbor_lists`, tuples) for per-node queries.
 
 The CSR arrays are numpy ``int64``; UIDs stay a Python tuple because the
-model only bounds them by Θ(log n) bits, not by machine-word width. For
-the engines that do need machine-word UIDs, :attr:`CSRGraph.uid_array`
-materializes them as ``int64`` once (and refuses wider values loudly).
+model only bounds them by Θ(log n) bits, not by machine-word width.
+:attr:`CSRGraph.uid_array` materializes them as ``int64`` once (and
+refuses wider values loudly); the array engine ranks wider UIDs itself.
 Large-graph callers may skip ``DistributedGraph`` entirely and hand the
-engines a ``CSRGraph`` built from their own arrays.
+engine a ``CSRGraph`` built from their own arrays.
 """
 
 from __future__ import annotations
@@ -293,16 +292,14 @@ class CSRGraph:
         Tuple of the n unique identifiers, by node index.
 
     The arcs must be symmetric: ``u`` is in ``v``'s list exactly when
-    ``v`` is in ``u``'s (every builder here guarantees it). FastEngine
-    delivers a broadcast along the sender's own list and the array
-    engine's frontier branch pushes along it too, while the jagged-
-    diagonal fold pulls along the receiver's list; only symmetry makes
-    the two agree, and nothing checks it.
+    ``v`` is in ``u``'s (every builder here guarantees it). The array
+    engine's frontier branch pushes a broadcast along the sender's own
+    list, while the jagged-diagonal fold pulls along the receiver's
+    list; only symmetry makes the two agree, and nothing checks it.
     """
 
     __slots__ = ("n", "m", "offsets", "indices", "degrees", "uids",
-                 "_uid_array", "_neighbor_lists", "_neighbor_sets",
-                 "_uid_to_index")
+                 "_uid_array", "_neighbor_lists", "_uid_to_index")
 
     def __init__(self, offsets: np.ndarray, indices: np.ndarray,
                  uids: Tuple[int, ...]):
@@ -329,7 +326,6 @@ class CSRGraph:
         self.uids = tuple(uids)
         self._uid_array: Optional[np.ndarray] = None
         self._neighbor_lists: Tuple[Tuple[int, ...], ...] = None  # lazy
-        self._neighbor_sets: Tuple[frozenset, ...] = None
         self._uid_to_index: Dict[int, int] = None
 
     # ------------------------------------------------------------------
@@ -337,7 +333,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @property
     def uid_array(self) -> np.ndarray:
-        """UIDs as a read-only ``int64`` array (the array engines' view).
+        """UIDs as a read-only ``int64`` array (the array engine's view).
 
         Raises :class:`~repro.errors.ConfigurationError` when any UID
         exceeds the machine word — the model allows arbitrary-width
@@ -411,7 +407,7 @@ class CSRGraph:
         return distances_to_ball(self.bfs_distances(v, cutoff=radius))
 
     # ------------------------------------------------------------------
-    # Cached Python-level views (what the fast engine actually reads)
+    # Cached Python-level view
     # ------------------------------------------------------------------
     @property
     def neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
@@ -425,14 +421,6 @@ class CSRGraph:
             self._neighbor_lists = tuple(flat[bounds[v]:bounds[v + 1]]
                                          for v in range(self.n))
         return self._neighbor_lists
-
-    @property
-    def neighbor_sets(self) -> Tuple[frozenset, ...]:
-        """Per-node neighbor frozensets (for O(1) membership checks)."""
-        if self._neighbor_sets is None:
-            self._neighbor_sets = tuple(frozenset(a)
-                                        for a in self.neighbor_lists)
-        return self._neighbor_sets
 
     # ------------------------------------------------------------------
     # Equality / debugging

@@ -21,6 +21,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.decomposition import elkin_neiman, en_phase_loop, gather_bits
+from repro.core.linial import log_star
 from repro.core.ruling_sets import greedy_ruling_set, voronoi_clusters
 from repro.errors import (
     BandwidthExceeded,
@@ -33,14 +34,11 @@ from repro.randomness import SharedRandomness
 from repro.randomness.pooled import PooledBits
 from repro.randomness.source import RandomSource
 from repro.sim.batch.array import ArrayContext
-from repro.sim.batch.csr import (bfs_distances, edges_to_csr, ensure_csr,
-                                 index_edges)
+from repro.sim.batch.csr import bfs_distances, edges_to_csr, index_edges
 from repro.sim.batch.distrib import deterministic_uniform
-from repro.sim.batch.fast_engine import FastEngine
 from repro.sim.graph import DistributedGraph, EdgeList
 from repro.sim.messages import CONGEST, LOCAL, congest_limit, message_bits
 from repro.sim.metrics import AlgorithmResult, RunReport
-from repro.sim.node import NodeContext, NodeProgram
 
 #: The named families every cross-topology test sweeps over.
 FAMILY_NAMES = ("path", "cycle", "grid", "gnp-sparse", "gnp-dense",
@@ -668,6 +666,109 @@ def nx_adversarial_uids(graph: nx.Graph) -> List[int]:
 
 
 # ----------------------------------------------------------------------
+# Per-node programs and their execution context: what the reference
+# engine (SyncEngine below) runs, one dict per node per round
+# ----------------------------------------------------------------------
+class NodeContext:
+    """Everything a node is allowed to know and do locally.
+
+    The randomness API is cursor-based: each call consumes fresh bits
+    from the node's private stream, so programs never have to track bit
+    offsets (and can never accidentally reuse bits, which would break the
+    limited-independence analyses).
+    """
+
+    def __init__(self, v: int, uid: int, neighbors: List[int], n: int,
+                 source: Optional[RandomSource], uniform: bool = False):
+        self.v = v
+        self.uid = uid
+        self.neighbors = list(neighbors)
+        self.degree = len(neighbors)
+        self._n = n
+        self._uniform = uniform
+        self._source = source
+        self._cursor = 0
+        self.state: Dict[str, Any] = {}
+        self.finished = False
+        self.output: Any = None
+
+    # ------------------------------------------------------------------
+    # Knowledge of n (non-uniform vs uniform algorithms, Section 2)
+    # ------------------------------------------------------------------
+    @property
+    def n(self) -> int:
+        """The network size given as input (possibly an upper bound).
+
+        Uniform algorithms (constructed with ``uniform=True``) are denied
+        access — reading ``n`` raises, enforcing Definition 2.1's split.
+        """
+        if self._uniform:
+            raise ModelViolation("uniform algorithm may not read n")
+        return self._n
+
+    # ------------------------------------------------------------------
+    # Randomness (cursor-based, metered by the source)
+    # ------------------------------------------------------------------
+    def _require_source(self) -> RandomSource:
+        if self._source is None:
+            raise ModelViolation(
+                f"node {self.v} requested randomness but the run is deterministic"
+            )
+        return self._source
+
+    def rand_bit(self) -> int:
+        """One fresh private random bit."""
+        bit = self._require_source().bit(self.v, self._cursor)
+        self._cursor += 1
+        return bit
+
+    def rand_bits(self, count: int) -> List[int]:
+        """``count`` fresh private random bits (one bulk stream read)."""
+        bits = self._require_source().bits(self.v, count, self._cursor)
+        self._cursor += count
+        return bits
+
+    def rand_uniform(self, bound: int) -> int:
+        """Fresh uniform integer in ``[0, bound)``."""
+        value, used = self._require_source().uniform_int(
+            self.v, bound, self._cursor)
+        self._cursor += used
+        return value
+
+    # ------------------------------------------------------------------
+    # Termination
+    # ------------------------------------------------------------------
+    def finish(self, output: Any) -> None:
+        """Terminate this node with its local output."""
+        self.finished = True
+        self.output = output
+
+
+class NodeProgram:
+    """Base class for per-node message-passing programs.
+
+    Subclasses override :meth:`init` (round 0 setup, returns the first
+    outbox) and :meth:`step` (called each subsequent round). Outboxes map
+    neighbor handle -> payload; the special key :data:`BROADCAST` sends
+    the same payload to every neighbor.
+
+    A node keeps receiving messages after calling ``finish`` (neighbors
+    may still be running) but its program is no longer stepped.
+    """
+
+    BROADCAST = "__broadcast__"
+
+    def init(self, ctx: NodeContext) -> Dict[Any, Any]:
+        """Round-0 setup; returns the outbox for round 1."""
+        return {}
+
+    def step(self, ctx: NodeContext, round_index: int,
+             inbox: Dict[int, Any]) -> Dict[Any, Any]:
+        """One round: consume the inbox, return the outbox."""
+        raise NotImplementedError
+
+
+# ----------------------------------------------------------------------
 # The three primitives as per-node programs: the oracle their array
 # programs (ArrayLubyMIS, ArrayFloodMin, ArrayBFSForest) are held to
 # ----------------------------------------------------------------------
@@ -812,6 +913,203 @@ class BFSTree(NodeProgram):
         return {}
 
 
+# ----------------------------------------------------------------------
+# Color trials, Cole–Vishkin reduction and the sinkless fix-up as
+# per-node programs: the oracle their array programs (TrialColoring,
+# ColorReduceCV, SinklessFixupProgram) are held to
+# ----------------------------------------------------------------------
+_TRY, _KEEP = "t", "k"
+
+
+class NodeTrialColoring(NodeProgram):
+    """Randomized (deg+1) color trials with UID tiebreaks.
+
+    Each node's palette is {0, ..., deg(v)}, so a free color always
+    exists; the output is a proper coloring with at most Δ+1 colors.
+    Two rounds per iteration: propose, then resolve.
+    """
+
+    def init(self, ctx: NodeContext) -> Dict:
+        ctx.state["taken"] = set()       # colors finalized by neighbors
+        ctx.state["live"] = set(ctx.neighbors)
+        ctx.state["proposal"] = None
+        ctx.state["nbr_proposals"] = {}
+        return {}
+
+    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
+        st = ctx.state
+        for sender, message in inbox.items():
+            if message[0] == _KEEP:
+                st["taken"].add(message[1])
+                st["live"].discard(sender)
+            elif message[0] == _TRY:
+                st["nbr_proposals"][sender] = (message[1], message[2])
+
+        if round_index % 2 == 1:
+            st["nbr_proposals"] = {}
+            palette = [c for c in range(ctx.degree + 1)
+                       if c not in st["taken"]]
+            choice = palette[ctx.rand_uniform(len(palette))]
+            st["proposal"] = choice
+            return {u: (_TRY, choice, ctx.uid) for u in st["live"]}
+
+        proposal = st["proposal"]
+        if proposal is None:
+            return {}
+        conflict = any(
+            color == proposal and uid > ctx.uid
+            for color, uid in st["nbr_proposals"].values()
+        )
+        if proposal in st["taken"]:
+            conflict = True
+        if conflict:
+            st["proposal"] = None
+            return {}
+        out = {u: (_KEEP, proposal) for u in st["live"]}
+        ctx.finish(proposal)
+        return out
+
+
+def _first_difference(a: int, b: int) -> Tuple[int, int]:
+    """Index and value of the lowest bit where a and b differ."""
+    diff = a ^ b
+    index = (diff & -diff).bit_length() - 1
+    return index, (a >> index) & 1
+
+
+class NodeColorReduceCV(NodeProgram):
+    """Cole–Vishkin color reduction on oriented paths and cycles.
+
+    Requires every node to have degree <= 2. The orientation is by
+    index: each node's *successor* is its larger-index neighbor (for a
+    cycle, the successor of the max node wraps to its smaller neighbor),
+    so the successor relation is locally computable and consistent.
+
+    Phase 1 (O(log* n) iterations): new_color = 2*i + bit where i is the
+    first bit position where my color differs from my successor's (end
+    nodes with no successor just shrink against 0). Stops when all
+    colors are < 6. Phase 2 (3 iterations): shift-down + recolor removes
+    colors 5, 4, 3 one at a time, ending with a proper 3-coloring.
+    """
+
+    def __init__(self, rounds_cap: int = 64):
+        self.rounds_cap = rounds_cap
+
+    # -- helpers -------------------------------------------------------
+    @staticmethod
+    def _successor(ctx: NodeContext) -> Optional[int]:
+        bigger = [u for u in ctx.neighbors if u > ctx.v]
+        if bigger:
+            return min(bigger)
+        # Max node of a cycle: wrap to its smallest neighbor to keep the
+        # successor function a bijection on the cycle. End of path: none.
+        if ctx.degree == 2:
+            return min(ctx.neighbors)
+        return None
+
+    def init(self, ctx: NodeContext) -> Dict:
+        if ctx.degree > 2:
+            raise ConfigurationError(
+                "Cole–Vishkin reduction needs max degree 2"
+            )
+        ctx.state["color"] = ctx.uid
+        ctx.state["stage"] = "reduce"
+        ctx.state["shift_target"] = 5
+        return {NodeProgram.BROADCAST: ctx.state["color"]}
+
+    def step(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Dict:
+        color = ctx.state["color"]
+        successor = self._successor(ctx)
+
+        if ctx.state["stage"] == "reduce":
+            succ_color = inbox.get(successor, 0) if successor is not None else 0
+            if successor is None:
+                # Path endpoint: differ from an imaginary 0-colored
+                # successor (or 1 if we are 0).
+                succ_color = 0 if color != 0 else 1
+            index, bit = _first_difference(color, succ_color)
+            new_color = 2 * index + bit
+            ctx.state["color"] = new_color
+            # Everyone's colors shrink in lock-step; once 6 rounds of
+            # log-shrink have passed, every color is < 6 for any n that
+            # fits in memory (log* of 2^64 is 5). Switch stages together.
+            if round_index >= min(self.rounds_cap, log_star(2 ** 64) + 2):
+                ctx.state["stage"] = "shift"
+            return {NodeProgram.BROADCAST: ctx.state["color"]}
+
+        # Shift-down stage: remove colors 5, 4, 3 in three synchronized
+        # sub-rounds. A node with the target color recolors to the
+        # smallest color unused by its neighbors (both of them); other
+        # nodes keep their color. Neighbor colors are in the inbox.
+        neighbor_colors = set(inbox.values())
+        target = ctx.state["shift_target"]
+        if color == target:
+            new_color = 0
+            while new_color in neighbor_colors:
+                new_color += 1
+            ctx.state["color"] = new_color
+        ctx.state["shift_target"] = target - 1
+        if target == 3:
+            ctx.finish(ctx.state["color"])
+            return {}
+        return {NodeProgram.BROADCAST: ctx.state["color"]}
+
+
+class NodeSinklessFixup(NodeProgram):
+    """The randomized fix-up as a per-node program.
+
+    Each node tracks, per incident edge, whether its side is outgoing.
+    Rounds alternate: on *odd* rounds every current sink flips one
+    uniformly chosen incident edge outward and tells that neighbor with
+    a one-word message; on *even* rounds flips are absorbed, and nodes
+    finish together at the (even) horizon — so no flip is ever in
+    flight when anyone halts, and the two endpoints' views of every
+    edge agree at termination (two adjacent sinks can never pick the
+    same edge: an edge cannot point into both of them).
+
+    Output per node: the frozenset of neighbors its edges point to.
+    """
+
+    def __init__(self, min_degree: int = 3, horizon: int = 60):
+        self.min_degree = min_degree
+        # Horizon must be even so the last round is an absorb round.
+        self.horizon = horizon + (horizon % 2)
+
+    def init(self, ctx):
+        # Initial orientation: the lower-index endpoint draws the bit
+        # and announces it (one O(1)-bit message per edge). All coins
+        # come from one bulk read of this node's stream.
+        out = {}
+        ctx.state["outgoing"] = {}
+        upper = [u for u in ctx.neighbors if ctx.v < u]
+        for u, bit in zip(upper, ctx.rand_bits(len(upper))):
+            out[u] = ("init", bit)
+            ctx.state["outgoing"][u] = bool(bit)
+        return out
+
+    def step(self, ctx, round_index, inbox):
+        outgoing = ctx.state["outgoing"]
+        for sender, message in inbox.items():
+            if message[0] == "init":
+                # bit=1 meant the sender points at us.
+                outgoing[sender] = not bool(message[1])
+            elif message[0] == "flip":
+                outgoing[sender] = False
+
+        if round_index >= self.horizon:
+            ctx.finish(frozenset(u for u, o in outgoing.items() if o))
+            return {}
+        if round_index % 2 == 1:
+            constrained = ctx.degree >= self.min_degree
+            is_sink = constrained and not any(
+                outgoing.get(u, False) for u in ctx.neighbors)
+            if is_sink:
+                pick = ctx.neighbors[ctx.rand_uniform(ctx.degree)]
+                outgoing[pick] = True
+                return {pick: ("flip",)}
+        return {}
+
+
 # A RoundFaultPlan's decisions one message at a time, each one
 # ``deterministic_uniform`` draw: the oracle for the plan's masks.
 def crashes(plan, round_index: int, node: int) -> bool:
@@ -848,13 +1146,14 @@ def drops(plan, round_index: int, sender: int, target: int) -> bool:
 
 
 class SyncEngine:
-    """The reference round engine FastEngine and ArrayEngine are held to.
+    """The reference round engine ArrayEngine is held to.
 
     One dict per node per round and no shortcuts: every outbox is
     resolved against ``set(graph.neighbors(v))``, every node is scanned
     every round, every message is measured on delivery. Same parameters
-    and semantics as :class:`~repro.sim.batch.fast_engine.FastEngine`
-    without ``csr``: ``program_factory`` is called once per node index,
+    and semantics as :class:`~repro.sim.batch.array.ArrayEngine`, but
+    with a per-node program factory and without ``csr``:
+    ``program_factory`` is called once per node index,
     ``model`` is ``LOCAL`` or ``CONGEST``, ``n_override`` lies to the
     nodes about n (Theorem 4.3), ``bandwidth_bits`` defaults to
     ``congest_limit`` of the claimed n, ``max_rounds`` is the safety
@@ -914,7 +1213,7 @@ class SyncEngine:
         Mixed outboxes (a BROADCAST key plus explicit targets) resolve
         with the explicit payload winning for its target regardless of
         dict insertion order: the broadcast fans out first, then the
-        explicit entries overwrite. FastEngine pins the same rule.
+        explicit entries overwrite.
         """
         if not outbox:
             return {}
@@ -1005,11 +1304,10 @@ class SyncEngine:
 
 def run_program(graph: DistributedGraph, program_cls: type,
                 source: Optional[RandomSource] = None, model: str = LOCAL,
-                engine: type = SyncEngine, **kwargs) -> AlgorithmResult:
-    """Run one program class on every node, on ``engine`` (the
-    reference by default; FastEngine takes the same arguments)."""
-    return engine(graph, lambda _v: program_cls(), source=source,
-                  model=model, **kwargs).run()
+                **kwargs) -> AlgorithmResult:
+    """Run one program class on every node, on the reference engine."""
+    return SyncEngine(graph, lambda _v: program_cls(), source=source,
+                      model=model, **kwargs).run()
 
 
 # The primitives' per-node programs on the oracle, with the primitives'
@@ -1039,26 +1337,33 @@ def oracle_bfs_forest(graph: DistributedGraph, roots,
                       faults=faults).run()
 
 
-# The same programs on FastEngine (fault-free), which also runs on a
-# bare CSR: the oracle for array-built graphs too large for SyncEngine.
-def fast_luby_mis(graph: Optional[DistributedGraph], source: RandomSource,
-                  csr=None) -> AlgorithmResult:
-    return FastEngine(graph, lambda _v: LubyMIS(), source=source,
-                      model=CONGEST, csr=csr).run()
+def oracle_trial_coloring(graph: DistributedGraph, source: RandomSource,
+                          max_rounds: int = 100_000) -> AlgorithmResult:
+    return SyncEngine(graph, lambda _v: NodeTrialColoring(), source=source,
+                      model=CONGEST, max_rounds=max_rounds).run()
 
 
-def fast_flood_min(graph: Optional[DistributedGraph], radius: int,
-                   model: str = CONGEST, csr=None) -> AlgorithmResult:
-    return FastEngine(graph, lambda _v: FloodMin(radius), model=model,
-                      csr=csr).run()
+def oracle_three_colors(graph: DistributedGraph) -> AlgorithmResult:
+    return SyncEngine(graph, lambda _v: NodeColorReduceCV(), model=CONGEST,
+                      max_rounds=200).run()
 
 
-def fast_bfs_forest(graph: Optional[DistributedGraph], roots,
-                    depth_bound: Optional[int] = None,
-                    csr=None) -> AlgorithmResult:
-    bound = ensure_csr(graph, csr).n if depth_bound is None else depth_bound
-    return FastEngine(graph, lambda _v: BFSTree(roots, bound),
-                      model=CONGEST, max_rounds=bound + 2, csr=csr).run()
+def oracle_fixup(graph: DistributedGraph, source: RandomSource,
+                 min_degree: int = 3, horizon: int = 60) -> AlgorithmResult:
+    return SyncEngine(graph, lambda _v: NodeSinklessFixup(min_degree, horizon),
+                      source=source, model=CONGEST,
+                      max_rounds=horizon + 4).run()
+
+
+def csr_graph(csr) -> DistributedGraph:
+    """The :class:`DistributedGraph` of a bare CSR's edges and UIDs, for
+    the oracle (its neighbor lists come out sorted; the CSR's need not
+    be)."""
+    owner = np.repeat(np.arange(csr.n), csr.degrees)
+    upper = owner < csr.indices
+    return DistributedGraph(
+        EdgeList(csr.n, np.column_stack((owner[upper], csr.indices[upper]))),
+        uids=list(csr.uids))
 
 
 # ----------------------------------------------------------------------
@@ -1189,14 +1494,23 @@ class PerBitReader:
                 return k, k
         return cap, cap
 
-    def bits_each(self, nodes, count: int, offset: int = 0):
-        return [self.bits_block(v, count, offset) for v in nodes]
+    def bits_each(self, nodes, count, offset=0):
+        """Per-node ``bits_block``; per-node offsets (an array) start
+        each lane at its own, per-node counts (an array) return every
+        lane's bits back to back."""
+        rows = [self.bits_block(v, c, o) for v, c, o in
+                zip(nodes, _per_lane(count, nodes), _per_lane(offset, nodes))]
+        if np.ndim(count):
+            return [bit for row in rows for bit in row]
+        return rows
 
-    def uniform_int_each(self, nodes, bound: int, offsets):
-        if bound <= 0:
-            raise ConfigurationError(f"bound must be positive, got {bound}")
-        draws = [self.uniform_int(v, bound, int(o))
-                 for v, o in zip(nodes, offsets)]
+    def uniform_int_each(self, nodes, bound, offsets):
+        bounds = _per_lane(bound, nodes)
+        for b in bounds:
+            if b <= 0:
+                raise ConfigurationError(f"bound must be positive, got {b}")
+        draws = [self.uniform_int(v, b, int(o))
+                 for v, b, o in zip(nodes, bounds, offsets)]
         return [v for v, _ in draws], [u for _, u in draws]
 
     def geometrics(self, nodes, cap: int, offset: int = 0):
@@ -1219,6 +1533,13 @@ class PerBitReader:
                     for i in starts]
             out[node] = (starts, ends)
         return out
+
+
+def _per_lane(value, nodes) -> List[int]:
+    """A scalar as every lane's value, an array as each lane's own."""
+    if np.ndim(value):
+        return [int(x) for x in value]
+    return [value] * len(nodes)
 
 
 def source_ledger(source: RandomSource) -> Dict[object, Tuple[List[int], List[int]]]:

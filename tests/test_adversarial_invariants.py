@@ -97,8 +97,7 @@ class TestGapRuleIsAdversarialProof:
 class TestFailureInjection:
     def test_congest_violation_surfaces_from_engine(self, path9):
         """A program over budget fails loudly, not silently."""
-        from helpers import SyncEngine
-        from repro.sim import NodeProgram
+        from helpers import NodeProgram, SyncEngine
 
         class TooBig(NodeProgram):
             def init(self, ctx):
@@ -144,8 +143,7 @@ class TestFailureInjection:
                 max_phases=0, epochs=2, cap=2)
 
     def test_engine_detects_runaway_algorithms(self, path9):
-        from helpers import run_program
-        from repro.sim import NodeProgram
+        from helpers import NodeProgram, run_program
 
         class Spinner(NodeProgram):
             def step(self, ctx, round_index, inbox):

@@ -2,20 +2,21 @@
 
 The array engine replaces per-node Python dispatch with whole-round
 numpy passes, and it is only allowed to be *faster*: for every program
-pair (per-node program from ``helpers`` on FastEngine or the reference
-SyncEngine, array program on ArrayEngine), graph family, size, seed,
-and model, the outputs and the full cost report — rounds, messages,
-total/max bits, randomness bits — must match bit for bit. The
-property-style sweep below runs the cross product (family x size x
-seed) for Luby MIS, FloodMin, and BFS-forest, repeats the three on
-array-built graphs large enough for the jagged-diagonal column fold
-(degree-regular, where the layout keeps node order, and irregular,
-where it sorts the rows), then the engine-semantics cases (lying about
-n, uniformity, bandwidth, CSR reuse), that every entry point and task
-runs ArrayEngine — under fault plans and with wide UIDs too — and
-equals the oracle, a hypothesis sweep of fault plans, budgets and UID
-widths against the oracle, budget exhaustion, and the bulk sampler the
-array programs draw from.
+pair (per-node program from ``helpers`` on the reference SyncEngine,
+array program on ArrayEngine), graph family, size, seed, and model, the
+outputs and the full cost report — rounds, messages, total/max bits,
+randomness bits — must match bit for bit. The property-style sweep
+below runs the cross product (family x size x seed) for Luby MIS,
+FloodMin, and BFS-forest, repeats the three on array-built graphs large
+enough for the jagged-diagonal column fold (degree-regular, where the
+layout keeps node order, and irregular, where it sorts the rows), then
+the engine-semantics cases (lying about n, uniformity, bandwidth, CSR
+reuse), that every entry point and task runs ArrayEngine — under fault
+plans and with wide UIDs too — and equals the oracle, a hypothesis
+sweep of fault plans, budgets and UID widths against the oracle, budget
+exhaustion, the color trials, Cole–Vishkin reduction and sinkless
+fix-up against their per-node twins, and the bulk sampler the array
+programs draw from.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from helpers import (
     LubyMIS,
     assert_like_per_bit,
     count_frontier_calls,
+    SyncEngine,
     crashes,
-    fast_bfs_forest,
-    fast_flood_min,
-    fast_luby_mis,
+    csr_graph,
     int_message_bits,
     nx_copy,
     oracle_bfs_forest,
@@ -58,7 +58,7 @@ from repro.errors import (
 )
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
-from repro.sim import CONGEST, LOCAL, ArrayEngine, FastEngine
+from repro.sim import CONGEST, LOCAL, ArrayEngine
 from repro.sim.batch import (
     CSRGraph,
     RoundFaultPlan,
@@ -101,7 +101,7 @@ def parity_case(family, n, seed, node_factory, array_program, model,
     g = assign(make(family, n, seed=seed), "random", seed=seed)
     src1 = IndependentSource(seed=source_seed) if source_seed is not None else None
     src2 = IndependentSource(seed=source_seed) if source_seed is not None else None
-    ref = FastEngine(g, node_factory, source=src1, model=model, **kwargs).run()
+    ref = SyncEngine(g, node_factory, source=src1, model=model, **kwargs).run()
     arr = ArrayEngine(g, array_program, source=src2, model=model, **kwargs).run()
     assert_identical(ref, arr)
     return g, arr
@@ -148,14 +148,16 @@ def ring_lattice(n, reach, uid_seed):
 
 
 def engine_parity(csr):
-    """FloodMin, BFS forest and Luby MIS, array vs fast, on ``csr``."""
+    """FloodMin, BFS forest and Luby MIS on ``csr``, array vs the oracle
+    on the graph of the same edges and UIDs."""
     roots = {0, csr.n // 3, csr.n // 2}
-    assert_identical(fast_flood_min(None, 12, csr=csr),
+    g = csr_graph(csr)
+    assert_identical(oracle_flood_min(g, 12),
                      flood_min(None, 12, engine="array", csr=csr))
-    assert_identical(fast_bfs_forest(None, roots, 40, csr=csr),
+    assert_identical(oracle_bfs_forest(g, roots, 40),
                      build_bfs_forest(None, roots, 40, engine="array",
                                       csr=csr))
-    assert_identical(fast_luby_mis(None, IndependentSource(seed=3), csr=csr),
+    assert_identical(oracle_luby_mis(g, IndependentSource(seed=3)),
                      luby_mis(None, IndependentSource(seed=3),
                               engine="array", csr=csr))
 
@@ -191,18 +193,18 @@ class TestColumnFoldParity:
 
 class TestParitySemantics:
     def test_local_model(self, gnp60):
-        ref = FastEngine(gnp60, lambda _v: FloodMin(4), model=LOCAL).run()
+        ref = SyncEngine(gnp60, lambda _v: FloodMin(4), model=LOCAL).run()
         arr = ArrayEngine(gnp60, ArrayFloodMin(4), model=LOCAL).run()
         assert_identical(ref, arr)
 
     def test_radius_zero_finishes_in_init(self, cycle12):
-        ref = FastEngine(cycle12, lambda _v: FloodMin(0)).run()
+        ref = SyncEngine(cycle12, lambda _v: FloodMin(0)).run()
         arr = ArrayEngine(cycle12, ArrayFloodMin(0)).run()
         assert_identical(ref, arr)
         assert arr.report.rounds == 0 and arr.report.messages == 0
 
     def test_empty_root_set(self, path9):
-        ref = FastEngine(path9, lambda _v: BFSTree(set(), 3),
+        ref = SyncEngine(path9, lambda _v: BFSTree(set(), 3),
                          model=CONGEST, max_rounds=5).run()
         arr = ArrayEngine(path9, ArrayBFSForest(set(), 3),
                           model=CONGEST, max_rounds=5).run()
@@ -210,7 +212,7 @@ class TestParitySemantics:
         assert all(out is None for out in arr.outputs.values())
 
     def test_lie_about_n(self, gnp60):
-        ref = FastEngine(gnp60, lambda _v: LubyMIS(),
+        ref = SyncEngine(gnp60, lambda _v: LubyMIS(),
                          source=IndependentSource(seed=5), model=CONGEST,
                          n_override=4 * gnp60.n).run()
         arr = ArrayEngine(gnp60, ArrayLubyMIS(),
@@ -256,18 +258,18 @@ class TestParitySemantics:
         nx_graph.add_nodes_from(range(6, 9))
         g = DistributedGraph(nx_graph, uids=[4, 2, 6, 1, 5, 3]
                              + [2**40, 2**40 + 1, 2**40 + 2])
-        ref = FastEngine(g, lambda _v: FloodMin(3), model=CONGEST).run()
+        ref = SyncEngine(g, lambda _v: FloodMin(3), model=CONGEST).run()
         arr = ArrayEngine(g, ArrayFloodMin(3), model=CONGEST).run()
         assert_identical(ref, arr)
         assert arr.report.max_message_bits == message_bits(6)
 
     def test_flood_congest_overflow_message(self):
         # Node 7's UID 8 needs 5 bits; the text is the one the general
-        # broadcast path has always raised, and FastEngine's too.
+        # broadcast path has always raised, and the oracle's too.
         g = assign(make("path", 8), "sequential")
         want = "node 7 -> 6: message of 5 bits exceeds CONGEST limit of 4 bits"
         for run in (
-                lambda: FastEngine(g, lambda _v: FloodMin(3), model=CONGEST,
+                lambda: SyncEngine(g, lambda _v: FloodMin(3), model=CONGEST,
                                    bandwidth_bits=4).run(),
                 lambda: ArrayEngine(g, ArrayFloodMin(3), model=CONGEST,
                                     bandwidth_bits=4).run()):
@@ -291,7 +293,7 @@ class TestParitySemantics:
         first = ArrayEngine(gnp60, ArrayFloodMin(4), csr=csr).run()
         second = ArrayEngine(gnp60, ArrayFloodMin(4), csr=csr).run()
         assert first.outputs == second.outputs
-        ref = FastEngine(gnp60, lambda _v: FloodMin(4)).run()
+        ref = SyncEngine(gnp60, lambda _v: FloodMin(4)).run()
         assert_identical(ref, second)
 
     def test_csr_from_different_graph_rejected(self):
@@ -303,14 +305,13 @@ class TestParitySemantics:
 
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """Spy on FastEngine.run and ArrayEngine.run: the names of the
-    engines that ran, in call order."""
+    """Spy on ArrayEngine.run: one name per run, in call order."""
     runs = []
-    for cls in (FastEngine, ArrayEngine):
-        def spy(self, _real=cls.run, _name=cls.__name__):
-            runs.append(_name)
-            return _real(self)
-        monkeypatch.setattr(cls, "run", spy)
+
+    def spy(self, _real=ArrayEngine.run):
+        runs.append("ArrayEngine")
+        return _real(self)
+    monkeypatch.setattr(ArrayEngine, "run", spy)
     return runs
 
 
@@ -365,23 +366,23 @@ class TestEngineKnobs:
     ``engine="array"`` pin still runs and anything else is refused."""
 
     def test_luby_mis_knob(self, gnp60):
-        fast = fast_luby_mis(gnp60, IndependentSource(seed=3))
+        ref = oracle_luby_mis(gnp60, IndependentSource(seed=3))
         arr = luby_mis(gnp60, IndependentSource(seed=3), engine="array")
-        assert_identical(fast, arr)
+        assert_identical(ref, arr)
         with pytest.raises(ConfigurationError):
             luby_mis(gnp60, IndependentSource(seed=3), engine="warp")
 
     def test_flood_min_knob(self, cycle12):
-        fast = fast_flood_min(cycle12, 6)
+        ref = oracle_flood_min(cycle12, 6)
         arr = flood_min(cycle12, 6, engine="array")
-        assert_identical(fast, arr)
+        assert_identical(ref, arr)
         with pytest.raises(ConfigurationError):
             flood_min(cycle12, 6, engine="warp")
 
     def test_bfs_forest_knob(self, gnp60):
-        fast = fast_bfs_forest(gnp60, {0, 7})
+        ref = oracle_bfs_forest(gnp60, {0, 7})
         arr = build_bfs_forest(gnp60, {0, 7}, engine="array")
-        assert_identical(fast, arr)
+        assert_identical(ref, arr)
         with pytest.raises(ConfigurationError):
             build_bfs_forest(gnp60, {0}, engine="warp")
 
@@ -651,7 +652,7 @@ class TestArrayHelpers:
         assert ctx.uid_message_bits.tolist() == widths
         assert ctx.uid_bits(ctx.uids).tolist() == widths
         assert ctx.uid_values(ctx.uids) == uids
-        ref = FastEngine(g, lambda _v: FloodMin(2)).run()
+        ref = SyncEngine(g, lambda _v: FloodMin(2)).run()
         arr = ArrayEngine(g, ArrayFloodMin(2)).run()
         assert_identical(ref, arr)
         assert arr.outputs == {0: 5, 1: 1, 2: 1, 3: 1}
@@ -687,8 +688,9 @@ class TestUniformIntEach:
 
         def scalar(reader):
             prior(reader)
-            return [reader.uniform_int(node, bound, int(offset))
-                    for node, offset in zip(nodes, offsets)]
+            bounds = bound if np.ndim(bound) else [bound] * len(nodes)
+            return [reader.uniform_int(node, int(b), int(offset))
+                    for node, b, offset in zip(nodes, bounds, offsets)]
 
         error, _ = assert_like_per_bit(source, bulk)
         assert assert_like_per_bit(source, scalar)[0] == error
@@ -750,6 +752,53 @@ class TestUniformIntEach:
         with pytest.raises(ConfigurationError):
             IndependentSource(seed=1).uniform_int_each([0], 0, [0])
 
+    def test_per_node_bounds(self):
+        # Widths 0 (bound 1) to 63 in one read: each lane folds its own
+        # leading bits of the widest lane's window.
+        bounds = np.array([1, 2, 3, 1000, 2**20 + 7, 1, 2**40 + 3, 2**62,
+                           2**62 + 1, 2**63 - 1, 9, 2], dtype=np.int64)
+        nodes = list(range(bounds.size))
+        self.assert_matches_per_node(nodes, bounds, [3 * v for v in nodes])
+        # Block-straddling cursors and rejection chains, per node.
+        self.assert_matches_per_node(nodes, bounds, [478 + v for v in nodes])
+        chains = np.array([2**k + 1 for k in range(1, 25)], dtype=np.int64)
+        nodes = list(range(chains.size))
+        self.assert_matches_per_node(nodes, chains,
+                                     [37 * v % 700 for v in nodes])
+
+    def test_per_node_bounds_budget_runs_out_mid_batch(self):
+        bounds = np.resize(np.array([1000, 1, 7, 2**33 + 5, 2], np.int64), 20)
+        nodes = list(range(20))
+        for budget in (1, 37, 150):
+            error = self.assert_matches_per_node(
+                nodes, bounds, [5 * v for v in nodes], bit_budget=budget)
+            assert error is not None and f"{budget} bits" in error
+
+    def test_per_node_bounds_all_one_read_nothing(self):
+        source = IndependentSource(seed=1, bit_budget=0)
+        values, used = source.uniform_int_each(
+            [0, 1, 2], np.ones(3, dtype=np.int64), [0, -4, 7])
+        assert values.tolist() == [0, 0, 0] and used.tolist() == [0, 0, 0]
+        assert source.bits_consumed == 0
+
+    def test_rejects_bad_per_node_bound_before_reading(self):
+        source = IndependentSource(seed=1)
+        with pytest.raises(ConfigurationError, match="got -2"):
+            source.uniform_int_each([0, 1, 2], np.array([5, -2, 0]),
+                                    [0, 0, 0])
+        assert source.bits_consumed == 0
+
+    def test_stuck_lane_names_its_own_bound(self):
+        from repro.randomness.pooled import PooledBits
+
+        # All-ones pools: bound 2 accepts '1', bound 3 rejects '11'
+        # 64 times and gives up.
+        ones = partial(PooledBits, {v: [1] * 200 for v in range(3)})
+        error = self.assert_matches_per_node(
+            [0, 1, 2], np.array([2, 3, 2], dtype=np.int64), [0, 0, 0],
+            source=ones)
+        assert error == "rejection sampling for bound 3 did not converge"
+
     def test_bounded_stream_fallback(self):
         from repro.randomness import KWiseSource
 
@@ -759,6 +808,7 @@ class TestUniformIntEach:
         # lane's held prefix.
         source = partial(KWiseSource, k=4, num_nodes=8, bits_per_node=64,
                          seed=9)
-        for bound, offsets in ((13, [0] * 4), (9, [0, 50, 58, 61])):
+        for bound, offsets in ((13, [0] * 4), (9, [0, 50, 58, 61]),
+                               (np.array([9, 2, 300, 5]), [0, 50, 58, 61])):
             self.assert_matches_per_node(list(range(4)), bound, offsets,
                                          source=source)

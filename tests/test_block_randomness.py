@@ -47,6 +47,7 @@ from repro.randomness.pooled import PooledBits
 from repro.sim.batch import csr as csr_module
 from repro.sim.batch.csr import bfs_distances
 from repro.sim.graph import DistributedGraph
+from repro.sim.messages import message_bits
 
 from helpers import (
     assert_like_per_bit,
@@ -139,7 +140,38 @@ READS = {
     "rereads": lambda r, vs, out, end: [
         r.bits_block(vs[0], 8, 0), r.geometrics(vs, 6, 2),
         r.uniform_int_each(vs, 100, [0] * len(vs)), r.bits_each(vs, 9, 0)],
+    # Per-lane counts and bounds (int64 arrays), mixed with scalar reads.
+    "bits_each-counts": lambda r, vs, out, end: r.bits_each(
+        vs, lanes(vs, 3, 0, 12, 5, 1), end - 20),
+    "bits_each-counts-across-end": lambda r, vs, out, end: r.bits_each(
+        vs, lanes(vs, 8, 2, 0, 6, 3), end - 5),
+    # Lanes longer than one window read over several attempts.
+    "bits_each-counts-long": lambda r, vs, out, end: r.bits_each(
+        vs, lanes(vs, 70, 1, 0, 130, 3), 2),
+    "bits_each-counts-cursors": lambda r, vs, out, end: r.bits_each(
+        vs, lanes(vs, 4, 9, 1, 0, 6), lanes(vs, 0, end - 6, 3, 9, end - 4)),
+    "uniform_int_each-bounds": lambda r, vs, out, end: r.uniform_int_each(
+        vs, lanes(vs, 1, 1000, 2, 33, 7), [1] * len(vs)),
+    "uniform_int_each-bounds-across-end": lambda r, vs, out, end:
+        r.uniform_int_each(vs, lanes(vs, 33, 1, 9, 600, 2),
+                           [end - 12 + i for i in range(len(vs))]),
+    "outsider-per-lane": lambda r, vs, out, end: [
+        r.bits_each(vs[:2] + [out] + vs[2:], lanes(vs + [out], 2, 0, 3, 5),
+                    1),
+        r.uniform_int_each(vs[:2] + [out] + vs[2:],
+                           lanes(vs + [out], 9, 1, 5, 300), [1] * (len(vs) + 1))],
+    "mixed": lambda r, vs, out, end: [
+        r.uniform_int_each(vs, lanes(vs, 600, 3, 1, 17), [0] * len(vs)),
+        r.bits_each(vs, 5, 2),
+        r.uniform_int_each(vs, 600, [3] * len(vs)),
+        r.bits_each(vs, lanes(vs, 0, 7, 2), 4),
+        [r.uniform_int(v, 5, 9) for v in vs]],
 }
+
+
+def lanes(nodes, *values):
+    """An int64 array with one value per lane, ``values`` repeated."""
+    return np.resize(np.array(values, dtype=np.int64), len(nodes))
 
 
 #: name -> read(source, nodes): one bulk read over every lane.
@@ -149,6 +181,11 @@ BULK_READS = {
     # Rejects about 40% of draws, so lanes read again.
     "uniform_int_each": lambda s, vs: s.uniform_int_each(vs, 600,
                                                          [1] * len(vs)),
+    "bits_each-counts": lambda s, vs: s.bits_each(vs, lanes(vs, 6, 1, 3), 1),
+    "bits_each-counts-long": lambda s, vs: s.bits_each(
+        vs, lanes(vs, 150, 1, 3), 1),
+    "uniform_int_each-bounds": lambda s, vs: s.uniform_int_each(
+        vs, lanes(vs, 600, 5, 40), [1] * len(vs)),
 }
 
 
@@ -194,6 +231,19 @@ class TestCallShape:
         raws = _count_calls(source, "_raw_bits", monkeypatch)
         source.uniform_int_each(list(range(200)), 600, [0] * 200)
         assert len(raws) > 1 and len(meters) == 1
+
+    def test_per_lane_counts_read_in_windows(self, monkeypatch):
+        # One long lane among short ones: every attempt's window is at
+        # most _BITS_WINDOW wide and only the lanes still short read on.
+        source = IndependentSource(seed=3)
+        raws = _count_calls(source, "_raw_bits", monkeypatch)
+        counts = np.array([1000, 1, 2, 0, 1])
+        bits = source.bits_each(list(range(5)), counts)
+        assert bits.tolist() == [b for v, c in enumerate(counts)
+                                 for b in IndependentSource(seed=3).bits(v, c)]
+        assert max(count for _nodes, _starts, count in raws) == 64
+        assert sum(len(nodes) * count for nodes, _starts, count in raws) \
+            == 5 * 64 + (-(-1000 // 64) - 1) * 64
 
     def test_independent_source_has_no_limits(self):
         assert IndependentSource(seed=3)._stream_limits([0, "a"]) is None
@@ -375,7 +425,9 @@ class TestBudget:
 
     @pytest.mark.parametrize("budget", [0, 1, 13, 40])
     @pytest.mark.parametrize("read", ["bits_each", "geometrics",
-                                      "uniform_int_each", "rereads"])
+                                      "uniform_int_each", "rereads",
+                                      "bits_each-counts",
+                                      "uniform_int_each-bounds", "mixed"])
     def test_budget_runs_out_in_every_reader(self, budget, read):
         nodes = [0, 3, 1, 3, 2]
         assert_like_per_bit(
@@ -425,10 +477,9 @@ class TestErrorPathParity:
 
     def test_sized_cache_does_not_alias_bool_and_int_payloads(self):
         # True == 1 and hash(True) == hash(1), but they encode to
-        # different message sizes; the engines must agree bit-for-bit.
-        from helpers import SyncEngine
-        from repro.sim import CONGEST, FastEngine
-        from repro.sim.node import NodeProgram
+        # different message sizes: 1 bit and 2 bits.
+        from helpers import NodeProgram, SyncEngine
+        from repro.sim import CONGEST
 
         class AliasingProgram(NodeProgram):
             def init(self, ctx):
@@ -441,13 +492,13 @@ class TestErrorPathParity:
                 return {}
 
         g = assign(make("cycle", 8), "random", seed=1)
-        fast = FastEngine(g, lambda _v: AliasingProgram(),
-                          model=CONGEST).run()
         sync = SyncEngine(g, lambda _v: AliasingProgram(),
                           model=CONGEST).run()
-        assert fast.outputs == sync.outputs
-        assert fast.report.total_bits == sync.report.total_bits
-        assert fast.report.max_message_bits == sync.report.max_message_bits
+        assert sync.outputs == {v: [True, True] for v in range(8)}
+        assert sync.report.messages == 2 * 16
+        assert sync.report.total_bits == 16 * message_bits(1) \
+            + 16 * message_bits(True)
+        assert sync.report.max_message_bits == message_bits(1) == 2
 
 
 class TestNegativeIndex:
@@ -641,6 +692,52 @@ class TestPinnedMetering:
                                  r"\(node 20 requested index 120\)$"):
             elkin_neiman(graph, source)
         assert _metering_state(source) == (64, 200, 64, "055c872e3eaf0b78")
+
+
+    def test_randomized_orientation(self):
+        # Every owner's coins in one bits_each, every fix-up round's
+        # sinks in one uniform_int_each: the per-node reads' ledger.
+        from repro.core.sinkless import randomized_orientation
+
+        graph = assign(make("regular-3", 270, seed=1), "random", seed=1)
+        source = IndependentSource(seed=5)
+        orientation, report, extra = randomized_orientation(graph, source)
+        assert (extra["fixup_rounds"], report.randomness_bits) == (4, 529)
+        assert _metering_state(source) == (215, 529, 215,
+                                           "3a53e272c72bfeb2")
+        text = repr(sorted(orientation.items())).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == "340297c153ba734a"
+
+    def test_randomized_orientation_out_of_budget(self):
+        from repro.core.sinkless import randomized_orientation
+
+        graph = assign(make("regular-3", 270, seed=1), "random", seed=1)
+        source = IndependentSource(seed=5, bit_budget=500)
+        with pytest.raises(RandomnessExhausted,
+                           match=r"^bit budget of 500 bits exhausted "
+                                 r"\(node 174 requested index 2\)$"):
+            randomized_orientation(graph, source)
+        # Bits, nodes and ledger; the one read generates every owner's
+        # window before it meters, so the PRF block count is not pinned.
+        assert _metering_state(source)[1:] == (500, 213, "2a433c324088f801")
+
+    def test_mark_and_conquer(self):
+        # The touched vertices' mark bits in one bits_each.
+        import random
+
+        from repro.core.hypergraph import mark_and_conquer
+        from repro.structures import Hypergraph
+
+        rng = random.Random(4)
+        vertices = list(range(120))
+        edges = [frozenset(rng.sample(vertices, 3)) for _ in range(10)] \
+            + [frozenset(rng.sample(vertices, 80)) for _ in range(8)]
+        source = IndependentSource(seed=2)
+        _colors, stats = mark_and_conquer(Hypergraph(vertices, edges),
+                                          source, bit_offset=3)
+        assert stats["classes"][8]["marked"] == 25
+        assert _metering_state(source) == (120, 1440, 120,
+                                           "facfadc1d07afdf9")
 
 
 class TestBulkSamplers:

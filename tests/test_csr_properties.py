@@ -55,7 +55,6 @@ def assert_matches(graph: DistributedGraph, source: nx.Graph):
         assert csr.degree(v) == graph.degree(v) == degrees[v]
         assert csr.neighbor_list(v) == graph.neighbors(v) == tuple(adjacency[v])
         assert list(csr.neighbors(v)) == adjacency[v]
-        assert csr.neighbor_sets[v] == set(adjacency[v])
         assert csr.uid(v) == graph.uid(v)
         assert csr.index_of_uid(graph.uid(v)) == v
     assert csr.max_degree() == graph.max_degree() == max(degrees)

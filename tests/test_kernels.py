@@ -25,8 +25,8 @@ Five contracts, each pinned here:
 5. **Engine names fail loudly**: the primitives let only ``"array"``
    be pinned (``"fast"`` and retired names such as ``"kernel"`` get the
    plain unknown-engine error, and the default ArrayEngine that
-   replaced the retired engines matches FastEngine), and the trial
-   tasks and scenarios, which take no engine, refuse the knob by
+   replaced the retired engines matches the per-node oracle), and the
+   trial tasks and scenarios, which take no engine, refuse the knob by
    name.
 """
 
@@ -44,10 +44,10 @@ from hypothesis import strategies as st
 from helpers import (
     FAMILY_NAMES,
     count_frontier_calls,
-    fast_bfs_forest,
-    fast_flood_min,
-    fast_luby_mis,
     int_message_bits,
+    oracle_bfs_forest,
+    oracle_flood_min,
+    oracle_luby_mis,
 )
 from repro.core.mis import luby_mis
 from repro.errors import BandwidthExceeded, ConfigurationError
@@ -609,7 +609,7 @@ class TestWorkspaceMechanics:
     def test_engine_run_never_calls_np_append(self, monkeypatch, gnp60):
         # The original hot-path bug: segment_reduce padded via np.append
         # on every call. A whole array-engine run must not touch it.
-        ref = fast_flood_min(gnp60, 6)
+        ref = oracle_flood_min(gnp60, 6)
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("np.append on the engine hot path")
@@ -630,7 +630,7 @@ class TestKernelParitySweep:
 
     The call is refused as an unknown engine, and the default that
     replaced those engines (ArrayEngine, which runs their fused passes)
-    reproduces FastEngine. The full parity sweep of ArrayEngine lives
+    reproduces the per-node oracle. The full parity sweep of ArrayEngine lives
     in ``tests/test_array_engine.py``.
     """
 
@@ -646,18 +646,18 @@ class TestKernelParitySweep:
         g = self.graph(family)
         self.refused(lambda e: luby_mis(g, IndependentSource(seed=101),
                                         engine=e), engine)
-        assert_identical(fast_luby_mis(g, IndependentSource(seed=101)),
+        assert_identical(oracle_luby_mis(g, IndependentSource(seed=101)),
                          luby_mis(g, IndependentSource(seed=101)))
 
     def test_flood_min(self, family, engine):
         g = self.graph(family)
         self.refused(lambda e: flood_min(g, 2, engine=e), engine)
-        assert_identical(fast_flood_min(g, 2), flood_min(g, 2))
+        assert_identical(oracle_flood_min(g, 2), flood_min(g, 2))
 
     def test_bfs_forest(self, family, engine):
         g = self.graph(family)
         self.refused(lambda e: build_bfs_forest(g, {0, 2}, engine=e), engine)
-        assert_identical(fast_bfs_forest(g, {0, 2}),
+        assert_identical(oracle_bfs_forest(g, {0, 2}),
                          build_bfs_forest(g, {0, 2}))
 
 
@@ -841,7 +841,7 @@ class TestSweepDedupe:
     def test_task_engine_kernel_matches_fast(self, monkeypatch):
         # A spec naming an engine is refused; the task's own engine
         # (ArrayEngine, which absorbed the retired kernel engine)
-        # reproduces a FastEngine run exactly.
+        # reproduces the per-node oracle's run exactly.
         self.fresh_memo(monkeypatch)
         for name in ("kernel", "warp", "fast"):
             retired = TrialSpec.of("cycle", 12, 3, engine=name)
@@ -849,6 +849,6 @@ class TestSweepDedupe:
                                match=f"engine='{name}' is not a trial param"):
                 luby_mis_trial(retired)
         spec = TrialSpec.of("cycle", 12, 3)
-        ref = fast_luby_mis(batch_tasks._graph_of(spec),
-                            IndependentSource(seed=3))
+        ref = oracle_luby_mis(batch_tasks._graph_of(spec),
+                              IndependentSource(seed=3))
         assert luby_mis_trial(spec).data == batch_tasks._report_data(ref)

@@ -13,8 +13,10 @@ from repro.core.decomposition import (
     shattering_decomposition,
     sparse_bits_decomposition,
 )
+from repro.core.coloring import trial_coloring
+from repro.core.linial import reduce_to_three_colors
 from repro.core.mis import luby_mis
-from repro.core.sinkless import tree_orientation
+from repro.core.sinkless import randomized_orientation_engine, tree_orientation
 from repro.errors import ConfigurationError
 from repro.graphs import FAMILIES, assign, make
 from repro.randomness import IndependentSource, SparseRandomness
@@ -22,8 +24,7 @@ from repro.sim.graph import DistributedGraph
 from repro.sim.primitives import build_bfs_forest, flood_min
 from repro.structures import Decomposition
 
-from helpers import (fast_bfs_forest, fast_flood_min, fast_luby_mis,
-                     nx_copy, to_nx)
+from helpers import nx_copy, to_nx
 
 #: Labels of mutually unorderable types: indices fall back to the
 #: type-then-repr order.
@@ -231,9 +232,9 @@ class TestNetworkxView:
         assert not dec.violations(g)
         tree_orientation(tree)
         assert len(g.connected_components()) >= 1
-        for mis, flood, bfs in ((luby_mis, flood_min, build_bfs_forest),
-                                (fast_luby_mis, fast_flood_min,
-                                 fast_bfs_forest)):
-            mis(g, IndependentSource(seed=3))
-            flood(g, 4)
-            bfs(g, {0})
+        luby_mis(g, IndependentSource(seed=3))
+        flood_min(g, 4)
+        build_bfs_forest(g, {0})
+        trial_coloring(g, IndependentSource(seed=3))
+        randomized_orientation_engine(g, IndependentSource(seed=3))
+        reduce_to_three_colors(assign(make("cycle", 30), "random", seed=5))

@@ -326,8 +326,7 @@ class TestLieAboutN:
 
     def test_engine_integration(self, gnp60):
         """Lying through the engine: nodes' ctx.n is the claimed N."""
-        from helpers import run_program
-        from repro.sim import NodeProgram
+        from helpers import NodeProgram, run_program
 
         class ReportN(NodeProgram):
             def init(self, ctx):

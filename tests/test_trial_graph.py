@@ -175,8 +175,6 @@ class TestImmutable:
             csr.neighbor_lists[0][0] = 29
         with pytest.raises(TypeError):
             csr.neighbor_lists[0] = (29,)
-        with pytest.raises(AttributeError):
-            csr.neighbor_sets[0].add(29)
         with pytest.raises(ValueError, match="read-only"):
             csr.indices[0] = 29
         assert trial_graph("gnp-sparse", 30, seed=4) is graph

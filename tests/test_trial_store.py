@@ -9,8 +9,7 @@ The load-bearing guarantees, each pinned here:
   round trip, through the JSONL tail and through packed segments);
 * a sweep interrupted at any prefix and resumed via the store yields
   results, aggregates, and store contents identical to an uninterrupted
-  run — across worker counts and both engines (a fault knob picks
-  FastEngine, a clean spec ArrayEngine);
+  run — across worker counts, with and without a fault knob;
 * a 2-host-style shard+merge of the same grid equals the single-host
   run, with nothing recomputed on replay.
 """
