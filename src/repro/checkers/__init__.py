@@ -1,6 +1,6 @@
 """Local checkers (Definition 2.2): radius-limited solution verifiers."""
 
-from .base import CheckerView, CheckVerdict, LocalChecker
+from .base import CheckVerdict, LocalChecker, LocalView
 from .coloring import ColoringChecker
 from .decomposition import DecompositionChecker, decomposition_outputs
 from .mis import MISChecker
@@ -10,10 +10,10 @@ from .splitting import SplittingChecker
 
 __all__ = [
     "CheckVerdict",
-    "CheckerView",
     "ColoringChecker",
     "DecompositionChecker",
     "LocalChecker",
+    "LocalView",
     "MISChecker",
     "RulingSetChecker",
     "SinklessOrientationChecker",

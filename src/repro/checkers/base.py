@@ -10,16 +10,19 @@ claimed outputs within distance ``radius(n)`` of v. The framework hands
 each node exactly that view, so a checker physically cannot exceed its
 declared radius — which is the property the paper's reductions rely on
 (e.g. the "lie about n" argument needs checkers that cannot see the
-whole graph, Theorem 4.3).
+whole graph, Theorem 4.3). The view is :class:`~repro.sim.slocal.LocalView`,
+built by :func:`~repro.sim.slocal.local_view` — the same view an SLOCAL
+algorithm reads.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List
 
 from ..sim.graph import DistributedGraph
+from ..sim.slocal import LocalView, local_view
 
 
 @dataclasses.dataclass
@@ -34,17 +37,6 @@ class CheckVerdict:
         return self.ok
 
 
-@dataclasses.dataclass
-class CheckerView:
-    """What one node sees when verifying: its radius-ball of the graph."""
-
-    center: int
-    nodes: Dict[int, int]            # node -> distance from center
-    edges: List[Tuple[int, int]]     # edges among visible nodes
-    uids: Dict[int, int]
-    outputs: Dict[int, Any]          # claimed solution restricted to view
-
-
 class LocalChecker(abc.ABC):
     """A d(n)-locally checkable verifier."""
 
@@ -53,7 +45,7 @@ class LocalChecker(abc.ABC):
         """Checking radius d(n)."""
 
     @abc.abstractmethod
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         """Node-level verdict from a radius-limited view."""
 
     def check(self, graph: DistributedGraph,
@@ -62,16 +54,6 @@ class LocalChecker(abc.ABC):
         r = self.radius(graph.n)
         rejecting: List[int] = []
         for v in graph.nodes():
-            ball = graph.ball(v, r)
-            visible: Set[int] = set(ball)
-            view = CheckerView(
-                center=v,
-                nodes=dict(ball),
-                edges=[(a, b) for a, b in graph.edges()
-                       if a in visible and b in visible],
-                uids={u: graph.uid(u) for u in visible},
-                outputs={u: outputs[u] for u in visible if u in outputs},
-            )
-            if not self.node_ok(view):
+            if not self.node_ok(local_view(graph, v, r, outputs)):
                 rejecting.append(v)
         return CheckVerdict(ok=not rejecting, rejecting_nodes=rejecting, radius=r)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import CheckerView, LocalChecker
+from .base import LocalChecker, LocalView
 
 
 class ColoringChecker(LocalChecker):
@@ -22,7 +22,7 @@ class ColoringChecker(LocalChecker):
     def radius(self, n: int) -> int:
         return 1
 
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         v = view.center
         if v not in view.outputs:
             return False

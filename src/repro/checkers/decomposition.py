@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from .base import CheckerView, LocalChecker
+from .base import LocalChecker, LocalView
 
 
 class DecompositionChecker(LocalChecker):
@@ -43,7 +43,7 @@ class DecompositionChecker(LocalChecker):
     def radius(self, n: int) -> int:
         return self.max_diameter + 1
 
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         v = view.center
         if v not in view.outputs:
             return False
@@ -80,7 +80,7 @@ class DecompositionChecker(LocalChecker):
 
     @staticmethod
     def _cluster_distances(v: int, members: List[int],
-                           view: CheckerView) -> Dict[int, int]:
+                           view: LocalView) -> Dict[int, int]:
         """BFS from v using only edges inside v's cluster (strong check)."""
         member_set: Set[int] = set(members)
         adjacency: Dict[int, List[int]] = {m: [] for m in members}

@@ -8,7 +8,7 @@ Outputs: ``True`` for "in the MIS", ``False`` for "out".
 
 from __future__ import annotations
 
-from .base import CheckerView, LocalChecker
+from .base import LocalChecker, LocalView
 
 
 class MISChecker(LocalChecker):
@@ -17,7 +17,7 @@ class MISChecker(LocalChecker):
     def radius(self, n: int) -> int:
         return 1
 
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         v = view.center
         if v not in view.outputs:
             return False

@@ -9,7 +9,7 @@ sinklessness.
 
 from __future__ import annotations
 
-from .base import CheckerView, LocalChecker
+from .base import LocalChecker, LocalView
 
 
 class SinklessOrientationChecker(LocalChecker):
@@ -21,7 +21,7 @@ class SinklessOrientationChecker(LocalChecker):
     def radius(self, n: int) -> int:
         return 1
 
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         v = view.center
         if v not in view.outputs:
             return False

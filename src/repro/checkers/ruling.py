@@ -12,7 +12,7 @@ relaxed sense when α, β are polylogarithmic.
 
 from __future__ import annotations
 
-from .base import CheckerView, LocalChecker
+from .base import LocalChecker, LocalView
 
 
 class RulingSetChecker(LocalChecker):
@@ -29,7 +29,7 @@ class RulingSetChecker(LocalChecker):
     def radius(self, n: int) -> int:
         return max(self.alpha - 1, self.beta)
 
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         v = view.center
         if v not in view.outputs:
             return False

@@ -8,7 +8,7 @@ Outputs: V-nodes output 0 (red) or 1 (blue); U-nodes output ``"u"``.
 
 from __future__ import annotations
 
-from .base import CheckerView, LocalChecker
+from .base import LocalChecker, LocalView
 
 
 class SplittingChecker(LocalChecker):
@@ -17,7 +17,7 @@ class SplittingChecker(LocalChecker):
     def radius(self, n: int) -> int:
         return 1
 
-    def node_ok(self, view: CheckerView) -> bool:
+    def node_ok(self, view: LocalView) -> bool:
         v = view.center
         if v not in view.outputs:
             return False

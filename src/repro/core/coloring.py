@@ -8,7 +8,9 @@
 * :func:`coloring_via_decomposition` — deterministic coloring through a
   network decomposition (color classes sequentially, greedy inside each
   cluster against the frozen boundary), the other canonical consumer of
-  the paper's complete problem.
+  the paper's complete problem. It runs the one color-class sweep and
+  the one smallest-free-color rule of :mod:`repro.core.slocal_reduction`
+  (shared with :func:`~repro.core.slocal_reduction.derandomized_coloring`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from ..sim.graph import DistributedGraph
 from ..sim.messages import CONGEST, message_bits
 from ..sim.metrics import AlgorithmResult, RunReport
 from ..structures import Decomposition
+from .slocal_reduction import color_class_sweep, smallest_free_color
 
 _TRY, _KEEP = "t", "k"
 _TRY_BITS, _KEEP_BITS = message_bits(_TRY), message_bits(_KEEP)
@@ -129,26 +132,13 @@ def coloring_via_decomposition(
 
     Same-color clusters are non-adjacent, so they may greedily color in
     parallel against the frozen earlier classes; within a cluster the
-    scan is by UID. Every node sees at most deg(v) conflicting neighbors
-    so the palette {0..deg(v)} always has a free color.
+    scan is by UID (:func:`~repro.core.slocal_reduction.color_class_sweep`).
+    Every node sees at most deg(v) conflicting neighbors so the palette
+    {0..deg(v)} always has a free color.
     """
-    assigned: Dict[int, int] = {}
-    by_color: Dict[int, list] = {}
-    for cid, members in decomposition.clusters().items():
-        by_color.setdefault(decomposition.color_of[cid], []).append(members)
-
-    max_diameter = 0
-    for color in sorted(by_color):
-        for members in by_color[color]:
-            max_diameter = max(max_diameter, graph.weak_diameter(members))
-            for v in sorted(members, key=graph.uid):
-                used = {assigned[u] for u in graph.neighbors(v)
-                        if u in assigned}
-                choice = 0
-                while choice in used:
-                    choice += 1
-                assigned[v] = choice
-
+    assigned, max_diameter = color_class_sweep(
+        graph, decomposition,
+        lambda v, outputs: smallest_free_color(outputs, graph.neighbors(v)))
     colors = decomposition.num_colors()
     report = RunReport(
         rounds=colors * (max_diameter + 2),

@@ -14,6 +14,10 @@ paper studies:
   locally. O(c·(d+2)) rounds — with a poly(log n) decomposition, a
   poly(log n) deterministic MIS, which is exactly why decomposition is
   complete for the P-RLOCAL vs P-LOCAL question.
+
+The last two apply the one greedy rule of :mod:`repro.core.slocal_reduction`
+(:func:`~repro.core.slocal_reduction.greedy_mis_choice`); the last runs
+its one color-class sweep.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from ..sim.batch.array import (
 from ..sim.graph import DistributedGraph
 from ..sim.messages import CONGEST, message_bits
 from ..sim.metrics import AlgorithmResult, RunReport
-from ..sim.slocal import SLocalSimulator, SLocalView
+from ..sim.slocal import SLocalSimulator
 from ..structures import Decomposition
+from .slocal_reduction import color_class_sweep, greedy_mis_choice
 
 _PRIO, _IN, _OUT = "p", "i", "o"
 
@@ -200,14 +205,10 @@ def slocal_greedy_mis(graph: DistributedGraph,
                       order: Optional[list] = None) -> AlgorithmResult:
     """Greedy MIS with SLOCAL locality 1: join unless a processed
     neighbor already joined."""
-
-    def decide(view: SLocalView) -> bool:
-        for u, d in view.nodes.items():
-            if d == 1 and view.records.get(u) is True:
-                return False
-        return True
-
-    return SLocalSimulator(graph, locality=1, decide=decide).run(order)
+    return SLocalSimulator(
+        graph, locality=1,
+        decide=lambda view: greedy_mis_choice(view.outputs, view.neighbors()),
+    ).run(order)
 
 
 def mis_via_decomposition(
@@ -216,28 +217,16 @@ def mis_via_decomposition(
 ) -> Tuple[Dict[int, bool], RunReport]:
     """Deterministic MIS from a network decomposition.
 
-    Color classes are processed in increasing color order; all clusters
-    of one color are solved in parallel (they are non-adjacent, so their
-    greedy choices cannot conflict), seeing the frozen decisions of
-    earlier colors. Rounds: per color, clusters gather and decide in
-    O(diameter + 2) rounds.
+    Color classes are processed in increasing color order
+    (:func:`~repro.core.slocal_reduction.color_class_sweep`); all
+    clusters of one color are solved in parallel (they are non-adjacent,
+    so their greedy choices cannot conflict), seeing the frozen
+    decisions of earlier colors. Rounds: per color, clusters gather and
+    decide in O(diameter + 2) rounds.
     """
-    decided: Dict[int, bool] = {}
-    clusters = decomposition.clusters()
-    by_color: Dict[int, list] = {}
-    for cid, members in clusters.items():
-        by_color.setdefault(decomposition.color_of[cid], []).append(members)
-
-    max_diameter = 0
-    for color in sorted(by_color):
-        for members in by_color[color]:
-            max_diameter = max(max_diameter, graph.weak_diameter(members))
-            for v in sorted(members, key=graph.uid):
-                if any(decided.get(u) for u in graph.neighbors(v)):
-                    decided[v] = False
-                else:
-                    decided[v] = True
-
+    decided, max_diameter = color_class_sweep(
+        graph, decomposition,
+        lambda v, outputs: greedy_mis_choice(outputs, graph.neighbors(v)))
     colors = decomposition.num_colors()
     report = RunReport(
         rounds=colors * (max_diameter + 2),

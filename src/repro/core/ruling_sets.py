@@ -6,8 +6,8 @@ them twice: Lemma 3.2 spaces out cluster centers so each cluster traps
 enough sparse random bits, and Theorem 4.2 separates the unclustered
 leftovers so a union bound applies.
 
-We compute ruling sets with the sequential greedy: scan U in a
-deterministic order, select a node unless a previously selected node lies
+We compute ruling sets with the sequential greedy: scan U in UID
+order, select a node unless a previously selected node lies
 within distance α-1. That yields an (α, α-1)-ruling set — domination
 even better than the (α, α log n) of the distributed AGLP algorithm.
 Round accounting follows the AGLP/[HKN16] bound of O(α log n) CONGEST
@@ -27,12 +27,11 @@ from ..sim.metrics import RunReport
 
 
 def greedy_ruling_set(graph: DistributedGraph, alpha: int,
-                      subset: Optional[Iterable[int]] = None,
-                      order: str = "uid") -> Tuple[Set[int], RunReport]:
+                      subset: Optional[Iterable[int]] = None
+                      ) -> Tuple[Set[int], RunReport]:
     """Compute an (α, α-1)-ruling set of ``subset`` (default: all nodes).
 
-    Selection order is by UID (``order='uid'``) or node index
-    (``order='index'``); both are deterministic, as the paper's
+    Selection order is by UID: deterministic, as the paper's
     deterministic constructions require.
 
     Returns the set S and an accounted :class:`RunReport` with the
@@ -40,11 +39,8 @@ def greedy_ruling_set(graph: DistributedGraph, alpha: int,
     """
     if alpha < 1:
         raise ConfigurationError(f"alpha must be >= 1, got {alpha}")
-    universe: List[int] = sorted(subset) if subset is not None else list(graph.nodes())
-    if order == "uid":
-        universe.sort(key=graph.uid)
-    elif order != "index":
-        raise ConfigurationError(f"unknown order {order!r}")
+    universe = sorted(graph.nodes() if subset is None else subset,
+                      key=graph.uid)
 
     selected: Set[int] = set()
     blocked: Set[int] = set()

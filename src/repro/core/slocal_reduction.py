@@ -19,26 +19,75 @@ With a poly(log n) decomposition this turns every poly(log n)-locality
 SLOCAL algorithm — in particular the greedy MIS / coloring algorithms —
 into a poly(log n)-round LOCAL algorithm, which is exactly how the
 paper's derandomization statements cash out.
+
+:func:`color_class_sweep` is that schedule, written once; the
+via-decomposition solvers of :mod:`repro.core.mis` and
+:mod:`repro.core.coloring` run it too, with the greedy rules below.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.graph import DistributedGraph
 from ..sim.metrics import AlgorithmResult, RunReport
-from ..sim.slocal import SLocalView
+from ..sim.slocal import LocalView, local_view
 from ..structures import Decomposition
+
+
+def greedy_mis_choice(outputs: Dict[int, Any],
+                      neighbors: Iterable[int]) -> bool:
+    """The greedy MIS rule: join unless a decided neighbor joined."""
+    return not any(outputs.get(u) is True for u in neighbors)
+
+
+def smallest_free_color(outputs: Dict[int, Any],
+                        neighbors: Iterable[int]) -> int:
+    """The greedy coloring rule: the smallest color no decided neighbor
+    holds (at most deg(v) are taken, so it is at most deg(v))."""
+    used = {outputs[u] for u in neighbors if u in outputs}
+    color = 0
+    while color in used:
+        color += 1
+    return color
+
+
+def color_class_sweep(
+    graph: DistributedGraph,
+    decomposition: Decomposition,
+    decide: Callable[[int, Dict[int, Any]], Any],
+) -> Tuple[Dict[int, Any], int]:
+    """Run ``decide(v, outputs) -> output`` over a decomposition's nodes.
+
+    Color classes go in increasing color order, each cluster's members
+    by UID; ``outputs`` holds every output written so far. Same-color
+    clusters are non-adjacent in the graph the decomposition is of, so
+    a rule that reads only what those clusters cannot share runs them
+    in parallel (we iterate, but no information flows between them).
+
+    Returns the outputs and the gather one color class pays: the largest
+    cluster's weak diameter in ``graph``.
+    """
+    by_color: Dict[int, List[Set[int]]] = {}
+    for cid, members in decomposition.clusters().items():
+        by_color.setdefault(decomposition.color_of[cid], []).append(members)
+
+    outputs: Dict[int, Any] = {}
+    max_gather = 0
+    for color in sorted(by_color):
+        for members in by_color[color]:
+            max_gather = max(max_gather, graph.weak_diameter(members))
+            for v in sorted(members, key=graph.uid):
+                outputs[v] = decide(v, outputs)
+    return outputs, max_gather
 
 
 def run_slocal_via_decomposition(
     graph: DistributedGraph,
     locality: int,
-    decide: Callable[[SLocalView], Any],
+    decide: Callable[[LocalView], Any],
     decomposition_of_power: Optional[Decomposition] = None,
-    decomposition_factory: Optional[Callable[[DistributedGraph],
-                                             Decomposition]] = None,
 ) -> AlgorithmResult:
     """Execute an SLOCAL algorithm through a decomposition of G^(2r+1).
 
@@ -49,10 +98,10 @@ def run_slocal_via_decomposition(
     decide:
         The per-vertex rule, as in :class:`~repro.sim.slocal.SLocalSimulator`.
     decomposition_of_power:
-        A decomposition of ``graph.power_graph(2 * locality + 1)``. If
-        omitted, ``decomposition_factory`` builds one (default: the
-        deterministic ball carving — making the whole pipeline
-        deterministic, the P-SLOCAL ⊆ "LOCAL + decomposition" direction).
+        A decomposition of ``graph.power_graph(2 * locality + 1)``
+        (default: its deterministic ball carving — making the whole
+        pipeline deterministic, the P-SLOCAL ⊆ "LOCAL + decomposition"
+        direction).
 
     Returns the records for every vertex plus an accounted report:
     colors × (cluster diameter in G + 2r + 2) rounds.
@@ -61,43 +110,25 @@ def run_slocal_via_decomposition(
         raise ConfigurationError("locality must be >= 0")
     power = graph.power_graph(2 * locality + 1)
     if decomposition_of_power is None:
-        if decomposition_factory is None:
-            from .decomposition.deterministic import deterministic_decomposition
+        from .decomposition.deterministic import deterministic_decomposition
 
-            decomposition_of_power, _ = deterministic_decomposition(power)
-        else:
-            decomposition_of_power = decomposition_factory(power)
+        decomposition_of_power, _ = deterministic_decomposition(power)
     problems = decomposition_of_power.violations(power)
     if problems:
         raise ConfigurationError(
             f"not a valid decomposition of G^(2r+1): {problems[:2]}"
         )
 
-    by_color: Dict[int, List[set]] = {}
-    for cid, members in decomposition_of_power.clusters().items():
-        color = decomposition_of_power.color_of[cid]
-        by_color.setdefault(color, []).append(members)
+    # Same-color clusters are > 2r+1 apart in G: their members' r-hop
+    # views are disjoint (asserted by the distance check in tests).
+    def record(v: int, records: Dict[int, Any]) -> Any:
+        out = decide(local_view(graph, v, locality, records))
+        if out is None:
+            raise ConfigurationError(f"decide returned None for vertex {v}")
+        return out
 
-    records: Dict[int, Any] = {}
-    max_gather = 0
-    for color in sorted(by_color):
-        # Same-color clusters are > 2r+1 apart in G: their members' r-hop
-        # views are disjoint, so the sequential processing below is
-        # parallel across clusters (we iterate, but no information flows
-        # between same-color clusters — asserted by the distance check
-        # in tests).
-        for members in by_color[color]:
-            max_gather = max(max_gather,
-                             graph.weak_diameter(members))
-            for v in sorted(members, key=graph.uid):
-                view = _view(graph, v, locality, records)
-                record = decide(view)
-                if record is None:
-                    raise ConfigurationError(
-                        f"decide returned None for vertex {v}"
-                    )
-                records[v] = record
-
+    records, max_gather = color_class_sweep(graph, decomposition_of_power,
+                                            record)
     colors = decomposition_of_power.num_colors()
     rounds = colors * (max_gather + 2 * locality + 2)
     report = RunReport(
@@ -112,49 +143,20 @@ def run_slocal_via_decomposition(
     return AlgorithmResult(outputs=records, report=report)
 
 
-def _view(graph: DistributedGraph, v: int, locality: int,
-          records: Dict[int, Any]) -> SLocalView:
-    """The r-hop view of v including previously written records."""
-    ball = graph.ball(v, locality)
-    visible = set(ball)
-    return SLocalView(
-        center=v,
-        nodes=dict(ball),
-        topology=[(a, b) for a, b in graph.edges()
-                  if a in visible and b in visible],
-        uids={u: graph.uid(u) for u in visible},
-        records={u: records[u] for u in visible if u in records},
-    )
-
-
 def derandomized_mis(graph: DistributedGraph) -> Tuple[Dict[int, bool],
                                                        RunReport]:
     """Deterministic LOCAL MIS via the reduction (greedy SLOCAL, r=1)."""
-
-    def decide(view: SLocalView) -> bool:
-        return not any(
-            view.records.get(u) is True
-            for u, d in view.nodes.items() if d == 1
-        )
-
-    result = run_slocal_via_decomposition(graph, locality=1, decide=decide)
+    result = run_slocal_via_decomposition(
+        graph, locality=1,
+        decide=lambda view: greedy_mis_choice(view.outputs, view.neighbors()))
     return dict(result.outputs), result.report
 
 
 def derandomized_coloring(graph: DistributedGraph) -> Tuple[Dict[int, int],
                                                             RunReport]:
     """Deterministic LOCAL (Δ+1)-coloring via the reduction (r=1)."""
-
-    def decide(view: SLocalView) -> int:
-        used = {
-            view.records[u]
-            for u, d in view.nodes.items()
-            if d == 1 and u in view.records and isinstance(view.records[u], int)
-        }
-        color = 0
-        while color in used:
-            color += 1
-        return color
-
-    result = run_slocal_via_decomposition(graph, locality=1, decide=decide)
+    result = run_slocal_via_decomposition(
+        graph, locality=1,
+        decide=lambda view: smallest_free_color(view.outputs,
+                                                view.neighbors()))
     return dict(result.outputs), result.report

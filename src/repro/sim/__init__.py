@@ -20,7 +20,7 @@ from .primitives import (
     convergecast_sum,
     flood_min,
 )
-from .slocal import SLocalSimulator, SLocalView
+from .slocal import LocalView, SLocalSimulator, local_view
 
 __all__ = [
     "AlgorithmResult",
@@ -37,12 +37,13 @@ __all__ = [
     "build_bfs_forest",
     "convergecast_sum",
     "flood_min",
+    "local_view",
     "CONGEST",
     "DistributedGraph",
     "LOCAL",
+    "LocalView",
     "RunReport",
     "SLocalSimulator",
-    "SLocalView",
     "congest_limit",
     "message_bits",
 ]

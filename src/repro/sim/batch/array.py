@@ -232,15 +232,12 @@ class ArrayContext:
             self._crashing = np.zeros(csr.n, dtype=bool)
 
     def _uid_columns(self, csr: CSRGraph):
-        """``(uids, uid_message_bits)``: the CSR's UID column when every
-        UID lies in [0, 2**62), else the dense order-preserving ranks."""
-        try:
-            uids = csr.uid_array
-            if not uids.size or (int(uids.min()) >= 0
-                                 and int(uids.max()) < 1 << 62):
-                return uids, fast_int_message_bits(uids)
-        except ConfigurationError:
-            pass  # wider than int64
+        """``(uids, uid_message_bits)``: the CSR's UID column
+        (:attr:`CSRGraph.uid_array`) when it has one, else the dense
+        order-preserving ranks."""
+        uids = csr.uid_array
+        if uids is not None:
+            return uids, fast_int_message_bits(uids)
         order = sorted(range(csr.n), key=csr.uids.__getitem__)
         self.uid_of = [csr.uids[v] for v in order]
         self._rank_bits = np.array([message_bits(uid) for uid in self.uid_of],

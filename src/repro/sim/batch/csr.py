@@ -10,8 +10,9 @@ layout, with each neighbor list sorted, plus a cached Python-level view
 
 The CSR arrays are numpy ``int64``; UIDs stay a Python tuple because the
 model only bounds them by Θ(log n) bits, not by machine-word width.
-:attr:`CSRGraph.uid_array` materializes them as ``int64`` once (and
-refuses wider values loudly); the array engine ranks wider UIDs itself.
+:attr:`CSRGraph.uid_array` materializes them as ``int64`` once when they
+all lie in [0, 2**62), and is ``None`` otherwise: the array engine then
+ranks the UIDs itself.
 Large-graph callers may skip ``DistributedGraph`` entirely and hand the
 engine a ``CSRGraph`` built from their own arrays.
 """
@@ -274,6 +275,13 @@ def ensure_csr(graph: Optional[DistributedGraph],
     return csr
 
 
+#: UIDs in [0, UID_WORD) run as themselves in the array engine; wider
+#: ones (the model bounds them only by Θ(log n) bits) run as ranks.
+UID_WORD = 1 << 62
+
+_UNSET = object()
+
+
 class CSRGraph:
     """Array-backed, immutable adjacency snapshot of a network.
 
@@ -324,7 +332,7 @@ class CSRGraph:
         self.indices = indices
         self.degrees = degrees
         self.uids = tuple(uids)
-        self._uid_array: Optional[np.ndarray] = None
+        self._uid_array = _UNSET
         self._neighbor_lists: Tuple[Tuple[int, ...], ...] = None  # lazy
         self._uid_to_index: Dict[int, int] = None
 
@@ -332,23 +340,22 @@ class CSRGraph:
     # Derived structures
     # ------------------------------------------------------------------
     @property
-    def uid_array(self) -> np.ndarray:
-        """UIDs as a read-only ``int64`` array (the array engine's view).
-
-        Raises :class:`~repro.errors.ConfigurationError` when any UID
-        exceeds the machine word — the model allows arbitrary-width
-        identifiers, numpy does not, and silent truncation would break
-        every UID tiebreak.
+    def uid_array(self) -> Optional[np.ndarray]:
+        """UIDs as a read-only ``int64`` array (the array engine's
+        column) when every UID lies in [0, :data:`UID_WORD`), else
+        ``None`` — the model allows arbitrary-width identifiers, numpy
+        does not, and silent truncation would break every UID tiebreak.
+        Decided and built once per graph.
         """
-        if self._uid_array is None:
-            try:
-                uid_array = np.asarray(self.uids, dtype=np.int64)
-            except (OverflowError, TypeError, ValueError):
-                raise ConfigurationError(
-                    "UIDs do not fit in int64; the array engines "
-                    "require machine-word identifiers")
-            uid_array.flags.writeable = False
-            self._uid_array = uid_array
+        if self._uid_array is _UNSET:
+            column = np.asarray(self.uids)
+            # numpy infers int64 exactly when every UID is an int fitting one.
+            if (column.dtype == np.int64 and column.min() >= 0
+                    and column.max() < UID_WORD):
+                column.flags.writeable = False
+            else:
+                column = None
+            self._uid_array = column
         return self._uid_array
 
     # ------------------------------------------------------------------

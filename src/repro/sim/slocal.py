@@ -1,4 +1,9 @@
-"""The SLOCAL model of Ghaffari, Kuhn, and Maus [GKM17].
+"""The local view, and the SLOCAL model of Ghaffari, Kuhn, and Maus [GKM17].
+
+:func:`local_view` builds the one :class:`LocalView` (a node's radius-r
+ball: topology, UIDs and the outputs written so far) that the local
+checkers, the SLOCAL simulator and the SLOCAL→LOCAL reduction hand
+their rules.
 
 A sequential-local algorithm processes the vertices in an arbitrary order
 ``v1, v2, ..., vn``. When vertex ``vi`` is processed, the algorithm reads
@@ -16,7 +21,7 @@ algorithms goes through SLOCAL constructions.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ModelViolation
 from .graph import DistributedGraph
@@ -24,38 +29,58 @@ from .metrics import AlgorithmResult, RunReport
 
 
 @dataclasses.dataclass
-class SLocalView:
-    """What an SLOCAL algorithm sees when processing one vertex.
+class LocalView:
+    """What one node sees: its radius-``r`` ball of the graph.
 
     Attributes
     ----------
     center:
-        The vertex being processed.
+        The node whose view this is.
     nodes:
-        All vertices within the locality radius, with distances.
-    topology:
-        Edges among visible vertices (as index pairs).
+        All nodes within the radius, with their distances (by index).
+    edges:
+        Edges among visible nodes, in ``graph.edges()`` order.
     uids:
-        UIDs of visible vertices.
-    records:
-        State previously recorded at visible vertices (missing = not yet
-        processed). Mutating this dict has no effect on the run.
+        UIDs of visible nodes.
+    outputs:
+        The outputs written so far, restricted to visible nodes (missing
+        = not yet written). Mutating this dict has no effect on a run.
     """
 
     center: int
     nodes: Dict[int, int]
-    topology: List
+    edges: List[Tuple[int, int]]
     uids: Dict[int, int]
-    records: Dict[int, Any]
+    outputs: Dict[int, Any]
+
+    def neighbors(self) -> List[int]:
+        """The center's neighbors: the visible nodes at distance 1."""
+        return [u for u, d in self.nodes.items() if d == 1]
+
+
+def local_view(graph: DistributedGraph, v: int, radius: int,
+               outputs: Dict[int, Any]) -> LocalView:
+    """The radius-``radius`` view of ``v``, seeing ``outputs``."""
+    ball = graph.ball(v, radius)
+    visible = set(ball)
+    return LocalView(
+        center=v,
+        nodes=dict(ball),
+        edges=[(a, b) for a, b in graph.edges()
+               if a in visible and b in visible],
+        uids={u: graph.uid(u) for u in visible},
+        outputs={u: outputs[u] for u in visible if u in outputs},
+    )
 
 
 class SLocalSimulator:
     """Runs an SLOCAL algorithm of a fixed locality over a graph.
 
-    The decide function receives an :class:`SLocalView` and returns the
-    record to store at the processed vertex (its output). Reads outside
-    the radius are impossible by construction — the view simply does not
-    contain them — which enforces the model.
+    The decide function receives a :class:`LocalView` (``outputs``: the
+    records of already processed vertices) and returns the record to
+    store at the processed vertex (its output). Reads outside the radius
+    are impossible by construction — the view simply does not contain
+    them — which enforces the model.
 
     Parameters
     ----------
@@ -68,27 +93,12 @@ class SLocalSimulator:
     """
 
     def __init__(self, graph: DistributedGraph, locality: int,
-                 decide: Callable[[SLocalView], Any]):
+                 decide: Callable[[LocalView], Any]):
         if locality < 0:
             raise ConfigurationError(f"locality must be >= 0, got {locality}")
         self.graph = graph
         self.locality = locality
         self.decide = decide
-
-    def _view(self, v: int, records: Dict[int, Any]) -> SLocalView:
-        ball = self.graph.ball(v, self.locality)
-        visible = set(ball)
-        topology = [
-            (a, b) for a, b in self.graph.edges()
-            if a in visible and b in visible
-        ]
-        return SLocalView(
-            center=v,
-            nodes=dict(ball),
-            topology=topology,
-            uids={u: self.graph.uid(u) for u in visible},
-            records={u: records[u] for u in visible if u in records},
-        )
 
     def run(self, order: Optional[Sequence[int]] = None) -> AlgorithmResult:
         """Process all vertices in the given (or index) order."""
@@ -98,8 +108,8 @@ class SLocalSimulator:
             raise ConfigurationError("order must be a permutation of the nodes")
         records: Dict[int, Any] = {}
         for v in order:
-            view = self._view(v, records)
-            record = self.decide(view)
+            record = self.decide(local_view(self.graph, v, self.locality,
+                                            records))
             if record is None:
                 raise ModelViolation(
                     f"SLOCAL decide returned None for vertex {v}; every "

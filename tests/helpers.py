@@ -9,6 +9,7 @@ directory on ``sys.path`` (rootdir import mode), which makes a bare
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -39,6 +40,7 @@ from repro.sim.batch.distrib import deterministic_uniform
 from repro.sim.graph import DistributedGraph, EdgeList
 from repro.sim.messages import CONGEST, LOCAL, congest_limit, message_bits
 from repro.sim.metrics import AlgorithmResult, RunReport
+from repro.sim.slocal import LocalView
 
 #: The named families every cross-topology test sweeps over.
 FAMILY_NAMES = ("path", "cycle", "grid", "gnp-sparse", "gnp-dense",
@@ -450,6 +452,33 @@ def reference_verify_covering(graph: DistributedGraph, holders, h: int) -> bool:
         covered |= bfs_distances(offsets, indices, index_of[s],
                                  cutoff=h) >= 0
     return bool(covered.all())
+
+
+def reference_local_view(graph: DistributedGraph, v: int, radius: int,
+                         outputs: Dict[int, Any]) -> LocalView:
+    """``local_view`` by its definition: a BFS ball with distances (by
+    node index, as ``graph.ball`` lists it), ``graph.edges()`` filtered
+    to the ball in order, the ball's UIDs and ``outputs`` restricted to
+    the ball."""
+    dist = {v: 0}
+    queue = collections.deque([v])
+    while queue:
+        w = queue.popleft()
+        if dist[w] == radius:
+            continue
+        for u in graph.neighbors(w):
+            if u not in dist:
+                dist[u] = dist[w] + 1
+                queue.append(u)
+    nodes = dict(sorted(dist.items()))
+    return LocalView(
+        center=v,
+        nodes=nodes,
+        edges=[(a, b) for a, b in graph.edges()
+               if a in nodes and b in nodes],
+        uids={u: graph.uid(u) for u in nodes},
+        outputs={u: out for u, out in outputs.items() if u in nodes},
+    )
 
 
 def int_message_bits(values: np.ndarray) -> np.ndarray:

@@ -646,6 +646,7 @@ class TestArrayHelpers:
         assert ctx.uids is g.csr.uid_array
         uids = [5, 2**64 + 3, 2**62, 1]
         g = DistributedGraph(nx.path_graph(4), uids=uids)
+        assert g.csr.uid_array is None
         ctx = ArrayContext(g.csr, 4, None, CONGEST, 64, False)
         assert ctx.uids.tolist() == [1, 3, 2, 0]
         widths = [message_bits(uid) for uid in uids]

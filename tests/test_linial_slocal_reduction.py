@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.coloring import is_proper_coloring
-from repro.core.decomposition import elkin_neiman
+from repro.core.coloring import coloring_via_decomposition, is_proper_coloring
+from repro.core.decomposition import deterministic_decomposition, elkin_neiman
 from repro.core.linial import log_star, reduce_to_three_colors
-from repro.core.mis import is_valid_mis
+from repro.core.mis import is_valid_mis, mis_via_decomposition
 from repro.core.slocal_reduction import (
     derandomized_coloring,
     derandomized_mis,
@@ -14,7 +14,7 @@ from repro.core.slocal_reduction import (
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource
-from repro.sim.slocal import SLocalView
+from repro.sim.slocal import LocalView
 from repro.structures import Decomposition
 
 
@@ -81,6 +81,21 @@ class TestSLocalReduction:
             colors, _rep = derandomized_coloring(g)
             assert is_proper_coloring(g, colors, g.max_degree() + 1), fam
 
+    @pytest.mark.parametrize("family", ["cycle", "grid", "gnp-sparse", "tree",
+                                        "gnp-dense", "path"])
+    def test_entry_points_are_one_sweep(self, family):
+        """The reduction at r=1 and the via-decomposition solvers, given
+        the same decomposition of G^3, make the same choices."""
+        for n in (9, 30, 60):
+            for seed in (1, 2, 3):
+                g = assign(make(family, n, seed=seed), "random", seed=seed)
+                dec = deterministic_decomposition(g.power_graph(3))[0]
+                where = (family, n, seed)
+                assert derandomized_mis(g)[0] == \
+                    mis_via_decomposition(g, dec)[0], where
+                assert derandomized_coloring(g)[0] == \
+                    coloring_via_decomposition(g, dec)[0], where
+
     def test_pipeline_is_fully_deterministic(self, gnp60):
         assert derandomized_mis(gnp60)[0] == derandomized_mis(gnp60)[0]
 
@@ -90,8 +105,8 @@ class TestSLocalReduction:
         dec, _r, _e = elkin_neiman(power, IndependentSource(seed=9),
                                    finish="singletons")
 
-        def decide(view: SLocalView) -> bool:
-            return not any(view.records.get(u) is True
+        def decide(view: LocalView) -> bool:
+            return not any(view.outputs.get(u) is True
                            for u, d in view.nodes.items() if d == 1)
 
         result = run_slocal_via_decomposition(
@@ -102,7 +117,6 @@ class TestSLocalReduction:
         """The reduction's parallelism claim, checked explicitly."""
         r = 1
         power = gnp60.power_graph(2 * r + 1)
-        from repro.core.decomposition import deterministic_decomposition
         dec, _ = deterministic_decomposition(power)
         by_color = {}
         for cid, members in dec.clusters().items():

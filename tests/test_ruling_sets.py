@@ -39,12 +39,11 @@ class TestGreedyRulingSet:
         selected, _ = greedy_ruling_set(path9, alpha=1)
         assert selected == set(path9.nodes())
 
-    def test_order_by_uid_vs_index(self, gnp60):
-        by_uid, _ = greedy_ruling_set(gnp60, alpha=3, order="uid")
-        by_index, _ = greedy_ruling_set(gnp60, alpha=3, order="index")
-        # Both valid; possibly different sets.
+    def test_uid_order_is_valid(self, gnp60):
+        by_uid, _ = greedy_ruling_set(gnp60, alpha=3)
         assert verify_ruling_set(gnp60, by_uid, 3, 2) == []
-        assert verify_ruling_set(gnp60, by_index, 3, 2) == []
+        # The scan starts at the smallest UID, which is always selected.
+        assert min(gnp60.nodes(), key=gnp60.uid) in by_uid
 
     def test_deterministic(self, gnp60):
         s1, _ = greedy_ruling_set(gnp60, alpha=4)
@@ -59,10 +58,6 @@ class TestGreedyRulingSet:
     def test_validates_alpha(self, path9):
         with pytest.raises(ConfigurationError):
             greedy_ruling_set(path9, alpha=0)
-
-    def test_validates_order(self, path9):
-        with pytest.raises(ConfigurationError):
-            greedy_ruling_set(path9, alpha=2, order="degree")
 
 
 class TestVerify:

@@ -3,7 +3,34 @@
 import pytest
 
 from repro.errors import ConfigurationError, ModelViolation
-from repro.sim import SLocalSimulator
+from repro.sim import SLocalSimulator, local_view
+
+from helpers import family_graphs, reference_local_view
+
+
+class TestLocalView:
+    def test_matches_the_definition(self):
+        """One builder for every view: the ball with distances, the
+        edges among it in ``graph.edges()`` order, its UIDs and the
+        outputs written inside it."""
+        for name, g in family_graphs(30):
+            maps = {"empty": {}, "partial": {u: u % 3 for u in g.nodes()
+                                             if u % 2},
+                    "full": {u: -u for u in g.nodes()}}
+            for radius in range(4):
+                for label, outputs in maps.items():
+                    for v in g.nodes():
+                        view = local_view(g, v, radius, outputs)
+                        ref = reference_local_view(g, v, radius, outputs)
+                        where = (name, radius, label, v)
+                        assert view == ref, where
+                        assert list(view.nodes.items()) == \
+                            list(ref.nodes.items()), where
+                        assert view.edges == ref.edges, where
+
+    def test_neighbors_are_the_distance_one_nodes(self, cycle12):
+        view = local_view(cycle12, 0, 2, {})
+        assert sorted(view.neighbors()) == sorted(cycle12.neighbors(0))
 
 
 class TestViews:
@@ -22,7 +49,7 @@ class TestViews:
     def test_view_contains_uids_and_topology(self, cycle12):
         def decide(view):
             assert view.center in view.uids
-            for a, b in view.topology:
+            for a, b in view.edges:
                 assert a in view.nodes and b in view.nodes
             return True
 
@@ -30,7 +57,7 @@ class TestViews:
 
     def test_records_accumulate_in_order(self, path9):
         def decide(view):
-            processed = [u for u in view.nodes if u in view.records]
+            processed = [u for u in view.nodes if u in view.outputs]
             return len(processed)
 
         result = SLocalSimulator(path9, locality=1, decide=decide).run(
@@ -78,9 +105,9 @@ class TestGreedyColoring:
 
         def decide(view):
             used = {
-                view.records[u]
+                view.outputs[u]
                 for u, d in view.nodes.items()
-                if d == 1 and u in view.records
+                if d == 1 and u in view.outputs
             }
             color = 0
             while color in used:
