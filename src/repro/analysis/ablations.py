@@ -18,30 +18,27 @@ paper's "why the gap rule / the spacing / the phase budget" remarks.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List
 
 from ..core.decomposition import (
+    assemble,
+    carve,
     elkin_neiman,
-    en_phase_loop,
     sparse_bits_decomposition,
 )
 from ..graphs import trial_graph
 from ..randomness import IndependentSource, SparseRandomness
+from ..sim.messages import ceil_log2
 from ..structures import Decomposition
 from .stats import success_rate
 from .tables import Table
-
-
-def _logn(n: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, n))))
 
 
 def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
     """Gap > 1 (paper) vs gap > 0 (ablated): validity of the output."""
     n = 60 if quick else 120
     trials = 10 if quick else 30
-    phases, cap = 4 * _logn(n), 2 * _logn(n)
+    phases, cap = 4 * ceil_log2(n), 2 * ceil_log2(n)
     rows: List[Dict[str, object]] = []
     for min_gap, label in ((1, "paper (gap > 1)"), (0, "ablated (gap > 0)")):
         valid, clustered_fraction = [], []
@@ -49,23 +46,18 @@ def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
             g = trial_graph("gnp-sparse", n, seed + t)
             source = IndependentSource(seed=seed + 91 * t)
 
-            def draw_radii(nodes, phase):
-                return source.geometrics(nodes, cap, phase * cap)[0]
+            def draw(centers, phase, _epoch):
+                return source.geometrics(centers.tolist(), cap,
+                                         phase * cap)[0]
 
-            assignment, remaining, _measured = en_phase_loop(
-                g.csr.offsets, g.csr.indices, g.nodes(), draw_radii,
-                phases, cap, min_gap=min_gap)
-            cluster_ids: Dict[Tuple[int, Hashable], int] = {}
-            cluster_of, color_of = {}, {}
-            for v, (phase, center) in assignment.items():
-                cid = cluster_ids.setdefault((phase, center), len(cluster_ids))
-                cluster_of[v] = cid
-                color_of[cid] = phase
+            assignment, remaining, _measured, _log = carve(
+                g.csr.offsets, g.csr.indices, draw, phases, cap,
+                min_gap=min_gap)
             clustered_fraction.append(len(assignment) / n)
             if remaining:
                 valid.append(False)
                 continue
-            dec = Decomposition(cluster_of=cluster_of, color_of=color_of)
+            dec = Decomposition(*assemble(assignment))
             valid.append(not dec.violations(g))
         rows.append({
             "rule": label,
@@ -84,7 +76,7 @@ def a2_phase_budget(quick: bool = False, seed: int = 0) -> Table:
     """Strict-EN success rate vs the phase budget."""
     n = 64 if quick else 100
     trials = 20 if quick else 50
-    cap = 2 * _logn(n)
+    cap = 2 * ceil_log2(n)
     rows: List[Dict[str, object]] = []
     for phases in (1, 2, 4, 8, 16):
         outcomes = []

@@ -92,6 +92,7 @@ from ..scenarios import (
     sweep_scenario,
 )
 from ..sim.batch import TrialResult, TrialSpec
+from ..sim.messages import ceil_log2
 from .ablations import ABLATIONS
 from .stats import log2_or_floor, success_rate, wilson_interval
 from .tables import Table
@@ -109,10 +110,6 @@ Store = Optional["ColumnarStore"]
 #: None. Coordinated workers pass a lease-renewal callback here
 #: (:mod:`repro.sim.batch.distrib`); it never changes any number.
 Progress = Optional[Callable[[TrialSpec, TrialResult], None]]
-
-
-def _logn(n: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, n))))
 
 
 def _last_metric(results: List[TrialResult], name: str,
@@ -183,7 +180,7 @@ def e01_sparse_bits(quick: bool = False, seed: int = 0,
             "n": n,
             "success": success_rate(outcomes),
             "colors(max)": max(colors) if colors else "-",
-            "colors bound O(log n)": 2 * _logn(n),
+            "colors bound O(log n)": 2 * ceil_log2(n),
             "weak diam(max)": max(diams) if diams else "-",
             "rounds": max(rounds) if rounds else "-",
         })
@@ -221,8 +218,8 @@ def _e02_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
     """The fully independent reference first, then one scenario per k."""
     n = 48 if quick else 96
     trials = 10 if quick else 30
-    phases = 4 * _logn(n)
-    cap = 2 * _logn(n)
+    phases = 4 * ceil_log2(n)
+    cap = 2 * ceil_log2(n)
     plan = [sweep_scenario(
         "e02-ref", "e02-ref", "cycle", (n,),
         description="EN with fully independent radii (reference)",
@@ -271,7 +268,7 @@ def e02_kwise(quick: bool = False, seed: int = 0,
         title="E2 (Theorem 3.5): EN decomposition under k-wise independence",
         rows=rows,
         notes=[f"n={n}, trials={trials}; theorem: k = Theta(log^2 n) "
-               f"(= {_logn(n) ** 2}) suffices; k=1 must fail (all radii equal)"],
+               f"(= {ceil_log2(n) ** 2}) suffices; k=1 must fail (all radii equal)"],
     )
 
 
@@ -297,7 +294,7 @@ def _e03_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
     regime name (the task is registered ``free_family``)."""
     num_v = 128 if quick else 512
     num_u = 64 if quick else 256
-    degree = max(8, 2 * _logn(num_v) ** 2 // 2)
+    degree = max(8, 2 * ceil_log2(num_v) ** 2 // 2)
     trials = 20 if quick else 100
     return [sweep_scenario(
         f"e03-{regime}", "e03", regime, (num_v,),
@@ -388,9 +385,9 @@ def e04_shared_congest(quick: bool = False, seed: int = 0,
             "n": n,
             "success": success_rate(ok),
             "colors(max)": max(colors) if colors else "-",
-            "O(log n)": 2 * _logn(n),
+            "O(log n)": 2 * ceil_log2(n),
             "strong diam(max)": max(diams) if diams else "-",
-            "O(log^2 n)": 2 * _logn(n) ** 2,
+            "O(log^2 n)": 2 * ceil_log2(n) ** 2,
             "congestion": max(congs) if congs else "-",
             "shared bits used": max(bits) if bits else "-",
         })
@@ -451,7 +448,7 @@ def e05_sparse_strong(quick: bool = False, seed: int = 0,
             "h": h,
             "Thm3.1 weak diam": max(weak_diams) if weak_diams else "-",
             "Thm3.7 strong diam": max(strong_diams) if strong_diams else "-",
-            "O(log^2 n)": 2 * _logn(n) ** 2,
+            "O(log^2 n)": 2 * ceil_log2(n) ** 2,
         })
     return Table(
         title="E5 (Theorem 3.7): h-free strong-diameter decomposition",
@@ -478,8 +475,8 @@ def _e06_trial(spec: TrialSpec) -> TrialResult:
 def _e06_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
     n = 100 if quick else 225
     trials = 20 if quick else 60
-    phases = max(2, _logn(n) // 2)  # under-provisioned on purpose
-    cap = max(4, _logn(n))
+    phases = max(2, ceil_log2(n) // 2)  # under-provisioned on purpose
+    cap = max(4, ceil_log2(n))
     return [sweep_scenario(
         "e06", "e06", "grid", (n,),
         description="Theorem 4.2 shattering with under-provisioned EN",
@@ -621,8 +618,8 @@ def _e08_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
             f"e08-N{claimed}", "e08", "gnp-sparse", (n,),
             description=f"EN parametrized for claimed N={claimed}",
             seed_count=trials, base=seed,
-            phases=max(2, math.ceil(0.75 * _logn(claimed))),
-            cap=max(4, _logn(claimed))))
+            phases=max(2, math.ceil(0.75 * ceil_log2(claimed))),
+            cap=max(4, ceil_log2(claimed))))
     return plan
 
 
@@ -754,7 +751,7 @@ def e10_sinkless(quick: bool = False, seed: int = 0,
             "n": n,
             "avg fix-up rounds": sum(fixups) / len(fixups) if fixups else "-",
             "max fix-up rounds": max(fixups) if fixups else "-",
-            "log2 log2 n": round(math.log2(max(2, _logn(n))), 2),
+            "log2 log2 n": round(math.log2(max(2, ceil_log2(n))), 2),
             "all valid": all(valid),
             "engine valid": engine_ok,
         })

@@ -9,6 +9,9 @@ Theorem 3.6 (shared, CONGEST) :func:`shared_randomness_decomposition`
 Theorem 3.7 (sparse, strong)  :func:`sparse_bits_strong_decomposition`
 Theorem 4.2 (shattering)      :func:`shattering_decomposition`
 ============================  ==========================================
+
+Every randomized row runs the one loop :func:`carve` and numbers its
+clusters with :func:`assemble`; only the randomness differs.
 """
 
 from .deterministic import (
@@ -17,10 +20,11 @@ from .deterministic import (
     improve_decomposition,
 )
 from .elkin_neiman import (
+    assemble,
+    carve,
     default_cap,
     default_phases,
     elkin_neiman,
-    en_phase_loop,
     top_two_flood,
 )
 from .kwise_local import kwise_decomposition
@@ -45,12 +49,13 @@ from .sparse_bits import (
 __all__ = [
     "DecompositionQuality",
     "GatheredBits",
+    "assemble",
     "ball_carving",
+    "carve",
     "default_cap",
     "default_phases",
     "deterministic_decomposition",
     "elkin_neiman",
-    "en_phase_loop",
     "gather_bits",
     "improve_decomposition",
     "kwise_decomposition",

@@ -27,13 +27,13 @@ algorithm (locality O(log n) per decision); the report accounts rounds as
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError
 from ...sim.graph import DistributedGraph
+from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 
@@ -48,7 +48,7 @@ def ball_carving(offsets: np.ndarray, indices: np.ndarray,
     ``int64[balls]``, each ball's phase.
     """
     n = offsets.size - 1
-    max_radius = max(1, math.ceil(math.log2(max(2, n))))
+    max_radius = ceil_log2(n)
     # Balls are small, so growth walks the CSR as Python lists: one
     # numpy pass per BFS level would cost more than the level itself.
     heads, bounds = indices.tolist(), offsets.tolist()
@@ -109,7 +109,7 @@ def deterministic_decomposition(
     cluster_of = dict(enumerate(ball.tolist()))
     color_of = dict(enumerate(color.tolist()))
 
-    logn = max(1, math.ceil(math.log2(max(2, graph.n))))
+    logn = ceil_log2(graph.n)
     colors = len(set(color_of.values()))
     report = RunReport(
         rounds=colors * (2 * logn + 2),
@@ -144,7 +144,7 @@ def improve_decomposition(
             f"coarse decomposition is invalid: {problems[:2]}"
         )
     refined, _ball_report = deterministic_decomposition(graph)
-    logn = max(1, math.ceil(math.log2(max(2, graph.n))))
+    logn = ceil_log2(graph.n)
     d = coarse.max_weak_diameter(graph)
     c = coarse.num_colors()
     report = RunReport(

@@ -27,12 +27,14 @@ and what makes the connectivity argument self-contained.
 Each phase is one :func:`top_two_flood` over the live nodes' CSR
 adjacency: every node forwards its best two (value, center) pairs, the
 O(log n)-bit messages of the CONGEST implementation, until nothing
-changes. This flood is the only top-two computation in the package;
-Theorems 3.1, 3.6 and 3.7 and the A1 ablation all run it. It sorts
-nothing: each pair is packed into one int64 key (a larger key is the
-better pair), and a round is two ``np.maximum.at`` scatter passes over
-the senders' arcs, one for the best pair and one for the best pair of
-another center. The
+changes. It sorts nothing: each pair is packed into one int64 key (a
+larger key is the better pair), and a round is two ``np.maximum.at``
+scatter passes over the senders' arcs, one for the best pair and one
+for the best pair of another center.
+
+:func:`carve`, the one phase loop, is its only caller: every
+random-shift construction runs it, and it counts their measured rounds.
+:func:`assemble` numbers every carving's clusters. The
 :class:`RunReport` keeps the *accounted* ``phases * (cap + 2)`` rounds
 (``accounted=True``: the paper's expression, not an engine count), while
 the rounds and messages the flood actually took are *measured* and land
@@ -43,27 +45,26 @@ happens while some shifted value is still positive.
 
 from __future__ import annotations
 
-import math
-from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError
 from ...randomness.source import RandomSource
 from ...sim.graph import DistributedGraph
+from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 
 
 def default_phases(n: int) -> int:
     """The 10 log n phase count from the proof of Lemma 3.3."""
-    return max(4, 10 * max(1, math.ceil(math.log2(max(2, n)))))
+    return max(4, 10 * ceil_log2(n))
 
 
 def default_cap(n: int) -> int:
     """Geometric-radius cap: 10 log n bits per draw suffice w.h.p."""
-    return max(4, 10 * max(1, math.ceil(math.log2(max(2, n)))))
+    return max(4, 10 * ceil_log2(n))
 
 
 def top_two_flood(
@@ -157,56 +158,98 @@ def top_two_flood(
     return m1, c1, key2 // step, rounds, messages
 
 
-def en_phase_loop(
+def carve(
     offsets: np.ndarray,
     indices: np.ndarray,
-    labels: Sequence[Hashable],
-    draw_radii: Callable[[List[Hashable], int], np.ndarray],
+    draw: Callable[[np.ndarray, int, int], np.ndarray],
     phases: int,
     cap: int,
+    epochs: int = 1,
+    elect: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None,
     min_gap: int = 1,
-) -> Tuple[Dict[Hashable, Tuple[int, Hashable]], Set[Hashable],
-           Dict[str, int]]:
-    """Run the phase loop on a CSR adjacency whose node ``i`` is
-    ``labels[i]`` (a network's ``graph.csr`` arrays with its indices, or
-    a cluster graph's contracted CSR from
-    :func:`~repro.core.ruling_sets.cluster_adjacency` with its centers).
+) -> Tuple[Dict[int, Tuple[int, int]], List[int], Dict[str, int],
+           List[Dict[str, int]]]:
+    """The one random-shift phase loop, on a CSR adjacency.
 
-    ``draw_radii(nodes, phase)`` returns the live nodes' Geometric(1/2)
-    shifts for the phase, an int64 array aligned with the ``nodes`` list
-    of their labels (the indirection is what lets
-    Lemma 3.3 feed gathered cluster pools and Theorem 3.5 feed k-wise
-    bits into the same construction). A node joins its best center iff
-    ``m1 - m2 > min_gap``; ``min_gap=1`` is the paper's gap rule, and the
-    A1 ablation relaxes it to 0.
+    Each phase runs epochs ``i = 1 .. epochs`` over the nodes still
+    available in it: the available nodes that ``elect(nodes, phase, i)``
+    picks (a bool mask over the ascending ``nodes``; all of them when
+    ``elect`` is None) are centers, shifted by ``(epochs - i) * (cap +
+    2) + draw(centers, phase, i)``, and one :func:`top_two_flood` runs
+    through the available nodes. Every reached node leaves the phase and
+    joins its best center iff ``m1 - m2 > min_gap`` (the paper's gap
+    rule is 1; A1 relaxes it to 0). Elkin–Neiman is one epoch in which
+    every node is a center.
 
-    Returns ``(assignment, remaining, measured)``: assignment maps a label
-    to ``(phase_color, center)``, ``remaining`` holds labels unclustered
-    after all phases, and ``measured`` counts the flood's
-    ``rounds_measured`` (each phase: its flood rounds, plus one round to
-    draw and one to decide) and ``messages``.
+    Returns ``(assignment, leftovers, measured, log)``: node ->
+    ``(phase, center)`` in join order, the unclustered nodes
+    (ascending), the floods' ``rounds_measured`` (per epoch with
+    centers: its rounds plus one to draw and one to decide) and
+    ``messages``, and one ``{"phase", "clustered", "set_aside"}`` per
+    phase run.
     """
-    if phases < 1 or cap < 1:
-        raise ConfigurationError("phases and cap must be >= 1")
-    live = np.ones(len(labels), dtype=bool)
-    assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
+    if phases < 1 or epochs < 1 or cap < 1:
+        raise ConfigurationError("phases, epochs and cap must be >= 1")
+    n = offsets.size - 1
+    live = np.ones(n, dtype=bool)
+    assignment: Dict[int, Tuple[int, int]] = {}
     measured = {"rounds_measured": 0, "messages": 0}
+    log: List[Dict[str, int]] = []
     for phase in range(phases):
         if not live.any():
             break
-        at = np.flatnonzero(live)
-        radii = np.zeros(len(labels), dtype=np.int64)
-        radii[at] = draw_radii([labels[i] for i in at.tolist()], phase)
-        m1, center, m2, rounds, messages = top_two_flood(
-            offsets, indices, live, radii)
-        measured["rounds_measured"] += rounds + 2
-        measured["messages"] += messages
-        joins = np.flatnonzero(live & (m1 - m2 > min_gap))
-        for i, c in zip(joins.tolist(), center[joins].tolist()):
-            assignment[labels[i]] = (phase, labels[c])
-        live[joins] = False
-    remaining = {labels[i] for i in np.flatnonzero(live).tolist()}
-    return assignment, remaining, measured
+        available = live.copy()
+        clustered = set_aside = 0
+        for epoch in range(1, epochs + 1):
+            if not available.any():
+                break
+            centers = np.flatnonzero(available)
+            if elect is not None:
+                centers = centers[elect(centers, phase, epoch)]
+                if not centers.size:
+                    continue
+            radii = np.zeros(n, dtype=np.int64)
+            radii[centers] = ((epochs - epoch) * (cap + 2)
+                              + draw(centers, phase, epoch))
+            m1, center, m2, rounds, messages = top_two_flood(
+                offsets, indices, available, radii)
+            measured["rounds_measured"] += rounds + 2
+            measured["messages"] += messages
+            reached = center >= 0  # the flood runs through available nodes
+            joined = np.flatnonzero(reached & (m1 - m2 > min_gap))
+            for v, c in zip(joined.tolist(), center[joined].tolist()):
+                assignment[v] = (phase, c)
+            clustered += joined.size
+            set_aside += int(np.count_nonzero(reached)) - joined.size
+            available &= ~reached
+            live[joined] = False
+        log.append({"phase": phase, "clustered": clustered,
+                    "set_aside": set_aside})
+    return assignment, np.flatnonzero(live).tolist(), measured, log
+
+
+def assemble(assignment: Dict[Hashable, Tuple[int, Hashable]],
+             leftovers: Iterable[Hashable] = ()
+             ) -> Tuple[Dict[Hashable, int], Dict[int, int]]:
+    """Number a carving's clusters: ``(cluster_of, color_of)``.
+
+    One cluster per ``(color, center)`` value of ``assignment`` (a node
+    -> ``(phase, center)`` map, as :func:`carve` returns it), numbered in
+    the order the clusters first gain a member and colored by the phase.
+    Each leftover, in ascending order, then becomes a singleton cluster
+    with a fresh color past every color used so far.
+    """
+    cluster_of: Dict[Hashable, int] = {}
+    color_of: Dict[int, int] = {}
+    ids: Dict[Tuple[int, Hashable], int] = {}
+    for v, key in assignment.items():
+        cid = cluster_of[v] = ids.setdefault(key, len(ids))
+        color_of[cid] = key[0]
+    fresh = max(color_of.values(), default=-1) + 1
+    for color, v in enumerate(sorted(leftovers), start=fresh):
+        cluster_of[v] = len(color_of)
+        color_of[len(color_of)] = color
+    return cluster_of, color_of
 
 
 def elkin_neiman(
@@ -246,12 +289,12 @@ def elkin_neiman(
 
     consumed_before = source.bits_consumed
 
-    def draw_radii(nodes: List[Hashable], phase: int) -> np.ndarray:
-        return source.geometrics(nodes, cap, bit_offset + phase * cap)[0]
+    def draw(centers: np.ndarray, phase: int, _epoch: int) -> np.ndarray:
+        return source.geometrics(centers.tolist(), cap,
+                                 bit_offset + phase * cap)[0]
 
-    assignment, remaining, measured = en_phase_loop(
-        graph.csr.offsets, graph.csr.indices, graph.nodes(), draw_radii,
-        phases, cap)
+    assignment, remaining, measured, _log = carve(
+        graph.csr.offsets, graph.csr.indices, draw, phases, cap)
 
     report = RunReport(
         rounds=phases * (cap + 2),
@@ -274,21 +317,8 @@ def elkin_neiman(
     if remaining and finish == "strict":
         return None, report, extra
 
-    cluster_ids: Dict[Tuple[int, Hashable], int] = {}
-    cluster_of: Dict[int, int] = {}
-    color_of: Dict[int, int] = {}
-    for v, (phase, center) in assignment.items():
-        key = (phase, center)
-        cid = cluster_ids.setdefault(key, len(cluster_ids))
-        cluster_of[v] = cid
-        color_of[cid] = phase
+    cluster_of, color_of = assemble(assignment, remaining)
     if remaining:
-        next_color = (max(color_of.values()) + 1) if color_of else 0
-        for v in sorted(remaining):
-            cid = max(cluster_of.values(), default=-1) + 1
-            cluster_of[v] = cid
-            color_of[cid] = next_color
-            next_color += 1
         report.annotate(f"{len(remaining)} leftovers parked as singleton clusters")
     decomposition = Decomposition(cluster_of=cluster_of,
                                   color_of=color_of).normalize_colors()

@@ -17,11 +17,11 @@ E2 sweeps k from 1 upward against the fully-independent reference.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 from ...randomness.kwise import KWiseSource
 from ...sim.graph import DistributedGraph
+from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 from .elkin_neiman import default_cap, default_phases, elkin_neiman
@@ -43,7 +43,7 @@ def kwise_decomposition(
     the quantity Section 3.2 counts.
     """
     n = graph.n
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = ceil_log2(n)
     if k is None:
         k = max(4, logn * logn)
     phases = phases if phases is not None else default_phases(n)

@@ -22,10 +22,13 @@ from Θ(log² n)-wise independent bit sources expanded deterministically
 from the global shared string ([AS04] expansion, implemented by
 :meth:`SharedRandomness.expand_kwise`), so the whole algorithm consumes
 only the poly(log n)-bit shared seed — no private randomness at all.
+:func:`seed_schedule` maps (phase, epoch, purpose) to its seed slice,
+for Theorem 3.7's cluster pools too.
 
-Messages: per epoch one :func:`~.elkin_neiman.top_two_flood` through the
-available nodes, with only the centers' radii ``R_i + X_u`` set; every
-message is a top-two (value, center) pair, O(log n) bits, CONGEST-legal.
+The loop is :func:`~.elkin_neiman.carve` with epochs and elections:
+per epoch one top-two flood through the available nodes, with only the
+centers' radii ``R_i + X_u`` set; every message is a top-two (value,
+center) pair, O(log n) bits, CONGEST-legal.
 The :class:`RunReport` keeps the *accounted* rounds
 ``phases x epochs x (R_1 + 2)`` (``accounted=True``); the rounds the
 floods actually took (each epoch: its flood rounds plus one round to
@@ -41,12 +44,15 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ...errors import ConfigurationError
+from ...randomness.finite_field import min_degree_for
+from ...randomness.kwise import KWiseSource
 from ...randomness.shared import SharedRandomness
 from ...randomness.source import RandomSource
 from ...sim.graph import DistributedGraph
+from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
-from .elkin_neiman import top_two_flood
+from .elkin_neiman import assemble, carve
 
 #: Bits per Bernoulli center election (a 16-bit threshold comparison).
 ELECTION_BITS = 16
@@ -71,84 +77,33 @@ def election_values(source: RandomSource, nodes: np.ndarray) -> np.ndarray:
 
 def phase_epoch_decomposition(
     graph: DistributedGraph,
-    elect: Callable[[np.ndarray, int, int, int], np.ndarray],
+    elect: Callable[[np.ndarray, int, int], np.ndarray],
     radius_draw: Callable[[np.ndarray, int, int], np.ndarray],
     max_phases: int,
     epochs: int,
     cap: int,
     strict: bool = True,
 ) -> Tuple[Optional[Decomposition], RunReport, Dict[str, object]]:
-    """The phase/epoch carving loop shared by Theorems 3.6 and 3.7.
-
-    Each epoch makes one call of each callback, over all of its nodes
-    at once.
+    """The phase/epoch carving shared by Theorems 3.6 and 3.7: one
+    :func:`~.elkin_neiman.carve` of ``epochs`` epochs per phase on G,
+    plus a BFS tree of G[cluster] per cluster (strong diameter).
 
     Parameters
     ----------
     elect:
-        ``elect(nodes, phase, epoch, epochs) -> bool[len(nodes)]`` — which
-        of the available ``nodes`` (an int64 array, ascending) are
-        centers?
+        ``elect(nodes, phase, epoch) -> bool[len(nodes)]`` — which of the
+        available ``nodes`` (an int64 array, ascending) are centers?
     radius_draw:
         ``radius_draw(nodes, phase, epoch) -> int[len(nodes)]``, each in
         [1, cap]: the elected ``nodes``' radius draws.
     strict:
         Fail (return None) if nodes remain after ``max_phases``.
     """
-    if max_phases < 1 or epochs < 1 or cap < 1:
-        raise ConfigurationError("max_phases, epochs and cap must be >= 1")
     step = cap + 2  # base-radius decrement per epoch, > max X_u
-    offsets, indices = graph.csr.offsets, graph.csr.indices
-    live = np.ones(graph.n, dtype=bool)
-    cluster_of: Dict[int, int] = {}
-    color_of: Dict[int, int] = {}
-    trees: Dict[int, List[Tuple[int, int]]] = {}
-    phase_log: List[Dict[str, int]] = []
-    measured = {"rounds_measured": 0, "messages": 0}
-    phases_run = 0
-
-    for phase in range(max_phases):
-        if not live.any():
-            break
-        phases_run += 1
-        available = live.copy()
-        set_aside = 0
-        clustered_this_phase = 0
-        for epoch in range(1, epochs + 1):
-            if not available.any():
-                break
-            base = (epochs - epoch) * step
-            nodes = np.flatnonzero(available)
-            centers = nodes[elect(nodes, phase, epoch, epochs)]
-            if not centers.size:
-                continue
-            radii = np.zeros(graph.n, dtype=np.int64)
-            radii[centers] = base + radius_draw(centers, phase, epoch)
-            m1, center, m2, rounds, messages = top_two_flood(
-                offsets, indices, available, radii)
-            measured["rounds_measured"] += rounds + 2
-            measured["messages"] += messages
-            reached = available & (center >= 0)
-            joined = reached & (m1 - m2 > 1)
-            set_aside += int(np.count_nonzero(reached & ~joined))
-            available &= ~reached
-            live &= ~joined
-            new_clusters: Dict[int, Set[int]] = {}
-            for v in np.flatnonzero(joined).tolist():
-                new_clusters.setdefault(int(center[v]), set()).add(v)
-            for c, members in new_clusters.items():
-                cid = len(color_of)
-                color_of[cid] = phase
-                for v in members:
-                    cluster_of[v] = cid
-                trees[cid] = _spanning_tree_edges(graph, members, c)
-                clustered_this_phase += len(members)
-        phase_log.append({
-            "phase": phase,
-            "clustered": clustered_this_phase,
-            "set_aside": set_aside,
-        })
-    leftovers = np.flatnonzero(live).tolist()
+    assignment, leftovers, measured, phase_log = carve(
+        graph.csr.offsets, graph.csr.indices, radius_draw, max_phases, cap,
+        epochs=epochs, elect=elect)
+    phases_run = len(phase_log)
 
     report = RunReport(
         rounds=phases_run * epochs * (epochs * step + 2),
@@ -169,14 +124,17 @@ def phase_epoch_decomposition(
     }
     if leftovers and strict:
         return None, report, extra
+    cluster_of, color_of = assemble(assignment, leftovers)
+    # One tree per cluster, rooted at its center; a leftover is its own
+    # center, so its singleton's tree is empty.
+    members: Dict[int, Set[int]] = {}
+    roots: Dict[int, int] = {}
+    for v, cid in cluster_of.items():
+        members.setdefault(cid, set()).add(v)
+        roots.setdefault(cid, assignment[v][1] if v in assignment else v)
+    trees = {cid: _spanning_tree_edges(graph, group, roots[cid])
+             for cid, group in members.items()}
     if leftovers:
-        next_color = (max(color_of.values()) + 1) if color_of else 0
-        for v in leftovers:
-            cid = len(color_of)
-            cluster_of[v] = cid
-            color_of[cid] = next_color
-            trees[cid] = []
-            next_color += 1
         report.annotate(f"{len(leftovers)} leftovers parked as singletons")
     decomposition = Decomposition(cluster_of=cluster_of, color_of=color_of,
                                   trees=trees).normalize_colors()
@@ -201,6 +159,27 @@ def _spanning_tree_edges(graph: DistributedGraph, members: Set[int],
     return edges
 
 
+def seed_schedule(n: int, k: int, epochs: int, cap: int):
+    """Theorem 3.6's seed schedule: ``(per_source, expand)``.
+
+    Each (phase, epoch) reads two k-wise sources, one for elections and
+    one for radii, each from its own ``per_source``-bit slice of a
+    shared string: k coefficients of the field that addresses
+    ``max(2, n)`` nodes x ``max(ELECTION_BITS, cap)`` bits.
+    ``expand(shared, phase, epoch, purpose)`` expands one of them, from
+    slice ``(phase * epochs + epoch - 1) * 2 + (purpose != "elect")``.
+    """
+    bits_per_node = max(ELECTION_BITS, cap)
+    per_source = k * min_degree_for(max(2, n) * bits_per_node + 1)
+
+    def expand(shared: SharedRandomness, phase: int, epoch: int,
+               purpose: str) -> KWiseSource:
+        index = (phase * epochs + epoch - 1) * 2 + (purpose != "elect")
+        return shared.expand_kwise(k, max(2, n), bits_per_node,
+                                   offset=index * per_source)
+    return per_source, expand
+
+
 def shared_bits_needed(n: int, k: Optional[int] = None,
                        max_phases: Optional[int] = None,
                        epochs: Optional[int] = None,
@@ -209,18 +188,13 @@ def shared_bits_needed(n: int, k: Optional[int] = None,
 
     poly(log n): (phases * epochs) source pairs, each k * m bits.
     """
-    from ...randomness.kwise import KWiseSource
-
     k, max_phases, epochs, cap = _defaults(n, k, max_phases, epochs, cap)
-    probe = KWiseSource(1, max(2, n), max(ELECTION_BITS, cap),
-                        coefficients=[0])
-    per_source = k * probe.field.m
-    return 2 * max_phases * epochs * per_source
+    return 2 * max_phases * epochs * seed_schedule(n, k, epochs, cap)[0]
 
 
 def _defaults(n: int, k: Optional[int], max_phases: Optional[int],
               epochs: Optional[int], cap: Optional[int]):
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = ceil_log2(n)
     if k is None:
         k = max(8, logn * logn)  # Θ(log² n)-wise independence
     if max_phases is None:
@@ -250,8 +224,8 @@ def shared_randomness_decomposition(
     """
     n = graph.n
     k, max_phases, epochs, cap = _defaults(n, k, max_phases, epochs, cap)
-    bits_per_node = max(ELECTION_BITS, cap)
-    needed = shared_bits_needed(n, k, max_phases, epochs, cap)
+    per_source, expand = seed_schedule(n, k, epochs, cap)
+    needed = 2 * max_phases * epochs * per_source
     if shared is None:
         shared = SharedRandomness(needed, seed=seed)
     elif shared.seed_bits < needed:
@@ -260,25 +234,17 @@ def shared_randomness_decomposition(
             f"needs {needed} at these parameters"
         )
 
-    from ...randomness.kwise import KWiseSource
+    sources: Dict[Tuple[int, int, str], KWiseSource] = {}
 
-    probe = KWiseSource(1, max(2, n), bits_per_node, coefficients=[0])
-    per_source = k * probe.field.m
-    sources: Dict[Tuple[int, int, str], object] = {}
-
-    def source_for(phase: int, epoch: int, purpose: str):
+    def source_for(phase: int, epoch: int, purpose: str) -> KWiseSource:
         key = (phase, epoch, purpose)
         if key not in sources:
-            which = 0 if purpose == "elect" else 1
-            index = (phase * epochs + (epoch - 1)) * 2 + which
-            sources[key] = shared.expand_kwise(
-                k, max(2, n), bits_per_node, offset=index * per_source)
+            sources[key] = expand(shared, phase, epoch, purpose)
         return sources[key]
 
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = ceil_log2(n)
 
-    def elect(nodes: np.ndarray, phase: int, epoch: int,
-              total_epochs: int) -> np.ndarray:
+    def elect(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
         src = source_for(phase, epoch, "elect")
         return election_values(src, nodes) < election_threshold(
             epoch, logn, n)

@@ -19,21 +19,24 @@ algorithms. The proof (and this implementation) composes:
    size-K separated set, giving success 1 - n^(-K).
 
 Choosing K = 2^(ε log² T) balances the deterministic finish time against
-the target failure bound, which is Theorem 4.2's statement.
+the target failure bound, which is Theorem 4.2's statement. The EN
+clusters and the finish's balls are numbered by one
+:func:`~.elkin_neiman.assemble` call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ...randomness.source import RandomSource
 from ...sim.graph import DistributedGraph
+from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 from ..ruling_sets import cluster_adjacency, greedy_ruling_set, voronoi_clusters
 from .deterministic import ball_carving
-from .elkin_neiman import default_cap, elkin_neiman
+from .elkin_neiman import assemble, default_cap, elkin_neiman
 
 
 def shattering_decomposition(
@@ -53,7 +56,7 @@ def shattering_decomposition(
     * ``en_colors`` / ``det_colors`` — color budget split between stages.
     """
     n = graph.n
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = ceil_log2(n)
     # Θ(log n) phases give per-node failure ~ 2^-phases ~ 1/n²;
     # the proof of Theorem 4.2 runs [EN16] "such that it succeeds with
     # probability at least 1 - 1/n²" per node.
@@ -99,28 +102,23 @@ def shattering_decomposition(
     # ------------------------------------------------------------------
     # Combine: EN clusters keep their phase colors (one cluster per
     # (phase, center) of the strict run's assignment); shattered clusters
-    # get fresh colors offset past the EN palette.
+    # follow, one per ball in carving order, with fresh colors offset
+    # past the EN palette.
     # ------------------------------------------------------------------
-    cluster_of: Dict[int, int] = {}
-    color_of: Dict[int, int] = {}
-    en_ids: Dict[Tuple[int, Hashable], int] = {}
-    for v, (phase, center) in en_extra["assignment"].items():
-        cid = en_ids.setdefault((phase, center), len(en_ids))
-        cluster_of[v] = cid
-        color_of[cid] = phase
-    en_colors = len(set(color_of.values()))
-    offset = (max(color_of.values()) + 1) if color_of else 0
-    next_cid = (max(color_of.keys()) + 1) if color_of else 0
-    for cid, det in enumerate(det_color.tolist(), start=next_cid):
-        color_of[cid] = offset + det
+    assignment = dict(en_extra["assignment"])
+    en_palette = {phase for phase, _center in assignment.values()}
+    offset = max(en_palette, default=-1) + 1
     ball_of = dict(zip(centers.tolist(), det_ball.tolist()))
-    for v, center in center_of.items():
-        cluster_of[v] = next_cid + ball_of[center]
+    det = det_color.tolist()
+    for v in sorted(center_of, key=lambda v: ball_of[center_of[v]]):
+        ball = ball_of[center_of[v]]
+        assignment[v] = (offset + det[ball], ball)
+    cluster_of, color_of = assemble(assignment)
 
-    extra["en_colors"] = en_colors
-    extra["det_colors"] = len(set(det_color.tolist()))
+    extra["en_colors"] = len(en_palette)
+    extra["det_colors"] = len(set(det))
 
-    logK = max(1, math.ceil(math.log2(max(2, len(separated) + 1))))
+    logK = ceil_log2(len(separated) + 1)
     finish_report = ruling_report.merge(RunReport(
         rounds=(2 * logK + 2) * (alpha * logn + 2),
         accounted=True,

@@ -27,27 +27,31 @@ h = poly(log n) hops. The pipeline:
   expansion gives Θ(log² n)-wise independence, which is all the
   Theorem 3.6 analysis uses. Result: a strong-diameter decomposition with
   O(log n) colors and O(log² n) radius — *h-free*.
+
+Both run :func:`~.elkin_neiman.carve`: Theorem 3.1 on the cluster
+graph, Theorem 3.7 through the Theorem 3.6 phase/epoch construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError, RandomnessExhausted
+from ...randomness.kwise import KWiseSource
 from ...randomness.pooled import PooledBits
 from ...randomness.shared import SharedRandomness
 from ...randomness.sparse import SparseRandomness
 from ...sim.graph import DistributedGraph
+from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
 from ..ruling_sets import cluster_adjacency, greedy_ruling_set, voronoi_clusters
-from .elkin_neiman import en_phase_loop
-from .shared_congest import (ELECTION_BITS, election_threshold,
-                             election_values, phase_epoch_decomposition)
+from .elkin_neiman import assemble, carve
+from .shared_congest import (election_threshold, election_values,
+                             phase_epoch_decomposition, seed_schedule)
 
 
 @dataclasses.dataclass
@@ -109,7 +113,7 @@ def gather_bits(
         pools[center] = bits[at:at + len(group)]
         at += len(group)
 
-    logn = max(1, math.ceil(math.log2(max(2, graph.n))))
+    logn = ceil_log2(graph.n)
     report = ruling_report.merge(RunReport(
         rounds=h_prime * logn + bits_needed,
         accounted=True,
@@ -138,7 +142,7 @@ def sparse_bits_decomposition(
     cluster graph, drawing geometric shifts from the gathered pools.
     """
     n = graph.n
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = ceil_log2(n)
     phases = phases if phases is not None else max(4, 4 * logn)
     cap = cap if cap is not None else max(4, 2 * logn)
     # Lemma 3.3 budgets C log^2 n bits per pool but footnote 9 observes
@@ -168,10 +172,13 @@ def sparse_bits_decomposition(
         cursor[center] = offset + used
         return value
 
-    assignment_cg, remaining, _measured = en_phase_loop(
-        offsets, indices, active.tolist(),
-        lambda centers, _phase: np.array([draw(c) for c in centers],
-                                         dtype=np.int64), phases, cap)
+    assignment_cg, left_cg, _measured, _log = carve(
+        offsets, indices,
+        lambda centers, _phase, _epoch: np.array(
+            [draw(c) for c in active[centers].tolist()], dtype=np.int64),
+        phases, cap)
+    labels = active.tolist()
+    remaining = {labels[i] for i in left_cg}
 
     extra: Dict[str, object] = {
         "unclustered_clusters": set(remaining),
@@ -199,29 +206,15 @@ def sparse_bits_decomposition(
     if remaining and strict:
         return None, report, extra
 
-    cluster_of: Dict[int, int] = {}
-    color_of: Dict[int, int] = {}
-    final_ids: Dict[Tuple[int, int], int] = {}
-    # Isolated clusters: color 0, one final cluster each (they have no
-    # neighbors, so any color is legal).
-    for center in sorted(gathered.isolated):
-        cid = final_ids.setdefault(("isolated", center), len(final_ids))
-        color_of[cid] = 0
-        for v in members[center]:
-            cluster_of[v] = cid
-    for center, (phase, en_center) in assignment_cg.items():
-        cid = final_ids.setdefault((phase, en_center), len(final_ids))
-        color_of[cid] = phase
-        for v in members[center]:
-            cluster_of[v] = cid
-    next_color = (max(color_of.values()) + 1) if color_of else 0
-    for center in sorted(remaining):
-        cid = len(final_ids)
-        final_ids[("leftover", center)] = cid
-        color_of[cid] = next_color
-        next_color += 1
-        for v in members[center]:
-            cluster_of[v] = cid
+    # Isolated clusters first, with color 0 (they have no neighbors, so
+    # any color is legal), then the cluster graph's carving, expanded
+    # through each level-1 cluster's members.
+    units = {center: (0, center) for center in sorted(gathered.isolated)}
+    units.update((labels[i], (phase, labels[c]))
+                 for i, (phase, c) in assignment_cg.items())
+    unit_cluster, color_of = assemble(units, remaining)
+    cluster_of = {v: cid for center, cid in unit_cluster.items()
+                  for v in members[center]}
 
     decomposition = Decomposition(cluster_of=cluster_of,
                                   color_of=color_of).normalize_colors()
@@ -246,7 +239,7 @@ def sparse_bits_strong_decomposition(
     locally-shared randomness. The resulting diameter is h-free.
     """
     n = graph.n
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = ceil_log2(n)
     if k is None:
         # The theorem uses Θ(log² n)-wise independence; we default to the
         # laptop-scaled Θ(log n) so the k*m seed cost stays below
@@ -259,12 +252,7 @@ def sparse_bits_strong_decomposition(
         epochs = logn + 1
     if cap is None:
         cap = max(4, 2 * logn)
-    bits_per_node = max(ELECTION_BITS, cap)
-
-    from ...randomness.kwise import KWiseSource
-
-    probe = KWiseSource(1, max(2, n), bits_per_node, coefficients=[0])
-    per_source = k * probe.field.m
+    per_source, expand = seed_schedule(n, k, epochs, cap)
     # The theorem gathers O(log^4 n) true bits per cluster. We gather the
     # per-source seed cost times a small phase allowance; the rest of the
     # seed stream is derived from the gathered bits by the deterministic
@@ -292,15 +280,13 @@ def sparse_bits_strong_decomposition(
         local_shared[center] = SharedRandomness(
             seed_stream_bits, seed=pool_seed)
 
-    sources: Dict[Tuple[int, int, int, str], object] = {}
+    sources: Dict[Tuple[int, int, int, str], KWiseSource] = {}
 
-    def source_for(center: int, phase: int, epoch: int, purpose: str):
+    def source_for(center: int, phase: int, epoch: int,
+                   purpose: str) -> KWiseSource:
         key = (center, phase, epoch, purpose)
         if key not in sources:
-            which = 0 if purpose == "elect" else 1
-            index = (phase * epochs + (epoch - 1)) * 2 + which
-            sources[key] = local_shared[center].expand_kwise(
-                k, max(2, n), bits_per_node, offset=index * per_source)
+            sources[key] = expand(local_shared[center], phase, epoch, purpose)
         return sources[key]
 
     owner = np.array([cluster_of_node[v] for v in graph.nodes()],
@@ -320,8 +306,7 @@ def sparse_bits_strong_decomposition(
             out[group] = read(src, nodes[group])
         return out
 
-    def elect(nodes: np.ndarray, phase: int, epoch: int,
-              total_epochs: int) -> np.ndarray:
+    def elect(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
         values = by_source(nodes, phase, epoch, "elect", election_values)
         return values < election_threshold(epoch, logn, n)
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..randomness.source import RandomSource
+from ..sim.messages import ceil_log2
 from ..structures import Hypergraph, conflict_free_ok
 
 
@@ -142,7 +143,7 @@ def mark_and_conquer(
     reported in the stats (the w.h.p. failure event).
     """
     n = max(2, len(hg.vertices))
-    logn = max(1, math.ceil(math.log2(n)))
+    logn = ceil_log2(n)
     threshold = small_threshold if small_threshold is not None else 4 * logn
     mark_bits = 12  # probability resolution 2^-12
     weights = np.left_shift(1, np.arange(mark_bits - 1, -1, -1),

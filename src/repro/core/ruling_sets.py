@@ -16,13 +16,13 @@ rounds, which is what every theorem statement in the paper charges.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..sim.graph import DistributedGraph
+from ..sim.messages import ceil_log2
 from ..sim.metrics import RunReport
 
 
@@ -51,7 +51,7 @@ def greedy_ruling_set(graph: DistributedGraph, alpha: int,
         # Block the (α-1)-ball of v: nothing else may be selected there.
         blocked.update(graph.ball(v, alpha - 1).keys())
 
-    logn = max(1, math.ceil(math.log2(max(2, graph.n))))
+    logn = ceil_log2(graph.n)
     report = RunReport(
         rounds=alpha * logn,
         accounted=True,

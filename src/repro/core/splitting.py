@@ -20,7 +20,6 @@ plus instance generators; experiment E3 sweeps them.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, Optional, Tuple
 
@@ -32,6 +31,7 @@ from ..randomness.independent import IndependentSource
 from ..randomness.kwise import KWiseSource
 from ..randomness.shared import SharedRandomness
 from ..randomness.source import RandomSource
+from ..sim.messages import ceil_log2
 from ..sim.metrics import RunReport
 from ..structures import SplittingInstance
 
@@ -132,7 +132,7 @@ def make_source(regime: str, instance: SplittingInstance, seed: int = 0,
     """
     num_points = max(instance.v_side) + 1 if instance.v_side else 1
     n = max(num_points, len(instance.u_side), 2)
-    logn = max(1, math.ceil(math.log2(n)))
+    logn = ceil_log2(n)
     if regime == "independent":
         return IndependentSource(seed=seed)
     if regime == "kwise":

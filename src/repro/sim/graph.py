@@ -135,6 +135,7 @@ class DistributedGraph:
         self.csr = CSRGraph(offsets, indices, uids)
         for array in (self._edges, offsets, indices, self.csr.degrees):
             array.flags.writeable = False
+        self._edge_position = None  # lazy: see edge_position()
 
     # ------------------------------------------------------------------
     # Topology access
@@ -158,6 +159,13 @@ class DistributedGraph:
     def edges(self) -> Iterator[Tuple[int, int]]:
         """All edges as index pairs (u < v), in the input's edge order."""
         return zip(self._edges[:, 0].tolist(), self._edges[:, 1].tolist())
+
+    def edge_position(self) -> Dict[Tuple[int, int], int]:
+        """Each edge ``(u, v)``, ``u < v``, to its position in
+        :meth:`edges`. Built on first use."""
+        if self._edge_position is None:
+            self._edge_position = {e: i for i, e in enumerate(self.edges())}
+        return self._edge_position
 
     def uid(self, v: int) -> int:
         """Unique identifier of node ``v``."""

@@ -55,11 +55,17 @@ def message_bits(payload: Any) -> int:
     )
 
 
+def ceil_log2(x: int) -> int:
+    """``ceil(log2 x)``, at least 1: the integer ``log n`` of every
+    round, phase and bit budget (a float ``log2`` rounds wrongly past
+    2^49)."""
+    return max(1, (max(2, x) - 1).bit_length())
+
+
 def congest_limit(n: int, factor: int = 32) -> int:
     """The CONGEST bandwidth limit for an n-node network, in bits.
 
     ``factor * ceil(log2 n)`` bits: the constant absorbs the framing
     overhead of the accounting encoding while remaining O(log n).
     """
-    logn = max(1, (max(2, n) - 1).bit_length())
-    return factor * logn
+    return factor * ceil_log2(n)

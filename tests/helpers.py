@@ -21,7 +21,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.core.decomposition import elkin_neiman, en_phase_loop, gather_bits
+from repro.core.decomposition import elkin_neiman, gather_bits
 from repro.core.linial import log_star
 from repro.core.ruling_sets import greedy_ruling_set, voronoi_clusters
 from repro.errors import (
@@ -156,6 +156,57 @@ def reference_top_two_flood(
         senders[r] = (((m1[r] > 0) & ((m1[r] != was1) | (c1[r] != was_c1)))
                       | ((m2[r] > 0) & ((m2[r] != was2) | (c2[r] != was_c2))))
     return m1, c1, np.maximum(m2, 0), rounds, messages
+
+
+def reference_carving(offsets, indices, draw, phases: int, cap: int,
+                      epochs: int = 1, elect=None, min_gap: int = 1):
+    """The random-shift carving :func:`repro.core.decomposition.carve`
+    runs, written as plain Python sets and dicts over
+    :func:`reference_top_two_flood`; same contract and return values
+    ``(assignment, leftovers, measured, log)``."""
+    if phases < 1 or epochs < 1 or cap < 1:
+        raise ConfigurationError("phases, epochs and cap must be >= 1")
+    n = len(offsets) - 1
+    live = set(range(n))
+    assignment: Dict[int, Tuple[int, int]] = {}
+    measured = {"rounds_measured": 0, "messages": 0}
+    log: List[Dict[str, int]] = []
+    for phase in range(phases):
+        if not live:
+            break
+        available = set(live)
+        entry = {"phase": phase, "clustered": 0, "set_aside": 0}
+        for epoch in range(1, epochs + 1):
+            if not available:
+                break
+            nodes = np.array(sorted(available), dtype=np.int64)
+            if elect is not None:
+                nodes = nodes[np.asarray(elect(nodes, phase, epoch), dtype=bool)]
+            if not len(nodes):
+                continue
+            base = (epochs - epoch) * (cap + 2)
+            radii = np.zeros(n, dtype=np.int64)
+            for c, shift in zip(nodes.tolist(),
+                                np.asarray(draw(nodes, phase, epoch)).tolist()):
+                radii[c] = base + shift
+            mask = np.zeros(n, dtype=bool)
+            mask[sorted(available)] = True
+            m1, center, m2, rounds, messages = reference_top_two_flood(
+                offsets, indices, mask, radii)
+            measured["rounds_measured"] += rounds + 2
+            measured["messages"] += messages
+            for v in sorted(available):
+                if center[v] < 0:
+                    continue
+                available.remove(v)
+                if m1[v] - m2[v] > min_gap:
+                    assignment[v] = (phase, int(center[v]))
+                    live.remove(v)
+                    entry["clustered"] += 1
+                else:
+                    entry["set_aside"] += 1
+        log.append(entry)
+    return assignment, sorted(live), measured, log
 
 
 def nx_copy(graph: DistributedGraph) -> nx.Graph:
@@ -359,10 +410,14 @@ def reference_sparse_bits(graph: DistributedGraph, source, spacing: int,
         cursor[center] = offset + used
         return value
 
-    assignment_cg, _left, _measured = en_phase_loop(
-        *nx_to_csr(cg_active),
-        lambda centers, _phase: np.array([draw(c) for c in centers],
-                                         dtype=np.int64), phases, cap)
+    offsets, indices, labels = nx_to_csr(cg_active)
+    assignment_cg, _left, _measured, _log = reference_carving(
+        offsets, indices,
+        lambda centers, _phase, _epoch: np.array(
+            [draw(labels[c]) for c in centers.tolist()], dtype=np.int64),
+        phases, cap)
+    assignment_cg = {labels[i]: (phase, labels[c])
+                     for i, (phase, c) in assignment_cg.items()}
     remaining = set(cg_active.nodes())
     remaining.difference_update(assignment_cg)
     members = gathered.cluster_members()

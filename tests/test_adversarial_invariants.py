@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition.elkin_neiman import en_phase_loop
+from repro.core.decomposition.elkin_neiman import carve
 from repro.core.decomposition.shared_congest import phase_epoch_decomposition
 from repro.errors import (
     BandwidthExceeded,
@@ -42,14 +42,14 @@ class TestGapRuleIsAdversarialProof:
         graph = to_nx(make("gnp-dense", n, seed=seed))
         radii_table = {}
 
-        def draw_radii(nodes, phase):
-            for v in nodes:
+        def draw(nodes, phase, _epoch):
+            for v in nodes.tolist():
                 radii_table[(v, phase)] = data.draw(
                     st.integers(0, 12), label=f"r{(v, phase)}")
-            return np.array([radii_table[(v, phase)] for v in nodes])
+            return np.array([radii_table[(v, phase)] for v in nodes.tolist()])
 
-        assignment, _remaining, _m = en_phase_loop(
-            *nx_to_csr(graph), draw_radii, phases=3, cap=12)
+        assignment, _remaining, _m, _log = carve(
+            *nx_to_csr(graph)[:2], draw, phases=3, cap=12)
         clusters = _clusters_of(assignment)
         keys = list(clusters)
         for i, a in enumerate(keys):
@@ -68,13 +68,13 @@ class TestGapRuleIsAdversarialProof:
     def test_clusters_always_connected(self, data, n, seed):
         graph = to_nx(make("gnp-sparse", n, seed=seed))
 
-        def draw_radii(nodes, phase):
+        def draw(nodes, phase, _epoch):
             return np.array([data.draw(st.integers(0, 10),
                                        label=f"r{v},{phase}")
-                             for v in nodes])
+                             for v in nodes.tolist()])
 
-        assignment, _remaining, _m = en_phase_loop(
-            *nx_to_csr(graph), draw_radii, phases=2, cap=10)
+        assignment, _remaining, _m, _log = carve(
+            *nx_to_csr(graph)[:2], draw, phases=2, cap=10)
         for members in _clusters_of(assignment).values():
             assert nx.is_connected(graph.subgraph(members))
 
@@ -84,9 +84,9 @@ class TestGapRuleIsAdversarialProof:
         graph = to_nx(make("grid", 25, seed=1))
         radii = {v: data.draw(st.integers(0, 8), label=f"r{v}")
                  for v in graph.nodes()}
-        assignment, _remaining, _m = en_phase_loop(
-            *nx_to_csr(graph),
-            lambda nodes, p: np.array([radii[v] for v in nodes]),
+        assignment, _remaining, _m, _log = carve(
+            *nx_to_csr(graph)[:2],
+            lambda nodes, p, e: np.array([radii[v] for v in nodes.tolist()]),
             phases=1, cap=8)
         for (phase, center), members in _clusters_of(assignment).items():
             sub = graph.subgraph(members)
@@ -139,7 +139,7 @@ class TestFailureInjection:
 
         with pytest.raises(ConfigurationError):
             phase_epoch_decomposition(
-                cycle12, lambda v, p, e, t: False, lambda v, p, e: 1,
+                cycle12, lambda v, p, e: False, lambda v, p, e: 1,
                 max_phases=0, epochs=2, cap=2)
 
     def test_engine_detects_runaway_algorithms(self, path9):

@@ -111,3 +111,23 @@ class TestEngineSinkless:
             g, IndependentSource(seed=4))
         # Every edge appears exactly once with a consistent direction.
         assert len(orientation) == sum(1 for _ in g.edges())
+
+
+class TestCeilLog2:
+    def test_matches_the_float_form_below_2_to_49(self):
+        """The integer log n equals ``max(1, ceil(log2(max(2, x))))``
+        wherever a double can tell 2^k from 2^k + 1."""
+        import math
+
+        from repro.sim.messages import ceil_log2
+
+        edges = [x for k in range(49) for x in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
+        for x in [-3, 0, *range(1, 300), *edges]:
+            assert ceil_log2(x) == max(1, math.ceil(math.log2(max(2, x)))), x
+
+    def test_exact_past_double_precision(self):
+        from repro.sim.messages import ceil_log2
+
+        for k in (49, 53, 60, 100):
+            assert ceil_log2(2 ** k) == k
+            assert ceil_log2(2 ** k + 1) == k + 1

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ruling_sets import cluster_adjacency
 from repro.core.decomposition import (
+    carve,
     default_cap,
     default_phases,
     elkin_neiman,
-    en_phase_loop,
     kwise_decomposition,
     sparse_bits_decomposition,
     top_two_flood,
@@ -23,12 +24,13 @@ from repro.graphs import assign, make
 from repro.randomness import IndependentSource, SparseRandomness
 from repro.sim.batch.csr import edges_to_csr
 
-from helpers import family_graphs, nx_copy, nx_to_csr, reference_top_two_flood
+from helpers import (family_graphs, nx_copy, nx_to_csr, reference_carving,
+                     reference_top_two_flood, sparse_graphs)
 
 
 def _constant(radius):
-    """A ``draw_radii`` callback giving every live node the same shift."""
-    return lambda nodes, phase: np.full(len(nodes), radius)
+    """A ``draw`` callback giving every center the same shift."""
+    return lambda nodes, phase, epoch: np.full(len(nodes), radius)
 
 
 class TestValidity:
@@ -86,11 +88,11 @@ class TestModes:
             elkin_neiman(cycle12, source, finish="retry")
 
     def test_invalid_phase_cap(self, cycle12, source):
-        import networkx as nx
-        with pytest.raises(ConfigurationError):
-            en_phase_loop(*nx_to_csr(nx.path_graph(3)), _constant(1), 0, 4)
-        with pytest.raises(ConfigurationError):
-            en_phase_loop(*nx_to_csr(nx.path_graph(3)), _constant(1), 4, 0)
+        offsets, indices, _ = nx_to_csr(nx.path_graph(3))
+        for phases, cap, epochs in ((0, 4, 1), (4, 0, 1), (4, 4, 0)):
+            with pytest.raises(ConfigurationError):
+                carve(offsets, indices, _constant(1), phases, cap,
+                      epochs=epochs)
 
 
 class TestDeterminism:
@@ -122,39 +124,37 @@ class TestDeterminism:
 class TestPhaseCore:
     def test_single_giant_radius_clusters_everything(self):
         """One center with a huge shift swallows the whole graph."""
-        import networkx as nx
-        g = nx.path_graph(7)
+        offsets, indices, _ = nx_to_csr(nx.path_graph(7))
         draws = {3: 100}
 
-        def draw_radii(nodes, phase):
-            return np.array([draws.get(v, 1) for v in nodes])
+        def draw(nodes, phase, epoch):
+            return np.array([draws.get(v, 1) for v in nodes.tolist()])
 
-        assignment, remaining, _m = en_phase_loop(
-            *nx_to_csr(g), draw_radii, 1, 100)
+        assignment, remaining, _m, _log = carve(
+            offsets, indices, draw, 1, 100)
         assert not remaining
         assert {a for a in assignment.values()} == {(0, 3)}
 
     def test_equal_radii_cluster_nobody(self):
         """All-equal shifts produce gap <= 1 everywhere (the k=1 failure)."""
-        import networkx as nx
-        g = nx.cycle_graph(8)
-        assignment, remaining, _m = en_phase_loop(
-            *nx_to_csr(g), _constant(3), 4, 10)
+        offsets, indices, _ = nx_to_csr(nx.cycle_graph(8))
+        assignment, remaining, _m, log = carve(
+            offsets, indices, _constant(3), 4, 10)
         assert len(remaining) == 8
         assert not assignment
+        assert [entry["set_aside"] for entry in log] == [8] * 4
 
     def test_gap_rule_respects_second_center(self):
         """Two centers at the ends of a path: the midpoint has gap 0."""
-        import networkx as nx
-        g = nx.path_graph(5)
+        offsets, indices, _ = nx_to_csr(nx.path_graph(5))
         draws = {0: 3, 4: 3}
 
-        def draw_radii(nodes, phase):
+        def draw(nodes, phase, epoch):
             return np.array([draws.get(v, 0) if phase == 0 else 0
-                             for v in nodes])
+                             for v in nodes.tolist()])
 
-        assignment, remaining, _m = en_phase_loop(
-            *nx_to_csr(g), draw_radii, 1, 10)
+        assignment, remaining, _m, _log = carve(
+            offsets, indices, draw, 1, 10)
         # Node 2 sees 3-2=1 from both: m1=m2 -> unclustered. Nodes 0, 1
         # see 3, 2 vs 1, 0: gap 2 -> clustered with center 0.
         assert assignment.get(0) == (0, 0)
@@ -307,6 +307,73 @@ class TestFloodOracle:
         with pytest.raises(ConfigurationError, match="exceeds the bound"):
             top_two_flood(offsets, indices, live,
                           np.array([bound + 1, 0, 0], dtype=np.int64))
+
+
+def _tables(rng, n, phases, epochs, cap, low, elect_rate):
+    """A ``draw`` and an ``elect`` callback reading fixed per-(phase,
+    epoch, node) tables, so both loops see the same choices."""
+    shifts = rng.integers(low, cap + 1, (phases, epochs + 1, max(n, 1)))
+    picks = rng.random((phases, epochs + 1, max(n, 1))) < elect_rate
+
+    def draw(nodes, phase, epoch):
+        return shifts[phase, epoch, nodes]
+
+    def elect(nodes, phase, epoch):
+        return picks[phase, epoch, nodes]
+    return draw, elect
+
+
+class TestCarvingOracle:
+    """The one carving loop against ``helpers.reference_carving`` (plain
+    Python sets over the lexsort flood), on every return value: per-node
+    phase and center in join order, leftovers, ``rounds_measured``,
+    ``messages`` and the per-phase log."""
+
+    @staticmethod
+    def assert_same(offsets, indices, draw, phases, cap, **kwargs):
+        got = carve(offsets, indices, draw, phases, cap, **kwargs)
+        want = reference_carving(offsets, indices, draw, phases, cap,
+                                 **kwargs)
+        assert list(got[0].items()) == list(want[0].items()), "join order"
+        assert got[1:] == want[1:], "leftovers, measured, log"
+        return got
+
+    @given(graph=sparse_graphs(), seed=st.integers(0, 2**32 - 1),
+           phases=st.integers(1, 4), epochs=st.integers(1, 3),
+           cap=st.integers(1, 6), low=st.sampled_from([0, 1]),
+           elect_rate=st.sampled_from([None, 0.0, 0.3, 0.8]),
+           min_gap=st.sampled_from([0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, graph, seed, phases, epochs, cap, low,
+                               elect_rate, min_gap):
+        draw, elect = _tables(np.random.default_rng(seed), graph.n, phases,
+                              epochs, cap, low, elect_rate or 0.0)
+        self.assert_same(graph.csr.offsets, graph.csr.indices, draw, phases,
+                         cap, epochs=epochs, min_gap=min_gap,
+                         elect=None if elect_rate is None else elect)
+
+    @given(graph=sparse_graphs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_isolated_clusters(self, graph, seed):
+        """A forest's components as clusters: their cluster graph is
+        edgeless, and dropping the isolated vertices leaves no graph."""
+        components = graph.connected_components()
+        offsets, indices, centers = cluster_adjacency(graph, {
+            v: min(part) for part in components for v in part})
+        assert not indices.size and centers.size == len(components)
+        draw, _ = _tables(np.random.default_rng(seed), centers.size, 3, 1,
+                          4, 0, 0.0)
+        assignment, leftovers, measured, log = self.assert_same(
+            offsets, indices, draw, 3, 4)
+        # Alone, a center clusters itself iff its shift beats the gap.
+        for i in range(centers.size):
+            phase = next((p for p in range(3) if draw(i, p, 1) > 1), None)
+            assert assignment.get(i) == (None if phase is None
+                                         else (phase, i))
+        assert measured["messages"] == 0
+        empty = np.zeros(1, dtype=np.int64)
+        assert self.assert_same(empty, empty[:0], draw, 3, 4) == (
+            {}, [], {"rounds_measured": 0, "messages": 0}, [])
 
 
 class TestRandomnessPinned:

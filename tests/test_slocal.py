@@ -1,11 +1,25 @@
 """The SLOCAL simulator: views, locality enforcement, greedy algorithms."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.errors import ConfigurationError, ModelViolation
-from repro.sim import SLocalSimulator, local_view
+from repro.sim import DistributedGraph, SLocalSimulator, local_view
 
 from helpers import family_graphs, reference_local_view
+
+
+def _shuffled_nx_graph(n=30, seed=3):
+    """A networkx input whose ``graph.edges()`` order is not u-major:
+    random edges, added in random order and orientation."""
+    rng = random.Random(seed)
+    g = nx.Graph()
+    g.add_nodes_from(rng.sample(range(n), n))
+    pairs = {tuple(rng.sample(range(n), 2)) for _ in range(2 * n)}
+    g.add_edges_from(rng.sample(sorted(pairs), len(pairs)))
+    return DistributedGraph(g, uid_seed=seed)
 
 
 class TestLocalView:
@@ -13,7 +27,10 @@ class TestLocalView:
         """One builder for every view: the ball with distances, the
         edges among it in ``graph.edges()`` order, its UIDs and the
         outputs written inside it."""
-        for name, g in family_graphs(30):
+        shuffled = _shuffled_nx_graph()
+        edges = list(shuffled.edges())
+        assert edges != sorted(edges)  # not u-major
+        for name, g in [*family_graphs(30), ("shuffled-nx", shuffled)]:
             maps = {"empty": {}, "partial": {u: u % 3 for u in g.nodes()
                                              if u % 2},
                     "full": {u: -u for u in g.nodes()}}
