@@ -3,8 +3,9 @@
 CI runs this after the test suite: a quick sweep is computed three ways
 — cold (no store), and as two host-style shards merged into one store
 and replayed — and the results, aggregates, and cache behaviour are
-asserted identical. The store directory is left on disk so CI can
-upload it as an artifact.
+asserted identical. One of the sweeps is E8's, whose task runs its
+trials through a batch form, so the check covers batching too. The
+store directory is left on disk so CI can upload it as an artifact.
 
 Usage::
 
@@ -15,6 +16,7 @@ import os
 import shutil
 import sys
 
+from repro.analysis.experiments import scenario_plan
 from repro.sim.batch import (
     ColumnarStore,
     aggregate,
@@ -42,6 +44,10 @@ def main(argv=None) -> int:
                                radius=12)),
         (luby_mis_trial, grid(["expander"], [16], range(3))),
     ]
+    # E8's first quick sweep: a task with a batch form, which each shard
+    # hands its whole slice at once.
+    e08 = scenario_plan("e08", quick=True)[0]
+    sweeps.append((e08.task(), e08.compile()))
     host0 = ColumnarStore(f"{args.dir}/host0")
     host1 = ColumnarStore(f"{args.dir}/host1")
     merged = ColumnarStore(f"{args.dir}/merged")

@@ -20,16 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.decomposition import (
-    assemble,
-    carve,
-    elkin_neiman,
-    sparse_bits_decomposition,
-)
+from ..core.decomposition import elkin_neiman_batch, sparse_bits_decomposition
 from ..graphs import trial_graph
 from ..randomness import IndependentSource, SparseRandomness
 from ..sim.messages import ceil_log2
-from ..structures import Decomposition
 from .stats import success_rate
 from .tables import Table
 
@@ -40,25 +34,15 @@ def a1_gap_rule(quick: bool = False, seed: int = 0) -> Table:
     trials = 10 if quick else 30
     phases, cap = 4 * ceil_log2(n), 2 * ceil_log2(n)
     rows: List[Dict[str, object]] = []
+    graphs = [trial_graph("gnp-sparse", n, seed + t) for t in range(trials)]
     for min_gap, label in ((1, "paper (gap > 1)"), (0, "ablated (gap > 0)")):
         valid, clustered_fraction = [], []
-        for t in range(trials):
-            g = trial_graph("gnp-sparse", n, seed + t)
-            source = IndependentSource(seed=seed + 91 * t)
-
-            def draw(centers, phase, _epoch):
-                return source.geometrics(centers.tolist(), cap,
-                                         phase * cap)[0]
-
-            assignment, remaining, _measured, _log = carve(
-                g.csr.offsets, g.csr.indices, draw, phases, cap,
-                min_gap=min_gap)
-            clustered_fraction.append(len(assignment) / n)
-            if remaining:
-                valid.append(False)
-                continue
-            dec = Decomposition(*assemble(assignment))
-            valid.append(not dec.violations(g))
+        for g, (dec, _r, extra) in zip(graphs, elkin_neiman_batch(
+                [(g, IndependentSource(seed=seed + 91 * t))
+                 for t, g in enumerate(graphs)],
+                phases=phases, cap=cap, finish="strict", min_gap=min_gap)):
+            clustered_fraction.append(len(extra["assignment"]) / n)
+            valid.append(dec is not None and not dec.violations(g))
         rows.append({
             "rule": label,
             "valid rate": success_rate(valid),
@@ -79,13 +63,10 @@ def a2_phase_budget(quick: bool = False, seed: int = 0) -> Table:
     cap = 2 * ceil_log2(n)
     rows: List[Dict[str, object]] = []
     for phases in (1, 2, 4, 8, 16):
-        outcomes = []
-        for t in range(trials):
-            g = trial_graph("gnp-sparse", n, seed + t)
-            dec, _r, _e = elkin_neiman(
-                g, IndependentSource(seed=seed + 17 * t),
-                phases=phases, cap=cap, finish="strict")
-            outcomes.append(dec is not None)
+        outcomes = [dec is not None for dec, _r, _e in elkin_neiman_batch(
+            [(trial_graph("gnp-sparse", n, seed + t),
+              IndependentSource(seed=seed + 17 * t)) for t in range(trials)],
+            phases=phases, cap=cap, finish="strict")]
         rows.append({
             "phases": phases,
             "success": success_rate(outcomes),

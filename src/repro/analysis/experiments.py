@@ -10,13 +10,16 @@ EXPERIMENTS.md numbers come from the default profile.
 Per-seed trial loops are fanned through
 :func:`repro.sim.batch.run_trials`: each sweep's inner body is a
 module-level ``_eXX_trial`` function mapped over a
-:class:`~repro.sim.batch.TrialSpec` grid. Every driver accepts a
-``workers`` argument (``None`` -> ``$REPRO_WORKERS`` -> 1); the
-seed-sweeping drivers (e01–e06, e08, e10) fan across processes without
-changing their numbers — trial randomness is a pure function of the
-spec, so worker count never affects results — while e07/e09/e11 have
-no per-seed sweep and accept ``workers`` only for interface
-uniformity (they run serially regardless).
+:class:`~repro.sim.batch.TrialSpec` grid. E2's and E8's tasks carry a
+batch form (``_eXX_trials``), so each of their sweeps runs its
+Elkin–Neiman trials as one carving of the trials' disjoint union.
+Every driver accepts a ``workers`` argument (``None`` ->
+``$REPRO_WORKERS`` -> 1); the seed-sweeping drivers (e01–e06, e08,
+e10) fan across processes without changing their numbers — trial
+randomness is a pure function of the spec, so worker count never
+affects results — while e07/e09/e11 have no per-seed sweep and accept
+``workers`` only for interface uniformity (they run serially
+regardless).
 
 Every driver also accepts ``store`` (a
 :class:`~repro.sim.batch.ColumnarStore`, or anything speaking its
@@ -71,8 +74,8 @@ from ..core import (
 )
 from ..core.decomposition import (
     deterministic_decomposition,
-    elkin_neiman,
-    kwise_decomposition,
+    elkin_neiman_batch,
+    kwise_source,
     shared_randomness_decomposition,
     shattering_decomposition,
     sparse_bits_decomposition,
@@ -84,15 +87,17 @@ from ..errors import (
     InvalidSolution,
 )
 from ..graphs import trial_graph
-from ..randomness import IndependentSource, SparseRandomness
+from ..randomness import IndependentSource, RandomSource, SparseRandomness
 from ..scenarios import (
     ExperimentGrid,
     ScenarioSpec,
     register_task,
     sweep_scenario,
 )
-from ..sim.batch import TrialResult, TrialSpec
+from ..sim.batch import TrialResult, TrialSpec, batched
+from ..sim.graph import DistributedGraph
 from ..sim.messages import ceil_log2
+from ..sim.metrics import RunReport
 from .ablations import ABLATIONS
 from .stats import log2_or_floor, success_rate, wilson_interval
 from .tables import Table
@@ -195,23 +200,64 @@ def e01_sparse_bits(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 # E2 — Theorem 3.5: k-wise independence suffices
 # ----------------------------------------------------------------------
+def _en_trials(specs: List[TrialSpec],
+               run_of: Callable[[TrialSpec], Tuple[DistributedGraph,
+                                                   RandomSource]]
+               ) -> List[Tuple[RandomSource, bool, RunReport]]:
+    """Strict Elkin–Neiman on each spec's ``run_of(spec) -> (graph,
+    source)``: ``(source, success, report)`` per spec, in order.
+
+    The specs sharing ``phases`` and ``cap`` (a whole scenario sweep)
+    run as one :func:`elkin_neiman_batch`, one carving of their graphs'
+    disjoint union; each result is its run's own.
+    """
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.param("phases"), spec.param("cap")),
+                          []).append(i)
+    runs = [run_of(spec) for spec in specs]
+    out: List[Tuple[RandomSource, bool, RunReport]] = [None] * len(specs)
+    for (phases, cap), members in groups.items():
+        batch = elkin_neiman_batch([runs[i] for i in members], phases=phases,
+                                   cap=cap, finish="strict")
+        for i, (dec, report, _extra) in zip(members, batch):
+            out[i] = (runs[i][1], dec is not None, report)
+    return out
+
+
+def _e02_ref_run(spec: TrialSpec) -> Tuple[DistributedGraph, RandomSource]:
+    base, t = spec.param("base"), spec.seed
+    return (trial_graph("cycle", spec.n, id_seed=base + t),
+            IndependentSource(seed=base + 1000 + t))
+
+
+def _e02_kwise_run(spec: TrialSpec) -> Tuple[DistributedGraph, RandomSource]:
+    base, t = spec.param("base"), spec.seed
+    return (trial_graph("cycle", spec.n, id_seed=base + t),
+            kwise_source(spec.n, spec.param("k"), spec.param("phases"),
+                         spec.param("cap"), base + 2000 + 31 * t))
+
+
+def _e02_ref_trials(specs: List[TrialSpec]) -> List[TrialResult]:
+    return [TrialResult(spec, ok)
+            for spec, (_source, ok, _report)
+            in zip(specs, _en_trials(specs, _e02_ref_run))]
+
+
+def _e02_kwise_trials(specs: List[TrialSpec]) -> List[TrialResult]:
+    return [TrialResult(spec, ok, {"seed_bits": source.seed_bits})
+            for spec, (source, ok, _report)
+            in zip(specs, _en_trials(specs, _e02_kwise_run))]
+
+
+@batched(_e02_ref_trials)
 def _e02_ref_trial(spec: TrialSpec) -> TrialResult:
-    base, t = spec.param("base"), spec.seed
-    g = trial_graph("cycle", spec.n, id_seed=base + t)
-    dec, _r, _e = elkin_neiman(
-        g, IndependentSource(seed=base + 1000 + t),
-        phases=spec.param("phases"), cap=spec.param("cap"), finish="strict")
-    return TrialResult(spec, dec is not None)
+    return _e02_ref_trials([spec])[0]
 
 
+@batched(_e02_kwise_trials)
 def _e02_kwise_trial(spec: TrialSpec) -> TrialResult:
-    base, t = spec.param("base"), spec.seed
-    g = trial_graph("cycle", spec.n, id_seed=base + t)
-    dec, _r, extra = kwise_decomposition(
-        g, k=spec.param("k"), seed=base + 2000 + 31 * t,
-        phases=spec.param("phases"), cap=spec.param("cap"), strict=True)
-    return TrialResult(spec, dec is not None,
-                       {"seed_bits": extra["seed_bits"]})
+    return _e02_kwise_trials([spec])[0]
 
 
 def _e02_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
@@ -597,13 +643,21 @@ def e07_derandomize(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 # E8 — Theorems 4.3/4.6: lying about n
 # ----------------------------------------------------------------------
-def _e08_trial(spec: TrialSpec) -> TrialResult:
+def _e08_run(spec: TrialSpec) -> Tuple[DistributedGraph, RandomSource]:
     base, t = spec.param("base"), spec.seed
-    g = trial_graph("gnp-sparse", spec.n, base + t)
-    dec, rep, _extra = elkin_neiman(
-        g, IndependentSource(seed=base + 29 * t),
-        phases=spec.param("phases"), cap=spec.param("cap"), finish="strict")
-    return TrialResult(spec, dec is not None, {"rounds": rep.rounds})
+    return (trial_graph("gnp-sparse", spec.n, base + t),
+            IndependentSource(seed=base + 29 * t))
+
+
+def _e08_trials(specs: List[TrialSpec]) -> List[TrialResult]:
+    return [TrialResult(spec, ok, {"rounds": report.rounds})
+            for spec, (_source, ok, report)
+            in zip(specs, _en_trials(specs, _e08_run))]
+
+
+@batched(_e08_trials)
+def _e08_trial(spec: TrialSpec) -> TrialResult:
+    return _e08_trials([spec])[0]
 
 
 def _e08_plan(quick: bool, seed: int) -> List[ScenarioSpec]:

@@ -12,6 +12,8 @@ Theorem 4.2 (shattering)      :func:`shattering_decomposition`
 
 Every randomized row runs the one loop :func:`carve` and numbers its
 clusters with :func:`assemble`; only the randomness differs.
+:func:`elkin_neiman_batch` runs many Elkin–Neiman trials as one
+:func:`carve` over their graphs' disjoint union.
 """
 
 from .deterministic import (
@@ -25,9 +27,10 @@ from .elkin_neiman import (
     default_cap,
     default_phases,
     elkin_neiman,
+    elkin_neiman_batch,
     top_two_flood,
 )
-from .kwise_local import kwise_decomposition
+from .kwise_local import kwise_decomposition, kwise_source
 from .quality import DecompositionQuality, measure
 from .shared_congest import (
     phase_epoch_decomposition,
@@ -56,9 +59,11 @@ __all__ = [
     "default_phases",
     "deterministic_decomposition",
     "elkin_neiman",
+    "elkin_neiman_batch",
     "gather_bits",
     "improve_decomposition",
     "kwise_decomposition",
+    "kwise_source",
     "measure",
     "phase_epoch_decomposition",
     "shared_bits_needed",

@@ -27,6 +27,13 @@ from ...structures import Decomposition
 from .elkin_neiman import default_cap, default_phases, elkin_neiman
 
 
+def kwise_source(n: int, k: int, phases: int, cap: int,
+                 seed: int) -> KWiseSource:
+    """The k-wise source Theorem 3.5's Elkin–Neiman run draws from: every
+    node's ``phases * cap`` shift bits from one ``k * m``-bit seed."""
+    return KWiseSource(k, num_nodes=n, bits_per_node=phases * cap, seed=seed)
+
+
 def kwise_decomposition(
     graph: DistributedGraph,
     k: Optional[int] = None,
@@ -48,7 +55,7 @@ def kwise_decomposition(
         k = max(4, logn * logn)
     phases = phases if phases is not None else default_phases(n)
     cap = cap if cap is not None else default_cap(n)
-    source = KWiseSource(k, num_nodes=n, bits_per_node=phases * cap, seed=seed)
+    source = kwise_source(n, k, phases, cap, seed)
     decomposition, report, extra = elkin_neiman(
         graph, source, phases=phases, cap=cap,
         finish="strict" if strict else "singletons")

@@ -139,7 +139,9 @@ def sparse_bits_decomposition(
     """Theorem 3.1: (O(log n), h poly(log n))-decomposition, congestion 1.
 
     Lemma 3.2 gathering followed by the Lemma 3.3 Elkin–Neiman run on the
-    cluster graph, drawing geometric shifts from the gathered pools.
+    cluster graph, drawing geometric shifts from the gathered pools. The
+    extra dict keeps that run's measured ``rounds_measured`` and
+    ``messages``, counted in cluster-graph rounds and messages.
     """
     n = graph.n
     logn = ceil_log2(n)
@@ -172,7 +174,7 @@ def sparse_bits_decomposition(
         cursor[center] = offset + used
         return value
 
-    assignment_cg, left_cg, _measured, _log = carve(
+    assignment_cg, left_cg, measured, _log = carve(
         offsets, indices,
         lambda centers, _phase, _epoch: np.array(
             [draw(c) for c in active[centers].tolist()], dtype=np.int64),
@@ -188,6 +190,7 @@ def sparse_bits_decomposition(
         "pool_bits_used": pools.bits_consumed,
         "pool_exhaustions": exhaustions[0],
         "spacing": gathered.spacing,
+        **measured,
     }
     members = gathered.cluster_members()
     cluster_diameter = 2 * (gathered.spacing - 1)

@@ -59,6 +59,22 @@ def key_prefix(*parts: object) -> "hashlib._Hash":
     return state
 
 
+def deterministic_uniform(counter: int, *parts: object) -> float:
+    """Uniform [0, 1) as a pure function of ``(parts, counter)``.
+
+    BLAKE2b in counter mode keyed by ``derive_key("sweep-chaos",
+    *parts)`` — the same construction as the simulation's randomness
+    substrate, reused for retry jitter, idle-poll jitter, and fault
+    schedules so that every "random" delay or fault is replayable from
+    its labels alone.
+    """
+    key = derive_key("sweep-chaos", *parts)
+    digest = hashlib.blake2b(
+        counter.to_bytes(8, "big"), key=key, digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big") / 2**64
+
+
 class BlockStream:
     """Random-access deterministic bit stream in counter mode.
 

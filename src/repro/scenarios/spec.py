@@ -81,6 +81,12 @@ def register_task(name: str, fn: Callable, free_family: bool = False) -> None:
     ``free_family=True`` marks tasks that reinterpret the spec's
     ``family`` field (E3 uses it for the randomness regime), exempting
     them from the :data:`~repro.graphs.generators.FAMILIES` check.
+
+    ``fn`` is always the per-spec task. It may carry a batch form
+    (:func:`~repro.sim.batch.runner.batched`; E2's and E8's tasks do),
+    which :func:`~repro.sim.batch.runner.run_trials` then hands whole
+    sweeps; the name still resolves to ``fn``, so store namespaces do
+    not move.
     """
     existing = _TASKS.get(name)
     if existing is not None and existing != (fn, free_family):

@@ -13,6 +13,7 @@ and whole (family, size, seed) grids fan across processes
 
 import importlib
 
+from ...randomness.block import deterministic_uniform
 from .array import (
     ArrayContext,
     ArrayEngine,
@@ -25,6 +26,7 @@ from .runner import (
     TrialResult,
     TrialSpec,
     aggregate,
+    batched,
     default_chunksize,
     grid,
     resolve_workers,
@@ -61,7 +63,6 @@ _LAZY = {
         "SweepCoordinator",
         "Transport",
         "WorkUnit",
-        "deterministic_uniform",
         "merge_pushed",
         "pushed_store_dirs",
         "run_worker",
@@ -113,6 +114,7 @@ __all__ = [
     "TrialSpec",
     "WorkUnit",
     "aggregate",
+    "batched",
     "bfs_forest_trial",
     "canonical_spec",
     "compact",

@@ -20,7 +20,7 @@ engine a ``CSRGraph`` built from their own arrays.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,6 +199,29 @@ def cluster_subgraphs(offsets: np.ndarray, indices: np.ndarray,
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         first, last = sub_offsets[lo], sub_offsets[hi]
         yield sub_offsets[lo:hi + 1] - first, heads[first:last] - lo
+
+
+def disjoint_union(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block-diagonal CSR of several CSR adjacencies.
+
+    Returns ``(offsets, indices, bounds)``: part ``b``'s node ``v`` is
+    union node ``bounds[b] + v``, so ``bounds`` (``int64[len(parts) +
+    1]``, from 0 to the union's n) holds the block boundaries and node
+    order within a block is the part's own. No arc crosses a block.
+    """
+    sizes = [offsets.size - 1 for offsets, _indices in parts]
+    bounds = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    arcs = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([indices.size for _offsets, indices in parts], out=arcs[1:])
+    offsets = np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [part[1:] + first for (part, _), first in zip(parts, arcs)])
+    indices = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [part + first for (_, part), first in zip(parts, bounds)])
+    return offsets, indices, bounds
 
 
 def distances_to_ball(dist: np.ndarray) -> Dict[int, int]:
@@ -410,8 +433,23 @@ class CSRGraph:
         return bfs_distances(self.offsets, self.indices, v, cutoff)
 
     def ball(self, v: int, radius: int) -> Dict[int, int]:
-        """Map of node -> distance for all nodes within ``radius`` of v."""
-        return distances_to_ball(self.bfs_distances(v, cutoff=radius))
+        """Map of node -> distance for all nodes within ``radius`` of v,
+        in ascending node order.
+
+        A level-by-level BFS over :attr:`neighbor_lists` that touches
+        only the ball and its boundary arcs: O(ball), not O(n).
+        """
+        lists = self.neighbor_lists
+        dist = {v: 0}
+        frontier = [v]
+        for depth in range(1, radius + 1):
+            reached = [w for u in frontier for w in lists[u]
+                       if w not in dist]
+            if not reached:
+                break
+            frontier = list(dict.fromkeys(reached))
+            dist.update(dict.fromkeys(frontier, depth))
+        return dict(sorted(dist.items()))
 
     # ------------------------------------------------------------------
     # Cached Python-level view

@@ -47,7 +47,6 @@ chaos layer that exercises all of this on a reproducible schedule).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import hmac
 import json
 import os
@@ -64,7 +63,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
 from ...errors import ConfigurationError
-from ...randomness.block import derive_key
+from ...randomness.block import deterministic_uniform
 from .colstore import TAIL_NAME, ColumnarStore
 from .store import (
     LEGACY_SHARD_DIR,
@@ -124,23 +123,6 @@ class AuthenticationError(ConfigurationError):
     configuration problem that retrying cannot fix, and it must surface
     loudly instead of masquerading as a compute failure mid-trial.
     """
-
-
-def deterministic_uniform(counter: int, *parts: object) -> float:
-    """Uniform [0, 1) as a pure function of ``(parts, counter)``.
-
-    BLAKE2b in counter mode keyed by the length-prefixed ``parts``
-    (:func:`repro.randomness.block.derive_key` discipline) — the same
-    construction as the simulation's randomness substrate, reused here
-    for retry jitter, idle-poll jitter, and fault schedules so that
-    every "random" delay in the recovery layer is replayable from its
-    labels alone.
-    """
-    key = derive_key("sweep-chaos", *parts)
-    digest = hashlib.blake2b(
-        counter.to_bytes(8, "big"), key=key, digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2**64
 
 
 class RetryPolicy:

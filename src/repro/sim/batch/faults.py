@@ -21,28 +21,25 @@ under an aggressive plan (the ``--chaos`` smoke) therefore certifies
 the production retry/quarantine paths, not a parallel test-only world.
 
 Everything here is worker-side and wrapper-shaped: production code in
-:mod:`repro.sim.batch.distrib` never imports this module.
+:mod:`repro.sim.batch.distrib` never imports this module, and this module
+imports the coordinator stack only when a :class:`FlakyControl` or
+:class:`FlakyTransport` fires, so a faulty storeless trial (a
+:class:`RoundFaultPlan`) never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError
-from ...randomness.block import key_prefix
-from .distrib import (
-    CoordinatorUnavailable,
-    LeaseReply,
-    RetryableError,
-    Transport,
-    _store_digests,
-    _store_files,
-    deterministic_uniform,
-)
+from ...randomness.block import deterministic_uniform, key_prefix
+
+if TYPE_CHECKING:
+    from .distrib import LeaseReply, Transport
 
 #: Fault kinds FlakyControl understands (FlakyTransport adds "truncate").
 CONTROL_KINDS = ("drop", "delay", "duplicate", "error")
@@ -83,7 +80,7 @@ class RoundFaultPlan:
 
     The decisions take endpoint arrays (:meth:`crash_mask`,
     :meth:`escape_mask`, :meth:`drop_mask`); each entry is one
-    :func:`~repro.sim.batch.distrib.deterministic_uniform` draw of
+    :func:`~repro.randomness.block.deterministic_uniform` draw of
     (round, label, seed, endpoints). Each (label, seed, endpoints) key
     is hashed once for the plan's lifetime — one run's weather — so a
     round costs one keyed BLAKE2b per decision.
@@ -263,6 +260,8 @@ class FlakyControl:
         self._sleep = sleep
 
     def _call(self, verb: str, call: Callable[[], Any], duplicable: bool = True) -> Any:
+        from .distrib import CoordinatorUnavailable, RetryableError
+
         kind = self.plan.decide(verb)
         if kind == "drop":
             raise CoordinatorUnavailable(f"injected fault: {verb} request dropped")
@@ -300,14 +299,15 @@ class FlakyControl:
         return self._call("status", self._control.status)
 
 
-class FlakyTransport(Transport):
+class FlakyTransport:
     """A push path that drops, stalls, duplicates, and truncates.
 
-    Wraps a real :class:`~repro.sim.batch.distrib.Transport`. The
-    interesting kind is ``truncate``: the store's files and digests are
-    computed honestly, then one file (the largest — in practice the
-    only one, ``tail.jsonl``) is cut in half *after* digest
-    computation, modeling a connection that died mid-body. The
+    Wraps a real :class:`~repro.sim.batch.distrib.Transport` and speaks
+    its ``name``/``push`` surface. The interesting kind is ``truncate``:
+    the store's files and digests are computed honestly, then one file
+    (the largest — in practice the only one, ``tail.jsonl``) is cut in
+    half *after* digest computation, modeling a connection that died
+    mid-body. The
     receiver's digest verification must reject the payload
     (:class:`~repro.sim.batch.distrib.PushIntegrityError`), the retry
     re-reads the intact store from disk, and the retried push
@@ -334,6 +334,13 @@ class FlakyTransport(Transport):
         return corrupted, victim
 
     def push(self, store_root: str, name: str) -> str:
+        from .distrib import (
+            CoordinatorUnavailable,
+            RetryableError,
+            _store_digests,
+            _store_files,
+        )
+
         files = _store_files(store_root)
         digests = _store_digests(files)
         kind = self.plan.decide("push")

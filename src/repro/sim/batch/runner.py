@@ -13,6 +13,12 @@ Tasks must be module-level functions (the pool pickles them by
 reference) and must derive all randomness from ``spec.seed`` — never
 from global state — or cross-worker determinism is lost.
 
+A task may carry a batch form, ``specs -> results`` (:func:`batched`):
+the runner then hands it every in-process list or per-worker chunk of
+specs at once, so many small trials can share one array pass (E2's and
+E8's Elkin–Neiman trials run as one carving of their graphs' disjoint
+union). What the store and the coordinator see stays per spec.
+
 The bundled tasks (:mod:`repro.sim.batch.tasks`) memoize graph builds
 per worker process and key the memo seed-free for seed-invariant
 families and ID schemes, so a sweep constructs each distinct graph
@@ -23,9 +29,11 @@ the memo only skips redundant identical builds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ...errors import ConfigurationError
 
@@ -95,6 +103,10 @@ class TrialResult:
     spec: TrialSpec
     ok: bool
     data: Dict[str, Any] = dataclasses.field(default_factory=dict)
+
+
+#: A trial task: one spec in, one result out (module-level, picklable).
+Task = Callable[[TrialSpec], TrialResult]
 
 
 def grid(families: Iterable[str], sizes: Iterable[int],
@@ -176,7 +188,60 @@ def task_name_of(task: Callable[..., Any], task_name: Optional[str]) -> str:
     return f"{module}.{qualname}"
 
 
-def run_trials(task: Callable[[TrialSpec], TrialResult],
+def batched(batch: Callable[[List[TrialSpec]], List[TrialResult]]
+            ) -> Callable[[Task], Task]:
+    """Give a per-spec task its batch form, ``specs -> results``.
+
+    Decorates the module-level per-spec task, which stays the name
+    :func:`run_trials` is handed, pickles and namespaces the store by;
+    it should be ``batch([spec])[0]``, so a task has one code path.
+    ``batch`` must be module-level too (a pool pickles it by
+    reference) and return one result per spec, in order, each equal to
+    the task's own on that spec.
+    """
+    def attach(task: Task) -> Task:
+        task.batch = batch
+        return task
+    return attach
+
+
+def _each(task: Task, specs: List[TrialSpec]) -> List[TrialResult]:
+    """The batch form of a task that has none: one call per spec."""
+    return [task(spec) for spec in specs]
+
+
+def _computed(task: Task, specs: List[TrialSpec], workers: int,
+              chunksize: Optional[int]
+              ) -> Iterator[Tuple[TrialSpec, TrialResult]]:
+    """``(spec, result)`` for every spec, in order.
+
+    In-process, a task's batch form gets the whole list, and a task
+    without one runs spec by spec (so each result lands as soon as it
+    is computed). A pool runs each chunk of specs as one call of the
+    batch form, or of the task mapped over it.
+    """
+    batch = getattr(task, "batch", None)
+    run = batch if batch is not None else functools.partial(_each, task)
+    local = workers == 1 or len(specs) <= 1
+    if local:
+        size = max(1, len(specs)) if batch is not None else 1
+    else:
+        size = (default_chunksize(len(specs), workers)
+                if chunksize is None else max(1, chunksize))
+    chunks = [specs[i:i + size] for i in range(0, len(specs), size)]
+    if local:
+        for chunk in chunks:
+            yield from zip(chunk, run(chunk), strict=True)
+        return
+    with multiprocessing.Pool(processes=workers) as pool:
+        # imap (not map): chunks arrive in grid order and each result is
+        # checkpointed as it lands, so a kill loses at most the
+        # in-flight chunks — the resume story.
+        for chunk, results in zip(chunks, pool.imap(run, chunks)):
+            yield from zip(chunk, results, strict=True)
+
+
+def run_trials(task: Task,
                specs: Sequence[TrialSpec],
                workers: Optional[int] = None,
                chunksize: Optional[int] = None,
@@ -193,6 +258,13 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
     overhead for idle workers. ``chunksize=None`` picks
     :func:`default_chunksize`; any chunking returns identical results
     in identical order.
+
+    A task carrying a batch form (:func:`batched`) is handed lists of
+    specs instead of one at a time: in-process, the whole list of specs
+    to run; with a pool, each worker's chunk. Everything else stays per
+    spec: store keys and record bytes, cache hits, shard ownership, and
+    the ``progress`` calls, which still come one per fresh spec, after
+    its store append, in grid order — once its batch is done.
 
     ``store`` (a :class:`repro.sim.batch.colstore.ColumnarStore`) makes the
     sweep durable: cached results are reused, fresh ones are appended
@@ -222,25 +294,12 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
                 "slice, which is only useful when persisted for a merge")
     if store is None:
         workers = min(resolve_workers(workers), max(1, len(specs)))
-        if workers == 1 or len(specs) <= 1:
-            results = []
-            for spec in specs:
-                result = task(spec)
-                if progress is not None:
-                    progress(spec, result)
-                results.append(result)
-            return results
-        size = (default_chunksize(len(specs), workers)
-                if chunksize is None else max(1, chunksize))
-        with multiprocessing.Pool(processes=workers) as pool:
-            if progress is None:
-                return pool.map(task, specs, chunksize=size)
-            results = []
-            for spec, result in zip(specs, pool.imap(task, specs,
-                                                     chunksize=size)):
+        results = []
+        for spec, result in _computed(task, specs, workers, chunksize):
+            if progress is not None:
                 progress(spec, result)
-                results.append(result)
-            return results
+            results.append(result)
+        return results
 
     name = task_name_of(task, task_name)
     flush = getattr(store, "flush", None)
@@ -263,31 +322,14 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
             positions[spec] = [i]
             to_run.append(spec)
 
-    if to_run:
-        workers = min(workers, len(to_run))
-        if workers == 1 or len(to_run) == 1:
-            for spec in to_run:
-                result = task(spec)
-                store.put(name, spec, result)
-                if progress is not None:
-                    progress(spec, result)
-                for i in positions[spec]:
-                    results[i] = result
-        else:
-            size = (default_chunksize(len(to_run), workers)
-                    if chunksize is None else max(1, chunksize))
-            with multiprocessing.Pool(processes=workers) as pool:
-                # imap (not map): results arrive in grid order and each
-                # is checkpointed as it lands, so a kill loses at most
-                # the in-flight chunk — the resume story.
-                for spec, result in zip(to_run,
-                                        pool.imap(task, to_run,
-                                                  chunksize=size)):
-                    store.put(name, spec, result)
-                    if progress is not None:
-                        progress(spec, result)
-                    for i in positions[spec]:
-                        results[i] = result
+    for spec, result in _computed(task, to_run,
+                                  min(workers, max(1, len(to_run))),
+                                  chunksize):
+        store.put(name, spec, result)
+        if progress is not None:
+            progress(spec, result)
+        for i in positions[spec]:
+            results[i] = result
     # Pack the rows this sweep added into a segment now that it is
     # complete; every put above was already individually durable. A
     # sweep that added nothing leaves the tail alone: after a crash it

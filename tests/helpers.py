@@ -32,11 +32,11 @@ from repro.errors import (
 )
 from repro.graphs import assign, make
 from repro.randomness import SharedRandomness
+from repro.randomness.block import deterministic_uniform
 from repro.randomness.pooled import PooledBits
 from repro.randomness.source import RandomSource
 from repro.sim.batch.array import ArrayContext
 from repro.sim.batch.csr import bfs_distances, edges_to_csr, index_edges
-from repro.sim.batch.distrib import deterministic_uniform
 from repro.sim.graph import DistributedGraph, EdgeList
 from repro.sim.messages import CONGEST, LOCAL, congest_limit, message_bits
 from repro.sim.metrics import AlgorithmResult, RunReport

@@ -7,19 +7,26 @@ fan-out must never change what a sweep computes, only how fast.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.analysis.experiments import _e08_trial, scenario_plan
 from repro.errors import ConfigurationError
 from repro.sim.batch import (
+    ColumnarStore,
     TrialResult,
     TrialSpec,
     aggregate,
+    batched,
     flood_min_trial,
     grid,
     luby_mis_trial,
+    merge_stores,
     resolve_workers,
     run_trials,
 )
+from repro.sim.batch.runner import task_name_of
 
 
 class TestTrialSpec:
@@ -101,6 +108,152 @@ class TestRunTrials:
 
     def test_empty_grid(self):
         assert run_trials(flood_min_trial, [], workers=4) == []
+
+
+#: E8's store namespace, shared by both ways of running its task.
+E8_NAME = task_name_of(_e08_trial, None)
+
+
+def _e08_one_by_one(spec: TrialSpec) -> TrialResult:
+    """E8's task without its batch form: the runner maps it per spec."""
+    return _e08_trial(spec)
+
+
+def _e08_specs():
+    """E8's quick grid: four sweeps with different phases and caps."""
+    return [spec for scenario in scenario_plan("e08", quick=True, seed=0)
+            for spec in scenario.compile()]
+
+
+def _store_bytes(root) -> dict:
+    """Every file under ``root`` as relpath -> bytes."""
+    contents = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                contents[os.path.relpath(path, root)] = handle.read()
+    return contents
+
+
+class _Recording:
+    """A store that logs each put into a shared event list."""
+
+    def __init__(self, store, events) -> None:
+        self.store, self.events = store, events
+
+    def get(self, name, spec):
+        return self.store.get(name, spec)
+
+    def put(self, name, spec, result):
+        self.events.append(("put", spec))
+        self.store.put(name, spec, result)
+
+    def flush(self):
+        self.store.flush()
+
+    def __len__(self):
+        return len(self.store)
+
+
+class TestBatchForm:
+    """A task's batch form changes nothing per spec: results, store
+    bytes, cache hits, shard slices and progress calls all equal the
+    per-spec run's."""
+
+    def sweep(self, task, root, **kwargs):
+        store = ColumnarStore(str(root))
+        results = run_trials(task, _e08_specs(), store=store,
+                             task_name=E8_NAME, **kwargs)
+        store.close()
+        return results
+
+    def test_batch_form_gets_the_whole_list(self, monkeypatch):
+        batches = []
+        real = _e08_trial.batch
+
+        def spy(specs):
+            batches.append(list(specs))
+            return real(specs)
+        monkeypatch.setattr(_e08_trial, "batch", spy)
+        specs = _e08_specs()
+        assert run_trials(_e08_trial, specs, workers=1) == \
+            run_trials(_e08_one_by_one, specs, workers=1)
+        assert batches == [specs]
+
+    def test_cold_and_warm_store(self, tmp_path):
+        batched = self.sweep(_e08_trial, tmp_path / "batched", workers=1)
+        per_spec = self.sweep(_e08_one_by_one, tmp_path / "per-spec",
+                              workers=1)
+        assert batched == per_spec
+        assert _store_bytes(tmp_path / "batched") == \
+            _store_bytes(tmp_path / "per-spec")
+        before = _store_bytes(tmp_path / "batched")
+        calls = []
+        store = ColumnarStore(str(tmp_path / "batched"))
+        warm = run_trials(_e08_trial, _e08_specs(), store=store,
+                          task_name=E8_NAME,
+                          progress=lambda spec, result: calls.append(spec))
+        store.close()
+        assert warm == batched and calls == []
+        assert _store_bytes(tmp_path / "batched") == before
+
+    def test_progress_follows_each_put_in_grid_order(self, tmp_path):
+        specs = _e08_specs()
+        store = ColumnarStore(str(tmp_path / "store"))
+        # Warm every third spec first: those are cache hits below.
+        cached = specs[::3]
+        run_trials(_e08_one_by_one, cached, store=store, task_name=E8_NAME)
+        events = []
+        run_trials(_e08_trial, specs, store=_Recording(store, events),
+                   task_name=E8_NAME,
+                   progress=lambda spec, result: events.append(
+                       ("progress", spec)))
+        store.close()
+        fresh = [spec for spec in specs if spec not in cached]
+        assert events == [event for spec in fresh
+                          for event in (("put", spec), ("progress", spec))]
+
+    def test_shards_merged(self, tmp_path):
+        for label, task in (("batched", _e08_trial),
+                            ("per-spec", _e08_one_by_one)):
+            hosts = []
+            for index in range(2):
+                root = tmp_path / f"{label}-host{index}"
+                self.sweep(task, root, shard=(index, 2))
+                hosts.append(ColumnarStore(str(root)))
+            merged = ColumnarStore(str(tmp_path / f"{label}-merged"))
+            merge_stores(merged, hosts)
+            for store in hosts + [merged]:
+                store.close()
+        assert _store_bytes(tmp_path / "batched-merged") == \
+            _store_bytes(tmp_path / "per-spec-merged")
+        for index in range(2):
+            assert _store_bytes(tmp_path / f"batched-host{index}") == \
+                _store_bytes(tmp_path / f"per-spec-host{index}")
+        store = ColumnarStore(str(tmp_path / "batched-merged"))
+        replayed = run_trials(_e08_trial, _e08_specs(), store=store,
+                              task_name=E8_NAME)
+        store.close()
+        assert replayed == run_trials(_e08_one_by_one, _e08_specs())
+
+    def test_batch_form_must_answer_every_spec(self):
+        @batched(lambda specs: [TrialResult(spec, True) for spec in specs[1:]])
+        def task(spec):
+            return TrialResult(spec, True)
+        with pytest.raises(ValueError):
+            run_trials(task, grid(["cycle"], [8], range(3)), workers=1)
+
+    def test_two_workers(self, tmp_path, monkeypatch):
+        serial = self.sweep(_e08_one_by_one, tmp_path / "serial", workers=1)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert self.sweep(_e08_trial, tmp_path / "pooled") == serial
+        assert _store_bytes(tmp_path / "pooled") == \
+            _store_bytes(tmp_path / "serial")
+        calls = []
+        storeless = run_trials(_e08_trial, _e08_specs(), chunksize=7,
+                               progress=lambda spec, r: calls.append(spec))
+        assert storeless == serial and calls == _e08_specs()
 
 
 class TestAggregate:

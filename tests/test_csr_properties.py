@@ -19,9 +19,11 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.graphs import FAMILIES, assign, make
 from repro.sim.batch import CSRGraph
+from repro.sim.batch.csr import (bfs_distances, disjoint_union,
+                                 distances_to_ball)
 from repro.sim.graph import DistributedGraph, EdgeList
 
-from helpers import to_nx
+from helpers import family_graphs, sparse_graphs, to_nx
 
 
 @st.composite
@@ -153,3 +155,47 @@ class TestValidation:
         csr = CSRGraph(np.array([0, 1, 2]), np.array([1, 0]), (4, 9))
         with pytest.raises(TypeError):
             hash(csr)
+
+
+class TestBall:
+    """``CSRGraph.ball``, a BFS over the ball only, against the full
+    ``bfs_distances`` it replaced: same dict, same key order."""
+
+    @pytest.mark.parametrize("name,graph", list(family_graphs(40, seed=3)))
+    def test_matches_full_bfs_on_families(self, name, graph):
+        csr = graph.csr
+        for v in range(csr.n):
+            for radius in range(4):
+                want = distances_to_ball(
+                    bfs_distances(csr.offsets, csr.indices, v, radius))
+                got = csr.ball(v, radius)
+                assert list(got.items()) == list(want.items()), (name, v)
+
+    @given(sparse_graphs(), st.integers(0, 4))
+    def test_matches_full_bfs_with_isolated_nodes(self, graph, radius):
+        csr = graph.csr
+        for v in range(csr.n):
+            want = distances_to_ball(
+                bfs_distances(csr.offsets, csr.indices, v, radius))
+            assert list(csr.ball(v, radius).items()) == list(want.items())
+
+
+class TestDisjointUnion:
+    @given(st.lists(sparse_graphs(max_nodes=12), max_size=4))
+    def test_blocks_are_the_parts(self, graphs):
+        parts = [(g.csr.offsets, g.csr.indices) for g in graphs]
+        offsets, indices, bounds = disjoint_union(parts)
+        assert bounds.tolist() == [0] + np.cumsum(
+            [g.n for g in graphs]).tolist()
+        assert offsets.size == bounds[-1] + 1
+        for b, g in enumerate(graphs):
+            lo, hi = bounds[b], bounds[b + 1]
+            assert (offsets[lo:hi + 1] - offsets[lo]).tolist() == \
+                g.csr.offsets.tolist()
+            arcs = indices[offsets[lo]:offsets[hi]]
+            assert (arcs - lo).tolist() == g.csr.indices.tolist()
+
+    def test_empty(self):
+        offsets, indices, bounds = disjoint_union([])
+        assert (offsets.tolist(), indices.tolist(), bounds.tolist()) == (
+            [0], [], [0])

@@ -1,6 +1,7 @@
 """The Elkin–Neiman decomposition: validity, bounds, determinism, and
 the top-two flood every random-shift decomposition runs."""
 
+import dataclasses
 import math
 
 import networkx as nx
@@ -10,22 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ruling_sets import cluster_adjacency
+import repro.core.decomposition.sparse_bits as sparse_bits_module
 from repro.core.decomposition import (
     carve,
     default_cap,
     default_phases,
     elkin_neiman,
+    elkin_neiman_batch,
     kwise_decomposition,
+    kwise_source,
     sparse_bits_decomposition,
     top_two_flood,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource, SparseRandomness
-from repro.sim.batch.csr import edges_to_csr
+from repro.sim.batch.csr import disjoint_union, edges_to_csr
 
 from helpers import (family_graphs, nx_copy, nx_to_csr, reference_carving,
-                     reference_top_two_flood, sparse_graphs)
+                     reference_top_two_flood, source_ledger, sparse_graphs)
 
 
 def _constant(radius):
@@ -374,6 +378,210 @@ class TestCarvingOracle:
         empty = np.zeros(1, dtype=np.int64)
         assert self.assert_same(empty, empty[:0], draw, 3, 4) == (
             {}, [], {"rounds_measured": 0, "messages": 0}, [])
+
+
+#: A graph with no nodes and one with a single node, as CSR arrays.
+EMPTY_CSR = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+ONE_NODE_CSR = (np.zeros(2, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+@st.composite
+def csr_lists(draw):
+    """0-4 CSR graphs to carve as one union: hypothesis sparse graphs
+    (trailing isolated nodes included), empty and one-node graphs."""
+    part = st.one_of(
+        sparse_graphs(max_nodes=16).map(
+            lambda g: (g.csr.offsets, g.csr.indices)),
+        st.just(EMPTY_CSR), st.just(ONE_NODE_CSR))
+    return draw(st.lists(part, max_size=4))
+
+
+def _shifted(callback, start):
+    """A union callback seen from one block: block node v is union node
+    ``start + v``."""
+    return lambda nodes, phase, epoch: callback(nodes + start, phase, epoch)
+
+
+class TestBatchedCarving:
+    """One carve over a disjoint union equals each graph's own carving
+    (``helpers.reference_carving``): per-block join order, leftovers,
+    ``rounds_measured``, ``messages`` and phase log."""
+
+    @given(parts=csr_lists(), seed=st.integers(0, 2**32 - 1),
+           phases=st.integers(1, 4), epochs=st.integers(1, 3),
+           cap=st.integers(1, 6), low=st.sampled_from([0, 1]),
+           elect_rate=st.sampled_from([None, 0.0, 0.3, 0.8]),
+           min_gap=st.sampled_from([0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_union_equals_separate_carvings(self, parts, seed, phases, epochs,
+                                            cap, low, elect_rate, min_gap):
+        offsets, indices, bounds = disjoint_union(parts)
+        draw, elect = _tables(np.random.default_rng(seed), int(bounds[-1]),
+                              phases, epochs, cap, low, elect_rate or 0.0)
+        if elect_rate is None:
+            elect = None
+        got = carve(offsets, indices, draw, phases, cap, epochs=epochs,
+                    elect=elect, min_gap=min_gap, blocks=bounds)
+        assert len(got) == len(parts)
+        for b, (part_offsets, part_indices) in enumerate(parts):
+            start = int(bounds[b])
+            want = reference_carving(
+                part_offsets, part_indices, _shifted(draw, start), phases,
+                cap, epochs=epochs, min_gap=min_gap,
+                elect=None if elect is None else _shifted(elect, start))
+            assert list(got[b][0].items()) == list(want[0].items()), b
+            assert got[b][1:] == want[1:], b
+
+    @given(st.lists(flood_inputs(), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_flood_counts_per_block(self, cases):
+        offsets, indices, bounds = disjoint_union(
+            [(case[0], case[1]) for case in cases])
+        live = np.concatenate([np.zeros(0, dtype=bool)]
+                              + [case[2] for case in cases])
+        radii = np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [case[3] for case in cases])
+        m1, center, m2, rounds, messages = top_two_flood(
+            offsets, indices, live, radii, bounds)
+        assert rounds.shape == messages.shape == (len(cases),)
+        for b, case in enumerate(cases):
+            lo, hi = bounds[b], bounds[b + 1]
+            want = top_two_flood(*case)
+            mine = center[lo:hi]
+            assert m1[lo:hi].tolist() == want[0].tolist()
+            assert np.where(mine >= 0, mine - lo, -1).tolist() == \
+                want[1].tolist()
+            assert m2[lo:hi].tolist() == want[2].tolist()
+            assert (int(rounds[b]), int(messages[b])) == want[3:]
+
+
+def _outputs(result):
+    """An Elkin–Neiman result as plain, comparable values."""
+    dec, report, extra = result
+    return (None if dec is None else (dec.cluster_of, dec.color_of),
+            dataclasses.asdict(report), list(extra["assignment"].items()),
+            extra)
+
+
+def _reads(source):
+    """Log every ``geometrics`` read of ``source`` as ``(nodes, count,
+    start)``; returns the log."""
+    log, read = [], source.geometrics
+
+    def logged(nodes, count, start):
+        log.append((list(nodes), count, start))
+        return read(nodes, count, start)
+    source.geometrics = logged
+    return log
+
+
+class TestElkinNeimanBatch:
+    """``elkin_neiman_batch`` returns each run's own outputs, report and
+    ledger: each run against its own carving and a lone run."""
+
+    @given(graphs=st.lists(sparse_graphs(max_nodes=16), max_size=4),
+           seed=st.integers(0, 2**20), phases=st.integers(1, 4),
+           cap=st.integers(1, 6),
+           finish=st.sampled_from(["strict", "singletons"]),
+           bit_offset=st.sampled_from([0, 5]),
+           kwise=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_separate_runs(self, graphs, seed, phases, cap,
+                                        finish, bit_offset, kwise):
+        def sources():
+            # k-wise sources serve exactly phases * cap bits per node.
+            return [kwise_source(g.n, 4, phases, cap, seed + i)
+                    if kwise and i % 2 and not bit_offset
+                    else IndependentSource(seed=seed + i)
+                    for i, g in enumerate(graphs)]
+
+        batch_sources, alone_sources, carved_sources = (
+            sources(), sources(), sources())
+        batch_reads = [_reads(source) for source in batch_sources]
+        alone_reads = [_reads(source) for source in alone_sources]
+        got = elkin_neiman_batch(list(zip(graphs, batch_sources)),
+                                 phases=phases, cap=cap, finish=finish,
+                                 bit_offset=bit_offset)
+        assert len(got) == len(graphs)
+        for i, g in enumerate(graphs):
+            alone = elkin_neiman(g, alone_sources[i], phases=phases, cap=cap,
+                                 finish=finish, bit_offset=bit_offset)
+            assert _outputs(got[i]) == _outputs(alone), i
+            source = carved_sources[i]
+            assignment, leftovers, measured, _log = reference_carving(
+                g.csr.offsets, g.csr.indices,
+                lambda c, phase, _e, source=source: source.geometrics(
+                    c.tolist(), cap, bit_offset + phase * cap)[0],
+                phases, cap)
+            extra = got[i][2]
+            assert list(extra["assignment"].items()) == \
+                list(assignment.items())
+            assert extra["unclustered"] == set(leftovers)
+            assert {k: extra[k] for k in measured} == measured
+            assert (got[i][0] is None) == (finish == "strict"
+                                           and bool(leftovers))
+            for other in (alone_sources[i], source):
+                assert source_ledger(batch_sources[i]) == \
+                    source_ledger(other)
+                assert batch_sources[i].bits_consumed == other.bits_consumed
+            assert got[i][1].randomness_bits == source.bits_consumed
+            # The same reads, in order: none for a phase without centers.
+            assert batch_reads[i] == alone_reads[i]
+
+    def test_empty_batch(self):
+        assert elkin_neiman_batch([]) == []
+
+    def test_refusals(self, cycle12):
+        source = IndependentSource(seed=1)
+        with pytest.raises(ConfigurationError, match="one source per run"):
+            elkin_neiman_batch([(cycle12, source), (cycle12, source)])
+        big = assign(make("cycle", 300, seed=1), "random", seed=1)
+        with pytest.raises(ConfigurationError, match="share phases and cap"):
+            elkin_neiman_batch([(cycle12, IndependentSource(seed=1)),
+                                (big, IndependentSource(seed=2))])
+        elkin_neiman_batch([(cycle12, IndependentSource(seed=1)),
+                            (big, IndependentSource(seed=2))], phases=3,
+                           cap=4)
+        with pytest.raises(ConfigurationError, match="finish"):
+            elkin_neiman_batch([(cycle12, source)], finish="retry")
+
+
+class TestTheorem31Measured:
+    """Theorem 3.1 keeps its cluster-graph carving's measured counts:
+    they equal a direct carve of the same cluster graph with the same
+    shifts."""
+
+    @pytest.mark.parametrize("family,n,spacing", [
+        ("grid", 144, 3), ("gnp-sparse", 120, 4), ("cycle", 96, 3)])
+    def test_counts_equal_a_direct_carve(self, monkeypatch, family, n,
+                                         spacing):
+        calls = []
+        real = sparse_bits_module.carve
+
+        def spy(offsets, indices, draw, phases, cap, **kwargs):
+            shifts = {}
+
+            def recorded(centers, phase, epoch):
+                radii = draw(centers, phase, epoch)
+                shifts[phase] = dict(zip(centers.tolist(), radii.tolist()))
+                return radii
+            calls.append((offsets, indices, shifts, phases, cap))
+            return real(offsets, indices, recorded, phases, cap, **kwargs)
+
+        monkeypatch.setattr(sparse_bits_module, "carve", spy)
+        g = assign(make(family, n, seed=2), "random", seed=2)
+        _d, _r, extra = sparse_bits_decomposition(
+            g, SparseRandomness.for_graph(g, h=1, seed=3), spacing=spacing,
+            strict=False)
+        ((offsets, indices, shifts, phases, cap),) = calls
+
+        def replay(centers, phase, _epoch):
+            return np.array([shifts[phase][c] for c in centers.tolist()],
+                            dtype=np.int64)
+        _a, _l, measured, _log = reference_carving(offsets, indices, replay,
+                                                   phases, cap)
+        assert measured["rounds_measured"] > 0
+        assert {k: extra[k] for k in measured} == measured
 
 
 class TestRandomnessPinned:

@@ -45,6 +45,19 @@ class TestImportGuard:
                 assert not done.code, done.code
         """) == []
 
+    def test_faulty_storeless_trial_loads_none(self):
+        """A fault plan is simulation, not coordination: importing it and
+        running a faulty trial without a store loads no coordinator."""
+        assert loaded_after("""
+            from repro.sim.batch.faults import RoundFaultPlan
+            from repro.sim.batch import (TrialSpec, deterministic_uniform,
+                                         luby_mis_trial, run_trials)
+            spec = TrialSpec.of("cycle", 24, 1, fault_crash=0.2,
+                                fault_loss=0.1, fault_seed=3)
+            (result,) = run_trials(luby_mis_trial, [spec])
+            assert result.spec == spec
+        """) == []
+
     def test_flags_still_reach_their_stacks(self):
         assert loaded_after("""
             from repro.graphs import make
