@@ -11,9 +11,15 @@ Theorem 4.2 (shattering)      :func:`shattering_decomposition`
 ============================  ==========================================
 
 Every randomized row runs the one loop :func:`carve` and numbers its
-clusters with :func:`assemble`; only the randomness differs.
+clusters with :func:`assemble`, which returns the color-normalized
+:class:`~repro.structures.Decomposition`; only the randomness differs.
+Theorems 3.6 and 3.7 are one construction,
+:func:`phase_epoch_decomposition`, reading one shared string per owner
+(the global string, or each gathering cluster's pool).
 :func:`elkin_neiman_batch` runs many Elkin–Neiman trials as one
 :func:`carve` over their graphs' disjoint union.
+:func:`~.elkin_neiman.split_reads` is the one per-owner read split
+behind both.
 """
 
 from .deterministic import (

@@ -34,7 +34,11 @@ for the best pair of another center.
 
 :func:`carve`, the one phase loop, is its only caller: every
 random-shift construction runs it, and it counts their measured rounds.
-:func:`assemble` numbers every carving's clusters.
+:func:`assemble` numbers every carving's clusters and returns the
+color-normalized :class:`Decomposition`. :func:`split_reads` is the one
+place a read fans out to per-owner sources: the batched draw below reads
+each block's source through it, and Theorems 3.6/3.7 each owner's
+k-wise sources.
 
 Many small runs batch: :func:`elkin_neiman_batch` carves the disjoint
 union of its runs' graphs (:func:`~repro.sim.batch.csr.disjoint_union`)
@@ -252,9 +256,10 @@ def carve(
     node numbering (union node minus ``blocks[b]``), each equal to what
     ``carve`` returns on that graph alone. ``draw`` and ``elect`` see
     the union's nodes, so a caller whose draws differ per graph splits
-    them by block (:func:`elkin_neiman_batch` reads each block from its
-    own source). Rounds, messages and the log are counted per block; a
-    block with no live node left logs no further phase.
+    them by block with :func:`split_reads` (:func:`elkin_neiman_batch`
+    reads each block from its own source). Rounds, messages and the log
+    are counted per block; a block with no live node left logs no
+    further phase.
     """
     if phases < 1 or epochs < 1 or cap < 1:
         raise ConfigurationError("phases, epochs and cap must be >= 1")
@@ -351,15 +356,17 @@ def _tally(floods: List[_Flood], left: np.ndarray, ran: int,
 
 
 def assemble(assignment: Dict[Hashable, Tuple[int, Hashable]],
-             leftovers: Iterable[Hashable] = ()
-             ) -> Tuple[Dict[Hashable, int], Dict[int, int]]:
-    """Number a carving's clusters: ``(cluster_of, color_of)``.
+             leftovers: Iterable[Hashable] = ()) -> Decomposition:
+    """Number a carving's clusters: the :class:`Decomposition`, colors
+    normalized.
 
     One cluster per ``(color, center)`` value of ``assignment`` (a node
     -> ``(phase, center)`` map, as :func:`carve` returns it), numbered in
     the order the clusters first gain a member and colored by the phase.
     Each leftover, in ascending order, then becomes a singleton cluster
-    with a fresh color past every color used so far.
+    with a fresh color past every color used so far. The colors are then
+    ranked onto ``0 .. c - 1``
+    (:meth:`~repro.structures.Decomposition.normalize_colors`).
     """
     cluster_of: Dict[Hashable, int] = {}
     color_of: Dict[int, int] = {}
@@ -371,7 +378,37 @@ def assemble(assignment: Dict[Hashable, Tuple[int, Hashable]],
     for color, v in enumerate(sorted(leftovers), start=fresh):
         cluster_of[v] = len(color_of)
         color_of[len(color_of)] = color
-    return cluster_of, color_of
+    return Decomposition(cluster_of=cluster_of,
+                         color_of=color_of).normalize_colors()
+
+
+def split_reads(nodes: np.ndarray, owners: np.ndarray,
+                read: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """``read(owner, group)`` once per distinct owner: the one place a
+    read fans out to per-owner sources.
+
+    ``owners[i]`` owns ``nodes[i]``. Each owner is read once, in
+    ascending owner order, on its ``group`` of nodes in input order, and
+    must return one value per node; the values come back in ``nodes``
+    order. Owners that already ascend (a disjoint union's blocks over
+    ascending nodes) are cut where they change, without a sort.
+    """
+    if not nodes.size:
+        return np.zeros(0, dtype=np.int64)
+    order = None
+    if (owners[1:] < owners[:-1]).any():
+        order = np.argsort(owners, kind="stable")
+        nodes, owners = nodes[order], owners[order]
+    cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(),
+            nodes.size]
+    values = np.concatenate([read(owner, nodes[lo:hi]) for owner, lo, hi
+                             in zip(owners[cuts[:-1]].tolist(), cuts,
+                                    cuts[1:])])
+    if order is None:
+        return values
+    out = np.empty_like(values)
+    out[order] = values
+    return out
 
 
 def elkin_neiman_batch(
@@ -416,15 +453,15 @@ def elkin_neiman_batch(
 
     offsets, indices, bounds = disjoint_union(
         [(g.csr.offsets, g.csr.indices) for g in graphs])
+    block = np.repeat(np.arange(len(runs)), np.diff(bounds))
     consumed_before = [source.bits_consumed for source in sources]
 
     def draw(centers: np.ndarray, phase: int, _epoch: int) -> np.ndarray:
-        cuts = np.searchsorted(centers, bounds).tolist()
+        def read(b: int, group: np.ndarray) -> np.ndarray:
+            return sources[b].geometrics((group - bounds[b]).tolist(), cap,
+                                         bit_offset + phase * cap)[0]
         # Only a block with centers reads its source.
-        return np.concatenate([
-            sources[b].geometrics((centers[lo:hi] - bounds[b]).tolist(), cap,
-                                  bit_offset + phase * cap)[0]
-            for b, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi])
+        return split_reads(centers, block[centers], read)
 
     carvings = carve(offsets, indices, draw, phases, cap, min_gap=min_gap,
                      blocks=bounds)
@@ -460,12 +497,9 @@ def _en_result(carving: Carving, phases: int, cap: int, finish: str,
     if remaining and finish == "strict":
         return None, report, extra
 
-    cluster_of, color_of = assemble(assignment, remaining)
     if remaining:
         report.annotate(f"{len(remaining)} leftovers parked as singleton clusters")
-    decomposition = Decomposition(cluster_of=cluster_of,
-                                  color_of=color_of).normalize_colors()
-    return decomposition, report, extra
+    return assemble(assignment, remaining), report, extra
 
 
 def elkin_neiman(

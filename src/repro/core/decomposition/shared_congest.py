@@ -22,8 +22,15 @@ from Θ(log² n)-wise independent bit sources expanded deterministically
 from the global shared string ([AS04] expansion, implemented by
 :meth:`SharedRandomness.expand_kwise`), so the whole algorithm consumes
 only the poly(log n)-bit shared seed — no private randomness at all.
-:func:`seed_schedule` maps (phase, epoch, purpose) to its seed slice,
-for Theorem 3.7's cluster pools too.
+
+:func:`phase_epoch_decomposition` is the one construction behind
+Theorems 3.6 and 3.7. Node v reads the shared string of its owner,
+``strings[owner[v]]``, and :func:`seed_schedule` expands each string
+into one k-wise source per (owner, phase, epoch, purpose). Theorem 3.6
+has one owner, the global string; Theorem 3.7 has one per gathering
+cluster, seeded by its pool (:mod:`.sparse_bits`). Each election and
+radius read fans out to the owners' sources through
+:func:`~.elkin_neiman.split_reads`.
 
 The loop is :func:`~.elkin_neiman.carve` with epochs and elections:
 per epoch one top-two flood through the available nodes, with only the
@@ -39,7 +46,7 @@ elect and one to decide) and their messages are *measured* into
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,12 +54,11 @@ from ...errors import ConfigurationError
 from ...randomness.finite_field import min_degree_for
 from ...randomness.kwise import KWiseSource
 from ...randomness.shared import SharedRandomness
-from ...randomness.source import RandomSource
 from ...sim.graph import DistributedGraph
 from ...sim.messages import ceil_log2
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
-from .elkin_neiman import assemble, carve
+from .elkin_neiman import assemble, carve, split_reads
 
 #: Bits per Bernoulli center election (a 16-bit threshold comparison).
 ELECTION_BITS = 16
@@ -62,43 +68,63 @@ _ELECTION_WEIGHTS = np.left_shift(1, np.arange(ELECTION_BITS - 1, -1, -1),
                                   dtype=np.int64)
 
 
-def election_threshold(epoch: int, logn: int, n: int) -> int:
-    """A node is elected iff its ``ELECTION_BITS``-bit value is below
-    this: probability ``min(1, 2^epoch log n / n)``."""
-    prob = min(1.0, (2 ** epoch) * logn / n)
-    return math.ceil(prob * (1 << ELECTION_BITS))
-
-
-def election_values(source: RandomSource, nodes: np.ndarray) -> np.ndarray:
-    """Each node's first ``ELECTION_BITS`` bits of ``source``, read
-    big-endian as an integer (one :meth:`~RandomSource.bits_each`)."""
-    return source.bits_each(nodes.tolist(), ELECTION_BITS) @ _ELECTION_WEIGHTS
-
-
 def phase_epoch_decomposition(
     graph: DistributedGraph,
-    elect: Callable[[np.ndarray, int, int], np.ndarray],
-    radius_draw: Callable[[np.ndarray, int, int], np.ndarray],
+    strings: Mapping[int, SharedRandomness],
+    owner: np.ndarray,
+    k: int,
     max_phases: int,
     epochs: int,
     cap: int,
     strict: bool = True,
 ) -> Tuple[Optional[Decomposition], RunReport, Dict[str, object]]:
-    """The phase/epoch carving shared by Theorems 3.6 and 3.7: one
+    """The phase/epoch carving of Theorems 3.6 and 3.7: one
     :func:`~.elkin_neiman.carve` of ``epochs`` epochs per phase on G,
     plus a BFS tree of G[cluster] per cluster (strong diameter).
 
+    Node ``v`` reads its election and radius bits from the shared string
+    ``strings[owner[v]]``: :func:`seed_schedule` expands it into one
+    k-wise source per (owner, phase, epoch, purpose), on first use, and
+    each read fans out to the owners' sources through
+    :func:`~.elkin_neiman.split_reads`. Theorem 3.6 has one owner, the
+    global string; Theorem 3.7 has one per gathering cluster, its pool.
+    ``extra["sources_expanded"]`` counts the sources expanded.
+
     Parameters
     ----------
-    elect:
-        ``elect(nodes, phase, epoch) -> bool[len(nodes)]`` — which of the
-        available ``nodes`` (an int64 array, ascending) are centers?
-    radius_draw:
-        ``radius_draw(nodes, phase, epoch) -> int[len(nodes)]``, each in
-        [1, cap]: the elected ``nodes``' radius draws.
+    owner:
+        ``int64[n]``: each node's key into ``strings``.
     strict:
         Fail (return None) if nodes remain after ``max_phases``.
     """
+    n = graph.n
+    logn = ceil_log2(n)
+    _per_source, expand = seed_schedule(n, k, epochs, cap)
+    sources: Dict[Tuple[int, int, int, str], KWiseSource] = {}
+
+    def read(nodes: np.ndarray, phase: int, epoch: int, purpose: str,
+             sample: Callable[[KWiseSource, np.ndarray], np.ndarray]
+             ) -> np.ndarray:
+        def from_owner(key: int, group: np.ndarray) -> np.ndarray:
+            at = (key, phase, epoch, purpose)
+            if at not in sources:
+                sources[at] = expand(strings[key], phase, epoch, purpose)
+            return sample(sources[at], group)
+        return split_reads(nodes, owner[nodes], from_owner)
+
+    def elect(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
+        # Elected iff the first ELECTION_BITS bits, read big-endian, are
+        # below the threshold: probability min(1, 2^epoch log n / n).
+        values = read(nodes, phase, epoch, "elect", lambda src, group:
+                      src.bits_each(group.tolist(), ELECTION_BITS)
+                      @ _ELECTION_WEIGHTS)
+        prob = min(1.0, (2 ** epoch) * logn / n)
+        return values < math.ceil(prob * (1 << ELECTION_BITS))
+
+    def radius_draw(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
+        return read(nodes, phase, epoch, "radius", lambda src, group:
+                    src.geometrics(group.tolist(), cap, 0)[0])
+
     step = cap + 2  # base-radius decrement per epoch, > max X_u
     assignment, leftovers, measured, phase_log = carve(
         graph.csr.offsets, graph.csr.indices, radius_draw, max_phases, cap,
@@ -121,23 +147,20 @@ def phase_epoch_decomposition(
         "phase_log": phase_log,
         "max_radius": epochs * step + cap,
         **measured,
+        "sources_expanded": len(sources),
     }
     if leftovers and strict:
         return None, report, extra
-    cluster_of, color_of = assemble(assignment, leftovers)
+    decomposition = assemble(assignment, leftovers)
     # One tree per cluster, rooted at its center; a leftover is its own
     # center, so its singleton's tree is empty.
-    members: Dict[int, Set[int]] = {}
-    roots: Dict[int, int] = {}
-    for v, cid in cluster_of.items():
-        members.setdefault(cid, set()).add(v)
-        roots.setdefault(cid, assignment[v][1] if v in assignment else v)
-    trees = {cid: _spanning_tree_edges(graph, group, roots[cid])
-             for cid, group in members.items()}
+    decomposition.trees = {}
+    for cid, group in decomposition.clusters().items():
+        v = next(iter(group))
+        decomposition.trees[cid] = _spanning_tree_edges(
+            graph, group, assignment.get(v, (None, v))[1])
     if leftovers:
         report.annotate(f"{len(leftovers)} leftovers parked as singletons")
-    decomposition = Decomposition(cluster_of=cluster_of, color_of=color_of,
-                                  trees=trees).normalize_colors()
     return decomposition, report, extra
 
 
@@ -224,7 +247,7 @@ def shared_randomness_decomposition(
     """
     n = graph.n
     k, max_phases, epochs, cap = _defaults(n, k, max_phases, epochs, cap)
-    per_source, expand = seed_schedule(n, k, epochs, cap)
+    per_source = seed_schedule(n, k, epochs, cap)[0]
     needed = 2 * max_phases * epochs * per_source
     if shared is None:
         shared = SharedRandomness(needed, seed=seed)
@@ -234,34 +257,16 @@ def shared_randomness_decomposition(
             f"needs {needed} at these parameters"
         )
 
-    sources: Dict[Tuple[int, int, str], KWiseSource] = {}
-
-    def source_for(phase: int, epoch: int, purpose: str) -> KWiseSource:
-        key = (phase, epoch, purpose)
-        if key not in sources:
-            sources[key] = expand(shared, phase, epoch, purpose)
-        return sources[key]
-
-    logn = ceil_log2(n)
-
-    def elect(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
-        src = source_for(phase, epoch, "elect")
-        return election_values(src, nodes) < election_threshold(
-            epoch, logn, n)
-
-    def radius_draw(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
-        src = source_for(phase, epoch, "radius")
-        return src.geometrics(nodes.tolist(), cap, 0)[0]
-
     decomposition, report, extra = phase_epoch_decomposition(
-        graph, elect, radius_draw, max_phases, epochs, cap, strict=strict)
+        graph, {0: shared}, np.zeros(n, dtype=np.int64), k, max_phases,
+        epochs, cap, strict=strict)
+    sources = extra["sources_expanded"]
     report.randomness_bits = shared.seed_bits
     report.annotate(
         f"shared seed: {shared.seed_bits} bits; k={k}-wise expansion; "
-        f"{len(sources)} sources actually expanded"
+        f"{sources} sources actually expanded"
     )
     extra["shared_seed_bits"] = shared.seed_bits
-    extra["shared_bits_consumed"] = len(sources) * per_source
+    extra["shared_bits_consumed"] = sources * per_source
     extra["kwise_k"] = k
-    extra["sources_expanded"] = len(sources)
     return decomposition, report, extra

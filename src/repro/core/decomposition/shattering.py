@@ -113,7 +113,7 @@ def shattering_decomposition(
     for v in sorted(center_of, key=lambda v: ball_of[center_of[v]]):
         ball = ball_of[center_of[v]]
         assignment[v] = (offset + det[ball], ball)
-    cluster_of, color_of = assemble(assignment)
+    decomposition = assemble(assignment)
 
     extra["en_colors"] = len(en_palette)
     extra["det_colors"] = len(set(det))
@@ -129,9 +129,7 @@ def shattering_decomposition(
         ],
     ))
     report = en_report.merge(finish_report)
-    return (Decomposition(cluster_of=cluster_of,
-                          color_of=color_of).normalize_colors(),
-            report, extra)
+    return decomposition, report, extra
 
 
 def theoretical_failure_bound(n: int, K: int) -> float:

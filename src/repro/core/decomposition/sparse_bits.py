@@ -29,7 +29,10 @@ h = poly(log n) hops. The pipeline:
   O(log n) colors and O(log² n) radius — *h-free*.
 
 Both run :func:`~.elkin_neiman.carve`: Theorem 3.1 on the cluster
-graph, Theorem 3.7 through the Theorem 3.6 phase/epoch construction.
+graph, Theorem 3.7 as Theorem 3.6's
+:func:`~.shared_congest.phase_epoch_decomposition` itself, with one
+shared string per cluster (seeded by its pool) and each node owned by
+its cluster.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ...errors import ConfigurationError, RandomnessExhausted
-from ...randomness.kwise import KWiseSource
 from ...randomness.pooled import PooledBits
 from ...randomness.shared import SharedRandomness
 from ...randomness.sparse import SparseRandomness
@@ -50,8 +52,7 @@ from ...sim.metrics import RunReport
 from ...structures import Decomposition
 from ..ruling_sets import cluster_adjacency, greedy_ruling_set, voronoi_clusters
 from .elkin_neiman import assemble, carve
-from .shared_congest import (election_threshold, election_values,
-                             phase_epoch_decomposition, seed_schedule)
+from .shared_congest import _defaults, phase_epoch_decomposition, seed_schedule
 
 
 @dataclasses.dataclass
@@ -215,12 +216,10 @@ def sparse_bits_decomposition(
     units = {center: (0, center) for center in sorted(gathered.isolated)}
     units.update((labels[i], (phase, labels[c]))
                  for i, (phase, c) in assignment_cg.items())
-    unit_cluster, color_of = assemble(units, remaining)
-    cluster_of = {v: cid for center, cid in unit_cluster.items()
-                  for v in members[center]}
-
-    decomposition = Decomposition(cluster_of=cluster_of,
-                                  color_of=color_of).normalize_colors()
+    decomposition = assemble(units, remaining)
+    decomposition.cluster_of = {
+        v: cid for center, cid in decomposition.cluster_of.items()
+        for v in members[center]}
     return decomposition, report, extra
 
 
@@ -243,19 +242,12 @@ def sparse_bits_strong_decomposition(
     """
     n = graph.n
     logn = ceil_log2(n)
-    if k is None:
-        # The theorem uses Θ(log² n)-wise independence; we default to the
-        # laptop-scaled Θ(log n) so the k*m seed cost stays below
-        # realistic pool sizes (constants are scaled down, asymptotics
-        # are not).
-        k = max(4, logn)
-    if max_phases is None:
-        max_phases = max(4, 10 * logn)
-    if epochs is None:
-        epochs = logn + 1
-    if cap is None:
-        cap = max(4, 2 * logn)
-    per_source, expand = seed_schedule(n, k, epochs, cap)
+    # The theorem uses Θ(log² n)-wise independence; we default to the
+    # laptop-scaled Θ(log n) so the k*m seed cost stays below realistic
+    # pool sizes (constants are scaled down, asymptotics are not).
+    k, max_phases, epochs, cap = _defaults(
+        n, k if k is not None else max(4, logn), max_phases, epochs, cap)
+    per_source = seed_schedule(n, k, epochs, cap)[0]
     # The theorem gathers O(log^4 n) true bits per cluster. We gather the
     # per-source seed cost times a small phase allowance; the rest of the
     # seed stream is derived from the gathered bits by the deterministic
@@ -265,8 +257,6 @@ def sparse_bits_strong_decomposition(
     seed_stream_bits = 2 * max_phases * epochs * per_source
 
     gathered = gather_bits(graph, source, gather_target, spacing=spacing)
-    members = gathered.cluster_members()
-    cluster_of_node = gathered.assignment
 
     # Each cluster's gathered pool seeds a cluster-local shared string.
     # The paper broadcasts the raw pool and expands it k-wise inside the
@@ -282,51 +272,19 @@ def sparse_bits_strong_decomposition(
             pool_seed = (pool_seed << 1) | b
         local_shared[center] = SharedRandomness(
             seed_stream_bits, seed=pool_seed)
-
-    sources: Dict[Tuple[int, int, int, str], KWiseSource] = {}
-
-    def source_for(center: int, phase: int, epoch: int,
-                   purpose: str) -> KWiseSource:
-        key = (center, phase, epoch, purpose)
-        if key not in sources:
-            sources[key] = expand(local_shared[center], phase, epoch, purpose)
-        return sources[key]
-
-    owner = np.array([cluster_of_node[v] for v in graph.nodes()],
+    owner = np.array([gathered.assignment[v] for v in graph.nodes()],
                      dtype=np.int64)
 
-    def by_source(nodes: np.ndarray, phase: int, epoch: int, purpose: str,
-                  read) -> np.ndarray:
-        """``read(source, group)`` once per cluster source, on the nodes
-        whose cluster it belongs to; results in ``nodes`` order."""
-        out = np.empty(len(nodes), dtype=np.int64)
-        owners = owner[nodes]
-        order = np.argsort(owners, kind="stable")
-        centers, starts = np.unique(owners[order], return_index=True)
-        for center, group in zip(centers.tolist(),
-                                 np.split(order, starts[1:])):
-            src = source_for(center, phase, epoch, purpose)
-            out[group] = read(src, nodes[group])
-        return out
-
-    def elect(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
-        values = by_source(nodes, phase, epoch, "elect", election_values)
-        return values < election_threshold(epoch, logn, n)
-
-    def radius_draw(nodes: np.ndarray, phase: int, epoch: int) -> np.ndarray:
-        return by_source(nodes, phase, epoch, "radius",
-                         lambda src, group: src.geometrics(
-                             group.tolist(), cap, 0)[0])
-
     decomposition, carve_report, extra = phase_epoch_decomposition(
-        graph, elect, radius_draw, max_phases, epochs, cap, strict=strict)
+        graph, local_shared, owner, k, max_phases, epochs, cap,
+        strict=strict)
 
     share_rounds = 2 * (gathered.spacing - 1) + gather_target // max(1, logn)
     report = gathered.report.merge(carve_report).annotate(
         f"Theorem 3.7: pool broadcast ~{share_rounds} rounds; "
-        f"{len(sources)} per-cluster sources expanded"
+        f"{extra['sources_expanded']} per-cluster sources expanded"
     )
     extra["pool_sizes"] = {c: len(b) for c, b in gathered.pools.items()}
     extra["gather_target_per_pool"] = gather_target
-    extra["num_level1_clusters"] = len(members)
+    extra["num_level1_clusters"] = len(gathered.pools)
     return decomposition, report, extra

@@ -473,11 +473,6 @@ class ArrayContext:
     # ------------------------------------------------------------------
     # Neighbor aggregation over CSR-order edge values
     # ------------------------------------------------------------------
-    def gather(self, node_values: np.ndarray) -> np.ndarray:
-        """Per-edge view of per-node values: each node's broadcast as a
-        column gather along the CSR indices."""
-        return np.asarray(node_values)[self.indices]
-
     def neighbor_reduce(self, edge_values: np.ndarray, ufunc: np.ufunc,
                         identity) -> np.ndarray:
         """Per-node ``ufunc`` over its incident CSR-order edge values
@@ -499,15 +494,6 @@ class ArrayContext:
                      empty=INT64_MAX) -> np.ndarray:
         """Per-node min over its incident edge values (``empty`` if none)."""
         return self.neighbor_reduce(edge_values, np.minimum, empty)
-
-    def neighbor_max(self, edge_values: np.ndarray, empty=-1) -> np.ndarray:
-        """Per-node max over its incident edge values (``empty`` if none)."""
-        return self.neighbor_reduce(edge_values, np.maximum, empty)
-
-    def neighbor_sum(self, edge_values: np.ndarray) -> np.ndarray:
-        """Per-node sum over its incident edge values (0 if none)."""
-        return self.neighbor_reduce(
-            np.asarray(edge_values, dtype=np.int64), np.add, 0)
 
     # ------------------------------------------------------------------
     # Fused aggregation: gather, mask and reduce in the edge buffers

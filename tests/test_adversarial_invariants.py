@@ -22,7 +22,8 @@ from repro.errors import (
     RandomnessExhausted,
 )
 from repro.graphs import make
-from repro.randomness import IndependentSource, SparseRandomness
+from repro.randomness import (IndependentSource, SharedRandomness,
+                              SparseRandomness)
 from repro.randomness.pooled import PooledBits
 
 from helpers import nx_to_csr, to_nx
@@ -139,8 +140,9 @@ class TestFailureInjection:
 
         with pytest.raises(ConfigurationError):
             phase_epoch_decomposition(
-                cycle12, lambda v, p, e: False, lambda v, p, e: 1,
-                max_phases=0, epochs=2, cap=2)
+                cycle12, {0: SharedRandomness(64)},
+                np.zeros(cycle12.n, dtype=np.int64), k=2, max_phases=0,
+                epochs=2, cap=2)
 
     def test_engine_detects_runaway_algorithms(self, path9):
         from helpers import NodeProgram, run_program

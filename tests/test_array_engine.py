@@ -187,7 +187,7 @@ class TestColumnFoldParity:
         assert calls[0]
         # The CSR-order edge API maps through the lazy permutation.
         values = np.random.default_rng(4).integers(0, 1000, size=csr.n)
-        np.testing.assert_array_equal(ctx.neighbor_min(ctx.gather(values)),
+        np.testing.assert_array_equal(ctx.neighbor_min(values[ctx.indices]),
                                       ctx.gather_neighbor_min(values))
 
 

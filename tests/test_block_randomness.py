@@ -650,13 +650,22 @@ class TestStreamKeys:
 
 
 def _metering_state(source):
-    """PRF blocks computed, bits metered, and a digest of the ledger."""
+    """PRF blocks computed (0 for a source without PRF streams), bits
+    metered, and a digest of the ledger."""
+    streams = getattr(source, "_streams", {})
     ledger = {repr(v): [source._ledgers[v].starts, source._ledgers[v].ends]
               for v in sorted(source.nodes_touched(), key=repr)}
     text = json.dumps(ledger, sort_keys=True).encode()
-    return (sum(len(s._blocks) for s in source._streams.values()),
+    return (sum(len(s._blocks) for s in streams.values()),
             source.bits_consumed, len(ledger),
             hashlib.sha256(text).hexdigest()[:16])
+
+
+def _decomposition_digest(dec):
+    """A digest of a decomposition's sorted clusters, colors and trees."""
+    text = repr((sorted(dec.cluster_of.items()), sorted(dec.color_of.items()),
+                 sorted(dec.trees.items()))).encode()
+    return hashlib.sha256(text).hexdigest()[:16]
 
 
 class TestPinnedMetering:
@@ -693,6 +702,37 @@ class TestPinnedMetering:
             elkin_neiman(graph, source)
         assert _metering_state(source) == (64, 200, 64, "055c872e3eaf0b78")
 
+    def test_shared_randomness_decomposition(self):
+        # Theorem 3.6: every k-wise source expanded from one shared string.
+        from repro.core.decomposition import (
+            shared_bits_needed, shared_randomness_decomposition)
+
+        graph = assign(make("gnp-sparse", 64, seed=2), "random", seed=2)
+        shared = SharedRandomness(shared_bits_needed(64))
+        dec, _report, extra = shared_randomness_decomposition(graph,
+                                                              shared=shared)
+        assert (extra["sources_expanded"], extra["shared_bits_consumed"],
+                extra["rounds_measured"], extra["messages"]) == \
+            (14, 5544, 39, 588)
+        assert _decomposition_digest(dec) == "38c108c48709974c"
+        assert shared.bits_consumed_by("__shared__") == 5544
+        assert extra["shared_bits_consumed"] == \
+            shared.bits_consumed_by("__shared__")
+
+    def test_sparse_bits_strong_decomposition(self):
+        # Theorem 3.7: k-wise sources expanded from each cluster's pool.
+        from repro.core.decomposition import sparse_bits_strong_decomposition
+
+        graph = assign(make("grid", 144, seed=1), "random", seed=1)
+        source = SparseRandomness.for_graph(graph, h=1, seed=1)
+        dec, report, extra = sparse_bits_strong_decomposition(
+            graph, source, spacing=8)
+        assert (extra["num_level1_clusters"], extra["sources_expanded"],
+                extra["rounds_measured"], extra["messages"]) == \
+            (5, 45, 56, 1708)
+        assert report.notes[-1].endswith("45 per-cluster sources expanded")
+        assert _decomposition_digest(dec) == "2243f87970d48119"
+        assert _metering_state(source) == (0, 55, 55, "cfa8a239129945c5")
 
     def test_randomized_orientation(self):
         # Every owner's coins in one bits_each, every fix-up round's

@@ -23,6 +23,7 @@ from repro.core.decomposition import (
     sparse_bits_decomposition,
     top_two_flood,
 )
+from repro.core.decomposition.elkin_neiman import split_reads
 from repro.errors import ConfigurationError
 from repro.graphs import assign, make
 from repro.randomness import IndependentSource, SparseRandomness
@@ -544,6 +545,34 @@ class TestElkinNeimanBatch:
                            cap=4)
         with pytest.raises(ConfigurationError, match="finish"):
             elkin_neiman_batch([(cycle12, source)], finish="retry")
+
+
+class TestSplitReads:
+    """``split_reads`` reads each owner once, in ascending order, on its
+    nodes in input order, and returns the values in input order."""
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, 50), st.integers(-3, 6)),
+                          max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_one_read_per_owner(self, pairs):
+        nodes = np.array([v for v, _ in pairs], dtype=np.int64)
+        owners = np.array([o for _, o in pairs], dtype=np.int64)
+        calls = []
+
+        def read(owner, group):
+            calls.append((owner, group.tolist()))
+            return group * 10 + owner
+
+        got = split_reads(nodes, owners, read)
+        keys = sorted(set(owners.tolist()))
+        assert [owner for owner, _ in calls] == keys
+        assert [group for _, group in calls] == [
+            [v for v, o in pairs if o == key] for key in keys]
+        want = np.zeros(len(pairs), dtype=np.int64)
+        for key in keys:
+            mine = owners == key
+            want[mine] = read(key, nodes[mine])
+        assert got.tolist() == want.tolist()
 
 
 class TestTheorem31Measured:

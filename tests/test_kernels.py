@@ -143,11 +143,14 @@ class TestWorkspaceEdgeCases:
     def test_segment_reduce_matches_stateless(self, name):
         csr, ctx, values, _ = self.make_case(name)
         edge_values = values[csr.indices]
-        for op, ufunc, identity in ((ctx.neighbor_min, np.minimum, INT64_MAX),
-                                    (ctx.neighbor_max, np.maximum, -1),
-                                    (ctx.neighbor_sum, np.add, 0)):
+        for ufunc, identity in ((np.minimum, INT64_MAX), (np.maximum, -1),
+                                (np.add, 0)):
             want = segment_reduce(edge_values, csr.offsets, ufunc, identity)
-            np.testing.assert_array_equal(op(edge_values), want)
+            np.testing.assert_array_equal(
+                ctx.neighbor_reduce(edge_values, ufunc, identity), want)
+        np.testing.assert_array_equal(
+            ctx.neighbor_min(edge_values),
+            segment_reduce(edge_values, csr.offsets, np.minimum, INT64_MAX))
 
     def test_count_and_gather(self, name):
         csr, ctx, values, mask = self.make_case(name)
